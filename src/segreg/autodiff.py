@@ -19,7 +19,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
-    "elementwise",
+    "NonFiniteError",
     "add",
     "sub",
     "mul",
@@ -52,6 +52,10 @@ __all__ = [
 _ACTIVE_TAPE: "Tape | None" = None
 
 
+class NonFiniteError(ValueError):
+    """Raised when a tensor would hold a NaN or an infinity."""
+
+
 class Tensor:
     """A dense float64 array plus gradient metadata."""
 
@@ -60,7 +64,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor data must be finite")
+            raise NonFiniteError("tensor data must be finite")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -93,7 +97,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
+        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -134,20 +138,10 @@ class Tape:
         return len(self.nodes)
 
 
-def active_tape() -> Tape | None:
-    return _ACTIVE_TAPE
-
-
 def as_tensor(x, requires_grad: bool = False) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x, requires_grad=requires_grad)
-
-
-def _wrap(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _record(out: Tensor, backward_fn) -> Tensor:
@@ -201,7 +195,7 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise operations
+# pointwise operations
 # ---------------------------------------------------------------------------
 
 def _binary_shapes(a: Tensor, b: Tensor) -> None:
@@ -224,7 +218,7 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     a = as_tensor(a)
-    b = _wrap(b, a)
+    b = as_tensor(b)
     _binary_shapes(a, b)
     out = Tensor(a.data + b.data)
     out.requires_grad = a.requires_grad or b.requires_grad
@@ -238,7 +232,7 @@ def add(a: Tensor, b) -> Tensor:
 
 def sub(a: Tensor, b) -> Tensor:
     a = as_tensor(a)
-    b = _wrap(b, a)
+    b = as_tensor(b)
     _binary_shapes(a, b)
     out = Tensor(a.data - b.data)
     out.requires_grad = a.requires_grad or b.requires_grad
@@ -252,7 +246,7 @@ def sub(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     a = as_tensor(a)
-    b = _wrap(b, a)
+    b = as_tensor(b)
     _binary_shapes(a, b)
     out = Tensor(a.data * b.data)
     out.requires_grad = a.requires_grad or b.requires_grad
@@ -266,7 +260,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 def div(a: Tensor, b) -> Tensor:
     a = as_tensor(a)
-    b = _wrap(b, a)
+    b = as_tensor(b)
     _binary_shapes(a, b)
     out = Tensor(a.data / b.data)
     out.requires_grad = a.requires_grad or b.requires_grad
@@ -347,24 +341,6 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
         _accumulate(a, g * np.where(mask, 1.0, slope))
 
     return _record(out, bwd)
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "exp": exp, "log": log, "relu": relu}
-
-
-def elementwise(op_kind: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dispatch by name over the supported elementwise kernels."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op_kind!r}") from None
-    if op_kind in ("add", "sub", "mul"):
-        if b is None:
-            raise ValueError(f"{op_kind} needs two operands")
-        return fn(a, b)
-    if b is not None:
-        raise ValueError(f"{op_kind} is unary")
-    return fn(a)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from segreg.geometry import PointCloud, RigidTransform
+from segreg.kpconv import local_reference_frames
 from segreg.matching import MatchSet, weighted_procrustes
 
 __all__ = ["ICPReport", "icp", "ransac_icp", "estimate_normals", "local_descriptors"]
@@ -76,14 +77,7 @@ def estimate_normals(cloud: PointCloud, k: int = 12) -> np.ndarray:
     _, nn = tree.query(cloud.positions, k=k)
     if k == 1:
         nn = nn[:, None]
-    normals = np.zeros((len(cloud), 3))
-    for i in range(len(cloud)):
-        block = cloud.positions[nn[i]]
-        centered = block - block.mean(axis=0)
-        cov = centered.T @ centered
-        _, vecs = np.linalg.eigh(cov)
-        normals[i] = vecs[:, 0]
-    return normals
+    return local_reference_frames(cloud.positions, nn, min_neighbors=0)[:, 2]
 
 
 def local_descriptors(cloud: PointCloud, radius: float, bins: int = 8,

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +19,8 @@ import numpy as np
 from segreg import __version__
 from segreg.baselines import icp, ransac_icp
 from segreg.evaluation import (
-    EvalRecord,
     evaluate_pose,
     format_summary,
-    read_records,
     summarize,
     wilcoxon_signed_rank,
     write_records,
@@ -34,7 +31,6 @@ from segreg.fileio import (
     load_pose,
     load_sample,
     read_manifest,
-    save_mask,
     save_ply,
     save_pose,
     save_sample,

@@ -9,11 +9,11 @@ continuity correction, and effect size r = |Z| / sqrt(n).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm as _normal
 
 from segreg.geometry import PointCloud, RigidTransform, rotation_angle_deg
 
@@ -25,7 +25,6 @@ __all__ = [
     "wilcoxon_signed_rank",
     "EvalRecord",
     "write_records",
-    "read_records",
     "format_summary",
 ]
 
@@ -111,8 +110,7 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     if var_w <= 0:
         raise ValueError("tie-corrected variance is zero; the test is undefined")
     z = (w - mean_w + 0.5) / np.sqrt(var_w)   # continuity-corrected toward the mean
-    p = float(2.0 * _normal.cdf(z))
-    p = min(1.0, p)
+    p = min(1.0, math.erfc(-z / math.sqrt(2.0)))   # 2 * Phi(z)
     r = float(abs(z) / np.sqrt(n))
     return p, r
 
@@ -175,24 +173,6 @@ def write_records(records: list[EvalRecord], path: str | Path) -> None:
                             repr(r.rmse_units), repr(r.rmse_mm),
                             repr(r.rotation_deg), repr(r.translation_units),
                             repr(r.wall_time_s)])
-
-
-def read_records(path: str | Path) -> list[EvalRecord]:
-    by_key: dict[tuple[str, str], EvalRecord] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["sample_id"], row["method"])
-            rec = by_key.get(key)
-            if rec is None:
-                rec = EvalRecord(row["sample_id"], row["method"], [], [],
-                                 float(row["rmse_units"]), float(row["rmse_mm"]),
-                                 float(row["rotation_deg"]),
-                                 float(row["translation_units"]),
-                                 float(row["wall_time_s"]))
-                by_key[key] = rec
-            rec.tre_units.append(float(row["tre_units"]))
-            rec.tre_mm.append(float(row["tre_mm"]))
-    return [by_key[k] for k in sorted(by_key)]
 
 
 def format_summary(title: str, stats: dict, unit: str = "mm") -> str:

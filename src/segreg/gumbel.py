@@ -8,8 +8,6 @@ plain argmax of the logits with no noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from segreg import autodiff as ad
@@ -20,22 +18,9 @@ __all__ = [
     "gumbel_softmax",
     "straight_through_mask",
     "hard_mask",
-    "SegmentationField",
 ]
 
 _U_CLIP = 1e-12
-
-
-@dataclass
-class SegmentationField:
-    """Everything produced while sampling one mask, kept for inspection."""
-
-    logits: Tensor
-    probabilities: np.ndarray
-    noise: np.ndarray
-    relaxed: Tensor
-    hard: np.ndarray
-    temperature: float
 
 
 def sample_gumbel(n: int, c: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,12 +39,12 @@ def gumbel_softmax(z: Tensor, g: np.ndarray, tau: float) -> Tensor:
 
 
 def straight_through_mask(z: Tensor, tau: float, rng: np.random.Generator
-                          ) -> tuple[Tensor, np.ndarray, SegmentationField]:
+                          ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Sample a hard binary mask whose backward pass uses the relaxation.
 
     Returns the straight-through mask as an (N, 1) tensor holding the
-    class-1 indicator, the hard labels as an int array, and the full
-    :class:`SegmentationField` record.
+    class-1 indicator, the hard labels as an int array, and the (N, C)
+    Gumbel noise that was added to the logits.
     """
     n = z.data.shape[0]
     g = sample_gumbel(n, z.data.shape[1], rng)
@@ -68,10 +53,7 @@ def straight_through_mask(z: Tensor, tau: float, rng: np.random.Generator
     soft_one = ad.narrow(soft, 1, 1, 2)
     hard_one = Tensor(hard.astype(np.float64).reshape(n, 1))
     mask = ad.add(ad.sub(hard_one, ad.stop_gradient(soft_one)), soft_one)
-    probs = _softmax_rows(z.data)
-    field = SegmentationField(logits=z, probabilities=probs, noise=g,
-                              relaxed=soft, hard=hard, temperature=tau)
-    return mask, hard, field
+    return mask, hard, g
 
 
 def hard_mask(z: Tensor | np.ndarray) -> np.ndarray:
@@ -79,7 +61,3 @@ def hard_mask(z: Tensor | np.ndarray) -> np.ndarray:
     data = z.data if isinstance(z, Tensor) else np.asarray(z)
     return np.argmax(data, axis=1)
 
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)

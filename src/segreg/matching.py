@@ -157,25 +157,19 @@ def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray, k_corr: int,
 
     Features must carry L2-normalized rows.  The similarity is the feature
     inner product plus ``bonus_weight`` times the geometric-consistency bonus;
-    the dual softmax is the elementwise product of row-wise and column-wise
+    the dual softmax is the entrywise product of row-wise and column-wise
     softmaxes.  Returns (pairs (k, 2), scores (k,)), score-descending with
     ties resolved in row-major cell order.
     """
     sim = pre_feats @ intra_feats.T
     if geom_bonus is not None:
         sim = sim + bonus_weight * geom_bonus
-    row = _softmax_np(sim, axis=1)
-    col = _softmax_np(sim, axis=0)
-    score = row * col
+    sim = Tensor(sim)
+    score = ad.softmax(sim, axis=1).data * ad.softmax(sim, axis=0).data
     k = min(k_corr, score.size)
     order = np.argsort(-score.reshape(-1), kind="stable")[:k]
     pairs = np.stack(np.unravel_index(order, score.shape), axis=1)
     return pairs, score.reshape(-1)[order]
-
-
-def _softmax_np(x: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 def normalize_scores_with_slack(scores: Tensor, iterations: int = 5,

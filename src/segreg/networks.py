@@ -26,7 +26,6 @@ from segreg.autodiff import Tensor
 from segreg.geometry import PointCloud
 from segreg.kpconv import (
     SIGMA_RATIO,
-    KernelDisposition,
     PointPyramid,
     build_pyramid,
     conv_influence,
@@ -44,7 +43,6 @@ __all__ = [
     "init_reg_params",
     "seg_forward",
     "reg_backbone_forward",
-    "param_vector_norm",
 ]
 
 
@@ -176,10 +174,6 @@ def init_reg_params(cfg: RegNetConfig, rng: np.random.Generator) -> dict[str, Te
         current = w[l]
     _add_linear(params, rng, "reg_dense", current, cfg.dense_dim, norm=False)
     return params
-
-
-def param_vector_norm(params: dict[str, Tensor]) -> float:
-    return float(np.sqrt(sum(np.sum(p.data ** 2) for p in params.values())))
 
 
 # ---------------------------------------------------------------------------

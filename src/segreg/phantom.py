@@ -20,7 +20,7 @@ by construction: every downstream metric is an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree

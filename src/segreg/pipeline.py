@@ -16,7 +16,7 @@ import numpy as np
 
 from segreg import autodiff as ad
 from segreg.autodiff import Tensor
-from segreg.geometry import PointCloud, RigidTransform
+from segreg.geometry import RigidTransform
 from segreg.gumbel import hard_mask, straight_through_mask
 from segreg.matching import (
     DualLoss,
@@ -213,12 +213,9 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra,
                                                  mask_feats, reg_cfg)
 
-    def norm_rows(x):
-        n = np.linalg.norm(x, axis=1, keepdims=True)
-        return x / np.maximum(n, 1e-12)
-
     bonus = prepared.pre_hist @ prepared.intra_hist.T
-    pairs, scores = coarse_match(norm_rows(sp_pre.data), norm_rows(sp_intra.data),
+    pairs, scores = coarse_match(l2_normalize_rows(sp_pre).data,
+                                 l2_normalize_rows(sp_intra).data,
                                  match_cfg.k_corr, geom_bonus=bonus,
                                  bonus_weight=match_cfg.bonus_weight)
     matches = fine_match(dense_pre.data, dense_intra.data, pairs,

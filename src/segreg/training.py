@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from segreg.autodiff import Tape, Tensor, backward
+from segreg.autodiff import NonFiniteError, Tape, Tensor, backward
 from segreg.fileio import load_checkpoint, save_checkpoint
 from segreg.gumbel import hard_mask
 from segreg.matching import NoPositivePairsError
@@ -234,12 +234,8 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
             skipped += 1
             curve.append((step, lr, float("nan"), float("nan"), float("nan")))
             continue
-        except FloatingPointError:
+        except (FloatingPointError, NonFiniteError):
             raise TrainingDiverged(p.sample_id or str(idx), step, last_ckpt)
-        except ValueError as exc:
-            if "finite" in str(exc):
-                raise TrainingDiverged(p.sample_id or str(idx), step, last_ckpt)
-            raise
         finally:
             for param in params.values():
                 param.grad = None

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from segreg.baselines import icp, ransac_icp
+from segreg.baselines import estimate_normals, icp, ransac_icp
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
 
 
@@ -108,3 +109,23 @@ def test_icp_initialization_sensitivity_on_low_overlap():
     plain = icp(source, half)
     err_plain = rotation_angle_deg(plain.transform.compose(T).rotation)
     assert err_plain > 2.0
+
+
+def test_estimate_normals_of_noisy_plane_are_vertical():
+    rng = np.random.default_rng(20)
+    pos = np.column_stack([rng.uniform(-1, 1, (500, 2)), 1e-3 * rng.normal(size=500)])
+    normals = estimate_normals(PointCloud(pos))
+    np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+    assert np.min(np.abs(normals[:, 2])) > 0.99
+
+
+def test_estimate_normals_match_per_point_covariance_eigenvectors():
+    cloud = bumpy_surface(np.random.default_rng(21))
+    k = 12
+    _, nn = cKDTree(cloud.positions).query(cloud.positions, k=k)
+    reference = np.empty((len(cloud), 3))
+    for i, idx in enumerate(nn):
+        block = cloud.positions[idx] - cloud.positions[idx].mean(axis=0)
+        reference[i] = np.linalg.eigh(block.T @ block)[1][:, 0]
+    dots = np.abs(np.sum(estimate_normals(cloud, k) * reference, axis=1))
+    assert np.min(dots) >= 1.0 - 1e-12

@@ -69,10 +69,10 @@ def test_straight_through_forward_is_exactly_binary():
     rng = np.random.default_rng(3)
     z = Tensor(rng.uniform(-2, 2, size=(200, 2)), requires_grad=True)
     with Tape():
-        mask, hard, field = straight_through_mask(z, 1.0, np.random.default_rng(7))
+        mask, hard, noise = straight_through_mask(z, 1.0, np.random.default_rng(7))
     assert set(np.unique(mask.data)) <= {0.0, 1.0}
     np.testing.assert_array_equal(mask.data[:, 0], hard.astype(float))
-    np.testing.assert_array_equal(hard, np.argmax(z.data + field.noise, axis=1))
+    np.testing.assert_array_equal(hard, np.argmax(z.data + noise, axis=1))
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 5.0])
@@ -82,13 +82,13 @@ def test_straight_through_gradient_equals_relaxed_gradient(tau):
 
     with Tape():
         z = Tensor(z0, requires_grad=True)
-        mask, _, field = straight_through_mask(z, tau, np.random.default_rng(9))
+        mask, _, noise = straight_through_mask(z, tau, np.random.default_rng(9))
         backward(sum_(mask))
     ste_grad = z.grad.copy()
 
     with Tape():
         z2 = Tensor(z0, requires_grad=True)
-        soft = gumbel_softmax(z2, field.noise, tau)
+        soft = gumbel_softmax(z2, noise, tau)
         backward(sum_(ad.narrow(soft, 1, 1, 2)))
     assert np.max(np.abs(ste_grad - z2.grad)) < 1e-12
     assert np.linalg.norm(ste_grad) > 0
