@@ -37,6 +37,7 @@ from segreg.fileio import (
     write_manifest,
 )
 from segreg.gradcheck import COMPONENTS, run_checks
+from segreg.kpconv import SparseCloudError
 from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.pipeline import (
@@ -125,6 +126,9 @@ def cmd_train(args) -> int:
         result = train([s for _, s in dataset], cfg, seg_cfg, reg_cfg,
                        out_dir=out, resume_from=args.resume,
                        log_every=args.log_every)
+    except SparseCloudError as exc:
+        print(f"cannot train on dataset: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except TrainingDiverged as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -190,6 +194,9 @@ def cmd_register(args) -> int:
                                       with_ground_truth=False)
             out = register_pair(params, prepared, seg_cfg, reg_cfg, MatcherConfig())
             T, mask, info = out.transform, out.mask, out.info
+    except SparseCloudError as exc:
+        print(f"cannot register inputs: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (RegistrationError, ValueError) as exc:
         print(f"registration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -232,8 +239,9 @@ def cmd_eval(args) -> int:
         if not pose_path.exists():
             missing.append(name)
             continue
-        T, _ = load_pose(pose_path)
-        records.append(evaluate_pose(name, args.method, sample, T))
+        T, meta = load_pose(pose_path)
+        wall = float(meta.get("info", {}).get("wall_time_s", 0.0))
+        records.append(evaluate_pose(name, args.method, sample, T, wall))
     if records:
         write_records(records, out / "records.csv")
         tre_mm = [v for r in records for v in r.tre_mm]

@@ -1,9 +1,11 @@
 """Point-cloud containers, SE(3) transforms, and exact neighborhood queries.
 
-Coordinates are float64 throughout.  Neighbor queries are exact: radius
-search retrieves candidates from a k-d tree and re-filters/sorts them with
-local arithmetic, k-NN runs a chunked vectorized scan.  Ties are always
-broken toward the lower support index so results are reproducible.
+Coordinates are float64 throughout.  Neighbor queries are exact: one k-d
+tree query per table fetches a few more candidates per row than are kept,
+and the candidates are re-ranked on exact squared distances.  A row whose
+candidate list may have left out a point that belongs in it (a tie shell
+cut by the list's end) is recomputed by an exact per-row query.  Ties are
+always broken toward the lower support index so results are reproducible.
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-9
+# Extra tree candidates fetched per row beyond the ``k`` that are kept.
+_SLACK = 8
+# Tree distances and exact distances differ by rounding (~1e-16 relative);
+# a candidate list is trusted only when its farthest tree distance clears
+# the k-th kept distance by this relative margin.
+_TIE_MARGIN = 1e-9
 
 
 @dataclass
@@ -202,49 +210,73 @@ def radius_neighbors(query: PointCloud, support: PointCloud, radius: float,
         raise ValueError("radius must be positive")
     if max_neighbors < 1:
         raise ValueError("max_neighbors must be at least 1")
-    nq = len(query)
     ns = len(support)
-    tree = cKDTree(support.positions)
-    candidates = tree.query_ball_point(query.positions, radius + 1e-12)
-    table = np.full((nq, max_neighbors), ns, dtype=np.int64)
-    r2 = radius * radius
-    for i in range(nq):
-        idx = np.asarray(candidates[i], dtype=np.int64)
-        if idx.size == 0:
-            continue
-        diff = support.positions[idx] - query.positions[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        keep = d2 <= r2
-        idx, d2 = idx[keep], d2[keep]
-        if idx.size == 0:
-            continue
-        order = np.lexsort((idx, d2))[:max_neighbors]
-        table[i, : order.size] = idx[order]
+    q, s = query.positions, support.positions
+    tree = cKDTree(s)
+    ranked, unsure = _tree_ranked(tree, q, s, max_neighbors, radius)
+    table = np.full((len(query), max_neighbors), ns, dtype=np.int64)
+    table[:, :ranked.shape[1]] = ranked
+    rows = np.flatnonzero(unsure)
+    for i, cand in zip(rows, tree.query_ball_point(q[rows], radius + 1e-12)):
+        row = _exact_row(q[i], s, np.asarray(cand, dtype=np.int64),
+                         max_neighbors, radius * radius)
+        table[i] = ns
+        table[i, :row.size] = row
     return table
 
 
-def knn(query: PointCloud, support: PointCloud, k: int,
-        chunk: int = 256) -> np.ndarray:
+def knn(query: PointCloud, support: PointCloud, k: int) -> np.ndarray:
     """Exact k nearest support indices per query, distance-ascending.
 
-    Ties are broken toward the lower index (stable sort over squared
-    distances).  Runs a chunked vectorized scan; needs k <= len(support).
+    Ties are broken toward the lower index.  Needs k <= len(support).
     """
     ns = len(support)
     if k > ns:
         raise ValueError(f"k={k} exceeds support size {ns}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    q = query.positions
-    s = support.positions
-    out = np.empty((q.shape[0], k), dtype=np.int64)
-    for lo in range(0, q.shape[0], chunk):
-        hi = min(lo + chunk, q.shape[0])
-        diff = q[lo:hi, None, :] - s[None, :, :]
-        d2 = np.einsum("qsj,qsj->qs", diff, diff)
-        if k == 1:
-            # argmin returns the first (lowest-index) minimum.
-            out[lo:hi, 0] = np.argmin(d2, axis=1)
-        else:
-            out[lo:hi] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    q, s = query.positions, support.positions
+    out, unsure = _tree_ranked(cKDTree(s), q, s, k)
+    every = np.arange(ns)
+    for i in np.flatnonzero(unsure):
+        out[i] = _exact_row(q[i], s, every, k)
     return out
+
+
+def _tree_ranked(tree: cKDTree, q: np.ndarray, s: np.ndarray, k: int,
+                 radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """First k support indices within ``radius`` per row, by exact (d2, index).
+
+    One tree query fetches k + _SLACK candidates per row; they are filtered
+    and ranked on exact squared distances.  Returns the (Nq, min(k, kq))
+    table, shadow-padded, and a mask of rows that must be recomputed: the
+    tree filled the list, and its last candidate does not clearly lie beyond
+    the k-th kept one, so a point left out of the list may rank within k.
+    """
+    ns = s.shape[0]
+    kq = min(k + _SLACK, ns)
+    dist, idx = tree.query(q, k=kq, distance_upper_bound=radius + 1e-12)
+    dist, idx = dist.reshape(-1, kq), idx.reshape(-1, kq)
+    found = idx < ns
+    diff = s[np.where(found, idx, 0)] - q[:, None, :]
+    d2 = np.einsum("qkj,qkj->qk", diff, diff)
+    keep = found & (d2 <= radius * radius)
+    d2 = np.where(keep, d2, np.inf)
+    idx = np.where(keep, idx, ns)
+    order = np.lexsort((idx, d2), axis=1)[:, :k]
+    ranked = np.take_along_axis(idx, order, axis=1)
+    if kq == ns:
+        return ranked, np.zeros(q.shape[0], dtype=bool)
+    last = np.sqrt(np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0])
+    unsure = found[:, -1] & ~(dist[:, -1] > last * (1.0 + _TIE_MARGIN))
+    return ranked, unsure
+
+
+def _exact_row(point: np.ndarray, s: np.ndarray, idx: np.ndarray, k: int,
+               r2: float = np.inf) -> np.ndarray:
+    """First k of the candidate indices within sqrt(r2), by exact (d2, index)."""
+    diff = s[idx] - point
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    keep = d2 <= r2
+    idx, d2 = idx[keep], d2[keep]
+    return idx[np.lexsort((idx, d2))[:k]]

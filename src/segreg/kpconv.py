@@ -24,6 +24,7 @@ __all__ = [
     "kpconv_apply",
     "kpconv",
     "PointPyramid",
+    "SparseCloudError",
     "build_pyramid",
 ]
 
@@ -90,7 +91,8 @@ def conv_influence(query: np.ndarray, support: np.ndarray, neighbors: np.ndarray
     local reference frame before kernel correlation, which makes the
     convolution rotation-invariant.  Stored as float32: influence is frozen
     geometry, and the compact dtype keeps cached tables small; accumulation
-    happens in float64.
+    happens in float64.  The squared distances are summed one axis at a
+    time directly in the (Nq, K, H) layout.
     """
     ns = support.shape[0]
     valid = neighbors < ns
@@ -98,11 +100,12 @@ def conv_influence(query: np.ndarray, support: np.ndarray, neighbors: np.ndarray
     rel = support[safe] - query[:, None, :]          # (Nq, H, 3)
     if frames is not None:
         rel = np.einsum("qij,qhj->qhi", frames, rel)
-    diff = rel[:, :, None, :] - kernel.points[None, None, :, :]
-    dist = np.sqrt(np.einsum("qhkj,qhkj->qhk", diff, diff))
-    infl = np.maximum(0.0, 1.0 - dist / sigma)
-    infl *= valid[:, :, None]
-    return np.ascontiguousarray(infl.transpose(0, 2, 1), dtype=np.float32)
+    d2 = np.zeros((rel.shape[0], kernel.points.shape[0], rel.shape[1]))
+    for j in range(3):
+        d2 += (rel[:, None, :, j] - kernel.points[None, :, j, None]) ** 2
+    infl = np.maximum(0.0, 1.0 - np.sqrt(d2) / sigma)
+    infl *= valid[:, None, :]
+    return infl.astype(np.float32)
 
 
 def local_reference_frames(points: np.ndarray, neighbors: np.ndarray,
@@ -227,6 +230,10 @@ class PointPyramid:
         return assign
 
 
+class SparseCloudError(ValueError):
+    """The input cloud is too sparse for the configured pyramid depth."""
+
+
 def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
                   base_radius_mult: float, max_neighbors: int = 30,
                   min_points: int = 4) -> PointPyramid:
@@ -242,7 +249,7 @@ def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
         voxel = initial_voxel * (2.0 ** l)
         nxt, prov = voxel_grid_subsample(levels[-1], voxel)
         if len(nxt) < min_points:
-            raise ValueError(
+            raise SparseCloudError(
                 f"cloud too sparse: level {l} collapsed to {len(nxt)} points "
                 f"(minimum {min_points})"
             )

@@ -202,34 +202,36 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
         two_step_phase1 = cfg.mode == "two_step" and step < cfg.phase1_iters
         two_step_phase2 = cfg.mode == "two_step" and not two_step_phase1
         try:
-            mask_override = None
-            if two_step_phase2:
-                # frozen segmentation: plain forward outside the tape
-                frozen_logits = seg_forward(params, p.seg_ctx, seg_cfg)
-                mask_override = hard_mask(frozen_logits)
-            with Tape():
-                if two_step_phase1:
-                    logits = seg_forward(params, p.seg_ctx, seg_cfg)
-                    loss = segmentation_cross_entropy(logits, weak_masks[idx])
-                    total, coarse, fine = loss.item(), loss.item(), 0.0
-                    if not np.isfinite(total):
-                        raise FloatingPointError
-                    backward(loss)
-                    _clip_and_step(params, seg_names, velocity, lr,
-                                   cfg.momentum, cfg.clip_norm)
-                else:
-                    dual, _ = training_loss(params, p, seg_cfg, reg_cfg,
-                                            match_cfg, rng, tau=tau,
-                                            n_fine_pairs=cfg.n_fine_pairs,
-                                            mask_override=mask_override)
-                    total = dual.total.item()
-                    coarse, fine = dual.coarse.item(), dual.fine.item()
-                    if not np.isfinite(total):
-                        raise FloatingPointError
-                    backward(dual.total)
-                    names = reg_names if two_step_phase2 else seg_names + reg_names
-                    _clip_and_step(params, names, velocity, lr,
-                                   cfg.momentum, cfg.clip_norm)
+            # overflow surfaces as NonFiniteError from Tensor, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                mask_override = None
+                if two_step_phase2:
+                    # frozen segmentation: plain forward outside the tape
+                    frozen_logits = seg_forward(params, p.seg_ctx, seg_cfg)
+                    mask_override = hard_mask(frozen_logits)
+                with Tape():
+                    if two_step_phase1:
+                        logits = seg_forward(params, p.seg_ctx, seg_cfg)
+                        loss = segmentation_cross_entropy(logits, weak_masks[idx])
+                        total, coarse, fine = loss.item(), loss.item(), 0.0
+                        if not np.isfinite(total):
+                            raise FloatingPointError
+                        backward(loss)
+                        _clip_and_step(params, seg_names, velocity, lr,
+                                       cfg.momentum, cfg.clip_norm)
+                    else:
+                        dual, _ = training_loss(params, p, seg_cfg, reg_cfg,
+                                                match_cfg, rng, tau=tau,
+                                                n_fine_pairs=cfg.n_fine_pairs,
+                                                mask_override=mask_override)
+                        total = dual.total.item()
+                        coarse, fine = dual.coarse.item(), dual.fine.item()
+                        if not np.isfinite(total):
+                            raise FloatingPointError
+                        backward(dual.total)
+                        names = reg_names if two_step_phase2 else seg_names + reg_names
+                        _clip_and_step(params, names, velocity, lr,
+                                       cfg.momentum, cfg.clip_norm)
         except NoPositivePairsError:
             skipped += 1
             curve.append((step, lr, float("nan"), float("nan"), float("nan")))

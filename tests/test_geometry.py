@@ -223,6 +223,39 @@ def test_radius_matches_brute_force():
     np.testing.assert_array_equal(got, want)
 
 
+def shuffled_lattice(rng, keep=lambda p: True, n=5):
+    """Integer lattice points in [0, n)^3 (or as filtered) in random order."""
+    pts = np.array([p for p in np.ndindex(n, n, n) if keep(np.array(p))], dtype=float)
+    return pts[rng.permutation(len(pts))]
+
+
+def test_radius_cap_cutting_a_tie_shell_keeps_lower_indices(fallback_rows):
+    # interior points have 1 + 6 + 12 neighbors within 1.5 (shells 0, 1,
+    # sqrt 2); a cap of 10 cuts the sqrt-2 shell, so the tree's candidate
+    # list ends inside a tie and those rows must be recomputed exactly
+    cloud = PointCloud(shuffled_lattice(np.random.default_rng(13)))
+    got = radius_neighbors(cloud, cloud, 1.5, 10)
+    np.testing.assert_array_equal(got, brute_radius(cloud, cloud, 1.5, 10))
+    assert len(fallback_rows) > 0
+
+
+def test_knn_equidistant_support_picks_lowest_index(fallback_rows):
+    # 30 lattice points lie at distance 3 from the origin ((3,0,0) and
+    # (1,2,2) up to sign and order) and none nearer
+    support = PointCloud(shuffled_lattice(np.random.default_rng(14),
+                                          keep=lambda p: (p - 4) @ (p - 4) >= 9, n=9) - 4.0)
+    shell = np.flatnonzero(np.einsum("ij,ij->i", support.positions,
+                                     support.positions) == 9.0)
+    assert shell.size == 30
+    query = PointCloud(np.vstack([np.zeros(3), [[0.5, 0.5, 0.5], [4.0, 4.0, 0.0]]]))
+    got = knn(query, support, 1)
+    assert got[0, 0] == shell.min()
+    for i, qp in enumerate(query.positions):
+        d2 = [(float(np.sum((sp - qp) ** 2)), j) for j, sp in enumerate(support.positions)]
+        assert got[i, 0] == min(d2)[1]
+    assert len(fallback_rows) > 0
+
+
 def test_knn_exact_match_and_tie_rule():
     q = PointCloud([[0.0, 0.0, 0.0]])
     s = PointCloud([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])

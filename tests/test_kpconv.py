@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from segreg import geometry
 from segreg.autodiff import Tape, Tensor, backward, finite_difference_gradient, max_relative_error, sum_
 from segreg.geometry import PointCloud, voxel_grid_subsample
 from segreg.gumbel import straight_through_mask
@@ -13,6 +14,7 @@ from segreg.kpconv import (
     kernel_disposition,
     kpconv,
     kpconv_apply,
+    local_reference_frames,
 )
 from segreg.networks import (
     RegNetConfig,
@@ -23,6 +25,7 @@ from segreg.networks import (
     reg_backbone_forward,
     seg_forward,
 )
+from segreg.phantom import PhantomConfig, generate_phantom
 
 
 def surface_cloud(rng, n, colors=True):
@@ -311,3 +314,76 @@ def test_gradient_reaches_mask_logits_through_backbone():
         backward(sum_(dense * dense))
     grads = [p.grad for p in seg_params.values()]
     assert any(g is not None and np.linalg.norm(g) > 0 for g in grads)
+
+
+# -- geometry tables against loop references ---------------------------------
+
+def loop_radius_table(points, radius, cap):
+    n = len(points)
+    table = np.full((n, cap), n, dtype=np.int64)
+    for i, p in enumerate(points):
+        diff = points - p
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        idx = np.flatnonzero(d2 <= radius * radius)
+        row = idx[np.lexsort((idx, d2[idx]))][:cap]
+        table[i, :row.size] = row
+    return table
+
+
+def loop_nearest(fine, coarse):
+    return np.array([np.argmin(np.einsum("ij,ij->i", coarse - p, coarse - p))
+                     for p in fine])
+
+
+def loop_influence(points, nbr, kernel_points, sigma, frames):
+    n, h = nbr.shape
+    out = np.zeros((n, kernel_points.shape[0], h), dtype=np.float32)
+    for i in range(n):
+        slots = np.flatnonzero(nbr[i] < n)
+        rel = points[nbr[i, slots]] - points[i]
+        if frames is not None:
+            rel = np.einsum("ij,hj->hi", frames[i], rel)
+        d = rel[None, :, :] - kernel_points[:, None, :]
+        dist = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
+        out[i][:, slots] = np.maximum(0.0, 1.0 - dist / sigma)
+    return out
+
+
+def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
+    sample = generate_phantom(PhantomConfig(seed=3, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    # snapping to a dyadic grid one level-0 voxel wide keeps every level-0
+    # point on the grid, so neighbor shells tie and the caps cut through them
+    grid = 1.0 / 8.0
+    snapped = PointCloud(np.round(sample.intraoperative.positions / grid) * grid)
+    snapped_reg = RegNetConfig(widths=(2, 2, 4), initial_voxel=grid, max_neighbors=8)
+    cases = []
+    for cloud, cfg in ((sample.intraoperative, TINY_SEG), (snapped, snapped_reg)):
+        pyr = build_pyramid(cloud, cfg.stages, cfg.initial_voxel,
+                            cfg.base_radius_mult, cfg.max_neighbors)
+        kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
+        want = []
+        for l, lvl in enumerate(pyr.levels):
+            pts = lvl.positions
+            nbr = loop_radius_table(pts, pyr.radii[l], cfg.max_neighbors)
+            ups = (loop_nearest(pts, pyr.levels[l + 1].positions)
+                   if l + 1 < pyr.stages else None)
+            frames = local_reference_frames(pts, nbr) if cfg is snapped_reg else None
+            infl = loop_influence(pts, nbr, kernel.scaled(pyr.radii[l]).points,
+                                  pyr.radii[l] / SIGMA_RATIO, frames)
+            want.append((nbr, ups, infl))
+        cases.append((cloud, cfg, want))
+    # a candidate list no longer than the cap sends every full row to the
+    # exact per-row query, so both paths are checked on the same clouds
+    for slack in (None, 0):
+        if slack is not None:
+            monkeypatch.setattr(geometry, "_SLACK", slack)
+        for cloud, cfg, want in cases:
+            ctx = build_context(cloud, cfg)
+            for l, (nbr, ups, infl) in enumerate(want):
+                np.testing.assert_array_equal(ctx.pyramid.neighbors[l], nbr)
+                if ups is not None:
+                    np.testing.assert_array_equal(ctx.pyramid.ups[l], ups)
+                assert ctx.influences[l].dtype == np.float32
+                np.testing.assert_array_equal(ctx.influences[l], infl)
+    assert len(fallback_rows) > 0

@@ -6,7 +6,6 @@ from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import TrainConfig, TrainingDiverged, train
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_exploding_learning_rate_raises_training_diverged():
     sample = generate_phantom(PhantomConfig(seed=0, n_vertebrae=2, points_pre=1024,
                                             points_intra=512))
