@@ -7,6 +7,14 @@ hand-crafted local descriptors (distance + normal-angle histograms over
 radius neighborhoods) mutually, samples 3-point hypotheses, scores them by
 inlier count, and refines the winner with ICP.  Both are deterministic
 given their inputs and seed.
+
+The descriptors come from one k-d tree pair list: each pair within the
+radius is measured once and binned into both endpoints' histograms with a
+single ``np.bincount``, in fixed-size blocks of pairs.  RANSAC draws its
+hypotheses one at a time from the generator, then solves and scores them in
+stacks with the operations of ``weighted_procrustes`` (stacked 3 x 3 SVDs),
+so the counts, the first-best winner and its pose are those of a sequential
+scan.
 """
 
 from __future__ import annotations
@@ -16,11 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from segreg.geometry import PointCloud, RigidTransform
+from segreg.geometry import _ORTHO_TOL, PointCloud, RigidTransform
 from segreg.kpconv import local_reference_frames
 from segreg.matching import MatchSet, weighted_procrustes
 
 __all__ = ["ICPReport", "icp", "ransac_icp", "estimate_normals", "local_descriptors"]
+
+_PAIR_BLOCK = 1 << 18  # neighbor pairs binned per pass in local_descriptors
+_HYPOTHESIS_BLOCK = 128  # RANSAC hypotheses solved and scored per stack
 
 
 @dataclass
@@ -82,28 +93,74 @@ def estimate_normals(cloud: PointCloud, k: int = 12) -> np.ndarray:
 
 def local_descriptors(cloud: PointCloud, radius: float, bins: int = 8,
                       k_normals: int = 12) -> np.ndarray:
-    """Distance + normal-angle histogram signatures over radius neighborhoods."""
+    """Distance + normal-angle histogram signatures over radius neighborhoods.
+
+    Row i holds the histograms of |p_j - p_i| over [0, radius] and of
+    |n_i . n_j| over [0, 1] for every other point j within ``radius``, L2
+    normalized; a point with no neighbor gets a zero row.  Each unordered
+    pair is measured once and counted into both endpoints' rows.
+    """
     normals = estimate_normals(cloud, k_normals)
-    tree = cKDTree(cloud.positions)
-    neighborhoods = tree.query_ball_point(cloud.positions, radius)
-    desc = np.zeros((len(cloud), 2 * bins))
+    pos = cloud.positions
+    pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
     d_edges = np.linspace(0.0, radius, bins + 1)
     a_edges = np.linspace(0.0, 1.0, bins + 1)
-    for i, idx in enumerate(neighborhoods):
-        idx = [j for j in idx if j != i]
-        if not idx:
-            continue
-        rel = cloud.positions[idx] - cloud.positions[i]
-        d = np.linalg.norm(rel, axis=1)
-        hist_d, _ = np.histogram(np.clip(d, 0, radius - 1e-12), bins=d_edges)
+    width = 2 * bins
+    counts = np.zeros(len(cloud) * width, dtype=np.int64)
+    for start in range(0, len(pairs), _PAIR_BLOCK):
+        i, j = pairs[start:start + _PAIR_BLOCK].T
+        d = np.linalg.norm(np.take(pos, j, axis=0) - np.take(pos, i, axis=0), axis=1)
         # unoriented normals: use |cos| of the angle between neighbor normals
-        cos = np.abs(normals[idx] @ normals[i])
-        hist_a, _ = np.histogram(np.clip(cos, 0, 1 - 1e-12), bins=a_edges)
-        v = np.concatenate([hist_d, hist_a]).astype(np.float64)
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            desc[i] = v / norm
+        cos = np.abs(np.einsum("ij,ij->i", np.take(normals, i, axis=0),
+                               np.take(normals, j, axis=0)))
+        # np.histogram's rule for explicit edges: edges[b] <= x < edges[b + 1]
+        d_bin = np.searchsorted(d_edges, np.clip(d, 0, radius - 1e-12), side="right") - 1
+        a_bin = np.searchsorted(a_edges, np.clip(cos, 0, 1 - 1e-12), side="right") - 1 + bins
+        slots = np.concatenate([i * width + d_bin, i * width + a_bin,
+                                j * width + d_bin, j * width + a_bin])
+        counts += np.bincount(slots, minlength=counts.size)
+    desc = counts.reshape(len(cloud), width).astype(np.float64)
+    # integer counts, so the squared norm is exact in any summation order
+    norm = np.sqrt(np.einsum("ij,ij->i", desc, desc))
+    filled = norm > 0
+    desc[filled] /= norm[filled, None]
     return desc
+
+
+def _hypothesis_inliers(picks: np.ndarray, cand_src: np.ndarray,
+                        cand_tgt: np.ndarray, inlier_radius: float) -> np.ndarray:
+    """Inlier counts of the 3-point fits on the rows of ``picks``.
+
+    Stacks the operations of ``weighted_procrustes`` with unit weights, in
+    the same order, so each pose and count equals the scalar solve's.  A row
+    gets -1 where that solve (or ``RigidTransform``) would raise: a
+    rank-deficient covariance or a rotation failing the orthonormality check.
+    """
+    n = len(picks)
+    p, q = cand_src[picks], cand_tgt[picks]
+    wn = (np.ones(3) / 3.0)[:, None]
+    p_bar = (wn * p).sum(axis=1)
+    q_bar = (wn * q).sum(axis=1)
+    H = (wn * (p - p_bar[:, None])).transpose(0, 2, 1) @ (q - q_bar[:, None])
+    u, s, vt = np.linalg.svd(H)
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    flip = np.zeros((n, 3, 3))
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    R = v @ flip @ ut
+    t = q_bar - (R @ p_bar[:, :, None])[:, :, 0]
+    ratio = np.divide(s[:, 1], s[:, 0], out=np.zeros(n), where=s[:, 0] > 0)
+    valid = ((s[:, 0] > 0) & (ratio >= 1e-9)
+             & (np.max(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)), axis=(1, 2)) <= _ORTHO_TOL)
+             & (np.abs(np.linalg.det(R) - 1.0) <= _ORTHO_TOL))
+    # residual norms |R p + t - q|, squares summed in np.linalg.norm's order
+    diff = cand_src @ R.transpose(0, 2, 1)
+    diff += t[:, None]
+    diff -= cand_tgt
+    diff *= diff
+    sq = diff[..., 0] + diff[..., 1]
+    sq += diff[..., 2]
+    return np.where(valid, np.sum(np.sqrt(sq) <= inlier_radius, axis=1), -1)
 
 
 def ransac_icp(source: PointCloud, target: PointCloud, rng: np.random.Generator,
@@ -127,24 +184,17 @@ def ransac_icp(source: PointCloud, target: PointCloud, rng: np.random.Generator,
     cand_src = source.positions[mutual]
     cand_tgt = target.positions[fwd[mutual]]
 
-    best_T: RigidTransform | None = None
-    best_count = -1
     m = mutual.size
-    ones3 = np.ones(3)
-    for _ in range(n_iter):
-        pick = rng.choice(m, size=3, replace=False)
-        try:
-            T = weighted_procrustes(
-                MatchSet(pick, pick, ones3), cand_src, cand_tgt)
-        except ValueError:
-            continue
-        residuals = np.linalg.norm(T.apply_points(cand_src) - cand_tgt, axis=1)
-        count = int(np.sum(residuals <= inlier_radius))
-        if count > best_count:
-            best_count = count
-            best_T = T
-    if best_T is None:
+    picks = np.array([rng.choice(m, size=3, replace=False) for _ in range(n_iter)],
+                     dtype=np.int64).reshape(n_iter, 3)
+    counts = np.empty(n_iter, dtype=np.int64)
+    for start in range(0, n_iter, _HYPOTHESIS_BLOCK):
+        block = slice(start, start + _HYPOTHESIS_BLOCK)
+        counts[block] = _hypothesis_inliers(picks[block], cand_src, cand_tgt, inlier_radius)
+    if not np.any(counts >= 0):
         raise ValueError("RANSAC found no valid hypothesis")
-    report = icp(source, target, init=best_T)
-    return ICPReport(report.transform, report.iterations_used,
-                     report.final_rms, report.converged)
+    # the first best count wins, as in a sequential scan; its pose is re-solved
+    # by the scalar routine so ICP starts from exactly that fit
+    best = picks[np.argmax(counts)]
+    best_T = weighted_procrustes(MatchSet(best, best, np.ones(3)), cand_src, cand_tgt)
+    return icp(source, target, init=best_T)

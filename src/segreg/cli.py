@@ -108,18 +108,22 @@ def _load_dataset(path: str):
 
 def cmd_train(args) -> int:
     try:
+        cfg = TrainConfig(lr0=args.lr0, warmup_iters=args.warmup,
+                          total_iters=args.iters, mode=args.mode,
+                          tau=args.tau, tau_anneal=args.tau_anneal,
+                          phase1_iters=args.phase1_iters, seed=args.seed,
+                          checkpoint_every=args.checkpoint_every,
+                          n_fine_pairs=args.n_fine_pairs)
+    except ValueError as exc:
+        print(f"invalid training settings: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         dataset = _load_dataset(args.dataset)
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot load dataset: {exc}", file=sys.stderr)
         return EXIT_DATA
     seg_cfg = SegNetConfig(width_factor=args.width_factor)
     reg_cfg = RegNetConfig(width_factor=args.width_factor)
-    cfg = TrainConfig(lr0=args.lr0, warmup_iters=args.warmup,
-                      total_iters=args.iters, mode=args.mode,
-                      tau=args.tau, tau_anneal=args.tau_anneal,
-                      phase1_iters=args.phase1_iters, seed=args.seed,
-                      checkpoint_every=args.checkpoint_every,
-                      n_fine_pairs=args.n_fine_pairs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -164,6 +168,9 @@ def cmd_register(args) -> int:
     if (args.checkpoint is None) == (args.baseline is None):
         print("choose exactly one of --checkpoint or --baseline", file=sys.stderr)
         return EXIT_USAGE
+    if args.emit_mask and args.baseline is not None:
+        print("--emit-mask needs a checkpoint run", file=sys.stderr)
+        return EXIT_USAGE
     try:
         pre = load_ply(args.pre)
         intra = load_ply(args.intra)
@@ -172,7 +179,6 @@ def cmd_register(args) -> int:
         return EXIT_DATA
 
     t0 = time.perf_counter()
-    mask = None
     try:
         if args.baseline is not None:
             if args.baseline == "icp":
@@ -206,9 +212,6 @@ def cmd_register(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_pose(T, out_path, extra={"info": info})
     if args.emit_mask:
-        if mask is None:
-            print("--emit-mask needs a checkpoint run", file=sys.stderr)
-            return EXIT_USAGE
         from segreg.geometry import PointCloud
 
         labeled = PointCloud(intra.positions, colors=intra.colors,

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from segreg.baselines import estimate_normals, icp, ransac_icp
+from segreg.baselines import (
+    _hypothesis_inliers,
+    estimate_normals,
+    icp,
+    local_descriptors,
+    ransac_icp,
+)
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
+from segreg.matching import MatchSet, weighted_procrustes
+from segreg.phantom import PhantomConfig, generate_phantom
 
 
 def bumpy_surface(rng, n=800):
@@ -129,3 +137,134 @@ def test_estimate_normals_match_per_point_covariance_eigenvectors():
         reference[i] = np.linalg.eigh(block.T @ block)[1][:, 0]
     dots = np.abs(np.sum(estimate_normals(cloud, k) * reference, axis=1))
     assert np.min(dots) >= 1.0 - 1e-12
+
+
+# -- references: the per-point and per-hypothesis loops ----------------------
+
+def loop_descriptors(cloud, radius, bins=8, k_normals=12):
+    """One ball query and two np.histogram calls per point."""
+    normals = estimate_normals(cloud, k_normals)
+    neighborhoods = cKDTree(cloud.positions).query_ball_point(cloud.positions, radius)
+    desc = np.zeros((len(cloud), 2 * bins))
+    d_edges = np.linspace(0.0, radius, bins + 1)
+    a_edges = np.linspace(0.0, 1.0, bins + 1)
+    for i, idx in enumerate(neighborhoods):
+        idx = [j for j in idx if j != i]
+        if not idx:
+            continue
+        d = np.linalg.norm(cloud.positions[idx] - cloud.positions[i], axis=1)
+        hist_d, _ = np.histogram(np.clip(d, 0, radius - 1e-12), bins=d_edges)
+        cos = np.abs(normals[idx] @ normals[i])
+        hist_a, _ = np.histogram(np.clip(cos, 0, 1 - 1e-12), bins=a_edges)
+        v = np.concatenate([hist_d, hist_a]).astype(np.float64)
+        norm = np.linalg.norm(v)
+        if norm > 0:
+            desc[i] = v / norm
+    return desc
+
+
+def ransac_candidates(source, target, radius=0.15, max_candidates=600):
+    """The mutual descriptor matches that ransac_icp samples from."""
+    sim = local_descriptors(source, radius) @ local_descriptors(target, radius).T
+    fwd, bwd = np.argmax(sim, axis=1), np.argmax(sim, axis=0)
+    mutual = np.flatnonzero(bwd[fwd] == np.arange(len(source)))
+    if mutual.size > max_candidates:
+        strength = sim[mutual, fwd[mutual]]
+        mutual = mutual[np.argsort(-strength, kind="stable")[:max_candidates]]
+    return source.positions[mutual], target.positions[fwd[mutual]]
+
+
+def loop_hypotheses(picks, cand_src, cand_tgt, inlier_radius=0.05):
+    """One weighted_procrustes per hypothesis; the first strictly best wins.
+
+    Returns the per-hypothesis inlier counts (-1 where the solve raised) and
+    the winning pose, or None when every hypothesis was skipped.
+    """
+    counts, best_T, best_count = [], None, -1
+    for pick in picks:
+        try:
+            T = weighted_procrustes(MatchSet(pick, pick, np.ones(3)), cand_src, cand_tgt)
+        except ValueError:
+            counts.append(-1)
+            continue
+        count = int(np.sum(np.linalg.norm(T.apply_points(cand_src) - cand_tgt, axis=1)
+                           <= inlier_radius))
+        counts.append(count)
+        if count > best_count:
+            best_count, best_T = count, T
+    return np.array(counts), best_T
+
+
+def draw_picks(rng, m, n_iter):
+    return np.array([rng.choice(m, size=3, replace=False) for _ in range(n_iter)])
+
+
+def lines_and_surface(rng):
+    """A bumpy patch plus three irregularly sampled lines, and a moved copy.
+
+    Triples drawn from one line are collinear, so some hypotheses are
+    rank-deficient.
+    """
+    parts = [bumpy_surface(rng, 150).positions]
+    for _ in range(3):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        s = np.cumsum(rng.uniform(0.005, 0.04, 50))
+        parts.append(rng.uniform(-0.3, 0.3, 3) + (s - s.mean())[:, None] * axis)
+    source = PointCloud(np.vstack(parts))
+    T = random_rigid(0.1, 30.0, rng)
+    return source, PointCloud(T.apply_points(source.positions))
+
+
+# -- descriptors --------------------------------------------------------------
+
+def test_local_descriptors_match_loop_on_small_phantom():
+    sample = generate_phantom(PhantomConfig(seed=3, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    for cloud in (sample.preoperative, sample.intraoperative):
+        assert np.array_equal(local_descriptors(cloud, 0.15), loop_descriptors(cloud, 0.15))
+
+
+def test_local_descriptors_match_loop_on_lattice_bin_edges():
+    # two perpendicular 0.25-spaced planes and one isolated point; radius 1
+    # puts in-plane distances exactly on the radius and on inner edges k/8
+    g = np.arange(9) * 0.25
+    flat = [(x, y, 0.0) for x in g for y in g]
+    wall = [(2.85, y, z) for y in g for z in g]
+    cloud = PointCloud(np.array(flat + wall + [(10.0, 10.0, 10.0)]))
+    normals = np.abs(estimate_normals(cloud)[:-1])
+    assert np.array_equal(np.unique(normals, axis=0), [[0, 0, 1], [1, 0, 0]])
+    pairs = cKDTree(cloud.positions).query_pairs(1.0, output_type="ndarray")
+    d = np.linalg.norm(cloud.positions[pairs[:, 0]] - cloud.positions[pairs[:, 1]], axis=1)
+    assert {0.25, 0.5, 0.75, 1.0} <= set(d.tolist())
+    desc = local_descriptors(cloud, 1.0)
+    assert np.array_equal(desc, loop_descriptors(cloud, 1.0))
+    assert not desc[-1].any()
+    # both |cos| = 0 (across the planes) and 1 (within one) are binned
+    assert np.any(desc[:-1, 8] > 0)
+    assert np.all(desc[:-1, 15] > 0)
+
+
+# -- hypothesis scoring -------------------------------------------------------
+
+def test_batched_scoring_skips_collinear_triples_like_the_loop():
+    source, target = lines_and_surface(np.random.default_rng(30))
+    cand_src, cand_tgt = ransac_candidates(source, target)
+    picks = draw_picks(np.random.default_rng(12), len(cand_src), 600)
+    counts, best_T = loop_hypotheses(picks, cand_src, cand_tgt)
+    assert np.sum(counts == -1) > 0
+    assert np.array_equal(_hypothesis_inliers(picks, cand_src, cand_tgt, 0.05), counts)
+    expected = icp(source, target, init=best_T).transform
+    got = ransac_icp(source, target, np.random.default_rng(12), n_iter=600).transform
+    assert np.array_equal(got.rotation, expected.rotation)
+    assert np.array_equal(got.translation, expected.translation)
+
+
+def test_ransac_icp_with_only_collinear_candidates_finds_no_hypothesis():
+    s = np.cumsum(np.random.default_rng(31).uniform(0.01, 0.05, 40))
+    line = PointCloud(np.column_stack([s, np.zeros_like(s), np.zeros_like(s)]))
+    cand_src, cand_tgt = ransac_candidates(line, line)
+    picks = draw_picks(np.random.default_rng(0), len(cand_src), 50)
+    assert np.all(loop_hypotheses(picks, cand_src, cand_tgt)[0] == -1)
+    with pytest.raises(ValueError, match="RANSAC found no valid hypothesis"):
+        ransac_icp(line, line, np.random.default_rng(0), n_iter=50)

@@ -4,9 +4,13 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from segreg.cli import EXIT_DATA, main
+from segreg.baselines import ransac_icp
+from segreg.cli import EXIT_DATA, EXIT_USAGE, main
 from segreg.fileio import (
+    load_ply,
+    load_pose,
     load_sample,
     save_checkpoint,
     save_ply,
@@ -16,7 +20,7 @@ from segreg.fileio import (
 )
 from segreg.geometry import PointCloud, RigidTransform
 from segreg.networks import RegNetConfig, SegNetConfig
-from segreg.phantom import PhantomConfig, RegistrationSample
+from segreg.phantom import PhantomConfig, RegistrationSample, generate_phantom
 from segreg.training import init_params
 
 
@@ -47,13 +51,17 @@ def test_register_too_sparse_cloud_exits_with_data_error(tmp_path):
     assert not (tmp_path / "pose.json").exists()
 
 
-def test_train_on_too_sparse_sample_exits_with_data_error(tmp_path):
+def write_sparse_dataset(path):
     cloud = collapsing_cloud()
     sample = RegistrationSample(cloud, cloud, RigidTransform.identity(), np.zeros((3, 3)),
                                 np.zeros(5, dtype=np.int64), 0.2, np.zeros(3),
                                 PhantomConfig())
-    save_sample(sample, tmp_path / "data" / "sample_0000")
-    write_manifest(tmp_path / "data", ["sample_0000"])
+    save_sample(sample, path / "sample_0000")
+    write_manifest(path, ["sample_0000"])
+
+
+def test_train_on_too_sparse_sample_exits_with_data_error(tmp_path):
+    write_sparse_dataset(tmp_path / "data")
     assert main(["train", "--dataset", str(tmp_path / "data"),
                  "--out", str(tmp_path / "run"), "--iters", "1",
                  "--warmup", "0"]) == EXIT_DATA
@@ -74,3 +82,44 @@ def test_eval_carries_wall_time_from_pose_json(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows
     assert all(float(r["wall_time_s"]) == 1.25 for r in rows)
+
+
+@pytest.mark.parametrize("settings", [["--iters", "2"],
+                                      ["--iters", "2", "--warmup", "0", "--lr0", "0"]])
+def test_train_with_invalid_settings_exits_with_usage_error(tmp_path, settings, capsys):
+    write_sparse_dataset(tmp_path / "data")
+    code = main(["train", "--dataset", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run"), *settings])
+    assert code == EXIT_USAGE
+    assert "invalid training settings" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def small_pair_on_disk(tmp_path):
+    sample = generate_phantom(PhantomConfig(seed=4, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    pre, intra = tmp_path / "pre.ply", tmp_path / "intra.ply"
+    save_ply(sample.preoperative, pre)
+    save_ply(sample.intraoperative, intra)
+    return pre, intra
+
+
+def test_register_baseline_with_emit_mask_exits_with_usage_error(tmp_path):
+    pre, intra = small_pair_on_disk(tmp_path)
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--baseline", "icp",
+                 "--emit-mask", str(tmp_path / "mask.ply")])
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "pose.json").exists()
+    assert not (tmp_path / "mask.ply").exists()
+
+
+def test_register_ransac_icp_baseline_matches_in_process_call(tmp_path):
+    pre, intra = small_pair_on_disk(tmp_path)
+    assert main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--baseline", "ransac_icp",
+                 "--seed", "5"]) == 0
+    pose, _ = load_pose(tmp_path / "pose.json")
+    expected = ransac_icp(load_ply(pre), load_ply(intra), np.random.default_rng(5)).transform
+    np.testing.assert_allclose(pose.rotation, expected.rotation, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pose.translation, expected.translation, rtol=0, atol=1e-12)
