@@ -9,9 +9,18 @@ plain numpy forward computations (inference mode).
 Broadcasting is deliberately restricted to scalar-vs-tensor and equal-shape
 operands; mixed-shape broadcasts must go through :func:`expand`, which makes
 the reduction in the backward pass explicit.
+
+Hot composites (the slack Sinkhorn, feature normalization, the kernel-point
+convolution) are single tape nodes registered through :func:`record_custom`
+with hand-written backwards.  Every tensor, and every intermediate of such a
+fused node, passes the one finiteness routine :func:`require_finite`.
+Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
+adds in input order exactly as ``np.add.at`` does into zeros.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +29,7 @@ __all__ = [
     "Tape",
     "backward",
     "NonFiniteError",
+    "require_finite",
     "add",
     "sub",
     "mul",
@@ -40,6 +50,7 @@ __all__ = [
     "concat",
     "narrow",
     "gather_rows",
+    "scatter_add_rows",
     "scatter_mean",
     "stop_gradient",
     "as_tensor",
@@ -56,6 +67,12 @@ class NonFiniteError(ValueError):
     """Raised when a tensor would hold a NaN or an infinity."""
 
 
+def require_finite(arr: np.ndarray) -> None:
+    """Raise :class:`NonFiniteError` unless every entry of ``arr`` is finite."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("tensor data must be finite")
+
+
 class Tensor:
     """A dense float64 array plus gradient metadata."""
 
@@ -63,8 +80,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor data must be finite")
+        require_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -498,12 +514,24 @@ def gather_rows(src: Tensor, index: np.ndarray) -> Tensor:
     out.requires_grad = src.requires_grad
 
     def bwd(g):
-        gsrc = np.zeros_like(src.data)
         real = index < n
-        np.add.at(gsrc, index[real], g[real])
-        _accumulate(src, gsrc)
+        _accumulate(src, scatter_add_rows(index[real], g[real], n))
 
     return _record(out, bwd)
+
+
+def scatter_add_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``n`` rows: out[index[i]] += values[i].
+
+    One ``np.bincount`` over the flattened (row * C + column) keys.  It adds
+    each cell's weights in input order starting from 0.0, the order of
+    ``np.add.at`` into zeros, so the result is bit-identical to it.
+    """
+    tail = values.shape[1:]
+    c = math.prod(tail)
+    keys = index if c == 1 else (index[:, None] * c + np.arange(c)).reshape(-1)
+    out = np.bincount(keys, weights=values.reshape(-1), minlength=n * c)
+    return out.reshape((n,) + tail)
 
 
 def scatter_mean(src: Tensor, group: np.ndarray, n_groups: int) -> Tensor:
@@ -515,8 +543,7 @@ def scatter_mean(src: Tensor, group: np.ndarray, n_groups: int) -> Tensor:
         raise IndexError("group id out of range")
     counts = np.bincount(group, minlength=n_groups).astype(np.float64)
     safe = np.maximum(counts, 1.0)
-    acc = np.zeros((n_groups,) + src.data.shape[1:])
-    np.add.at(acc, group, src.data)
+    acc = scatter_add_rows(group, src.data, n_groups)
     out = Tensor(acc / safe.reshape((-1,) + (1,) * (src.data.ndim - 1)))
     out.requires_grad = src.requires_grad
 

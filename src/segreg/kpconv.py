@@ -4,7 +4,9 @@ The convolution at a query point sums, over its radius neighborhood, each
 neighbor's feature vector weighted by a linear-correlation kernel evaluated
 at the neighbor's offset: g(y) = sum_k max(0, 1 - |y - p_k| / sigma) W_k.
 Shadow neighbors (padding) contribute nothing.  The operation is fused into
-a single tape node with a hand-written backward for speed.
+a single tape node with a hand-written backward for speed; the feature
+gradient is one :func:`~segreg.autodiff.scatter_add_rows` over the real
+neighbor slots.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from segreg.autodiff import Tensor, accumulate_grad, record_custom
+from segreg.autodiff import Tensor, accumulate_grad, record_custom, scatter_add_rows
 from segreg.geometry import PointCloud, knn, radius_neighbors, voxel_grid_subsample
 
 __all__ = [
@@ -22,7 +24,6 @@ __all__ = [
     "conv_influence",
     "local_reference_frames",
     "kpconv_apply",
-    "kpconv",
     "PointPyramid",
     "SparseCloudError",
     "build_pyramid",
@@ -178,21 +179,10 @@ def kpconv_apply(influence: np.ndarray, neighbors: np.ndarray, ns: int,
         if feats.requires_grad:
             g_mixed = (g @ w_flat.T).reshape(nq, k, cin)
             g_gathered = np.matmul(infl64.transpose(0, 2, 1), g_mixed)
-            gf = np.zeros_like(feats.data)
-            np.add.at(gf, neighbors[valid], g_gathered[valid])
+            gf = scatter_add_rows(neighbors[valid], g_gathered[valid], ns)
             accumulate_grad(feats, gf)
 
     return record_custom(out, requires, bwd)
-
-
-def kpconv(query: PointCloud, support: PointCloud, feats: Tensor,
-           neighbors: np.ndarray, kernel: KernelDisposition,
-           weights: Tensor, sigma: float | None = None) -> Tensor:
-    """Convenience wrapper computing influence and applying the convolution."""
-    if sigma is None:
-        sigma = kernel.radius / SIGMA_RATIO
-    infl = conv_influence(query.positions, support.positions, neighbors, kernel, sigma)
-    return kpconv_apply(infl, neighbors, len(support), feats, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,11 @@ def normalize_scores_with_slack(scores: Tensor, iterations: int = 5,
     opposite side's point count instead of 1, letting slack absorb any number
     of unmatched points (used at inference; the training loss keeps unit
     marginals so its uniform-matrix baseline is exactly log(columns)).
+
+    One tape node.  The forward runs the numpy operations of the composed
+    exp / sum / div / expand / mul chain in the same order and checks every
+    intermediate for finiteness; the backward replays that chain's backward
+    in reverse tape order, so values and gradients are bit-identical to it.
     """
     nr, nc = scores.shape
     row_target = np.ones((nr, 1))
@@ -189,13 +194,42 @@ def normalize_scores_with_slack(scores: Tensor, iterations: int = 5,
     if augment_slack:
         row_target[-1, 0] = nc - 1
         col_target[0, -1] = nr - 1
-    p = ad.exp(ad.sub(scores, float(np.max(scores.data))))
+    shifted = scores.data - float(np.max(scores.data))
+    ad.require_finite(shifted)
+    with np.errstate(over="ignore"):
+        p = np.exp(shifted)
+    if not np.isfinite(p).all():
+        raise FloatingPointError("exp overflow; inputs too large")
+    exp_p = p
+    rounds = []                         # what each round's backward reads
     for _ in range(iterations):
-        csum = ad.sum_(p, axis=0, keepdims=True)
-        p = ad.mul(p, ad.expand(ad.div(Tensor(col_target), csum), p.shape))
-        rsum = ad.sum_(p, axis=1, keepdims=True)
-        p = ad.mul(p, ad.expand(ad.div(Tensor(row_target), rsum), p.shape))
-    return p
+        csum = np.sum(p, axis=0, keepdims=True)
+        ad.require_finite(csum)
+        col_scale = col_target / csum
+        ad.require_finite(col_scale)
+        p_col = p * col_scale
+        ad.require_finite(p_col)
+        rsum = np.sum(p_col, axis=1, keepdims=True)
+        ad.require_finite(rsum)
+        row_scale = row_target / rsum
+        ad.require_finite(row_scale)
+        rounds.append((p, csum, col_scale, p_col, rsum, row_scale))
+        p = p_col * row_scale
+
+    def bwd(g):
+        for p_in, csum, col_scale, p_col, rsum, row_scale in reversed(rounds):
+            # mul(p_col, expand(row_scale)); expand sums; div(row_target, rsum)
+            g_p_col = g * row_scale
+            g_row = np.sum(g * p_col, axis=1, keepdims=True)
+            g_rsum = (-g_row * row_target) / (rsum * rsum)
+            g_p_col = g_p_col + g_rsum          # sum_ broadcasts over axis 1
+            g_p = g_p_col * col_scale
+            g_col = np.sum(g_p_col * p_in, axis=0, keepdims=True)
+            g_csum = (-g_col * col_target) / (csum * csum)
+            g = g_p + g_csum                    # sum_ broadcasts over axis 0
+        ad.accumulate_grad(scores, g * exp_p)
+
+    return ad.record_custom(p, scores.requires_grad, bwd)
 
 
 def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,

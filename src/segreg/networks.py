@@ -182,14 +182,56 @@ def init_reg_params(cfg: RegNetConfig, rng: np.random.Generator) -> dict[str, Te
 
 def _norm_act(params: dict[str, Tensor], name: str, y: Tensor,
               eps: float, slope: float) -> Tensor:
-    mu = ad.mean_(y, axis=0, keepdims=True)
-    centered = ad.sub(y, ad.expand(mu, y.shape))
-    var = ad.mean_(ad.mul(centered, centered), axis=0, keepdims=True)
-    std = ad.sqrt(ad.add(var, eps))
-    normed = ad.div(centered, ad.expand(std, y.shape))
-    affine = ad.add(ad.mul(normed, ad.expand(params[f"{name}_gamma"], y.shape)),
-                    ad.expand(params[f"{name}_beta"], y.shape))
-    return ad.leaky_relu(affine, slope)
+    """Per-channel standardization over the points, learned affine, leaky ReLU.
+
+    One tape node.  The forward runs the numpy operations of the composed
+    mean / sub / mul / mean / add / sqrt / div / mul / add / leaky_relu chain
+    in the same order and checks every intermediate for finiteness; the
+    backward replays that chain's backward in reverse tape order, so values
+    and gradients are bit-identical to it.
+    """
+    gamma, beta = params[f"{name}_gamma"], params[f"{name}_beta"]
+    n = y.shape[0]
+    x = y.data
+    mu = np.mean(x, axis=0, keepdims=True)
+    ad.require_finite(mu)
+    centered = x - mu
+    ad.require_finite(centered)
+    sq = centered * centered
+    ad.require_finite(sq)
+    var = np.mean(sq, axis=0, keepdims=True)
+    ad.require_finite(var)
+    std = np.sqrt(var + eps)
+    ad.require_finite(std)
+    normed = centered / std
+    ad.require_finite(normed)
+    scaled = normed * gamma.data
+    ad.require_finite(scaled)
+    affine = scaled + beta.data
+    ad.require_finite(affine)
+    positive = affine > 0.0
+    out = np.where(positive, affine, slope * affine)
+
+    def bwd(g):
+        g_affine = g * np.where(positive, 1.0, slope)
+        ad.accumulate_grad(beta, np.sum(g_affine, axis=0, keepdims=True))
+        ad.accumulate_grad(gamma, np.sum(g_affine * normed, axis=0, keepdims=True))
+        if not y.requires_grad:
+            return
+        g_normed = g_affine * gamma.data
+        # div(centered, expand(std)); expand sums; sqrt; add eps; mean
+        g_std = np.sum((-g_normed * centered) / (std * std), axis=0, keepdims=True)
+        g_var = g_std / (2.0 * std)
+        g_sq = g_var / n
+        # centered's three terms in tape order: div, then both mul operands
+        g_centered = g_normed / std + g_sq * centered + g_sq * centered
+        # sub(y, expand(mu)), then mean_(y)
+        ad.accumulate_grad(y, g_centered)
+        g_mu = np.sum(-g_centered, axis=0, keepdims=True)
+        ad.accumulate_grad(y, np.broadcast_to(g_mu / n, y.shape))
+
+    requires = y.requires_grad or gamma.requires_grad or beta.requires_grad
+    return ad.record_custom(out, requires, bwd)
 
 
 def _conv_block(params, name, ctx: BackboneContext, level: int, feats: Tensor,

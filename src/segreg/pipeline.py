@@ -88,7 +88,8 @@ class PreparedSample:
     pre_hist: np.ndarray
     intra_hist: np.ndarray
     overlap: np.ndarray | None = None
-    positive_pairs: np.ndarray | None = None
+    # positive pairs that carry ground-truth fine matches, in argwhere order
+    fine_pairs: list[tuple[int, int]] | None = None
     gt_fine: dict = field(default_factory=dict)
     sample_id: str = ""
 
@@ -111,12 +112,14 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
         overlap = superpoint_overlap_labels(pre_view, intra_view, sample.T_gt,
                                             match_cfg.overlap_patch_radius)
         prepared.overlap = overlap
-        pos = np.argwhere(overlap > match_cfg.positive_overlap)
-        prepared.positive_pairs = pos
-        for a, b in pos:
-            prepared.gt_fine[(int(a), int(b))] = ground_truth_patch_matches(
+        prepared.fine_pairs = []
+        for a, b in np.argwhere(overlap > match_cfg.positive_overlap):
+            key = (int(a), int(b))
+            prepared.gt_fine[key] = ground_truth_patch_matches(
                 pre_view, intra_view, (a, b), sample.T_gt,
                 match_cfg.fine_match_radius)
+            if prepared.gt_fine[key][0].size > 0:
+                prepared.fine_pairs.append(key)
     return prepared
 
 
@@ -141,7 +144,7 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
     With ``mask_override`` the segmentation network is bypassed and the given
     hard mask is fed as a constant (two-step mode, frozen segmentation).
     """
-    if prepared.overlap is None or prepared.positive_pairs is None:
+    if prepared.overlap is None or prepared.fine_pairs is None:
         raise ValueError("training loss needs ground-truth overlap labels")
     info: dict = {}
     if mask_override is not None:
@@ -162,8 +165,7 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
     c_loss = coarse_loss(sp_pre_n, sp_intra_n, prepared.overlap,
                          pos_threshold=match_cfg.positive_overlap)
 
-    pos = prepared.positive_pairs
-    usable = [tuple(p) for p in pos if prepared.gt_fine[tuple(p)][0].size > 0]
+    usable = prepared.fine_pairs
     if not usable:
         raise ValueError("no positive pair carries ground-truth fine matches")
     if len(usable) > n_fine_pairs:

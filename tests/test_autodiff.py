@@ -13,11 +13,13 @@ from segreg.autodiff import (
     matmul,
     max_relative_error,
     mean_,
+    scatter_add_rows,
     scatter_mean,
     softmax,
     stop_gradient,
     sum_,
 )
+from reference_ops import add_at_rows
 
 
 def test_add_basic():
@@ -161,6 +163,33 @@ def test_scatter_mean_forward_and_gradient():
         src = Tensor(src0, requires_grad=True)
         backward(sum_(scatter_mean(src, group, 3) * Tensor(w)))
     assert max_relative_error(src.grad, fd[0]) < 1e-6
+
+
+@pytest.mark.parametrize("index,shape,n", [
+    (np.array([3, 0, 3, 3, 1, 0]), (6,), 5),          # repeats, 1-D, empty rows
+    (np.array([2, 2, 0, 2, 1, 2, 0]), (7, 4), 3),     # repeats, (m, C)
+    (np.array([1, 0, 1]), (3, 2, 3), 4),              # trailing dims kept
+    (np.empty(0, np.int64), (0,), 4),                 # empty index, 1-D
+    (np.empty(0, np.int64), (0, 3), 2),               # empty index, (m, C)
+])
+def test_scatter_add_rows_equals_add_at(index, shape, n):
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    got = scatter_add_rows(index, values, n)
+    assert got.shape == (n,) + shape[1:]
+    assert np.array_equal(got, add_at_rows(index, values, n))
+
+
+def test_gather_rows_backward_with_shadow_index_equals_add_at():
+    rng = np.random.default_rng(14)
+    index = rng.integers(0, 9, size=200)              # 8 real rows, shadow 8
+    proj = rng.normal(size=(200, 3))
+    with Tape():
+        src = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        backward(sum_(gather_rows(src, index) * Tensor(proj)))
+    real = index < 8
+    assert np.any(~real)
+    assert np.array_equal(src.grad, add_at_rows(index[real], proj[real], 8))
 
 
 def test_stop_gradient_forward_identity():

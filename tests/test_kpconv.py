@@ -1,10 +1,20 @@
 """Kernel-point convolution, pyramid, and network-level tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from segreg import geometry
-from segreg.autodiff import Tape, Tensor, backward, finite_difference_gradient, max_relative_error, sum_
+from segreg import geometry, networks
+from segreg.autodiff import (
+    NonFiniteError,
+    Tape,
+    Tensor,
+    backward,
+    finite_difference_gradient,
+    max_relative_error,
+    sum_,
+)
 from segreg.geometry import PointCloud, voxel_grid_subsample
 from segreg.gumbel import straight_through_mask
 from segreg.kpconv import (
@@ -12,7 +22,6 @@ from segreg.kpconv import (
     build_pyramid,
     conv_influence,
     kernel_disposition,
-    kpconv,
     kpconv_apply,
     local_reference_frames,
 )
@@ -26,6 +35,7 @@ from segreg.networks import (
     seg_forward,
 )
 from segreg.phantom import PhantomConfig, generate_phantom
+from reference_ops import composed_norm_act
 
 
 def surface_cloud(rng, n, colors=True):
@@ -33,6 +43,13 @@ def surface_cloud(rng, n, colors=True):
     pos /= np.linalg.norm(pos, axis=1, keepdims=True)
     pos *= rng.uniform(0.7, 1.0, size=(n, 1))
     return PointCloud(pos, colors=rng.uniform(0, 1, size=(n, 3)) if colors else None)
+
+
+def kpconv(query, support, feats, neighbors, kernel, weights):
+    """Influence tables at the kernel's default extent, then the convolution."""
+    infl = conv_influence(query.positions, support.positions, neighbors, kernel,
+                          kernel.radius / SIGMA_RATIO)
+    return kpconv_apply(infl, neighbors, len(support), feats, weights)
 
 
 # -- kernel disposition ------------------------------------------------------
@@ -116,6 +133,32 @@ def test_kpconv_gradients_match_finite_differences():
         backward(sum_(out * Tensor(proj)))
     assert max_relative_error(feats.grad, fd[0]) < 1e-5
     assert max_relative_error(w.grad, fd[1]) < 1e-5
+
+
+def test_kpconv_feats_gradient_equals_add_at_backward():
+    sample = generate_phantom(PhantomConfig(seed=4, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    # a cap above the densest neighborhoods leaves shadow slots to skip
+    ctx = build_context(sample.intraoperative, replace(TINY_REG, max_neighbors=64))
+    rng = np.random.default_rng(15)
+    shadow_slots = 0
+    for level, (infl, nbr) in enumerate(zip(ctx.influences, ctx.pyramid.neighbors)):
+        ns, k = len(ctx.pyramid.levels[level]), infl.shape[1]
+        w0 = rng.normal(size=(k, 3, 2))
+        proj = rng.normal(size=(nbr.shape[0], 2))
+        with Tape():
+            feats = Tensor(rng.normal(size=(ns, 3)), requires_grad=True)
+            out = kpconv_apply(infl, nbr, ns, feats, Tensor(w0, requires_grad=True))
+            backward(sum_(out * Tensor(proj)))
+        valid = nbr < ns
+        shadow_slots += np.count_nonzero(~valid)
+        # the backward as written with np.add.at
+        g_mixed = (proj @ w0.reshape(-1, 2).T).reshape(nbr.shape[0], k, 3)
+        g_gathered = np.matmul(infl.astype(np.float64).transpose(0, 2, 1), g_mixed)
+        want = np.zeros((ns, 3))
+        np.add.at(want, nbr[valid], g_gathered[valid])
+        assert np.array_equal(feats.grad, want), level
+    assert shadow_slots > 0
 
 
 def test_kpconv_locality_bit_exact():
@@ -269,6 +312,36 @@ def test_seg_forward_all_param_gradcheck():
         g = params[n].grad
         assert g is not None, n
         assert max_relative_error(g, g_fd) < 1e-4, n
+
+
+def test_fused_norm_act_equals_composed_reference():
+    rng = np.random.default_rng(16)
+    gamma0, beta0 = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
+    ys0 = [rng.normal(size=(n, 5)) * 3.0 for n in (40, 23)]
+    projs = [rng.normal(size=(n, 5)) for n in (40, 23)]
+    results = []
+    for norm_act in (networks._norm_act, composed_norm_act):
+        params = {"blk_gamma": Tensor(gamma0, requires_grad=True),
+                  "blk_beta": Tensor(beta0, requires_grad=True)}
+        ys = [Tensor(y0, requires_grad=True) for y0 in ys0]
+        with Tape():
+            # two calls share gamma and beta, as the registration backbone does
+            outs = [norm_act(params, "blk", y, 1e-5, 0.1) for y in ys]
+            backward(sum_(outs[0] * Tensor(projs[0])) + sum_(outs[1] * Tensor(projs[1])))
+        results.append([o.data for o in outs] + [y.grad for y in ys]
+                       + [params["blk_gamma"].grad, params["blk_beta"].grad])
+    fused, composed = results
+    assert np.any(fused[0] < 0) and np.any(fused[0] > 0)
+    for got, want in zip(fused, composed):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("norm_act", [networks._norm_act, composed_norm_act])
+def test_norm_act_overflow_raises_nonfinite(norm_act):
+    params = {"blk_gamma": Tensor(np.ones((1, 2))), "blk_beta": Tensor(np.zeros((1, 2)))}
+    y = Tensor(np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]]))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        norm_act(params, "blk", y, 1e-5, 0.1)
 
 
 def test_reg_backbone_zero_mask_zeroes_first_conv():

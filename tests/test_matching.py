@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from segreg.autodiff import Tape, Tensor, backward, finite_difference_gradient, max_relative_error
+from segreg.autodiff import (
+    NonFiniteError,
+    Tape,
+    Tensor,
+    backward,
+    finite_difference_gradient,
+    max_relative_error,
+    sum_,
+)
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
 from segreg.kpconv import build_pyramid
 from segreg.matching import (
@@ -22,6 +30,7 @@ from segreg.matching import (
     superpoint_overlap_labels,
     weighted_procrustes,
 )
+from reference_ops import composed_normalize_scores_with_slack
 
 
 def surface_cloud(rng, n):
@@ -130,6 +139,34 @@ def test_normalize_uniform_rows_and_concentration():
     np.fill_diagonal(s, 30.0)
     c = normalize_scores_with_slack(Tensor(s))
     assert np.all(np.diag(c.data)[:3] > 0.99)
+
+
+@pytest.mark.parametrize("augment_slack", [False, True])
+@pytest.mark.parametrize("iterations", [0, 1, 5])
+def test_fused_sinkhorn_equals_composed_reference(iterations, augment_slack):
+    rng = np.random.default_rng(17)
+    s0 = np.zeros((8, 11))
+    s0[:7, :10] = rng.normal(size=(7, 10)) * 4.0
+    proj = rng.normal(size=(8, 11))
+    results = []
+    for normalize in (normalize_scores_with_slack, composed_normalize_scores_with_slack):
+        with Tape():
+            scores = Tensor(s0, requires_grad=True)
+            p = normalize(scores, iterations, augment_slack=augment_slack)
+            backward(sum_(p * Tensor(proj)))
+        results.append((p.data, scores.grad))
+    (p_fused, g_fused), (p_ref, g_ref) = results
+    assert np.array_equal(p_fused, p_ref)
+    assert np.array_equal(g_fused, g_ref)
+
+
+@pytest.mark.parametrize("normalize", [normalize_scores_with_slack,
+                                       composed_normalize_scores_with_slack])
+def test_sinkhorn_zero_column_sum_raises_nonfinite(normalize):
+    s = np.zeros((4, 5))
+    s[:, 2] = -1e4                    # exp underflows to 0: the column sums to 0
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
+        normalize(Tensor(s), 1)
 
 
 def test_fine_match_identity_on_distinct_descriptors():
