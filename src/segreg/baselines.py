@@ -11,10 +11,10 @@ given their inputs and seed.
 The descriptors come from one k-d tree pair list: each pair within the
 radius is measured once and binned into both endpoints' histograms with a
 single ``np.bincount``, in fixed-size blocks of pairs.  RANSAC draws its
-hypotheses one at a time from the generator, then solves and scores them in
-stacks with the operations of ``weighted_procrustes`` (stacked 3 x 3 SVDs),
-so the counts, the first-best winner and its pose are those of a sequential
-scan.
+hypotheses one at a time from the generator, then fits them in stacks with
+``matching.procrustes_stack`` and counts their inliers, so the counts and
+the first-best winner are those of a sequential scan.  ICP starts from the
+winner's pose as ``weighted_procrustes`` solves it on its own.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from segreg.geometry import _ORTHO_TOL, PointCloud, RigidTransform
+from segreg.geometry import PointCloud, RigidTransform
 from segreg.kpconv import local_reference_frames
-from segreg.matching import MatchSet, weighted_procrustes
+from segreg.matching import MatchSet, procrustes_stack, weighted_procrustes
 
 __all__ = ["ICPReport", "icp", "ransac_icp", "estimate_normals", "local_descriptors"]
 
@@ -131,28 +131,10 @@ def _hypothesis_inliers(picks: np.ndarray, cand_src: np.ndarray,
                         cand_tgt: np.ndarray, inlier_radius: float) -> np.ndarray:
     """Inlier counts of the 3-point fits on the rows of ``picks``.
 
-    Stacks the operations of ``weighted_procrustes`` with unit weights, in
-    the same order, so each pose and count equals the scalar solve's.  A row
-    gets -1 where that solve (or ``RigidTransform``) would raise: a
-    rank-deficient covariance or a rotation failing the orthonormality check.
+    One ``procrustes_stack`` call fits every row with unit weights; a row
+    gets -1 where the fit is invalid, as ``weighted_procrustes`` would raise.
     """
-    n = len(picks)
-    p, q = cand_src[picks], cand_tgt[picks]
-    wn = (np.ones(3) / 3.0)[:, None]
-    p_bar = (wn * p).sum(axis=1)
-    q_bar = (wn * q).sum(axis=1)
-    H = (wn * (p - p_bar[:, None])).transpose(0, 2, 1) @ (q - q_bar[:, None])
-    u, s, vt = np.linalg.svd(H)
-    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
-    flip = np.zeros((n, 3, 3))
-    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
-    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
-    R = v @ flip @ ut
-    t = q_bar - (R @ p_bar[:, :, None])[:, :, 0]
-    ratio = np.divide(s[:, 1], s[:, 0], out=np.zeros(n), where=s[:, 0] > 0)
-    valid = ((s[:, 0] > 0) & (ratio >= 1e-9)
-             & (np.max(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)), axis=(1, 2)) <= _ORTHO_TOL)
-             & (np.abs(np.linalg.det(R) - 1.0) <= _ORTHO_TOL))
+    R, t, valid = procrustes_stack(cand_src[picks], cand_tgt[picks], np.ones(picks.shape))
     # residual norms |R p + t - q|, squares summed in np.linalg.norm's order
     diff = cand_src @ R.transpose(0, 2, 1)
     diff += t[:, None]

@@ -102,6 +102,12 @@ def _load_dataset(path: str):
     return [(name, load_sample(root / name)) for name in names]
 
 
+def _require_colors(cloud, where: str) -> None:
+    """The segmentation network reads the intraoperative colors."""
+    if cloud.colors is None:
+        raise ValueError(f"{where}: intraoperative cloud has no colors")
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -119,6 +125,8 @@ def cmd_train(args) -> int:
         return EXIT_USAGE
     try:
         dataset = _load_dataset(args.dataset)
+        for name, sample in dataset:
+            _require_colors(sample.intraoperative, name)
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot load dataset: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -174,6 +182,8 @@ def cmd_register(args) -> int:
     try:
         pre = load_ply(args.pre)
         intra = load_ply(args.intra)
+        if args.checkpoint is not None:
+            _require_colors(intra, args.intra)
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -242,7 +252,11 @@ def cmd_eval(args) -> int:
         if not pose_path.exists():
             missing.append(name)
             continue
-        T, meta = load_pose(pose_path)
+        try:
+            T, meta = load_pose(pose_path)
+        except ValueError as exc:
+            print(f"cannot read prediction {pose_path}: {exc}", file=sys.stderr)
+            return EXIT_DATA
         wall = float(meta.get("info", {}).get("wall_time_s", 0.0))
         records.append(evaluate_pose(name, args.method, sample, T, wall))
     if records:
@@ -329,19 +343,17 @@ def cmd_ablate(args) -> int:
         format_summary(args.name_a, stats_a),
         format_summary(args.name_b, stats_b),
     ]
+    code = EXIT_OK
     try:
         p, r = wilcoxon_signed_rank(tre_a, tre_b)
         lines.append(f"Wilcoxon signed-rank: p = {p:.6g}, effect size r = {r:.3f}")
     except ValueError as exc:
         lines.append(f"Wilcoxon signed-rank undefined: {exc}")
-        (out / "ablation_report.txt").write_text("\n".join(lines) + "\n")
-        print("\n".join(lines))
-        _write_run_manifest(out, "ablate", vars(args))
-        return EXIT_DATA
+        code = EXIT_DATA
     (out / "ablation_report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     _write_run_manifest(out, "ablate", vars(args))
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from segreg.geometry import PointCloud, RigidTransform
+from segreg.geometry import PointCloud, RigidTransform, rotation_defects
 from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import PhantomConfig, RegistrationSample
 
@@ -221,11 +221,16 @@ def save_pose(T: RigidTransform, path: str | Path, center=None,
 
 def load_pose(path: str | Path) -> tuple[RigidTransform, dict]:
     doc = json.loads(Path(path).read_text())
-    R = np.asarray(doc["rotation"], dtype=np.float64)
-    t = np.asarray(doc["translation"], dtype=np.float64)
+    if not isinstance(doc, dict) or not {"rotation", "translation"} <= doc.keys():
+        raise ValueError("pose JSON needs a rotation and a translation")
+    try:
+        R = np.asarray(doc["rotation"], dtype=np.float64)
+        t = np.asarray(doc["translation"], dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"pose rotation and translation must be numbers: {exc}") from exc
     if R.shape != (3, 3):
         raise ValueError(f"pose rotation must be 3x3, got {R.shape}")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-6 or abs(np.linalg.det(R) - 1) > 1e-6:
+    if any(rotation_defects(R, 1e-6)):
         raise ValueError("pose rotation fails orthonormality/determinant check")
     meta = {k: v for k, v in doc.items() if k not in ("rotation", "translation")}
     # renormalize tiny drift so RigidTransform's strict tolerance accepts it

@@ -6,6 +6,7 @@ and the candidates are re-ranked on exact squared distances.  A row whose
 candidate list may have left out a point that belongs in it (a tie shell
 cut by the list's end) is recomputed by an exact per-row query.  Ties are
 always broken toward the lower support index so results are reproducible.
+``rotation_defects`` is the one rotation test, for every tolerance and stack.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from scipy.spatial import cKDTree
 __all__ = [
     "PointCloud",
     "RigidTransform",
-    "normalize_unit_sphere",
-    "denormalize",
+    "rotation_defects",
     "random_rigid",
     "voxel_grid_subsample",
     "radius_neighbors",
@@ -78,7 +78,13 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
-        _check_rotation(R)
+        if R.shape != (3, 3):
+            raise ValueError(f"rotation must be 3 x 3, got {R.shape}")
+        not_orthonormal, not_proper = rotation_defects(R)
+        if not_orthonormal:
+            raise ValueError("rotation is not orthonormal")
+        if not_proper:
+            raise ValueError("rotation determinant must be +1")
 
     @staticmethod
     def identity() -> "RigidTransform":
@@ -101,39 +107,17 @@ class RigidTransform:
         return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
 
 
-def _check_rotation(R: np.ndarray, tol: float = _ORTHO_TOL) -> None:
-    if R.shape != (3, 3):
-        raise ValueError(f"rotation must be 3 x 3, got {R.shape}")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
-        raise ValueError("rotation is not orthonormal")
-    if abs(np.linalg.det(R) - 1.0) > tol:
-        raise ValueError("rotation determinant must be +1")
+def rotation_defects(R: np.ndarray, tol: float = _ORTHO_TOL
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per stacked (..., 3, 3) matrix: (max |R^T R - I| > tol, |det R - 1| > tol)."""
+    ortho_err = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)), axis=(-2, -1))
+    return ortho_err > tol, np.abs(np.linalg.det(R) - 1.0) > tol
 
 
 def rotation_angle_deg(R: np.ndarray) -> float:
     """Geodesic angle of a rotation matrix, in degrees."""
     c = (np.trace(R) - 1.0) / 2.0
     return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-
-
-def normalize_unit_sphere(cloud: PointCloud) -> tuple[PointCloud, np.ndarray, float]:
-    """Center at the centroid and scale so the farthest point has norm 1.
-
-    Returns the normalized cloud plus (center, scale) for the round trip.
-    Rejects degenerate clouds where every point coincides.
-    """
-    center = cloud.positions.mean(axis=0)
-    shifted = cloud.positions - center
-    scale = float(np.max(np.linalg.norm(shifted, axis=1)))
-    if scale == 0.0:
-        raise ValueError("degenerate cloud: all points identical, cannot normalize")
-    out = PointCloud(shifted / scale, colors=cloud.colors, labels=cloud.labels)
-    return out, center, scale
-
-
-def denormalize(cloud: PointCloud, center: np.ndarray, scale: float) -> PointCloud:
-    return PointCloud(cloud.positions * scale + center,
-                      colors=cloud.colors, labels=cloud.labels)
 
 
 def random_rigid(max_translation: float, max_rotation_deg: float,

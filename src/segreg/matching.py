@@ -5,10 +5,11 @@ features and a patch of fine-level member points.  Coarse matching scores
 superpoint pairs by normalized feature similarity plus a rotation-invariant
 pairwise-distance-histogram bonus, selected through a dual softmax.  Fine
 matching scores patch-to-patch descriptor similarity with a slack row and
-column, normalized by alternating column/row renormalizations of the
-exponentiated scores, and keeps mutual top-1 entries.  A weighted Procrustes
-solve plus inlier re-weighting turns the surviving matches into a rigid
-transform.
+column (``patch_scores``, shared with the training loss), normalized by
+alternating column/row renormalizations of the exponentiated scores, and
+keeps mutual top-1 entries.  A weighted Procrustes solve (``procrustes_stack``,
+also used by the baselines) plus inlier re-weighting turns the surviving
+matches into a rigid transform.
 
 Training losses: an overlap-weighted circle loss over superpoint feature
 distances (margins 0.1 / 1.4) and a negative log-likelihood over the
@@ -24,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from segreg import autodiff as ad
 from segreg.autodiff import Tensor
-from segreg.geometry import PointCloud, RigidTransform
+from segreg.geometry import PointCloud, RigidTransform, rotation_defects
 from segreg.kpconv import PointPyramid
 
 __all__ = [
@@ -37,7 +38,9 @@ __all__ = [
     "superpoint_overlap_labels",
     "coarse_match",
     "fine_match",
+    "patch_scores",
     "normalize_scores_with_slack",
+    "procrustes_stack",
     "weighted_procrustes",
     "refine_transform",
     "RefineResult",
@@ -172,6 +175,20 @@ def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray, k_corr: int,
     return pairs, score.reshape(-1)[order]
 
 
+def patch_scores(dense_pre: Tensor, dense_intra: Tensor,
+                 ia: np.ndarray, ib: np.ndarray) -> Tensor:
+    """Slack-padded patch score matrix on the tape: entry (i, j) is the inner
+    product of dense rows ``ia[i]`` and ``ib[j]`` over sqrt(channels), and the
+    last row and column are zero slack scores."""
+    scale = 1.0 / np.sqrt(dense_pre.shape[1])
+    rows = ad.gather_rows(dense_pre, ia)
+    cols = ad.gather_rows(dense_intra, ib)
+    s = ad.mul(ad.matmul(rows, ad.transpose2d(cols)), scale)
+    s = ad.concat([s, Tensor(np.zeros((ia.size, 1)))], axis=1)
+    s = ad.concat([s, Tensor(np.zeros((1, ib.size + 1)))], axis=0)
+    return s
+
+
 def normalize_scores_with_slack(scores: Tensor, iterations: int = 5,
                                 augment_slack: bool = False) -> Tensor:
     """Normalize a patch score matrix that already includes slack row/column.
@@ -244,18 +261,15 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
     must also beat both of its slack competitors, so diffuse score matrices
     yield few or no correspondences.
     """
-    scale = 1.0 / np.sqrt(dense_pre.shape[1])
+    dense_pre, dense_intra = Tensor(dense_pre), Tensor(dense_intra)
     best: dict[tuple[int, int], float] = {}
     for a, b in coarse_pairs:
         ia = pre_view.patch_indices[a]
         ib = intra_view.patch_indices[b]
         if ia.size == 0 or ib.size == 0:
             continue
-        s = scale * (dense_pre[ia] @ dense_intra[ib].T)
-        padded = np.zeros((ia.size + 1, ib.size + 1))
-        padded[: ia.size, : ib.size] = s
-        p = normalize_scores_with_slack(Tensor(padded), norm_iterations,
-                                        augment_slack=True).data
+        p = normalize_scores_with_slack(patch_scores(dense_pre, dense_intra, ia, ib),
+                                        norm_iterations, augment_slack=True).data
         core = p[: ia.size, : ib.size]
         row_best = np.argmax(p[: ia.size], axis=1)
         col_best = np.argmax(p[:, : ib.size], axis=0)
@@ -284,37 +298,48 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
 # transform estimation
 # ---------------------------------------------------------------------------
 
+def procrustes_stack(p: np.ndarray, q: np.ndarray, w: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form weighted rigid fits of B matched sets: (B, n, 3) points,
+    (B, n) weights with positive row sums.
+
+    Fit b minimizes sum_i w_bi |R p_bi + t - q_bi|^2 via the SVD of the
+    weighted cross-covariance, with the determinant corrected to +1.  Returns
+    R (B, 3, 3), t (B, 3) and a mask that is False where the covariance is
+    rank-deficient or the rotation fails ``RigidTransform``'s check.
+    """
+    wn = (w / w.sum(axis=1, keepdims=True))[:, :, None]
+    p_bar = (wn * p).sum(axis=1)
+    q_bar = (wn * q).sum(axis=1)
+    H = (wn * (p - p_bar[:, None])).transpose(0, 2, 1) @ (q - q_bar[:, None])
+    u, s, vt = np.linalg.svd(H)
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    flip = np.zeros_like(H)
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    R = v @ flip @ ut
+    t = q_bar - (R @ p_bar[:, :, None])[:, :, 0]
+    ratio = np.divide(s[:, 1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] > 0)
+    not_orthonormal, not_proper = rotation_defects(R)
+    return R, t, (s[:, 0] > 0) & (ratio >= 1e-9) & ~not_orthonormal & ~not_proper
+
+
 def weighted_procrustes(matches: MatchSet, pre: PointCloud | np.ndarray,
                         intra: PointCloud | np.ndarray) -> RigidTransform:
-    """Closed-form weighted least-squares rigid fit of matched points.
-
-    Minimizes sum_i w_i |R p_i + t - q_i|^2 via the SVD of the weighted
-    cross-covariance, with the determinant corrected to +1.
-    """
+    """``procrustes_stack`` on one match set, as a ``RigidTransform``."""
     p_all = pre.positions if isinstance(pre, PointCloud) else np.asarray(pre, dtype=np.float64)
     q_all = intra.positions if isinstance(intra, PointCloud) else np.asarray(intra, dtype=np.float64)
     if len(matches) < 3:
         raise ValueError(f"need at least 3 matches, got {len(matches)}")
-    w = matches.weights
-    total = w.sum()
-    if total <= 0:
+    if matches.weights.sum() <= 0:
         raise ValueError("total match weight must be positive")
-    p = p_all[matches.pre_indices]
-    q = q_all[matches.intra_indices]
-    wn = (w / total)[:, None]
-    p_bar = (wn * p).sum(axis=0)
-    q_bar = (wn * q).sum(axis=0)
-    H = (wn * (p - p_bar)).T @ (q - q_bar)
-    u, s, vt = np.linalg.svd(H)
-    if s[0] <= 0 or s[1] / s[0] < 1e-9:
-        raise ValueError(
-            "rank-deficient match covariance (collinear correspondences); "
-            f"singular values {s}"
-        )
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    R = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    t = q_bar - R @ p_bar
-    return RigidTransform(R, t)
+    R, t, valid = procrustes_stack(p_all[matches.pre_indices][None],
+                                   q_all[matches.intra_indices][None],
+                                   matches.weights[None])
+    if not valid[0]:
+        raise ValueError("rank-deficient match covariance (collinear correspondences) "
+                         "or a rotation outside tolerance")
+    return RigidTransform(R[0], t[0])
 
 
 @dataclass

@@ -98,12 +98,10 @@ class BackboneContext:
         return self.pyramid.input_cloud
 
 
-def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig,
-                  pyramid: PointPyramid | None = None) -> BackboneContext:
+def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> BackboneContext:
     """Precompute the pyramid and influence tables for one input cloud."""
-    if pyramid is None:
-        pyramid = build_pyramid(cloud, cfg.stages, cfg.initial_voxel,
-                                cfg.base_radius_mult, cfg.max_neighbors)
+    pyramid = build_pyramid(cloud, cfg.stages, cfg.initial_voxel,
+                            cfg.base_radius_mult, cfg.max_neighbors)
     kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
     use_frames = getattr(cfg, "local_frames", False)
     influences = []

@@ -5,7 +5,8 @@
 truth is available, superpoint overlap and per-patch ground-truth matches).
 ``training_loss`` assembles the differentiable dual loss on a tape;
 ``register_pair`` runs deterministic inference (argmax mask, no noise) and
-returns the predicted pose.
+returns the predicted pose.  Both share one backbone pass over the pair
+and ``matching.patch_scores``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from segreg.matching import (
     DualLoss,
     MatchSet,
     PatchedSuperpoints,
-    RefineResult,
     build_patches,
     coarse_loss,
     coarse_match,
@@ -32,6 +32,7 @@ from segreg.matching import (
     ground_truth_patch_matches,
     l2_normalize_rows,
     normalize_scores_with_slack,
+    patch_scores,
     refine_transform,
     superpoint_overlap_labels,
     weighted_procrustes,
@@ -123,15 +124,16 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
     return prepared
 
 
-def _patch_scores_on_tape(dense_pre: Tensor, dense_intra: Tensor,
-                          ia: np.ndarray, ib: np.ndarray) -> Tensor:
-    scale = 1.0 / np.sqrt(dense_pre.shape[1])
-    rows = ad.gather_rows(dense_pre, ia)
-    cols = ad.gather_rows(dense_intra, ib)
-    s = ad.mul(ad.matmul(rows, ad.transpose2d(cols)), scale)
-    s = ad.concat([s, Tensor(np.zeros((ia.size, 1)))], axis=1)
-    s = ad.concat([s, Tensor(np.zeros((1, ib.size + 1)))], axis=0)
-    return s
+def _pair_forward(params: dict[str, Tensor], prepared: PreparedSample,
+                  intra_feats: Tensor, reg_cfg: RegNetConfig
+                  ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Backbone on both clouds (pre input features are ones): normalized
+    superpoint features of pre and intra, then their dense features."""
+    ones = Tensor(np.ones((len(prepared.sample.preoperative), 1)))
+    sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre, ones, reg_cfg)
+    sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra,
+                                                 intra_feats, reg_cfg)
+    return l2_normalize_rows(sp_pre), l2_normalize_rows(sp_intra), dense_pre, dense_intra
 
 
 def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
@@ -155,13 +157,8 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
         mask, hard, _ = straight_through_mask(logits, tau, rng)
         info["mask_mean"] = float(hard.mean())
 
-    n_pre = len(prepared.sample.preoperative)
-    ones = Tensor(np.ones((n_pre, 1)))
-    sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre, ones, reg_cfg)
-    sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra, mask, reg_cfg)
-
-    sp_pre_n = l2_normalize_rows(sp_pre)
-    sp_intra_n = l2_normalize_rows(sp_intra)
+    sp_pre_n, sp_intra_n, dense_pre, dense_intra = _pair_forward(
+        params, prepared, mask, reg_cfg)
     c_loss = coarse_loss(sp_pre_n, sp_intra_n, prepared.overlap,
                          pos_threshold=match_cfg.positive_overlap)
 
@@ -175,7 +172,7 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
     for a, b in usable:
         ia = prepared.pre_view.patch_indices[a]
         ib = prepared.intra_view.patch_indices[b]
-        scores = _patch_scores_on_tape(dense_pre, dense_intra, ia, ib)
+        scores = patch_scores(dense_pre, dense_intra, ia, ib)
         mats.append(normalize_scores_with_slack(scores, match_cfg.norm_iterations))
         gts.append(prepared.gt_fine[(a, b)])
     f_loss = fine_loss(mats, gts)
@@ -196,8 +193,6 @@ def segmentation_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 class RegistrationResult:
     transform: RigidTransform
     mask: np.ndarray                  # per intraoperative input point
-    matches: MatchSet
-    refine: RefineResult
     info: dict
 
 
@@ -208,16 +203,11 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     logits = seg_forward(params, prepared.seg_ctx, seg_cfg)
     mask = hard_mask(logits)
 
-    n_pre = len(prepared.sample.preoperative)
-    ones = Tensor(np.ones((n_pre, 1)))
-    mask_feats = Tensor(mask.astype(np.float64).reshape(-1, 1))
-    sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre, ones, reg_cfg)
-    sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra,
-                                                 mask_feats, reg_cfg)
+    sp_pre, sp_intra, dense_pre, dense_intra = _pair_forward(
+        params, prepared, Tensor(mask.astype(np.float64).reshape(-1, 1)), reg_cfg)
 
     bonus = prepared.pre_hist @ prepared.intra_hist.T
-    pairs, scores = coarse_match(l2_normalize_rows(sp_pre).data,
-                                 l2_normalize_rows(sp_intra).data,
+    pairs, scores = coarse_match(sp_pre.data, sp_intra.data,
                                  match_cfg.k_corr, geom_bonus=bonus,
                                  bonus_weight=match_cfg.bonus_weight)
     matches = fine_match(dense_pre.data, dense_intra.data, pairs,
@@ -268,4 +258,4 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
         "mask_mean": float(mask.mean()),
         "path": path,
     }
-    return RegistrationResult(refined.transform, mask, matches, refined, info)
+    return RegistrationResult(refined.transform, mask, info)

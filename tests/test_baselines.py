@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from segreg import baselines
 from segreg.baselines import (
     _hypothesis_inliers,
     estimate_normals,
@@ -14,6 +15,7 @@ from segreg.baselines import (
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
 from segreg.matching import MatchSet, weighted_procrustes
 from segreg.phantom import PhantomConfig, generate_phantom
+from reference_ops import scalar_weighted_procrustes
 
 
 def bumpy_surface(rng, n=800):
@@ -104,6 +106,18 @@ def test_ransac_icp_rejects_tiny_clouds():
     c = PointCloud(np.random.default_rng(6).uniform(size=(5, 3)))
     with pytest.raises(ValueError):
         ransac_icp(c, c, np.random.default_rng(0))
+
+
+def test_icp_pose_equals_icp_through_scalar_procrustes(monkeypatch):
+    sample = generate_phantom(PhantomConfig(seed=5, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    got = icp(sample.preoperative, sample.intraoperative)
+    monkeypatch.setattr(baselines, "weighted_procrustes", scalar_weighted_procrustes)
+    want = icp(sample.preoperative, sample.intraoperative)
+    assert got.iterations_used == want.iterations_used > 2
+    assert got.final_rms == want.final_rms
+    assert np.array_equal(got.transform.rotation, want.transform.rotation)
+    assert np.array_equal(got.transform.translation, want.transform.translation)
 
 
 def test_icp_initialization_sensitivity_on_low_overlap():

@@ -123,3 +123,80 @@ def test_register_ransac_icp_baseline_matches_in_process_call(tmp_path):
     expected = ransac_icp(load_ply(pre), load_ply(intra), np.random.default_rng(5)).transform
     np.testing.assert_allclose(pose.rotation, expected.rotation, rtol=0, atol=1e-12)
     np.testing.assert_allclose(pose.translation, expected.translation, rtol=0, atol=1e-12)
+
+
+def small_phantom_without_intra_colors():
+    sample = generate_phantom(PhantomConfig(seed=4, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    sample.intraoperative = PointCloud(sample.intraoperative.positions,
+                                       labels=sample.intraoperative.labels)
+    return sample
+
+
+def test_register_checkpoint_with_colorless_intra_exits_with_data_error(tmp_path, capsys):
+    seg, reg = SegNetConfig(), RegNetConfig()
+    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
+    sample = small_phantom_without_intra_colors()
+    save_ply(sample.preoperative, tmp_path / "pre.ply")
+    save_ply(sample.intraoperative, tmp_path / "intra.ply")
+    code = main(["register", "--pre", str(tmp_path / "pre.ply"),
+                 "--intra", str(tmp_path / "intra.ply"),
+                 "--out", str(tmp_path / "pose.json"),
+                 "--checkpoint", str(tmp_path / "model.npz")])
+    assert code == EXIT_DATA
+    assert "no colors" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
+def test_train_on_colorless_intra_exits_with_data_error(tmp_path, capsys):
+    save_sample(small_phantom_without_intra_colors(), tmp_path / "data" / "sample_0000")
+    write_manifest(tmp_path / "data", ["sample_0000"])
+    assert main(["train", "--dataset", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run"), "--iters", "1",
+                 "--warmup", "0"]) == EXIT_DATA
+    assert "sample_0000: intraoperative cloud has no colors" in capsys.readouterr().err
+
+
+def dataset_with_prediction(tmp_path, text):
+    """A one-sample dataset and a prediction directory holding ``text`` as its pose."""
+    data, preds = tmp_path / "data", tmp_path / "preds"
+    assert main(["generate", "--out", str(data), "--n-samples", "1",
+                 "--n-vertebrae", "2", "--points-pre", "1024",
+                 "--points-intra", "512"]) == 0
+    preds.mkdir()
+    (preds / "sample_0000.pose.json").write_text(text)
+    return data, preds
+
+
+BAD_POSES = {
+    "not_json": "{rotation: [",
+    "not_a_rotation": json.dumps({"rotation": (2 * np.eye(3)).tolist(),
+                                  "translation": [0, 0, 0]}),
+    "no_rotation": json.dumps({"translation": [0, 0, 0]}),
+    "no_translation": json.dumps({"rotation": np.eye(3).tolist()}),
+    "rotation_not_numbers": json.dumps({"rotation": {"x": 1}, "translation": [0, 0, 0]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_POSES))
+def test_eval_with_bad_pose_file_exits_with_data_error(tmp_path, kind, capsys):
+    data, preds = dataset_with_prediction(tmp_path, BAD_POSES[kind])
+    assert main(["eval", "--dataset", str(data), "--predictions", str(preds),
+                 "--out", str(tmp_path / "eval")]) == EXIT_DATA
+    assert "cannot read prediction" in capsys.readouterr().err
+
+
+def test_ablate_with_pose_file_lacking_rotation_exits_with_data_error(tmp_path):
+    data, preds = dataset_with_prediction(tmp_path, BAD_POSES["no_rotation"])
+    assert main(["ablate", "--dataset", str(data), "--out", str(tmp_path / "ablate"),
+                 "--pred-a", str(preds), "--pred-b", str(preds)]) == EXIT_DATA
+
+
+def test_ablate_with_identical_predictions_writes_report_and_exits_with_data_error(tmp_path):
+    data, preds = dataset_with_prediction(tmp_path, "{}")
+    save_pose(load_sample(data / "sample_0000").T_gt, preds / "sample_0000.pose.json")
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--dataset", str(data), "--out", str(out),
+                 "--pred-a", str(preds), "--pred-b", str(preds)]) == EXIT_DATA
+    assert "Wilcoxon signed-rank undefined" in (out / "ablation_report.txt").read_text()
+    assert (out / "run_manifest.json").exists()

@@ -1,4 +1,4 @@
-"""Geometry unit tests: transforms, normalization, subsampling, neighbors."""
+"""Geometry unit tests: transforms, subsampling, neighbors."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ import pytest
 from segreg.geometry import (
     PointCloud,
     RigidTransform,
-    denormalize,
     knn,
-    normalize_unit_sphere,
     radius_neighbors,
     random_rigid,
     rotation_angle_deg,
+    rotation_defects,
     voxel_grid_subsample,
 )
 
@@ -22,38 +21,6 @@ def random_cloud(rng, n, colors=False, labels=False):
         colors=rng.uniform(0, 1, size=(n, 3)) if colors else None,
         labels=rng.integers(0, 2, size=n) if labels else None,
     )
-
-
-# -- normalization -----------------------------------------------------------
-
-def test_normalize_two_points():
-    cloud = PointCloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    out, center, scale = normalize_unit_sphere(cloud)
-    np.testing.assert_allclose(center, [1.0, 0.0, 0.0])
-    assert scale == pytest.approx(1.0)
-    np.testing.assert_allclose(out.positions, [[-1, 0, 0], [1, 0, 0]])
-
-
-def test_normalize_idempotent():
-    rng = np.random.default_rng(0)
-    cloud, _, _ = normalize_unit_sphere(random_cloud(rng, 50))
-    out, center, scale = normalize_unit_sphere(cloud)
-    assert abs(scale - 1.0) < 1e-12
-    assert np.max(np.abs(out.positions - cloud.positions)) < 1e-12
-
-
-def test_normalize_round_trip():
-    rng = np.random.default_rng(1)
-    cloud = random_cloud(rng, 100)
-    out, center, scale = normalize_unit_sphere(cloud)
-    assert np.max(np.linalg.norm(out.positions, axis=1)) == pytest.approx(1.0, abs=1e-12)
-    back = denormalize(out, center, scale)
-    assert np.max(np.abs(back.positions - cloud.positions)) < 1e-12
-
-
-def test_normalize_rejects_degenerate():
-    with pytest.raises(ValueError):
-        normalize_unit_sphere(PointCloud(np.ones((4, 3))))
 
 
 # -- transforms --------------------------------------------------------------
@@ -72,6 +39,22 @@ def test_apply_carries_colors_and_labels():
     out = T.apply(cloud)
     np.testing.assert_array_equal(out.colors, cloud.colors)
     np.testing.assert_array_equal(out.labels, cloud.labels)
+
+
+def test_rotation_defects_flag_each_stacked_matrix_at_its_tolerance():
+    R = random_rigid(0.0, 90.0, np.random.default_rng(4)).rotation
+    mirror = R @ np.diag([1.0, 1.0, -1.0])
+    stack = np.stack([R, R * (1 + 1e-7), mirror, R * 2.0])
+    not_orthonormal, not_proper = rotation_defects(stack)
+    assert not_orthonormal.tolist() == [False, True, False, True]
+    assert not_proper.tolist() == [False, True, True, True]
+    not_orthonormal, not_proper = rotation_defects(stack, 1e-6)
+    assert not_orthonormal.tolist() == [False, False, False, True]
+    assert not_proper.tolist() == [False, False, True, True]
+    for bad, message in ((R * (1 + 1e-7), "not orthonormal"), (mirror, "determinant"),
+                         (np.eye(2), "3 x 3")):
+        with pytest.raises(ValueError, match=message):
+            RigidTransform(bad, np.zeros(3))
 
 
 def test_inverse_round_trip_on_cloud():

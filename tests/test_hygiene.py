@@ -1,4 +1,5 @@
-"""Package hygiene: every exported name resolves and no import goes unused."""
+"""Package hygiene: every exported name resolves and is used, and no import
+goes unused."""
 
 import ast
 import importlib
@@ -6,8 +7,16 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "segreg"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "segreg"
 MODULES = sorted(SRC.glob("*.py"))
+# code whose references keep a public name alive (tests do not count)
+USER_CODE = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+# public names that no package or benchmark code references, with the reason
+UNREFERENCED_ALLOWED = {
+    "segreg.autodiff.leaky_relu":
+        "used only by the composed _norm_act reference in tests/reference_ops.py",
+}
 
 
 def _module_name(path: Path) -> str:
@@ -50,3 +59,29 @@ def test_unused_import_scan_sees_unused_names():
     tree = ast.parse("import os\nfrom a import b, c as d\nfrom e import f\n"
                      "__all__ = ['f']\nprint(d)\n")
     assert _unused_imports(tree) == ["b (line 2)", "os (line 1)"]
+
+
+def _referenced_names(paths) -> set[str]:
+    names: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_is_referenced_from_package_or_benchmark_code():
+    used = _referenced_names(USER_CODE)
+    unreferenced = []
+    for path in MODULES:
+        module = importlib.import_module(_module_name(path))
+        unreferenced += [f"{module.__name__}.{name}"
+                         for name in getattr(module, "__all__", ()) if name not in used]
+    assert sorted(unreferenced) == sorted(UNREFERENCED_ALLOWED), (
+        "public names nothing in src/segreg or perfbench uses: "
+        f"{sorted(set(unreferenced) - set(UNREFERENCED_ALLOWED))}; "
+        f"stale allowlist entries: {sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced))}")

@@ -26,11 +26,12 @@ from segreg.matching import (
     ground_truth_patch_matches,
     l2_normalize_rows,
     normalize_scores_with_slack,
+    procrustes_stack,
     refine_transform,
     superpoint_overlap_labels,
     weighted_procrustes,
 )
-from reference_ops import composed_normalize_scores_with_slack
+from reference_ops import composed_normalize_scores_with_slack, scalar_weighted_procrustes
 
 
 def surface_cloud(rng, n):
@@ -270,6 +271,39 @@ def test_procrustes_equivariance_under_common_transform():
     want = G.compose(base).compose(G.invert())
     assert np.max(np.abs(conj.rotation - want.rotation)) < 1e-8
     assert np.linalg.norm(conj.translation - want.translation) < 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 7, 400])
+def test_procrustes_stack_rows_equal_scalar_solve(n):
+    rng = np.random.default_rng(n)
+    b = 12
+    p = rng.uniform(-1, 1, size=(b, n, 3))
+    q = np.empty_like(p)
+    for i in range(b):
+        q[i] = random_rigid(0.3, 170.0, rng).apply_points(p[i])
+    q += rng.normal(scale=0.05, size=q.shape)
+    w = rng.uniform(0.05, 1.0, size=(b, n))
+    q[1] = p[1] * np.array([1.0, 1.0, -1.0])        # mirror: det must be flipped
+    p[2] = rng.uniform(-1, 1, size=(n, 1)) * rng.normal(size=3)   # collinear
+    q[3] = 0.5                                      # coincident targets
+    R, t, valid = procrustes_stack(p, q, w)
+    assert valid.tolist() == [True, True, False, False] + [True] * (b - 4)
+    idx = np.arange(n)
+    for i in range(b):
+        m = MatchSet(idx, idx, w[i])
+        if not valid[i]:
+            with pytest.raises(ValueError, match="rank"):
+                scalar_weighted_procrustes(m, p[i], q[i])
+            with pytest.raises(ValueError, match="rank"):
+                weighted_procrustes(m, p[i], q[i])
+            continue
+        ref = scalar_weighted_procrustes(m, p[i], q[i])
+        assert np.array_equal(R[i], ref.rotation), i
+        assert np.array_equal(t[i], ref.translation), i
+        got = weighted_procrustes(m, p[i], q[i])
+        assert np.array_equal(got.rotation, ref.rotation)
+        assert np.array_equal(got.translation, ref.translation)
+    assert np.linalg.det(R[1]) == pytest.approx(1.0)
 
 
 def test_refine_all_inliers_is_fixed_point():
