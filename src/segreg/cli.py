@@ -127,8 +127,9 @@ def cmd_train(args) -> int:
         dataset = _load_dataset(args.dataset)
         for name, sample in dataset:
             _require_colors(sample.intraoperative, name)
+        resume = load_checkpoint(args.resume) if args.resume is not None else None
     except (FileNotFoundError, ValueError) as exc:
-        print(f"cannot load dataset: {exc}", file=sys.stderr)
+        print(f"cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_DATA
     seg_cfg = SegNetConfig(width_factor=args.width_factor)
     reg_cfg = RegNetConfig(width_factor=args.width_factor)
@@ -136,7 +137,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         result = train([s for _, s in dataset], cfg, seg_cfg, reg_cfg,
-                       out_dir=out, resume_from=args.resume,
+                       out_dir=out, resume=resume,
                        log_every=args.log_every)
     except SparseCloudError as exc:
         print(f"cannot train on dataset: {exc}", file=sys.stderr)
@@ -184,6 +185,7 @@ def cmd_register(args) -> int:
         intra = load_ply(args.intra)
         if args.checkpoint is not None:
             _require_colors(intra, args.intra)
+            params, seg_cfg, reg_cfg, _ = load_checkpoint(args.checkpoint)
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -198,7 +200,6 @@ def cmd_register(args) -> int:
             T = report.transform
             info = {"final_rms": report.final_rms, "converged": report.converged}
         else:
-            params, seg_cfg, reg_cfg, _ = load_checkpoint(args.checkpoint)
             from segreg.phantom import RegistrationSample
 
             sample = RegistrationSample(

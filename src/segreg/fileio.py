@@ -1,8 +1,9 @@
 """File formats: PLY point clouds, pose/landmark/mask files, dataset
 manifests, and network checkpoints.
 
-PLY supports ascii and binary_little_endian with double (or float) x/y/z,
-optional uchar red/green/blue, and an optional integer label per vertex.
+PLY reads ascii and binary_little_endian with double (or float) x/y/z,
+optional uchar red/green/blue, and an optional integer label per vertex;
+it writes binary_little_endian.
 Poses are JSON holding the rotation, translation, and the normalization
 (center, scale) metadata; rotations are re-validated on load.  Checkpoints
 are .npz archives with a versioned JSON header carrying the full
@@ -12,6 +13,7 @@ hyperparameter config.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -51,48 +53,27 @@ _INT_TYPES = {"char": np.int8, "int8": np.int8, "uchar": np.uint8,
 # PLY
 # ---------------------------------------------------------------------------
 
-def save_ply(cloud: PointCloud, path: str | Path, binary: bool = True) -> None:
-    path = Path(path)
-    n = len(cloud)
-    props = [("x", "double"), ("y", "double"), ("z", "double")]
+def save_ply(cloud: PointCloud, path: str | Path) -> None:
+    """Write a binary little-endian PLY: double x/y/z, then uchar
+    red/green/blue and an int label when the cloud has them."""
+    fields = [(axis, "<f8", "double") for axis in ("x", "y", "z")]
     if cloud.colors is not None:
-        props += [("red", "uchar"), ("green", "uchar"), ("blue", "uchar")]
+        fields += [(channel, "u1", "uchar") for channel in ("red", "green", "blue")]
     if cloud.labels is not None:
-        props += [("label", "int")]
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = ["ply", f"format {fmt} 1.0", f"element vertex {n}"]
-    header += [f"property {t} {name}" for name, t in props]
+        fields += [("label", "<i4", "int")]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}"]
+    header += [f"property {ply_type} {name}" for name, _, ply_type in fields]
     header.append("end_header")
-    header_bytes = ("\n".join(header) + "\n").encode("ascii")
-
-    colors_u8 = None
+    rec = np.empty(len(cloud), dtype=[(name, dt) for name, dt, _ in fields])
+    rec["x"], rec["y"], rec["z"] = cloud.positions.T
     if cloud.colors is not None:
         colors_u8 = np.clip(np.round(cloud.colors * 255.0), 0, 255).astype(np.uint8)
+        rec["red"], rec["green"], rec["blue"] = colors_u8.T
+    if cloud.labels is not None:
+        rec["label"] = cloud.labels.astype(np.int32)
     with open(path, "wb") as fh:
-        fh.write(header_bytes)
-        if binary:
-            dtype = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
-            if colors_u8 is not None:
-                dtype += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-            if cloud.labels is not None:
-                dtype += [("label", "<i4")]
-            rec = np.empty(n, dtype=dtype)
-            rec["x"], rec["y"], rec["z"] = cloud.positions.T
-            if colors_u8 is not None:
-                rec["red"], rec["green"], rec["blue"] = colors_u8.T
-            if cloud.labels is not None:
-                rec["label"] = cloud.labels.astype(np.int32)
-            fh.write(rec.tobytes())
-        else:
-            lines = []
-            for i in range(n):
-                row = [repr(float(v)) for v in cloud.positions[i]]
-                if colors_u8 is not None:
-                    row += [str(int(v)) for v in colors_u8[i]]
-                if cloud.labels is not None:
-                    row.append(str(int(cloud.labels[i])))
-                lines.append(" ".join(row))
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        fh.write(rec.tobytes())
 
 
 def _ply_error(msg: str, offset: int) -> ValueError:
@@ -345,10 +326,19 @@ def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
 
 
 def load_checkpoint(path: str | Path):
-    """Return (params, seg_config, reg_config, state dict)."""
+    """Return (params, seg_config, reg_config, state dict).
+
+    A file that is not a readable .npz archive raises ``ValueError``.
+    """
     from segreg.autodiff import Tensor
 
-    with np.load(path) as z:
+    try:
+        archive = np.load(path)
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not a checkpoint file ({exc})") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError("not a checkpoint file (not an .npz archive)")
+    with archive as z:
         if "__header__" not in z:
             raise ValueError("not a checkpoint file (missing header)")
         header = json.loads(bytes(z["__header__"]).decode("utf-8"))

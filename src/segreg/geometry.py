@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from segreg.autodiff import scatter_add_rows
+
 __all__ = [
     "PointCloud",
     "RigidTransform",
@@ -166,14 +168,10 @@ def voxel_grid_subsample(cloud: PointCloud, voxel_size: float
                                       return_inverse=True)
     m = first_idx.shape[0]
     counts = np.bincount(inverse, minlength=m).astype(np.float64)
-    pos = np.zeros((m, 3))
-    np.add.at(pos, inverse, cloud.positions)
-    pos /= counts[:, None]
+    pos = scatter_add_rows(inverse, cloud.positions, m) / counts[:, None]
     colors = None
     if cloud.colors is not None:
-        colors = np.zeros((m, 3))
-        np.add.at(colors, inverse, cloud.colors)
-        colors /= counts[:, None]
+        colors = scatter_add_rows(inverse, cloud.colors, m) / counts[:, None]
     labels = None
     if cloud.labels is not None:
         ones = np.bincount(inverse, weights=cloud.labels.astype(np.float64),

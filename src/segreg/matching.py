@@ -1,7 +1,9 @@
 """Coarse-to-fine correspondence matching and transform estimation.
 
 Superpoints (bottleneck points of the registration pyramid) carry learned
-features and a patch of fine-level member points.  Coarse matching scores
+features and a patch of fine-level member points, stored as one shadow-padded
+(M, patch_size) table like the pyramid's neighbor tables, so every routine
+that reads patches is an array pass over it.  Coarse matching scores
 superpoint pairs by normalized feature similarity plus a rotation-invariant
 pairwise-distance-histogram bonus, selected through a dual softmax.  Fine
 matching scores patch-to-patch descriptor similarity with a slack row and
@@ -18,14 +20,15 @@ normalized patch score matrices; the dual loss is their plain sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from segreg import autodiff as ad
 from segreg.autodiff import Tensor
-from segreg.geometry import PointCloud, RigidTransform, rotation_defects
+from segreg.geometry import RigidTransform, rotation_defects
 from segreg.kpconv import PointPyramid
 
 __all__ = [
@@ -85,72 +88,106 @@ class DualLoss:
 
 @dataclass
 class PatchedSuperpoints:
-    """Superpoint positions plus their truncated fine-level patches."""
+    """Superpoint positions plus their truncated fine-level patches: row b
+    of ``patch_indices`` holds superpoint b's ``sizes[b]`` (>= 1) level-0
+    members at the front and the shadow index N0 in the other slots."""
 
     points: np.ndarray                    # (M, 3)
-    patch_indices: list[np.ndarray]       # level-0 indices per superpoint
+    patch_indices: np.ndarray             # (M, patch_size) level-0 indices
+    sizes: np.ndarray                     # (M,) members per patch
     fine_points: np.ndarray               # (N0, 3) level-0 positions
-    fine_to_sp: np.ndarray                # (N0,) superpoint id or -1 if truncated
+    fine_to_sp: np.ndarray = field(init=False)  # (N0,) superpoint id or -1 if truncated
+
+    def __post_init__(self):
+        members = self.valid
+        self.fine_to_sp = np.full(self.fine_points.shape[0], -1, dtype=np.int64)
+        self.fine_to_sp[self.patch_indices[members]] = np.nonzero(members)[0]
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(M, patch_size) mask of the member slots."""
+        return np.arange(self.patch_indices.shape[1]) < self.sizes[:, None]
+
+    def patch(self, b: int) -> np.ndarray:
+        """Level-0 indices of superpoint b's patch."""
+        return self.patch_indices[b, : self.sizes[b]]
 
 
 def build_patches(pyramid: PointPyramid, patch_size: int = 32) -> PatchedSuperpoints:
-    """Group level-0 points under their superpoint, keep the nearest patch_size."""
+    """Group level-0 points under their superpoint, keep the nearest patch_size.
+
+    One stable sort by (superpoint, key), where the key is the distance to
+    the superpoint in patches that must be truncated and 0 elsewhere: kept
+    patches stay in index order, truncated ones in distance order.
+    """
     coarse = pyramid.levels[-1].positions
     fine = pyramid.levels[0].positions
     assign = pyramid.fine_to_level(pyramid.stages - 1)
-    m = coarse.shape[0]
-    fine_to_sp = np.full(fine.shape[0], -1, dtype=np.int64)
-    patches: list[np.ndarray] = []
-    for b in range(m):
-        members = np.flatnonzero(assign == b)
-        if members.size > patch_size:
-            d = np.linalg.norm(fine[members] - coarse[b], axis=1)
-            members = members[np.argsort(d, kind="stable")[:patch_size]]
-        patches.append(members)
-        fine_to_sp[members] = b
-    return PatchedSuperpoints(coarse, patches, fine, fine_to_sp)
+    m, n0 = coarse.shape[0], fine.shape[0]
+    counts = np.bincount(assign, minlength=m)
+    d = np.linalg.norm(fine - coarse[assign], axis=1)
+    order = np.lexsort((np.where(counts[assign] > patch_size, d, 0.0), assign))
+    owner = assign[order]
+    rank = np.arange(n0) - (np.cumsum(counts) - counts)[owner]
+    kept = rank < patch_size
+    table = np.full((m, patch_size), n0, dtype=np.int64)
+    table[owner[kept], rank[kept]] = order[kept]
+    return PatchedSuperpoints(coarse, table, np.minimum(counts, patch_size), fine)
+
+
+def _patch_points(points: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """(..., patch_size, 3) positions of the patch rows ``table``; shadow
+    slots read ``fill``."""
+    return np.concatenate([points, np.full((1, 3), fill)])[table]
+
+
+def _sq_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances (..., n, m) between (..., n, 3) and (..., m, 3) points,
+    summed one axis at a time in ``np.einsum("ijk,ijk->ij")``'s order (x, z,
+    y), so they equal its values without its (..., n, m, 3) temporary."""
+    out = np.zeros(p.shape[:-1] + q.shape[-2:-1])
+    for k in (0, 2, 1):
+        diff = p[..., :, None, k] - q[..., None, :, k]
+        diff *= diff
+        out += diff
+    return out
 
 
 def distance_histograms(view: PatchedSuperpoints, bins: int = 12,
                         max_dist: float = 0.3) -> np.ndarray:
     """Rotation-invariant patch signatures: L2-normalized histograms of
     pairwise point distances inside each patch."""
-    out = np.zeros((view.points.shape[0], bins))
+    m, size = view.patch_indices.shape
+    pts = _patch_points(view.fine_points, view.patch_indices)
+    iu, ju = np.triu_indices(size, k=1)
+    pair = ju < view.sizes[:, None]                 # (M, pairs): both slots members
+    d = np.sqrt(_sq_dists(pts, pts)[:, iu, ju][pair])
     edges = np.linspace(0.0, max_dist, bins + 1)
-    for b, idx in enumerate(view.patch_indices):
-        pts = view.fine_points[idx]
-        if pts.shape[0] < 2:
-            continue
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        iu = np.triu_indices(pts.shape[0], k=1)
-        hist, _ = np.histogram(np.clip(d[iu], 0.0, max_dist - 1e-12), bins=edges)
-        norm = np.linalg.norm(hist)
-        if norm > 0:
-            out[b] = hist / norm
-    return out
+    # np.histogram's rule, edges[k] <= d < edges[k + 1]; the clip keeps d < max_dist
+    bin_of = np.searchsorted(edges, np.clip(d, 0.0, max_dist - 1e-12), "right") - 1
+    patch = np.nonzero(pair)[0]
+    hist = np.bincount(patch * bins + bin_of, minlength=m * bins).reshape(m, bins)
+    norm = np.linalg.norm(hist, axis=1, keepdims=True)
+    return np.divide(hist, norm, out=np.zeros((m, bins)), where=norm > 0)
 
 
 def superpoint_overlap_labels(pre: PatchedSuperpoints, intra: PatchedSuperpoints,
                               T_gt: RigidTransform, patch_radius: float) -> np.ndarray:
     """Overlap matrix: entry (a, b) is the fraction of pre-patch a's points
     that land within ``patch_radius`` of intra-patch b after the true pose."""
-    tree = cKDTree(intra.fine_points)
     mp, mi = pre.points.shape[0], intra.points.shape[0]
-    overlap = np.zeros((mp, mi))
-    for a, idx in enumerate(pre.patch_indices):
-        if idx.size == 0:
-            continue
-        pts = T_gt.apply_points(pre.fine_points[idx])
-        hits = tree.query_ball_point(pts, patch_radius)
-        for point_hits in hits:
-            if not point_hits:
-                continue
-            sps = intra.fine_to_sp[point_hits]
-            sps = np.unique(sps[sps >= 0])
-            overlap[a, sps] += 1.0
-        overlap[a] /= idx.size
-    return overlap
+    members = pre.valid
+    owner = np.nonzero(members)[0]                  # pre superpoint per patch point
+    moved = T_gt.apply_points(pre.fine_points)[pre.patch_indices[members]]
+    hits = cKDTree(intra.fine_points).query_ball_point(moved, patch_radius)
+    counts = np.fromiter(map(len, hits), np.int64, len(hits))
+    hit = np.fromiter(itertools.chain.from_iterable(hits), np.int64, counts.sum())
+    point = np.repeat(np.arange(len(hits)), counts)
+    sp = intra.fine_to_sp[hit]
+    # each (pre point, intra superpoint) once
+    key = np.unique(point[sp >= 0] * mi + sp[sp >= 0])
+    overlap = np.bincount(owner[key // mi] * mi + key % mi, minlength=mp * mi)
+    return overlap.reshape(mp, mi) / pre.sizes[:, None]
 
 
 def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray, k_corr: int,
@@ -213,10 +250,8 @@ def normalize_scores_with_slack(scores: Tensor, iterations: int = 5,
         col_target[0, -1] = nr - 1
     shifted = scores.data - float(np.max(scores.data))
     ad.require_finite(shifted)
-    with np.errstate(over="ignore"):
-        p = np.exp(shifted)
-    if not np.isfinite(p).all():
-        raise FloatingPointError("exp overflow; inputs too large")
+    p = np.exp(shifted)
+    ad.require_finite(p)
     exp_p = p
     rounds = []                         # what each round's backward reads
     for _ in range(iterations):
@@ -259,39 +294,31 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
     inner product), adds a slack row/column, normalizes, and keeps mutual
     top-1 non-slack entries weighted by their normalized score.  An entry
     must also beat both of its slack competitors, so diffuse score matrices
-    yield few or no correspondences.
+    yield few or no correspondences.  A point pair found through several
+    coarse pairs keeps its largest weight; matches come in (pre, intra)
+    index order.
     """
     dense_pre, dense_intra = Tensor(dense_pre), Tensor(dense_intra)
-    best: dict[tuple[int, int], float] = {}
+    found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     for a, b in coarse_pairs:
-        ia = pre_view.patch_indices[a]
-        ib = intra_view.patch_indices[b]
-        if ia.size == 0 or ib.size == 0:
-            continue
+        ia, ib = pre_view.patch(a), intra_view.patch(b)
+        na, nb = ia.size, ib.size
         p = normalize_scores_with_slack(patch_scores(dense_pre, dense_intra, ia, ib),
                                         norm_iterations, augment_slack=True).data
-        core = p[: ia.size, : ib.size]
-        row_best = np.argmax(p[: ia.size], axis=1)
-        col_best = np.argmax(p[:, : ib.size], axis=0)
-        for i in range(ia.size):
-            j = row_best[i]
-            if j >= ib.size:          # row prefers slack
-                continue
-            if col_best[j] != i:      # not mutual
-                continue
-            if core[i, j] <= p[i, ib.size] or core[i, j] <= p[ia.size, j]:
-                continue              # slack absorbs the non-match
-            key = (int(ia[i]), int(ib[j]))
-            w = float(core[i, j])
-            if w > best.get(key, -1.0):
-                best[key] = w
-    if not best:
-        return MatchSet(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-    keys = sorted(best)
-    pre_idx = np.array([k[0] for k in keys], dtype=np.int64)
-    intra_idx = np.array([k[1] for k in keys], dtype=np.int64)
-    weights = np.array([best[k] for k in keys])
-    return MatchSet(pre_idx, intra_idx, weights)
+        i = np.arange(na)
+        j = np.argmax(p[:na], axis=1)               # slack column last
+        col_best = np.argmax(p[:, :nb], axis=0)     # slack row last
+        w = p[i, j]
+        mutual = (j < nb) & (col_best[np.minimum(j, nb - 1)] == i)
+        keep = mutual & (w > p[i, nb]) & (w > p[na, j])  # slack absorbs the rest
+        found.append((ia[keep], ib[j[keep]], w[keep]))
+    pre_idx, intra_idx, w = (np.concatenate(part) for part in zip(*found))
+    # each (pre, intra) key once, where it first appears by descending weight
+    order = np.argsort(-w, kind="stable")
+    _, first = np.unique((pre_idx * dense_intra.shape[0] + intra_idx)[order],
+                         return_index=True)
+    first = order[first]
+    return MatchSet(pre_idx[first], intra_idx[first], w[first])
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +351,16 @@ def procrustes_stack(p: np.ndarray, q: np.ndarray, w: np.ndarray
     return R, t, (s[:, 0] > 0) & (ratio >= 1e-9) & ~not_orthonormal & ~not_proper
 
 
-def weighted_procrustes(matches: MatchSet, pre: PointCloud | np.ndarray,
-                        intra: PointCloud | np.ndarray) -> RigidTransform:
-    """``procrustes_stack`` on one match set, as a ``RigidTransform``."""
-    p_all = pre.positions if isinstance(pre, PointCloud) else np.asarray(pre, dtype=np.float64)
-    q_all = intra.positions if isinstance(intra, PointCloud) else np.asarray(intra, dtype=np.float64)
+def weighted_procrustes(matches: MatchSet, pre: np.ndarray,
+                        intra: np.ndarray) -> RigidTransform:
+    """``procrustes_stack`` on one match set of (N, 3) point arrays, as a
+    ``RigidTransform``."""
     if len(matches) < 3:
         raise ValueError(f"need at least 3 matches, got {len(matches)}")
     if matches.weights.sum() <= 0:
         raise ValueError("total match weight must be positive")
-    R, t, valid = procrustes_stack(p_all[matches.pre_indices][None],
-                                   q_all[matches.intra_indices][None],
+    R, t, valid = procrustes_stack(pre[matches.pre_indices][None],
+                                   intra[matches.intra_indices][None],
                                    matches.weights[None])
     if not valid[0]:
         raise ValueError("rank-deficient match covariance (collinear correspondences) "
@@ -350,7 +376,7 @@ class RefineResult:
 
 
 def refine_transform(T0: RigidTransform, matches: MatchSet,
-                     pre: PointCloud | np.ndarray, intra: PointCloud | np.ndarray,
+                     pre: np.ndarray, intra: np.ndarray,
                      iterations: int = 5, inlier_radius: float = 0.0625
                      ) -> RefineResult:
     """Iteratively re-weight matches by residual and re-solve Procrustes.
@@ -362,10 +388,8 @@ def refine_transform(T0: RigidTransform, matches: MatchSet,
     ``inlier_radius``) wins; if every match is pruned the input transform
     comes back flagged.
     """
-    p_all = pre.positions if isinstance(pre, PointCloud) else np.asarray(pre, dtype=np.float64)
-    q_all = intra.positions if isinstance(intra, PointCloud) else np.asarray(intra, dtype=np.float64)
-    p = p_all[matches.pre_indices]
-    q = q_all[matches.intra_indices]
+    p = pre[matches.pre_indices]
+    q = intra[matches.intra_indices]
     best = RefineResult(T0, -1, False)
     T = T0
     working = None
@@ -385,7 +409,7 @@ def refine_transform(T0: RigidTransform, matches: MatchSet,
                            matches.intra_indices[keep],
                            matches.weights[keep])
         try:
-            T = weighted_procrustes(trimmed, p_all, q_all)
+            T = weighted_procrustes(trimmed, pre, intra)
         except ValueError:
             break
     residuals = np.linalg.norm(T.apply_points(p) - q, axis=1)
@@ -470,41 +494,33 @@ def _softplus(x: Tensor) -> Tensor:
 
 def ground_truth_patch_matches(pre_view: PatchedSuperpoints,
                                intra_view: PatchedSuperpoints,
-                               pair: tuple[int, int], T_gt: RigidTransform,
-                               radius: float) -> tuple[np.ndarray, np.ndarray]:
+                               pairs: np.ndarray, T_gt: RigidTransform,
+                               radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Nearest patch point pairs within ``radius`` under the true pose.
 
-    Each pre patch point is matched to its nearest intra patch point when
-    that lies within the matching radius.  Returns (rows, cols): local patch
-    coordinates of matched points.
+    For each superpoint pair (a, b) in ``pairs`` (K, 2), each point of pre
+    patch a is matched to its nearest point of intra patch b (the first on
+    ties) when that lies within the matching radius.  A column claimed by
+    several rows keeps the closest (then the first) so targets stay
+    injective.  Returns one (rows, cols) per pair: local patch coordinates
+    of matched points, by ascending row.
     """
-    a, b = pair
-    ia = pre_view.patch_indices[a]
-    ib = intra_view.patch_indices[b]
-    if ia.size == 0 or ib.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    p = T_gt.apply_points(pre_view.fine_points[ia])
-    q = intra_view.fine_points[ib]
-    diff = p[:, None, :] - q[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    row_best = np.argmin(d, axis=1)
-    hit = d[np.arange(ia.size), row_best] <= radius
-    rows = np.flatnonzero(hit).astype(np.int64)
-    cols = row_best[hit].astype(np.int64)
-    # keep one row per column (the closest) so targets stay injective
-    keep = np.ones(rows.size, dtype=bool)
-    by_col: dict[int, int] = {}
-    for k in range(rows.size):
-        c = int(cols[k])
-        if c in by_col:
-            if d[rows[k], c] < d[rows[by_col[c]], c]:
-                keep[by_col[c]] = False
-                by_col[c] = k
-            else:
-                keep[k] = False
-        else:
-            by_col[c] = k
-    return rows[keep], cols[keep]
+    a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    p = _patch_points(T_gt.apply_points(pre_view.fine_points), pre_view.patch_indices[a])
+    # intra shadow slots sit at infinity, so no row picks them
+    q = _patch_points(intra_view.fine_points, intra_view.patch_indices[b], np.inf)
+    d = np.sqrt(_sq_dists(p, q))                        # (K, P, P)
+    best = np.argmin(d, axis=2)
+    best_d = np.min(d, axis=2)
+    pair, rows = np.nonzero(pre_view.valid[a] & (best_d <= radius))
+    cols, dist = best[pair, rows], best_d[pair, rows]
+    # each (pair, col) once, where it first appears by distance (then row)
+    by_dist = np.argsort(dist, kind="stable")
+    _, first = np.unique((pair * d.shape[2] + cols)[by_dist], return_index=True)
+    kept = np.sort(by_dist[first])
+    cuts = np.searchsorted(pair[kept], np.arange(1, a.size))
+    # np.split yields one (empty) piece even for K = 0
+    return list(zip(np.split(rows[kept], cuts), np.split(cols[kept], cuts)))[: a.size]
 
 
 def fine_loss(score_matrices: list[Tensor],

@@ -89,8 +89,8 @@ class PreparedSample:
     pre_hist: np.ndarray
     intra_hist: np.ndarray
     overlap: np.ndarray | None = None
-    # positive pairs that carry ground-truth fine matches, in argwhere order
-    fine_pairs: list[tuple[int, int]] | None = None
+    # (rows, cols) ground-truth patch matches of each positive superpoint
+    # pair that has some, keyed by the pair, in argwhere order
     gt_fine: dict = field(default_factory=dict)
     sample_id: str = ""
 
@@ -113,14 +113,11 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
         overlap = superpoint_overlap_labels(pre_view, intra_view, sample.T_gt,
                                             match_cfg.overlap_patch_radius)
         prepared.overlap = overlap
-        prepared.fine_pairs = []
-        for a, b in np.argwhere(overlap > match_cfg.positive_overlap):
-            key = (int(a), int(b))
-            prepared.gt_fine[key] = ground_truth_patch_matches(
-                pre_view, intra_view, (a, b), sample.T_gt,
-                match_cfg.fine_match_radius)
-            if prepared.gt_fine[key][0].size > 0:
-                prepared.fine_pairs.append(key)
+        pairs = np.argwhere(overlap > match_cfg.positive_overlap)
+        gt = ground_truth_patch_matches(pre_view, intra_view, pairs, sample.T_gt,
+                                        match_cfg.fine_match_radius)
+        prepared.gt_fine = {(int(a), int(b)): match
+                            for (a, b), match in zip(pairs, gt) if match[0].size}
     return prepared
 
 
@@ -146,7 +143,7 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
     With ``mask_override`` the segmentation network is bypassed and the given
     hard mask is fed as a constant (two-step mode, frozen segmentation).
     """
-    if prepared.overlap is None or prepared.fine_pairs is None:
+    if prepared.overlap is None:
         raise ValueError("training loss needs ground-truth overlap labels")
     info: dict = {}
     if mask_override is not None:
@@ -162,7 +159,7 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
     c_loss = coarse_loss(sp_pre_n, sp_intra_n, prepared.overlap,
                          pos_threshold=match_cfg.positive_overlap)
 
-    usable = prepared.fine_pairs
+    usable = list(prepared.gt_fine)
     if not usable:
         raise ValueError("no positive pair carries ground-truth fine matches")
     if len(usable) > n_fine_pairs:
@@ -170,9 +167,8 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
         usable = [usable[i] for i in sorted(pick)]
     mats, gts = [], []
     for a, b in usable:
-        ia = prepared.pre_view.patch_indices[a]
-        ib = prepared.intra_view.patch_indices[b]
-        scores = patch_scores(dense_pre, dense_intra, ia, ib)
+        scores = patch_scores(dense_pre, dense_intra, prepared.pre_view.patch(a),
+                              prepared.intra_view.patch(b))
         mats.append(normalize_scores_with_slack(scores, match_cfg.norm_iterations))
         gts.append(prepared.gt_fine[(a, b)])
     f_loss = fine_loss(mats, gts)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from segreg.autodiff import NonFiniteError, Tape, Tensor, backward
-from segreg.fileio import load_checkpoint, save_checkpoint
+from segreg.fileio import save_checkpoint
 from segreg.gumbel import hard_mask
 from segreg.matching import NoPositivePairsError
 from segreg.networks import (
@@ -138,10 +138,12 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
           reg_cfg: RegNetConfig | None = None,
           match_cfg: MatcherConfig | None = None,
           out_dir: str | Path | None = None,
-          resume_from: str | Path | None = None,
+          resume: tuple | None = None,
           prepared: list[PreparedSample] | None = None,
           log_every: int = 0) -> TrainResult:
-    """Run the configured training mode over the sample set (batch size 1)."""
+    """Run the configured training mode over the sample set (batch size 1),
+    continuing from ``resume``, a checkpoint as ``fileio.load_checkpoint``
+    returns it, when given."""
     seg_cfg = seg_cfg or SegNetConfig()
     reg_cfg = reg_cfg or RegNetConfig()
     match_cfg = match_cfg or MatcherConfig()
@@ -152,18 +154,17 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
                                    sample_id=f"sample_{i:04d}")
                     for i, s in enumerate(samples)]
 
-    if resume_from is not None:
-        params, seg_cfg, reg_cfg, state = load_checkpoint(resume_from)
+    rng = np.random.default_rng(cfg.seed)
+    if resume is not None:
+        params, seg_cfg, reg_cfg, state = resume
         velocity = dict(state["momentum"])
         start_step = int(state["step"])
-        rng = np.random.default_rng(cfg.seed)
         if state["rng_state"]:
             rng.bit_generator.state = state["rng_state"]
     else:
         params = init_params(seg_cfg, reg_cfg, cfg.seed)
         velocity: dict[str, np.ndarray] = {}
         start_step = 0
-        rng = np.random.default_rng(cfg.seed)
 
     seg_names = [n for n in params if n.startswith("seg_")]
     reg_names = [n for n in params if n.startswith("reg_")]
@@ -214,8 +215,6 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
                         logits = seg_forward(params, p.seg_ctx, seg_cfg)
                         loss = segmentation_cross_entropy(logits, weak_masks[idx])
                         total, coarse, fine = loss.item(), loss.item(), 0.0
-                        if not np.isfinite(total):
-                            raise FloatingPointError
                         backward(loss)
                         _clip_and_step(params, seg_names, velocity, lr,
                                        cfg.momentum, cfg.clip_norm)
@@ -226,8 +225,6 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
                                                 mask_override=mask_override)
                         total = dual.total.item()
                         coarse, fine = dual.coarse.item(), dual.fine.item()
-                        if not np.isfinite(total):
-                            raise FloatingPointError
                         backward(dual.total)
                         names = reg_names if two_step_phase2 else seg_names + reg_names
                         _clip_and_step(params, names, velocity, lr,
@@ -236,7 +233,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
             skipped += 1
             curve.append((step, lr, float("nan"), float("nan"), float("nan")))
             continue
-        except (FloatingPointError, NonFiniteError):
+        except NonFiniteError:
             raise TrainingDiverged(p.sample_id or str(idx), step, last_ckpt)
         finally:
             for param in params.values():

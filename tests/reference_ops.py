@@ -3,15 +3,21 @@
 The tape references build their result from the elementary autodiff
 operations (or ``np.add.at``), the way the library did before those paths
 were fused; ``scalar_weighted_procrustes`` is the one-set solve that
-``matching.procrustes_stack`` replaced.  Tests require the library versions
-to match them bit for bit.
+``matching.procrustes_stack`` replaced, and the ``loop_*`` functions are the
+per-patch and per-pair loops that the patch table replaced, over patches
+stored as a list of index arrays (``LoopPatches``).  Tests require the
+library versions to match them bit for bit.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from segreg import autodiff as ad
 from segreg.autodiff import Tensor
 from segreg.geometry import RigidTransform
+from segreg.matching import MatchSet, normalize_scores_with_slack, patch_scores
 
 
 def add_at_rows(index, values, n):
@@ -71,3 +77,142 @@ def scalar_weighted_procrustes(matches, pre, intra):
     R = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     t = q_bar - R @ p_bar
     return RigidTransform(R, t)
+
+
+@dataclass
+class LoopPatches:
+    """Superpoint patches as one level-0 index array per superpoint."""
+
+    points: np.ndarray
+    patch_indices: list
+    fine_points: np.ndarray
+    fine_to_sp: np.ndarray
+
+
+def loop_build_patches(pyramid, patch_size=32):
+    coarse = pyramid.levels[-1].positions
+    fine = pyramid.levels[0].positions
+    assign = pyramid.fine_to_level(pyramid.stages - 1)
+    m = coarse.shape[0]
+    fine_to_sp = np.full(fine.shape[0], -1, dtype=np.int64)
+    patches = []
+    for b in range(m):
+        members = np.flatnonzero(assign == b)
+        if members.size > patch_size:
+            d = np.linalg.norm(fine[members] - coarse[b], axis=1)
+            members = members[np.argsort(d, kind="stable")[:patch_size]]
+        patches.append(members)
+        fine_to_sp[members] = b
+    return LoopPatches(coarse, patches, fine, fine_to_sp)
+
+
+def loop_distance_histograms(view, bins=12, max_dist=0.3):
+    out = np.zeros((view.points.shape[0], bins))
+    edges = np.linspace(0.0, max_dist, bins + 1)
+    for b, idx in enumerate(view.patch_indices):
+        pts = view.fine_points[idx]
+        if pts.shape[0] < 2:
+            continue
+        diff = pts[:, None, :] - pts[None, :, :]
+        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        iu = np.triu_indices(pts.shape[0], k=1)
+        hist, _ = np.histogram(np.clip(d[iu], 0.0, max_dist - 1e-12), bins=edges)
+        norm = np.linalg.norm(hist)
+        if norm > 0:
+            out[b] = hist / norm
+    return out
+
+
+def loop_superpoint_overlap_labels(pre, intra, T_gt, patch_radius):
+    tree = cKDTree(intra.fine_points)
+    mp, mi = pre.points.shape[0], intra.points.shape[0]
+    overlap = np.zeros((mp, mi))
+    for a, idx in enumerate(pre.patch_indices):
+        if idx.size == 0:
+            continue
+        pts = T_gt.apply_points(pre.fine_points[idx])
+        hits = tree.query_ball_point(pts, patch_radius)
+        for point_hits in hits:
+            if not point_hits:
+                continue
+            sps = intra.fine_to_sp[point_hits]
+            sps = np.unique(sps[sps >= 0])
+            overlap[a, sps] += 1.0
+        overlap[a] /= idx.size
+    return overlap
+
+
+def loop_ground_truth_patch_matches(pre_view, intra_view, pair, T_gt, radius):
+    a, b = pair
+    ia = pre_view.patch_indices[a]
+    ib = intra_view.patch_indices[b]
+    if ia.size == 0 or ib.size == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    p = T_gt.apply_points(pre_view.fine_points[ia])
+    q = intra_view.fine_points[ib]
+    diff = p[:, None, :] - q[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    row_best = np.argmin(d, axis=1)
+    hit = d[np.arange(ia.size), row_best] <= radius
+    rows = np.flatnonzero(hit).astype(np.int64)
+    cols = row_best[hit].astype(np.int64)
+    keep = np.ones(rows.size, dtype=bool)
+    by_col = {}
+    for k in range(rows.size):
+        c = int(cols[k])
+        if c in by_col:
+            if d[rows[k], c] < d[rows[by_col[c]], c]:
+                keep[by_col[c]] = False
+                by_col[c] = k
+            else:
+                keep[k] = False
+        else:
+            by_col[c] = k
+    return rows[keep], cols[keep]
+
+
+def loop_fine_match(dense_pre, dense_intra, coarse_pairs, pre_view, intra_view,
+                    norm_iterations=5):
+    dense_pre, dense_intra = Tensor(dense_pre), Tensor(dense_intra)
+    best = {}
+    for a, b in coarse_pairs:
+        ia = pre_view.patch_indices[a]
+        ib = intra_view.patch_indices[b]
+        if ia.size == 0 or ib.size == 0:
+            continue
+        p = normalize_scores_with_slack(patch_scores(dense_pre, dense_intra, ia, ib),
+                                        norm_iterations, augment_slack=True).data
+        core = p[: ia.size, : ib.size]
+        row_best = np.argmax(p[: ia.size], axis=1)
+        col_best = np.argmax(p[:, : ib.size], axis=0)
+        for i in range(ia.size):
+            j = row_best[i]
+            if j >= ib.size:
+                continue
+            if col_best[j] != i:
+                continue
+            if core[i, j] <= p[i, ib.size] or core[i, j] <= p[ia.size, j]:
+                continue
+            key = (int(ia[i]), int(ib[j]))
+            w = float(core[i, j])
+            if w > best.get(key, -1.0):
+                best[key] = w
+    if not best:
+        return MatchSet(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    keys = sorted(best)
+    pre_idx = np.array([k[0] for k in keys], dtype=np.int64)
+    intra_idx = np.array([k[1] for k in keys], dtype=np.int64)
+    weights = np.array([best[k] for k in keys])
+    return MatchSet(pre_idx, intra_idx, weights)
+
+
+def loop_ground_truth(pre_view, intra_view, overlap, T_gt, positive_overlap, radius):
+    """``prepare_sample``'s per-pair loop: (fine_pairs, gt_fine for them)."""
+    fine_pairs, gt_fine = [], {}
+    for a, b in np.argwhere(overlap > positive_overlap):
+        key = (int(a), int(b))
+        gt_fine[key] = loop_ground_truth_patch_matches(pre_view, intra_view, key,
+                                                       T_gt, radius)
+        if gt_fine[key][0].size > 0:
+            fine_pairs.append(key)
+    return fine_pairs, {key: gt_fine[key] for key in fine_pairs}

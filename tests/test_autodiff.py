@@ -36,6 +36,11 @@ def test_mul_by_zero_annihilates_value_and_grad():
     np.testing.assert_array_equal(x.grad, np.zeros(3))
 
 
+def test_exp_overflow_raises_nonfinite_error():
+    with pytest.raises(ad.NonFiniteError):
+        ad.exp(Tensor([1.0, 1000.0]))
+
+
 def test_exp_zero_forward_and_backward_seed():
     with Tape():
         x = Tensor([0.0], requires_grad=True)

@@ -200,3 +200,46 @@ def test_ablate_with_identical_predictions_writes_report_and_exits_with_data_err
                  "--pred-a", str(preds), "--pred-b", str(preds)]) == EXIT_DATA
     assert "Wilcoxon signed-rank undefined" in (out / "ablation_report.txt").read_text()
     assert (out / "run_manifest.json").exists()
+
+
+def test_register_with_missing_checkpoint_exits_with_data_error(tmp_path, capsys):
+    pre, intra = small_pair_on_disk(tmp_path)
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"),
+                 "--checkpoint", str(tmp_path / "missing.npz")])
+    assert code == EXIT_DATA
+    assert "cannot load inputs" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
+@pytest.mark.parametrize("damage", ["not_an_archive", "truncated", "npy_array"])
+def test_register_with_corrupt_checkpoint_exits_with_data_error(tmp_path, damage, capsys):
+    pre, intra = small_pair_on_disk(tmp_path)
+    seg, reg = SegNetConfig(), RegNetConfig()
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(ckpt, init_params(seg, reg, 0), seg, reg)
+    body = ckpt.read_bytes()
+    if damage == "npy_array":
+        np.save(ckpt.with_suffix(".npy"), np.zeros(3))
+        ckpt = ckpt.with_suffix(".npy")
+    else:
+        ckpt.write_bytes(b"not a checkpoint\n" if damage == "not_an_archive"
+                         else body[: len(body) // 2])
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--checkpoint", str(ckpt)])
+    assert code == EXIT_DATA
+    assert "cannot load inputs" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
+def test_train_resume_from_missing_checkpoint_exits_with_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--n-samples", "1",
+                 "--n-vertebrae", "2", "--points-pre", "1024",
+                 "--points-intra", "512"]) == 0
+    code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
+                 "--iters", "1", "--warmup", "0",
+                 "--resume", str(tmp_path / "missing.npz")])
+    assert code == EXIT_DATA
+    assert "cannot load inputs" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -85,3 +85,21 @@ def test_every_public_name_is_referenced_from_package_or_benchmark_code():
         "public names nothing in src/segreg or perfbench uses: "
         f"{sorted(set(unreferenced) - set(UNREFERENCED_ALLOWED))}; "
         f"stale allowlist entries: {sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced))}")
+
+
+def _add_at_calls(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "at"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "add"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_np_add_at(path):
+    """``autodiff.scatter_add_rows`` is the one scatter-add."""
+    lines = _add_at_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} calls np.add.at on lines {lines}"
+
+
+def test_add_at_scan_sees_calls_not_prose():
+    tree = ast.parse('"""np.add.at in a docstring"""\nnp.add.at(a, i, v)\n')
+    assert _add_at_calls(tree) == [2]

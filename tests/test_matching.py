@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from segreg.autodiff import (
     NonFiniteError,
@@ -31,7 +32,18 @@ from segreg.matching import (
     superpoint_overlap_labels,
     weighted_procrustes,
 )
-from reference_ops import composed_normalize_scores_with_slack, scalar_weighted_procrustes
+from segreg.networks import RegNetConfig, SegNetConfig
+from segreg.phantom import PhantomConfig, RegistrationSample, generate_phantom
+from segreg.pipeline import MatcherConfig, prepare_sample
+from reference_ops import (
+    composed_normalize_scores_with_slack,
+    loop_build_patches,
+    loop_distance_histograms,
+    loop_fine_match,
+    loop_ground_truth,
+    loop_superpoint_overlap_labels,
+    scalar_weighted_procrustes,
+)
 
 
 def surface_cloud(rng, n):
@@ -76,9 +88,9 @@ def test_overlap_matches_brute_force():
     mi = intra_view.points.shape[0]
     want = np.zeros((mp, mi))
     for a in range(mp):
-        pts = T.apply_points(pre_view.fine_points[pre_view.patch_indices[a]])
+        pts = T.apply_points(pre_view.fine_points[pre_view.patch(a)])
         for b in range(mi):
-            q = intra_view.fine_points[intra_view.patch_indices[b]]
+            q = intra_view.fine_points[intra_view.patch(b)]
             if len(q) == 0 or len(pts) == 0:
                 continue
             d = np.linalg.norm(pts[:, None, :] - q[None, :, :], axis=-1)
@@ -440,7 +452,103 @@ def test_ground_truth_patch_matches_identity():
     rng = np.random.default_rng(16)
     view, _ = make_views(rng, 400)
     a = 0
-    rows, cols = ground_truth_patch_matches(view, view, (a, a),
-                                            RigidTransform.identity(), 0.01)
+    [(rows, cols)] = ground_truth_patch_matches(view, view, [(a, a)],
+                                                RigidTransform.identity(), 0.01)
     np.testing.assert_array_equal(rows, cols)
-    assert rows.size == view.patch_indices[a].size
+    assert rows.size == view.sizes[a]
+    assert ground_truth_patch_matches(view, view, np.empty((0, 2), np.int64),
+                                      RigidTransform.identity(), 0.01) == []
+
+
+# -- the patch table against the per-patch loops it replaced -------------------
+
+def lattice_sample():
+    """A 16 x 16 x 4 lattice (spacing 1/32, one point per level-0 voxel) and
+    its copy shifted half a spacing along x.  Truncated patches cut through
+    tied distances, each pre point has two nearest intra points, and each
+    intra point is nearest to two pre points."""
+    s = 1.0 / 32
+    g = np.arange(16) * s
+    pts = np.stack(np.meshgrid(g, g, g[:4], indexing="ij"), axis=-1).reshape(-1, 3)
+    return RegistrationSample(PointCloud(pts), PointCloud(pts + [s / 2, 0.0, 0.0]),
+                              RigidTransform.identity(), np.zeros((3, 3)),
+                              np.zeros(len(pts), dtype=np.int64), 1.0, np.zeros(3),
+                              PhantomConfig())
+
+
+PATCH_CASES = {
+    "lattice": (lattice_sample, SegNetConfig(stages=2), MatcherConfig(patch_size=12)),
+    "phantom1000": (lambda: generate_phantom(PhantomConfig(seed=1000)),
+                    SegNetConfig(), MatcherConfig()),
+    "phantom12000": (lambda: generate_phantom(PhantomConfig(seed=12000)),
+                     SegNetConfig(), MatcherConfig()),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PATCH_CASES))
+def patch_case(request):
+    """A prepared sample and the loop-built patches of its two pyramids."""
+    make, seg_cfg, match_cfg = PATCH_CASES[request.param]
+    prepared = prepare_sample(make(), seg_cfg, RegNetConfig(), match_cfg)
+    loops = [loop_build_patches(ctx.pyramid, match_cfg.patch_size)
+             for ctx in (prepared.reg_ctx_pre, prepared.reg_ctx_intra)]
+    return prepared, loops, match_cfg
+
+
+def test_patch_table_holds_the_loop_patches(patch_case):
+    prepared, loops, _ = patch_case
+    for view, loop in zip((prepared.pre_view, prepared.intra_view), loops):
+        assert len(view.sizes) == len(loop.patch_indices)
+        for b, members in enumerate(loop.patch_indices):
+            assert np.array_equal(view.patch(b), members)
+        assert np.array_equal(view.fine_to_sp, loop.fine_to_sp)
+
+
+def test_lattice_truncation_cuts_through_tied_distances():
+    reg, size = RegNetConfig(), PATCH_CASES["lattice"][2].patch_size
+    pyr = build_pyramid(lattice_sample().preoperative, reg.stages, reg.initial_voxel,
+                        reg.base_radius_mult, reg.max_neighbors)
+    first = pyr.fine_to_level(pyr.stages - 1) == 0
+    d = np.sort(np.linalg.norm(pyr.levels[0].positions[first] - pyr.levels[-1].positions[0],
+                               axis=1))
+    assert d.size > size and d[size - 1] == d[size]
+
+
+def test_distance_histograms_equal_loop_reference(patch_case):
+    prepared, loops, cfg = patch_case
+    for hist, loop in zip((prepared.pre_hist, prepared.intra_hist), loops):
+        want = loop_distance_histograms(loop, cfg.hist_bins, cfg.hist_max_dist)
+        assert np.array_equal(hist, want)
+
+
+def test_overlap_and_ground_truth_equal_loop_reference(patch_case):
+    prepared, (pre, intra), cfg = patch_case
+    T = prepared.sample.T_gt
+    overlap = loop_superpoint_overlap_labels(pre, intra, T, cfg.overlap_patch_radius)
+    assert np.array_equal(prepared.overlap, overlap)
+    fine_pairs, gt_fine = loop_ground_truth(pre, intra, overlap, T, cfg.positive_overlap,
+                                            cfg.fine_match_radius)
+    assert fine_pairs and list(prepared.gt_fine) == fine_pairs
+    for key, (rows, cols) in gt_fine.items():
+        assert np.array_equal(prepared.gt_fine[key][0], rows)
+        assert np.array_equal(prepared.gt_fine[key][1], cols)
+
+
+def test_fine_match_equals_loop_reference(patch_case):
+    prepared, (pre, intra), _ = patch_case
+    rng = np.random.default_rng(0)
+    # intra descriptors copy the nearest pre point's under the true pose, so
+    # many entries survive the mutual and slack tests
+    moved = prepared.sample.T_gt.apply_points(prepared.pre_view.fine_points)
+    nearest = cKDTree(moved).query(prepared.intra_view.fine_points)[1]
+    dense_pre = 3.0 * rng.normal(size=(len(moved), 16))
+    dense_intra = dense_pre[nearest] + 0.3 * rng.normal(size=(len(nearest), 16))
+    top = np.argsort(-prepared.overlap, axis=None, kind="stable")[:64]
+    pairs = np.stack(np.unravel_index(top, prepared.overlap.shape), axis=1)
+    pairs = np.concatenate([pairs, pairs[::4]])       # repeated pairs: one key each
+    got = fine_match(dense_pre, dense_intra, pairs, prepared.pre_view, prepared.intra_view)
+    want = loop_fine_match(dense_pre, dense_intra, pairs, pre, intra)
+    assert len(got) > 50
+    assert np.array_equal(got.pre_indices, want.pre_indices)
+    assert np.array_equal(got.intra_indices, want.intra_indices)
+    assert np.array_equal(got.weights, want.weights)

@@ -129,14 +129,30 @@ def test_weak_labels_monotone_in_threshold():
 
 # -- PLY ---------------------------------------------------------------------
 
+def write_ascii_ply(cloud, path):
+    """An ASCII PLY with the properties ``save_ply`` writes in binary."""
+    props = ["double x", "double y", "double z"]
+    cols = [[repr(float(v)) for v in row] for row in cloud.positions]
+    if cloud.colors is not None:
+        props += ["uchar red", "uchar green", "uchar blue"]
+        u8 = np.clip(np.round(cloud.colors * 255.0), 0, 255).astype(np.uint8)
+        cols = [row + [str(int(v)) for v in c] for row, c in zip(cols, u8)]
+    if cloud.labels is not None:
+        props.append("int label")
+        cols = [row + [str(int(v))] for row, v in zip(cols, cloud.labels)]
+    header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
+    header += [f"property {p}" for p in props] + ["end_header"]
+    path.write_text("\n".join(header + [" ".join(row) for row in cols]) + "\n")
+
+
 def test_ply_round_trip_binary_and_ascii(tmp_path):
     rng = np.random.default_rng(0)
     cloud = PointCloud(rng.uniform(-1, 1, (100, 3)),
                        colors=rng.uniform(0, 1, (100, 3)),
                        labels=rng.integers(0, 2, 100))
-    for binary in (True, False):
-        p = tmp_path / f"c_{binary}.ply"
-        save_ply(cloud, p, binary=binary)
+    save_ply(cloud, tmp_path / "binary.ply")
+    write_ascii_ply(cloud, tmp_path / "ascii.ply")
+    for p in (tmp_path / "binary.ply", tmp_path / "ascii.ply"):
         back = load_ply(p)
         np.testing.assert_allclose(back.positions, cloud.positions, atol=0)
         np.testing.assert_array_equal(back.labels, cloud.labels)
@@ -146,8 +162,8 @@ def test_ply_round_trip_binary_and_ascii(tmp_path):
 def test_ply_ascii_binary_load_identically(tmp_path):
     rng = np.random.default_rng(1)
     cloud = PointCloud(rng.uniform(-1, 1, (50, 3)), labels=rng.integers(0, 2, 50))
-    save_ply(cloud, tmp_path / "a.ply", binary=False)
-    save_ply(cloud, tmp_path / "b.ply", binary=True)
+    write_ascii_ply(cloud, tmp_path / "a.ply")
+    save_ply(cloud, tmp_path / "b.ply")
     a = load_ply(tmp_path / "a.ply")
     b = load_ply(tmp_path / "b.ply")
     np.testing.assert_array_equal(a.positions, b.positions)

@@ -1,8 +1,10 @@
-"""Inference pipeline: ``register_pair`` on a small phantom."""
+"""Pipeline: ``prepare_sample``'s ground truth and ``register_pair`` on a
+small phantom."""
 
 import numpy as np
 
 from segreg import pipeline
+from segreg.matching import ground_truth_patch_matches
 from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import init_params
@@ -30,3 +32,38 @@ def test_register_pair_is_valid_and_repeatable():
     assert first.mask.shape == (len(sample.intraoperative),)
     assert set(np.unique(first.mask)) <= {0, 1}
     assert first.info["mask_mean"] == float(first.mask.mean())
+
+
+def test_prepare_sample_ground_truth_invariants():
+    sample = generate_phantom(PhantomConfig(seed=6, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    match = pipeline.MatcherConfig()
+    prepared = pipeline.prepare_sample(sample, SegNetConfig(), RegNetConfig(), match)
+    pre, intra = prepared.pre_view, prepared.intra_view
+    for view in (pre, intra):
+        n0, size = len(view.fine_points), match.patch_size
+        assert view.patch_indices.shape == (len(view.points), size)
+        assert np.all((view.sizes >= 1) & (view.sizes <= size))
+        members = np.arange(size) < view.sizes[:, None]
+        # front-packed and shadow-padded, each level-0 point in one patch at most
+        assert np.all(view.patch_indices[members] < n0)
+        assert np.all(view.patch_indices[~members] == n0)
+        assert np.unique(view.patch_indices[members]).size == members.sum()
+        owner = np.full(n0, -1)
+        owner[view.patch_indices[members]] = np.nonzero(members)[0]
+        assert np.array_equal(view.fine_to_sp, owner)
+    assert prepared.overlap.shape == (len(pre.points), len(intra.points))
+    assert np.all((prepared.overlap >= 0.0) & (prepared.overlap <= 1.0))
+
+    positive = np.argwhere(prepared.overlap > match.positive_overlap)
+    every = ground_truth_patch_matches(pre, intra, positive, sample.T_gt,
+                                       match.fine_match_radius)
+    assert len(every) == len(positive)
+    expected = [(int(a), int(b)) for (a, b), (rows, _) in zip(positive, every) if rows.size]
+    assert expected and list(prepared.gt_fine) == expected
+    for (a, b), (rows, cols) in prepared.gt_fine.items():
+        assert np.all(np.diff(rows) > 0) and np.all(rows < pre.sizes[a])
+        assert np.unique(cols).size == cols.size and np.all(cols < intra.sizes[b])
+        p = sample.T_gt.apply_points(pre.fine_points[pre.patch(a)[rows]])
+        q = intra.fine_points[intra.patch(b)[cols]]
+        assert np.all(np.linalg.norm(p - q, axis=1) <= match.fine_match_radius + 1e-12)
