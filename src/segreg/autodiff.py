@@ -39,7 +39,6 @@ __all__ = [
     "log",
     "sqrt",
     "relu",
-    "leaky_relu",
     "matmul",
     "softmax",
     "sum_",
@@ -95,9 +94,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -342,17 +338,6 @@ def relu(a: Tensor) -> Tensor:
 
     def bwd(g):
         _accumulate(a, g * mask)
-
-    return _record(out, bwd)
-
-
-def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    mask = a.data > 0.0
-    out = Tensor(np.where(mask, a.data, slope * a.data))
-    out.requires_grad = a.requires_grad
-
-    def bwd(g):
-        _accumulate(a, g * np.where(mask, 1.0, slope))
 
     return _record(out, bwd)
 

@@ -39,7 +39,7 @@ from segreg.fileio import (
 from segreg.gradcheck import COMPONENTS, run_checks
 from segreg.kpconv import SparseCloudError
 from segreg.networks import RegNetConfig, SegNetConfig
-from segreg.phantom import PhantomConfig, generate_phantom
+from segreg.phantom import PhantomConfig, RegistrationSample, generate_phantom
 from segreg.pipeline import (
     MatcherConfig,
     RegistrationError,
@@ -106,6 +106,21 @@ def _require_colors(cloud, where: str) -> None:
     """The segmentation network reads the intraoperative colors."""
     if cloud.colors is None:
         raise ValueError(f"{where}: intraoperative cloud has no colors")
+
+
+def _register_with_model(model, pre, intra):
+    """The learned pipeline on one pair, ``model`` as ``load_checkpoint``
+    returns it; the pair carries no ground truth."""
+    params, seg_cfg, reg_cfg, _ = model
+    sample = RegistrationSample(
+        preoperative=pre, intraoperative=intra,
+        T_gt=None, landmarks=np.zeros((0, 3)),
+        gt_mask=np.zeros(len(intra), dtype=np.int64),
+        scale=1.0, center=np.zeros(3), config=PhantomConfig())
+    match_cfg = MatcherConfig()
+    prepared = prepare_sample(sample, seg_cfg, reg_cfg, match_cfg,
+                              with_ground_truth=False)
+    return register_pair(params, prepared, seg_cfg, reg_cfg, match_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +200,7 @@ def cmd_register(args) -> int:
         intra = load_ply(args.intra)
         if args.checkpoint is not None:
             _require_colors(intra, args.intra)
-            params, seg_cfg, reg_cfg, _ = load_checkpoint(args.checkpoint)
+            model = load_checkpoint(args.checkpoint)
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -200,16 +215,7 @@ def cmd_register(args) -> int:
             T = report.transform
             info = {"final_rms": report.final_rms, "converged": report.converged}
         else:
-            from segreg.phantom import RegistrationSample
-
-            sample = RegistrationSample(
-                preoperative=pre, intraoperative=intra,
-                T_gt=None, landmarks=np.zeros((0, 3)),
-                gt_mask=np.zeros(len(intra), dtype=np.int64),
-                scale=1.0, center=np.zeros(3), config=PhantomConfig())
-            prepared = prepare_sample(sample, seg_cfg, reg_cfg, MatcherConfig(),
-                                      with_ground_truth=False)
-            out = register_pair(params, prepared, seg_cfg, reg_cfg, MatcherConfig())
+            out = _register_with_model(model, pre, intra)
             T, mask, info = out.transform, out.mask, out.info
     except SparseCloudError as exc:
         print(f"cannot register inputs: {exc}", file=sys.stderr)
@@ -282,15 +288,10 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _predict_dataset(dataset, checkpoint):
-    params, seg_cfg, reg_cfg, _ = load_checkpoint(checkpoint)
-    match_cfg = MatcherConfig()
-    out = {}
-    for name, sample in dataset:
-        prepared = prepare_sample(sample, seg_cfg, reg_cfg, match_cfg,
-                                  with_ground_truth=False)
-        out[name] = register_pair(params, prepared, seg_cfg, reg_cfg,
-                                  match_cfg).transform
-    return out
+    model = load_checkpoint(checkpoint)
+    return {name: _register_with_model(model, sample.preoperative,
+                                       sample.intraoperative).transform
+            for name, sample in dataset}
 
 
 def _poses_from_dir(dataset, directory):
@@ -313,6 +314,8 @@ def cmd_ablate(args) -> int:
     try:
         dataset = _load_dataset(args.dataset)
         if have_ckpts:
+            for name, sample in dataset:
+                _require_colors(sample.intraoperative, name)
             poses_a = _predict_dataset(dataset, args.checkpoint_a)
             poses_b = _predict_dataset(dataset, args.checkpoint_b)
         else:

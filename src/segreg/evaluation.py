@@ -42,11 +42,10 @@ def tre(landmarks: np.ndarray, T_pred: RigidTransform, T_gt: RigidTransform,
     return {"units": err, "mm": units_to_mm(err, scale_m_per_unit)}
 
 
-def rmse(cloud: PointCloud | np.ndarray, T_pred: RigidTransform,
+def rmse(cloud: PointCloud, T_pred: RigidTransform,
          T_gt: RigidTransform, scale_m_per_unit: float) -> dict:
     """Root-mean-square displacement of the preoperative points."""
-    pts = cloud.positions if isinstance(cloud, PointCloud) else np.asarray(cloud)
-    diff = T_pred.apply_points(pts) - T_gt.apply_points(pts)
+    diff = T_pred.apply_points(cloud.positions) - T_gt.apply_points(cloud.positions)
     val = float(np.sqrt(np.mean(np.einsum("ij,ij->i", diff, diff))))
     return {"units": val, "mm": float(units_to_mm(val, scale_m_per_unit))}
 
@@ -155,7 +154,7 @@ def evaluate_pose(sample_id: str, method: str, sample, T_pred: RigidTransform,
     t = tre(sample.landmarks, T_pred, sample.T_gt, sample.scale)
     r = rmse(sample.preoperative, T_pred, sample.T_gt, sample.scale)
     p = pose_errors(T_pred, sample.T_gt)
-    return EvalRecord(sample_id, method, list(t["units"]), list(t["mm"]),
+    return EvalRecord(sample_id, method, t["units"].tolist(), t["mm"].tolist(),
                       r["units"], r["mm"], p["rotation_deg"],
                       p["translation_units"], wall_time_s)
 

@@ -6,8 +6,8 @@ optional uchar red/green/blue, and an optional integer label per vertex;
 it writes binary_little_endian.
 Poses are JSON holding the rotation, translation, and the normalization
 (center, scale) metadata; rotations are re-validated on load.  Checkpoints
-are .npz archives with a versioned JSON header carrying the full
-hyperparameter config.
+are .npz archives of the parameters (and momentum) with a versioned JSON
+header carrying the step, both network configs and the generator state.
 """
 
 from __future__ import annotations
@@ -299,25 +299,25 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
                     reg_config: RegNetConfig, step: int = 0,
-                    momentum: dict | None = None, rng_state: dict | None = None,
-                    train_config: dict | None = None) -> None:
-    """Serialize parameters (bit-exact float64) with a versioned header."""
-    from segreg.autodiff import Tensor
+                    momentum: dict | None = None, rng_state: dict | None = None) -> None:
+    """Serialize ``Tensor`` parameters (bit-exact float64) with a versioned header.
 
+    The JSON header holds the version, the step, both network configs, the
+    parameter names and the training generator's state; the arrays are
+    ``param/<name>`` and, for a resumable run, ``momentum/<name>``.
+    """
     header = {
         "version": CHECKPOINT_VERSION,
         "step": step,
         "seg_config": asdict(seg_config),
         "reg_config": asdict(reg_config),
         "param_names": sorted(params),
-        "train_config": train_config or {},
         "rng_state": rng_state or {},
     }
     arrays = {"__header__": np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)}
     for name, p in params.items():
-        arr = p.data if isinstance(p, Tensor) else np.asarray(p)
-        arrays[f"param/{name}"] = arr
+        arrays[f"param/{name}"] = p.data
     if momentum:
         for name, v in momentum.items():
             arrays[f"momentum/{name}"] = np.asarray(v)
@@ -325,10 +325,15 @@ def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
         np.savez(fh, **arrays)
 
 
+def _config(cls, fields: dict):
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
+
+
 def load_checkpoint(path: str | Path):
     """Return (params, seg_config, reg_config, state dict).
 
-    A file that is not a readable .npz archive raises ``ValueError``.
+    A file that is not a readable .npz archive, or whose header or arrays
+    are malformed or incomplete, raises ``ValueError``.
     """
     from segreg.autodiff import Tensor
 
@@ -342,23 +347,17 @@ def load_checkpoint(path: str | Path):
         if "__header__" not in z:
             raise ValueError("not a checkpoint file (missing header)")
         header = json.loads(bytes(z["__header__"]).decode("utf-8"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-        params = {}
-        for name in header["param_names"]:
-            params[name] = Tensor(z[f"param/{name}"], requires_grad=True)
-        momentum = {}
-        for key in z.files:
-            if key.startswith("momentum/"):
-                momentum[key[len("momentum/"):]] = z[key]
-    seg_cfg = SegNetConfig(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in header["seg_config"].items()})
-    reg_cfg = RegNetConfig(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in header["reg_config"].items()})
-    state = {
-        "step": header["step"],
-        "momentum": momentum,
-        "rng_state": header.get("rng_state", {}),
-        "train_config": header.get("train_config", {}),
-    }
+        try:
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+            params = {name: Tensor(z[f"param/{name}"], requires_grad=True)
+                      for name in header["param_names"]}
+            momentum = {key[len("momentum/"):]: z[key] for key in z.files
+                        if key.startswith("momentum/")}
+            seg_cfg = _config(SegNetConfig, header["seg_config"])
+            reg_cfg = _config(RegNetConfig, header["reg_config"])
+            state = {"step": header["step"], "momentum": momentum,
+                     "rng_state": header.get("rng_state", {})}
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     return params, seg_cfg, reg_cfg, state

@@ -92,11 +92,6 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    def apply(self, cloud: PointCloud) -> PointCloud:
-        """Transform positions; colors and labels are carried through."""
-        pos = cloud.positions @ self.rotation.T + self.translation
-        return PointCloud(pos, colors=cloud.colors, labels=cloud.labels)
-
     def apply_points(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
@@ -157,9 +152,9 @@ def voxel_grid_subsample(cloud: PointCloud, voxel_size: float
                          ) -> tuple[PointCloud, np.ndarray]:
     """One centroid per occupied voxel, plus input->output provenance.
 
-    Colors are averaged, labels merged by majority with ties resolved to 1.
-    Output voxels are ordered by their (ix, iy, iz) key so results are
-    deterministic.
+    The output holds positions only, as pyramid levels do: the networks
+    pool features themselves through the provenance.  Output voxels are
+    ordered by their (ix, iy, iz) key so results are deterministic.
     """
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
@@ -169,15 +164,7 @@ def voxel_grid_subsample(cloud: PointCloud, voxel_size: float
     m = first_idx.shape[0]
     counts = np.bincount(inverse, minlength=m).astype(np.float64)
     pos = scatter_add_rows(inverse, cloud.positions, m) / counts[:, None]
-    colors = None
-    if cloud.colors is not None:
-        colors = scatter_add_rows(inverse, cloud.colors, m) / counts[:, None]
-    labels = None
-    if cloud.labels is not None:
-        ones = np.bincount(inverse, weights=cloud.labels.astype(np.float64),
-                           minlength=m)
-        labels = (2.0 * ones >= counts).astype(np.int64)
-    return PointCloud(pos, colors=colors, labels=labels), inverse
+    return PointCloud(pos), inverse
 
 
 def radius_neighbors(query: PointCloud, support: PointCloud, radius: float,

@@ -168,7 +168,7 @@ def _kpconv_checks(seed):
     rng = np.random.default_rng(seed)
     cloud = _surface(rng, 30)
     nbr = radius_neighbors(cloud, cloud, 0.6, 8)
-    kern = kernel_disposition(6, seed).scaled(0.6)
+    kern = kernel_disposition(6, seed) * 0.6
     infl = conv_influence(cloud.positions, cloud.positions, nbr, kern,
                           0.6 / SIGMA_RATIO)
     f0 = rng.uniform(-2, 2, (30, 3))

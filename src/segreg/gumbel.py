@@ -56,8 +56,7 @@ def straight_through_mask(z: Tensor, tau: float, rng: np.random.Generator
     return mask, hard, g
 
 
-def hard_mask(z: Tensor | np.ndarray) -> np.ndarray:
+def hard_mask(z: Tensor) -> np.ndarray:
     """Deterministic inference mask: argmax of the logits, no noise."""
-    data = z.data if isinstance(z, Tensor) else np.asarray(z)
-    return np.argmax(data, axis=1)
+    return np.argmax(z.data, axis=1)
 

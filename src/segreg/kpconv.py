@@ -19,7 +19,6 @@ from segreg.autodiff import Tensor, accumulate_grad, record_custom, scatter_add_
 from segreg.geometry import PointCloud, knn, radius_neighbors, voxel_grid_subsample
 
 __all__ = [
-    "KernelDisposition",
     "kernel_disposition",
     "conv_influence",
     "local_reference_frames",
@@ -34,30 +33,20 @@ SIGMA_RATIO = 1.5  # kernel influence extent = layer radius / SIGMA_RATIO
 _DISPOSITION_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-@dataclass(frozen=True)
-class KernelDisposition:
-    """Kernel point layout inside the unit ball, scaled per layer by callers."""
-
-    points: np.ndarray
-    radius: float = 1.0
-
-    def scaled(self, radius: float) -> "KernelDisposition":
-        return KernelDisposition(self.points * radius, radius)
-
-
-def kernel_disposition(k: int, seed: int = 0) -> KernelDisposition:
-    """Deterministic repulsion layout of k kernel points in the unit ball.
+def kernel_disposition(k: int, seed: int = 0) -> np.ndarray:
+    """Deterministic repulsion layout of k kernel points in the unit ball, (k, 3).
 
     One point is pinned at the origin; the others descend 1000 steps on the
     inverse-distance energy sum(1/d_ij) with projection back into the ball.
-    Results are cached per (k, seed) and reused bit-identically.
+    Results are cached per (k, seed) and reused bit-identically; callers
+    multiply the returned copy by a layer's radius.
     """
     if k < 1:
         raise ValueError("kernel size must be at least 1")
     key = (k, seed)
     if key not in _DISPOSITION_CACHE:
         _DISPOSITION_CACHE[key] = _repulse(k, seed)
-    return KernelDisposition(_DISPOSITION_CACHE[key].copy())
+    return _DISPOSITION_CACHE[key].copy()
 
 
 def _repulse(k: int, seed: int, steps: int = 1000, lr: float = 0.01) -> np.ndarray:
@@ -83,17 +72,19 @@ def _repulse(k: int, seed: int, steps: int = 1000, lr: float = 0.01) -> np.ndarr
 
 
 def conv_influence(query: np.ndarray, support: np.ndarray, neighbors: np.ndarray,
-                   kernel: KernelDisposition, sigma: float,
+                   kernel: np.ndarray, sigma: float,
                    frames: np.ndarray | None = None) -> np.ndarray:
     """Correlation weights (Nq, K, H) of each kernel point on each neighbor.
 
-    Shadow slots (index == len(support)) get all-zero influence.  With
-    ``frames`` (Nq, 3, 3), neighbor offsets are expressed in each query's
-    local reference frame before kernel correlation, which makes the
-    convolution rotation-invariant.  Stored as float32: influence is frozen
-    geometry, and the compact dtype keeps cached tables small; accumulation
-    happens in float64.  The squared distances are summed one axis at a
-    time directly in the (Nq, K, H) layout.
+    ``kernel`` is the (K, 3) unit-ball layout of :func:`kernel_disposition`
+    multiplied by the layer radius.  Shadow slots (index == len(support))
+    get all-zero influence.  With ``frames`` (Nq, 3, 3), neighbor offsets
+    are expressed in each query's local reference frame before kernel
+    correlation, which makes the convolution rotation-invariant.  Stored as
+    float32: influence is frozen geometry, and the compact dtype keeps
+    cached tables small; accumulation happens in float64.  The squared
+    distances are summed one axis at a time directly in the (Nq, K, H)
+    layout.
     """
     ns = support.shape[0]
     valid = neighbors < ns
@@ -101,9 +92,9 @@ def conv_influence(query: np.ndarray, support: np.ndarray, neighbors: np.ndarray
     rel = support[safe] - query[:, None, :]          # (Nq, H, 3)
     if frames is not None:
         rel = np.einsum("qij,qhj->qhi", frames, rel)
-    d2 = np.zeros((rel.shape[0], kernel.points.shape[0], rel.shape[1]))
+    d2 = np.zeros((rel.shape[0], kernel.shape[0], rel.shape[1]))
     for j in range(3):
-        d2 += (rel[:, None, :, j] - kernel.points[None, :, j, None]) ** 2
+        d2 += (rel[:, None, :, j] - kernel[None, :, j, None]) ** 2
     infl = np.maximum(0.0, 1.0 - np.sqrt(d2) / sigma)
     infl *= valid[:, None, :]
     return infl.astype(np.float32)
@@ -200,7 +191,6 @@ class PointPyramid:
     """
 
     levels: list[PointCloud]
-    voxel_sizes: list[float]
     radii: list[float]
     neighbors: list[np.ndarray]
     pools: list[np.ndarray]
@@ -252,5 +242,4 @@ def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
         radius_neighbors(lvl, lvl, r, max_neighbors)
         for lvl, r in zip(levels, radii)
     ]
-    return PointPyramid(levels, voxels, radii, neighbors, pools, ups,
-                        input_prov, cloud)
+    return PointPyramid(levels, radii, neighbors, pools, ups, input_prov, cloud)

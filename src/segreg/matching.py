@@ -191,20 +191,18 @@ def superpoint_overlap_labels(pre: PatchedSuperpoints, intra: PatchedSuperpoints
 
 
 def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray, k_corr: int,
-                 geom_bonus: np.ndarray | None = None,
+                 geom_bonus: np.ndarray,
                  bonus_weight: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
     """Select top superpoint pairs by dual-softmax score.
 
     Features must carry L2-normalized rows.  The similarity is the feature
-    inner product plus ``bonus_weight`` times the geometric-consistency bonus;
-    the dual softmax is the entrywise product of row-wise and column-wise
-    softmaxes.  Returns (pairs (k, 2), scores (k,)), score-descending with
-    ties resolved in row-major cell order.
+    inner product plus ``bonus_weight`` times the (M_pre, M_intra)
+    geometric-consistency bonus; the dual softmax is the entrywise product
+    of row-wise and column-wise softmaxes.  Returns (pairs (k, 2), scores
+    (k,)), score-descending with ties resolved in row-major cell order; each
+    pair is a distinct cell.
     """
-    sim = pre_feats @ intra_feats.T
-    if geom_bonus is not None:
-        sim = sim + bonus_weight * geom_bonus
-    sim = Tensor(sim)
+    sim = Tensor(pre_feats @ intra_feats.T + bonus_weight * geom_bonus)
     score = ad.softmax(sim, axis=1).data * ad.softmax(sim, axis=0).data
     k = min(k_corr, score.size)
     order = np.argsort(-score.reshape(-1), kind="stable")[:k]
@@ -294,9 +292,10 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
     inner product), adds a slack row/column, normalizes, and keeps mutual
     top-1 non-slack entries weighted by their normalized score.  An entry
     must also beat both of its slack competitors, so diffuse score matrices
-    yield few or no correspondences.  A point pair found through several
-    coarse pairs keeps its largest weight; matches come in (pre, intra)
-    index order.
+    yield few or no correspondences.  The coarse pairs must be distinct, as
+    ``coarse_match`` returns them: every level-0 point lies in one patch, so
+    each (pre, intra) point pair is then found at most once.  Matches come
+    in (pre, intra) index order.
     """
     dense_pre, dense_intra = Tensor(dense_pre), Tensor(dense_intra)
     found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
@@ -313,12 +312,8 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
         keep = mutual & (w > p[i, nb]) & (w > p[na, j])  # slack absorbs the rest
         found.append((ia[keep], ib[j[keep]], w[keep]))
     pre_idx, intra_idx, w = (np.concatenate(part) for part in zip(*found))
-    # each (pre, intra) key once, where it first appears by descending weight
-    order = np.argsort(-w, kind="stable")
-    _, first = np.unique((pre_idx * dense_intra.shape[0] + intra_idx)[order],
-                         return_index=True)
-    first = order[first]
-    return MatchSet(pre_idx[first], intra_idx[first], w[first])
+    order = np.lexsort((intra_idx, pre_idx))
+    return MatchSet(pre_idx[order], intra_idx[order], w[order])
 
 
 # ---------------------------------------------------------------------------

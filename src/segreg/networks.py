@@ -93,10 +93,6 @@ class BackboneContext:
     pyramid: PointPyramid
     influences: list[np.ndarray]
 
-    @property
-    def input_cloud(self) -> PointCloud:
-        return self.pyramid.input_cloud
-
 
 def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> BackboneContext:
     """Precompute the pyramid and influence tables for one input cloud."""
@@ -106,13 +102,12 @@ def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> Backbo
     use_frames = getattr(cfg, "local_frames", False)
     influences = []
     for level, radius in enumerate(pyramid.radii):
-        scaled = kernel.scaled(radius)
         pos = pyramid.levels[level].positions
         frames = None
         if use_frames:
             frames = local_reference_frames(pos, pyramid.neighbors[level])
         influences.append(conv_influence(pos, pos, pyramid.neighbors[level],
-                                         scaled, radius / SIGMA_RATIO,
+                                         kernel * radius, radius / SIGMA_RATIO,
                                          frames=frames))
     return BackboneContext(pyramid, influences)
 
@@ -274,7 +269,7 @@ def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor,
 def seg_forward(params: dict[str, Tensor], ctx: BackboneContext,
                 cfg: SegNetConfig) -> Tensor:
     """Per-point 2-class logits at the raw input resolution."""
-    cloud = ctx.input_cloud
+    cloud = ctx.pyramid.input_cloud
     if cloud.colors is None:
         raise ValueError("segmentation input cloud must carry colors")
     raw = np.hstack([cloud.colors, np.ones((len(cloud), 1))])
@@ -294,7 +289,7 @@ def reg_backbone_forward(params: dict[str, Tensor], ctx: BackboneContext,
     ``point_features`` is (N_input, 1); the same ``params`` must be used for
     both clouds of a pair (shared encoder-decoder).
     """
-    if point_features.shape[0] != len(ctx.input_cloud):
+    if point_features.shape[0] != len(ctx.pyramid.input_cloud):
         raise ValueError("point features must cover every input point")
     feats0 = ad.scatter_mean(point_features, ctx.pyramid.input_to_level0,
                              len(ctx.pyramid.levels[0]))

@@ -12,7 +12,7 @@ checkpoints are interchangeable.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -107,9 +107,8 @@ def init_params(seg_cfg: SegNetConfig, reg_cfg: RegNetConfig, seed: int
 @dataclass
 class TrainResult:
     params: dict[str, Tensor]
-    curve: list                      # rows: (step, lr, total, coarse, fine)
+    curve: list           # rows: (step, lr, total, coarse, fine); NaN losses: skipped
     checkpoint_path: str | None
-    info: dict = field(default_factory=dict)
 
 
 def _clip_and_step(params, grads_of, velocity, lr, momentum, clip_norm):
@@ -182,7 +181,6 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     last_ckpt: str | None = None
-    skipped = 0
 
     def save(step):
         nonlocal last_ckpt
@@ -190,8 +188,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
             return
         path = out_dir / f"checkpoint_{step:06d}.npz"
         save_checkpoint(path, params, seg_cfg, reg_cfg, step=step,
-                        momentum=velocity, rng_state=rng.bit_generator.state,
-                        train_config=asdict(cfg))
+                        momentum=velocity, rng_state=rng.bit_generator.state)
         last_ckpt = str(path)
 
     for step in range(start_step, cfg.total_iters):
@@ -230,7 +227,6 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
                         _clip_and_step(params, names, velocity, lr,
                                        cfg.momentum, cfg.clip_norm)
         except NoPositivePairsError:
-            skipped += 1
             curve.append((step, lr, float("nan"), float("nan"), float("nan")))
             continue
         except NonFiniteError:
@@ -249,7 +245,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
     if out_dir is not None:
         save(cfg.total_iters)
         _write_curve(curve, out_dir / "loss_curve.csv")
-    return TrainResult(params, curve, last_ckpt, {"skipped": skipped})
+    return TrainResult(params, curve, last_ckpt)
 
 
 def _write_curve(curve, path):

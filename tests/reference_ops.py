@@ -43,6 +43,16 @@ def composed_normalize_scores_with_slack(scores, iterations=5, augment_slack=Fal
     return p
 
 
+def leaky_relu(a, slope):
+    """The elementary leaky ReLU node that ``_norm_act``'s chain ends with."""
+    mask = a.data > 0.0
+
+    def bwd(g):
+        ad.accumulate_grad(a, g * np.where(mask, 1.0, slope))
+
+    return ad.record_custom(np.where(mask, a.data, slope * a.data), a.requires_grad, bwd)
+
+
 def composed_norm_act(params, name, y, eps, slope):
     mu = ad.mean_(y, axis=0, keepdims=True)
     centered = ad.sub(y, ad.expand(mu, y.shape))
@@ -51,7 +61,7 @@ def composed_norm_act(params, name, y, eps, slope):
     normed = ad.div(centered, ad.expand(std, y.shape))
     affine = ad.add(ad.mul(normed, ad.expand(params[f"{name}_gamma"], y.shape)),
                     ad.expand(params[f"{name}_beta"], y.shape))
-    return ad.leaky_relu(affine, slope)
+    return leaky_relu(affine, slope)
 
 
 def scalar_weighted_procrustes(matches, pre, intra):

@@ -243,3 +243,110 @@ def test_train_resume_from_missing_checkpoint_exits_with_data_error(tmp_path, ca
     assert code == EXIT_DATA
     assert "cannot load inputs" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def drop(key):
+    def damage(header, arrays):
+        del (arrays if key.startswith("param/") else header)[key]
+        return header
+    return damage
+
+
+def unknown_config_key(header, arrays):
+    header["seg_config"]["colour_jitter"] = 0.1
+    return header
+
+
+MALFORMED_CHECKPOINTS = {
+    "no_param_names": drop("param_names"),
+    "no_step": drop("step"),
+    "no_seg_config": drop("seg_config"),
+    "no_reg_config": drop("reg_config"),
+    "no_param_array": drop("param/seg_enc0_w"),
+    "unknown_config_key": unknown_config_key,
+    "header_not_object": lambda header, arrays: [header],
+}
+
+
+def malformed_checkpoint(path, kind):
+    """A valid checkpoint rewritten with one header field or array damaged."""
+    seg, reg = SegNetConfig(), RegNetConfig()
+    save_checkpoint(path, init_params(seg, reg, 0), seg, reg)
+    with np.load(path) as z:
+        arrays = {key: z[key] for key in z.files}
+    header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
+    header = MALFORMED_CHECKPOINTS[kind](header, arrays)
+    arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8)
+    np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_CHECKPOINTS))
+def test_register_with_malformed_checkpoint_exits_with_data_error(tmp_path, kind, capsys):
+    pre, intra = small_pair_on_disk(tmp_path)
+    ckpt = malformed_checkpoint(tmp_path / "model.npz", kind)
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--checkpoint", str(ckpt)])
+    assert code == EXIT_DATA
+    assert "cannot load inputs: malformed checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_CHECKPOINTS))
+def test_train_resume_from_malformed_checkpoint_exits_with_data_error(tmp_path, kind, capsys):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--n-samples", "1",
+                 "--n-vertebrae", "2", "--points-pre", "1024",
+                 "--points-intra", "512"]) == 0
+    ckpt = malformed_checkpoint(tmp_path / "model.npz", kind)
+    code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
+                 "--iters", "1", "--warmup", "0", "--resume", str(ckpt)])
+    assert code == EXIT_DATA
+    assert "cannot load inputs: malformed checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_ablate_two_checkpoints_writes_report_and_records_for_both_names(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "ablate"
+    assert main(["generate", "--out", str(data), "--n-samples", "2",
+                 "--n-vertebrae", "2", "--points-pre", "1024",
+                 "--points-intra", "512"]) == 0
+    seg, reg = SegNetConfig(), RegNetConfig()
+    for seed in (0, 1):
+        save_checkpoint(tmp_path / f"seed{seed}.npz", init_params(seg, reg, seed), seg, reg)
+    assert main(["ablate", "--dataset", str(data), "--out", str(out),
+                 "--checkpoint-a", str(tmp_path / "seed0.npz"),
+                 "--checkpoint-b", str(tmp_path / "seed1.npz"),
+                 "--name-a", "seed0", "--name-b", "seed1"]) == 0
+    assert "Wilcoxon signed-rank: p = " in (out / "ablation_report.txt").read_text()
+    with open(out / "records.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # 2 samples x 2 methods x 6 landmarks (3 per vertebra)
+    assert len(rows) == 24
+    assert {(r["sample_id"], r["method"]) for r in rows} == {
+        (s, m) for s in ("sample_0000", "sample_0001") for m in ("seed0", "seed1")}
+    # the ablation registers each pair as `segreg register --checkpoint` does
+    sample_dir = data / "sample_0000"
+    assert main(["register", "--pre", str(sample_dir / "pre.ply"),
+                 "--intra", str(sample_dir / "intra.ply"),
+                 "--out", str(tmp_path / "pose.json"),
+                 "--checkpoint", str(tmp_path / "seed0.npz")]) == 0
+    pose, _ = load_pose(tmp_path / "pose.json")
+    sample = load_sample(sample_dir)
+    want = np.linalg.norm(pose.apply_points(sample.landmarks)
+                          - sample.T_gt.apply_points(sample.landmarks), axis=1)
+    got = [float(r["tre_units"]) for r in rows
+           if (r["sample_id"], r["method"]) == ("sample_0000", "seed0")]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_ablate_checkpoints_on_colorless_dataset_exits_with_data_error(tmp_path, capsys):
+    save_sample(small_phantom_without_intra_colors(), tmp_path / "data" / "sample_0000")
+    write_manifest(tmp_path / "data", ["sample_0000"])
+    seg, reg = SegNetConfig(), RegNetConfig()
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(ckpt, init_params(seg, reg, 0), seg, reg)
+    assert main(["ablate", "--dataset", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "ablate"),
+                 "--checkpoint-a", str(ckpt), "--checkpoint-b", str(ckpt)]) == EXIT_DATA
+    assert "sample_0000: intraoperative cloud has no colors" in capsys.readouterr().err

@@ -1,8 +1,10 @@
-"""Package hygiene: every exported name resolves and is used, and no import
-goes unused."""
+"""Package hygiene: every exported name and every public member of an
+exported class resolves and is used, and no import goes unused."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,11 @@ MODULES = sorted(SRC.glob("*.py"))
 # code whose references keep a public name alive (tests do not count)
 USER_CODE = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 # public names that no package or benchmark code references, with the reason
-UNREFERENCED_ALLOWED = {
-    "segreg.autodiff.leaky_relu":
-        "used only by the composed _norm_act reference in tests/reference_ops.py",
+UNREFERENCED_ALLOWED: dict[str, str] = {}
+# public members of exported classes that nothing reads, with the reason
+UNREFERENCED_MEMBERS_ALLOWED = {
+    "segreg.phantom.RegistrationSample.config":
+        "passed by keyword (perfbench, the CLI, load_sample); nothing reads it",
 }
 
 
@@ -85,6 +89,71 @@ def test_every_public_name_is_referenced_from_package_or_benchmark_code():
         "public names nothing in src/segreg or perfbench uses: "
         f"{sorted(set(unreferenced) - set(UNREFERENCED_ALLOWED))}; "
         f"stale allowlist entries: {sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced))}")
+
+
+def _member_references(tree: ast.Module) -> set[str]:
+    """Names read as ``x.name`` or as ``getattr(x, "name", ...)``."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            names.add(node.args[1].value)
+    return names
+
+
+def _public_members(cls) -> set[str]:
+    """Public methods, properties and dataclass fields defined by ``cls``."""
+    members = {name for name, value in vars(cls).items()
+               if not name.startswith("_")
+               and (inspect.isfunction(value)
+                    or isinstance(value, (staticmethod, classmethod, property)))}
+    if dataclasses.is_dataclass(cls):
+        members |= {f.name for f in dataclasses.fields(cls) if not f.name.startswith("_")}
+    return members
+
+
+def test_every_public_member_of_an_exported_class_is_referenced():
+    used = set().union(*(_member_references(ast.parse(path.read_text(), filename=str(path)))
+                         for path in USER_CODE))
+    unreferenced = []
+    for path in MODULES:
+        module = importlib.import_module(_module_name(path))
+        for name in getattr(module, "__all__", ()):
+            cls = getattr(module, name)
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                unreferenced += [f"{module.__name__}.{name}.{member}"
+                                 for member in _public_members(cls) if member not in used]
+    assert sorted(unreferenced) == sorted(UNREFERENCED_MEMBERS_ALLOWED), (
+        "class members nothing in src/segreg or perfbench reads: "
+        f"{sorted(set(unreferenced) - set(UNREFERENCED_MEMBERS_ALLOWED))}; "
+        "stale allowlist entries: "
+        f"{sorted(set(UNREFERENCED_MEMBERS_ALLOWED) - set(unreferenced))}")
+
+
+def test_member_scan_sees_attributes_and_getattr_strings():
+    tree = ast.parse('x.a\ngetattr(y, "b", None)\ngetattr(y, c)\nd\n"e"\nf(y, "g")\n')
+    assert _member_references(tree) == {"a", "b"}
+
+
+def test_public_members_are_methods_properties_and_fields():
+    @dataclasses.dataclass
+    class Record:
+        kept: int
+        _hidden: int = 0
+        LIMIT = 3
+
+        @property
+        def size(self):
+            return self.kept
+
+        def grow(self):
+            self.kept += 1
+
+    assert _public_members(Record) == {"kept", "size", "grow"}
 
 
 def _add_at_calls(tree: ast.Module) -> list[int]:

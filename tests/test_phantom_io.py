@@ -279,12 +279,11 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     momentum = {k: rng.normal(size=v.data.shape) for k, v in params.items()}
     p = tmp_path / "ckpt.npz"
     save_checkpoint(p, params, seg_cfg, reg_cfg, step=17, momentum=momentum,
-                    rng_state={"bit_generator": "PCG64", "state": {"state": 1, "inc": 2}},
-                    train_config={"lr0": 1e-4})
+                    rng_state={"bit_generator": "PCG64", "state": {"state": 1, "inc": 2}})
     params2, seg2, reg2, state = load_checkpoint(p)
     assert seg2 == seg_cfg and reg2 == reg_cfg
     assert state["step"] == 17
-    assert state["train_config"]["lr0"] == 1e-4
+    assert state["rng_state"]["state"] == {"state": 1, "inc": 2}
     for k in params:
         assert np.array_equal(params[k].data, params2[k].data)
         assert np.array_equal(momentum[k], state["momentum"][k])

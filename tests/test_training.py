@@ -1,10 +1,12 @@
-"""Training loop: divergence is reported as TrainingDiverged, and the fused
-tape nodes train exactly as the composed operations they replace."""
+"""Training loop: divergence is reported as TrainingDiverged, the fused
+tape nodes train exactly as the composed operations they replace, and a run
+resumed from a mid-run checkpoint ends exactly where an unbroken run does."""
 
 import numpy as np
 import pytest
 
-from segreg import autodiff, kpconv, matching, networks, pipeline
+from segreg import autodiff, kpconv, matching, networks, pipeline, training
+from segreg.fileio import load_checkpoint, save_checkpoint
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import TrainConfig, TrainingDiverged, train
 from reference_ops import add_at_rows, composed_norm_act, composed_normalize_scores_with_slack
@@ -44,3 +46,47 @@ def test_fused_nodes_train_exactly_as_composed_ops(mode, monkeypatch):
     assert fused.params.keys() == composed.params.keys()
     for name, param in fused.params.items():
         assert np.array_equal(param.data, composed.params[name].data), name
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["end_to_end", "two_step"])
+def test_resume_from_mid_run_checkpoint_is_exact(mode, tmp_path, monkeypatch):
+    sample = tiny_phantom()
+    # two-step: the resumed run starts at the first phase-2 step
+    cfg = TrainConfig(lr0=3e-3, warmup_iters=0, total_iters=4, checkpoint_every=2,
+                      mode=mode, phase1_iters=2)
+    prepared = [pipeline.prepare_sample(sample, networks.SegNetConfig(),
+                                        networks.RegNetConfig(), pipeline.MatcherConfig())]
+    full = train([sample], cfg, out_dir=tmp_path / "full", prepared=prepared)
+
+    # the learning rate depends on total_iters, so the 2-step run is this
+    # 4-step schedule stopped right after its step-2 checkpoint
+    def save_then_stop(path, *args, step, **kwargs):
+        save_checkpoint(path, *args, step=step, **kwargs)
+        if step == 2:
+            raise Interrupted
+
+    monkeypatch.setattr(training, "save_checkpoint", save_then_stop)
+    with pytest.raises(Interrupted):
+        train([sample], cfg, out_dir=tmp_path / "cut", prepared=prepared)
+    monkeypatch.undo()
+    resume = load_checkpoint(tmp_path / "cut" / "checkpoint_000002.npz")
+    resumed = train([sample], cfg, out_dir=tmp_path / "resumed", resume=resume,
+                    prepared=prepared)
+
+    assert len(full.curve) == 4 and np.all(np.isfinite([row[2] for row in full.curve]))
+    assert resumed.curve == full.curve[2:]
+    final = [load_checkpoint(tmp_path / run / "checkpoint_000004.npz")
+             for run in ("full", "resumed")]
+    (params, _, _, state), (params_r, _, _, state_r) = final
+    assert state_r["step"] == state["step"] == 4
+    assert state_r["rng_state"] == state["rng_state"]
+    assert params.keys() == params_r.keys() == resumed.params.keys()
+    assert state["momentum"].keys() == state_r["momentum"].keys() == params.keys()
+    for name, param in params.items():
+        assert np.array_equal(param.data, params_r[name].data), name
+        assert np.array_equal(full.params[name].data, resumed.params[name].data), name
+        assert np.array_equal(state["momentum"][name], state_r["momentum"][name]), name
