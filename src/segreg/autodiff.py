@@ -162,18 +162,15 @@ def _record(out: Tensor, backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad`` when ``t`` requires a gradient; every backward,
+    built-in or fused, accumulates through here."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = g if g.flags.owndata and g.flags.writeable else g.copy()
     else:
         t.grad = t.grad + g
-
-
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Public accumulation hook for fused custom operations."""
-    _accumulate(t, g)
 
 
 def record_custom(out_data: np.ndarray, requires_grad: bool, backward_fn) -> Tensor:
@@ -236,8 +233,8 @@ def add(a: Tensor, b) -> Tensor:
     out.requires_grad = a.requires_grad or b.requires_grad
 
     def bwd(g):
-        _accumulate(a, _reduce_to(g, a.data.shape))
-        _accumulate(b, _reduce_to(g, b.data.shape))
+        accumulate_grad(a, _reduce_to(g, a.data.shape))
+        accumulate_grad(b, _reduce_to(g, b.data.shape))
 
     return _record(out, bwd)
 
@@ -250,8 +247,8 @@ def sub(a: Tensor, b) -> Tensor:
     out.requires_grad = a.requires_grad or b.requires_grad
 
     def bwd(g):
-        _accumulate(a, _reduce_to(g, a.data.shape))
-        _accumulate(b, _reduce_to(-g, b.data.shape))
+        accumulate_grad(a, _reduce_to(g, a.data.shape))
+        accumulate_grad(b, _reduce_to(-g, b.data.shape))
 
     return _record(out, bwd)
 
@@ -264,8 +261,8 @@ def mul(a: Tensor, b) -> Tensor:
     out.requires_grad = a.requires_grad or b.requires_grad
 
     def bwd(g):
-        _accumulate(a, _reduce_to(g * b.data, a.data.shape))
-        _accumulate(b, _reduce_to(g * a.data, b.data.shape))
+        accumulate_grad(a, _reduce_to(g * b.data, a.data.shape))
+        accumulate_grad(b, _reduce_to(g * a.data, b.data.shape))
 
     return _record(out, bwd)
 
@@ -278,8 +275,8 @@ def div(a: Tensor, b) -> Tensor:
     out.requires_grad = a.requires_grad or b.requires_grad
 
     def bwd(g):
-        _accumulate(a, _reduce_to(g / b.data, a.data.shape))
-        _accumulate(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
+        accumulate_grad(a, _reduce_to(g / b.data, a.data.shape))
+        accumulate_grad(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _record(out, bwd)
 
@@ -289,7 +286,7 @@ def neg(a: Tensor) -> Tensor:
     out.requires_grad = a.requires_grad
 
     def bwd(g):
-        _accumulate(a, -g)
+        accumulate_grad(a, -g)
 
     return _record(out, bwd)
 
@@ -301,7 +298,7 @@ def exp(a: Tensor) -> Tensor:
     out.requires_grad = a.requires_grad
 
     def bwd(g):
-        _accumulate(a, g * val)
+        accumulate_grad(a, g * val)
 
     return _record(out, bwd)
 
@@ -313,7 +310,7 @@ def log(a: Tensor) -> Tensor:
     out.requires_grad = a.requires_grad
 
     def bwd(g):
-        _accumulate(a, g / a.data)
+        accumulate_grad(a, g / a.data)
 
     return _record(out, bwd)
 
@@ -326,7 +323,7 @@ def sqrt(a: Tensor) -> Tensor:
     out.requires_grad = a.requires_grad
 
     def bwd(g):
-        _accumulate(a, g / (2.0 * val))
+        accumulate_grad(a, g / (2.0 * val))
 
     return _record(out, bwd)
 
@@ -337,7 +334,7 @@ def relu(a: Tensor) -> Tensor:
     out.requires_grad = a.requires_grad
 
     def bwd(g):
-        _accumulate(a, g * mask)
+        accumulate_grad(a, g * mask)
 
     return _record(out, bwd)
 
@@ -357,9 +354,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            accumulate_grad(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            accumulate_grad(b, a.data.T @ g)
 
     return _record(out, bwd)
 
@@ -374,7 +371,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g):
         inner = np.sum(g * val, axis=axis, keepdims=True)
-        _accumulate(x, (g - inner) * val)
+        accumulate_grad(x, (g - inner) * val)
 
     return _record(out, bwd)
 
@@ -385,10 +382,10 @@ def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.data.shape))
+            accumulate_grad(x, np.broadcast_to(g, x.data.shape))
         else:
             gk = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(gk, x.data.shape))
+            accumulate_grad(x, np.broadcast_to(gk, x.data.shape))
 
     return _record(out, bwd)
 
@@ -400,10 +397,10 @@ def mean_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         if axis is None:
-            _accumulate(x, np.broadcast_to(g / n, x.data.shape))
+            accumulate_grad(x, np.broadcast_to(g / n, x.data.shape))
         else:
             gk = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(gk / n, x.data.shape))
+            accumulate_grad(x, np.broadcast_to(gk / n, x.data.shape))
 
     return _record(out, bwd)
 
@@ -419,7 +416,7 @@ def expand(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def bwd(g):
         gr = np.sum(g, axis=axes, keepdims=True) if axes else g
-        _accumulate(x, gr.reshape(x.data.shape))
+        accumulate_grad(x, gr.reshape(x.data.shape))
 
     return _record(out, bwd)
 
@@ -429,7 +426,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out.requires_grad = x.requires_grad
 
     def bwd(g):
-        _accumulate(x, g.reshape(x.data.shape))
+        accumulate_grad(x, g.reshape(x.data.shape))
 
     return _record(out, bwd)
 
@@ -441,7 +438,7 @@ def transpose2d(x: Tensor) -> Tensor:
     out.requires_grad = x.requires_grad
 
     def bwd(g):
-        _accumulate(x, g.T)
+        accumulate_grad(x, g.T)
 
     return _record(out, bwd)
 
@@ -456,7 +453,7 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            accumulate_grad(t, g[tuple(idx)])
 
     return _record(out, bwd)
 
@@ -472,7 +469,7 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def bwd(g):
         full = np.zeros_like(x.data)
         full[idx] = g
-        _accumulate(x, full)
+        accumulate_grad(x, full)
 
     return _record(out, bwd)
 
@@ -498,7 +495,7 @@ def gather_rows(src: Tensor, index: np.ndarray) -> Tensor:
 
     def bwd(g):
         real = index < n
-        _accumulate(src, scatter_add_rows(index[real], g[real], n))
+        accumulate_grad(src, scatter_add_rows(index[real], g[real], n))
 
     return _record(out, bwd)
 
@@ -531,7 +528,7 @@ def scatter_mean(src: Tensor, group: np.ndarray, n_groups: int) -> Tensor:
     out.requires_grad = src.requires_grad
 
     def bwd(g):
-        _accumulate(src, g[group] / safe[group].reshape((-1,) + (1,) * (src.data.ndim - 1)))
+        accumulate_grad(src, g[group] / safe[group].reshape((-1,) + (1,) * (src.data.ndim - 1)))
 
     return _record(out, bwd)
 

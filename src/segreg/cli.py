@@ -160,6 +160,9 @@ def cmd_train(args) -> int:
     except TrainingDiverged as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"invalid training settings: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _write_run_manifest(out, "train", vars(args))
     if args.mode == "two_step":
         _report_phase1_accuracy(dataset, result, seg_cfg, out)

@@ -174,10 +174,10 @@ def write_records(records: list[EvalRecord], path: str | Path) -> None:
                             repr(r.wall_time_s)])
 
 
-def format_summary(title: str, stats: dict, unit: str = "mm") -> str:
+def format_summary(title: str, stats: dict) -> str:
     return (
         f"{title}: median {stats['median']:.3f} [{stats['q1']:.3f}, "
-        f"{stats['q3']:.3f}] {unit}, mean {stats['mean']:.3f} "
-        f"(+/-{stats['sd']:.3f}) {unit}, outliers {100 * stats['outlier_rate']:.1f}% "
+        f"{stats['q3']:.3f}] mm, mean {stats['mean']:.3f} "
+        f"(+/-{stats['sd']:.3f}) mm, outliers {100 * stats['outlier_rate']:.1f}% "
         f"(n={stats['n']})"
     )

@@ -294,7 +294,7 @@ def read_manifest(directory: str | Path) -> dict:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
@@ -302,9 +302,10 @@ def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
                     momentum: dict | None = None, rng_state: dict | None = None) -> None:
     """Serialize ``Tensor`` parameters (bit-exact float64) with a versioned header.
 
-    The JSON header holds the version, the step, both network configs, the
-    parameter names and the training generator's state; the arrays are
-    ``param/<name>`` and, for a resumable run, ``momentum/<name>``.
+    The JSON header holds the version (2: configs without the network
+    constants), the step, both network configs, the parameter names and the
+    training generator's PCG64 state; the arrays are ``param/<name>`` and,
+    for a resumable run, ``momentum/<name>``.
     """
     header = {
         "version": CHECKPOINT_VERSION,
@@ -332,8 +333,8 @@ def _config(cls, fields: dict):
 def load_checkpoint(path: str | Path):
     """Return (params, seg_config, reg_config, state dict).
 
-    A file that is not a readable .npz archive, or whose header or arrays
-    are malformed or incomplete, raises ``ValueError``.
+    A file that is not a readable .npz archive, or whose header, arrays or
+    PCG64 generator state are malformed or incomplete, raises ``ValueError``.
     """
     from segreg.autodiff import Tensor
 
@@ -356,8 +357,13 @@ def load_checkpoint(path: str | Path):
                         if key.startswith("momentum/")}
             seg_cfg = _config(SegNetConfig, header["seg_config"])
             reg_cfg = _config(RegNetConfig, header["reg_config"])
-            state = {"step": header["step"], "momentum": momentum,
-                     "rng_state": header.get("rng_state", {})}
+            rng_state = header.get("rng_state", {})
+            if rng_state:                 # the training generator is a PCG64
+                try:
+                    np.random.PCG64().state = rng_state
+                except ValueError as exc:
+                    raise ValueError(f"malformed checkpoint (rng_state: {exc})") from exc
+            state = {"step": header["step"], "momentum": momentum, "rng_state": rng_state}
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     return params, seg_cfg, reg_cfg, state

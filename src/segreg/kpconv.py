@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 SIGMA_RATIO = 1.5  # kernel influence extent = layer radius / SIGMA_RATIO
+MIN_LEVEL_POINTS = 4  # fewer on a coarser pyramid level: SparseCloudError
 
 _DISPOSITION_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -215,8 +216,7 @@ class SparseCloudError(ValueError):
 
 
 def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
-                  base_radius_mult: float, max_neighbors: int = 30,
-                  min_points: int = 4) -> PointPyramid:
+                  base_radius_mult: float, max_neighbors: int) -> PointPyramid:
     """Build the resolution hierarchy used by every convolution network."""
     if stages < 2:
         raise ValueError("a pyramid needs at least 2 stages")
@@ -228,10 +228,10 @@ def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
     for l in range(1, stages):
         voxel = initial_voxel * (2.0 ** l)
         nxt, prov = voxel_grid_subsample(levels[-1], voxel)
-        if len(nxt) < min_points:
+        if len(nxt) < MIN_LEVEL_POINTS:
             raise SparseCloudError(
                 f"cloud too sparse: level {l} collapsed to {len(nxt)} points "
-                f"(minimum {min_points})"
+                f"(minimum {MIN_LEVEL_POINTS})"
             )
         pools.append(prov)
         ups.append(knn(levels[-1], nxt, 1)[:, 0])

@@ -14,8 +14,8 @@ also used by the baselines) plus inlier re-weighting turns the surviving
 matches into a rigid transform.
 
 Training losses: an overlap-weighted circle loss over superpoint feature
-distances (margins 0.1 / 1.4) and a negative log-likelihood over the
-normalized patch score matrices; the dual loss is their plain sum.
+distances (GeoTransformer's margins 0.1 / 1.4, scale 24) and a negative
+log-likelihood over the normalized patch score matrices; their plain sum.
 """
 
 from __future__ import annotations
@@ -420,20 +420,24 @@ def refine_transform(T0: RigidTransform, matches: MatchSet,
 # training losses
 # ---------------------------------------------------------------------------
 
-def l2_normalize_rows(t: Tensor, eps: float = 1e-12) -> Tensor:
+# GeoTransformer's circle-loss margins and log scale; the fine loss's matched share
+POS_MARGIN, NEG_MARGIN, LOG_SCALE = 0.1, 1.4, 24.0
+MATCHED_WEIGHT = 0.7
+
+
+def l2_normalize_rows(t: Tensor) -> Tensor:
     sq = ad.sum_(ad.mul(t, t), axis=1, keepdims=True)
-    norm = ad.sqrt(ad.add(sq, eps))
+    norm = ad.sqrt(ad.add(sq, 1e-12))
     return ad.div(t, ad.expand(norm, t.shape))
 
 
 def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, overlap: np.ndarray,
-                pos_margin: float = 0.1, neg_margin: float = 1.4,
-                pos_threshold: float = 0.1, log_scale: float = 24.0) -> Tensor:
+                pos_threshold: float = 0.1) -> Tensor:
     """Overlap-weighted circle loss over superpoint feature distances.
 
-    Positives (overlap > threshold) are pulled inside ``pos_margin`` with
+    Positives (overlap > threshold) are pulled inside ``POS_MARGIN`` with
     sqrt-overlap weighting; negatives (overlap == 0) are pushed beyond
-    ``neg_margin``.  Feature rows must be L2-normalized.
+    ``NEG_MARGIN`` (GeoTransformer's).  Feature rows must be L2-normalized.
     """
     pos_mask = overlap > pos_threshold
     neg_mask = overlap == 0.0
@@ -445,8 +449,8 @@ def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, overlap: np.ndarray,
     dists = ad.sqrt(ad.add(ad.relu(d2), 1e-12))
 
     lam = np.sqrt(np.where(pos_mask, overlap, 0.0))
-    pos_arg = ad.mul(ad.sub(dists, pos_margin), Tensor(log_scale * lam))
-    neg_arg = ad.mul(ad.sub(neg_margin, dists), log_scale)
+    pos_arg = ad.mul(ad.sub(dists, POS_MARGIN), Tensor(LOG_SCALE * lam))
+    neg_arg = ad.mul(ad.sub(NEG_MARGIN, dists), LOG_SCALE)
 
     losses = []
     for axis, mask_pos, mask_neg in ((1, pos_mask, neg_mask),
@@ -464,7 +468,7 @@ def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, overlap: np.ndarray,
     total = losses[0]
     for extra in losses[1:]:
         total = ad.add(total, extra)
-    return ad.mul(total, 1.0 / (log_scale * len(losses)))
+    return ad.mul(total, 1.0 / (LOG_SCALE * len(losses)))
 
 
 def _masked_logsumexp(arg: Tensor, mask: np.ndarray, valid_rows: np.ndarray) -> Tensor:
@@ -519,14 +523,13 @@ def ground_truth_patch_matches(pre_view: PatchedSuperpoints,
 
 
 def fine_loss(score_matrices: list[Tensor],
-              gt_matches: list[tuple[np.ndarray, np.ndarray]],
-              matched_weight: float = 0.7) -> Tensor:
+              gt_matches: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
     """Negative log-likelihood of ground-truth entries under normalized scores.
 
     ``score_matrices`` are already slack-normalized (pa+1, pb+1) tensors.
     Unmatched pre points target the slack column; unmatched intra points are
     scored through the slack row.  The matched and slack entry groups are
-    averaged separately and blended with ``matched_weight`` so the numerous
+    averaged separately and blended with ``MATCHED_WEIGHT`` so the numerous
     slack targets cannot drown the match signal (with a uniform matrix every
     entry scores the same, so the blend still evaluates to log(columns)).
     Patches with no ground-truth matches are excluded from the average.
@@ -550,8 +553,8 @@ def fine_loss(score_matrices: list[Tensor],
         if slack_idx.size:
             slack = ad.neg(ad.mean_(ad.log(ad.add(
                 ad.gather_rows(flat, slack_idx), 1e-12))))
-            terms.append(ad.add(ad.mul(matched, matched_weight),
-                                ad.mul(slack, 1.0 - matched_weight)))
+            terms.append(ad.add(ad.mul(matched, MATCHED_WEIGHT),
+                                ad.mul(slack, 1.0 - MATCHED_WEIGHT)))
         else:
             terms.append(matched)
     if not terms:

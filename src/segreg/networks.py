@@ -5,7 +5,9 @@ point pyramid (one kernel-point convolution block per stage, average-pooled
 between stages via voxel provenance) and a decoder that upsamples with 1-NN
 gathers, concatenates skip features, and applies pointwise linear blocks.
 Feature normalization standardizes each channel over the points of the
-current level and applies a learned affine; batch size is always 1.
+current level (variance floor ``NORM_EPS``) and applies a learned affine and a
+leaky ReLU of slope ``LEAKY_SLOPE``, the same in both networks; batch size is
+always 1.
 
 The segmentation network consumes [r, g, b, 1] input features and emits
 2-class logits at the raw input resolution.  The registration backbone
@@ -45,6 +47,9 @@ __all__ = [
     "reg_backbone_forward",
 ]
 
+NORM_EPS = 1e-5
+LEAKY_SLOPE = 0.1
+
 
 @dataclass(frozen=True)
 class SegNetConfig:
@@ -55,13 +60,7 @@ class SegNetConfig:
     widths: tuple = (16, 32, 64, 128, 256)
     width_factor: float = 0.25
     max_neighbors: int = 26
-    n_classes: int = 2
-    leaky_slope: float = 0.1
-    norm_eps: float = 1e-5
     kernel_seed: int = 17
-
-    def scaled_widths(self) -> tuple:
-        return tuple(max(2, int(round(w * self.width_factor))) for w in self.widths)
 
 
 @dataclass(frozen=True)
@@ -75,15 +74,11 @@ class RegNetConfig:
     max_neighbors: int = 32
     superpoint_dim: int = 32
     dense_dim: int = 16
-    leaky_slope: float = 0.1
-    norm_eps: float = 1e-5
     kernel_seed: int = 23
-    # canonicalize neighborhoods in local reference frames: features become
-    # rotation-invariant, so matching generalizes across unseen poses
-    local_frames: bool = True
 
-    def scaled_widths(self) -> tuple:
-        return tuple(max(2, int(round(w * self.width_factor))) for w in self.widths)
+
+def _scaled_widths(cfg: SegNetConfig | RegNetConfig) -> tuple:
+    return tuple(max(2, int(round(w * cfg.width_factor))) for w in cfg.widths)
 
 
 @dataclass
@@ -99,13 +94,15 @@ def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> Backbo
     pyramid = build_pyramid(cloud, cfg.stages, cfg.initial_voxel,
                             cfg.base_radius_mult, cfg.max_neighbors)
     kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
-    use_frames = getattr(cfg, "local_frames", False)
+    # the registration backbone canonicalizes neighborhoods in local reference
+    # frames: its features become rotation-invariant, so matching generalizes
+    # across unseen poses
+    use_frames = isinstance(cfg, RegNetConfig)
     influences = []
     for level, radius in enumerate(pyramid.radii):
         pos = pyramid.levels[level].positions
-        frames = None
-        if use_frames:
-            frames = local_reference_frames(pos, pyramid.neighbors[level])
+        frames = (local_reference_frames(pos, pyramid.neighbors[level])
+                  if use_frames else None)
         influences.append(conv_influence(pos, pos, pyramid.neighbors[level],
                                          kernel * radius, radius / SIGMA_RATIO,
                                          frames=frames))
@@ -139,7 +136,7 @@ def _add_linear(params, rng, name, cin, cout, norm=True):
 
 
 def init_seg_params(cfg: SegNetConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    w = cfg.scaled_widths()
+    w = _scaled_widths(cfg)
     params: dict[str, Tensor] = {}
     cin = 4  # r, g, b, constant 1
     for l in range(cfg.stages):
@@ -149,12 +146,12 @@ def init_seg_params(cfg: SegNetConfig, rng: np.random.Generator) -> dict[str, Te
     for l in range(cfg.stages - 2, -1, -1):
         _add_linear(params, rng, f"seg_dec{l}", current + w[l], w[l])
         current = w[l]
-    _add_linear(params, rng, "seg_head", current, cfg.n_classes, norm=False)
+    _add_linear(params, rng, "seg_head", current, 2, norm=False)
     return params
 
 
 def init_reg_params(cfg: RegNetConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    w = cfg.scaled_widths()
+    w = _scaled_widths(cfg)
     params: dict[str, Tensor] = {}
     cin = 1  # constant 1 or the segmentation mask
     for l in range(cfg.stages):
@@ -173,8 +170,7 @@ def init_reg_params(cfg: RegNetConfig, rng: np.random.Generator) -> dict[str, Te
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _norm_act(params: dict[str, Tensor], name: str, y: Tensor,
-              eps: float, slope: float) -> Tensor:
+def _norm_act(params: dict[str, Tensor], name: str, y: Tensor) -> Tensor:
     """Per-channel standardization over the points, learned affine, leaky ReLU.
 
     One tape node.  The forward runs the numpy operations of the composed
@@ -194,7 +190,7 @@ def _norm_act(params: dict[str, Tensor], name: str, y: Tensor,
     ad.require_finite(sq)
     var = np.mean(sq, axis=0, keepdims=True)
     ad.require_finite(var)
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + NORM_EPS)
     ad.require_finite(std)
     normed = centered / std
     ad.require_finite(normed)
@@ -203,10 +199,10 @@ def _norm_act(params: dict[str, Tensor], name: str, y: Tensor,
     affine = scaled + beta.data
     ad.require_finite(affine)
     positive = affine > 0.0
-    out = np.where(positive, affine, slope * affine)
+    out = np.where(positive, affine, LEAKY_SLOPE * affine)
 
     def bwd(g):
-        g_affine = g * np.where(positive, 1.0, slope)
+        g_affine = g * np.where(positive, 1.0, LEAKY_SLOPE)
         ad.accumulate_grad(beta, np.sum(g_affine, axis=0, keepdims=True))
         ad.accumulate_grad(gamma, np.sum(g_affine * normed, axis=0, keepdims=True))
         if not y.requires_grad:
@@ -227,18 +223,11 @@ def _norm_act(params: dict[str, Tensor], name: str, y: Tensor,
     return ad.record_custom(out, requires, bwd)
 
 
-def _conv_block(params, name, ctx: BackboneContext, level: int, feats: Tensor,
-                eps: float, slope: float) -> Tensor:
+def _conv_block(params, name, ctx: BackboneContext, level: int, feats: Tensor) -> Tensor:
     ns = len(ctx.pyramid.levels[level])
     y = kpconv_apply(ctx.influences[level], ctx.pyramid.neighbors[level], ns,
                      feats, params[f"{name}_w"])
-    return _norm_act(params, name, y, eps, slope)
-
-
-def _linear_block(params, name, feats: Tensor, eps: float, slope: float) -> Tensor:
-    y = ad.add(ad.matmul(feats, params[f"{name}_w"]),
-               ad.expand(params[f"{name}_b"], (feats.shape[0], params[f"{name}_b"].shape[1])))
-    return _norm_act(params, name, y, eps, slope)
+    return _norm_act(params, name, y)
 
 
 def _linear_head(params, name, feats: Tensor) -> Tensor:
@@ -247,14 +236,18 @@ def _linear_head(params, name, feats: Tensor) -> Tensor:
                   ad.expand(b, (feats.shape[0], b.shape[1])))
 
 
-def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor,
-                   eps: float, slope: float) -> tuple[Tensor, Tensor]:
+def _linear_block(params, name, feats: Tensor) -> Tensor:
+    return _norm_act(params, name, _linear_head(params, name, feats))
+
+
+def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor
+                   ) -> tuple[Tensor, Tensor]:
     """Shared U-Net walk; returns (bottleneck features, level-0 features)."""
     pyr = ctx.pyramid
     skips: list[Tensor] = []
     feats = feats0
     for l in range(pyr.stages):
-        feats = _conv_block(params, f"{prefix}_enc{l}", ctx, l, feats, eps, slope)
+        feats = _conv_block(params, f"{prefix}_enc{l}", ctx, l, feats)
         if l < pyr.stages - 1:
             skips.append(feats)
             feats = ad.scatter_mean(feats, pyr.pools[l], len(pyr.levels[l + 1]))
@@ -262,7 +255,7 @@ def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor,
     for l in range(pyr.stages - 2, -1, -1):
         up = ad.gather_rows(feats, pyr.ups[l])
         feats = _linear_block(params, f"{prefix}_dec{l}",
-                              ad.concat([up, skips[l]], axis=1), eps, slope)
+                              ad.concat([up, skips[l]], axis=1))
     return bottleneck, feats
 
 
@@ -275,8 +268,7 @@ def seg_forward(params: dict[str, Tensor], ctx: BackboneContext,
     raw = np.hstack([cloud.colors, np.ones((len(cloud), 1))])
     feats0 = ad.scatter_mean(Tensor(raw), ctx.pyramid.input_to_level0,
                              len(ctx.pyramid.levels[0]))
-    _, level0 = _encode_decode(params, "seg", ctx, feats0,
-                               cfg.norm_eps, cfg.leaky_slope)
+    _, level0 = _encode_decode(params, "seg", ctx, feats0)
     logits = _linear_head(params, "seg_head", level0)
     return ad.gather_rows(logits, ctx.pyramid.input_to_level0)
 
@@ -293,8 +285,7 @@ def reg_backbone_forward(params: dict[str, Tensor], ctx: BackboneContext,
         raise ValueError("point features must cover every input point")
     feats0 = ad.scatter_mean(point_features, ctx.pyramid.input_to_level0,
                              len(ctx.pyramid.levels[0]))
-    bottleneck, level0 = _encode_decode(params, "reg", ctx, feats0,
-                                        cfg.norm_eps, cfg.leaky_slope)
+    bottleneck, level0 = _encode_decode(params, "reg", ctx, feats0)
     superpoints = _linear_head(params, "reg_sp", bottleneck)
     dense = _linear_head(params, "reg_dense", level0)
     return superpoints, dense

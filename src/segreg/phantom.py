@@ -40,6 +40,8 @@ __all__ = [
 OVERLAP_RADIUS = 0.05          # unit-sphere distance for the overlap guarantee
 OVERLAP_MIN_FRACTION = 0.30
 _MAX_RETRIES = 20
+POSE_MAX_TRANSLATION = 0.1     # bounds of the sampled ground-truth pose,
+POSE_MAX_ROTATION_DEG = 45.0   # in unit-sphere units and degrees
 
 BONE_COLOR = np.array([0.93, 0.89, 0.80])
 TISSUE_COLOR = np.array([0.62, 0.19, 0.18])
@@ -56,8 +58,6 @@ class PhantomConfig:
     clutter_fraction: float = 0.35
     noise_sigma: float = 0.0008
     occlusion_patches: int = 2
-    pose_max_translation: float = 0.1     # unit-sphere units
-    pose_max_rotation_deg: float = 45.0
     seed: int = 0
 
     def __post_init__(self):
@@ -263,7 +263,7 @@ def _generate_once(cfg: PhantomConfig, attempt: int) -> RegistrationSample | Non
     intra_n = (intra_pts - center) / scale
     landmarks_aligned = (layout.landmarks - center) / scale
 
-    T_gt = random_rigid(cfg.pose_max_translation, cfg.pose_max_rotation_deg, rng)
+    T_gt = random_rigid(POSE_MAX_TRANSLATION, POSE_MAX_ROTATION_DEG, rng)
     T_inv = T_gt.invert()
     pre_stored = T_inv.apply_points(pre_aligned)
     landmarks_stored = T_inv.apply_points(landmarks_aligned)

@@ -65,6 +65,10 @@ class RegistrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatcherConfig:
+    """Matching settings.  The radii follow ``RegNetConfig.initial_voxel``:
+    ground-truth fine matches lie within one voxel, refinement inliers within
+    2.5 voxels (twice that on the coarse fallback)."""
+
     patch_size: int = 32
     k_corr: int = 48
     bonus_weight: float = 0.2
@@ -72,8 +76,6 @@ class MatcherConfig:
     hist_max_dist: float = 0.3
     overlap_patch_radius: float = 0.05
     positive_overlap: float = 0.1
-    fine_match_radius: float = 0.025     # = registration initial voxel
-    inlier_radius: float = 0.0625        # = 2.5 x initial voxel
     refine_iterations: int = 5
     norm_iterations: int = 5
 
@@ -115,7 +117,7 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
         prepared.overlap = overlap
         pairs = np.argwhere(overlap > match_cfg.positive_overlap)
         gt = ground_truth_patch_matches(pre_view, intra_view, pairs, sample.T_gt,
-                                        match_cfg.fine_match_radius)
+                                        reg_cfg.initial_voxel)
         prepared.gt_fine = {(int(a), int(b)): match
                             for (a, b), match in zip(pairs, gt) if match[0].size}
     return prepared
@@ -136,8 +138,8 @@ def _pair_forward(params: dict[str, Tensor], prepared: PreparedSample,
 def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
                   seg_cfg: SegNetConfig, reg_cfg: RegNetConfig,
                   match_cfg: MatcherConfig, rng: np.random.Generator,
-                  tau: float = 1.0, n_fine_pairs: int = 12,
-                  mask_override: np.ndarray | None = None) -> tuple[DualLoss, dict]:
+                  tau: float, n_fine_pairs: int,
+                  mask_override: np.ndarray | None = None) -> DualLoss:
     """Assemble the dual loss for one sample on the active tape.
 
     With ``mask_override`` the segmentation network is bypassed and the given
@@ -145,14 +147,11 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
     """
     if prepared.overlap is None:
         raise ValueError("training loss needs ground-truth overlap labels")
-    info: dict = {}
     if mask_override is not None:
         mask = Tensor(mask_override.astype(np.float64).reshape(-1, 1))
-        info["mask_mean"] = float(mask_override.mean())
     else:
         logits = seg_forward(params, prepared.seg_ctx, seg_cfg)
-        mask, hard, _ = straight_through_mask(logits, tau, rng)
-        info["mask_mean"] = float(hard.mean())
+        mask, _, _ = straight_through_mask(logits, tau, rng)
 
     sp_pre_n, sp_intra_n, dense_pre, dense_intra = _pair_forward(
         params, prepared, mask, reg_cfg)
@@ -172,8 +171,7 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
         mats.append(normalize_scores_with_slack(scores, match_cfg.norm_iterations))
         gts.append(prepared.gt_fine[(a, b)])
     f_loss = fine_loss(mats, gts)
-    info["n_fine_pairs"] = len(usable)
-    return DualLoss(ad.add(c_loss, f_loss), c_loss, f_loss), info
+    return DualLoss(ad.add(c_loss, f_loss), c_loss, f_loss)
 
 
 def segmentation_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -212,14 +210,14 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     pre_fine = prepared.pre_view.fine_points
     intra_fine = prepared.intra_view.fine_points
 
+    inlier_radius = 2.5 * reg_cfg.initial_voxel
     refined = None
     path = "fine"
     if len(matches) >= 3:
         try:
             T0 = weighted_procrustes(matches, pre_fine, intra_fine)
             refined = refine_transform(T0, matches, pre_fine, intra_fine,
-                                       match_cfg.refine_iterations,
-                                       match_cfg.inlier_radius)
+                                       match_cfg.refine_iterations, inlier_radius)
             if refined.flagged:
                 refined = None
         except ValueError:
@@ -235,14 +233,14 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
             raise RegistrationError(f"degenerate correspondence set: {exc}") from exc
         coarse_refined = refine_transform(
             T0, sp_matches, prepared.pre_view.points, prepared.intra_view.points,
-            match_cfg.refine_iterations, inlier_radius=2.0 * match_cfg.inlier_radius)
+            match_cfg.refine_iterations, inlier_radius=2.0 * inlier_radius)
         refined = coarse_refined
         if len(matches) >= 3:
             # polish with the fine correspondences once roughly aligned
             fine_refined = refine_transform(coarse_refined.transform, matches,
                                             pre_fine, intra_fine,
                                             match_cfg.refine_iterations,
-                                            match_cfg.inlier_radius)
+                                            inlier_radius)
             if not fine_refined.flagged:
                 refined = fine_refined
                 path = "coarse+fine"

@@ -40,6 +40,10 @@ from segreg.pipeline import (
 __all__ = ["TrainConfig", "TrainResult", "TrainingDiverged", "lr_at", "train",
            "init_params", "tau_at"]
 
+MOMENTUM = 0.9
+CLIP_NORM = 10.0                      # global gradient-norm clip
+WEAK_LABEL_MM = 3.0                   # two-step: weak bone labels within 3 mm
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, sample_id: str, step: int, checkpoint: str | None):
@@ -56,13 +60,10 @@ class TrainConfig:
     lr0: float = 1e-4
     warmup_iters: int = 500
     total_iters: int = 5000
-    momentum: float = 0.9
-    clip_norm: float = 10.0
     tau: float = 1.0
     tau_anneal: bool = False          # linear 1.0 -> 0.1 over the first half
     mode: str = "end_to_end"          # or "two_step"
     phase1_iters: int = 1000          # two-step: segmentation pretraining
-    weak_label_mm: float = 3.0
     n_fine_pairs: int = 12
     seed: int = 0
     checkpoint_every: int = 1000
@@ -111,21 +112,21 @@ class TrainResult:
     checkpoint_path: str | None
 
 
-def _clip_and_step(params, grads_of, velocity, lr, momentum, clip_norm):
+def _clip_and_step(params, grads_of, velocity, lr):
     total = 0.0
     for name in grads_of:
         g = params[name].grad
         if g is not None:
             total += float(np.sum(g * g))
     total = math.sqrt(total)
-    scale = 1.0 if total <= clip_norm else clip_norm / total
+    scale = 1.0 if total <= CLIP_NORM else CLIP_NORM / total
     for name in grads_of:
         p = params[name]
         g = p.grad
         if g is None:
             continue
         v = velocity.get(name)
-        v = momentum * v + g * scale if v is not None else g * scale
+        v = MOMENTUM * v + g * scale if v is not None else g * scale
         velocity[name] = v
         p.data = p.data - lr * v
         p.grad = None
@@ -133,19 +134,19 @@ def _clip_and_step(params, grads_of, velocity, lr, momentum, clip_norm):
 
 
 def train(samples: list[RegistrationSample], cfg: TrainConfig,
-          seg_cfg: SegNetConfig | None = None,
-          reg_cfg: RegNetConfig | None = None,
-          match_cfg: MatcherConfig | None = None,
+          seg_cfg: SegNetConfig = SegNetConfig(),
+          reg_cfg: RegNetConfig = RegNetConfig(),
+          match_cfg: MatcherConfig = MatcherConfig(),
           out_dir: str | Path | None = None,
           resume: tuple | None = None,
           prepared: list[PreparedSample] | None = None,
           log_every: int = 0) -> TrainResult:
     """Run the configured training mode over the sample set (batch size 1),
     continuing from ``resume``, a checkpoint as ``fileio.load_checkpoint``
-    returns it, when given."""
-    seg_cfg = seg_cfg or SegNetConfig()
-    reg_cfg = reg_cfg or RegNetConfig()
-    match_cfg = match_cfg or MatcherConfig()
+    returns it, when given; one at or past ``cfg.total_iters`` is a ValueError."""
+    if resume is not None and int(resume[3]["step"]) >= cfg.total_iters:
+        raise ValueError(f"resume checkpoint is at step {resume[3]['step']}; "
+                         f"total_iters {cfg.total_iters} leaves no step to run")
     if not samples:
         raise ValueError("training needs at least one sample")
     if prepared is None:
@@ -169,12 +170,9 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
     reg_names = [n for n in params if n.startswith("reg_")]
     weak_masks: list[np.ndarray] | None = None
     if cfg.mode == "two_step":
-        weak_masks = [
-            weak_labels(p.sample.intraoperative, p.sample.preoperative,
-                        p.sample.T_gt,
-                        mm_to_units(cfg.weak_label_mm, p.sample.scale))
-            for p in prepared
-        ]
+        weak_masks = [weak_labels(p.sample.intraoperative, p.sample.preoperative, p.sample.T_gt,
+                                  mm_to_units(WEAK_LABEL_MM, p.sample.scale))
+                      for p in prepared]
 
     curve = []
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -213,19 +211,17 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
                         loss = segmentation_cross_entropy(logits, weak_masks[idx])
                         total, coarse, fine = loss.item(), loss.item(), 0.0
                         backward(loss)
-                        _clip_and_step(params, seg_names, velocity, lr,
-                                       cfg.momentum, cfg.clip_norm)
+                        _clip_and_step(params, seg_names, velocity, lr)
                     else:
-                        dual, _ = training_loss(params, p, seg_cfg, reg_cfg,
-                                                match_cfg, rng, tau=tau,
-                                                n_fine_pairs=cfg.n_fine_pairs,
-                                                mask_override=mask_override)
+                        dual = training_loss(params, p, seg_cfg, reg_cfg,
+                                             match_cfg, rng, tau=tau,
+                                             n_fine_pairs=cfg.n_fine_pairs,
+                                             mask_override=mask_override)
                         total = dual.total.item()
                         coarse, fine = dual.coarse.item(), dual.fine.item()
                         backward(dual.total)
                         names = reg_names if two_step_phase2 else seg_names + reg_names
-                        _clip_and_step(params, names, velocity, lr,
-                                       cfg.momentum, cfg.clip_norm)
+                        _clip_and_step(params, names, velocity, lr)
         except NoPositivePairsError:
             curve.append((step, lr, float("nan"), float("nan"), float("nan")))
             continue

@@ -18,6 +18,7 @@ from segreg import autodiff as ad
 from segreg.autodiff import Tensor
 from segreg.geometry import RigidTransform
 from segreg.matching import MatchSet, normalize_scores_with_slack, patch_scores
+from segreg.networks import LEAKY_SLOPE, NORM_EPS
 
 
 def add_at_rows(index, values, n):
@@ -53,15 +54,15 @@ def leaky_relu(a, slope):
     return ad.record_custom(np.where(mask, a.data, slope * a.data), a.requires_grad, bwd)
 
 
-def composed_norm_act(params, name, y, eps, slope):
+def composed_norm_act(params, name, y):
     mu = ad.mean_(y, axis=0, keepdims=True)
     centered = ad.sub(y, ad.expand(mu, y.shape))
     var = ad.mean_(ad.mul(centered, centered), axis=0, keepdims=True)
-    std = ad.sqrt(ad.add(var, eps))
+    std = ad.sqrt(ad.add(var, NORM_EPS))
     normed = ad.div(centered, ad.expand(std, y.shape))
     affine = ad.add(ad.mul(normed, ad.expand(params[f"{name}_gamma"], y.shape)),
                     ad.expand(params[f"{name}_beta"], y.shape))
-    return leaky_relu(affine, slope)
+    return leaky_relu(affine, LEAKY_SLOPE)
 
 
 def scalar_weighted_procrustes(matches, pre, intra):

@@ -257,6 +257,11 @@ def unknown_config_key(header, arrays):
     return header
 
 
+def foreign_rng_state(header, arrays):
+    header["rng_state"] = {"bit_generator": "MT19937"}
+    return header
+
+
 MALFORMED_CHECKPOINTS = {
     "no_param_names": drop("param_names"),
     "no_step": drop("step"),
@@ -264,6 +269,7 @@ MALFORMED_CHECKPOINTS = {
     "no_reg_config": drop("reg_config"),
     "no_param_array": drop("param/seg_enc0_w"),
     "unknown_config_key": unknown_config_key,
+    "foreign_rng_state": foreign_rng_state,
     "header_not_object": lambda header, arrays: [header],
 }
 
@@ -304,6 +310,39 @@ def test_train_resume_from_malformed_checkpoint_exits_with_data_error(tmp_path, 
     assert code == EXIT_DATA
     assert "cannot load inputs: malformed checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_version_1_checkpoint_exits_with_data_error(tmp_path, capsys):
+    pre, intra = small_pair_on_disk(tmp_path)
+    ckpt = tmp_path / "model.npz"
+    seg, reg = SegNetConfig(), RegNetConfig()
+    save_checkpoint(ckpt, init_params(seg, reg, 0), seg, reg)
+    with np.load(ckpt) as z:
+        arrays = {key: z[key] for key in z.files}
+    header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
+    header["version"] = 1
+    arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8)
+    np.savez(ckpt, **arrays)
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--checkpoint", str(ckpt)])
+    assert code == EXIT_DATA
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", [2, 4])
+def test_train_resume_at_or_past_iters_exits_with_usage_error(tmp_path, step, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data), "--n-samples", "1",
+                 "--n-vertebrae", "2", "--points-pre", "1024",
+                 "--points-intra", "512"]) == 0
+    seg, reg = SegNetConfig(), RegNetConfig()
+    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg, step=step)
+    code = main(["train", "--dataset", str(data), "--out", str(out),
+                 "--iters", "2", "--warmup", "0", "--resume", str(tmp_path / "model.npz")])
+    assert code == EXIT_USAGE
+    assert "invalid training settings" in capsys.readouterr().err
+    assert not list(out.glob("checkpoint_*.npz"))
+    assert not (out / "loss_curve.csv").exists()
 
 
 def test_ablate_two_checkpoints_writes_report_and_records_for_both_names(tmp_path):

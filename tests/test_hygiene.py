@@ -172,3 +172,22 @@ def test_no_np_add_at(path):
 def test_add_at_scan_sees_calls_not_prose():
     tree = ast.parse('"""np.add.at in a docstring"""\nnp.add.at(a, i, v)\n')
     assert _add_at_calls(tree) == [2]
+
+
+def _getattr_defaults(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) == 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_getattr_with_default(path):
+    """A member is read by name, or the type is checked with ``isinstance``:
+    ``getattr(x, "name", default)`` hides a field some callers lack."""
+    lines = _getattr_defaults(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} calls getattr with a default on lines {lines}"
+
+
+def test_getattr_scan_sees_three_argument_calls_only():
+    tree = ast.parse('getattr(x, "a")\ngetattr(x, "b", None)\nx.getattr(y, "c", 1)\n')
+    assert _getattr_defaults(tree) == [2]

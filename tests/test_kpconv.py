@@ -211,27 +211,27 @@ def test_kpconv_mask_gating_is_additive_and_local():
 def test_pyramid_level0_identity_when_sparse():
     cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0],
                                  [1.0, 1.0, 0], [0, 0, 1.0], [1, 1, 1.0]]) * 2)
-    pyr = build_pyramid(cloud, 2, 0.5, 2.5)
+    pyr = build_pyramid(cloud, 2, 0.5, 2.5, 30)
     assert len(pyr.levels[0]) == len(cloud)
 
 
 def test_pyramid_strictly_coarsens_dense_clouds():
     rng = np.random.default_rng(4)
     cloud = PointCloud(rng.uniform(0, 1, size=(2000, 3)))
-    pyr = build_pyramid(cloud, 2, 0.2, 2.5)
+    pyr = build_pyramid(cloud, 2, 0.2, 2.5, 30)
     assert len(pyr.levels[1]) < len(pyr.levels[0])
 
 
 def test_pyramid_rejects_collapse():
     cloud = PointCloud(np.random.default_rng(5).uniform(0, 0.01, size=(50, 3)))
     with pytest.raises(ValueError, match="sparse"):
-        build_pyramid(cloud, 3, 0.04, 2.5)
+        build_pyramid(cloud, 3, 0.04, 2.5, 30)
 
 
 def test_pyramid_indices_match_brute_force():
     rng = np.random.default_rng(6)
     cloud = surface_cloud(rng, 1000, colors=False)
-    pyr = build_pyramid(cloud, 3, 0.08, 2.5)
+    pyr = build_pyramid(cloud, 3, 0.08, 2.5, 30)
     # pooling indices = voxel provenance recomputed independently
     for l in range(2):
         fine = pyr.levels[l]
@@ -327,7 +327,7 @@ def test_fused_norm_act_equals_composed_reference():
         ys = [Tensor(y0, requires_grad=True) for y0 in ys0]
         with Tape():
             # two calls share gamma and beta, as the registration backbone does
-            outs = [norm_act(params, "blk", y, 1e-5, 0.1) for y in ys]
+            outs = [norm_act(params, "blk", y) for y in ys]
             backward(sum_(outs[0] * Tensor(projs[0])) + sum_(outs[1] * Tensor(projs[1])))
         results.append([o.data for o in outs] + [y.grad for y in ys]
                        + [params["blk_gamma"].grad, params["blk_beta"].grad])
@@ -342,7 +342,7 @@ def test_norm_act_overflow_raises_nonfinite(norm_act):
     params = {"blk_gamma": Tensor(np.ones((1, 2))), "blk_beta": Tensor(np.zeros((1, 2)))}
     y = Tensor(np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        norm_act(params, "blk", y, 1e-5, 0.1)
+        norm_act(params, "blk", y)
 
 
 def test_reg_backbone_zero_mask_zeroes_first_conv():

@@ -527,7 +527,7 @@ def test_overlap_and_ground_truth_equal_loop_reference(patch_case):
     overlap = loop_superpoint_overlap_labels(pre, intra, T, cfg.overlap_patch_radius)
     assert np.array_equal(prepared.overlap, overlap)
     fine_pairs, gt_fine = loop_ground_truth(pre, intra, overlap, T, cfg.positive_overlap,
-                                            cfg.fine_match_radius)
+                                            RegNetConfig().initial_voxel)
     assert fine_pairs and list(prepared.gt_fine) == fine_pairs
     for key, (rows, cols) in gt_fine.items():
         assert np.array_equal(prepared.gt_fine[key][0], rows)

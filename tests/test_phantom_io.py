@@ -277,13 +277,14 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     reg_cfg = RegNetConfig()
     params = init_seg_params(seg_cfg, rng)
     momentum = {k: rng.normal(size=v.data.shape) for k, v in params.items()}
+    rng_state = np.random.default_rng(9).bit_generator.state
     p = tmp_path / "ckpt.npz"
     save_checkpoint(p, params, seg_cfg, reg_cfg, step=17, momentum=momentum,
-                    rng_state={"bit_generator": "PCG64", "state": {"state": 1, "inc": 2}})
+                    rng_state=rng_state)
     params2, seg2, reg2, state = load_checkpoint(p)
     assert seg2 == seg_cfg and reg2 == reg_cfg
     assert state["step"] == 17
-    assert state["rng_state"]["state"] == {"state": 1, "inc": 2}
+    assert state["rng_state"] == rng_state
     for k in params:
         assert np.array_equal(params[k].data, params2[k].data)
         assert np.array_equal(momentum[k], state["momentum"][k])

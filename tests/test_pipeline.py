@@ -37,8 +37,8 @@ def test_register_pair_is_valid_and_repeatable():
 def test_prepare_sample_ground_truth_invariants():
     sample = generate_phantom(PhantomConfig(seed=6, n_vertebrae=2, points_pre=1024,
                                             points_intra=512))
-    match = pipeline.MatcherConfig()
-    prepared = pipeline.prepare_sample(sample, SegNetConfig(), RegNetConfig(), match)
+    match, reg = pipeline.MatcherConfig(), RegNetConfig()
+    prepared = pipeline.prepare_sample(sample, SegNetConfig(), reg, match)
     pre, intra = prepared.pre_view, prepared.intra_view
     for view in (pre, intra):
         n0, size = len(view.fine_points), match.patch_size
@@ -57,7 +57,7 @@ def test_prepare_sample_ground_truth_invariants():
 
     positive = np.argwhere(prepared.overlap > match.positive_overlap)
     every = ground_truth_patch_matches(pre, intra, positive, sample.T_gt,
-                                       match.fine_match_radius)
+                                       reg.initial_voxel)
     assert len(every) == len(positive)
     expected = [(int(a), int(b)) for (a, b), (rows, _) in zip(positive, every) if rows.size]
     assert expected and list(prepared.gt_fine) == expected
@@ -66,4 +66,4 @@ def test_prepare_sample_ground_truth_invariants():
         assert np.unique(cols).size == cols.size and np.all(cols < intra.sizes[b])
         p = sample.T_gt.apply_points(pre.fine_points[pre.patch(a)[rows]])
         q = intra.fine_points[intra.patch(b)[cols]]
-        assert np.all(np.linalg.norm(p - q, axis=1) <= match.fine_match_radius + 1e-12)
+        assert np.all(np.linalg.norm(p - q, axis=1) <= reg.initial_voxel + 1e-12)

@@ -1,11 +1,13 @@
-"""Training loop: divergence is reported as TrainingDiverged, the fused
-tape nodes train exactly as the composed operations they replace, and a run
-resumed from a mid-run checkpoint ends exactly where an unbroken run does."""
+"""Training loop: the dual loss's registration gradients match finite
+differences, divergence is reported as TrainingDiverged, the fused tape nodes
+train exactly as the composed operations they replace, and a run resumed from
+a mid-run checkpoint ends exactly where an unbroken run does."""
 
 import numpy as np
 import pytest
 
 from segreg import autodiff, kpconv, matching, networks, pipeline, training
+from segreg.autodiff import Tape, backward
 from segreg.fileio import load_checkpoint, save_checkpoint
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import TrainConfig, TrainingDiverged, train
@@ -15,6 +17,51 @@ from reference_ops import add_at_rows, composed_norm_act, composed_normalize_sco
 def tiny_phantom():
     return generate_phantom(PhantomConfig(seed=0, n_vertebrae=2, points_pre=1024,
                                           points_intra=512))
+
+
+@pytest.mark.parametrize("gumbel", [True, False], ids=["gumbel", "mask_override"])
+def test_training_loss_matches_finite_differences(gumbel):
+    """Registration-parameter gradients of the dual loss, at four entries each
+    of the first convolution, the superpoint head and the dense head.  Each call
+    draws the same Gumbel noise and fine pairs from a fresh generator.  (The
+    straight-through segmentation gradient is by design not the derivative of
+    the hard forward, so segmentation parameters are not checked.)"""
+    sample = tiny_phantom()
+    seg, reg, match = networks.SegNetConfig(), networks.RegNetConfig(), pipeline.MatcherConfig()
+    prepared = pipeline.prepare_sample(sample, seg, reg, match)
+    params = training.init_params(seg, reg, 0)
+    mask = None if gumbel else sample.gt_mask
+
+    def loss():
+        return pipeline.training_loss(params, prepared, seg, reg, match,
+                                      np.random.default_rng(7), tau=1.0,
+                                      n_fine_pairs=12, mask_override=mask).total
+
+    with Tape():
+        backward(loss())
+    grads = {name: p.grad for name, p in params.items()}
+    for param in params.values():
+        param.grad = None
+    h = 1e-6
+    pick = np.random.default_rng(3)
+    for name in ("reg_enc0_w", "reg_sp_w", "reg_dense_w"):
+        flat = params[name].data.reshape(-1)
+        entries = pick.choice(flat.size, size=4, replace=False)
+        fd = np.empty(entries.size)
+        for k, i in enumerate(entries):
+            keep = flat[i]
+            flat[i] = keep + h
+            plus = loss().item()
+            flat[i] = keep - h
+            minus = loss().item()
+            flat[i] = keep
+            fd[k] = (plus - minus) / (2.0 * h)
+        analytic = grads[name].reshape(-1)[entries]
+        # relative to the largest entry checked: these gradients are ~1e-2,
+        # below the unit floor of autodiff.max_relative_error
+        scale = np.max(np.abs(fd))
+        assert scale > 0.0, name
+        assert np.max(np.abs(analytic - fd)) / scale < 1e-4, name
 
 
 def test_exploding_learning_rate_raises_training_diverged():
