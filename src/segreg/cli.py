@@ -177,7 +177,7 @@ def _report_phase1_accuracy(dataset, result, seg_cfg, out: Path) -> None:
     accs = []
     for name, sample in dataset:
         ctx = build_context(sample.intraoperative, seg_cfg)
-        mask = hard_mask(seg_forward(result.params, ctx, seg_cfg))
+        mask = hard_mask(seg_forward(result.params, ctx))
         accs.append(float((mask == sample.gt_mask).mean()))
     report = "\n".join(
         f"{name}: seg accuracy vs gt_mask {a:.4f}"
@@ -426,7 +426,9 @@ def build_parser() -> _Parser:
     t.add_argument("--width-factor", type=float, default=0.25)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--checkpoint-every", type=int, default=1000)
-    t.add_argument("--resume", default=None)
+    t.add_argument("--resume", default=None,
+                   help="checkpoint to continue from; the new loss_curve.csv "
+                        "holds only the steps from the checkpoint's step on")
     t.add_argument("--log-every", type=int, default=0)
     t.set_defaults(fn=cmd_train)
 

@@ -39,12 +39,12 @@ def gumbel_softmax(z: Tensor, g: np.ndarray, tau: float) -> Tensor:
 
 
 def straight_through_mask(z: Tensor, tau: float, rng: np.random.Generator
-                          ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                          ) -> tuple[Tensor, np.ndarray]:
     """Sample a hard binary mask whose backward pass uses the relaxation.
 
     Returns the straight-through mask as an (N, 1) tensor holding the
-    class-1 indicator, the hard labels as an int array, and the (N, C)
-    Gumbel noise that was added to the logits.
+    class-1 indicator of ``argmax(z + noise)``, and the (N, C) Gumbel noise
+    that was added to the logits.
     """
     n = z.data.shape[0]
     g = sample_gumbel(n, z.data.shape[1], rng)
@@ -53,7 +53,7 @@ def straight_through_mask(z: Tensor, tau: float, rng: np.random.Generator
     soft_one = ad.narrow(soft, 1, 1, 2)
     hard_one = Tensor(hard.astype(np.float64).reshape(n, 1))
     mask = ad.add(ad.sub(hard_one, ad.stop_gradient(soft_one)), soft_one)
-    return mask, hard, g
+    return mask, g
 
 
 def hard_mask(z: Tensor) -> np.ndarray:

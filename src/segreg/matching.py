@@ -13,6 +13,12 @@ keeps mutual top-1 entries.  A weighted Procrustes solve (``procrustes_stack``,
 also used by the baselines) plus inlier re-weighting turns the surviving
 matches into a rigid transform.
 
+The settings no caller varies are module constants: ``K_CORR`` coarse pairs
+with a ``BONUS_WEIGHT`` histogram bonus over ``HIST_BINS`` bins up to
+``HIST_MAX_DIST``, ground-truth overlap within ``OVERLAP_PATCH_RADIUS`` with
+positives above ``POSITIVE_OVERLAP``, ``NORM_ITERATIONS`` slack
+normalization rounds and ``REFINE_ITERATIONS`` refinement rounds.
+
 Training losses: an overlap-weighted circle loss over superpoint feature
 distances (GeoTransformer's margins 0.1 / 1.4, scale 24) and a negative
 log-likelihood over the normalized patch score matrices; their plain sum.
@@ -52,6 +58,16 @@ __all__ = [
     "fine_loss",
     "ground_truth_patch_matches",
 ]
+
+
+K_CORR = 48                   # coarse pairs kept at inference
+BONUS_WEIGHT = 0.2            # weight of the histogram bonus in coarse scores
+HIST_BINS = 12                # distance-histogram bins per patch ...
+HIST_MAX_DIST = 0.3           # ... over [0, HIST_MAX_DIST) unit-sphere units
+OVERLAP_PATCH_RADIUS = 0.05   # ground-truth overlap radius
+POSITIVE_OVERLAP = 0.1        # overlap above which a superpoint pair is positive
+NORM_ITERATIONS = 5           # column/row rounds of the slack normalization
+REFINE_ITERATIONS = 5         # re-weighted Procrustes rounds
 
 
 class NoPositivePairsError(ValueError):
@@ -113,7 +129,7 @@ class PatchedSuperpoints:
         return self.patch_indices[b, : self.sizes[b]]
 
 
-def build_patches(pyramid: PointPyramid, patch_size: int = 32) -> PatchedSuperpoints:
+def build_patches(pyramid: PointPyramid, patch_size: int) -> PatchedSuperpoints:
     """Group level-0 points under their superpoint, keep the nearest patch_size.
 
     One stable sort by (superpoint, key), where the key is the distance to
@@ -153,22 +169,22 @@ def _sq_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def distance_histograms(view: PatchedSuperpoints, bins: int = 12,
-                        max_dist: float = 0.3) -> np.ndarray:
-    """Rotation-invariant patch signatures: L2-normalized histograms of
-    pairwise point distances inside each patch."""
+def distance_histograms(view: PatchedSuperpoints) -> np.ndarray:
+    """Rotation-invariant patch signatures: L2-normalized ``HIST_BINS``-bin
+    histograms of pairwise point distances inside each patch."""
     m, size = view.patch_indices.shape
     pts = _patch_points(view.fine_points, view.patch_indices)
     iu, ju = np.triu_indices(size, k=1)
     pair = ju < view.sizes[:, None]                 # (M, pairs): both slots members
     d = np.sqrt(_sq_dists(pts, pts)[:, iu, ju][pair])
-    edges = np.linspace(0.0, max_dist, bins + 1)
-    # np.histogram's rule, edges[k] <= d < edges[k + 1]; the clip keeps d < max_dist
-    bin_of = np.searchsorted(edges, np.clip(d, 0.0, max_dist - 1e-12), "right") - 1
+    edges = np.linspace(0.0, HIST_MAX_DIST, HIST_BINS + 1)
+    # np.histogram's rule, edges[k] <= d < edges[k + 1]; the clip keeps d < HIST_MAX_DIST
+    bin_of = np.searchsorted(edges, np.clip(d, 0.0, HIST_MAX_DIST - 1e-12), "right") - 1
     patch = np.nonzero(pair)[0]
-    hist = np.bincount(patch * bins + bin_of, minlength=m * bins).reshape(m, bins)
+    hist = np.bincount(patch * HIST_BINS + bin_of,
+                       minlength=m * HIST_BINS).reshape(m, HIST_BINS)
     norm = np.linalg.norm(hist, axis=1, keepdims=True)
-    return np.divide(hist, norm, out=np.zeros((m, bins)), where=norm > 0)
+    return np.divide(hist, norm, out=np.zeros((m, HIST_BINS)), where=norm > 0)
 
 
 def superpoint_overlap_labels(pre: PatchedSuperpoints, intra: PatchedSuperpoints,
@@ -191,18 +207,17 @@ def superpoint_overlap_labels(pre: PatchedSuperpoints, intra: PatchedSuperpoints
 
 
 def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray, k_corr: int,
-                 geom_bonus: np.ndarray,
-                 bonus_weight: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
+                 geom_bonus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Select top superpoint pairs by dual-softmax score.
 
     Features must carry L2-normalized rows.  The similarity is the feature
-    inner product plus ``bonus_weight`` times the (M_pre, M_intra)
+    inner product plus ``BONUS_WEIGHT`` times the (M_pre, M_intra)
     geometric-consistency bonus; the dual softmax is the entrywise product
     of row-wise and column-wise softmaxes.  Returns (pairs (k, 2), scores
     (k,)), score-descending with ties resolved in row-major cell order; each
     pair is a distinct cell.
     """
-    sim = Tensor(pre_feats @ intra_feats.T + bonus_weight * geom_bonus)
+    sim = Tensor(pre_feats @ intra_feats.T + BONUS_WEIGHT * geom_bonus)
     score = ad.softmax(sim, axis=1).data * ad.softmax(sim, axis=0).data
     k = min(k_corr, score.size)
     order = np.argsort(-score.reshape(-1), kind="stable")[:k]
@@ -224,16 +239,16 @@ def patch_scores(dense_pre: Tensor, dense_intra: Tensor,
     return s
 
 
-def normalize_scores_with_slack(scores: Tensor, iterations: int = 5,
-                                augment_slack: bool = False) -> Tensor:
+def normalize_scores_with_slack(scores: Tensor, augment_slack: bool = False) -> Tensor:
     """Normalize a patch score matrix that already includes slack row/column.
 
-    Exponentiates the scores and alternates column- and row-renormalization,
-    ending on rows, so every real row is a distribution over targets plus
-    slack.  With ``augment_slack`` the slack row/column are normalized to the
-    opposite side's point count instead of 1, letting slack absorb any number
-    of unmatched points (used at inference; the training loss keeps unit
-    marginals so its uniform-matrix baseline is exactly log(columns)).
+    Exponentiates the scores and alternates column- and row-renormalization
+    for ``NORM_ITERATIONS`` rounds, ending on rows, so every real row is a
+    distribution over targets plus slack.  With ``augment_slack`` the slack
+    row/column are normalized to the opposite side's point count instead of
+    1, letting slack absorb any number of unmatched points (used at
+    inference; the training loss keeps unit marginals so its uniform-matrix
+    baseline is exactly log(columns)).
 
     One tape node.  The forward runs the numpy operations of the composed
     exp / sum / div / expand / mul chain in the same order and checks every
@@ -252,7 +267,7 @@ def normalize_scores_with_slack(scores: Tensor, iterations: int = 5,
     ad.require_finite(p)
     exp_p = p
     rounds = []                         # what each round's backward reads
-    for _ in range(iterations):
+    for _ in range(NORM_ITERATIONS):
         csum = np.sum(p, axis=0, keepdims=True)
         ad.require_finite(csum)
         col_scale = col_target / csum
@@ -284,8 +299,7 @@ def normalize_scores_with_slack(scores: Tensor, iterations: int = 5,
 
 def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
                coarse_pairs: np.ndarray, pre_view: PatchedSuperpoints,
-               intra_view: PatchedSuperpoints,
-               norm_iterations: int = 5) -> MatchSet:
+               intra_view: PatchedSuperpoints) -> MatchSet:
     """Refine coarse pairs into weighted point correspondences.
 
     Per coarse pair, scores patch descriptors against each other (scaled
@@ -303,7 +317,7 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
         ia, ib = pre_view.patch(a), intra_view.patch(b)
         na, nb = ia.size, ib.size
         p = normalize_scores_with_slack(patch_scores(dense_pre, dense_intra, ia, ib),
-                                        norm_iterations, augment_slack=True).data
+                                        augment_slack=True).data
         i = np.arange(na)
         j = np.argmax(p[:na], axis=1)               # slack column last
         col_best = np.argmax(p[:, :nb], axis=0)     # slack row last
@@ -371,10 +385,10 @@ class RefineResult:
 
 
 def refine_transform(T0: RigidTransform, matches: MatchSet,
-                     pre: np.ndarray, intra: np.ndarray,
-                     iterations: int = 5, inlier_radius: float = 0.0625
+                     pre: np.ndarray, intra: np.ndarray, inlier_radius: float
                      ) -> RefineResult:
-    """Iteratively re-weight matches by residual and re-solve Procrustes.
+    """Iteratively re-weight matches by residual and re-solve Procrustes
+    (``REFINE_ITERATIONS`` rounds).
 
     Matches beyond the working radius get weight zero each round; the radius
     starts at the 70th-percentile residual and anneals down to
@@ -388,7 +402,7 @@ def refine_transform(T0: RigidTransform, matches: MatchSet,
     best = RefineResult(T0, -1, False)
     T = T0
     working = None
-    for it in range(iterations):
+    for _ in range(REFINE_ITERATIONS):
         residuals = np.linalg.norm(T.apply_points(p) - q, axis=1)
         count = int(np.sum(residuals <= inlier_radius))
         if count > best.inlier_count:
@@ -431,15 +445,14 @@ def l2_normalize_rows(t: Tensor) -> Tensor:
     return ad.div(t, ad.expand(norm, t.shape))
 
 
-def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, overlap: np.ndarray,
-                pos_threshold: float = 0.1) -> Tensor:
+def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, overlap: np.ndarray) -> Tensor:
     """Overlap-weighted circle loss over superpoint feature distances.
 
-    Positives (overlap > threshold) are pulled inside ``POS_MARGIN`` with
+    Positives (overlap > ``POSITIVE_OVERLAP``) are pulled inside ``POS_MARGIN`` with
     sqrt-overlap weighting; negatives (overlap == 0) are pushed beyond
     ``NEG_MARGIN`` (GeoTransformer's).  Feature rows must be L2-normalized.
     """
-    pos_mask = overlap > pos_threshold
+    pos_mask = overlap > POSITIVE_OVERLAP
     neg_mask = overlap == 0.0
     if not pos_mask.any():
         raise NoPositivePairsError("no positive superpoint pairs in this sample")

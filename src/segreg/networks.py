@@ -259,8 +259,7 @@ def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor
     return bottleneck, feats
 
 
-def seg_forward(params: dict[str, Tensor], ctx: BackboneContext,
-                cfg: SegNetConfig) -> Tensor:
+def seg_forward(params: dict[str, Tensor], ctx: BackboneContext) -> Tensor:
     """Per-point 2-class logits at the raw input resolution."""
     cloud = ctx.pyramid.input_cloud
     if cloud.colors is None:
@@ -274,8 +273,7 @@ def seg_forward(params: dict[str, Tensor], ctx: BackboneContext,
 
 
 def reg_backbone_forward(params: dict[str, Tensor], ctx: BackboneContext,
-                         point_features: Tensor, cfg: RegNetConfig
-                         ) -> tuple[Tensor, Tensor]:
+                         point_features: Tensor) -> tuple[Tensor, Tensor]:
     """Superpoint features from the bottleneck and dense decoder features.
 
     ``point_features`` is (N_input, 1); the same ``params`` must be used for

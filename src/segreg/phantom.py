@@ -277,7 +277,7 @@ def _generate_once(cfg: PhantomConfig, attempt: int) -> RegistrationSample | Non
         return None
 
     pre_cloud = PointCloud(pre_stored)
-    intra_cloud = PointCloud(intra_n, colors=colors, labels=gt_mask.copy())
+    intra_cloud = PointCloud(intra_n, colors=colors)
     return RegistrationSample(
         preoperative=pre_cloud,
         intraoperative=intra_cloud,

@@ -3,10 +3,10 @@
 ``prepare_sample`` precomputes everything that depends only on geometry
 (pyramids, influence tables, patches, histogram signatures, and, when ground
 truth is available, superpoint overlap and per-patch ground-truth matches).
-``training_loss`` assembles the differentiable dual loss on a tape;
-``register_pair`` runs deterministic inference (argmax mask, no noise) and
-returns the predicted pose.  Both share one backbone pass over the pair
-and ``matching.patch_scores``.
+``training_loss`` assembles the differentiable dual loss on a tape for a
+given intraoperative mask; ``register_pair`` runs deterministic inference
+(argmax mask, no noise) and returns the predicted pose.  Both share one
+backbone pass over the pair and ``matching.patch_scores``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ import numpy as np
 from segreg import autodiff as ad
 from segreg.autodiff import Tensor
 from segreg.geometry import RigidTransform
-from segreg.gumbel import hard_mask, straight_through_mask
+from segreg.gumbel import hard_mask
 from segreg.matching import (
+    K_CORR,
+    OVERLAP_PATCH_RADIUS,
+    POSITIVE_OVERLAP,
     DualLoss,
     MatchSet,
     PatchedSuperpoints,
@@ -65,19 +68,13 @@ class RegistrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatcherConfig:
-    """Matching settings.  The radii follow ``RegNetConfig.initial_voxel``:
-    ground-truth fine matches lie within one voxel, refinement inliers within
-    2.5 voxels (twice that on the coarse fallback)."""
+    """Matching settings: the level-0 points kept per superpoint patch.  The
+    other matching settings are ``matching``'s module constants, and the radii
+    follow ``RegNetConfig.initial_voxel``: ground-truth fine matches lie within
+    one voxel, refinement inliers within 2.5 voxels (twice that on the coarse
+    fallback)."""
 
     patch_size: int = 32
-    k_corr: int = 48
-    bonus_weight: float = 0.2
-    hist_bins: int = 12
-    hist_max_dist: float = 0.3
-    overlap_patch_radius: float = 0.05
-    positive_overlap: float = 0.1
-    refine_iterations: int = 5
-    norm_iterations: int = 5
 
 
 @dataclass
@@ -106,16 +103,16 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
     reg_ctx_intra = build_context(sample.intraoperative, reg_cfg)
     pre_view = build_patches(reg_ctx_pre.pyramid, match_cfg.patch_size)
     intra_view = build_patches(reg_ctx_intra.pyramid, match_cfg.patch_size)
-    pre_hist = distance_histograms(pre_view, match_cfg.hist_bins, match_cfg.hist_max_dist)
-    intra_hist = distance_histograms(intra_view, match_cfg.hist_bins, match_cfg.hist_max_dist)
+    pre_hist = distance_histograms(pre_view)
+    intra_hist = distance_histograms(intra_view)
     prepared = PreparedSample(sample, seg_ctx, reg_ctx_pre, reg_ctx_intra,
                               pre_view, intra_view, pre_hist, intra_hist,
                               sample_id=sample_id)
     if with_ground_truth:
         overlap = superpoint_overlap_labels(pre_view, intra_view, sample.T_gt,
-                                            match_cfg.overlap_patch_radius)
+                                            OVERLAP_PATCH_RADIUS)
         prepared.overlap = overlap
-        pairs = np.argwhere(overlap > match_cfg.positive_overlap)
+        pairs = np.argwhere(overlap > POSITIVE_OVERLAP)
         gt = ground_truth_patch_matches(pre_view, intra_view, pairs, sample.T_gt,
                                         reg_cfg.initial_voxel)
         prepared.gt_fine = {(int(a), int(b)): match
@@ -124,39 +121,29 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
 
 
 def _pair_forward(params: dict[str, Tensor], prepared: PreparedSample,
-                  intra_feats: Tensor, reg_cfg: RegNetConfig
-                  ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+                  intra_feats: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Backbone on both clouds (pre input features are ones): normalized
     superpoint features of pre and intra, then their dense features."""
     ones = Tensor(np.ones((len(prepared.sample.preoperative), 1)))
-    sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre, ones, reg_cfg)
-    sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra,
-                                                 intra_feats, reg_cfg)
+    sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre, ones)
+    sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra, intra_feats)
     return l2_normalize_rows(sp_pre), l2_normalize_rows(sp_intra), dense_pre, dense_intra
 
 
-def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
-                  seg_cfg: SegNetConfig, reg_cfg: RegNetConfig,
-                  match_cfg: MatcherConfig, rng: np.random.Generator,
-                  tau: float, n_fine_pairs: int,
-                  mask_override: np.ndarray | None = None) -> DualLoss:
+def training_loss(params: dict[str, Tensor], prepared: PreparedSample, mask: Tensor,
+                  rng: np.random.Generator, n_fine_pairs: int) -> DualLoss:
     """Assemble the dual loss for one sample on the active tape.
 
-    With ``mask_override`` the segmentation network is bypassed and the given
-    hard mask is fed as a constant (two-step mode, frozen segmentation).
+    ``mask`` is the (N_intra, 1) intraoperative mask, the registration
+    backbone's intra input: the straight-through Gumbel mask (end to end,
+    gradients reach the segmentation logits) or a constant hard mask (two-step
+    mode, frozen segmentation).  ``rng`` picks at most ``n_fine_pairs`` of the
+    positive superpoint pairs for the fine loss.
     """
     if prepared.overlap is None:
         raise ValueError("training loss needs ground-truth overlap labels")
-    if mask_override is not None:
-        mask = Tensor(mask_override.astype(np.float64).reshape(-1, 1))
-    else:
-        logits = seg_forward(params, prepared.seg_ctx, seg_cfg)
-        mask, _, _ = straight_through_mask(logits, tau, rng)
-
-    sp_pre_n, sp_intra_n, dense_pre, dense_intra = _pair_forward(
-        params, prepared, mask, reg_cfg)
-    c_loss = coarse_loss(sp_pre_n, sp_intra_n, prepared.overlap,
-                         pos_threshold=match_cfg.positive_overlap)
+    sp_pre_n, sp_intra_n, dense_pre, dense_intra = _pair_forward(params, prepared, mask)
+    c_loss = coarse_loss(sp_pre_n, sp_intra_n, prepared.overlap)
 
     usable = list(prepared.gt_fine)
     if not usable:
@@ -168,7 +155,7 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
     for a, b in usable:
         scores = patch_scores(dense_pre, dense_intra, prepared.pre_view.patch(a),
                               prepared.intra_view.patch(b))
-        mats.append(normalize_scores_with_slack(scores, match_cfg.norm_iterations))
+        mats.append(normalize_scores_with_slack(scores))
         gts.append(prepared.gt_fine[(a, b)])
     f_loss = fine_loss(mats, gts)
     return DualLoss(ad.add(c_loss, f_loss), c_loss, f_loss)
@@ -193,20 +180,21 @@ class RegistrationResult:
 def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
                   seg_cfg: SegNetConfig, reg_cfg: RegNetConfig,
                   match_cfg: MatcherConfig) -> RegistrationResult:
-    """Deterministic inference: argmax mask, coarse-to-fine matching, pose."""
-    logits = seg_forward(params, prepared.seg_ctx, seg_cfg)
-    mask = hard_mask(logits)
+    """Deterministic inference: argmax mask, coarse-to-fine matching, pose.
+
+    ``prepared`` already holds what ``seg_cfg`` and ``match_cfg`` decide (the
+    contexts and patches), so neither is read; they stay in the signature for
+    callers that pass all five.  ``reg_cfg``'s voxel sets the inlier radii.
+    """
+    mask = hard_mask(seg_forward(params, prepared.seg_ctx))
 
     sp_pre, sp_intra, dense_pre, dense_intra = _pair_forward(
-        params, prepared, Tensor(mask.astype(np.float64).reshape(-1, 1)), reg_cfg)
+        params, prepared, Tensor(mask.astype(np.float64).reshape(-1, 1)))
 
     bonus = prepared.pre_hist @ prepared.intra_hist.T
-    pairs, scores = coarse_match(sp_pre.data, sp_intra.data,
-                                 match_cfg.k_corr, geom_bonus=bonus,
-                                 bonus_weight=match_cfg.bonus_weight)
+    pairs, scores = coarse_match(sp_pre.data, sp_intra.data, K_CORR, geom_bonus=bonus)
     matches = fine_match(dense_pre.data, dense_intra.data, pairs,
-                         prepared.pre_view, prepared.intra_view,
-                         match_cfg.norm_iterations)
+                         prepared.pre_view, prepared.intra_view)
     pre_fine = prepared.pre_view.fine_points
     intra_fine = prepared.intra_view.fine_points
 
@@ -216,8 +204,7 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     if len(matches) >= 3:
         try:
             T0 = weighted_procrustes(matches, pre_fine, intra_fine)
-            refined = refine_transform(T0, matches, pre_fine, intra_fine,
-                                       match_cfg.refine_iterations, inlier_radius)
+            refined = refine_transform(T0, matches, pre_fine, intra_fine, inlier_radius)
             if refined.flagged:
                 refined = None
         except ValueError:
@@ -233,14 +220,12 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
             raise RegistrationError(f"degenerate correspondence set: {exc}") from exc
         coarse_refined = refine_transform(
             T0, sp_matches, prepared.pre_view.points, prepared.intra_view.points,
-            match_cfg.refine_iterations, inlier_radius=2.0 * inlier_radius)
+            inlier_radius=2.0 * inlier_radius)
         refined = coarse_refined
         if len(matches) >= 3:
             # polish with the fine correspondences once roughly aligned
             fine_refined = refine_transform(coarse_refined.transform, matches,
-                                            pre_fine, intra_fine,
-                                            match_cfg.refine_iterations,
-                                            inlier_radius)
+                                            pre_fine, intra_fine, inlier_radius)
             if not fine_refined.flagged:
                 refined = fine_refined
                 path = "coarse+fine"

@@ -19,7 +19,7 @@ import numpy as np
 
 from segreg.autodiff import NonFiniteError, Tape, Tensor, backward
 from segreg.fileio import save_checkpoint
-from segreg.gumbel import hard_mask
+from segreg.gumbel import hard_mask, straight_through_mask
 from segreg.matching import NoPositivePairsError
 from segreg.networks import (
     RegNetConfig,
@@ -143,7 +143,14 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
           log_every: int = 0) -> TrainResult:
     """Run the configured training mode over the sample set (batch size 1),
     continuing from ``resume``, a checkpoint as ``fileio.load_checkpoint``
-    returns it, when given; one at or past ``cfg.total_iters`` is a ValueError."""
+    returns it, when given; one at or past ``cfg.total_iters`` is a ValueError.
+
+    This function decides each step's intraoperative mask: end to end, the
+    straight-through Gumbel mask of the segmentation logits, drawn on the tape
+    before the fine pairs; in two-step phase 2, the frozen hard mask, computed
+    off the tape.  A resumed run's curve, and its ``loss_curve.csv``, hold only
+    the rows from the resume step on.
+    """
     if resume is not None and int(resume[3]["step"]) >= cfg.total_iters:
         raise ValueError(f"resume checkpoint is at step {resume[3]['step']}; "
                          f"total_iters {cfg.total_iters} leaves no step to run")
@@ -193,30 +200,28 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
         idx = int(rng.integers(len(prepared)))
         p = prepared[idx]
         lr = lr_at(step + 1, cfg)
-        tau = tau_at(step, cfg)
 
         two_step_phase1 = cfg.mode == "two_step" and step < cfg.phase1_iters
         two_step_phase2 = cfg.mode == "two_step" and not two_step_phase1
         try:
             # overflow surfaces as NonFiniteError from Tensor, not as a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                mask_override = None
                 if two_step_phase2:
                     # frozen segmentation: plain forward outside the tape
-                    frozen_logits = seg_forward(params, p.seg_ctx, seg_cfg)
-                    mask_override = hard_mask(frozen_logits)
+                    frozen = hard_mask(seg_forward(params, p.seg_ctx))
+                    mask = Tensor(frozen.astype(np.float64).reshape(-1, 1))
                 with Tape():
                     if two_step_phase1:
-                        logits = seg_forward(params, p.seg_ctx, seg_cfg)
+                        logits = seg_forward(params, p.seg_ctx)
                         loss = segmentation_cross_entropy(logits, weak_masks[idx])
                         total, coarse, fine = loss.item(), loss.item(), 0.0
                         backward(loss)
                         _clip_and_step(params, seg_names, velocity, lr)
                     else:
-                        dual = training_loss(params, p, seg_cfg, reg_cfg,
-                                             match_cfg, rng, tau=tau,
-                                             n_fine_pairs=cfg.n_fine_pairs,
-                                             mask_override=mask_override)
+                        if cfg.mode == "end_to_end":
+                            mask, _ = straight_through_mask(
+                                seg_forward(params, p.seg_ctx), tau_at(step, cfg), rng)
+                        dual = training_loss(params, p, mask, rng, cfg.n_fine_pairs)
                         total = dual.total.item()
                         coarse, fine = dual.coarse.item(), dual.fine.item()
                         backward(dual.total)

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from segreg import autodiff as ad
+from segreg import matching
 from segreg.autodiff import Tensor
 from segreg.geometry import RigidTransform
 from segreg.matching import MatchSet, normalize_scores_with_slack, patch_scores
@@ -28,7 +29,7 @@ def add_at_rows(index, values, n):
     return out
 
 
-def composed_normalize_scores_with_slack(scores, iterations=5, augment_slack=False):
+def composed_normalize_scores_with_slack(scores, augment_slack=False):
     nr, nc = scores.shape
     row_target = np.ones((nr, 1))
     col_target = np.ones((1, nc))
@@ -36,7 +37,7 @@ def composed_normalize_scores_with_slack(scores, iterations=5, augment_slack=Fal
         row_target[-1, 0] = nc - 1
         col_target[0, -1] = nr - 1
     p = ad.exp(ad.sub(scores, float(np.max(scores.data))))
-    for _ in range(iterations):
+    for _ in range(matching.NORM_ITERATIONS):
         csum = ad.sum_(p, axis=0, keepdims=True)
         p = ad.mul(p, ad.expand(ad.div(Tensor(col_target), csum), p.shape))
         rsum = ad.sum_(p, axis=1, keepdims=True)
@@ -117,7 +118,7 @@ def loop_build_patches(pyramid, patch_size=32):
     return LoopPatches(coarse, patches, fine, fine_to_sp)
 
 
-def loop_distance_histograms(view, bins=12, max_dist=0.3):
+def loop_distance_histograms(view, bins=matching.HIST_BINS, max_dist=matching.HIST_MAX_DIST):
     out = np.zeros((view.points.shape[0], bins))
     edges = np.linspace(0.0, max_dist, bins + 1)
     for b, idx in enumerate(view.patch_indices):
@@ -182,8 +183,7 @@ def loop_ground_truth_patch_matches(pre_view, intra_view, pair, T_gt, radius):
     return rows[keep], cols[keep]
 
 
-def loop_fine_match(dense_pre, dense_intra, coarse_pairs, pre_view, intra_view,
-                    norm_iterations=5):
+def loop_fine_match(dense_pre, dense_intra, coarse_pairs, pre_view, intra_view):
     dense_pre, dense_intra = Tensor(dense_pre), Tensor(dense_intra)
     best = {}
     for a, b in coarse_pairs:
@@ -192,7 +192,7 @@ def loop_fine_match(dense_pre, dense_intra, coarse_pairs, pre_view, intra_view,
         if ia.size == 0 or ib.size == 0:
             continue
         p = normalize_scores_with_slack(patch_scores(dense_pre, dense_intra, ia, ib),
-                                        norm_iterations, augment_slack=True).data
+                                        augment_slack=True).data
         core = p[: ia.size, : ib.size]
         row_best = np.argmax(p[: ia.size], axis=1)
         col_best = np.argmax(p[:, : ib.size], axis=0)

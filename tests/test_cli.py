@@ -128,8 +128,7 @@ def test_register_ransac_icp_baseline_matches_in_process_call(tmp_path):
 def small_phantom_without_intra_colors():
     sample = generate_phantom(PhantomConfig(seed=4, n_vertebrae=2, points_pre=1024,
                                             points_intra=512))
-    sample.intraoperative = PointCloud(sample.intraoperative.positions,
-                                       labels=sample.intraoperative.labels)
+    sample.intraoperative = PointCloud(sample.intraoperative.positions)
     return sample
 
 
@@ -389,3 +388,26 @@ def test_ablate_checkpoints_on_colorless_dataset_exits_with_data_error(tmp_path,
                  "--out", str(tmp_path / "ablate"),
                  "--checkpoint-a", str(ckpt), "--checkpoint-b", str(ckpt)]) == EXIT_DATA
     assert "sample_0000: intraoperative cloud has no colors" in capsys.readouterr().err
+
+
+def test_generate_train_register_eval_ablate_chain_exits_zero(tmp_path):
+    """The documented workflow on two tiny phantoms, every step exiting 0."""
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert main(["generate", "--out", str(data), "--n-samples", "2", "--n-vertebrae", "2",
+                 "--points-pre", "1024", "--points-intra", "512"]) == 0
+    assert main(["train", "--dataset", str(data), "--out", str(model),
+                 "--iters", "2", "--warmup", "0"]) == 0
+    for name in ("sample_0000", "sample_0001"):
+        pair = ["--pre", str(data / name / "pre.ply"),
+                "--intra", str(data / name / "intra.ply"), "--out"]
+        assert main(["register", *pair, str(tmp_path / "learned" / f"{name}.pose.json"),
+                     "--checkpoint", str(model / "checkpoint_000002.npz")]) == 0
+        assert main(["register", *pair, str(tmp_path / "icp" / f"{name}.pose.json"),
+                     "--baseline", "icp"]) == 0
+    for method in ("learned", "icp"):
+        assert main(["eval", "--dataset", str(data), "--predictions", str(tmp_path / method),
+                     "--out", str(tmp_path / f"eval_{method}"), "--method", method]) == 0
+    assert main(["ablate", "--dataset", str(data), "--out", str(tmp_path / "ablate"),
+                 "--pred-a", str(tmp_path / "learned"), "--pred-b", str(tmp_path / "icp")]) == 0
+    report = (tmp_path / "ablate" / "ablation_report.txt").read_text()
+    assert "Wilcoxon signed-rank: p = " in report

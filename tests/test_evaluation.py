@@ -1,9 +1,16 @@
-"""Evaluation statistics: parity of the Wilcoxon test with scipy."""
+"""Evaluation statistics: parity of the Wilcoxon test with scipy, and the CLI
+starting without scipy.stats."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import wilcoxon
 
+import segreg
 from segreg.evaluation import wilcoxon_signed_rank
 
 
@@ -18,9 +25,28 @@ def test_wilcoxon_matches_scipy_normal_approximation_with_ties():
         if n_nonzero < 6:
             continue
         ref = wilcoxon(a, b, method="approx", correction=True)
-        if ref.statistic == n_nonzero * (n_nonzero + 1) / 4.0:
-            continue                              # scipy drops the correction here
-        p, _ = wilcoxon_signed_rank(a, b)
+        p, r = wilcoxon_signed_rank(a, b)
         assert p == pytest.approx(ref.pvalue, rel=1e-12)
+        assert r == pytest.approx(abs(ref.zstatistic) / np.sqrt(n_nonzero), rel=1e-12)
         checked += 1
     assert checked > 250
+
+
+def test_wilcoxon_statistic_at_its_mean_has_no_effect():
+    """W+ = W- = n(n+1)/4: the continuity correction does not push Z off 0."""
+    a = np.zeros(6)
+    p, r = wilcoxon_signed_rank(a, np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0]))
+    assert (p, r) == (1.0, 0.0)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes longer to import than the whole CLI, so only the
+    Wilcoxon test loads it."""
+    src = str(Path(segreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, segreg.cli; "
+             "print([m for m in sys.modules if m.startswith('scipy.stats')])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -69,10 +69,9 @@ def test_straight_through_forward_is_exactly_binary():
     rng = np.random.default_rng(3)
     z = Tensor(rng.uniform(-2, 2, size=(200, 2)), requires_grad=True)
     with Tape():
-        mask, hard, noise = straight_through_mask(z, 1.0, np.random.default_rng(7))
+        mask, noise = straight_through_mask(z, 1.0, np.random.default_rng(7))
     assert set(np.unique(mask.data)) <= {0.0, 1.0}
-    np.testing.assert_array_equal(mask.data[:, 0], hard.astype(float))
-    np.testing.assert_array_equal(hard, np.argmax(z.data + noise, axis=1))
+    np.testing.assert_array_equal(mask.data[:, 0], np.argmax(z.data + noise, axis=1))
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 5.0])
@@ -82,7 +81,7 @@ def test_straight_through_gradient_equals_relaxed_gradient(tau):
 
     with Tape():
         z = Tensor(z0, requires_grad=True)
-        mask, _, noise = straight_through_mask(z, tau, np.random.default_rng(9))
+        mask, noise = straight_through_mask(z, tau, np.random.default_rng(9))
         backward(sum_(mask))
     ste_grad = z.grad.copy()
 
@@ -98,16 +97,16 @@ def test_strong_logits_give_all_ones_mask():
     # logit gap 20: P(Y=0) = sigma(-20) ~ 2e-9 per point
     z = Tensor(np.tile([0.0, 20.0], (500, 1)))
     with Tape():
-        mask, hard, _ = straight_through_mask(z, 1.0, np.random.default_rng(11))
-    assert np.all(hard == 1)
+        mask, _ = straight_through_mask(z, 1.0, np.random.default_rng(11))
+    assert np.all(mask.data == 1.0)
 
 
 def test_gumbel_max_frequency_matches_logistic_cdf():
     gap = 0.8
     z = Tensor(np.tile([0.0, gap], (50_000, 1)))
-    _, hard, _ = straight_through_mask(z, 1.0, np.random.default_rng(12))
+    mask, _ = straight_through_mask(z, 1.0, np.random.default_rng(12))
     expected = 1.0 / (1.0 + np.exp(-gap))
-    assert abs(hard.mean() - expected) < 0.01
+    assert abs(mask.data.mean() - expected) < 0.01
 
 
 def test_hard_mask_is_noise_free_argmax():

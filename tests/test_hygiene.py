@@ -191,3 +191,57 @@ def test_no_getattr_with_default(path):
 def test_getattr_scan_sees_three_argument_calls_only():
     tree = ast.parse('getattr(x, "a")\ngetattr(x, "b", None)\nx.getattr(y, "c", 1)\n')
     assert _getattr_defaults(tree) == [2]
+
+
+# parameters that a function keeps without reading them, with the reason
+UNREAD_PARAMETERS_ALLOWED = {
+    "autodiff.Tape.__exit__.exc_type": "context-manager protocol argument",
+    "autodiff.Tape.__exit__.exc": "context-manager protocol argument",
+    "autodiff.Tape.__exit__.tb": "context-manager protocol argument",
+    "pipeline.register_pair.seg_cfg": "perfbench calls register_pair with five arguments",
+    "pipeline.register_pair.match_cfg": "perfbench calls register_pair with five arguments",
+}
+
+
+def _unread_parameters(tree: ast.Module, prefix: str) -> dict[str, int]:
+    """``prefix.[Class.]function.parameter`` -> the function's line, for every
+    parameter that its body (nested functions included) never loads."""
+    found: dict[str, int] = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p is not None]
+                loaded = {n.id for stmt in child.body for n in ast.walk(stmt)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                for p in params:
+                    if p.arg not in loaded and p.arg not in ("self", "cls"):
+                        found[f"{prefix}.{scope}{child.name}.{p.arg}"] = child.lineno
+                visit(child, f"{scope}{child.name}.")
+
+    visit(tree, "")
+    return found
+
+
+def test_every_function_parameter_is_read():
+    unread = {}
+    for path in MODULES:
+        unread.update(_unread_parameters(ast.parse(path.read_text(), filename=str(path)),
+                                         path.stem))
+    new = [f"{name} ({name.split('.')[0]}.py:{line})" for name, line in sorted(unread.items())
+           if name not in UNREAD_PARAMETERS_ALLOWED]
+    stale = sorted(set(UNREAD_PARAMETERS_ALLOWED) - set(unread))
+    assert not new and not stale, (
+        f"parameters no function body reads: {new}; stale allowlist entries: {stale}")
+
+
+def test_unread_parameter_scan_sees_nested_reads_and_methods():
+    tree = ast.parse("def f(a, b, *c, d=1, **e):\n    def g():\n        return a\n"
+                     "    b = 2\n    return g\n"
+                     "class K:\n    def m(self, x):\n        return self\n")
+    assert _unread_parameters(tree, "mod") == {"mod.f.b": 1, "mod.f.c": 1, "mod.f.d": 1,
+                                               "mod.f.e": 1, "mod.K.m.x": 7}

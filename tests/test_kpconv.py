@@ -260,13 +260,13 @@ def test_seg_forward_shape_and_color_requirement():
     cloud = surface_cloud(rng, 300)
     ctx = build_context(cloud, TINY_SEG)
     params = init_seg_params(TINY_SEG, rng)
-    logits = seg_forward(params, ctx, TINY_SEG)
+    logits = seg_forward(params, ctx)
     assert logits.shape == (300, 2)
 
     bare = PointCloud(cloud.positions)
     ctx2 = build_context(bare, TINY_SEG)
     with pytest.raises(ValueError, match="colors"):
-        seg_forward(params, ctx2, TINY_SEG)
+        seg_forward(params, ctx2)
 
 
 def test_seg_forward_identical_points_identical_logits():
@@ -277,7 +277,7 @@ def test_seg_forward_identical_points_identical_logits():
     doubled = PointCloud(pos, colors=col)
     ctx = build_context(doubled, TINY_SEG)
     params = init_seg_params(TINY_SEG, rng)
-    logits = seg_forward(params, ctx, TINY_SEG).data
+    logits = seg_forward(params, ctx).data
     np.testing.assert_array_equal(logits[0], logits[-1])
 
 
@@ -285,11 +285,11 @@ def test_seg_forward_permutation_equivariance():
     rng = np.random.default_rng(9)
     cloud = surface_cloud(rng, 250)
     params = init_seg_params(TINY_SEG, rng)
-    base = seg_forward(params, build_context(cloud, TINY_SEG), TINY_SEG).data
+    base = seg_forward(params, build_context(cloud, TINY_SEG)).data
 
     perm = rng.permutation(250)
     shuffled = PointCloud(cloud.positions[perm], colors=cloud.colors[perm])
-    out = seg_forward(params, build_context(shuffled, TINY_SEG), TINY_SEG).data
+    out = seg_forward(params, build_context(shuffled, TINY_SEG)).data
     np.testing.assert_allclose(out, base[perm], atol=1e-9)
 
 
@@ -303,12 +303,12 @@ def test_seg_forward_all_param_gradcheck():
 
     def f(arrays):
         trial = {n: Tensor(a) for n, a in zip(names, arrays)}
-        return float(np.sum(seg_forward(trial, ctx, TINY_SEG).data * proj.data))
+        return float(np.sum(seg_forward(trial, ctx).data * proj.data))
 
     arrays = [params[n].data.copy() for n in names]
     fd = finite_difference_gradient(f, arrays)
     with Tape():
-        backward(sum_(seg_forward(params, ctx, TINY_SEG) * proj))
+        backward(sum_(seg_forward(params, ctx) * proj))
     for n, g_fd in zip(names, fd):
         g = params[n].grad
         assert g is not None, n
@@ -366,8 +366,8 @@ def test_reg_backbone_shapes_and_shared_params():
     params = init_reg_params(TINY_REG, rng)
     ctx_pre = build_context(pre, TINY_REG)
     ctx_intra = build_context(intra, TINY_REG)
-    sp_p, dn_p = reg_backbone_forward(params, ctx_pre, Tensor(np.ones((400, 1))), TINY_REG)
-    sp_i, dn_i = reg_backbone_forward(params, ctx_intra, Tensor(np.ones((350, 1))), TINY_REG)
+    sp_p, dn_p = reg_backbone_forward(params, ctx_pre, Tensor(np.ones((400, 1))))
+    sp_i, dn_i = reg_backbone_forward(params, ctx_intra, Tensor(np.ones((350, 1))))
     assert sp_p.shape == (len(ctx_pre.pyramid.levels[-1]), 4)
     assert sp_i.shape == (len(ctx_intra.pyramid.levels[-1]), 4)
     assert dn_p.shape == (len(ctx_pre.pyramid.levels[0]), 3)
@@ -382,9 +382,9 @@ def test_gradient_reaches_mask_logits_through_backbone():
     seg_params = init_seg_params(TINY_SEG, rng)
     reg_params = init_reg_params(TINY_REG, rng)
     with Tape():
-        logits = seg_forward(seg_params, seg_ctx, TINY_SEG)
-        mask, _, _ = straight_through_mask(logits, 1.0, np.random.default_rng(3))
-        sp, dense = reg_backbone_forward(reg_params, reg_ctx, mask, TINY_REG)
+        logits = seg_forward(seg_params, seg_ctx)
+        mask, _ = straight_through_mask(logits, 1.0, np.random.default_rng(3))
+        sp, dense = reg_backbone_forward(reg_params, reg_ctx, mask)
         backward(sum_(dense * dense))
     grads = [p.grad for p in seg_params.values()]
     assert any(g is not None and np.linalg.norm(g) > 0 for g in grads)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from segreg import matching
 from segreg.autodiff import (
     NonFiniteError,
     Tape,
@@ -16,6 +17,8 @@ from segreg.autodiff import (
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
 from segreg.kpconv import build_pyramid
 from segreg.matching import (
+    OVERLAP_PATCH_RADIUS,
+    POSITIVE_OVERLAP,
     MatchSet,
     NoPositivePairsError,
     build_patches,
@@ -156,7 +159,8 @@ def test_normalize_uniform_rows_and_concentration():
 
 @pytest.mark.parametrize("augment_slack", [False, True])
 @pytest.mark.parametrize("iterations", [0, 1, 5])
-def test_fused_sinkhorn_equals_composed_reference(iterations, augment_slack):
+def test_fused_sinkhorn_equals_composed_reference(iterations, augment_slack, monkeypatch):
+    monkeypatch.setattr(matching, "NORM_ITERATIONS", iterations)
     rng = np.random.default_rng(17)
     s0 = np.zeros((8, 11))
     s0[:7, :10] = rng.normal(size=(7, 10)) * 4.0
@@ -165,7 +169,7 @@ def test_fused_sinkhorn_equals_composed_reference(iterations, augment_slack):
     for normalize in (normalize_scores_with_slack, composed_normalize_scores_with_slack):
         with Tape():
             scores = Tensor(s0, requires_grad=True)
-            p = normalize(scores, iterations, augment_slack=augment_slack)
+            p = normalize(scores, augment_slack=augment_slack)
             backward(sum_(p * Tensor(proj)))
         results.append((p.data, scores.grad))
     (p_fused, g_fused), (p_ref, g_ref) = results
@@ -179,7 +183,7 @@ def test_sinkhorn_zero_column_sum_raises_nonfinite(normalize):
     s = np.zeros((4, 5))
     s[:, 2] = -1e4                    # exp underflows to 0: the column sums to 0
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-        normalize(Tensor(s), 1)
+        normalize(Tensor(s))
 
 
 def test_fine_match_identity_on_distinct_descriptors():
@@ -492,11 +496,11 @@ def patch_case(request):
     prepared = prepare_sample(make(), seg_cfg, RegNetConfig(), match_cfg)
     loops = [loop_build_patches(ctx.pyramid, match_cfg.patch_size)
              for ctx in (prepared.reg_ctx_pre, prepared.reg_ctx_intra)]
-    return prepared, loops, match_cfg
+    return prepared, loops
 
 
 def test_patch_table_holds_the_loop_patches(patch_case):
-    prepared, loops, _ = patch_case
+    prepared, loops = patch_case
     for view, loop in zip((prepared.pre_view, prepared.intra_view), loops):
         assert len(view.sizes) == len(loop.patch_indices)
         for b, members in enumerate(loop.patch_indices):
@@ -515,18 +519,18 @@ def test_lattice_truncation_cuts_through_tied_distances():
 
 
 def test_distance_histograms_equal_loop_reference(patch_case):
-    prepared, loops, cfg = patch_case
+    prepared, loops = patch_case
     for hist, loop in zip((prepared.pre_hist, prepared.intra_hist), loops):
-        want = loop_distance_histograms(loop, cfg.hist_bins, cfg.hist_max_dist)
+        want = loop_distance_histograms(loop)
         assert np.array_equal(hist, want)
 
 
 def test_overlap_and_ground_truth_equal_loop_reference(patch_case):
-    prepared, (pre, intra), cfg = patch_case
+    prepared, (pre, intra) = patch_case
     T = prepared.sample.T_gt
-    overlap = loop_superpoint_overlap_labels(pre, intra, T, cfg.overlap_patch_radius)
+    overlap = loop_superpoint_overlap_labels(pre, intra, T, OVERLAP_PATCH_RADIUS)
     assert np.array_equal(prepared.overlap, overlap)
-    fine_pairs, gt_fine = loop_ground_truth(pre, intra, overlap, T, cfg.positive_overlap,
+    fine_pairs, gt_fine = loop_ground_truth(pre, intra, overlap, T, POSITIVE_OVERLAP,
                                             RegNetConfig().initial_voxel)
     assert fine_pairs and list(prepared.gt_fine) == fine_pairs
     for key, (rows, cols) in gt_fine.items():
@@ -535,7 +539,7 @@ def test_overlap_and_ground_truth_equal_loop_reference(patch_case):
 
 
 def test_fine_match_equals_loop_reference(patch_case):
-    prepared, (pre, intra), _ = patch_case
+    prepared, (pre, intra) = patch_case
     rng = np.random.default_rng(0)
     # intra descriptors copy the nearest pre point's under the true pose, so
     # many entries survive the mutual and slack tests

@@ -262,6 +262,16 @@ def test_sample_round_trip(tmp_path):
     assert back.scale == s.scale
 
 
+def test_saved_intra_cloud_carries_no_label_column(tmp_path):
+    """The ground truth lives in ``gt_mask`` / ``mask.txt`` only: a label
+    column in a generated ``intra.ply`` would read as a predicted mask."""
+    save_sample(generate_phantom(PhantomConfig(seed=8, **SMALL)), tmp_path / "s")
+    ply = (tmp_path / "s" / "intra.ply").read_bytes()
+    header = ply[: ply.index(b"end_header")].decode("ascii")
+    assert "red" in header and "label" not in header
+    assert load_ply(tmp_path / "s" / "intra.ply").labels is None
+
+
 def test_manifest_round_trip(tmp_path):
     write_manifest(tmp_path, ["sample_0000", "sample_0001"], config={"seed": 3}, seed=3)
     doc = read_manifest(tmp_path)

@@ -4,7 +4,7 @@ small phantom."""
 import numpy as np
 
 from segreg import pipeline
-from segreg.matching import ground_truth_patch_matches
+from segreg.matching import POSITIVE_OVERLAP, ground_truth_patch_matches
 from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import init_params
@@ -55,7 +55,7 @@ def test_prepare_sample_ground_truth_invariants():
     assert prepared.overlap.shape == (len(pre.points), len(intra.points))
     assert np.all((prepared.overlap >= 0.0) & (prepared.overlap <= 1.0))
 
-    positive = np.argwhere(prepared.overlap > match.positive_overlap)
+    positive = np.argwhere(prepared.overlap > POSITIVE_OVERLAP)
     every = ground_truth_patch_matches(pre, intra, positive, sample.T_gt,
                                        reg.initial_voxel)
     assert len(every) == len(positive)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from segreg import autodiff, kpconv, matching, networks, pipeline, training
-from segreg.autodiff import Tape, backward
+from segreg.autodiff import Tape, Tensor, backward
 from segreg.fileio import load_checkpoint, save_checkpoint
+from segreg.gumbel import straight_through_mask
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import TrainConfig, TrainingDiverged, train
 from reference_ops import add_at_rows, composed_norm_act, composed_normalize_scores_with_slack
@@ -30,12 +31,15 @@ def test_training_loss_matches_finite_differences(gumbel):
     seg, reg, match = networks.SegNetConfig(), networks.RegNetConfig(), pipeline.MatcherConfig()
     prepared = pipeline.prepare_sample(sample, seg, reg, match)
     params = training.init_params(seg, reg, 0)
-    mask = None if gumbel else sample.gt_mask
+    fixed = Tensor(sample.gt_mask.astype(np.float64).reshape(-1, 1))
 
     def loss():
-        return pipeline.training_loss(params, prepared, seg, reg, match,
-                                      np.random.default_rng(7), tau=1.0,
-                                      n_fine_pairs=12, mask_override=mask).total
+        rng = np.random.default_rng(7)
+        mask = fixed
+        if gumbel:
+            mask, _ = straight_through_mask(networks.seg_forward(params, prepared.seg_ctx),
+                                            1.0, rng)
+        return pipeline.training_loss(params, prepared, mask, rng, 12).total
 
     with Tape():
         backward(loss())
