@@ -150,10 +150,8 @@ class Tape:
         return len(self.nodes)
 
 
-def as_tensor(x, requires_grad: bool = False) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, requires_grad=requires_grad)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _record(out: Tensor, backward_fn) -> Tensor:
@@ -542,8 +540,12 @@ def stop_gradient(x: Tensor) -> Tensor:
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def finite_difference_gradient(f, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
-    """Central finite differences of scalar ``f(arrays)`` w.r.t. every entry.
+FD_STEP = 1e-5  # central-difference step of finite_difference_gradient
+
+
+def finite_difference_gradient(f, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Central finite differences (step ``FD_STEP``) of scalar ``f(arrays)``
+    w.r.t. every entry.
 
     Independent of the tape machinery by construction: only calls ``f`` on
     perturbed copies.
@@ -556,9 +558,9 @@ def finite_difference_gradient(f, arrays: list[np.ndarray], h: float = 1e-5) -> 
         for i in range(a.size):
             plus = [x.copy() for x in base]
             minus = [x.copy() for x in base]
-            plus[k].reshape(-1)[i] += h
-            minus[k].reshape(-1)[i] -= h
-            flat[i] = (f(plus) - f(minus)) / (2.0 * h)
+            plus[k].reshape(-1)[i] += FD_STEP
+            minus[k].reshape(-1)[i] -= FD_STEP
+            flat[i] = (f(plus) - f(minus)) / (2.0 * FD_STEP)
         grads.append(g)
     return grads
 

@@ -1,12 +1,16 @@
 """Classical registration baselines: trimmed ICP and RANSAC + ICP.
 
 Trimmed ICP alternates exact nearest-neighbor correspondence with a
-Procrustes solve, discarding the worst fraction of correspondences by
-distance each round; the trimmed RMS is non-increasing.  RANSAC matches
-hand-crafted local descriptors (distance + normal-angle histograms over
-radius neighborhoods) mutually, samples 3-point hypotheses, scores them by
-inlier count, and refines the winner with ICP.  Both are deterministic
-given their inputs and seed.
+Procrustes solve, discarding the worst ``ICP_TRIM_FRACTION`` of
+correspondences by distance each round; the trimmed RMS is non-increasing.
+It stops after ``ICP_MAX_ITER`` rounds or when the RMS improves by less than
+``ICP_TOL``.  RANSAC matches hand-crafted local descriptors (distance +
+normal-angle histograms of ``DESCRIPTOR_BINS`` bins each over radius
+neighborhoods, normals from ``NORMAL_NEIGHBORS`` neighbors) mutually, keeps
+the ``RANSAC_CANDIDATES`` strongest, samples ``RANSAC_ITERATIONS`` 3-point
+hypotheses, scores them by inliers within ``RANSAC_INLIER_RADIUS``, and
+refines the winner with ICP.  Both are deterministic given their inputs and
+seed.
 
 The descriptors come from one k-d tree pair list: each pair within the
 radius is measured once and binned into both endpoints' histograms with a
@@ -26,9 +30,19 @@ from scipy.spatial import cKDTree
 
 from segreg.geometry import PointCloud, RigidTransform
 from segreg.kpconv import local_reference_frames
-from segreg.matching import MatchSet, procrustes_stack, weighted_procrustes
+from segreg.matching import procrustes_stack, weighted_procrustes
 
 __all__ = ["ICPReport", "icp", "ransac_icp", "estimate_normals", "local_descriptors"]
+
+ICP_MAX_ITER = 100           # ICP rounds at most
+ICP_TOL = 1e-6               # ICP stops when the trimmed RMS improves less
+ICP_TRIM_FRACTION = 0.1      # share of correspondences ICP drops each round
+RANSAC_ITERATIONS = 5000     # 3-point hypotheses drawn
+RANSAC_INLIER_RADIUS = 0.05  # hypothesis inlier distance
+DESCRIPTOR_RADIUS = 0.15     # RANSAC's descriptor neighborhood
+RANSAC_CANDIDATES = 600      # strongest mutual descriptor matches kept
+DESCRIPTOR_BINS = 8          # bins per descriptor histogram
+NORMAL_NEIGHBORS = 12        # neighbors of a descriptor's normal estimate
 
 _PAIR_BLOCK = 1 << 18  # neighbor pairs binned per pass in local_descriptors
 _HYPOTHESIS_BLOCK = 128  # RANSAC hypotheses solved and scored per stack
@@ -43,45 +57,38 @@ class ICPReport:
 
 
 def icp(source: PointCloud, target: PointCloud,
-        init: RigidTransform | None = None, max_iter: int = 100,
-        tol: float = 1e-6, trim_fraction: float = 0.1) -> ICPReport:
-    """Trimmed point-to-point ICP from ``source`` onto ``target``.
-
-    Stops when the trimmed RMS improves less than ``tol`` or the iteration
-    budget runs out.  ``trim_fraction`` = 0 reproduces vanilla ICP.
-    """
+        init: RigidTransform | None = None) -> ICPReport:
+    """Trimmed point-to-point ICP from ``source`` onto ``target``, from
+    ``init`` (identity by default)."""
     if len(source) < 3 or len(target) < 3:
         raise ValueError("ICP needs at least 3 points per cloud")
-    if not 0.0 <= trim_fraction < 1.0:
-        raise ValueError("trim_fraction must lie in [0, 1)")
     T = RigidTransform.identity() if init is None else init
     tree = cKDTree(target.positions)
     src = source.positions
-    keep = max(3, int(np.ceil(len(source) * (1.0 - trim_fraction))))
+    keep = max(3, int(np.ceil(len(source) * (1.0 - ICP_TRIM_FRACTION))))
     prev_rms = np.inf
     rms = np.inf
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, ICP_MAX_ITER + 1):
         moved = T.apply_points(src)
         dists, nn = tree.query(moved)
         order = np.argsort(dists, kind="stable")[:keep]
         rms = float(np.sqrt(np.mean(dists[order] ** 2)))
         # fixed trim count makes the trimmed RMS provably non-increasing
         assert rms <= prev_rms + 1e-9, "trimmed RMS increased"
-        if prev_rms - rms < tol:
+        if prev_rms - rms < ICP_TOL:
             converged = True
             break
         prev_rms = rms
-        matches = MatchSet(order, nn[order], np.ones(keep))
         try:
-            T = weighted_procrustes(matches, src, target.positions)
+            T = weighted_procrustes(src[order], target.positions[nn[order]], np.ones(keep))
         except ValueError:
             return ICPReport(T, it, rms, False)
     return ICPReport(T, it, rms, converged)
 
 
-def estimate_normals(cloud: PointCloud, k: int = 12) -> np.ndarray:
+def estimate_normals(cloud: PointCloud, k: int) -> np.ndarray:
     """Unoriented unit normals from the smallest local covariance direction."""
     tree = cKDTree(cloud.positions)
     k = min(k, len(cloud))
@@ -91,8 +98,7 @@ def estimate_normals(cloud: PointCloud, k: int = 12) -> np.ndarray:
     return local_reference_frames(cloud.positions, nn, min_neighbors=0)[:, 2]
 
 
-def local_descriptors(cloud: PointCloud, radius: float, bins: int = 8,
-                      k_normals: int = 12) -> np.ndarray:
+def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
     """Distance + normal-angle histogram signatures over radius neighborhoods.
 
     Row i holds the histograms of |p_j - p_i| over [0, radius] and of
@@ -100,12 +106,12 @@ def local_descriptors(cloud: PointCloud, radius: float, bins: int = 8,
     normalized; a point with no neighbor gets a zero row.  Each unordered
     pair is measured once and counted into both endpoints' rows.
     """
-    normals = estimate_normals(cloud, k_normals)
+    normals = estimate_normals(cloud, NORMAL_NEIGHBORS)
     pos = cloud.positions
     pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
-    d_edges = np.linspace(0.0, radius, bins + 1)
-    a_edges = np.linspace(0.0, 1.0, bins + 1)
-    width = 2 * bins
+    d_edges = np.linspace(0.0, radius, DESCRIPTOR_BINS + 1)
+    a_edges = np.linspace(0.0, 1.0, DESCRIPTOR_BINS + 1)
+    width = 2 * DESCRIPTOR_BINS
     counts = np.zeros(len(cloud) * width, dtype=np.int64)
     for start in range(0, len(pairs), _PAIR_BLOCK):
         i, j = pairs[start:start + _PAIR_BLOCK].T
@@ -115,7 +121,8 @@ def local_descriptors(cloud: PointCloud, radius: float, bins: int = 8,
                                np.take(normals, j, axis=0)))
         # np.histogram's rule for explicit edges: edges[b] <= x < edges[b + 1]
         d_bin = np.searchsorted(d_edges, np.clip(d, 0, radius - 1e-12), side="right") - 1
-        a_bin = np.searchsorted(a_edges, np.clip(cos, 0, 1 - 1e-12), side="right") - 1 + bins
+        a_bin = (np.searchsorted(a_edges, np.clip(cos, 0, 1 - 1e-12), side="right")
+                 - 1 + DESCRIPTOR_BINS)
         slots = np.concatenate([i * width + d_bin, i * width + a_bin,
                                 j * width + d_bin, j * width + a_bin])
         counts += np.bincount(slots, minlength=counts.size)
@@ -128,7 +135,7 @@ def local_descriptors(cloud: PointCloud, radius: float, bins: int = 8,
 
 
 def _hypothesis_inliers(picks: np.ndarray, cand_src: np.ndarray,
-                        cand_tgt: np.ndarray, inlier_radius: float) -> np.ndarray:
+                        cand_tgt: np.ndarray) -> np.ndarray:
     """Inlier counts of the 3-point fits on the rows of ``picks``.
 
     One ``procrustes_stack`` call fits every row with unit weights; a row
@@ -142,41 +149,39 @@ def _hypothesis_inliers(picks: np.ndarray, cand_src: np.ndarray,
     diff *= diff
     sq = diff[..., 0] + diff[..., 1]
     sq += diff[..., 2]
-    return np.where(valid, np.sum(np.sqrt(sq) <= inlier_radius, axis=1), -1)
+    return np.where(valid, np.sum(np.sqrt(sq) <= RANSAC_INLIER_RADIUS, axis=1), -1)
 
 
-def ransac_icp(source: PointCloud, target: PointCloud, rng: np.random.Generator,
-               n_iter: int = 5000, inlier_radius: float = 0.05,
-               descriptor_radius: float = 0.15, max_candidates: int = 600
-               ) -> ICPReport:
+def ransac_icp(source: PointCloud, target: PointCloud,
+               rng: np.random.Generator) -> ICPReport:
     """Descriptor-matched RANSAC alignment refined by trimmed ICP."""
     if len(source) < 10 or len(target) < 10:
         raise ValueError("RANSAC needs at least 10 points per cloud")
-    src_desc = local_descriptors(source, descriptor_radius)
-    tgt_desc = local_descriptors(target, descriptor_radius)
+    src_desc = local_descriptors(source, DESCRIPTOR_RADIUS)
+    tgt_desc = local_descriptors(target, DESCRIPTOR_RADIUS)
     sim = src_desc @ tgt_desc.T
     fwd = np.argmax(sim, axis=1)
     bwd = np.argmax(sim, axis=0)
     mutual = np.flatnonzero(bwd[fwd] == np.arange(len(source)))
     if mutual.size < 3:
         raise ValueError("no mutual descriptor matches between the clouds")
-    if mutual.size > max_candidates:
+    if mutual.size > RANSAC_CANDIDATES:
         strength = sim[mutual, fwd[mutual]]
-        mutual = mutual[np.argsort(-strength, kind="stable")[:max_candidates]]
+        mutual = mutual[np.argsort(-strength, kind="stable")[:RANSAC_CANDIDATES]]
     cand_src = source.positions[mutual]
     cand_tgt = target.positions[fwd[mutual]]
 
     m = mutual.size
-    picks = np.array([rng.choice(m, size=3, replace=False) for _ in range(n_iter)],
-                     dtype=np.int64).reshape(n_iter, 3)
-    counts = np.empty(n_iter, dtype=np.int64)
-    for start in range(0, n_iter, _HYPOTHESIS_BLOCK):
+    picks = np.array([rng.choice(m, size=3, replace=False)
+                      for _ in range(RANSAC_ITERATIONS)], dtype=np.int64).reshape(-1, 3)
+    counts = np.empty(RANSAC_ITERATIONS, dtype=np.int64)
+    for start in range(0, RANSAC_ITERATIONS, _HYPOTHESIS_BLOCK):
         block = slice(start, start + _HYPOTHESIS_BLOCK)
-        counts[block] = _hypothesis_inliers(picks[block], cand_src, cand_tgt, inlier_radius)
+        counts[block] = _hypothesis_inliers(picks[block], cand_src, cand_tgt)
     if not np.any(counts >= 0):
         raise ValueError("RANSAC found no valid hypothesis")
     # the first best count wins, as in a sequential scan; its pose is re-solved
     # by the scalar routine so ICP starts from exactly that fit
     best = picks[np.argmax(counts)]
-    best_T = weighted_procrustes(MatchSet(best, best, np.ones(3)), cand_src, cand_tgt)
+    best_T = weighted_procrustes(cand_src[best], cand_tgt[best], np.ones(3))
     return icp(source, target, init=best_T)

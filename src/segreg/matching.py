@@ -9,9 +9,10 @@ pairwise-distance-histogram bonus, selected through a dual softmax.  Fine
 matching scores patch-to-patch descriptor similarity with a slack row and
 column (``patch_scores``, shared with the training loss), normalized by
 alternating column/row renormalizations of the exponentiated scores, and
-keeps mutual top-1 entries.  A weighted Procrustes solve (``procrustes_stack``,
-also used by the baselines) plus inlier re-weighting turns the surviving
-matches into a rigid transform.
+keeps mutual top-1 entries.  Correspondences are plain matched arrays: the
+points of each side gathered row for row, plus a weight per row.  A weighted
+Procrustes solve (``procrustes_stack``, also used by the baselines) plus
+inlier re-weighting turns them into a rigid transform.
 
 The settings no caller varies are module constants: ``K_CORR`` coarse pairs
 with a ``BONUS_WEIGHT`` histogram bonus over ``HIST_BINS`` bins up to
@@ -38,7 +39,6 @@ from segreg.geometry import RigidTransform, rotation_defects
 from segreg.kpconv import PointPyramid
 
 __all__ = [
-    "MatchSet",
     "DualLoss",
     "PatchedSuperpoints",
     "NoPositivePairsError",
@@ -72,27 +72,6 @@ REFINE_ITERATIONS = 5         # re-weighted Procrustes rounds
 
 class NoPositivePairsError(ValueError):
     """Raised when a training pair has no positive superpoint overlap."""
-
-
-@dataclass
-class MatchSet:
-    """Weighted point correspondences between two clouds."""
-
-    pre_indices: np.ndarray
-    intra_indices: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.pre_indices = np.asarray(self.pre_indices, dtype=np.int64)
-        self.intra_indices = np.asarray(self.intra_indices, dtype=np.int64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if not (len(self.pre_indices) == len(self.intra_indices) == len(self.weights)):
-            raise ValueError("match arrays must have equal length")
-        if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite and non-negative")
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 @dataclass
@@ -299,7 +278,8 @@ def normalize_scores_with_slack(scores: Tensor, augment_slack: bool = False) -> 
 
 def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
                coarse_pairs: np.ndarray, pre_view: PatchedSuperpoints,
-               intra_view: PatchedSuperpoints) -> MatchSet:
+               intra_view: PatchedSuperpoints
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refine coarse pairs into weighted point correspondences.
 
     Per coarse pair, scores patch descriptors against each other (scaled
@@ -308,8 +288,9 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
     must also beat both of its slack competitors, so diffuse score matrices
     yield few or no correspondences.  The coarse pairs must be distinct, as
     ``coarse_match`` returns them: every level-0 point lies in one patch, so
-    each (pre, intra) point pair is then found at most once.  Matches come
-    in (pre, intra) index order.
+    each (pre, intra) point pair is then found at most once.  Returns
+    level-0 (pre indices, intra indices, weights), in (pre, intra) index
+    order.
     """
     dense_pre, dense_intra = Tensor(dense_pre), Tensor(dense_intra)
     found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
@@ -327,7 +308,7 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
         found.append((ia[keep], ib[j[keep]], w[keep]))
     pre_idx, intra_idx, w = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((intra_idx, pre_idx))
-    return MatchSet(pre_idx[order], intra_idx[order], w[order])
+    return pre_idx[order], intra_idx[order], w[order]
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +341,14 @@ def procrustes_stack(p: np.ndarray, q: np.ndarray, w: np.ndarray
     return R, t, (s[:, 0] > 0) & (ratio >= 1e-9) & ~not_orthonormal & ~not_proper
 
 
-def weighted_procrustes(matches: MatchSet, pre: np.ndarray,
-                        intra: np.ndarray) -> RigidTransform:
-    """``procrustes_stack`` on one match set of (N, 3) point arrays, as a
-    ``RigidTransform``."""
-    if len(matches) < 3:
-        raise ValueError(f"need at least 3 matches, got {len(matches)}")
-    if matches.weights.sum() <= 0:
+def weighted_procrustes(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> RigidTransform:
+    """``procrustes_stack`` on one matched set, (n, 3) points ``p`` onto
+    (n, 3) points ``q`` with (n,) weights, as a ``RigidTransform``."""
+    if len(w) < 3:
+        raise ValueError(f"need at least 3 matches, got {len(w)}")
+    if w.sum() <= 0:
         raise ValueError("total match weight must be positive")
-    R, t, valid = procrustes_stack(pre[matches.pre_indices][None],
-                                   intra[matches.intra_indices][None],
-                                   matches.weights[None])
+    R, t, valid = procrustes_stack(p[None], q[None], w[None])
     if not valid[0]:
         raise ValueError("rank-deficient match covariance (collinear correspondences) "
                          "or a rotation outside tolerance")
@@ -381,32 +359,28 @@ def weighted_procrustes(matches: MatchSet, pre: np.ndarray,
 class RefineResult:
     transform: RigidTransform
     inlier_count: int
-    flagged: bool
 
 
-def refine_transform(T0: RigidTransform, matches: MatchSet,
-                     pre: np.ndarray, intra: np.ndarray, inlier_radius: float
-                     ) -> RefineResult:
-    """Iteratively re-weight matches by residual and re-solve Procrustes
-    (``REFINE_ITERATIONS`` rounds).
+def refine_transform(T0: RigidTransform, p: np.ndarray, q: np.ndarray, w: np.ndarray,
+                     inlier_radius: float) -> RefineResult:
+    """Iteratively re-weight matches (``weighted_procrustes``'s arrays) by
+    residual and re-solve Procrustes (``REFINE_ITERATIONS`` rounds).
 
     Matches beyond the working radius get weight zero each round; the radius
     starts at the 70th-percentile residual and anneals down to
     ``inlier_radius`` so a badly skewed initial fit can still shed gross
     outliers.  The iterate with the highest inlier count (measured at
     ``inlier_radius``) wins; if every match is pruned the input transform
-    comes back flagged.
+    comes back with inlier count 0.
     """
-    p = pre[matches.pre_indices]
-    q = intra[matches.intra_indices]
-    best = RefineResult(T0, -1, False)
+    best = RefineResult(T0, -1)
     T = T0
     working = None
     for _ in range(REFINE_ITERATIONS):
         residuals = np.linalg.norm(T.apply_points(p) - q, axis=1)
         count = int(np.sum(residuals <= inlier_radius))
         if count > best.inlier_count:
-            best = RefineResult(T, count, False)
+            best = RefineResult(T, count)
         if working is None:
             working = max(inlier_radius, float(np.quantile(residuals, 0.7)))
         else:
@@ -414,20 +388,15 @@ def refine_transform(T0: RigidTransform, matches: MatchSet,
         keep = residuals <= working
         if keep.sum() < 3:
             break
-        trimmed = MatchSet(matches.pre_indices[keep],
-                           matches.intra_indices[keep],
-                           matches.weights[keep])
         try:
-            T = weighted_procrustes(trimmed, pre, intra)
+            T = weighted_procrustes(p[keep], q[keep], w[keep])
         except ValueError:
             break
     residuals = np.linalg.norm(T.apply_points(p) - q, axis=1)
     count = int(np.sum(residuals <= inlier_radius))
     if count > best.inlier_count:
-        best = RefineResult(T, count, False)
-    if best.inlier_count <= 0:
-        return RefineResult(T0, 0, True)
-    return best
+        best = RefineResult(T, count)
+    return best if best.inlier_count > 0 else RefineResult(T0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """End-to-end registration pipeline: mask, backbone, matching, pose.
 
-``prepare_sample`` precomputes everything that depends only on geometry
-(pyramids, influence tables, patches, histogram signatures, and, when ground
-truth is available, superpoint overlap and per-patch ground-truth matches).
-``training_loss`` assembles the differentiable dual loss on a tape for a
-given intraoperative mask; ``register_pair`` runs deterministic inference
-(argmax mask, no noise) and returns the predicted pose.  Both share one
-backbone pass over the pair and ``matching.patch_scores``.
+``prepare_sample`` precomputes what training and inference both read and
+that depends only on geometry (pyramids, influence tables, patches, and,
+when ground truth is available, superpoint overlap and per-patch
+ground-truth matches).  ``training_loss`` assembles the differentiable dual
+loss on a tape for a given intraoperative mask; ``register_pair`` runs
+deterministic inference (argmax mask, no noise) and returns the predicted
+pose.  Both share one backbone pass over the pair and
+``matching.patch_scores``.
+
+``register_pair`` turns its matched point arrays into a pose along one of
+three paths, each one fit-and-refine call: the fine matches alone
+("fine"); failing that, the superpoint pairs at twice the inlier radius
+("coarse"), polished by the fine matches when that keeps an inlier
+("coarse+fine").
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from segreg.matching import (
     OVERLAP_PATCH_RADIUS,
     POSITIVE_OVERLAP,
     DualLoss,
-    MatchSet,
     PatchedSuperpoints,
     build_patches,
     coarse_loss,
@@ -85,8 +91,6 @@ class PreparedSample:
     reg_ctx_intra: BackboneContext
     pre_view: PatchedSuperpoints
     intra_view: PatchedSuperpoints
-    pre_hist: np.ndarray
-    intra_hist: np.ndarray
     overlap: np.ndarray | None = None
     # (rows, cols) ground-truth patch matches of each positive superpoint
     # pair that has some, keyed by the pair, in argwhere order
@@ -103,11 +107,8 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
     reg_ctx_intra = build_context(sample.intraoperative, reg_cfg)
     pre_view = build_patches(reg_ctx_pre.pyramid, match_cfg.patch_size)
     intra_view = build_patches(reg_ctx_intra.pyramid, match_cfg.patch_size)
-    pre_hist = distance_histograms(pre_view)
-    intra_hist = distance_histograms(intra_view)
     prepared = PreparedSample(sample, seg_ctx, reg_ctx_pre, reg_ctx_intra,
-                              pre_view, intra_view, pre_hist, intra_hist,
-                              sample_id=sample_id)
+                              pre_view, intra_view, sample_id=sample_id)
     if with_ground_truth:
         overlap = superpoint_overlap_labels(pre_view, intra_view, sample.T_gt,
                                             OVERLAP_PATCH_RADIUS)
@@ -191,49 +192,41 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     sp_pre, sp_intra, dense_pre, dense_intra = _pair_forward(
         params, prepared, Tensor(mask.astype(np.float64).reshape(-1, 1)))
 
-    bonus = prepared.pre_hist @ prepared.intra_hist.T
+    pre_view, intra_view = prepared.pre_view, prepared.intra_view
+    bonus = distance_histograms(pre_view) @ distance_histograms(intra_view).T
     pairs, scores = coarse_match(sp_pre.data, sp_intra.data, K_CORR, geom_bonus=bonus)
-    matches = fine_match(dense_pre.data, dense_intra.data, pairs,
-                         prepared.pre_view, prepared.intra_view)
-    pre_fine = prepared.pre_view.fine_points
-    intra_fine = prepared.intra_view.fine_points
-
+    pre_idx, intra_idx, weights = fine_match(dense_pre.data, dense_intra.data, pairs,
+                                             pre_view, intra_view)
+    fine = (pre_view.fine_points[pre_idx], intra_view.fine_points[intra_idx], weights)
+    coarse = (pre_view.points[pairs[:, 0]], intra_view.points[pairs[:, 1]], scores)
     inlier_radius = 2.5 * reg_cfg.initial_voxel
-    refined = None
-    path = "fine"
-    if len(matches) >= 3:
+
+    def fit(matches, radius, T0=None):
+        """``refine_transform`` of (p, q, w) matches from ``T0``, by default
+        their own ``weighted_procrustes`` fit, which raises ValueError on
+        fewer than 3 matches or a degenerate set."""
+        p, q, w = matches
+        return refine_transform(weighted_procrustes(p, q, w) if T0 is None else T0,
+                                p, q, w, radius)
+
+    try:
+        refined, path = fit(fine, inlier_radius), "fine"
+    except ValueError:
+        refined = None
+    if refined is None or refined.inlier_count == 0:
         try:
-            T0 = weighted_procrustes(matches, pre_fine, intra_fine)
-            refined = refine_transform(T0, matches, pre_fine, intra_fine, inlier_radius)
-            if refined.flagged:
-                refined = None
-        except ValueError:
-            refined = None
-    if refined is None:
-        # fall back to superpoint-level correspondences from the coarse stage
-        path = "coarse"
-        sp_matches = MatchSet(pairs[:, 0], pairs[:, 1], scores)
-        try:
-            T0 = weighted_procrustes(sp_matches, prepared.pre_view.points,
-                                     prepared.intra_view.points)
+            refined, path = fit(coarse, 2.0 * inlier_radius), "coarse"
         except ValueError as exc:
             raise RegistrationError(f"degenerate correspondence set: {exc}") from exc
-        coarse_refined = refine_transform(
-            T0, sp_matches, prepared.pre_view.points, prepared.intra_view.points,
-            inlier_radius=2.0 * inlier_radius)
-        refined = coarse_refined
-        if len(matches) >= 3:
-            # polish with the fine correspondences once roughly aligned
-            fine_refined = refine_transform(coarse_refined.transform, matches,
-                                            pre_fine, intra_fine, inlier_radius)
-            if not fine_refined.flagged:
-                refined = fine_refined
-                path = "coarse+fine"
+        if len(weights) >= 3:
+            polished = fit(fine, inlier_radius, refined.transform)
+            if polished.inlier_count > 0:
+                refined, path = polished, "coarse+fine"
     info = {
         "n_coarse": int(len(pairs)),
-        "n_fine": int(len(matches)),
+        "n_fine": int(len(weights)),
         "inliers": refined.inlier_count,
-        "refine_flagged": refined.flagged,
+        "refine_flagged": refined.inlier_count == 0,
         "mask_mean": float(mask.mean()),
         "path": path,
     }

@@ -6,6 +6,13 @@ from scipy.spatial import cKDTree
 
 from segreg import baselines
 from segreg.baselines import (
+    DESCRIPTOR_BINS,
+    DESCRIPTOR_RADIUS,
+    ICP_MAX_ITER,
+    NORMAL_NEIGHBORS,
+    RANSAC_CANDIDATES,
+    RANSAC_INLIER_RADIUS,
+    RANSAC_ITERATIONS,
     _hypothesis_inliers,
     estimate_normals,
     icp,
@@ -13,7 +20,7 @@ from segreg.baselines import (
     ransac_icp,
 )
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
-from segreg.matching import MatchSet, weighted_procrustes
+from segreg.matching import weighted_procrustes
 from segreg.phantom import PhantomConfig, generate_phantom
 from reference_ops import scalar_weighted_procrustes
 
@@ -62,8 +69,8 @@ def test_icp_rms_monotone_and_bounded_iterations():
     target = bumpy_surface(rng)
     T = random_rigid(0.05, 20.0, rng)
     noisy = PointCloud(T.apply_points(target.positions) + rng.normal(scale=0.005, size=(len(target), 3)))
-    report = icp(noisy, target, max_iter=40)
-    assert report.iterations_used <= 40
+    report = icp(noisy, target)
+    assert report.iterations_used <= ICP_MAX_ITER
     assert report.final_rms >= 0
 
 
@@ -73,19 +80,12 @@ def test_icp_rejects_tiny_clouds():
         icp(c, c)
 
 
-def test_icp_trim_zero_is_vanilla():
-    rng = np.random.default_rng(3)
-    cloud = bumpy_surface(rng, 200)
-    report = icp(cloud, cloud, trim_fraction=0.0)
-    assert report.final_rms < 1e-10
-
-
 def test_ransac_icp_recovers_large_misalignment():
     rng = np.random.default_rng(4)
     target = bumpy_surface(rng, 700)
     T = random_rigid(0.1, 45.0, rng)
     source = PointCloud(T.apply_points(target.positions))
-    report = ransac_icp(source, target, np.random.default_rng(7), n_iter=2000)
+    report = ransac_icp(source, target, np.random.default_rng(7))
     delta = report.transform.compose(T)
     assert rotation_angle_deg(delta.rotation) < 1.0
     assert np.linalg.norm(delta.translation) < 0.02
@@ -96,8 +96,8 @@ def test_ransac_icp_deterministic_per_seed():
     target = bumpy_surface(rng, 400)
     T = random_rigid(0.08, 30.0, rng)
     source = PointCloud(T.apply_points(target.positions))
-    a = ransac_icp(source, target, np.random.default_rng(11), n_iter=500)
-    b = ransac_icp(source, target, np.random.default_rng(11), n_iter=500)
+    a = ransac_icp(source, target, np.random.default_rng(11))
+    b = ransac_icp(source, target, np.random.default_rng(11))
     assert np.array_equal(a.transform.rotation, b.transform.rotation)
     assert np.array_equal(a.transform.translation, b.transform.translation)
 
@@ -136,7 +136,7 @@ def test_icp_initialization_sensitivity_on_low_overlap():
 def test_estimate_normals_of_noisy_plane_are_vertical():
     rng = np.random.default_rng(20)
     pos = np.column_stack([rng.uniform(-1, 1, (500, 2)), 1e-3 * rng.normal(size=500)])
-    normals = estimate_normals(PointCloud(pos))
+    normals = estimate_normals(PointCloud(pos), NORMAL_NEIGHBORS)
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
     assert np.min(np.abs(normals[:, 2])) > 0.99
 
@@ -155,9 +155,10 @@ def test_estimate_normals_match_per_point_covariance_eigenvectors():
 
 # -- references: the per-point and per-hypothesis loops ----------------------
 
-def loop_descriptors(cloud, radius, bins=8, k_normals=12):
+def loop_descriptors(cloud, radius):
     """One ball query and two np.histogram calls per point."""
-    normals = estimate_normals(cloud, k_normals)
+    bins = DESCRIPTOR_BINS
+    normals = estimate_normals(cloud, NORMAL_NEIGHBORS)
     neighborhoods = cKDTree(cloud.positions).query_ball_point(cloud.positions, radius)
     desc = np.zeros((len(cloud), 2 * bins))
     d_edges = np.linspace(0.0, radius, bins + 1)
@@ -177,18 +178,19 @@ def loop_descriptors(cloud, radius, bins=8, k_normals=12):
     return desc
 
 
-def ransac_candidates(source, target, radius=0.15, max_candidates=600):
+def ransac_candidates(source, target):
     """The mutual descriptor matches that ransac_icp samples from."""
-    sim = local_descriptors(source, radius) @ local_descriptors(target, radius).T
+    sim = (local_descriptors(source, DESCRIPTOR_RADIUS)
+           @ local_descriptors(target, DESCRIPTOR_RADIUS).T)
     fwd, bwd = np.argmax(sim, axis=1), np.argmax(sim, axis=0)
     mutual = np.flatnonzero(bwd[fwd] == np.arange(len(source)))
-    if mutual.size > max_candidates:
+    if mutual.size > RANSAC_CANDIDATES:
         strength = sim[mutual, fwd[mutual]]
-        mutual = mutual[np.argsort(-strength, kind="stable")[:max_candidates]]
+        mutual = mutual[np.argsort(-strength, kind="stable")[:RANSAC_CANDIDATES]]
     return source.positions[mutual], target.positions[fwd[mutual]]
 
 
-def loop_hypotheses(picks, cand_src, cand_tgt, inlier_radius=0.05):
+def loop_hypotheses(picks, cand_src, cand_tgt):
     """One weighted_procrustes per hypothesis; the first strictly best wins.
 
     Returns the per-hypothesis inlier counts (-1 where the solve raised) and
@@ -197,20 +199,20 @@ def loop_hypotheses(picks, cand_src, cand_tgt, inlier_radius=0.05):
     counts, best_T, best_count = [], None, -1
     for pick in picks:
         try:
-            T = weighted_procrustes(MatchSet(pick, pick, np.ones(3)), cand_src, cand_tgt)
+            T = weighted_procrustes(cand_src[pick], cand_tgt[pick], np.ones(3))
         except ValueError:
             counts.append(-1)
             continue
         count = int(np.sum(np.linalg.norm(T.apply_points(cand_src) - cand_tgt, axis=1)
-                           <= inlier_radius))
+                           <= RANSAC_INLIER_RADIUS))
         counts.append(count)
         if count > best_count:
             best_count, best_T = count, T
     return np.array(counts), best_T
 
 
-def draw_picks(rng, m, n_iter):
-    return np.array([rng.choice(m, size=3, replace=False) for _ in range(n_iter)])
+def draw_picks(rng, m):
+    return np.array([rng.choice(m, size=3, replace=False) for _ in range(RANSAC_ITERATIONS)])
 
 
 def lines_and_surface(rng):
@@ -246,7 +248,7 @@ def test_local_descriptors_match_loop_on_lattice_bin_edges():
     flat = [(x, y, 0.0) for x in g for y in g]
     wall = [(2.85, y, z) for y in g for z in g]
     cloud = PointCloud(np.array(flat + wall + [(10.0, 10.0, 10.0)]))
-    normals = np.abs(estimate_normals(cloud)[:-1])
+    normals = np.abs(estimate_normals(cloud, NORMAL_NEIGHBORS)[:-1])
     assert np.array_equal(np.unique(normals, axis=0), [[0, 0, 1], [1, 0, 0]])
     pairs = cKDTree(cloud.positions).query_pairs(1.0, output_type="ndarray")
     d = np.linalg.norm(cloud.positions[pairs[:, 0]] - cloud.positions[pairs[:, 1]], axis=1)
@@ -264,12 +266,12 @@ def test_local_descriptors_match_loop_on_lattice_bin_edges():
 def test_batched_scoring_skips_collinear_triples_like_the_loop():
     source, target = lines_and_surface(np.random.default_rng(30))
     cand_src, cand_tgt = ransac_candidates(source, target)
-    picks = draw_picks(np.random.default_rng(12), len(cand_src), 600)
+    picks = draw_picks(np.random.default_rng(12), len(cand_src))
     counts, best_T = loop_hypotheses(picks, cand_src, cand_tgt)
     assert np.sum(counts == -1) > 0
-    assert np.array_equal(_hypothesis_inliers(picks, cand_src, cand_tgt, 0.05), counts)
+    assert np.array_equal(_hypothesis_inliers(picks, cand_src, cand_tgt), counts)
     expected = icp(source, target, init=best_T).transform
-    got = ransac_icp(source, target, np.random.default_rng(12), n_iter=600).transform
+    got = ransac_icp(source, target, np.random.default_rng(12)).transform
     assert np.array_equal(got.rotation, expected.rotation)
     assert np.array_equal(got.translation, expected.translation)
 
@@ -278,7 +280,7 @@ def test_ransac_icp_with_only_collinear_candidates_finds_no_hypothesis():
     s = np.cumsum(np.random.default_rng(31).uniform(0.01, 0.05, 40))
     line = PointCloud(np.column_stack([s, np.zeros_like(s), np.zeros_like(s)]))
     cand_src, cand_tgt = ransac_candidates(line, line)
-    picks = draw_picks(np.random.default_rng(0), len(cand_src), 50)
+    picks = draw_picks(np.random.default_rng(0), len(cand_src))
     assert np.all(loop_hypotheses(picks, cand_src, cand_tgt)[0] == -1)
     with pytest.raises(ValueError, match="RANSAC found no valid hypothesis"):
-        ransac_icp(line, line, np.random.default_rng(0), n_iter=50)
+        ransac_icp(line, line, np.random.default_rng(0))

@@ -345,6 +345,8 @@ def test_train_resume_at_or_past_iters_exits_with_usage_error(tmp_path, step, ca
 
 
 def test_ablate_two_checkpoints_writes_report_and_records_for_both_names(tmp_path):
+    """Two samples are two paired cases, too few for the Wilcoxon test: the
+    report and records are written and the command exits with a data error."""
     data, out = tmp_path / "data", tmp_path / "ablate"
     assert main(["generate", "--out", str(data), "--n-samples", "2",
                  "--n-vertebrae", "2", "--points-pre", "1024",
@@ -355,8 +357,9 @@ def test_ablate_two_checkpoints_writes_report_and_records_for_both_names(tmp_pat
     assert main(["ablate", "--dataset", str(data), "--out", str(out),
                  "--checkpoint-a", str(tmp_path / "seed0.npz"),
                  "--checkpoint-b", str(tmp_path / "seed1.npz"),
-                 "--name-a", "seed0", "--name-b", "seed1"]) == 0
-    assert "Wilcoxon signed-rank: p = " in (out / "ablation_report.txt").read_text()
+                 "--name-a", "seed0", "--name-b", "seed1"]) == EXIT_DATA
+    report = (out / "ablation_report.txt").read_text()
+    assert "Wilcoxon signed-rank undefined: need at least 6 non-zero differences, got 2" in report
     with open(out / "records.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     # 2 samples x 2 methods x 6 landmarks (3 per vertebra)
@@ -391,13 +394,14 @@ def test_ablate_checkpoints_on_colorless_dataset_exits_with_data_error(tmp_path,
 
 
 def test_generate_train_register_eval_ablate_chain_exits_zero(tmp_path):
-    """The documented workflow on two tiny phantoms, every step exiting 0."""
+    """The documented workflow on six tiny phantoms, the fewest paired cases
+    the ablation's Wilcoxon test accepts, every step exiting 0."""
     data, model = tmp_path / "data", tmp_path / "model"
-    assert main(["generate", "--out", str(data), "--n-samples", "2", "--n-vertebrae", "2",
+    assert main(["generate", "--out", str(data), "--n-samples", "6", "--n-vertebrae", "2",
                  "--points-pre", "1024", "--points-intra", "512"]) == 0
     assert main(["train", "--dataset", str(data), "--out", str(model),
                  "--iters", "2", "--warmup", "0"]) == 0
-    for name in ("sample_0000", "sample_0001"):
+    for name in (f"sample_{i:04d}" for i in range(6)):
         pair = ["--pre", str(data / name / "pre.ply"),
                 "--intra", str(data / name / "intra.ply"), "--out"]
         assert main(["register", *pair, str(tmp_path / "learned" / f"{name}.pose.json"),

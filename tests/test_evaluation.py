@@ -1,5 +1,5 @@
-"""Evaluation statistics: parity of the Wilcoxon test with scipy, and the CLI
-starting without scipy.stats."""
+"""Evaluation statistics: parity of the Wilcoxon test with scipy, the CLI
+starting without scipy.stats, and the ablation's one paired case per sample."""
 
 import os
 import subprocess
@@ -11,7 +11,10 @@ import pytest
 from scipy.stats import wilcoxon
 
 import segreg
-from segreg.evaluation import wilcoxon_signed_rank
+from segreg.cli import main
+from segreg.evaluation import tre, wilcoxon_signed_rank
+from segreg.fileio import load_sample, save_pose
+from segreg.geometry import random_rigid
 
 
 def test_wilcoxon_matches_scipy_normal_approximation_with_ties():
@@ -50,3 +53,29 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_ablate_pairs_one_median_per_sample(tmp_path):
+    """Six samples of six landmarks each are six paired cases, not 36."""
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--n-samples", "6", "--n-vertebrae", "2",
+                 "--points-pre", "1024", "--points-intra", "512"]) == 0
+    rng = np.random.default_rng(0)
+    medians = {"a": [], "b": []}
+    for method in medians:
+        (tmp_path / method).mkdir()
+    for i in range(6):
+        sample = load_sample(data / f"sample_{i:04d}")
+        for method, size in (("a", 0.01), ("b", 0.03)):
+            pose = random_rigid(size, 2.0, rng).compose(sample.T_gt)
+            save_pose(pose, tmp_path / method / f"sample_{i:04d}.pose.json")
+            medians[method].append(float(np.median(tre(sample.landmarks, pose, sample.T_gt,
+                                                       sample.scale)["mm"])))
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--dataset", str(data), "--out", str(out),
+                 "--pred-a", str(tmp_path / "a"), "--pred-b", str(tmp_path / "b")]) == 0
+    report = (out / "ablation_report.txt").read_text().splitlines()
+    assert "per-sample median" in report[0]
+    assert report[1].endswith("(n=6)") and report[2].endswith("(n=6)")
+    p, r = wilcoxon_signed_rank(medians["a"], medians["b"])
+    assert report[3] == f"Wilcoxon signed-rank: p = {p:.6g}, effect size r = {r:.3f}"

@@ -245,3 +245,97 @@ def test_unread_parameter_scan_sees_nested_reads_and_methods():
                      "class K:\n    def m(self, x):\n        return self\n")
     assert _unread_parameters(tree, "mod") == {"mod.f.b": 1, "mod.f.c": 1, "mod.f.d": 1,
                                                "mod.f.e": 1, "mod.K.m.x": 7}
+
+
+# defaulted parameters that no package or benchmark call passes, with the reason
+UNPASSED_DEFAULTS_ALLOWED = {
+    "autodiff.mean_.axis": "the composed _norm_act reference in tests/reference_ops.py "
+                           "passes it, and reference implementations stay",
+    "autodiff.mean_.keepdims": "the composed _norm_act reference in tests/reference_ops.py "
+                               "passes it, and reference implementations stay",
+}
+
+
+def _defaulted_parameters(tree: ast.Module, prefix: str) -> dict[tuple[str, str], int | None]:
+    """(function, parameter) -> positional index (None for keyword-only) of
+    every defaulted parameter of a public module-level function."""
+    found: dict[tuple[str, str], int | None] = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            for i, p in enumerate(positional[first:], first):
+                found[(f"{prefix}.{node.name}", p.arg)] = i
+            found.update({(f"{prefix}.{node.name}", p.arg): None
+                          for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None})
+    return found
+
+
+def _passed_arguments(tree: ast.Module) -> set[tuple[str, object]]:
+    """(called name, keyword or positional index) of every call; ``f(*x)``
+    from index i passes every index from i on (``("*", i)``) and ``f(**x)``
+    every keyword (``"**"``).  Calls are matched by the called name only."""
+    passed: set[tuple[str, object]] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        passed.update((name, kw.arg or "**") for kw in node.keywords)
+        for i, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred):
+                passed.add((name, ("*", i)))
+                break
+            passed.add((name, i))
+    return passed
+
+
+def _unpassed_defaults(defaulted: dict, passed: set) -> list[str]:
+    starred = {}
+    for name, key in passed:
+        if isinstance(key, tuple):
+            starred[name] = min(starred.get(name, key[1]), key[1])
+    unpassed = []
+    for (qualified, param), index in defaulted.items():
+        name = qualified.split(".")[-1]
+        if ((name, param) in passed or (name, "**") in passed
+                or index is not None and ((name, index) in passed
+                                          or index >= starred.get(name, index + 1))):
+            continue
+        unpassed.append(f"{qualified}.{param}")
+    return sorted(unpassed)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no package or benchmark call overrides is a knob only
+    tests turn: make it a module constant instead."""
+    passed = set().union(*(_passed_arguments(ast.parse(p.read_text(), filename=str(p)))
+                           for p in USER_CODE))
+    defaulted = {}
+    for path in MODULES:
+        defaulted.update(_defaulted_parameters(ast.parse(path.read_text(), filename=str(path)),
+                                               path.stem))
+    unpassed = _unpassed_defaults(defaulted, passed)
+    assert unpassed == sorted(UNPASSED_DEFAULTS_ALLOWED), (
+        "defaulted parameters no call in src/segreg or perfbench passes: "
+        f"{sorted(set(unpassed) - set(UNPASSED_DEFAULTS_ALLOWED))}; "
+        f"stale allowlist entries: {sorted(set(UNPASSED_DEFAULTS_ALLOWED) - set(unpassed))}")
+
+
+def test_unpassed_default_scan_sees_keywords_positions_and_stars():
+    defs = ast.parse("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+                     "def g(x, y=1):\n    pass\n"
+                     "def h(x=1):\n    pass\n"
+                     "def k(x=1, y=2):\n    pass\n"
+                     "def _private(x=1):\n    pass\n"
+                     "class C:\n    def m(self, x=1):\n        pass\n")
+    calls = ast.parse("f(0, 1)\nm.g(0, y=2)\nh(*args)\nk(**opts)\n")
+    defaulted = _defaulted_parameters(defs, "mod")
+    assert defaulted == {("mod.f", "b"): 1, ("mod.f", "c"): 2, ("mod.f", "d"): None,
+                         ("mod.g", "y"): 1, ("mod.h", "x"): 0, ("mod.k", "x"): 0,
+                         ("mod.k", "y"): 1}
+    assert _unpassed_defaults(defaulted, _passed_arguments(calls)) == ["mod.f.c", "mod.f.d"]

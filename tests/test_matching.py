@@ -19,7 +19,6 @@ from segreg.kpconv import build_pyramid
 from segreg.matching import (
     OVERLAP_PATCH_RADIUS,
     POSITIVE_OVERLAP,
-    MatchSet,
     NoPositivePairsError,
     build_patches,
     coarse_loss,
@@ -192,9 +191,9 @@ def test_fine_match_identity_on_distinct_descriptors():
     n0 = view.fine_points.shape[0]
     desc = rng.normal(size=(n0, 16)) * 4.0
     pairs = np.stack([np.arange(len(view.patch_indices))] * 2, axis=1)
-    ms = fine_match(desc, desc, pairs, view, view)
-    assert len(ms) > 0
-    assert np.array_equal(ms.pre_indices, ms.intra_indices)
+    pre_idx, intra_idx, _ = fine_match(desc, desc, pairs, view, view)
+    assert len(pre_idx) > 0
+    assert np.array_equal(pre_idx, intra_idx)
 
 
 def test_fine_match_noise_descriptors_mostly_slack():
@@ -207,8 +206,8 @@ def test_fine_match_noise_descriptors_mostly_slack():
     desc = rng.normal(size=(n0, 16))
     independent = rng.normal(size=(n0, 16))
     pairs = np.stack([np.arange(len(view.patch_indices))] * 2, axis=1)
-    matched_same = len(fine_match(desc, desc, pairs, view, view))
-    matched_noise = len(fine_match(desc, independent, pairs, view, view))
+    matched_same = len(fine_match(desc, desc, pairs, view, view)[2])
+    matched_noise = len(fine_match(desc, independent, pairs, view, view)[2])
     assert matched_noise < 0.2 * matched_same
 
 
@@ -217,8 +216,7 @@ def test_fine_match_noise_descriptors_mostly_slack():
 def test_procrustes_identity():
     rng = np.random.default_rng(7)
     p = rng.uniform(-1, 1, size=(25, 3))
-    m = MatchSet(np.arange(25), np.arange(25), np.ones(25))
-    T = weighted_procrustes(m, p, p)
+    T = weighted_procrustes(p, p, np.ones(25))
     assert rotation_angle_deg(T.rotation) < 1e-10
     assert np.linalg.norm(T.translation) < 1e-10
 
@@ -229,7 +227,7 @@ def test_procrustes_exact_recovery():
     T = random_rigid(0.1, 45.0, rng)
     q = T.apply_points(p)
     w = rng.uniform(0.2, 1.0, size=30)
-    got = weighted_procrustes(MatchSet(np.arange(30), np.arange(30), w), p, q)
+    got = weighted_procrustes(p, q, w)
     delta = got.compose(T.invert())
     assert rotation_angle_deg(delta.rotation) < np.degrees(1e-8)
     assert np.linalg.norm(got.translation - T.translation) < 1e-9
@@ -241,19 +239,18 @@ def test_procrustes_reflection_guard():
                   [1, 1, 0.0], [0.5, 0, 1.0]])
     q = p.copy()
     q[:, 2] *= -1.0  # reflection through z = 0
-    m = MatchSet(np.arange(6), np.arange(6), np.ones(6))
-    T = weighted_procrustes(m, p, q)
+    T = weighted_procrustes(p, q, np.ones(6))
     assert np.linalg.det(T.rotation) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_procrustes_rejects_degenerate_input():
     with pytest.raises(ValueError, match="3 matches"):
-        weighted_procrustes(MatchSet([0, 1], [0, 1], [1, 1]),
-                            np.zeros((2, 3)), np.zeros((2, 3)))
+        weighted_procrustes(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match="weight"):
+        weighted_procrustes(np.eye(3), np.eye(3), np.zeros(3))
     line = np.linspace(0, 1, 10)[:, None] * np.array([[1.0, 0, 0]])
     with pytest.raises(ValueError, match="collinear|rank"):
-        weighted_procrustes(MatchSet(np.arange(10), np.arange(10), np.ones(10)),
-                            line, line)
+        weighted_procrustes(line, line, np.ones(10))
 
 
 def test_procrustes_local_optimality():
@@ -262,8 +259,7 @@ def test_procrustes_local_optimality():
     T = random_rigid(0.1, 30.0, rng)
     q = T.apply_points(p) + rng.normal(scale=0.02, size=(15, 3))
     w = rng.uniform(0.1, 1.0, size=15)
-    m = MatchSet(np.arange(15), np.arange(15), w)
-    sol = weighted_procrustes(m, p, q)
+    sol = weighted_procrustes(p, q, w)
 
     def sse(Tr):
         r = Tr.apply_points(p) - q
@@ -280,10 +276,9 @@ def test_procrustes_equivariance_under_common_transform():
     p = rng.uniform(-1, 1, size=(20, 3))
     q = random_rigid(0.1, 40.0, rng).apply_points(p) + rng.normal(scale=0.01, size=(20, 3))
     w = rng.uniform(0.2, 1.0, size=20)
-    m = MatchSet(np.arange(20), np.arange(20), w)
-    base = weighted_procrustes(m, p, q)
+    base = weighted_procrustes(p, q, w)
     G = random_rigid(0.2, 60.0, rng)
-    conj = weighted_procrustes(m, G.apply_points(p), G.apply_points(q))
+    conj = weighted_procrustes(G.apply_points(p), G.apply_points(q), w)
     want = G.compose(base).compose(G.invert())
     assert np.max(np.abs(conj.rotation - want.rotation)) < 1e-8
     assert np.linalg.norm(conj.translation - want.translation) < 1e-8
@@ -304,19 +299,17 @@ def test_procrustes_stack_rows_equal_scalar_solve(n):
     q[3] = 0.5                                      # coincident targets
     R, t, valid = procrustes_stack(p, q, w)
     assert valid.tolist() == [True, True, False, False] + [True] * (b - 4)
-    idx = np.arange(n)
     for i in range(b):
-        m = MatchSet(idx, idx, w[i])
         if not valid[i]:
             with pytest.raises(ValueError, match="rank"):
-                scalar_weighted_procrustes(m, p[i], q[i])
+                scalar_weighted_procrustes(p[i], q[i], w[i])
             with pytest.raises(ValueError, match="rank"):
-                weighted_procrustes(m, p[i], q[i])
+                weighted_procrustes(p[i], q[i], w[i])
             continue
-        ref = scalar_weighted_procrustes(m, p[i], q[i])
+        ref = scalar_weighted_procrustes(p[i], q[i], w[i])
         assert np.array_equal(R[i], ref.rotation), i
         assert np.array_equal(t[i], ref.translation), i
-        got = weighted_procrustes(m, p[i], q[i])
+        got = weighted_procrustes(p[i], q[i], w[i])
         assert np.array_equal(got.rotation, ref.rotation)
         assert np.array_equal(got.translation, ref.translation)
     assert np.linalg.det(R[1]) == pytest.approx(1.0)
@@ -327,10 +320,9 @@ def test_refine_all_inliers_is_fixed_point():
     p = rng.uniform(-1, 1, size=(30, 3))
     T = random_rigid(0.05, 20.0, rng)
     q = T.apply_points(p)
-    m = MatchSet(np.arange(30), np.arange(30), np.ones(30))
-    T0 = weighted_procrustes(m, p, q)
-    res = refine_transform(T0, m, p, q, inlier_radius=0.05)
-    assert not res.flagged
+    w = np.ones(30)
+    T0 = weighted_procrustes(p, q, w)
+    res = refine_transform(T0, p, q, w, inlier_radius=0.05)
     assert res.inlier_count == 30
     assert np.max(np.abs(res.transform.rotation - T0.rotation)) < 1e-12
 
@@ -342,21 +334,20 @@ def test_refine_recovers_through_gross_outliers():
     q = T.apply_points(p)
     bad = rng.choice(50, size=15, replace=False)
     q[bad] += rng.uniform(0.3, 0.7, size=(15, 3)) * rng.choice([-1, 1], size=(15, 3))
-    m = MatchSet(np.arange(50), np.arange(50), np.ones(50))
-    T0 = weighted_procrustes(m, p, q)
-    res = refine_transform(T0, m, p, q, inlier_radius=0.05)
-    assert not res.flagged
+    w = np.ones(50)
+    T0 = weighted_procrustes(p, q, w)
+    res = refine_transform(T0, p, q, w, inlier_radius=0.05)
+    assert res.inlier_count > 0
     delta = res.transform.compose(T.invert())
     assert rotation_angle_deg(delta.rotation) < 0.5
 
 
-def test_refine_zero_radius_returns_flagged_input():
+def test_refine_zero_radius_returns_input_with_no_inliers():
     rng = np.random.default_rng(13)
     p = rng.uniform(-1, 1, size=(10, 3))
-    m = MatchSet(np.arange(10), np.arange(10), np.ones(10))
     T0 = RigidTransform.identity()
-    res = refine_transform(T0, m, p, p + 0.01, inlier_radius=0.0)
-    assert res.flagged
+    res = refine_transform(T0, p, p + 0.01, np.ones(10), inlier_radius=0.0)
+    assert res.inlier_count == 0
     assert res.transform is T0
 
 
@@ -520,9 +511,8 @@ def test_lattice_truncation_cuts_through_tied_distances():
 
 def test_distance_histograms_equal_loop_reference(patch_case):
     prepared, loops = patch_case
-    for hist, loop in zip((prepared.pre_hist, prepared.intra_hist), loops):
-        want = loop_distance_histograms(loop)
-        assert np.array_equal(hist, want)
+    for view, loop in zip((prepared.pre_view, prepared.intra_view), loops):
+        assert np.array_equal(distance_histograms(view), loop_distance_histograms(loop))
 
 
 def test_overlap_and_ground_truth_equal_loop_reference(patch_case):
@@ -551,7 +541,6 @@ def test_fine_match_equals_loop_reference(patch_case):
     pairs = np.stack(np.unravel_index(top, prepared.overlap.shape), axis=1)
     got = fine_match(dense_pre, dense_intra, pairs, prepared.pre_view, prepared.intra_view)
     want = loop_fine_match(dense_pre, dense_intra, pairs, pre, intra)
-    assert len(got) > 50
-    assert np.array_equal(got.pre_indices, want.pre_indices)
-    assert np.array_equal(got.intra_indices, want.intra_indices)
-    assert np.array_equal(got.weights, want.weights)
+    assert len(got[2]) > 50
+    for got_part, want_part in zip(got, want):
+        assert np.array_equal(got_part, want_part)

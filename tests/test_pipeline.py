@@ -1,13 +1,15 @@
-"""Pipeline: ``prepare_sample``'s ground truth and ``register_pair`` on a
-small phantom."""
+"""Pipeline: ``prepare_sample``'s ground truth, ``register_pair`` on a small
+phantom, and its pose chain on one full-size phantom per path."""
 
 import numpy as np
+import pytest
 
 from segreg import pipeline
 from segreg.matching import POSITIVE_OVERLAP, ground_truth_patch_matches
 from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import init_params
+from reference_ops import reference_pose_chain
 
 
 def test_register_pair_is_valid_and_repeatable():
@@ -67,3 +69,38 @@ def test_prepare_sample_ground_truth_invariants():
         p = sample.T_gt.apply_points(pre.fine_points[pre.patch(a)[rows]])
         q = intra.fine_points[intra.patch(b)[cols]]
         assert np.all(np.linalg.norm(p - q, axis=1) <= reg.initial_voxel + 1e-12)
+
+
+# phantom seed -> (path, n_fine, inliers) with init_params(..., 0): one
+# phantom per branch of register_pair's pose chain
+PATH_LOCK = {1000: ("coarse", 4, 6), 1001: ("fine", 12, 1), 1002: ("coarse+fine", 9, 1)}
+
+
+@pytest.mark.parametrize("seed", sorted(PATH_LOCK))
+def test_register_pair_pose_chain_equals_reference(seed, monkeypatch):
+    seg, reg, match = SegNetConfig(), RegNetConfig(), pipeline.MatcherConfig()
+    params = init_params(seg, reg, 0)
+    prepared = pipeline.prepare_sample(generate_phantom(PhantomConfig(seed=seed)), seg, reg,
+                                       match, with_ground_truth=False)
+    seen = {}
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+        monkeypatch.setattr(pipeline, name, call)
+
+    recorded("coarse_match", pipeline.coarse_match)
+    recorded("fine_match", pipeline.fine_match)
+    result = pipeline.register_pair(params, prepared, seg, reg, match)
+    path, n_fine, inliers = PATH_LOCK[seed]
+    assert (result.info["path"], result.info["n_fine"], result.info["inliers"]) == (
+        path, n_fine, inliers)
+    assert result.info["refine_flagged"] is False
+    pairs, scores = seen["coarse_match"]
+    T, want_path, want_inliers = reference_pose_chain(
+        seen["fine_match"], pairs, scores, prepared.pre_view, prepared.intra_view,
+        2.5 * reg.initial_voxel)
+    assert (want_path, want_inliers) == (path, inliers)
+    assert np.array_equal(result.transform.rotation, T.rotation)
+    assert np.array_equal(result.transform.translation, T.translation)
