@@ -25,10 +25,12 @@ from segreg.geometry import PointCloud, radius_neighbors
 from segreg.gumbel import gumbel_softmax, sample_gumbel, straight_through_mask
 from segreg.kpconv import SIGMA_RATIO, conv_influence, kernel_disposition, kpconv_apply
 from segreg.matching import (
+    PatchedSuperpoints,
     coarse_loss,
     fine_loss,
     l2_normalize_rows,
     normalize_scores_with_slack,
+    patch_scores,
 )
 from segreg.networks import SegNetConfig, build_context, init_seg_params, seg_forward
 
@@ -222,25 +224,37 @@ def _matcher_checks(seed):
         x = arrs[0] / np.linalg.norm(arrs[0], axis=1, keepdims=True)
         return coarse_loss(Tensor(x), Tensor(x.copy()), overlap).item()
 
-    fd = finite_difference_gradient(circle_ref, [raw])
-    with Tape():
-        t = Tensor(raw, requires_grad=True)
-        nf = l2_normalize_rows(t)
-        backward(coarse_loss(nf, nf, overlap))
-    err = max_relative_error(t.grad, fd[0])
+    def circle(ts):
+        nf = l2_normalize_rows(ts[0])
+        return coarse_loss(nf, nf, overlap)
+
+    err = _fd_check(circle_ref, [raw], circle)
     results.append(CheckResult("matcher", "coarse_circle_loss", err, 1e-4))
 
-    s0 = rng.normal(size=(5, 6))
-    gt = (np.array([0, 2]), np.array([1, 3]))
+    # patch 1 has 2 shadow slots; pair (0, 1) repeats, so gradients of one
+    # dense row add up across pairs
+    view = PatchedSuperpoints(np.zeros((2, 3)), np.array([[0, 1, 2, 3], [4, 5, 6, 6]]),
+                              np.array([4, 2]), np.zeros((6, 3)))
+    pairs = np.array([[0, 1], [1, 0], [0, 1]])
+    proj = Tensor(rng.uniform(-1, 1, (3, 5, 5)))
 
-    def fine_ref(arrs):
-        return fine_loss([normalize_scores_with_slack(Tensor(arrs[0]))], [gt]).item()
+    def scores(ts):
+        return sum_(patch_scores(ts[0], ts[1], view, view, pairs) * proj)
 
-    fd = finite_difference_gradient(fine_ref, [s0])
-    with Tape():
-        s = Tensor(s0, requires_grad=True)
-        backward(fine_loss([normalize_scores_with_slack(s)], [gt]))
-    err = max_relative_error(s.grad, fd[0])
+    err = _fd_check(lambda arrs: scores([Tensor(a) for a in arrs]).item(),
+                    [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))], scores)
+    results.append(CheckResult("matcher", "patch_scores", err, 1e-5))
+
+    # a stack of two 5-slot pairs with pad rows and columns
+    n_rows, n_cols = np.array([5, 3]), np.array([4, 5])
+    gt_cols = np.array([[1, -1, 3, -1, -1], [0, 4, -1, -1, -1]])
+
+    def fine_nll(ts):
+        probs = normalize_scores_with_slack(ts[0], n_rows, n_cols)
+        return fine_loss(probs, gt_cols, n_rows, n_cols)
+
+    err = _fd_check(lambda arrs: fine_nll([Tensor(arrs[0])]).item(),
+                    [rng.normal(size=(2, 6, 6))], fine_nll)
     results.append(CheckResult("matcher", "fine_nll_loss", err, 1e-4))
     return results
 

@@ -5,14 +5,15 @@ features and a patch of fine-level member points, stored as one shadow-padded
 (M, patch_size) table like the pyramid's neighbor tables, so every routine
 that reads patches is an array pass over it.  Coarse matching scores
 superpoint pairs by normalized feature similarity plus a rotation-invariant
-pairwise-distance-histogram bonus, selected through a dual softmax.  Fine
-matching scores patch-to-patch descriptor similarity with a slack row and
-column (``patch_scores``, shared with the training loss), normalized by
-alternating column/row renormalizations of the exponentiated scores, and
-keeps mutual top-1 entries.  Correspondences are plain matched arrays: the
-points of each side gathered row for row, plus a weight per row.  A weighted
-Procrustes solve (``procrustes_stack``, also used by the baselines) plus
-inlier re-weighting turns them into a rigid transform.
+pairwise-distance-histogram bonus, selected through a dual softmax.  Patch
+pairs, ground-truth ones in training and coarse ones at inference, are scored
+as one (K, P+1, P+1) stack with slack rows and columns (``patch_scores``),
+normalized by alternating column/row renormalizations of the exponentiated
+scores (``normalize_scores_with_slack``); ``fine_match`` keeps its mutual
+top-1 entries.  Correspondences are plain matched arrays: the points of each
+side gathered row for row, plus a weight per row.  A weighted Procrustes
+solve (``procrustes_stack``, also used by the baselines) plus inlier
+re-weighting turns them into a rigid transform.
 
 The settings no caller varies are module constants: ``K_CORR`` coarse pairs
 with a ``BONUS_WEIGHT`` histogram bonus over ``HIST_BINS`` bins up to
@@ -22,7 +23,7 @@ normalization rounds and ``REFINE_ITERATIONS`` refinement rounds.
 
 Training losses: an overlap-weighted circle loss over superpoint feature
 distances (GeoTransformer's margins 0.1 / 1.4, scale 24) and a negative
-log-likelihood over the normalized patch score matrices; their plain sum.
+log-likelihood over the normalized patch score stack; their plain sum.
 """
 
 from __future__ import annotations
@@ -103,10 +104,6 @@ class PatchedSuperpoints:
         """(M, patch_size) mask of the member slots."""
         return np.arange(self.patch_indices.shape[1]) < self.sizes[:, None]
 
-    def patch(self, b: int) -> np.ndarray:
-        """Level-0 indices of superpoint b's patch."""
-        return self.patch_indices[b, : self.sizes[b]]
-
 
 def build_patches(pyramid: PointPyramid, patch_size: int) -> PatchedSuperpoints:
     """Group level-0 points under their superpoint, keep the nearest patch_size.
@@ -130,10 +127,10 @@ def build_patches(pyramid: PointPyramid, patch_size: int) -> PatchedSuperpoints:
     return PatchedSuperpoints(coarse, table, np.minimum(counts, patch_size), fine)
 
 
-def _patch_points(points: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    """(..., patch_size, 3) positions of the patch rows ``table``; shadow
-    slots read ``fill``."""
-    return np.concatenate([points, np.full((1, 3), fill)])[table]
+def _patch_rows(values: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """(..., patch_size, C) rows of (N, C) ``values`` at the patch rows
+    ``table``; shadow slots read ``fill``."""
+    return np.concatenate([values, np.full((1, values.shape[1]), fill)])[table]
 
 
 def _sq_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -152,7 +149,7 @@ def distance_histograms(view: PatchedSuperpoints) -> np.ndarray:
     """Rotation-invariant patch signatures: L2-normalized ``HIST_BINS``-bin
     histograms of pairwise point distances inside each patch."""
     m, size = view.patch_indices.shape
-    pts = _patch_points(view.fine_points, view.patch_indices)
+    pts = _patch_rows(view.fine_points, view.patch_indices)
     iu, ju = np.triu_indices(size, k=1)
     pair = ju < view.sizes[:, None]                 # (M, pairs): both slots members
     d = np.sqrt(_sq_dists(pts, pts)[:, iu, ju][pair])
@@ -204,74 +201,88 @@ def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray, k_corr: int,
     return pairs, score.reshape(-1)[order]
 
 
-def patch_scores(dense_pre: Tensor, dense_intra: Tensor,
-                 ia: np.ndarray, ib: np.ndarray) -> Tensor:
-    """Slack-padded patch score matrix on the tape: entry (i, j) is the inner
-    product of dense rows ``ia[i]`` and ``ib[j]`` over sqrt(channels), and the
-    last row and column are zero slack scores."""
+def patch_scores(dense_pre: Tensor, dense_intra: Tensor, pre_view: PatchedSuperpoints,
+                 intra_view: PatchedSuperpoints, pairs: np.ndarray) -> Tensor:
+    """(K, P+1, P+1) score stack of the superpoint pairs ``pairs`` (K, 2) on
+    the tape: entry (k, i, j) is the inner product over sqrt(channels) of the
+    dense rows at slot i of pre patch ``pairs[k, 0]`` and slot j of intra
+    patch ``pairs[k, 1]``, 0 at shadow slots and in slack row and column P."""
+    dense = (dense_pre, dense_intra)
+    tables = (pre_view.patch_indices[pairs[:, 0]], intra_view.patch_indices[pairs[:, 1]])
+    rows, cols = (_patch_rows(t.data, table) for t, table in zip(dense, tables))
     scale = 1.0 / np.sqrt(dense_pre.shape[1])
-    rows = ad.gather_rows(dense_pre, ia)
-    cols = ad.gather_rows(dense_intra, ib)
-    s = ad.mul(ad.matmul(rows, ad.transpose2d(cols)), scale)
-    s = ad.concat([s, Tensor(np.zeros((ia.size, 1)))], axis=1)
-    s = ad.concat([s, Tensor(np.zeros((1, ib.size + 1)))], axis=0)
-    return s
+    out = np.pad((rows @ cols.transpose(0, 2, 1)) * scale, ((0, 0), (0, 1), (0, 1)))
+
+    def bwd(g):
+        gs = g[:, :-1, :-1] * scale
+        for t, table, grad in zip(dense, tables, (gs @ cols, gs.transpose(0, 2, 1) @ rows)):
+            real = table < t.shape[0]
+            ad.accumulate_grad(t, ad.scatter_add_rows(table[real], grad[real], t.shape[0]))
+
+    return ad.record_custom(out, dense_pre.requires_grad or dense_intra.requires_grad, bwd)
 
 
-def normalize_scores_with_slack(scores: Tensor, augment_slack: bool = False) -> Tensor:
-    """Normalize a patch score matrix that already includes slack row/column.
+def normalize_scores_with_slack(scores: Tensor, n_rows: np.ndarray, n_cols: np.ndarray,
+                                augment_slack: bool = False) -> Tensor:
+    """Normalize a (K, R+1, C+1) stack of slack-padded score matrices.
 
-    Exponentiates the scores and alternates column- and row-renormalization
-    for ``NORM_ITERATIONS`` rounds, ending on rows, so every real row is a
-    distribution over targets plus slack.  With ``augment_slack`` the slack
-    row/column are normalized to the opposite side's point count instead of
-    1, letting slack absorb any number of unmatched points (used at
-    inference; the training loss keeps unit marginals so its uniform-matrix
-    baseline is exactly log(columns)).
+    Matrix k has real rows [0, n_rows[k]) and columns [0, n_cols[k]), pads
+    up to R and C (zeroed after exp, target 0, sums offset by 1) and slack
+    row and column R and C.  Exponentiates each matrix less its own maximum
+    and alternates column- and row-renormalization for ``NORM_ITERATIONS``
+    rounds, ending on rows, so every real row is a distribution over real
+    targets plus slack.  With ``augment_slack`` the slack row/column are
+    normalized to the opposite side's real count instead of 1, letting slack
+    absorb any number of unmatched points (used at inference; the training
+    loss keeps unit marginals so its uniform-matrix baseline is exactly
+    log(columns)).
 
     One tape node.  The forward runs the numpy operations of the composed
-    exp / sum / div / expand / mul chain in the same order and checks every
-    intermediate for finiteness; the backward replays that chain's backward
-    in reverse tape order, so values and gradients are bit-identical to it.
+    exp / mask / sum / pad offset / div / expand / mul chain in the same order
+    and checks every intermediate for finiteness; the backward replays that
+    chain's backward in reverse tape order, so values and gradients are
+    bit-identical to it.
     """
-    nr, nc = scores.shape
-    row_target = np.ones((nr, 1))
-    col_target = np.ones((1, nc))
-    if augment_slack:
-        row_target[-1, 0] = nc - 1
-        col_target[0, -1] = nr - 1
-    shifted = scores.data - float(np.max(scores.data))
+    _, nr, nc = scores.shape
+    row_target = 1.0 * (np.arange(nr) < np.reshape(n_rows, (-1, 1)))[:, :, None]
+    col_target = 1.0 * (np.arange(nc) < np.reshape(n_cols, (-1, 1)))[:, None, :]
+    row_target[:, -1, 0] = n_cols if augment_slack else 1.0
+    col_target[:, 0, -1] = n_rows if augment_slack else 1.0
+    row_pad, col_pad = 1.0 * (row_target == 0), 1.0 * (col_target == 0)
+    valid = (row_target > 0) * (col_target > 0) * 1.0
+    shifted = scores.data - np.max(scores.data, axis=(1, 2), keepdims=True)
     ad.require_finite(shifted)
-    p = np.exp(shifted)
-    ad.require_finite(p)
-    exp_p = p
+    exp_s = np.exp(shifted)
+    ad.require_finite(exp_s)
+    p = exp_s * valid
     rounds = []                         # what each round's backward reads
     for _ in range(NORM_ITERATIONS):
-        csum = np.sum(p, axis=0, keepdims=True)
+        csum = np.sum(p, axis=1, keepdims=True) + col_pad
         ad.require_finite(csum)
         col_scale = col_target / csum
         ad.require_finite(col_scale)
         p_col = p * col_scale
         ad.require_finite(p_col)
-        rsum = np.sum(p_col, axis=1, keepdims=True)
+        rsum = np.sum(p_col, axis=2, keepdims=True) + row_pad
         ad.require_finite(rsum)
         row_scale = row_target / rsum
         ad.require_finite(row_scale)
-        rounds.append((p, csum, col_scale, p_col, rsum, row_scale))
+        if scores.requires_grad:        # only the backward reads past rounds
+            rounds.append((p, csum, col_scale, p_col, rsum, row_scale))
         p = p_col * row_scale
 
     def bwd(g):
         for p_in, csum, col_scale, p_col, rsum, row_scale in reversed(rounds):
             # mul(p_col, expand(row_scale)); expand sums; div(row_target, rsum)
             g_p_col = g * row_scale
-            g_row = np.sum(g * p_col, axis=1, keepdims=True)
+            g_row = np.sum(g * p_col, axis=2, keepdims=True)
             g_rsum = (-g_row * row_target) / (rsum * rsum)
-            g_p_col = g_p_col + g_rsum          # sum_ broadcasts over axis 1
+            g_p_col = g_p_col + g_rsum          # sum_ broadcasts over axis 2
             g_p = g_p_col * col_scale
-            g_col = np.sum(g_p_col * p_in, axis=0, keepdims=True)
+            g_col = np.sum(g_p_col * p_in, axis=1, keepdims=True)
             g_csum = (-g_col * col_target) / (csum * csum)
-            g = g_p + g_csum                    # sum_ broadcasts over axis 0
-        ad.accumulate_grad(scores, g * exp_p)
+            g = g_p + g_csum                    # sum_ broadcasts over axis 1
+        ad.accumulate_grad(scores, (g * valid) * exp_s)
 
     return ad.record_custom(p, scores.requires_grad, bwd)
 
@@ -282,33 +293,32 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refine coarse pairs into weighted point correspondences.
 
-    Per coarse pair, scores patch descriptors against each other (scaled
-    inner product), adds a slack row/column, normalizes, and keeps mutual
-    top-1 non-slack entries weighted by their normalized score.  An entry
-    must also beat both of its slack competitors, so diffuse score matrices
-    yield few or no correspondences.  The coarse pairs must be distinct, as
-    ``coarse_match`` returns them: every level-0 point lies in one patch, so
-    each (pre, intra) point pair is then found at most once.  Returns
-    level-0 (pre indices, intra indices, weights), in (pre, intra) index
-    order.
+    Scores all coarse pairs as one ``patch_scores`` stack, normalizes it with
+    augmented slack, and keeps mutual top-1 non-slack entries weighted by
+    their normalized score.  An entry must also beat both of its slack
+    competitors, so diffuse score matrices yield few or no correspondences;
+    pad entries are 0, so they win no real row or column and pad rows fail
+    the slack test.  The coarse pairs must be distinct, as ``coarse_match``
+    returns them: every level-0 point lies in one patch, so each (pre, intra)
+    point pair is then found at most once.  Returns level-0 (pre indices,
+    intra indices, weights), in (pre, intra) index order.
     """
-    dense_pre, dense_intra = Tensor(dense_pre), Tensor(dense_intra)
-    found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-    for a, b in coarse_pairs:
-        ia, ib = pre_view.patch(a), intra_view.patch(b)
-        na, nb = ia.size, ib.size
-        p = normalize_scores_with_slack(patch_scores(dense_pre, dense_intra, ia, ib),
-                                        augment_slack=True).data
-        i = np.arange(na)
-        j = np.argmax(p[:na], axis=1)               # slack column last
-        col_best = np.argmax(p[:, :nb], axis=0)     # slack row last
-        w = p[i, j]
-        mutual = (j < nb) & (col_best[np.minimum(j, nb - 1)] == i)
-        keep = mutual & (w > p[i, nb]) & (w > p[na, j])  # slack absorbs the rest
-        found.append((ia[keep], ib[j[keep]], w[keep]))
-    pre_idx, intra_idx, w = (np.concatenate(part) for part in zip(*found))
+    a, b = coarse_pairs[:, 0], coarse_pairs[:, 1]
+    p = normalize_scores_with_slack(
+        patch_scores(Tensor(dense_pre), Tensor(dense_intra), pre_view, intra_view,
+                     coarse_pairs),
+        pre_view.sizes[a], intra_view.sizes[b], augment_slack=True).data
+    size = p.shape[1] - 1                           # slack row and column index
+    j = np.argmax(p[:, :size], axis=2)              # (K, P) best column per row
+    w = np.max(p[:, :size], axis=2)
+    mutual = np.take_along_axis(np.argmax(p, axis=1), j, axis=1) == np.arange(size)
+    # beating the slack column also rules out the slack column as j
+    keep = mutual & (w > p[:, :size, size]) & (w > np.take_along_axis(p[:, size], j, axis=1))
+    pair, row = np.nonzero(keep)
+    pre_idx = pre_view.patch_indices[a[pair], row]
+    intra_idx = intra_view.patch_indices[b[pair], j[pair, row]]
     order = np.lexsort((intra_idx, pre_idx))
-    return pre_idx[order], intra_idx[order], w[order]
+    return pre_idx[order], intra_idx[order], w[pair, row][order]
 
 
 # ---------------------------------------------------------------------------
@@ -476,72 +486,64 @@ def _softplus(x: Tensor) -> Tensor:
 def ground_truth_patch_matches(pre_view: PatchedSuperpoints,
                                intra_view: PatchedSuperpoints,
                                pairs: np.ndarray, T_gt: RigidTransform,
-                               radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
+                               radius: float) -> np.ndarray:
     """Nearest patch point pairs within ``radius`` under the true pose.
 
     For each superpoint pair (a, b) in ``pairs`` (K, 2), each point of pre
     patch a is matched to its nearest point of intra patch b (the first on
     ties) when that lies within the matching radius.  A column claimed by
     several rows keeps the closest (then the first) so targets stay
-    injective.  Returns one (rows, cols) per pair: local patch coordinates
-    of matched points, by ascending row.
+    injective.  Returns a (K, patch_size) table: for each pre patch slot, its
+    matched intra patch slot, or -1 for no match.
     """
-    a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    p = _patch_points(T_gt.apply_points(pre_view.fine_points), pre_view.patch_indices[a])
+    a, b = pairs.T
+    p = _patch_rows(T_gt.apply_points(pre_view.fine_points), pre_view.patch_indices[a])
     # intra shadow slots sit at infinity, so no row picks them
-    q = _patch_points(intra_view.fine_points, intra_view.patch_indices[b], np.inf)
+    q = _patch_rows(intra_view.fine_points, intra_view.patch_indices[b], np.inf)
     d = np.sqrt(_sq_dists(p, q))                        # (K, P, P)
-    best = np.argmin(d, axis=2)
-    best_d = np.min(d, axis=2)
+    best, best_d = np.argmin(d, axis=2), np.min(d, axis=2)
     pair, rows = np.nonzero(pre_view.valid[a] & (best_d <= radius))
     cols, dist = best[pair, rows], best_d[pair, rows]
     # each (pair, col) once, where it first appears by distance (then row)
     by_dist = np.argsort(dist, kind="stable")
     _, first = np.unique((pair * d.shape[2] + cols)[by_dist], return_index=True)
-    kept = np.sort(by_dist[first])
-    cuts = np.searchsorted(pair[kept], np.arange(1, a.size))
-    # np.split yields one (empty) piece even for K = 0
-    return list(zip(np.split(rows[kept], cuts), np.split(cols[kept], cuts)))[: a.size]
+    kept = by_dist[first]
+    table = np.full(best.shape, -1, dtype=np.int64)
+    table[pair[kept], rows[kept]] = cols[kept]
+    return table
 
 
-def fine_loss(score_matrices: list[Tensor],
-              gt_matches: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
+def fine_loss(probs: Tensor, gt_cols: np.ndarray, n_rows: np.ndarray,
+              n_cols: np.ndarray) -> Tensor:
     """Negative log-likelihood of ground-truth entries under normalized scores.
 
-    ``score_matrices`` are already slack-normalized (pa+1, pb+1) tensors.
-    Unmatched pre points target the slack column; unmatched intra points are
-    scored through the slack row.  The matched and slack entry groups are
-    averaged separately and blended with ``MATCHED_WEIGHT`` so the numerous
-    slack targets cannot drown the match signal (with a uniform matrix every
-    entry scores the same, so the blend still evaluates to log(columns)).
-    Patches with no ground-truth matches are excluded from the average.
+    ``probs`` is a slack-normalized (F, P+1, P+1) stack with ``n_rows`` and
+    ``n_cols`` real rows and columns; ``gt_cols`` (F, P) holds each pre row's
+    matched column or -1, at least one match per pair.  Unmatched real pre
+    rows target the slack column, unmatched real intra columns the slack row.
+    Per pair the matched and slack entry groups are averaged separately and
+    blended with ``MATCHED_WEIGHT`` (a pair without slack targets keeps its
+    matched mean), so the numerous slack targets cannot drown the match
+    signal (with a uniform matrix every entry scores the same, so the blend
+    still evaluates to log(columns)); pairs are averaged, as one weighted sum
+    over one gather.
     """
-    terms = []
-    for p, (rows, cols) in zip(score_matrices, gt_matches):
-        if rows.size == 0:
-            continue
-        pa = p.shape[0] - 1
-        pb = p.shape[1] - 1
-        flat = ad.reshape(p, (p.shape[0] * p.shape[1], 1))
-        match_idx = rows * (pb + 1) + cols
-        slack_rows = np.setdiff1d(np.arange(pa), rows, assume_unique=False)
-        slack_cols = np.setdiff1d(np.arange(pb), cols, assume_unique=False)
-        slack_idx = np.concatenate([
-            slack_rows * (pb + 1) + pb,
-            np.full(slack_cols.size, pa, dtype=np.int64) * (pb + 1) + slack_cols,
-        ])
-        matched = ad.neg(ad.mean_(ad.log(ad.add(
-            ad.gather_rows(flat, match_idx), 1e-12))))
-        if slack_idx.size:
-            slack = ad.neg(ad.mean_(ad.log(ad.add(
-                ad.gather_rows(flat, slack_idx), 1e-12))))
-            terms.append(ad.add(ad.mul(matched, MATCHED_WEIGHT),
-                                ad.mul(slack, 1.0 - MATCHED_WEIGHT)))
-        else:
-            terms.append(matched)
-    if not terms:
-        raise ValueError("no patch carries ground-truth correspondences")
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.mul(total, 1.0 / len(terms))
+    f, size = gt_cols.shape
+    slots = np.arange(size)
+    matched = gt_cols >= 0
+    n_matched = matched.sum(axis=1)
+    if f == 0 or not n_matched.all():
+        raise ValueError("every patch pair needs a ground-truth correspondence")
+    slack_rows = (slots < np.reshape(n_rows, (-1, 1))) & ~matched
+    claimed = (gt_cols[:, :, None] == slots).any(axis=1)
+    slack_cols = (slots < np.reshape(n_cols, (-1, 1))) & ~claimed
+    n_slack = slack_rows.sum(axis=1) + slack_cols.sum(axis=1)
+    share = np.where(n_slack > 0, MATCHED_WEIGHT, 1.0)
+    slack_w = (1.0 - share) / np.maximum(n_slack, 1)
+    (pm, rm), (pr, rr), (pc, cc) = (np.nonzero(m) for m in (matched, slack_rows, slack_cols))
+    # flat cells of the stack: matched entries, slack column, slack row
+    cells = np.ravel_multi_index((np.r_[pm, pr, pc], np.r_[rm, rr, np.full(pc.size, size)],
+                                  np.r_[gt_cols[pm, rm], np.full(pr.size, size), cc]), probs.shape)
+    weights = np.r_[(share / n_matched)[pm], slack_w[pr], slack_w[pc]] / f
+    log_p = ad.log(ad.add(ad.gather_rows(ad.reshape(probs, (probs.size, 1)), cells), 1e-12))
+    return ad.neg(ad.sum_(ad.mul(log_p, Tensor(weights[:, None]))))

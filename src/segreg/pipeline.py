@@ -2,12 +2,14 @@
 
 ``prepare_sample`` precomputes what training and inference both read and
 that depends only on geometry (pyramids, influence tables, patches, and,
-when ground truth is available, superpoint overlap and per-patch
-ground-truth matches).  ``training_loss`` assembles the differentiable dual
-loss on a tape for a given intraoperative mask; ``register_pair`` runs
+when ground truth is available, superpoint overlap and a table of
+ground-truth patch matches).  ``training_loss`` assembles the differentiable
+dual loss on a tape for a given intraoperative mask; ``register_pair`` runs
 deterministic inference (argmax mask, no noise) and returns the predicted
-pose.  Both share one backbone pass over the pair and
-``matching.patch_scores``.
+pose.  Both share one backbone pass over the pair and score their
+superpoint pairs (ground-truth pairs in training, ``coarse_match``'s at
+inference) as one stack through ``matching.patch_scores`` and
+``matching.normalize_scores_with_slack``.
 
 ``register_pair`` turns its matched point arrays into a pose along one of
 three paths, each one fit-and-refine call: the fine matches alone
@@ -18,7 +20,7 @@ three paths, each one fit-and-refine call: the fine matches alone
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +94,10 @@ class PreparedSample:
     pre_view: PatchedSuperpoints
     intra_view: PatchedSuperpoints
     overlap: np.ndarray | None = None
-    # (rows, cols) ground-truth patch matches of each positive superpoint
-    # pair that has some, keyed by the pair, in argwhere order
-    gt_fine: dict = field(default_factory=dict)
+    # positive superpoint pairs (F, 2) with a ground-truth patch match, in
+    # argwhere order, and their ``ground_truth_patch_matches`` table
+    gt_pairs: np.ndarray | None = None
+    gt_cols: np.ndarray | None = None
     sample_id: str = ""
 
 
@@ -114,10 +117,10 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
                                             OVERLAP_PATCH_RADIUS)
         prepared.overlap = overlap
         pairs = np.argwhere(overlap > POSITIVE_OVERLAP)
-        gt = ground_truth_patch_matches(pre_view, intra_view, pairs, sample.T_gt,
-                                        reg_cfg.initial_voxel)
-        prepared.gt_fine = {(int(a), int(b)): match
-                            for (a, b), match in zip(pairs, gt) if match[0].size}
+        cols = ground_truth_patch_matches(pre_view, intra_view, pairs, sample.T_gt,
+                                          reg_cfg.initial_voxel)
+        usable = (cols >= 0).any(axis=1)
+        prepared.gt_pairs, prepared.gt_cols = pairs[usable], cols[usable]
     return prepared
 
 
@@ -146,19 +149,17 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample, mask: Ten
     sp_pre_n, sp_intra_n, dense_pre, dense_intra = _pair_forward(params, prepared, mask)
     c_loss = coarse_loss(sp_pre_n, sp_intra_n, prepared.overlap)
 
-    usable = list(prepared.gt_fine)
-    if not usable:
-        raise ValueError("no positive pair carries ground-truth fine matches")
-    if len(usable) > n_fine_pairs:
-        pick = rng.choice(len(usable), size=n_fine_pairs, replace=False)
-        usable = [usable[i] for i in sorted(pick)]
-    mats, gts = [], []
-    for a, b in usable:
-        scores = patch_scores(dense_pre, dense_intra, prepared.pre_view.patch(a),
-                              prepared.intra_view.patch(b))
-        mats.append(normalize_scores_with_slack(scores))
-        gts.append(prepared.gt_fine[(a, b)])
-    f_loss = fine_loss(mats, gts)
+    n_usable = len(prepared.gt_pairs)       # fine_loss raises ValueError on 0
+    pick = np.arange(n_usable)
+    if n_usable > n_fine_pairs:
+        pick = np.sort(rng.choice(n_usable, size=n_fine_pairs, replace=False))
+    pairs = prepared.gt_pairs[pick]
+    n_rows = prepared.pre_view.sizes[pairs[:, 0]]
+    n_cols = prepared.intra_view.sizes[pairs[:, 1]]
+    probs = normalize_scores_with_slack(
+        patch_scores(dense_pre, dense_intra, prepared.pre_view, prepared.intra_view, pairs),
+        n_rows, n_cols)
+    f_loss = fine_loss(probs, prepared.gt_cols[pick], n_rows, n_cols)
     return DualLoss(ad.add(c_loss, f_loss), c_loss, f_loss)
 
 

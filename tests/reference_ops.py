@@ -2,14 +2,15 @@
 
 The tape references build their result from the elementary autodiff
 operations (or ``np.add.at``), the way the library did before those paths
-were fused; ``scalar_weighted_procrustes`` is the one-set solve that
+were fused; ``slack_normalize_2d`` is the one-matrix slack normalization that
+the padded stack replaced; ``scalar_weighted_procrustes`` is the one-set solve that
 ``matching.procrustes_stack`` replaced, ``scalar_refine`` and
 ``reference_pose_chain`` transcribe ``refine_transform`` and
 ``register_pair``'s pose chain on index-gathered matches over it, and the
 ``loop_*`` functions are the per-patch and per-pair loops that the patch
 table replaced, over patches stored as a list of index arrays
 (``LoopPatches``).  Tests require the library versions to match them bit for
-bit.
+bit, except ``slack_normalize_2d``, whose row sums run over fewer entries.
 """
 
 from dataclasses import dataclass
@@ -32,19 +33,42 @@ def add_at_rows(index, values, n):
     return out
 
 
-def composed_normalize_scores_with_slack(scores, augment_slack=False):
+def composed_normalize_scores_with_slack(scores, n_rows, n_cols, augment_slack=False):
+    """The slack normalization of a padded (K, R+1, C+1) stack as elementary
+    tape operations: per-matrix shift, exp, pad mask, then column and row
+    rounds whose pad sums are offset by 1."""
+    k, nr, nc = scores.shape
+    row_target = np.ones((k, nr, 1))
+    col_target = np.ones((k, 1, nc))
+    row_target[:, :-1, 0] = np.arange(nr - 1) < np.reshape(n_rows, (-1, 1))
+    col_target[:, 0, :-1] = np.arange(nc - 1) < np.reshape(n_cols, (-1, 1))
+    if augment_slack:
+        row_target[:, -1, 0] = n_cols
+        col_target[:, 0, -1] = n_rows
+    shift = np.broadcast_to(np.max(scores.data, axis=(1, 2), keepdims=True), scores.shape)
+    valid = (row_target > 0) * (col_target > 0) * 1.0
+    p = ad.mul(ad.exp(ad.sub(scores, Tensor(shift))), Tensor(valid))
+    for _ in range(matching.NORM_ITERATIONS):
+        csum = ad.add(ad.sum_(p, axis=1, keepdims=True), Tensor(1.0 * (col_target == 0)))
+        p = ad.mul(p, ad.expand(ad.div(Tensor(col_target), csum), p.shape))
+        rsum = ad.add(ad.sum_(p, axis=2, keepdims=True), Tensor(1.0 * (row_target == 0)))
+        p = ad.mul(p, ad.expand(ad.div(Tensor(row_target), rsum), p.shape))
+    return p
+
+
+def slack_normalize_2d(scores, augment_slack=False):
+    """The slack normalization of one unpadded (R+1, C+1) matrix, as it ran
+    before patch pairs were stacked."""
     nr, nc = scores.shape
     row_target = np.ones((nr, 1))
     col_target = np.ones((1, nc))
     if augment_slack:
         row_target[-1, 0] = nc - 1
         col_target[0, -1] = nr - 1
-    p = ad.exp(ad.sub(scores, float(np.max(scores.data))))
+    p = np.exp(scores - np.max(scores))
     for _ in range(matching.NORM_ITERATIONS):
-        csum = ad.sum_(p, axis=0, keepdims=True)
-        p = ad.mul(p, ad.expand(ad.div(Tensor(col_target), csum), p.shape))
-        rsum = ad.sum_(p, axis=1, keepdims=True)
-        p = ad.mul(p, ad.expand(ad.div(Tensor(row_target), rsum), p.shape))
+        p = p * (col_target / np.sum(p, axis=0, keepdims=True))
+        p = p * (row_target / np.sum(p, axis=1, keepdims=True))
     return p
 
 
@@ -182,15 +206,19 @@ def loop_ground_truth_patch_matches(pre_view, intra_view, pair, T_gt, radius):
 
 
 def loop_fine_match(dense_pre, dense_intra, coarse_pairs, pre_view, intra_view):
+    """``fine_match`` pair by pair and row by row, each pair scored alone
+    (a stack of one) and cut down to its real rows and columns plus slack."""
     dense_pre, dense_intra = Tensor(dense_pre), Tensor(dense_intra)
     best = {}
     for a, b in coarse_pairs:
-        ia = pre_view.patch_indices[a]
-        ib = intra_view.patch_indices[b]
-        if ia.size == 0 or ib.size == 0:
-            continue
-        p = normalize_scores_with_slack(patch_scores(dense_pre, dense_intra, ia, ib),
-                                        augment_slack=True).data
+        ia = pre_view.patch_indices[a, : pre_view.sizes[a]]
+        ib = intra_view.patch_indices[b, : intra_view.sizes[b]]
+        scores = patch_scores(dense_pre, dense_intra, pre_view, intra_view,
+                              np.array([[a, b]]))
+        padded = normalize_scores_with_slack(scores, [ia.size], [ib.size],
+                                             augment_slack=True).data[0]
+        slack = padded.shape[0] - 1
+        p = padded[np.r_[: ia.size, slack]][:, np.r_[: ib.size, slack]]
         core = p[: ia.size, : ib.size]
         row_best = np.argmax(p[: ia.size], axis=1)
         col_best = np.argmax(p[:, : ib.size], axis=0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from segreg.baselines import ransac_icp
-from segreg.cli import EXIT_DATA, EXIT_USAGE, main
+from segreg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 from segreg.fileio import (
     load_ply,
     load_pose,
@@ -27,7 +27,7 @@ from segreg.training import init_params
 def test_gradcheck_command_writes_all_passing_checks(tmp_path):
     assert main(["gradcheck", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "gradcheck.json").read_text())
-    assert len(doc) == 16
+    assert len(doc) == 17
     assert all(entry["passed"] for entry in doc)
 
 
@@ -82,6 +82,18 @@ def test_eval_carries_wall_time_from_pose_json(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows
     assert all(float(r["wall_time_s"]) == 1.25 for r in rows)
+
+
+def test_train_that_diverges_exits_with_numeric_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--n-samples", "1",
+                 "--n-vertebrae", "2", "--points-pre", "1024",
+                 "--points-intra", "512"]) == 0
+    code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
+                 "--lr0", "1e300", "--iters", "4", "--warmup", "0",
+                 "--checkpoint-every", "0"])
+    assert code == EXIT_NUMERIC
+    assert "training aborted" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("settings", [["--iters", "2"],

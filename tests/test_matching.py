@@ -29,6 +29,7 @@ from segreg.matching import (
     ground_truth_patch_matches,
     l2_normalize_rows,
     normalize_scores_with_slack,
+    patch_scores,
     procrustes_stack,
     refine_transform,
     superpoint_overlap_labels,
@@ -45,6 +46,7 @@ from reference_ops import (
     loop_ground_truth,
     loop_superpoint_overlap_labels,
     scalar_weighted_procrustes,
+    slack_normalize_2d,
 )
 
 
@@ -59,6 +61,17 @@ def make_views(rng, n=600):
     cloud = surface_cloud(rng, n)
     pyr = build_pyramid(cloud, 3, 0.08, 2.5, max_neighbors=16)
     return build_patches(pyr, patch_size=24), pyr
+
+
+def members(view, b):
+    """Level-0 indices of superpoint b's patch."""
+    return view.patch_indices[b, : view.sizes[b]]
+
+
+def one_matrix(s):
+    """A slack-padded (R+1, C+1) matrix with no pads as a stack of one, and
+    its real row and column counts."""
+    return Tensor(s[None]), [s.shape[0] - 1], [s.shape[1] - 1]
 
 
 # -- overlap labels ----------------------------------------------------------
@@ -90,9 +103,9 @@ def test_overlap_matches_brute_force():
     mi = intra_view.points.shape[0]
     want = np.zeros((mp, mi))
     for a in range(mp):
-        pts = T.apply_points(pre_view.fine_points[pre_view.patch(a)])
+        pts = T.apply_points(pre_view.fine_points[members(pre_view, a)])
         for b in range(mi):
-            q = intra_view.fine_points[intra_view.patch(b)]
+            q = intra_view.fine_points[members(intra_view, b)]
             if len(q) == 0 or len(pts) == 0:
                 continue
             d = np.linalg.norm(pts[:, None, :] - q[None, :, :], axis=-1)
@@ -146,14 +159,25 @@ def test_geometric_bonus_is_rotation_invariant():
 # -- fine matching -----------------------------------------------------------
 
 def test_normalize_uniform_rows_and_concentration():
-    u = normalize_scores_with_slack(Tensor(np.zeros((5, 7))))
+    u = normalize_scores_with_slack(*one_matrix(np.zeros((5, 7))))
     np.testing.assert_allclose(u.data, 1.0 / 7.0)
-    np.testing.assert_allclose(u.data.sum(axis=1), 1.0)
+    np.testing.assert_allclose(u.data.sum(axis=2), 1.0)
 
     s = np.full((4, 4), -30.0)
     np.fill_diagonal(s, 30.0)
-    c = normalize_scores_with_slack(Tensor(s))
-    assert np.all(np.diag(c.data)[:3] > 0.99)
+    c = normalize_scores_with_slack(*one_matrix(s))
+    assert np.all(np.diag(c.data[0])[:3] > 0.99)
+
+
+def test_normalize_zeroes_pads_and_keeps_real_marginals():
+    rng = np.random.default_rng(18)
+    s = np.zeros((2, 7, 7))
+    s[:, :6, :6] = rng.normal(size=(2, 6, 6))
+    n_rows, n_cols = np.array([4, 6]), np.array([3, 6])
+    p = normalize_scores_with_slack(Tensor(s), n_rows, n_cols).data
+    assert np.all(p[0, 4:6] == 0.0) and np.all(p[0, :, 3:6] == 0.0)
+    np.testing.assert_allclose(p[0, :4].sum(axis=1), 1.0)
+    np.testing.assert_allclose(p[1, :6].sum(axis=1), 1.0)
 
 
 @pytest.mark.parametrize("augment_slack", [False, True])
@@ -161,19 +185,60 @@ def test_normalize_uniform_rows_and_concentration():
 def test_fused_sinkhorn_equals_composed_reference(iterations, augment_slack, monkeypatch):
     monkeypatch.setattr(matching, "NORM_ITERATIONS", iterations)
     rng = np.random.default_rng(17)
-    s0 = np.zeros((8, 11))
-    s0[:7, :10] = rng.normal(size=(7, 10)) * 4.0
-    proj = rng.normal(size=(8, 11))
+    # pair 0 has a pad row and a pad column, pair 1 none; pads score 0 as
+    # patch_scores' shadow slots do
+    n_rows, n_cols = np.array([7, 8]), np.array([10, 11])
+    s0 = np.zeros((2, 9, 12))
+    for k in range(2):
+        s0[k, : n_rows[k], : n_cols[k]] = rng.normal(size=(n_rows[k], n_cols[k])) * 4.0
+    proj = rng.normal(size=(2, 9, 12))
     results = []
     for normalize in (normalize_scores_with_slack, composed_normalize_scores_with_slack):
         with Tape():
             scores = Tensor(s0, requires_grad=True)
-            p = normalize(scores, augment_slack=augment_slack)
+            p = normalize(scores, n_rows, n_cols, augment_slack=augment_slack)
             backward(sum_(p * Tensor(proj)))
         results.append((p.data, scores.grad))
     (p_fused, g_fused), (p_ref, g_ref) = results
     assert np.array_equal(p_fused, p_ref)
     assert np.array_equal(g_fused, g_ref)
+
+
+@pytest.mark.parametrize("augment_slack", [False, True])
+def test_padded_normalization_equals_unpadded_matrix(augment_slack):
+    rng = np.random.default_rng(19)
+    size = 32
+    for n_rows, n_cols in ((1, 1), (5, 3), (7, 12), (20, 31), (32, 32)):
+        s = np.zeros((n_rows + 1, n_cols + 1))
+        s[:n_rows, :n_cols] = rng.normal(size=(n_rows, n_cols)) * 4.0
+        padded = np.zeros((1, size + 1, size + 1))
+        rows, cols = np.r_[:n_rows, size], np.r_[:n_cols, size]
+        padded[0][np.ix_(rows, cols)] = s
+        p = normalize_scores_with_slack(Tensor(padded), [n_rows], [n_cols],
+                                        augment_slack=augment_slack).data[0]
+        # a row sum of the padded matrix adds 33 entries, zeros included,
+        # where the unpadded one adds n_cols + 1: numpy's pairwise summation
+        # groups them differently, so the last bits differ
+        np.testing.assert_allclose(p[np.ix_(rows, cols)],
+                                   slack_normalize_2d(s, augment_slack), rtol=0, atol=1e-13)
+        p[np.ix_(rows, cols)] = 0.0
+        assert np.all(p == 0.0)
+
+
+def test_pair_scored_alone_equals_its_slice_of_the_stack():
+    rng = np.random.default_rng(20)
+    view, _ = make_views(rng, 400)
+    desc = rng.normal(size=(len(view.fine_points), 16)) * 2.0
+    m = len(view.points)
+    pairs = np.stack([rng.integers(0, m, 9), rng.integers(0, m, 9)], axis=1)
+    for augment_slack in (False, True):
+        def scored(sel):
+            scores = patch_scores(Tensor(desc), Tensor(desc[::-1].copy()), view, view, sel)
+            return normalize_scores_with_slack(scores, view.sizes[sel[:, 0]],
+                                               view.sizes[sel[:, 1]], augment_slack).data
+        stack = scored(pairs)
+        for k in range(len(pairs)):
+            assert np.array_equal(scored(pairs[k : k + 1])[0], stack[k])
 
 
 @pytest.mark.parametrize("normalize", [normalize_scores_with_slack,
@@ -182,7 +247,7 @@ def test_sinkhorn_zero_column_sum_raises_nonfinite(normalize):
     s = np.zeros((4, 5))
     s[:, 2] = -1e4                    # exp underflows to 0: the column sums to 0
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-        normalize(Tensor(s))
+        normalize(*one_matrix(s))
 
 
 def test_fine_match_identity_on_distinct_descriptors():
@@ -393,42 +458,74 @@ def test_coarse_loss_gradcheck():
     assert max_relative_error(t.grad, fd[0]) < 1e-5
 
 
+def uniform_stack(n_rows, n_cols, size):
+    """Normalized all-zero scores: every real row and the slack row read
+    1 / (n_cols + 1) on their real and slack entries."""
+    k = len(n_rows)
+    return normalize_scores_with_slack(Tensor(np.zeros((k, size + 1, size + 1))),
+                                       np.array(n_rows), np.array(n_cols))
+
+
 def test_fine_loss_concentrated_is_small_uniform_is_log():
     s = np.full((5, 5), -30.0)
     np.fill_diagonal(s, 30.0)
-    conc = normalize_scores_with_slack(Tensor(s))
-    gt = (np.arange(4), np.arange(4))
-    assert fine_loss([conc], [gt]).item() < 0.01
+    conc = normalize_scores_with_slack(*one_matrix(s))
+    assert fine_loss(conc, np.arange(4)[None], [4], [4]).item() < 0.01
 
-    uni = normalize_scores_with_slack(Tensor(np.zeros((5, 7))))
-    loss = fine_loss([uni], [(np.array([0, 1]), np.array([0, 1]))])
+    # pair 0 pads 2 rows, pair 1 none; both read log 7
+    uni = uniform_stack([4, 6], [6, 6], 6)
+    gt_cols = np.array([[0, 1, -1, -1, -1, -1], [5, -1, 2, -1, -1, -1]])
+    loss = fine_loss(uni, gt_cols, np.array([4, 6]), np.array([6, 6]))
     assert loss.item() == pytest.approx(np.log(7.0), abs=1e-9)
 
 
-def test_fine_loss_excludes_empty_patches():
-    uni = normalize_scores_with_slack(Tensor(np.zeros((4, 4))))
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    gt = (np.array([0]), np.array([0]))
-    loss_with_empty = fine_loss([uni, uni], [gt, empty])
-    loss_alone = fine_loss([uni], [gt])
-    assert loss_with_empty.item() == pytest.approx(loss_alone.item(), abs=1e-12)
+def test_fine_loss_blends_each_pair_then_averages_pairs():
+    rng = np.random.default_rng(14)
+    n_rows, n_cols = np.array([3, 2]), np.array([2, 3])
+    s = np.zeros((2, 4, 4))
+    s[:, :3, :3] = rng.normal(size=(2, 3, 3))
+    probs = normalize_scores_with_slack(Tensor(s), n_rows, n_cols)
+    gt_cols = np.array([[1, -1, 0], [2, 0, -1]])
+    p = probs.data
+    # pair 0: matched (0,1), (2,0); slack row 1; every column claimed
+    # pair 1: matched (0,2), (1,0); no slack row; column 1 unclaimed
+    def nll(*entries):
+        return -np.mean(np.log(np.array(entries) + 1e-12))
+
+    terms = [0.7 * nll(p[0, 0, 1], p[0, 2, 0]) + 0.3 * nll(p[0, 1, 3]),
+             0.7 * nll(p[1, 0, 2], p[1, 1, 0]) + 0.3 * nll(p[1, 3, 1])]
+    loss = fine_loss(probs, gt_cols, n_rows, n_cols)
+    assert loss.item() == pytest.approx(np.mean(terms), abs=1e-12)
+    # a pair with no slack target keeps its matched mean
+    square = normalize_scores_with_slack(Tensor(s[:1]), [2], [2])
+    assert fine_loss(square, np.array([[1, 0, -1]]), [2], [2]).item() == pytest.approx(
+        nll(*square.data[0, [0, 1], [1, 0]]), abs=1e-12)
+
+
+def test_fine_loss_rejects_pairs_without_matches():
+    uni = uniform_stack([3, 3], [3, 3], 3)
+    gt_cols = np.array([[0, -1, -1], [-1, -1, -1]])
     with pytest.raises(ValueError):
-        fine_loss([uni], [empty])
+        fine_loss(uni, gt_cols, np.array([3, 3]), np.array([3, 3]))
+    with pytest.raises(ValueError):
+        fine_loss(uni, np.empty((0, 3), np.int64), np.empty(0), np.empty(0))
 
 
 def test_fine_loss_gradcheck():
     rng = np.random.default_rng(15)
-    s0 = rng.normal(size=(5, 6))
-    gt = (np.array([0, 2]), np.array([1, 3]))
+    s0 = rng.normal(size=(2, 6, 6))
+    n_rows, n_cols = np.array([5, 3]), np.array([4, 5])
+    gt_cols = np.array([[1, -1, 3, -1, -1], [0, 4, -1, -1, -1]])
 
     def f(arrays):
-        p = normalize_scores_with_slack(Tensor(arrays[0]))
-        return fine_loss([p], [gt]).item()
+        p = normalize_scores_with_slack(Tensor(arrays[0]), n_rows, n_cols)
+        return fine_loss(p, gt_cols, n_rows, n_cols).item()
 
     fd = finite_difference_gradient(f, [s0])
     with Tape():
         s = Tensor(s0, requires_grad=True)
-        backward(fine_loss([normalize_scores_with_slack(s)], [gt]))
+        backward(fine_loss(normalize_scores_with_slack(s, n_rows, n_cols), gt_cols,
+                           n_rows, n_cols))
     assert max_relative_error(s.grad, fd[0]) < 1e-5
 
 
@@ -437,8 +534,7 @@ def test_dual_loss_additivity():
     from segreg import autodiff as ad
     feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
     c = coarse_loss(Tensor(feats), Tensor(feats), np.eye(2))
-    uni = normalize_scores_with_slack(Tensor(np.zeros((5, 7))))
-    f = fine_loss([uni], [(np.array([0, 1]), np.array([0, 1]))])
+    f = fine_loss(uniform_stack([4], [6], 6), np.array([[0, 1, -1, -1, -1, -1]]), [4], [6])
     dual = DualLoss(ad.add(c, f), c, f)
     assert dual.total.item() == pytest.approx(dual.coarse.item() + dual.fine.item(), abs=1e-12)
 
@@ -447,12 +543,12 @@ def test_ground_truth_patch_matches_identity():
     rng = np.random.default_rng(16)
     view, _ = make_views(rng, 400)
     a = 0
-    [(rows, cols)] = ground_truth_patch_matches(view, view, [(a, a)],
-                                                RigidTransform.identity(), 0.01)
-    np.testing.assert_array_equal(rows, cols)
-    assert rows.size == view.sizes[a]
+    [cols] = ground_truth_patch_matches(view, view, np.array([[a, a]]),
+                                        RigidTransform.identity(), 0.01)
+    n = view.sizes[a]
+    np.testing.assert_array_equal(cols, np.r_[np.arange(n), np.full(cols.size - n, -1)])
     assert ground_truth_patch_matches(view, view, np.empty((0, 2), np.int64),
-                                      RigidTransform.identity(), 0.01) == []
+                                      RigidTransform.identity(), 0.01).shape == (0, 24)
 
 
 # -- the patch table against the per-patch loops it replaced -------------------
@@ -494,8 +590,8 @@ def test_patch_table_holds_the_loop_patches(patch_case):
     prepared, loops = patch_case
     for view, loop in zip((prepared.pre_view, prepared.intra_view), loops):
         assert len(view.sizes) == len(loop.patch_indices)
-        for b, members in enumerate(loop.patch_indices):
-            assert np.array_equal(view.patch(b), members)
+        for b, loop_members in enumerate(loop.patch_indices):
+            assert np.array_equal(members(view, b), loop_members)
         assert np.array_equal(view.fine_to_sp, loop.fine_to_sp)
 
 
@@ -522,14 +618,16 @@ def test_overlap_and_ground_truth_equal_loop_reference(patch_case):
     assert np.array_equal(prepared.overlap, overlap)
     fine_pairs, gt_fine = loop_ground_truth(pre, intra, overlap, T, POSITIVE_OVERLAP,
                                             RegNetConfig().initial_voxel)
-    assert fine_pairs and list(prepared.gt_fine) == fine_pairs
-    for key, (rows, cols) in gt_fine.items():
-        assert np.array_equal(prepared.gt_fine[key][0], rows)
-        assert np.array_equal(prepared.gt_fine[key][1], cols)
+    gt_cols = np.full((len(fine_pairs), prepared.pre_view.patch_indices.shape[1]), -1)
+    for row, key in zip(gt_cols, fine_pairs):
+        row[gt_fine[key][0]] = gt_fine[key][1]
+    assert fine_pairs
+    assert np.array_equal(prepared.gt_pairs, np.array(fine_pairs).reshape(-1, 2))
+    assert np.array_equal(prepared.gt_cols, gt_cols)
 
 
 def test_fine_match_equals_loop_reference(patch_case):
-    prepared, (pre, intra) = patch_case
+    prepared, _ = patch_case
     rng = np.random.default_rng(0)
     # intra descriptors copy the nearest pre point's under the true pose, so
     # many entries survive the mutual and slack tests
@@ -540,7 +638,8 @@ def test_fine_match_equals_loop_reference(patch_case):
     top = np.argsort(-prepared.overlap, axis=None, kind="stable")[:64]
     pairs = np.stack(np.unravel_index(top, prepared.overlap.shape), axis=1)
     got = fine_match(dense_pre, dense_intra, pairs, prepared.pre_view, prepared.intra_view)
-    want = loop_fine_match(dense_pre, dense_intra, pairs, pre, intra)
+    want = loop_fine_match(dense_pre, dense_intra, pairs, prepared.pre_view,
+                           prepared.intra_view)
     assert len(got[2]) > 50
     for got_part, want_part in zip(got, want):
         assert np.array_equal(got_part, want_part)

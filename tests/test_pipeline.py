@@ -60,14 +60,18 @@ def test_prepare_sample_ground_truth_invariants():
     positive = np.argwhere(prepared.overlap > POSITIVE_OVERLAP)
     every = ground_truth_patch_matches(pre, intra, positive, sample.T_gt,
                                        reg.initial_voxel)
-    assert len(every) == len(positive)
-    expected = [(int(a), int(b)) for (a, b), (rows, _) in zip(positive, every) if rows.size]
-    assert expected and list(prepared.gt_fine) == expected
-    for (a, b), (rows, cols) in prepared.gt_fine.items():
-        assert np.all(np.diff(rows) > 0) and np.all(rows < pre.sizes[a])
+    assert every.shape == (len(positive), match.patch_size)
+    usable = (every >= 0).any(axis=1)
+    assert usable.any()
+    assert np.array_equal(prepared.gt_pairs, positive[usable])
+    assert np.array_equal(prepared.gt_cols, every[usable])
+    for (a, b), cols in zip(prepared.gt_pairs, prepared.gt_cols):
+        rows = np.flatnonzero(cols >= 0)
+        cols = cols[rows]
+        assert np.all(rows < pre.sizes[a])
         assert np.unique(cols).size == cols.size and np.all(cols < intra.sizes[b])
-        p = sample.T_gt.apply_points(pre.fine_points[pre.patch(a)[rows]])
-        q = intra.fine_points[intra.patch(b)[cols]]
+        p = sample.T_gt.apply_points(pre.fine_points[pre.patch_indices[a, rows]])
+        q = intra.fine_points[intra.patch_indices[b, cols]]
         assert np.all(np.linalg.norm(p - q, axis=1) <= reg.initial_voxel + 1e-12)
 
 

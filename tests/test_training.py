@@ -68,6 +68,23 @@ def test_training_loss_matches_finite_differences(gumbel):
         assert np.max(np.abs(analytic - fd)) / scale < 1e-4, name
 
 
+def test_training_loss_tape_does_not_grow_with_fine_pairs():
+    """The fine loss scores its pairs as one stack, so the tape of one
+    ``training_loss`` call records as many nodes for 1 pair as for 12."""
+    seg, reg, match = networks.SegNetConfig(), networks.RegNetConfig(), pipeline.MatcherConfig()
+    prepared = pipeline.prepare_sample(tiny_phantom(), seg, reg, match)
+    assert len(prepared.gt_pairs) > 12
+    params = training.init_params(seg, reg, 0)
+    mask = Tensor(prepared.sample.gt_mask.astype(np.float64).reshape(-1, 1))
+    nodes = []
+    for n_fine_pairs in (1, 12):
+        with Tape() as tape:
+            pipeline.training_loss(params, prepared, mask, np.random.default_rng(0),
+                                   n_fine_pairs)
+            nodes.append(len(tape))
+    assert nodes[0] == nodes[1]
+
+
 def test_exploding_learning_rate_raises_training_diverged():
     sample = tiny_phantom()
     cfg = TrainConfig(lr0=1e300, warmup_iters=0, total_iters=4, checkpoint_every=0)
