@@ -12,13 +12,18 @@ hypotheses, scores them by inliers within ``RANSAC_INLIER_RADIUS``, and
 refines the winner with ICP.  Both are deterministic given their inputs and
 seed.
 
-The descriptors come from one k-d tree pair list: each pair within the
-radius is measured once and binned into both endpoints' histograms with a
-single ``np.bincount``, in fixed-size blocks of pairs.  RANSAC draws its
-hypotheses one at a time from the generator, then fits them in stacks with
-``matching.procrustes_stack`` and counts their inliers, so the counts and
-the first-best winner are those of a sequential scan.  ICP starts from the
-winner's pose as ``weighted_procrustes`` solves it on its own.
+The descriptors come from one k-d tree per cloud, which serves both the
+normals' neighbors and the pair list: each pair within the radius is
+measured once and binned into both endpoints' histograms with a single
+``np.bincount``, in fixed-size blocks of pairs.  Mutual matching walks the
+source descriptors in fixed-size row blocks: each block's similarities to
+every target give its rows' best matches, and a running column maximum
+gives each target's, so the N_src x N_tgt similarity matrix is never held.
+RANSAC draws its hypotheses one at a time from the generator, then fits
+them in stacks with ``matching.procrustes_stack`` and counts their inliers,
+so the counts and the first-best winner are those of a sequential scan.
+ICP starts from the winner's pose as ``weighted_procrustes`` solves it on
+its own.
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ RANSAC_CANDIDATES = 600      # strongest mutual descriptor matches kept
 DESCRIPTOR_BINS = 8          # bins per descriptor histogram
 NORMAL_NEIGHBORS = 12        # neighbors of a descriptor's normal estimate
 
-_PAIR_BLOCK = 1 << 18  # neighbor pairs binned per pass in local_descriptors
+_PAIR_BLOCK = 1 << 16  # neighbor pairs binned per pass in local_descriptors
+_MATCH_BLOCK = 256  # source descriptors matched per pass in _mutual_matches
 _HYPOTHESIS_BLOCK = 128  # RANSAC hypotheses solved and scored per stack
 
 
@@ -76,7 +82,8 @@ def icp(source: PointCloud, target: PointCloud,
         order = np.argsort(dists, kind="stable")[:keep]
         rms = float(np.sqrt(np.mean(dists[order] ** 2)))
         # fixed trim count makes the trimmed RMS provably non-increasing
-        assert rms <= prev_rms + 1e-9, "trimmed RMS increased"
+        if rms > prev_rms + 1e-9:
+            raise RuntimeError("trimmed RMS increased")
         if prev_rms - rms < ICP_TOL:
             converged = True
             break
@@ -90,12 +97,16 @@ def icp(source: PointCloud, target: PointCloud,
 
 def estimate_normals(cloud: PointCloud, k: int) -> np.ndarray:
     """Unoriented unit normals from the smallest local covariance direction."""
-    tree = cKDTree(cloud.positions)
-    k = min(k, len(cloud))
-    _, nn = tree.query(cloud.positions, k=k)
+    return _normals(cloud.positions, cKDTree(cloud.positions), k)
+
+
+def _normals(pos: np.ndarray, tree: cKDTree, k: int) -> np.ndarray:
+    """``estimate_normals`` on positions whose k-d tree is already built."""
+    k = min(k, len(pos))
+    _, nn = tree.query(pos, k=k)
     if k == 1:
         nn = nn[:, None]
-    return local_reference_frames(cloud.positions, nn, min_neighbors=0)[:, 2]
+    return local_reference_frames(pos, nn, min_neighbors=0)[:, 2]
 
 
 def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
@@ -106,9 +117,10 @@ def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
     normalized; a point with no neighbor gets a zero row.  Each unordered
     pair is measured once and counted into both endpoints' rows.
     """
-    normals = estimate_normals(cloud, NORMAL_NEIGHBORS)
     pos = cloud.positions
-    pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
+    tree = cKDTree(pos)
+    normals = _normals(pos, tree, NORMAL_NEIGHBORS)
+    pairs = tree.query_pairs(radius, output_type="ndarray")
     d_edges = np.linspace(0.0, radius, DESCRIPTOR_BINS + 1)
     a_edges = np.linspace(0.0, 1.0, DESCRIPTOR_BINS + 1)
     width = 2 * DESCRIPTOR_BINS
@@ -132,6 +144,35 @@ def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
     filled = norm > 0
     desc[filled] /= norm[filled, None]
     return desc
+
+
+def _mutual_matches(src_desc: np.ndarray,
+                    tgt_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best target per source row, best source per target, and row strengths.
+
+    Equal to ``np.argmax`` along each axis of ``src_desc @ tgt_desc.T`` and
+    to the row maxima, without holding that matrix: source rows go in blocks
+    of ``_MATCH_BLOCK``, and a target's running best moves only to a block
+    whose column maximum is strictly greater, so the first maximal row wins
+    across blocks as ``np.argmax``'s does within one.  BLAS may round a
+    block's product in the last bit unlike the whole one's; exact products,
+    such as those of small-integer rows, are the same in every block shape.
+    """
+    fwd = np.empty(len(src_desc), dtype=np.intp)
+    strength = np.empty(len(src_desc))
+    bwd = np.zeros(len(tgt_desc), dtype=np.intp)
+    best = np.full(len(tgt_desc), -np.inf)
+    for start in range(0, len(src_desc), _MATCH_BLOCK):
+        block = slice(start, start + _MATCH_BLOCK)
+        sim = src_desc[block] @ tgt_desc.T
+        fwd[block] = np.argmax(sim, axis=1)
+        strength[block] = np.take_along_axis(sim, fwd[block, None], axis=1)[:, 0]
+        rows = np.argmax(sim, axis=0)
+        top = np.take_along_axis(sim, rows[None], axis=0)[0]
+        better = top > best
+        best[better] = top[better]
+        bwd[better] = start + rows[better]
+    return fwd, bwd, strength
 
 
 def _hypothesis_inliers(picks: np.ndarray, cand_src: np.ndarray,
@@ -159,15 +200,12 @@ def ransac_icp(source: PointCloud, target: PointCloud,
         raise ValueError("RANSAC needs at least 10 points per cloud")
     src_desc = local_descriptors(source, DESCRIPTOR_RADIUS)
     tgt_desc = local_descriptors(target, DESCRIPTOR_RADIUS)
-    sim = src_desc @ tgt_desc.T
-    fwd = np.argmax(sim, axis=1)
-    bwd = np.argmax(sim, axis=0)
+    fwd, bwd, strength = _mutual_matches(src_desc, tgt_desc)
     mutual = np.flatnonzero(bwd[fwd] == np.arange(len(source)))
     if mutual.size < 3:
         raise ValueError("no mutual descriptor matches between the clouds")
     if mutual.size > RANSAC_CANDIDATES:
-        strength = sim[mutual, fwd[mutual]]
-        mutual = mutual[np.argsort(-strength, kind="stable")[:RANSAC_CANDIDATES]]
+        mutual = mutual[np.argsort(-strength[mutual], kind="stable")[:RANSAC_CANDIDATES]]
     cand_src = source.positions[mutual]
     cand_tgt = target.positions[fwd[mutual]]
 

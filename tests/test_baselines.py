@@ -1,5 +1,7 @@
 """Baseline registration tests: trimmed ICP and RANSAC + ICP."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -14,6 +16,7 @@ from segreg.baselines import (
     RANSAC_INLIER_RADIUS,
     RANSAC_ITERATIONS,
     _hypothesis_inliers,
+    _mutual_matches,
     estimate_normals,
     icp,
     local_descriptors,
@@ -120,6 +123,23 @@ def test_icp_pose_equals_icp_through_scalar_procrustes(monkeypatch):
     assert np.array_equal(got.transform.translation, want.transform.translation)
 
 
+def test_icp_raises_when_the_trimmed_rms_rises(monkeypatch):
+    # a tree whose distances grow each round breaks the invariant; the check
+    # is an explicit raise, so it also holds under python -O
+    class RisingTree:
+        def __init__(self, positions):
+            self.rounds = 0
+
+        def query(self, moved):
+            self.rounds += 1
+            return np.full(len(moved), 0.01 * self.rounds), np.arange(len(moved))
+
+    cloud = bumpy_surface(np.random.default_rng(3), 100)
+    monkeypatch.setattr(baselines, "cKDTree", RisingTree)
+    with pytest.raises(RuntimeError, match="trimmed RMS increased"):
+        icp(cloud, cloud)
+
+
 def test_icp_initialization_sensitivity_on_low_overlap():
     # regression expectation: raw ICP stalls in a wrong basin when the target
     # covers only part of the source and the misalignment is large
@@ -178,15 +198,20 @@ def loop_descriptors(cloud, radius):
     return desc
 
 
+def dense_matches(src_desc, tgt_desc):
+    """Row and column argmax of the whole similarity matrix, and row maxima."""
+    sim = src_desc @ tgt_desc.T
+    fwd = np.argmax(sim, axis=1)
+    return fwd, np.argmax(sim, axis=0), sim[np.arange(len(sim)), fwd]
+
+
 def ransac_candidates(source, target):
     """The mutual descriptor matches that ransac_icp samples from."""
-    sim = (local_descriptors(source, DESCRIPTOR_RADIUS)
-           @ local_descriptors(target, DESCRIPTOR_RADIUS).T)
-    fwd, bwd = np.argmax(sim, axis=1), np.argmax(sim, axis=0)
+    fwd, bwd, strength = dense_matches(local_descriptors(source, DESCRIPTOR_RADIUS),
+                                       local_descriptors(target, DESCRIPTOR_RADIUS))
     mutual = np.flatnonzero(bwd[fwd] == np.arange(len(source)))
     if mutual.size > RANSAC_CANDIDATES:
-        strength = sim[mutual, fwd[mutual]]
-        mutual = mutual[np.argsort(-strength, kind="stable")[:RANSAC_CANDIDATES]]
+        mutual = mutual[np.argsort(-strength[mutual], kind="stable")[:RANSAC_CANDIDATES]]
     return source.positions[mutual], target.positions[fwd[mutual]]
 
 
@@ -215,6 +240,23 @@ def draw_picks(rng, m):
     return np.array([rng.choice(m, size=3, replace=False) for _ in range(RANSAC_ITERATIONS)])
 
 
+def lattice_cloud():
+    """Two perpendicular 0.25-spaced planes and one isolated point.
+
+    With radius 1, in-plane distances fall exactly on the radius and on the
+    inner bin edges k/8.
+    """
+    g = np.arange(9) * 0.25
+    flat = [(x, y, 0.0) for x in g for y in g]
+    wall = [(2.85, y, z) for y in g for z in g]
+    return PointCloud(np.array(flat + wall + [(10.0, 10.0, 10.0)]))
+
+
+def small_phantom():
+    return generate_phantom(PhantomConfig(seed=3, n_vertebrae=2, points_pre=1024,
+                                          points_intra=512))
+
+
 def lines_and_surface(rng):
     """A bumpy patch plus three irregularly sampled lines, and a moved copy.
 
@@ -235,19 +277,13 @@ def lines_and_surface(rng):
 # -- descriptors --------------------------------------------------------------
 
 def test_local_descriptors_match_loop_on_small_phantom():
-    sample = generate_phantom(PhantomConfig(seed=3, n_vertebrae=2, points_pre=1024,
-                                            points_intra=512))
+    sample = small_phantom()
     for cloud in (sample.preoperative, sample.intraoperative):
         assert np.array_equal(local_descriptors(cloud, 0.15), loop_descriptors(cloud, 0.15))
 
 
 def test_local_descriptors_match_loop_on_lattice_bin_edges():
-    # two perpendicular 0.25-spaced planes and one isolated point; radius 1
-    # puts in-plane distances exactly on the radius and on inner edges k/8
-    g = np.arange(9) * 0.25
-    flat = [(x, y, 0.0) for x in g for y in g]
-    wall = [(2.85, y, z) for y in g for z in g]
-    cloud = PointCloud(np.array(flat + wall + [(10.0, 10.0, 10.0)]))
+    cloud = lattice_cloud()
     normals = np.abs(estimate_normals(cloud, NORMAL_NEIGHBORS)[:-1])
     assert np.array_equal(np.unique(normals, axis=0), [[0, 0, 1], [1, 0, 0]])
     pairs = cKDTree(cloud.positions).query_pairs(1.0, output_type="ndarray")
@@ -259,6 +295,64 @@ def test_local_descriptors_match_loop_on_lattice_bin_edges():
     # both |cos| = 0 (across the planes) and 1 (within one) are binned
     assert np.any(desc[:-1, 8] > 0)
     assert np.all(desc[:-1, 15] > 0)
+
+
+def test_local_descriptors_do_not_depend_on_the_pair_block(monkeypatch):
+    # the counts are integer sums, so an odd block that splits every
+    # endpoint's pairs across passes changes nothing
+    monkeypatch.setattr(baselines, "_PAIR_BLOCK", 7)
+    sample = small_phantom()
+    for cloud, radius in ((sample.intraoperative, 0.15), (lattice_cloud(), 1.0)):
+        assert np.array_equal(local_descriptors(cloud, radius), loop_descriptors(cloud, radius))
+
+
+# -- mutual matching ----------------------------------------------------------
+
+def tied_descriptors():
+    """Small-integer descriptors whose products are exact and tie often.
+
+    Exact products round alike in every BLAS block shape, so the blocked and
+    the dense argmax see the same ties.  Source rows 2 and 3 are equal and
+    rows 4 and 9 are zero; target rows 1 and 5 are equal, and rows 0 and 6
+    are zero, so their similarity columns tie on every source row.
+    """
+    rng = np.random.default_rng(40)
+    src = rng.integers(0, 3, size=(11, 4)).astype(np.float64)
+    tgt = rng.integers(0, 3, size=(8, 4)).astype(np.float64)
+    src[3] = src[2]
+    src[[4, 9]] = 0.0
+    tgt[5] = tgt[1]
+    tgt[[0, 6]] = 0.0
+    return src, tgt
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 4])
+def test_mutual_matches_equal_the_dense_argmax_under_ties(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(baselines, "_MATCH_BLOCK", block)
+    src, tgt = tied_descriptors()
+    sim = src @ tgt.T
+    # with blocks of 3, rows 2 and 3 share a column maximum across a boundary
+    assert np.any((sim[2] == sim.max(axis=0)) & (sim[3] == sim[2]))
+    binary = np.random.default_rng(42).integers(0, 2, size=(40, 4)).astype(np.float64)
+    cases = [(src, tgt), (tgt, src), (np.zeros((5, 4)), tgt), (src, np.zeros((6, 4))),
+             (binary, binary[:25])]
+    for a, b in cases:
+        for got, want in zip(_mutual_matches(a, b), dense_matches(a, b)):
+            assert np.array_equal(got, want)
+
+
+def test_mutual_matches_never_hold_the_dense_matrix():
+    rng = np.random.default_rng(41)
+    src, tgt = rng.uniform(size=(6000, 16)), rng.uniform(size=(3000, 16))
+    dense_bytes = 8 * len(src) * len(tgt)
+    tracemalloc.start()
+    try:
+        _mutual_matches(src, tgt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4
 
 
 # -- hypothesis scoring -------------------------------------------------------
