@@ -10,10 +10,14 @@ Broadcasting is deliberately restricted to scalar-vs-tensor and equal-shape
 operands; mixed-shape broadcasts must go through :func:`expand`, which makes
 the reduction in the backward pass explicit.
 
-Hot composites (the slack Sinkhorn, feature normalization, the kernel-point
-convolution) are single tape nodes registered through :func:`record_custom`
-with hand-written backwards.  Every tensor, and every intermediate of such a
-fused node, passes the one finiteness routine :func:`require_finite`.
+Every differentiable operation puts its output on the tape one way: it
+returns ``record_custom(value, requires_grad, backward_fn)``.  The built-in
+operations below do, and so do the hot composites elsewhere (the slack
+Sinkhorn, feature normalization, the kernel-point convolution, patch
+scoring), each a single node with a hand-written backward.  Operations are
+called as functions; :class:`Tensor` has no arithmetic operators.  Every
+tensor, and every intermediate of a fused node, passes the one finiteness
+routine :func:`require_finite`.
 Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
 adds in input order exactly as ``np.add.at`` does into zeros.
 """
@@ -52,7 +56,6 @@ __all__ = [
     "scatter_add_rows",
     "scatter_mean",
     "stop_gradient",
-    "as_tensor",
     "record_custom",
     "accumulate_grad",
     "finite_difference_gradient",
@@ -98,34 +101,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; scalars are accepted, general arrays must be Tensors.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Ordered record of executed operations; rebuilt per forward pass."""
@@ -150,14 +125,8 @@ class Tape:
         return len(self.nodes)
 
 
-def as_tensor(x) -> Tensor:
+def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _record(out: Tensor, backward_fn) -> Tensor:
-    if _ACTIVE_TAPE is not None and out.requires_grad:
-        _ACTIVE_TAPE.nodes.append((out, backward_fn))
-    return out
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
@@ -172,14 +141,17 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
 
 
 def record_custom(out_data: np.ndarray, requires_grad: bool, backward_fn) -> Tensor:
-    """Register a fused operation with a hand-written backward.
+    """Wrap an operation's output in a tensor and record it on the active tape.
 
-    ``backward_fn`` receives the output gradient and must call
-    :func:`accumulate_grad` on each differentiable input.
+    The one way a node reaches the tape.  ``backward_fn`` receives the output
+    gradient and must call :func:`accumulate_grad` on each differentiable
+    input.  Nothing is recorded outside a tape or when no input requires a
+    gradient.
     """
-    out = Tensor(out_data)
-    out.requires_grad = bool(requires_grad)
-    return _record(out, backward_fn)
+    out = Tensor(out_data, requires_grad)
+    if _ACTIVE_TAPE is not None and out.requires_grad:
+        _ACTIVE_TAPE.nodes.append((out, backward_fn))
+    return out
 
 
 def backward(loss: Tensor) -> None:
@@ -205,15 +177,15 @@ def backward(loss: Tensor) -> None:
 # pointwise operations
 # ---------------------------------------------------------------------------
 
-def _binary_shapes(a: Tensor, b: Tensor) -> None:
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.size == 1 or b.data.size == 1:
-        return
-    raise ValueError(
-        f"shape mismatch: {a.data.shape} vs {b.data.shape} "
-        "(only equal-shape or scalar operands are supported)"
-    )
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; they must share a shape or one be a scalar."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+        raise ValueError(
+            f"shape mismatch: {a.data.shape} vs {b.data.shape} "
+            "(only equal-shape or scalar operands are supported)"
+        )
+    return a, b
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -224,117 +196,90 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _binary_shapes(a, b)
-    out = Tensor(a.data + b.data)
-    out.requires_grad = a.requires_grad or b.requires_grad
+    a, b = _operands(a, b)
 
     def bwd(g):
         accumulate_grad(a, _reduce_to(g, a.data.shape))
         accumulate_grad(b, _reduce_to(g, b.data.shape))
 
-    return _record(out, bwd)
+    return record_custom(a.data + b.data, a.requires_grad or b.requires_grad, bwd)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _binary_shapes(a, b)
-    out = Tensor(a.data - b.data)
-    out.requires_grad = a.requires_grad or b.requires_grad
+    a, b = _operands(a, b)
 
     def bwd(g):
         accumulate_grad(a, _reduce_to(g, a.data.shape))
         accumulate_grad(b, _reduce_to(-g, b.data.shape))
 
-    return _record(out, bwd)
+    return record_custom(a.data - b.data, a.requires_grad or b.requires_grad, bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _binary_shapes(a, b)
-    out = Tensor(a.data * b.data)
-    out.requires_grad = a.requires_grad or b.requires_grad
+    a, b = _operands(a, b)
 
     def bwd(g):
         accumulate_grad(a, _reduce_to(g * b.data, a.data.shape))
         accumulate_grad(b, _reduce_to(g * a.data, b.data.shape))
 
-    return _record(out, bwd)
+    return record_custom(a.data * b.data, a.requires_grad or b.requires_grad, bwd)
 
 
 def div(a: Tensor, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _binary_shapes(a, b)
-    out = Tensor(a.data / b.data)
-    out.requires_grad = a.requires_grad or b.requires_grad
+    a, b = _operands(a, b)
 
     def bwd(g):
         accumulate_grad(a, _reduce_to(g / b.data, a.data.shape))
         accumulate_grad(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _record(out, bwd)
+    return record_custom(a.data / b.data, a.requires_grad or b.requires_grad, bwd)
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    out.requires_grad = a.requires_grad
-
     def bwd(g):
         accumulate_grad(a, -g)
 
-    return _record(out, bwd)
+    return record_custom(-a.data, a.requires_grad, bwd)
 
 
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         val = np.exp(a.data)
-    out = Tensor(val)                   # an overflow raises NonFiniteError here
-    out.requires_grad = a.requires_grad
 
     def bwd(g):
         accumulate_grad(a, g * val)
 
-    return _record(out, bwd)
+    return record_custom(val, a.requires_grad, bwd)  # an overflow raises NonFiniteError
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError("log requires strictly positive inputs")
-    out = Tensor(np.log(a.data))
-    out.requires_grad = a.requires_grad
 
     def bwd(g):
         accumulate_grad(a, g / a.data)
 
-    return _record(out, bwd)
+    return record_custom(np.log(a.data), a.requires_grad, bwd)
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
         raise ValueError("sqrt requires non-negative inputs")
     val = np.sqrt(a.data)
-    out = Tensor(val)
-    out.requires_grad = a.requires_grad
 
     def bwd(g):
         accumulate_grad(a, g / (2.0 * val))
 
-    return _record(out, bwd)
+    return record_custom(val, a.requires_grad, bwd)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
-    out = Tensor(np.where(mask, a.data, 0.0))
-    out.requires_grad = a.requires_grad
 
     def bwd(g):
         accumulate_grad(a, g * mask)
 
-    return _record(out, bwd)
+    return record_custom(np.where(mask, a.data, 0.0), a.requires_grad, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +287,10 @@ def relu(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    out.requires_grad = a.requires_grad or b.requires_grad
 
     def bwd(g):
         if a.requires_grad:
@@ -356,7 +298,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             accumulate_grad(b, a.data.T @ g)
 
-    return _record(out, bwd)
+    return record_custom(a.data @ b.data, a.requires_grad or b.requires_grad, bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -364,50 +306,34 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     val = e / np.sum(e, axis=axis, keepdims=True)
-    out = Tensor(val)
-    out.requires_grad = x.requires_grad
 
     def bwd(g):
         inner = np.sum(g * val, axis=axis, keepdims=True)
         accumulate_grad(x, (g - inner) * val)
 
-    return _record(out, bwd)
+    return record_custom(val, x.requires_grad, bwd)
 
 
 def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = Tensor(np.sum(x.data, axis=axis, keepdims=keepdims))
-    out.requires_grad = x.requires_grad
-
     def bwd(g):
-        if axis is None:
-            accumulate_grad(x, np.broadcast_to(g, x.data.shape))
-        else:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            accumulate_grad(x, np.broadcast_to(gk, x.data.shape))
+        gk = g if axis is None or keepdims else np.expand_dims(g, axis)
+        accumulate_grad(x, np.broadcast_to(gk, x.data.shape))
 
-    return _record(out, bwd)
+    return record_custom(np.sum(x.data, axis=axis, keepdims=keepdims), x.requires_grad, bwd)
 
 
 def mean_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
-    out = Tensor(np.mean(x.data, axis=axis, keepdims=keepdims))
-    out.requires_grad = x.requires_grad
 
     def bwd(g):
-        if axis is None:
-            accumulate_grad(x, np.broadcast_to(g / n, x.data.shape))
-        else:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            accumulate_grad(x, np.broadcast_to(gk / n, x.data.shape))
+        gk = g if axis is None or keepdims else np.expand_dims(g, axis)
+        accumulate_grad(x, np.broadcast_to(gk / n, x.data.shape))
 
-    return _record(out, bwd)
+    return record_custom(np.mean(x.data, axis=axis, keepdims=keepdims), x.requires_grad, bwd)
 
 
 def expand(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Explicit broadcast of ``x`` to ``shape``; backward sums the expansion."""
-    val = np.broadcast_to(x.data, shape)
-    out = Tensor(val.copy())
-    out.requires_grad = x.requires_grad
     pad = len(shape) - x.data.ndim
     padded = (1,) * pad + x.data.shape
     axes = tuple(i for i, (m, n) in enumerate(zip(padded, shape)) if m != n)
@@ -416,36 +342,28 @@ def expand(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         gr = np.sum(g, axis=axes, keepdims=True) if axes else g
         accumulate_grad(x, gr.reshape(x.data.shape))
 
-    return _record(out, bwd)
+    return record_custom(np.broadcast_to(x.data, shape).copy(), x.requires_grad, bwd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-    out.requires_grad = x.requires_grad
-
     def bwd(g):
         accumulate_grad(x, g.reshape(x.data.shape))
 
-    return _record(out, bwd)
+    return record_custom(x.data.reshape(shape), x.requires_grad, bwd)
 
 
 def transpose2d(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ValueError("transpose2d expects a 2-D tensor")
-    out = Tensor(x.data.T.copy())
-    out.requires_grad = x.requires_grad
 
     def bwd(g):
         accumulate_grad(x, g.T)
 
-    return _record(out, bwd)
+    return record_custom(x.data.T.copy(), x.requires_grad, bwd)
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    out.requires_grad = any(t.requires_grad for t in tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -453,7 +371,8 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
             idx[axis] = slice(lo, hi)
             accumulate_grad(t, g[tuple(idx)])
 
-    return _record(out, bwd)
+    return record_custom(np.concatenate([t.data for t in tensors], axis=axis),
+                         any(t.requires_grad for t in tensors), bwd)
 
 
 def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -461,15 +380,13 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = [slice(None)] * x.data.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
-    out = Tensor(x.data[idx].copy())
-    out.requires_grad = x.requires_grad
 
     def bwd(g):
         full = np.zeros_like(x.data)
         full[idx] = g
         accumulate_grad(x, full)
 
-    return _record(out, bwd)
+    return record_custom(x.data[idx].copy(), x.requires_grad, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +405,12 @@ def gather_rows(src: Tensor, index: np.ndarray) -> Tensor:
     if index.size and (index.min() < 0 or index.max() > n):
         raise IndexError(f"gather index out of range [0, {n}]")
     padded = np.concatenate([src.data, np.zeros((1,) + src.data.shape[1:])], axis=0)
-    out = Tensor(padded[index])
-    out.requires_grad = src.requires_grad
 
     def bwd(g):
         real = index < n
         accumulate_grad(src, scatter_add_rows(index[real], g[real], n))
 
-    return _record(out, bwd)
+    return record_custom(padded[index], src.requires_grad, bwd)
 
 
 def scatter_add_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -520,15 +435,13 @@ def scatter_mean(src: Tensor, group: np.ndarray, n_groups: int) -> Tensor:
     if group.size and (group.min() < 0 or group.max() >= n_groups):
         raise IndexError("group id out of range")
     counts = np.bincount(group, minlength=n_groups).astype(np.float64)
-    safe = np.maximum(counts, 1.0)
-    acc = scatter_add_rows(group, src.data, n_groups)
-    out = Tensor(acc / safe.reshape((-1,) + (1,) * (src.data.ndim - 1)))
-    out.requires_grad = src.requires_grad
+    safe = np.maximum(counts, 1.0).reshape((-1,) + (1,) * (src.data.ndim - 1))
 
     def bwd(g):
-        accumulate_grad(src, g[group] / safe[group].reshape((-1,) + (1,) * (src.data.ndim - 1)))
+        accumulate_grad(src, g[group] / safe[group])
 
-    return _record(out, bwd)
+    return record_custom(scatter_add_rows(group, src.data, n_groups) / safe,
+                         src.requires_grad, bwd)
 
 
 def stop_gradient(x: Tensor) -> Tensor:

@@ -12,8 +12,8 @@ hypotheses, scores them by inliers within ``RANSAC_INLIER_RADIUS``, and
 refines the winner with ICP.  Both are deterministic given their inputs and
 seed.
 
-The descriptors come from one k-d tree per cloud, which serves both the
-normals' neighbors and the pair list: each pair within the radius is
+The descriptors take their normals from ``estimate_normals`` and their
+pairs from a k-d tree's pair list: each pair within the radius is
 measured once and binned into both endpoints' histograms with a single
 ``np.bincount``, in fixed-size blocks of pairs.  Mutual matching walks the
 source descriptors in fixed-size row blocks: each block's similarities to
@@ -97,13 +97,9 @@ def icp(source: PointCloud, target: PointCloud,
 
 def estimate_normals(cloud: PointCloud, k: int) -> np.ndarray:
     """Unoriented unit normals from the smallest local covariance direction."""
-    return _normals(cloud.positions, cKDTree(cloud.positions), k)
-
-
-def _normals(pos: np.ndarray, tree: cKDTree, k: int) -> np.ndarray:
-    """``estimate_normals`` on positions whose k-d tree is already built."""
+    pos = cloud.positions
     k = min(k, len(pos))
-    _, nn = tree.query(pos, k=k)
+    _, nn = cKDTree(pos).query(pos, k=k)
     if k == 1:
         nn = nn[:, None]
     return local_reference_frames(pos, nn, min_neighbors=0)[:, 2]
@@ -118,9 +114,8 @@ def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
     pair is measured once and counted into both endpoints' rows.
     """
     pos = cloud.positions
-    tree = cKDTree(pos)
-    normals = _normals(pos, tree, NORMAL_NEIGHBORS)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
+    normals = estimate_normals(cloud, NORMAL_NEIGHBORS)
+    pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
     d_edges = np.linspace(0.0, radius, DESCRIPTOR_BINS + 1)
     a_edges = np.linspace(0.0, 1.0, DESCRIPTOR_BINS + 1)
     width = 2 * DESCRIPTOR_BINS

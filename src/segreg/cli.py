@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
         for name, sample in dataset:
             _require_colors(sample.intraoperative, name)
         resume = load_checkpoint(args.resume) if args.resume is not None else None
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_DATA
     seg_cfg = SegNetConfig(width_factor=args.width_factor)
@@ -204,7 +204,7 @@ def cmd_register(args) -> int:
         if args.checkpoint is not None:
             _require_colors(intra, args.intra)
             model = load_checkpoint(args.checkpoint)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -249,7 +249,7 @@ def cmd_register(args) -> int:
 def cmd_eval(args) -> int:
     try:
         dataset = _load_dataset(args.dataset)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load dataset: {exc}", file=sys.stderr)
         return EXIT_DATA
     pred_dir = Path(args.predictions)
@@ -264,7 +264,7 @@ def cmd_eval(args) -> int:
             continue
         try:
             T, meta = load_pose(pose_path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"cannot read prediction {pose_path}: {exc}", file=sys.stderr)
             return EXIT_DATA
         wall = float(meta.get("info", {}).get("wall_time_s", 0.0))
@@ -324,7 +324,7 @@ def cmd_ablate(args) -> int:
         else:
             poses_a = _poses_from_dir(dataset, args.pred_a)
             poses_b = _poses_from_dir(dataset, args.pred_b)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot assemble ablation inputs: {exc}", file=sys.stderr)
         return EXIT_DATA
     except RegistrationError as exc:

@@ -102,6 +102,7 @@ def load_ply(path: str | Path) -> PointCloud:
     n_vertex = None
     props: list[tuple[str, str]] = []
     in_vertex = False
+    n_elements = 0
     for line, at in lines[1:-1]:
         if line.startswith("comment") or not line:
             continue
@@ -111,11 +112,12 @@ def load_ply(path: str | Path) -> PointCloud:
                 raise _ply_error(f"unsupported format {line!r}", at)
             fmt = parts[1]
         elif parts[0] == "element":
-            if parts[1] == "vertex":
+            in_vertex = parts[1] == "vertex"
+            if in_vertex:
+                if n_elements:
+                    raise _ply_error("vertex must be the first element", at)
                 n_vertex = int(parts[2])
-                in_vertex = True
-            else:
-                in_vertex = False
+            n_elements += 1
         elif parts[0] == "property" and in_vertex:
             if parts[1] == "list":
                 raise _ply_error("list properties are not supported", at)
@@ -259,6 +261,12 @@ def load_sample(directory: str | Path) -> RegistrationSample:
     T, meta = load_pose(d / "pose.json")
     landmarks = load_landmarks(d / "landmarks.csv")
     mask = load_mask(d / "mask.txt")
+    if landmarks.ndim != 2 or landmarks.shape[0] < 1 or landmarks.shape[1] != 3:
+        raise ValueError(f"{d / 'landmarks.csv'}: need K >= 1 rows of x,y,z, "
+                         f"got shape {landmarks.shape}")
+    if mask.shape != (len(intra),):
+        raise ValueError(f"{d / 'mask.txt'}: need one entry per intraoperative point "
+                         f"({len(intra)}), got {mask.size}")
     scale = float(meta.get("scale", 0.2))  # 0.4 m extent fallback for foreign data
     center = np.asarray(meta.get("center", [0.0, 0.0, 0.0]))
     extra = meta.get("meta", {})
@@ -267,7 +275,7 @@ def load_sample(directory: str | Path) -> RegistrationSample:
     return RegistrationSample(
         preoperative=pre, intraoperative=intra, T_gt=T, landmarks=landmarks,
         gt_mask=mask, scale=scale, center=center,
-        config=PhantomConfig(seed=int(extra.get("seed", 0))), meta=extra)
+        config=PhantomConfig(), meta=extra)
 
 
 def write_manifest(directory: str | Path, sample_dirs: list[str],
@@ -285,8 +293,13 @@ def read_manifest(directory: str | Path) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json under {directory}")
     doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("manifest must be a JSON object")
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported manifest version {doc.get('format_version')}")
+    samples = doc.get("samples")
+    if not isinstance(samples, list) or not all(isinstance(n, str) for n in samples):
+        raise ValueError("manifest 'samples' must be a list of sample directory names")
     return doc
 
 

@@ -83,7 +83,7 @@ def _tensor_checks(seed):
         err = _fd_check(
             lambda arrs, ref=ref: float(np.sum(ref(arrs[0], arrs[1]) * w)),
             [a, b],
-            lambda ts, op=op: sum_(op(ts[0], ts[1]) * Tensor(w)))
+            lambda ts, op=op: sum_(ad.mul(op(ts[0], ts[1]), w)))
         results.append(CheckResult("tensor", op.__name__, err, 1e-5))
 
     for op, ref, lo in ((ad.exp, np.exp, -2.0), (ad.log, np.log, 0.3),
@@ -95,14 +95,14 @@ def _tensor_checks(seed):
         err = _fd_check(
             lambda arrs, ref=ref: float(np.sum(ref(arrs[0]) * w)),
             [x],
-            lambda ts, op=op: sum_(op(ts[0]) * Tensor(w)))
+            lambda ts, op=op: sum_(ad.mul(op(ts[0]), w)))
         results.append(CheckResult("tensor", op.__name__, err, 1e-5))
 
     a = rng.uniform(-2, 2, (4, 5))
     b = rng.uniform(-2, 2, (5, 3))
     w = rng.uniform(-1, 1, (4, 3))
     err = _fd_check(lambda arrs: float(np.sum(arrs[0] @ arrs[1] * w)), [a, b],
-                    lambda ts: sum_(ad.matmul(ts[0], ts[1]) * Tensor(w)))
+                    lambda ts: sum_(ad.mul(ad.matmul(ts[0], ts[1]), w)))
     results.append(CheckResult("tensor", "matmul", err, 1e-5))
 
     x = rng.uniform(-2, 2, (3, 6))
@@ -112,7 +112,7 @@ def _tensor_checks(seed):
         e = np.exp(arrs[0] - arrs[0].max(axis=1, keepdims=True))
         return float(np.sum(e / e.sum(axis=1, keepdims=True) * w))
 
-    err = _fd_check(soft_ref, [x], lambda ts: sum_(ad.softmax(ts[0]) * Tensor(w)))
+    err = _fd_check(soft_ref, [x], lambda ts: sum_(ad.mul(ad.softmax(ts[0]), w)))
     results.append(CheckResult("tensor", "softmax", err, 1e-5))
 
     src = rng.uniform(-2, 2, (6, 3))
@@ -124,7 +124,7 @@ def _tensor_checks(seed):
         return float(np.sum(padded[idx] * w))
 
     err = _fd_check(gather_ref, [src],
-                    lambda ts: sum_(ad.gather_rows(ts[0], idx) * Tensor(w)))
+                    lambda ts: sum_(ad.mul(ad.gather_rows(ts[0], idx), w)))
     results.append(CheckResult("tensor", "gather_rows", err, 1e-5))
     return results
 
@@ -142,7 +142,7 @@ def _stgs_checks(seed):
         return float(np.sum(e / e.sum(axis=1, keepdims=True) * w))
 
     err = _fd_check(ref, [z0],
-                    lambda ts: sum_(gumbel_softmax(ts[0], g, 1.0) * Tensor(w)))
+                    lambda ts: sum_(ad.mul(gumbel_softmax(ts[0], g, 1.0), w)))
     results.append(CheckResult("stgs", "gumbel_softmax_jacobian", err, 1e-6))
 
     # straight-through identity: mask gradient equals the relaxed gradient
@@ -184,7 +184,7 @@ def _kpconv_checks(seed):
         return float(np.sum(mixed.reshape(30, -1) @ weights.reshape(-1, 4) * proj))
 
     err = _fd_check(ref, [f0, w0],
-                    lambda ts: sum_(kpconv_apply(infl, nbr, 30, ts[0], ts[1]) * Tensor(proj)))
+                    lambda ts: sum_(ad.mul(kpconv_apply(infl, nbr, 30, ts[0], ts[1]), proj)))
     return [CheckResult("kpconv", "conv_feats_and_weights", err, 1e-5)]
 
 
@@ -207,7 +207,7 @@ def _network_checks(seed):
     arrays = [params[n].data.copy() for n in names]
     fd = finite_difference_gradient(ref, arrays)
     with Tape():
-        backward(sum_(seg_forward(params, ctx) * Tensor(proj)))
+        backward(sum_(ad.mul(seg_forward(params, ctx), proj)))
     err = max(max_relative_error(params[n].grad, g) for n, g in zip(names, fd))
     return [CheckResult("network", "seg_forward_all_params", err, 1e-4)]
 
@@ -236,10 +236,10 @@ def _matcher_checks(seed):
     view = PatchedSuperpoints(np.zeros((2, 3)), np.array([[0, 1, 2, 3], [4, 5, 6, 6]]),
                               np.array([4, 2]), np.zeros((6, 3)))
     pairs = np.array([[0, 1], [1, 0], [0, 1]])
-    proj = Tensor(rng.uniform(-1, 1, (3, 5, 5)))
+    proj = rng.uniform(-1, 1, (3, 5, 5))
 
     def scores(ts):
-        return sum_(patch_scores(ts[0], ts[1], view, view, pairs) * proj)
+        return sum_(ad.mul(patch_scores(ts[0], ts[1], view, view, pairs), proj))
 
     err = _fd_check(lambda arrs: scores([Tensor(a) for a in arrs]).item(),
                     [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))], scores)

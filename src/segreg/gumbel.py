@@ -35,7 +35,7 @@ def gumbel_softmax(z: Tensor, g: np.ndarray, tau: float) -> Tensor:
     if tau <= 0:
         raise ValueError("temperature must be positive")
     shifted = ad.add(z, Tensor(np.asarray(g, dtype=np.float64)))
-    return ad.softmax(shifted * (1.0 / tau), axis=-1)
+    return ad.softmax(ad.mul(shifted, 1.0 / tau), axis=-1)
 
 
 def straight_through_mask(z: Tensor, tau: float, rng: np.random.Generator

@@ -427,3 +427,83 @@ def test_generate_train_register_eval_ablate_chain_exits_zero(tmp_path):
                  "--pred-a", str(tmp_path / "learned"), "--pred-b", str(tmp_path / "icp")]) == 0
     report = (tmp_path / "ablate" / "ablation_report.txt").read_text()
     assert "Wilcoxon signed-rank: p = " in report
+
+
+def write_manifest_text(text):
+    def damage(data):
+        (data / "manifest.json").write_text(text)
+    return damage
+
+
+def truncate_mask(data):
+    path = data / "sample_0000" / "mask.txt"
+    path.write_text("\n".join(path.read_text().split()[:-1]) + "\n")
+
+
+def two_column_landmarks(data):
+    (data / "sample_0000" / "landmarks.csv").write_text("x,y\n0.1,0.2\n0.3,0.4\n")
+
+
+def header_only_landmarks(data):
+    (data / "sample_0000" / "landmarks.csv").write_text("x,y,z\n")
+
+
+# damage to a valid one-sample dataset, and the command that reads the damage
+BAD_DATASETS = {
+    "manifest_not_an_object": (write_manifest_text("[]"), "eval"),
+    "manifest_without_samples": (write_manifest_text('{"format_version": 1}'), "eval"),
+    "samples_not_a_list": (write_manifest_text(
+        '{"format_version": 1, "samples": 1}'), "eval"),
+    "mask_shorter_than_intra_cloud": (truncate_mask, "train"),
+    "landmarks_not_xyz": (two_column_landmarks, "eval"),
+    "no_landmarks": (header_only_landmarks, "eval"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_DATASETS))
+def test_malformed_dataset_exits_with_data_error(tmp_path, kind, capsys):
+    identity = json.dumps({"rotation": np.eye(3).tolist(), "translation": [0, 0, 0]})
+    data, preds = dataset_with_prediction(tmp_path, identity)
+    damage, command = BAD_DATASETS[kind]
+    damage(data)
+    out = tmp_path / "out"
+    if command == "train":
+        args = ["train", "--dataset", str(data), "--out", str(out), "--mode", "two_step",
+                "--iters", "2", "--phase1-iters", "1", "--warmup", "0",
+                "--checkpoint-every", "0"]
+    else:
+        args = ["eval", "--dataset", str(data), "--predictions", str(preds),
+                "--out", str(out)]
+    assert main(args) == EXIT_DATA
+    assert "cannot load" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pre", "--intra", "--checkpoint"])
+def test_register_with_a_directory_for_an_input_file_exits_with_data_error(
+        tmp_path, flag, capsys):
+    pre, intra = small_pair_on_disk(tmp_path)
+    seg, reg = SegNetConfig(), RegNetConfig()
+    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
+    inputs = {"--pre": str(pre), "--intra": str(intra),
+              "--checkpoint": str(tmp_path / "model.npz"), flag: str(tmp_path)}
+    code = main(["register", *[v for item in inputs.items() for v in item],
+                 "--out", str(tmp_path / "pose.json")])
+    assert code == EXIT_DATA
+    assert "cannot load inputs" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
+def test_dataset_commands_with_a_directory_for_a_file_exit_with_data_error(tmp_path):
+    data, preds = dataset_with_prediction(tmp_path, "{}")
+    (preds / "sample_0000.pose.json").unlink()
+    (preds / "sample_0000.pose.json").mkdir()
+    assert main(["eval", "--dataset", str(data), "--predictions", str(preds),
+                 "--out", str(tmp_path / "eval")]) == EXIT_DATA
+    assert main(["ablate", "--dataset", str(data), "--out", str(tmp_path / "ablate"),
+                 "--pred-a", str(preds), "--pred-b", str(preds)]) == EXIT_DATA
+    assert main(["ablate", "--dataset", str(data), "--out", str(tmp_path / "ablate"),
+                 "--checkpoint-a", str(preds), "--checkpoint-b", str(preds)]) == EXIT_DATA
+    assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
+                 "--iters", "1", "--warmup", "0", "--resume", str(preds)]) == EXIT_DATA
+    assert not (tmp_path / "run").exists()

@@ -15,11 +15,7 @@ MODULES = sorted(SRC.glob("*.py"))
 # code whose references keep a public name alive (tests do not count)
 USER_CODE = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 # public names that no package or benchmark code references, with the reason
-UNREFERENCED_ALLOWED = {
-    "segreg.baselines.estimate_normals":
-        "the public normal estimator; local_descriptors reaches its body through "
-        "_normals to share one k-d tree with the pair list",
-}
+UNREFERENCED_ALLOWED: dict[str, str] = {}
 # public members of exported classes that nothing reads, with the reason
 UNREFERENCED_MEMBERS_ALLOWED = {
     "segreg.phantom.RegistrationSample.config":
@@ -176,6 +172,74 @@ def test_no_np_add_at(path):
 def test_add_at_scan_sees_calls_not_prose():
     tree = ast.parse('"""np.add.at in a docstring"""\nnp.add.at(a, i, v)\n')
     assert _add_at_calls(tree) == [2]
+
+
+_ARITHMETIC_DUNDERS = {f"__{p}{op}__" for p in ("", "r", "i")
+                       for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv",
+                                  "mod", "divmod", "pow", "lshift", "rshift", "and", "xor",
+                                  "or")} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+# the functions that may store requires_grad; only record_custom touches a tape
+_REQUIRES_GRAD_SETTERS = {"Tensor.__init__", "record_custom"}
+
+
+def _tape_bypasses(tree: ast.Module) -> list[str]:
+    """Ways onto the tape other than ``record_custom``: an arithmetic dunder
+    on ``Tensor``, a call that grows a ``nodes`` list outside
+    ``record_custom``, and a ``requires_grad`` store outside
+    ``_REQUIRES_GRAD_SETTERS``.  Each is ``"scope: what (line n)"``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                if scope == "Tensor" and child.name in _ARITHMETIC_DUNDERS:
+                    found.append(f"{name}: arithmetic operator (line {child.lineno})")
+                visit(child, name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("append", "extend", "insert")
+                    and isinstance(child.func.value, ast.Attribute)
+                    and child.func.value.attr == "nodes" and scope != "record_custom"):
+                found.append(f"{scope}: tape append (line {child.lineno})")
+            elif (isinstance(child, ast.Attribute) and child.attr == "requires_grad"
+                  and isinstance(child.ctx, ast.Store)
+                  and scope not in _REQUIRES_GRAD_SETTERS):
+                found.append(f"{scope}: requires_grad store (line {child.lineno})")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_record_custom_is_the_only_way_onto_the_tape(path):
+    """Every differentiable op returns ``record_custom(value, requires_grad,
+    backward_fn)``; ``Tensor`` has no operators that build nodes."""
+    found = _tape_bypasses(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} reaches the tape around record_custom: {found}"
+
+
+def test_autodiff_keeps_no_second_recording_path():
+    from segreg import autodiff
+
+    assert not hasattr(autodiff, "_record") and not hasattr(autodiff, "as_tensor")
+    assert not _ARITHMETIC_DUNDERS & set(vars(autodiff.Tensor))
+
+
+def test_tape_bypass_scan_sees_dunders_appends_and_stores():
+    tree = ast.parse(
+        "class Tensor:\n"
+        "    def __init__(self):\n        self.requires_grad = False\n"
+        "    def __rmul__(self, o):\n        return o\n"
+        "    def shape(self):\n        return 0\n"
+        "class Other:\n    def __add__(self, o):\n        return o\n"
+        "def record_custom(out):\n    _TAPE.nodes.append(out)\n    out.requires_grad = 1\n"
+        "def add(a):\n    def bwd(g):\n        tape.nodes.append(g)\n"
+        "    out.requires_grad = True\n    nodes.append(a)\n    tape.nodes.clear()\n")
+    assert _tape_bypasses(tree) == ["Tensor.__rmul__: arithmetic operator (line 4)",
+                                    "add.bwd: tape append (line 16)",
+                                    "add: requires_grad store (line 17)"]
 
 
 def _getattr_defaults(tree: ast.Module) -> list[int]:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segreg import geometry, networks
+from segreg import autodiff as ad, geometry, networks
 from segreg.autodiff import (
     NonFiniteError,
     Tape,
@@ -131,7 +131,7 @@ def test_kpconv_gradients_match_finite_differences():
         feats = Tensor(f0, requires_grad=True)
         w = Tensor(w0, requires_grad=True)
         out = kpconv_apply(infl, nbr, 30, feats, w)
-        backward(sum_(out * Tensor(proj)))
+        backward(sum_(ad.mul(out, Tensor(proj))))
     assert max_relative_error(feats.grad, fd[0]) < 1e-5
     assert max_relative_error(w.grad, fd[1]) < 1e-5
 
@@ -150,7 +150,7 @@ def test_kpconv_feats_gradient_equals_add_at_backward():
         with Tape():
             feats = Tensor(rng.normal(size=(ns, 3)), requires_grad=True)
             out = kpconv_apply(infl, nbr, ns, feats, Tensor(w0, requires_grad=True))
-            backward(sum_(out * Tensor(proj)))
+            backward(sum_(ad.mul(out, Tensor(proj))))
         valid = nbr < ns
         shadow_slots += np.count_nonzero(~valid)
         # the backward as written with np.add.at
@@ -308,7 +308,7 @@ def test_seg_forward_all_param_gradcheck():
     arrays = [params[n].data.copy() for n in names]
     fd = finite_difference_gradient(f, arrays)
     with Tape():
-        backward(sum_(seg_forward(params, ctx) * proj))
+        backward(sum_(ad.mul(seg_forward(params, ctx), proj)))
     for n, g_fd in zip(names, fd):
         g = params[n].grad
         assert g is not None, n
@@ -328,7 +328,8 @@ def test_fused_norm_act_equals_composed_reference():
         with Tape():
             # two calls share gamma and beta, as the registration backbone does
             outs = [norm_act(params, "blk", y) for y in ys]
-            backward(sum_(outs[0] * Tensor(projs[0])) + sum_(outs[1] * Tensor(projs[1])))
+            backward(ad.add(sum_(ad.mul(outs[0], Tensor(projs[0]))),
+                            sum_(ad.mul(outs[1], Tensor(projs[1])))))
         results.append([o.data for o in outs] + [y.grad for y in ys]
                        + [params["blk_gamma"].grad, params["blk_beta"].grad])
     fused, composed = results
@@ -385,7 +386,7 @@ def test_gradient_reaches_mask_logits_through_backbone():
         logits = seg_forward(seg_params, seg_ctx)
         mask, _ = straight_through_mask(logits, 1.0, np.random.default_rng(3))
         sp, dense = reg_backbone_forward(reg_params, reg_ctx, mask)
-        backward(sum_(dense * dense))
+        backward(sum_(ad.mul(dense, dense)))
     grads = [p.grad for p in seg_params.values()]
     assert any(g is not None and np.linalg.norm(g) > 0 for g in grads)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from segreg import matching
+from segreg import autodiff as ad, matching
 from segreg.autodiff import (
     NonFiniteError,
     Tape,
@@ -197,7 +197,7 @@ def test_fused_sinkhorn_equals_composed_reference(iterations, augment_slack, mon
         with Tape():
             scores = Tensor(s0, requires_grad=True)
             p = normalize(scores, n_rows, n_cols, augment_slack=augment_slack)
-            backward(sum_(p * Tensor(proj)))
+            backward(sum_(ad.mul(p, Tensor(proj))))
         results.append((p.data, scores.grad))
     (p_fused, g_fused), (p_ref, g_ref) = results
     assert np.array_equal(p_fused, p_ref)
@@ -531,7 +531,6 @@ def test_fine_loss_gradcheck():
 
 def test_dual_loss_additivity():
     from segreg.matching import DualLoss
-    from segreg import autodiff as ad
     feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
     c = coarse_loss(Tensor(feats), Tensor(feats), np.eye(2))
     f = fine_loss(uniform_stack([4], [6], 6), np.array([[0, 1, -1, -1, -1, -1]]), [4], [6])

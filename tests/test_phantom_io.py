@@ -305,3 +305,14 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     np.savez(p, a=np.zeros(3))
     with pytest.raises(ValueError, match="header"):
         load_checkpoint(p)
+
+
+def test_ply_rejects_a_vertex_element_after_another_element(tmp_path):
+    """A face row ahead of the vertices would otherwise load as a vertex."""
+    body = b"ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int vertex_indices\n" \
+           b"element vertex 3\nproperty double x\nproperty double y\nproperty double z\n" \
+           b"end_header\n3 0 1 2\n0 0 0\n1 0 0\n0 1 0\n"
+    p = tmp_path / "face_first.ply"
+    p.write_bytes(body)
+    with pytest.raises(ValueError, match="malformed PLY .*vertex must be the first element"):
+        load_ply(p)
