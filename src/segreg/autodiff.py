@@ -14,10 +14,10 @@ Every differentiable operation puts its output on the tape one way: it
 returns ``record_custom(value, requires_grad, backward_fn)``.  The built-in
 operations below do, and so do the hot composites elsewhere (the slack
 Sinkhorn, feature normalization, the kernel-point convolution, patch
-scoring), each a single node with a hand-written backward.  Operations are
-called as functions; :class:`Tensor` has no arithmetic operators.  Every
-tensor, and every intermediate of a fused node, passes the one finiteness
-routine :func:`require_finite`.
+scoring, the straight-through mask), each a single node with a hand-written
+backward.  Operations are called as functions; :class:`Tensor` has no
+arithmetic operators.  Every tensor, and every intermediate of a fused node,
+passes the one finiteness routine :func:`require_finite`.
 Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
 adds in input order exactly as ``np.add.at`` does into zeros.
 """
@@ -51,11 +51,9 @@ __all__ = [
     "reshape",
     "transpose2d",
     "concat",
-    "narrow",
     "gather_rows",
     "scatter_add_rows",
     "scatter_mean",
-    "stop_gradient",
     "record_custom",
     "accumulate_grad",
     "finite_difference_gradient",
@@ -375,20 +373,6 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
                          any(t.requires_grad for t in tensors), bwd)
 
 
-def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Slice ``x`` along one axis; backward zero-pads the complement."""
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-
-    def bwd(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        accumulate_grad(x, full)
-
-    return record_custom(x.data[idx].copy(), x.requires_grad, bwd)
-
-
 # ---------------------------------------------------------------------------
 # indexed ops (ragged neighborhoods, pooling)
 # ---------------------------------------------------------------------------
@@ -442,11 +426,6 @@ def scatter_mean(src: Tensor, group: np.ndarray, n_groups: int) -> Tensor:
 
     return record_custom(scatter_add_rows(group, src.data, n_groups) / safe,
                          src.requires_grad, bwd)
-
-
-def stop_gradient(x: Tensor) -> Tensor:
-    """Forward identity that contributes zero gradient through this edge."""
-    return Tensor(x.data)
 
 
 # ---------------------------------------------------------------------------

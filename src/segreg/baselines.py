@@ -35,7 +35,12 @@ from scipy.spatial import cKDTree
 
 from segreg.geometry import PointCloud, RigidTransform
 from segreg.kpconv import local_reference_frames
-from segreg.matching import procrustes_stack, weighted_procrustes
+from segreg.matching import (
+    histogram_bins,
+    normalize_counts,
+    procrustes_stack,
+    weighted_procrustes,
+)
 
 __all__ = ["ICPReport", "icp", "ransac_icp", "estimate_normals", "local_descriptors"]
 
@@ -116,8 +121,6 @@ def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
     pos = cloud.positions
     normals = estimate_normals(cloud, NORMAL_NEIGHBORS)
     pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
-    d_edges = np.linspace(0.0, radius, DESCRIPTOR_BINS + 1)
-    a_edges = np.linspace(0.0, 1.0, DESCRIPTOR_BINS + 1)
     width = 2 * DESCRIPTOR_BINS
     counts = np.zeros(len(cloud) * width, dtype=np.int64)
     for start in range(0, len(pairs), _PAIR_BLOCK):
@@ -126,19 +129,12 @@ def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
         # unoriented normals: use |cos| of the angle between neighbor normals
         cos = np.abs(np.einsum("ij,ij->i", np.take(normals, i, axis=0),
                                np.take(normals, j, axis=0)))
-        # np.histogram's rule for explicit edges: edges[b] <= x < edges[b + 1]
-        d_bin = np.searchsorted(d_edges, np.clip(d, 0, radius - 1e-12), side="right") - 1
-        a_bin = (np.searchsorted(a_edges, np.clip(cos, 0, 1 - 1e-12), side="right")
-                 - 1 + DESCRIPTOR_BINS)
+        d_bin = histogram_bins(d, radius, DESCRIPTOR_BINS)
+        a_bin = histogram_bins(cos, 1.0, DESCRIPTOR_BINS) + DESCRIPTOR_BINS
         slots = np.concatenate([i * width + d_bin, i * width + a_bin,
                                 j * width + d_bin, j * width + a_bin])
         counts += np.bincount(slots, minlength=counts.size)
-    desc = counts.reshape(len(cloud), width).astype(np.float64)
-    # integer counts, so the squared norm is exact in any summation order
-    norm = np.sqrt(np.einsum("ij,ij->i", desc, desc))
-    filled = norm > 0
-    desc[filled] /= norm[filled, None]
-    return desc
+    return normalize_counts(counts.reshape(len(cloud), width))
 
 
 def _mutual_matches(src_desc: np.ndarray,

@@ -36,9 +36,11 @@ from segreg.fileio import (
     save_sample,
     write_manifest,
 )
+from segreg.geometry import PointCloud
 from segreg.gradcheck import COMPONENTS, run_checks
+from segreg.gumbel import hard_mask
 from segreg.kpconv import SparseCloudError
-from segreg.networks import RegNetConfig, SegNetConfig
+from segreg.networks import RegNetConfig, SegNetConfig, seg_forward
 from segreg.phantom import PhantomConfig, RegistrationSample, generate_phantom
 from segreg.pipeline import (
     MatcherConfig,
@@ -150,10 +152,13 @@ def cmd_train(args) -> int:
     reg_cfg = RegNetConfig(width_factor=args.width_factor)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    samples = [s for _, s in dataset]
     try:
-        result = train([s for _, s in dataset], cfg, seg_cfg, reg_cfg,
-                       out_dir=out, resume=resume,
-                       log_every=args.log_every)
+        prepared = [prepare_sample(s, seg_cfg, reg_cfg, MatcherConfig(),
+                                   sample_id=f"sample_{i:04d}")
+                    for i, s in enumerate(samples)]
+        result = train(samples, cfg, seg_cfg, reg_cfg, out_dir=out, resume=resume,
+                       prepared=prepared, log_every=args.log_every)
     except SparseCloudError as exc:
         print(f"cannot train on dataset: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -165,20 +170,14 @@ def cmd_train(args) -> int:
         return EXIT_USAGE
     _write_run_manifest(out, "train", vars(args))
     if args.mode == "two_step":
-        _report_phase1_accuracy(dataset, result, seg_cfg, out)
+        _report_phase1_accuracy(dataset, prepared, result.params, out)
     print(f"finished {cfg.total_iters} iterations; checkpoint: {result.checkpoint_path}")
     return EXIT_OK
 
 
-def _report_phase1_accuracy(dataset, result, seg_cfg, out: Path) -> None:
-    from segreg.gumbel import hard_mask
-    from segreg.networks import build_context, seg_forward
-
-    accs = []
-    for name, sample in dataset:
-        ctx = build_context(sample.intraoperative, seg_cfg)
-        mask = hard_mask(seg_forward(result.params, ctx))
-        accs.append(float((mask == sample.gt_mask).mean()))
+def _report_phase1_accuracy(dataset, prepared, params, out: Path) -> None:
+    accs = [float((hard_mask(seg_forward(params, p.seg_ctx)) == p.sample.gt_mask).mean())
+            for p in prepared]
     report = "\n".join(
         f"{name}: seg accuracy vs gt_mask {a:.4f}"
         for (name, _), a in zip(dataset, accs))
@@ -232,8 +231,6 @@ def cmd_register(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_pose(T, out_path, extra={"info": info})
     if args.emit_mask:
-        from segreg.geometry import PointCloud
-
         labeled = PointCloud(intra.positions, colors=intra.colors,
                              labels=mask.astype(np.int64))
         save_ply(labeled, args.emit_mask)

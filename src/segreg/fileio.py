@@ -111,6 +111,8 @@ def load_ply(path: str | Path) -> PointCloud:
             if len(parts) < 2 or parts[1] not in ("ascii", "binary_little_endian"):
                 raise _ply_error(f"unsupported format {line!r}", at)
             fmt = parts[1]
+        elif parts[0] in ("element", "property") and len(parts) < 3:
+            raise _ply_error(f"too few words in header line {line!r}", at)
         elif parts[0] == "element":
             in_vertex = parts[1] == "vertex"
             if in_vertex:

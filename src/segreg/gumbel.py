@@ -1,9 +1,9 @@
 """Straight-through Gumbel-Softmax sampling of binary per-point masks.
 
 The forward mask is the hard argmax of noise-perturbed logits (exactly 0/1);
-the backward pass routes gradients through the softmax relaxation instead,
-via ``hard - stop_gradient(soft) + soft``.  At inference the mask is the
-plain argmax of the logits with no noise.
+the backward pass routes gradients through the softmax relaxation instead:
+one tape node hands the mask's gradient to the relaxation's class-1 column.
+At inference the mask is the plain argmax of the logits with no noise.
 """
 
 from __future__ import annotations
@@ -50,9 +50,13 @@ def straight_through_mask(z: Tensor, tau: float, rng: np.random.Generator
     g = sample_gumbel(n, z.data.shape[1], rng)
     soft = gumbel_softmax(z, g, tau)
     hard = np.argmax(z.data + g, axis=1)
-    soft_one = ad.narrow(soft, 1, 1, 2)
-    hard_one = Tensor(hard.astype(np.float64).reshape(n, 1))
-    mask = ad.add(ad.sub(hard_one, ad.stop_gradient(soft_one)), soft_one)
+
+    def bwd(grad):
+        full = np.zeros_like(soft.data)
+        full[:, 1:2] = grad
+        ad.accumulate_grad(soft, full)
+
+    mask = ad.record_custom(hard.astype(np.float64).reshape(n, 1), soft.requires_grad, bwd)
     return mask, g
 
 

@@ -45,6 +45,8 @@ __all__ = [
     "NoPositivePairsError",
     "build_patches",
     "distance_histograms",
+    "histogram_bins",
+    "normalize_counts",
     "superpoint_overlap_labels",
     "coarse_match",
     "fine_match",
@@ -153,14 +155,24 @@ def distance_histograms(view: PatchedSuperpoints) -> np.ndarray:
     iu, ju = np.triu_indices(size, k=1)
     pair = ju < view.sizes[:, None]                 # (M, pairs): both slots members
     d = np.sqrt(_sq_dists(pts, pts)[:, iu, ju][pair])
-    edges = np.linspace(0.0, HIST_MAX_DIST, HIST_BINS + 1)
-    # np.histogram's rule, edges[k] <= d < edges[k + 1]; the clip keeps d < HIST_MAX_DIST
-    bin_of = np.searchsorted(edges, np.clip(d, 0.0, HIST_MAX_DIST - 1e-12), "right") - 1
-    patch = np.nonzero(pair)[0]
-    hist = np.bincount(patch * HIST_BINS + bin_of,
-                       minlength=m * HIST_BINS).reshape(m, HIST_BINS)
-    norm = np.linalg.norm(hist, axis=1, keepdims=True)
-    return np.divide(hist, norm, out=np.zeros((m, HIST_BINS)), where=norm > 0)
+    keys = np.nonzero(pair)[0] * HIST_BINS + histogram_bins(d, HIST_MAX_DIST, HIST_BINS)
+    return normalize_counts(np.bincount(keys, minlength=m * HIST_BINS).reshape(m, -1))
+
+
+def histogram_bins(values: np.ndarray, upper: float, bins: int) -> np.ndarray:
+    """Bin of each value among ``bins`` even bins over [0, upper]: np.histogram's
+    rule, edges[k] <= x < edges[k + 1], with ``upper`` in the last bin."""
+    edges = np.linspace(0.0, upper, bins + 1)
+    return np.searchsorted(edges, np.clip(values, 0.0, upper - 1e-12), side="right") - 1
+
+
+def normalize_counts(counts: np.ndarray) -> np.ndarray:
+    """L2-normalized float rows of integer counts (exact squared norms); zero rows stay 0."""
+    out = counts.astype(np.float64)
+    norm = np.sqrt(np.einsum("ij,ij->i", out, out))
+    filled = norm > 0
+    out[filled] /= norm[filled, None]
+    return out
 
 
 def superpoint_overlap_labels(pre: PatchedSuperpoints, intra: PatchedSuperpoints,

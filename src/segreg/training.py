@@ -148,8 +148,8 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
     This function decides each step's intraoperative mask: end to end, the
     straight-through Gumbel mask of the segmentation logits, drawn on the tape
     before the fine pairs; in two-step phase 2, the frozen hard mask, computed
-    off the tape.  A resumed run's curve, and its ``loss_curve.csv``, hold only
-    the rows from the resume step on.
+    off the tape the first time each sample is drawn.  A resumed run's curve,
+    and its ``loss_curve.csv``, hold only the rows from the resume step on.
     """
     if resume is not None and int(resume[3]["step"]) >= cfg.total_iters:
         raise ValueError(f"resume checkpoint is at step {resume[3]['step']}; "
@@ -176,6 +176,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
     seg_names = [n for n in params if n.startswith("seg_")]
     reg_names = [n for n in params if n.startswith("reg_")]
     weak_masks: list[np.ndarray] | None = None
+    frozen_masks: dict[int, Tensor] = {}      # two-step phase 2, by sample index
     if cfg.mode == "two_step":
         weak_masks = [weak_labels(p.sample.intraoperative, p.sample.preoperative, p.sample.T_gt,
                                   mm_to_units(WEAK_LABEL_MM, p.sample.scale))
@@ -207,9 +208,11 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
             # overflow surfaces as NonFiniteError from Tensor, not as a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 if two_step_phase2:
-                    # frozen segmentation: plain forward outside the tape
-                    frozen = hard_mask(seg_forward(params, p.seg_ctx))
-                    mask = Tensor(frozen.astype(np.float64).reshape(-1, 1))
+                    # frozen segmentation: seg_* never steps, so one mask per sample
+                    if idx not in frozen_masks:
+                        frozen = hard_mask(seg_forward(params, p.seg_ctx))
+                        frozen_masks[idx] = Tensor(frozen.astype(np.float64).reshape(-1, 1))
+                    mask = frozen_masks[idx]
                 with Tape():
                     if two_step_phase1:
                         logits = seg_forward(params, p.seg_ctx)

@@ -507,3 +507,41 @@ def test_dataset_commands_with_a_directory_for_a_file_exit_with_data_error(tmp_p
     assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
                  "--iters", "1", "--warmup", "0", "--resume", str(preds)]) == EXIT_DATA
     assert not (tmp_path / "run").exists()
+
+
+# a bare element line, and a vertex property without a name
+SHORT_HEADER_LINES = {
+    "element_without_name": "element",
+    "element_without_count": "element vertex",
+    "property_without_name": "property double",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHORT_HEADER_LINES))
+def test_register_with_short_ply_header_line_exits_with_data_error(tmp_path, kind, capsys):
+    pre, intra = small_pair_on_disk(tmp_path)
+    lines = ["ply", "format ascii 1.0", "element vertex 1", "property double x",
+             "property double y", "property double z", "end_header", "0 0 0"]
+    at = 2 if kind.startswith("element") else 3
+    lines.insert(at, SHORT_HEADER_LINES[kind])
+    pre.write_text("\n".join(lines) + "\n")
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--baseline", "icp"])
+    assert code == EXIT_DATA
+    assert "malformed PLY" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
+def test_two_step_train_reports_phase1_accuracy_per_sample(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data), "--n-samples", "2", "--n-vertebrae", "2",
+                 "--points-pre", "1024", "--points-intra", "512"]) == 0
+    assert main(["train", "--dataset", str(data), "--out", str(out), "--mode", "two_step",
+                 "--iters", "2", "--phase1-iters", "1", "--warmup", "0",
+                 "--checkpoint-every", "0"]) == 0
+    lines = (out / "phase1_segmentation_report.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in lines] == ["sample_0000", "sample_0001", "mean"]
+    accs = [float(line.split()[-1]) for line in lines]
+    assert all(0.0 <= a <= 1.0 for a in accs)
+    assert accs[2] == pytest.approx(np.mean(accs[:2]), abs=2e-4)  # 4-decimal rounding
+    assert (out / "checkpoint_000002.npz").exists()

@@ -88,8 +88,8 @@ def test_straight_through_gradient_equals_relaxed_gradient(tau):
     with Tape():
         z2 = Tensor(z0, requires_grad=True)
         soft = gumbel_softmax(z2, noise, tau)
-        backward(sum_(ad.narrow(soft, 1, 1, 2)))
-    assert np.max(np.abs(ste_grad - z2.grad)) < 1e-12
+        backward(sum_(ad.mul(soft, np.tile([0.0, 1.0], (len(z0), 1)))))
+    assert np.array_equal(ste_grad, z2.grad)
     assert np.linalg.norm(ste_grad) > 0
 
 
@@ -121,3 +121,13 @@ def test_rows_of_relaxation_sum_to_one():
     g = sample_gumbel(100, 2, rng)
     out = gumbel_softmax(z, g, 0.7)
     np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_straight_through_mask_records_one_node_on_the_relaxation():
+    z0 = np.random.default_rng(15).uniform(-2, 2, size=(20, 2))
+    with Tape() as tape:
+        gumbel_softmax(Tensor(z0, requires_grad=True), np.zeros((20, 2)), 1.0)
+        relaxed = len(tape)
+    with Tape() as tape:
+        straight_through_mask(Tensor(z0, requires_grad=True), 1.0, np.random.default_rng(0))
+        assert len(tape) == relaxed + 1

@@ -1,7 +1,12 @@
 """Training loop: the dual loss's registration gradients match finite
 differences, divergence is reported as TrainingDiverged, the fused tape nodes
-train exactly as the composed operations they replace, and a run resumed from
-a mid-run checkpoint ends exactly where an unbroken run does."""
+train exactly as the composed operations they replace, a run resumed from a
+mid-run checkpoint ends exactly where an unbroken run does, two-step phase 2
+computes each sample's frozen mask once, and the learning-rate and
+temperature schedules follow their definitions."""
+
+import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -158,3 +163,64 @@ def test_resume_from_mid_run_checkpoint_is_exact(mode, tmp_path, monkeypatch):
         assert np.array_equal(param.data, params_r[name].data), name
         assert np.array_equal(full.params[name].data, resumed.params[name].data), name
         assert np.array_equal(state["momentum"][name], state_r["momentum"][name]), name
+
+
+def test_two_step_phase2_computes_each_frozen_mask_once(monkeypatch):
+    """Phase 2 never steps the segmentation, so it runs ``seg_forward`` the
+    first time each sample is drawn, not at every step."""
+    sample = tiny_phantom()
+    p = pipeline.prepare_sample(sample, networks.SegNetConfig(), networks.RegNetConfig(),
+                                pipeline.MatcherConfig())
+    # a second sample with its own segmentation context object
+    prepared = [p, dataclasses.replace(p, seg_ctx=copy.copy(p.seg_ctx))]
+    calls = []
+
+    def counting_seg_forward(params, ctx):
+        calls.append(id(ctx))
+        return networks.seg_forward(params, ctx)
+
+    monkeypatch.setattr(training, "seg_forward", counting_seg_forward)
+    cfg = TrainConfig(lr0=1e-3, warmup_iters=0, total_iters=7, checkpoint_every=0,
+                      mode="two_step", phase1_iters=1)
+    result = train([sample, sample], cfg, prepared=prepared)
+    assert np.all(np.isfinite([row[2] for row in result.curve]))
+    phase2 = calls[1:]                      # the first call is the phase-1 step
+    assert 1 <= len(phase2) == len(set(phase2)) <= len(prepared) < cfg.total_iters - 1
+
+
+def test_lr_ramps_over_warmup_then_decays_to_zero():
+    cfg = TrainConfig(lr0=2e-3, warmup_iters=10, total_iters=30)
+    assert training.lr_at(0, cfg) == 0.0
+    assert training.lr_at(5, cfg) == pytest.approx(1e-3)
+    assert training.lr_at(10, cfg) == 2e-3
+    assert training.lr_at(20, cfg) == pytest.approx(1e-3)       # half-way down the cosine
+    assert training.lr_at(30, cfg) == pytest.approx(0.0, abs=1e-18)
+    decay = [training.lr_at(s, cfg) for s in range(10, 31)]
+    assert all(a > b for a, b in zip(decay, decay[1:]))
+
+
+def test_lr_without_warmup_starts_at_lr0():
+    cfg = TrainConfig(lr0=1e-2, warmup_iters=0, total_iters=4)
+    assert training.lr_at(0, cfg) == 1e-2
+    assert training.lr_at(2, cfg) == pytest.approx(5e-3)
+
+
+@pytest.mark.parametrize("step", [-1, 31])
+def test_lr_outside_the_schedule_is_a_value_error(step):
+    with pytest.raises(ValueError):
+        training.lr_at(step, TrainConfig(warmup_iters=10, total_iters=30))
+
+
+def test_tau_is_constant_without_annealing():
+    cfg = TrainConfig(tau=0.7, warmup_iters=0, total_iters=20)
+    assert {training.tau_at(s, cfg) for s in range(21)} == {0.7}
+
+
+def test_tau_anneals_linearly_to_a_tenth_over_the_first_half():
+    cfg = TrainConfig(tau_anneal=True, warmup_iters=0, total_iters=20)
+    assert training.tau_at(0, cfg) == 1.0
+    assert training.tau_at(5, cfg) == pytest.approx(0.55)
+    assert training.tau_at(10, cfg) == pytest.approx(0.1)
+    assert all(training.tau_at(s, cfg) == training.tau_at(10, cfg) for s in range(10, 21))
+    ramp = [training.tau_at(s, cfg) for s in range(11)]
+    assert all(a > b for a, b in zip(ramp, ramp[1:]))
