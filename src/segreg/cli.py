@@ -112,7 +112,9 @@ def _require_colors(cloud, where: str) -> None:
 
 def _register_with_model(model, pre, intra):
     """The learned pipeline on one pair, ``model`` as ``load_checkpoint``
-    returns it; the pair carries no ground truth."""
+    returns it; the pair carries no ground truth.  The result's ``info``
+    gains the seconds spent preparing the pair (pyramids, influence tables
+    and patches: ``prepare_s``) and registering it (``infer_s``)."""
     params, seg_cfg, reg_cfg, _ = model
     sample = RegistrationSample(
         preoperative=pre, intraoperative=intra,
@@ -120,9 +122,14 @@ def _register_with_model(model, pre, intra):
         gt_mask=np.zeros(len(intra), dtype=np.int64),
         scale=1.0, center=np.zeros(3), config=PhantomConfig())
     match_cfg = MatcherConfig()
+    t0 = time.perf_counter()
     prepared = prepare_sample(sample, seg_cfg, reg_cfg, match_cfg,
                               with_ground_truth=False)
-    return register_pair(params, prepared, seg_cfg, reg_cfg, match_cfg)
+    t1 = time.perf_counter()
+    result = register_pair(params, prepared, seg_cfg, reg_cfg, match_cfg)
+    result.info["prepare_s"] = t1 - t0
+    result.info["infer_s"] = time.perf_counter() - t1
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from segreg.autodiff import Tensor
 from segreg.geometry import PointCloud, RigidTransform, rotation_defects
 from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import PhantomConfig, RegistrationSample
@@ -118,7 +119,11 @@ def load_ply(path: str | Path) -> PointCloud:
             if in_vertex:
                 if n_elements:
                     raise _ply_error("vertex must be the first element", at)
-                n_vertex = int(parts[2])
+                try:
+                    n_vertex = int(parts[2])
+                except ValueError:
+                    raise _ply_error(f"vertex count {parts[2]!r} is not an integer",
+                                     at) from None
             n_elements += 1
         elif parts[0] == "property" and in_vertex:
             if parts[1] == "list":
@@ -351,8 +356,6 @@ def load_checkpoint(path: str | Path):
     A file that is not a readable .npz archive, or whose header, arrays or
     PCG64 generator state are malformed or incomplete, raises ``ValueError``.
     """
-    from segreg.autodiff import Tensor
-
     try:
         archive = np.load(path)
     except (zipfile.BadZipFile, EOFError) as exc:

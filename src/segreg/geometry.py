@@ -155,13 +155,23 @@ def voxel_grid_subsample(cloud: PointCloud, voxel_size: float
     The output holds positions only, as pyramid levels do: the networks
     pool features themselves through the provenance.  Output voxels are
     ordered by their (ix, iy, iz) key so results are deterministic.
+    Points are grouped by a stable lexicographic sort of their integer
+    (ix, iy, iz) keys, and a new voxel starts wherever the sorted key
+    changes: the order and the first-occurrence rule of
+    ``np.unique(keys, axis=0)``, at a fraction of its cost.  The three keys
+    stay separate, since packing them into one int64 could overflow on
+    large extents.
     """
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
     keys = np.floor(cloud.positions / voxel_size).astype(np.int64)
-    _, first_idx, inverse = np.unique(keys, axis=0, return_index=True,
-                                      return_inverse=True)
-    m = first_idx.shape[0]
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    ranked = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    m = int(starts.sum())
     counts = np.bincount(inverse, minlength=m).astype(np.float64)
     pos = scatter_add_rows(inverse, cloud.positions, m) / counts[:, None]
     return PointCloud(pos), inverse

@@ -6,7 +6,9 @@ at the neighbor's offset: g(y) = sum_k max(0, 1 - |y - p_k| / sigma) W_k.
 Shadow neighbors (padding) contribute nothing.  The operation is fused into
 a single tape node with a hand-written backward for speed; the feature
 gradient is one :func:`~segreg.autodiff.scatter_add_rows` over the real
-neighbor slots.
+neighbor slots.  The influence tables are frozen geometry built once per
+cloud, a block of query rows at a time, so building them never holds a
+full-size float64 temporary.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ __all__ = [
 
 SIGMA_RATIO = 1.5  # kernel influence extent = layer radius / SIGMA_RATIO
 MIN_LEVEL_POINTS = 4  # fewer on a coarser pyramid level: SparseCloudError
+
+_INFLUENCE_BLOCK = 128  # query rows per pass in conv_influence
 
 _DISPOSITION_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -83,22 +87,42 @@ def conv_influence(query: np.ndarray, support: np.ndarray, neighbors: np.ndarray
     are expressed in each query's local reference frame before kernel
     correlation, which makes the convolution rotation-invariant.  Stored as
     float32: influence is frozen geometry, and the compact dtype keeps
-    cached tables small; accumulation happens in float64.  The squared
-    distances are summed one axis at a time directly in the (Nq, K, H)
-    layout.
+    cached tables small; the weights are computed in float64.
+
+    Rows are evaluated ``_INFLUENCE_BLOCK`` queries at a time: a block's
+    offsets are gathered (and rotated), its squared distances are summed
+    one axis at a time into a reused (rows, K, H) float64 buffer and
+    finished in place, and the block is rounded into the float32 output.
+    Evaluating all rows at once would hold up to four (Nq, K, H) float64
+    temporaries, and they would set both the time and the memory peak of
+    building a pyramid's tables.  Each row goes through the same operations
+    in the same order at any block size, so the table does not depend on it.
     """
     ns = support.shape[0]
+    nq, h = neighbors.shape
+    k = kernel.shape[0]
     valid = neighbors < ns
     safe = np.where(valid, neighbors, 0)
-    rel = support[safe] - query[:, None, :]          # (Nq, H, 3)
-    if frames is not None:
-        rel = np.einsum("qij,qhj->qhi", frames, rel)
-    d2 = np.zeros((rel.shape[0], kernel.shape[0], rel.shape[1]))
-    for j in range(3):
-        d2 += (rel[:, None, :, j] - kernel[None, :, j, None]) ** 2
-    infl = np.maximum(0.0, 1.0 - np.sqrt(d2) / sigma)
-    infl *= valid[:, None, :]
-    return infl.astype(np.float32)
+    out = np.empty((nq, k, h), dtype=np.float32)
+    rows = min(nq, _INFLUENCE_BLOCK)
+    d2_buf, sq_buf = np.empty((rows, k, h)), np.empty((rows, k, h))
+    for start in range(0, nq, _INFLUENCE_BLOCK):
+        block = slice(start, start + _INFLUENCE_BLOCK)
+        rel = support[safe[block]] - query[block, None, :]   # (B, H, 3)
+        if frames is not None:
+            rel = np.einsum("qij,qhj->qhi", frames[block], rel)
+        d2, sq = d2_buf[:len(rel)], sq_buf[:len(rel)]
+        d2.fill(0.0)
+        for j in range(3):
+            np.subtract(rel[:, None, :, j], kernel[None, :, j, None], out=sq)
+            d2 += np.square(sq, out=sq)
+        np.sqrt(d2, out=d2)
+        d2 /= sigma
+        np.subtract(1.0, d2, out=d2)
+        np.maximum(0.0, d2, out=d2)
+        d2 *= valid[block, None, :]
+        out[block] = d2
+    return out
 
 
 def local_reference_frames(points: np.ndarray, neighbors: np.ndarray,

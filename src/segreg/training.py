@@ -11,6 +11,7 @@ checkpoints are interchangeable.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -253,7 +254,6 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
 
 
 def _write_curve(curve, path):
-    import csv
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "lr", "total", "coarse", "fine"])

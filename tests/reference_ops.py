@@ -9,7 +9,11 @@ the padded stack replaced; ``scalar_weighted_procrustes`` is the one-set solve t
 ``register_pair``'s pose chain on index-gathered matches over it, and the
 ``loop_*`` functions are the per-patch and per-pair loops that the patch
 table replaced, over patches stored as a list of index arrays
-(``LoopPatches``).  Tests require the library versions to match them bit for
+(``LoopPatches``).  ``oneshot_conv_influence`` evaluates every query row of
+an influence table at once, as ``kpconv.conv_influence`` did before it
+worked in row blocks, and ``unique_voxel_grid_subsample`` groups voxels with
+``np.unique(axis=0)``, as ``geometry.voxel_grid_subsample`` did before it
+sorted its keys.  Tests require the library versions to match them bit for
 bit, except ``slack_normalize_2d``, whose row sums run over fewer entries.
 """
 
@@ -20,8 +24,8 @@ from scipy.spatial import cKDTree
 
 from segreg import autodiff as ad
 from segreg import matching
-from segreg.autodiff import Tensor
-from segreg.geometry import RigidTransform
+from segreg.autodiff import Tensor, scatter_add_rows
+from segreg.geometry import PointCloud, RigidTransform
 from segreg.matching import normalize_scores_with_slack, patch_scores
 from segreg.networks import LEAKY_SLOPE, NORM_EPS
 
@@ -31,6 +35,33 @@ def add_at_rows(index, values, n):
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, index, values)
     return out
+
+
+def oneshot_conv_influence(query, support, neighbors, kernel, sigma, frames=None):
+    """``conv_influence`` on all rows at once: (Nq, K, H) float64 temporaries."""
+    ns = support.shape[0]
+    valid = neighbors < ns
+    safe = np.where(valid, neighbors, 0)
+    rel = support[safe] - query[:, None, :]          # (Nq, H, 3)
+    if frames is not None:
+        rel = np.einsum("qij,qhj->qhi", frames, rel)
+    d2 = np.zeros((rel.shape[0], kernel.shape[0], rel.shape[1]))
+    for j in range(3):
+        d2 += (rel[:, None, :, j] - kernel[None, :, j, None]) ** 2
+    infl = np.maximum(0.0, 1.0 - np.sqrt(d2) / sigma)
+    infl *= valid[:, None, :]
+    return infl.astype(np.float32)
+
+
+def unique_voxel_grid_subsample(cloud, voxel_size):
+    """``voxel_grid_subsample`` grouping its keys with ``np.unique(axis=0)``."""
+    keys = np.floor(cloud.positions / voxel_size).astype(np.int64)
+    _, first_idx, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+    m = first_idx.shape[0]
+    counts = np.bincount(inverse, minlength=m).astype(np.float64)
+    pos = scatter_add_rows(inverse, cloud.positions, m) / counts[:, None]
+    return PointCloud(pos), inverse
 
 
 def composed_normalize_scores_with_slack(scores, n_rows, n_cols, augment_slack=False):

@@ -137,6 +137,22 @@ def test_register_ransac_icp_baseline_matches_in_process_call(tmp_path):
     np.testing.assert_allclose(pose.translation, expected.translation, rtol=0, atol=1e-12)
 
 
+def test_register_pose_info_splits_the_learned_wall_time(tmp_path):
+    pre, intra = small_pair_on_disk(tmp_path)
+    seg, reg = SegNetConfig(), RegNetConfig()
+    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
+    assert main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "learned.json"),
+                 "--checkpoint", str(tmp_path / "model.npz")]) == 0
+    info = load_pose(tmp_path / "learned.json")[1]["info"]
+    assert info["prepare_s"] >= 0 and info["infer_s"] >= 0
+    assert info["prepare_s"] + info["infer_s"] <= info["wall_time_s"]
+    assert main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "icp.json"), "--baseline", "icp"]) == 0
+    info = load_pose(tmp_path / "icp.json")[1]["info"]
+    assert sorted(info) == ["converged", "final_rms", "wall_time_s"]
+
+
 def small_phantom_without_intra_colors():
     sample = generate_phantom(PhantomConfig(seed=4, n_vertebrae=2, points_pre=1024,
                                             points_intra=512))
@@ -529,6 +545,20 @@ def test_register_with_short_ply_header_line_exits_with_data_error(tmp_path, kin
                  "--out", str(tmp_path / "pose.json"), "--baseline", "icp"])
     assert code == EXIT_DATA
     assert "malformed PLY" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
+@pytest.mark.parametrize("count", ["abc", "1.5"])
+def test_register_with_non_integer_vertex_count_exits_with_data_error(tmp_path, count,
+                                                                      capsys):
+    pre, intra = small_pair_on_disk(tmp_path)
+    pre.write_text("\n".join(["ply", "format ascii 1.0", f"element vertex {count}",
+                              "property double x", "property double y",
+                              "property double z", "end_header", "0 0 0"]) + "\n")
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--baseline", "icp"])
+    assert code == EXIT_DATA
+    assert "malformed PLY at byte 21" in capsys.readouterr().err
     assert not (tmp_path / "pose.json").exists()
 
 

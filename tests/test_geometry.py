@@ -13,6 +13,8 @@ from segreg.geometry import (
     rotation_defects,
     voxel_grid_subsample,
 )
+from segreg.phantom import PhantomConfig, generate_phantom
+from reference_ops import unique_voxel_grid_subsample
 
 
 def random_cloud(rng, n, colors=False, labels=False):
@@ -146,6 +148,26 @@ def test_voxel_matches_brute_force_grouping():
         )
     # levels hold positions only: the networks pool features themselves
     assert out.colors is None and out.labels is None
+
+
+def test_voxel_sorted_grouping_equals_unique_grouping():
+    cases = []
+    for seed in (1000, 2000):
+        sample = generate_phantom(PhantomConfig(seed=seed))
+        for cloud in (sample.preoperative, sample.intraoperative):
+            cases += [(cloud, voxel) for voxel in (0.01, 0.025, 0.05, 0.1, 0.4)]
+    # quarter-unit lattice points around the origin, some repeated: every
+    # voxel size below is a multiple of the spacing, so points lie on faces
+    rng = np.random.default_rng(15)
+    pts = shuffled_lattice(rng, n=6) * 0.25 - 0.75
+    lattice = PointCloud(rng.permutation(np.vstack([pts, pts[:40]])))
+    cases += [(lattice, voxel) for voxel in (0.25, 0.5, 0.75, 1.0)]
+    for cloud, voxel in cases:
+        out, prov = voxel_grid_subsample(cloud, voxel)
+        want, want_prov = unique_voxel_grid_subsample(cloud, voxel)
+        assert prov.dtype == want_prov.dtype
+        assert np.array_equal(prov, want_prov)
+        assert np.array_equal(out.positions, want.positions)
 
 
 # -- neighbor queries --------------------------------------------------------

@@ -407,3 +407,55 @@ def test_unpassed_default_scan_sees_keywords_positions_and_stars():
                          ("mod.g", "y"): 1, ("mod.h", "x"): 0, ("mod.k", "x"): 0,
                          ("mod.k", "y"): 1}
     assert _unpassed_defaults(defaulted, _passed_arguments(calls)) == ["mod.f.c", "mod.f.d"]
+
+
+# imports inside function bodies under src/segreg, with the reason
+LOCAL_IMPORTS_ALLOWED = {
+    "evaluation.wilcoxon_signed_rank: scipy.stats":
+        "import cost: at module level scipy.stats slows every CLI start; "
+        "test_cli_import_leaves_scipy_stats_unloaded guards it",
+}
+
+
+def _local_imports(tree: ast.Module, prefix: str) -> dict[str, int]:
+    """``prefix.[Class.]function: module`` -> line, for every import statement
+    inside a function body (nested functions and methods included)."""
+    found: dict[str, int] = {}
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}{child.name}.",
+                      in_function or not isinstance(child, ast.ClassDef))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                modules = ([alias.name for alias in child.names]
+                           if isinstance(child, ast.Import) else [child.module])
+                for module in modules:
+                    found[f"{prefix}.{scope[:-1]}: {module}"] = child.lineno
+            else:
+                visit(child, scope, in_function)
+
+    visit(tree, "", False)
+    return found
+
+
+def test_no_imports_inside_functions():
+    """Imports sit at module level, where the dependencies of a module show."""
+    local = {}
+    for path in MODULES:
+        local.update(_local_imports(ast.parse(path.read_text(), filename=str(path)),
+                                    path.stem))
+    new = [f"{name} ({name.split('.')[0]}.py:{line})" for name, line in sorted(local.items())
+           if name not in LOCAL_IMPORTS_ALLOWED]
+    stale = sorted(set(LOCAL_IMPORTS_ALLOWED) - set(local))
+    assert not new and not stale, (
+        f"imports inside functions: {new}; stale allowlist entries: {stale}")
+
+
+def test_local_import_scan_sees_nested_functions_and_methods():
+    tree = ast.parse("import os\n"
+                     "def f():\n    import csv\n    def g():\n        from a.b import c\n"
+                     "class K:\n    from x import y\n    def m(self):\n"
+                     "        if self:\n            import json, re\n")
+    assert _local_imports(tree, "mod") == {"mod.f: csv": 3, "mod.f.g: a.b": 5,
+                                           "mod.K.m: json": 10, "mod.K.m: re": 10}

@@ -1,5 +1,6 @@
 """Kernel-point convolution, pyramid, and network-level tests."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from segreg.autodiff import (
     max_relative_error,
     sum_,
 )
-from segreg.geometry import PointCloud, voxel_grid_subsample
+from segreg.geometry import PointCloud, radius_neighbors, voxel_grid_subsample
 from segreg.gumbel import straight_through_mask
 from segreg.kpconv import (
     SIGMA_RATIO,
@@ -35,7 +36,7 @@ from segreg.networks import (
     seg_forward,
 )
 from segreg.phantom import PhantomConfig, generate_phantom
-from reference_ops import composed_norm_act
+from reference_ops import composed_norm_act, oneshot_conv_influence
 
 
 def surface_cloud(rng, n, colors=True):
@@ -462,3 +463,45 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
                 assert ctx.influences[l].dtype == np.float32
                 np.testing.assert_array_equal(ctx.influences[l], infl)
     assert len(fallback_rows) > 0
+
+
+# -- influence row blocks ----------------------------------------------------
+
+@pytest.mark.parametrize("with_frames", [False, True], ids=["plain", "frames"])
+@pytest.mark.parametrize("nq", [6, 7, 8], ids=["below", "equal", "past"])
+def test_blocked_influence_equals_one_shot(monkeypatch, with_frames, nq):
+    # blocks of 7 rows: one short block, one full block, a full block and one row
+    monkeypatch.setattr("segreg.kpconv._INFLUENCE_BLOCK", 7)
+    cloud = surface_cloud(np.random.default_rng(50), 300, colors=False)
+    radius = 0.3
+    full = radius_neighbors(cloud, cloud, radius, 24)
+    nbr = full[:nq]
+    assert np.any(nbr == len(cloud)) and np.all(nbr[:, 1] < len(cloud))
+    frames = local_reference_frames(cloud.positions, full)[:nq] if with_frames else None
+    args = (cloud.positions[:nq], cloud.positions, nbr,
+            kernel_disposition(15) * radius, radius / SIGMA_RATIO, frames)
+    got, want = conv_influence(*args), oneshot_conv_influence(*args)
+    assert got.dtype == want.dtype == np.float32
+    assert np.array_equal(got, want)
+    assert not np.any(got.transpose(0, 2, 1)[nbr == len(cloud)])
+
+
+def test_influence_never_holds_a_full_float64_table():
+    sample = generate_phantom(PhantomConfig(seed=1000))
+    cfg = RegNetConfig()
+    pyr = build_pyramid(sample.preoperative, cfg.stages, cfg.initial_voxel,
+                        cfg.base_radius_mult, cfg.max_neighbors)
+    pts, nbr, radius = pyr.levels[0].positions, pyr.neighbors[0], pyr.radii[0]
+    args = (pts, pts, nbr, kernel_disposition(cfg.kernel_size, cfg.kernel_seed) * radius,
+            radius / SIGMA_RATIO, local_reference_frames(pts, nbr))
+    # the one-shot evaluation holds at least two tables of this size
+    table_bytes = 8 * nbr.size * cfg.kernel_size
+    tracemalloc.start()
+    try:
+        got = conv_influence(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes
+    want = oneshot_conv_influence(*args)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
