@@ -4,11 +4,16 @@ gradcheck.
 Every command is deterministic given its flags and seed and writes a
 run_manifest.json capturing the resolved configuration.  Exit codes:
 0 success, 1 usage error, 2 data error, 3 numerical failure.
+
+Commands raise: the rules of the ``_exits`` block around each step pick
+the exit code and message, and ``main`` prints the message.  Only
+``_exits``, ``main`` and the ablation's Wilcoxon report catch exceptions.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -56,11 +61,32 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
+class _Exit(Exception):
+    """A failed command: ``main`` prints the message and returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _exits(*rules):
+    """Rules ``(exception types, exit code, message prefix)`` are tried in
+    order, as ``except`` clauses are; the first that matches a raised
+    exception turns it into ``_Exit(code, "prefix: <exception>")``."""
+    try:
+        yield
+    except Exception as exc:
+        for types, code, prefix in rules:
+            if isinstance(exc, types):
+                raise _Exit(code, f"{prefix}: {exc}") from exc
+        raise
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _Exit(EXIT_USAGE, f"error: {message}")
 
 
 def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:
@@ -81,7 +107,7 @@ def cmd_generate(args) -> int:
         points_intra=args.points_intra, exposure_fraction=args.exposure_fraction,
         clutter_fraction=args.clutter_fraction, noise_sigma=args.noise_sigma,
         occlusion_patches=args.occlusion_patches)
-    try:
+    with _exits(((ValueError, RuntimeError), EXIT_DATA, "generation failed")):
         dirs = []
         for i in range(args.n_samples):
             sample = generate_phantom(PhantomConfig(seed=args.seed + i, **cfg_common))
@@ -89,19 +115,20 @@ def cmd_generate(args) -> int:
             save_sample(sample, out / name)
             dirs.append(name)
         write_manifest(out, dirs, config=dict(cfg_common), seed=args.seed)
-    except (ValueError, RuntimeError) as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_DATA
     _write_run_manifest(out, "generate", vars(args))
     print(f"wrote {args.n_samples} samples to {out}")
     return EXIT_OK
 
 
-def _load_dataset(path: str):
+def _load_dataset(path: str, colors: bool = False):
+    """``(name, sample)`` for every sample the manifest under ``path`` lists;
+    with ``colors``, every intraoperative cloud must carry colors."""
     root = Path(path)
-    manifest = read_manifest(root)
-    names = manifest["samples"]
-    return [(name, load_sample(root / name)) for name in names]
+    dataset = [(name, load_sample(root / name)) for name in read_manifest(root)["samples"]]
+    if colors:
+        for name, sample in dataset:
+            _require_colors(sample.intraoperative, name)
+    return dataset
 
 
 def _require_colors(cloud, where: str) -> None:
@@ -132,49 +159,64 @@ def _register_with_model(model, pre, intra):
     return result
 
 
+def _read_predictions(dataset, directory):
+    """``({name: (pose, info)}, missing names)`` from each sample's
+    ``<name>.pose.json`` under ``directory``.  A pose that does not load, an
+    ``info`` that is not an object or a ``wall_time_s`` that is not a number
+    is a data error naming the file."""
+    found, missing = {}, []
+    for name, _ in dataset:
+        path = Path(directory) / f"{name}.pose.json"
+        if not path.exists():
+            missing.append(name)
+            continue
+        with _exits(((OSError, ValueError), EXIT_DATA, f"cannot read prediction {path}")):
+            pose, meta = load_pose(path)
+            info = meta.get("info", {})
+            if not isinstance(info, dict):
+                raise ValueError(f"info must be an object, got {info!r}")
+            wall = info.get("wall_time_s", 0.0)
+            if isinstance(wall, bool) or not isinstance(wall, (int, float)):
+                raise ValueError(f"info.wall_time_s must be a number, got {wall!r}")
+        found[name] = pose, info
+    return found, missing
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    try:
+    with _exits((ValueError, EXIT_USAGE, "invalid training settings")):
         cfg = TrainConfig(lr0=args.lr0, warmup_iters=args.warmup,
                           total_iters=args.iters, mode=args.mode,
                           tau=args.tau, tau_anneal=args.tau_anneal,
                           phase1_iters=args.phase1_iters, seed=args.seed,
                           checkpoint_every=args.checkpoint_every,
                           n_fine_pairs=args.n_fine_pairs)
-    except ValueError as exc:
-        print(f"invalid training settings: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        dataset = _load_dataset(args.dataset)
-        for name, sample in dataset:
-            _require_colors(sample.intraoperative, name)
+    with _exits(((OSError, ValueError), EXIT_DATA, "cannot load inputs")):
+        dataset = _load_dataset(args.dataset, colors=True)
         resume = load_checkpoint(args.resume) if args.resume is not None else None
-    except (OSError, ValueError) as exc:
-        print(f"cannot load inputs: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    seg_cfg = SegNetConfig(width_factor=args.width_factor)
-    reg_cfg = RegNetConfig(width_factor=args.width_factor)
+    if resume is None:
+        seg_cfg = SegNetConfig(width_factor=args.width_factor)
+        reg_cfg = RegNetConfig(width_factor=args.width_factor)
+    else:   # train() continues with the checkpoint's networks
+        _, seg_cfg, reg_cfg, _ = resume
+        if {seg_cfg.width_factor, reg_cfg.width_factor} != {args.width_factor}:
+            raise _Exit(EXIT_USAGE, "invalid training settings: the checkpoint's width "
+                        f"factor {seg_cfg.width_factor} is not --width-factor "
+                        f"{args.width_factor}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples = [s for _, s in dataset]
-    try:
+    with _exits((SparseCloudError, EXIT_DATA, "cannot train on dataset"),
+                (TrainingDiverged, EXIT_NUMERIC, "training aborted"),
+                (ValueError, EXIT_USAGE, "invalid training settings")):
         prepared = [prepare_sample(s, seg_cfg, reg_cfg, MatcherConfig(),
                                    sample_id=f"sample_{i:04d}")
                     for i, s in enumerate(samples)]
         result = train(samples, cfg, seg_cfg, reg_cfg, out_dir=out, resume=resume,
                        prepared=prepared, log_every=args.log_every)
-    except SparseCloudError as exc:
-        print(f"cannot train on dataset: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TrainingDiverged as exc:
-        print(f"training aborted: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"invalid training settings: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     _write_run_manifest(out, "train", vars(args))
     if args.mode == "two_step":
         _report_phase1_accuracy(dataset, prepared, result.params, out)
@@ -199,39 +241,27 @@ def _report_phase1_accuracy(dataset, prepared, params, out: Path) -> None:
 
 def cmd_register(args) -> int:
     if (args.checkpoint is None) == (args.baseline is None):
-        print("choose exactly one of --checkpoint or --baseline", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "choose exactly one of --checkpoint or --baseline")
     if args.emit_mask and args.baseline is not None:
-        print("--emit-mask needs a checkpoint run", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        raise _Exit(EXIT_USAGE, "--emit-mask needs a checkpoint run")
+    with _exits(((OSError, ValueError), EXIT_DATA, "cannot load inputs")):
         pre = load_ply(args.pre)
         intra = load_ply(args.intra)
         if args.checkpoint is not None:
             _require_colors(intra, args.intra)
             model = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load inputs: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
     t0 = time.perf_counter()
-    try:
+    with _exits((SparseCloudError, EXIT_DATA, "cannot register inputs"),
+                ((RegistrationError, ValueError), EXIT_NUMERIC, "registration failed")):
         if args.baseline is not None:
-            if args.baseline == "icp":
-                report = icp(pre, intra)
-            else:
-                report = ransac_icp(pre, intra, np.random.default_rng(args.seed))
+            report = (icp(pre, intra) if args.baseline == "icp"
+                      else ransac_icp(pre, intra, np.random.default_rng(args.seed)))
             T = report.transform
             info = {"final_rms": report.final_rms, "converged": report.converged}
         else:
             out = _register_with_model(model, pre, intra)
             T, mask, info = out.transform, out.mask, out.info
-    except SparseCloudError as exc:
-        print(f"cannot register inputs: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (RegistrationError, ValueError) as exc:
-        print(f"registration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     info["wall_time_s"] = time.perf_counter() - t0
 
     out_path = Path(args.out)
@@ -251,28 +281,15 @@ def cmd_register(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    try:
+    with _exits(((OSError, ValueError), EXIT_DATA, "cannot load dataset")):
         dataset = _load_dataset(args.dataset)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load dataset: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    pred_dir = Path(args.predictions)
+    predictions, missing = _read_predictions(dataset, args.predictions)
+    samples = dict(dataset)
+    records = [evaluate_pose(name, args.method, samples[name], T,
+                             float(info.get("wall_time_s", 0.0)))
+               for name, (T, info) in predictions.items()]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    records, missing = [], []
-    for name, sample in dataset:
-        pose_path = pred_dir / f"{name}.pose.json"
-        if not pose_path.exists():
-            missing.append(name)
-            continue
-        try:
-            T, meta = load_pose(pose_path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read prediction {pose_path}: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        wall = float(meta.get("info", {}).get("wall_time_s", 0.0))
-        records.append(evaluate_pose(name, args.method, sample, T, wall))
     if records:
         write_records(records, out / "records.csv")
         tre_mm = [v for r in records for v in r.tre_mm]
@@ -285,8 +302,7 @@ def cmd_eval(args) -> int:
         print("\n".join(report))
     _write_run_manifest(out, "eval", vars(args))
     if missing:
-        print("missing predictions for: " + ", ".join(missing), file=sys.stderr)
-        return EXIT_DATA
+        raise _Exit(EXIT_DATA, "missing predictions for: " + ", ".join(missing))
     return EXIT_OK
 
 
@@ -294,49 +310,31 @@ def cmd_eval(args) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
-def _predict_dataset(dataset, checkpoint):
-    model = load_checkpoint(checkpoint)
-    return {name: _register_with_model(model, sample.preoperative,
-                                       sample.intraoperative).transform
-            for name, sample in dataset}
-
-
-def _poses_from_dir(dataset, directory):
-    poses = {}
-    for name, _ in dataset:
-        path = Path(directory) / f"{name}.pose.json"
-        if not path.exists():
-            raise FileNotFoundError(f"missing prediction {path}")
-        poses[name], _ = load_pose(path)
-    return poses
-
-
 def cmd_ablate(args) -> int:
     have_ckpts = args.checkpoint_a is not None and args.checkpoint_b is not None
     have_preds = args.pred_a is not None and args.pred_b is not None
     if have_ckpts == have_preds:
-        print("choose either --checkpoint-a/--checkpoint-b or --pred-a/--pred-b",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        dataset = _load_dataset(args.dataset)
-        if have_ckpts:
-            for name, sample in dataset:
-                _require_colors(sample.intraoperative, name)
-            poses_a = _predict_dataset(dataset, args.checkpoint_a)
-            poses_b = _predict_dataset(dataset, args.checkpoint_b)
+        raise _Exit(EXIT_USAGE,
+                    "choose either --checkpoint-a/--checkpoint-b or --pred-a/--pred-b")
+    # a prediction file the reader rejects keeps its message under this prefix
+    with _exits(((OSError, ValueError, _Exit), EXIT_DATA, "cannot assemble ablation inputs"),
+                (RegistrationError, EXIT_NUMERIC, "registration failed during ablation")):
+        dataset = _load_dataset(args.dataset, colors=have_ckpts)
+        if have_ckpts:      # poses: {name: pose} of method a, then of method b
+            models = [load_checkpoint(c) for c in (args.checkpoint_a, args.checkpoint_b)]
+            poses = [{name: _register_with_model(m, s.preoperative, s.intraoperative).transform
+                      for name, s in dataset} for m in models]
         else:
-            poses_a = _poses_from_dir(dataset, args.pred_a)
-            poses_b = _poses_from_dir(dataset, args.pred_b)
-    except (OSError, ValueError) as exc:
-        print(f"cannot assemble ablation inputs: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except RegistrationError as exc:
-        print(f"registration failed during ablation: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+            poses = []
+            for directory in (args.pred_a, args.pred_b):
+                found, missing = _read_predictions(dataset, directory)
+                if missing:
+                    raise FileNotFoundError(
+                        f"missing prediction {Path(directory) / missing[0]}.pose.json")
+                poses.append({name: pose for name, (pose, _) in found.items()})
 
-    rec_a = [evaluate_pose(name, args.name_a, s, poses_a[name]) for name, s in dataset]
-    rec_b = [evaluate_pose(name, args.name_b, s, poses_b[name]) for name, s in dataset]
+    rec_a, rec_b = ([evaluate_pose(name, method, s, by_name[name]) for name, s in dataset]
+                    for method, by_name in zip((args.name_a, args.name_b), poses))
     # one paired case per sample: the landmarks of a sample share its pose,
     # so they are not independent cases
     med_a = [float(np.median(r.tre_mm)) for r in rec_a]
@@ -351,7 +349,7 @@ def cmd_ablate(args) -> int:
         format_summary(args.name_b, summarize(med_b)),
     ]
     code = EXIT_OK
-    try:
+    try:    # an undefined test is still reported, then exits with a data error
         p, r = wilcoxon_signed_rank(med_a, med_b)
         lines.append(f"Wilcoxon signed-rank: p = {p:.6g}, effect size r = {r:.3f}")
     except ValueError as exc:
@@ -368,11 +366,8 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
-    try:
+    with _exits((ValueError, EXIT_USAGE, "error")):
         results = run_checks(args.component, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -396,7 +391,8 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="segreg", description=__doc__)
+    # the docstring's last paragraph is about the code, not for --help
+    p = _Parser(prog="segreg", description=__doc__.rsplit("\n\n", 1)[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a synthetic phantom dataset")
@@ -469,9 +465,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -82,6 +82,8 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
         if R.shape != (3, 3):
             raise ValueError(f"rotation must be 3 x 3, got {R.shape}")
+        if not np.isfinite(t).all():
+            raise ValueError("translation must be finite")
         not_orthonormal, not_proper = rotation_defects(R)
         if not_orthonormal:
             raise ValueError("rotation is not orthonormal")
@@ -106,9 +108,12 @@ class RigidTransform:
 
 def rotation_defects(R: np.ndarray, tol: float = _ORTHO_TOL
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Per stacked (..., 3, 3) matrix: (max |R^T R - I| > tol, |det R - 1| > tol)."""
+    """Per stacked (..., 3, 3) matrix: (not max |R^T R - I| <= tol,
+    not |det R - 1| <= tol); a non-finite matrix fails both."""
     ortho_err = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)), axis=(-2, -1))
-    return ortho_err > tol, np.abs(np.linalg.det(R) - 1.0) > tol
+    with np.errstate(invalid="ignore"):     # the determinant of a NaN matrix
+        det_err = np.abs(np.linalg.det(R) - 1.0)
+    return ~(ortho_err <= tol), ~(det_err <= tol)
 
 
 def rotation_angle_deg(R: np.ndarray) -> float:

@@ -76,6 +76,12 @@ class TrainConfig:
             raise ValueError("need 0 <= warmup_iters < total_iters")
         if self.mode not in ("end_to_end", "two_step"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
+        if self.n_fine_pairs < 1:
+            raise ValueError("n_fine_pairs must be at least 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0 (0: no periodic checkpoints)")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:

@@ -9,6 +9,7 @@ import pytest
 from segreg.baselines import ransac_icp
 from segreg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 from segreg.fileio import (
+    load_checkpoint,
     load_ply,
     load_pose,
     load_sample,
@@ -97,7 +98,9 @@ def test_train_that_diverges_exits_with_numeric_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("settings", [["--iters", "2"],
-                                      ["--iters", "2", "--warmup", "0", "--lr0", "0"]])
+                                      ["--iters", "2", "--warmup", "0", "--lr0", "0"],
+                                      ["--tau", "0"], ["--n-fine-pairs", "0"],
+                                      ["--checkpoint-every", "-1"]])
 def test_train_with_invalid_settings_exits_with_usage_error(tmp_path, settings, capsys):
     write_sparse_dataset(tmp_path / "data")
     code = main(["train", "--dataset", str(tmp_path / "data"),
@@ -202,6 +205,15 @@ BAD_POSES = {
     "no_rotation": json.dumps({"translation": [0, 0, 0]}),
     "no_translation": json.dumps({"rotation": np.eye(3).tolist()}),
     "rotation_not_numbers": json.dumps({"rotation": {"x": 1}, "translation": [0, 0, 0]}),
+    "nan_translation": json.dumps({"rotation": np.eye(3).tolist(),
+                                   "translation": [0, float("nan"), 0]}),
+    "nan_rotation": json.dumps({"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, float("nan")]],
+                                "translation": [0, 0, 0]}),
+    "info_not_object": json.dumps({"rotation": np.eye(3).tolist(), "translation": [0, 0, 0],
+                                   "info": [1.25]}),
+    "wall_time_not_number": json.dumps({"rotation": np.eye(3).tolist(),
+                                        "translation": [0, 0, 0],
+                                        "info": {"wall_time_s": "1.25 s"}}),
 }
 
 
@@ -217,6 +229,18 @@ def test_ablate_with_pose_file_lacking_rotation_exits_with_data_error(tmp_path):
     data, preds = dataset_with_prediction(tmp_path, BAD_POSES["no_rotation"])
     assert main(["ablate", "--dataset", str(data), "--out", str(tmp_path / "ablate"),
                  "--pred-a", str(preds), "--pred-b", str(preds)]) == EXIT_DATA
+
+
+def test_ablate_with_a_missing_pose_file_exits_with_data_error(tmp_path, capsys):
+    identity = json.dumps({"rotation": np.eye(3).tolist(), "translation": [0, 0, 0]})
+    data, preds = dataset_with_prediction(tmp_path, identity)
+    (tmp_path / "empty").mkdir()
+    assert main(["ablate", "--dataset", str(data), "--out", str(tmp_path / "ablate"),
+                 "--pred-a", str(preds), "--pred-b", str(tmp_path / "empty")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "cannot assemble ablation inputs: missing prediction" in err
+    assert f"{tmp_path / 'empty' / 'sample_0000.pose.json'}" in err
+    assert not (tmp_path / "ablate").exists()
 
 
 def test_ablate_with_identical_predictions_writes_report_and_exits_with_data_error(tmp_path):
@@ -370,6 +394,33 @@ def test_train_resume_at_or_past_iters_exits_with_usage_error(tmp_path, step, ca
     assert "invalid training settings" in capsys.readouterr().err
     assert not list(out.glob("checkpoint_*.npz"))
     assert not (out / "loss_curve.csv").exists()
+
+
+def test_train_resume_with_another_width_factor_exits_with_usage_error(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data), "--n-samples", "1",
+                 "--n-vertebrae", "2", "--points-pre", "1024",
+                 "--points-intra", "512"]) == 0
+    seg, reg = SegNetConfig(width_factor=0.5), RegNetConfig(width_factor=0.5)
+    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
+    code = main(["train", "--dataset", str(data), "--out", str(out), "--iters", "1",
+                 "--warmup", "0", "--resume", str(tmp_path / "model.npz")])
+    assert code == EXIT_USAGE
+    assert "invalid training settings" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_resume_prepares_samples_with_the_checkpoint_networks(tmp_path):
+    """A four-stage segmentation net cannot read a five-stage context."""
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data), "--n-samples", "1",
+                 "--n-vertebrae", "2", "--points-pre", "1024",
+                 "--points-intra", "512"]) == 0
+    seg, reg = SegNetConfig(stages=4, widths=(16, 32, 64, 128)), RegNetConfig()
+    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
+    assert main(["train", "--dataset", str(data), "--out", str(out), "--iters", "1",
+                 "--warmup", "0", "--resume", str(tmp_path / "model.npz")]) == 0
+    assert load_checkpoint(out / "checkpoint_000001.npz")[1] == seg
 
 
 def test_ablate_two_checkpoints_writes_report_and_records_for_both_names(tmp_path):

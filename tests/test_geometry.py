@@ -50,6 +50,18 @@ def test_rotation_defects_flag_each_stacked_matrix_at_its_tolerance():
             RigidTransform(bad, np.zeros(3))
 
 
+def test_non_finite_rotation_is_a_defect_and_non_finite_transform_is_rejected():
+    nan_rotation = np.eye(3)
+    nan_rotation[2, 2] = np.nan
+    not_orthonormal, not_proper = rotation_defects(np.stack([np.eye(3), nan_rotation]))
+    assert not_orthonormal.tolist() == [False, True]
+    assert not_proper.tolist() == [False, True]
+    with pytest.raises(ValueError, match="not orthonormal"):
+        RigidTransform(nan_rotation, np.zeros(3))
+    with pytest.raises(ValueError, match="translation must be finite"):
+        RigidTransform(np.eye(3), [0.0, np.inf, 0.0])
+
+
 def test_inverse_round_trip_on_cloud():
     rng = np.random.default_rng(3)
     cloud = random_cloud(rng, 64)

@@ -459,3 +459,49 @@ def test_local_import_scan_sees_nested_functions_and_methods():
                      "        if self:\n            import json, re\n")
     assert _local_imports(tree, "mod") == {"mod.f: csv": 3, "mod.f.g: a.b": 5,
                                            "mod.K.m: json": 10, "mod.K.m: re": 10}
+
+
+# the except clauses of cli.py, one per function named here, with the reason
+CLI_EXCEPT_ALLOWED = {
+    "_exits": "the one rule table: turns the first matching exception into an _Exit",
+    "main": "prints a failed command's message and returns its exit code",
+    "cmd_ablate": "the Wilcoxon report: an undefined test is written to the report, "
+                  "then the command exits with a data error",
+}
+
+
+def _except_scopes(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing ``[Class.]function``, line) of every except clause;
+    ``<module>`` outside any function or class."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                found.append((scope or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_cli_catches_exceptions_only_in_exits_main_and_the_wilcoxon_report():
+    """Commands raise; the rules of ``_exits`` pick every other exit code."""
+    path = SRC / "cli.py"
+    found = _except_scopes(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(scope for scope, _ in found) == sorted(CLI_EXCEPT_ALLOWED), (
+        f"except clauses in cli.py: {found}; allowed once each: {sorted(CLI_EXCEPT_ALLOWED)}")
+
+
+def test_except_scan_sees_handlers_by_enclosing_function():
+    tree = ast.parse("try:\n    a\nexcept E:\n    b\n"
+                     "def f():\n    try:\n        a\n    except (E, F):\n"
+                     "        def g():\n            try:\n                b\n"
+                     "            except Exception:\n                c\n"
+                     "class K:\n    def m(self):\n        try:\n            a\n"
+                     "        except:\n            b\n"
+                     "'''except in a docstring'''\n")
+    assert _except_scopes(tree) == [("<module>", 3), ("f", 8), ("f.g", 12), ("K.m", 18)]
