@@ -1,5 +1,15 @@
 """Classical registration baselines: trimmed ICP and RANSAC + ICP.
 
+Both return the pre->intra pose, but ICP solves the other way round: it
+moves the partial intraoperative cloud onto a k-d tree of the complete
+preoperative one and returns the inverse of that pose, the model/data roles
+of Besl & McKay (PAMI 1992).  Every intra bone point has a pre counterpart,
+but the converse does not hold: the pre points of unexposed bone have none
+in the intra cloud.  So only intra->pre queries can all find true
+correspondences, and the trim is left to drop intra tissue, as in trimmed
+ICP for partial overlap (Chetverikov et al., ICPR 2002).  Each round makes
+one tree query per intra point.
+
 Trimmed ICP alternates exact nearest-neighbor correspondence with a
 Procrustes solve, discarding the worst ``ICP_TRIM_FRACTION`` of
 correspondences by distance each round; the trimmed RMS is non-increasing.
@@ -22,8 +32,8 @@ gives each target's, so the N_src x N_tgt similarity matrix is never held.
 RANSAC draws its hypotheses one at a time from the generator, then fits
 them in stacks with ``matching.procrustes_stack`` and counts their inliers,
 so the counts and the first-best winner are those of a sequential scan.
-ICP starts from the winner's pose as ``weighted_procrustes`` solves it on
-its own.
+ICP starts from the winner's pre->intra pose as ``weighted_procrustes``
+solves it on its own.
 """
 
 from __future__ import annotations
@@ -61,6 +71,9 @@ _HYPOTHESIS_BLOCK = 128  # RANSAC hypotheses solved and scored per stack
 
 @dataclass
 class ICPReport:
+    """``transform`` maps the source (pre) cloud onto the target (intra);
+    ``final_rms`` is the trimmed RMS of the target->source distances in the
+    last round that was measured."""
     transform: RigidTransform
     iterations_used: int
     final_rms: float
@@ -69,20 +82,26 @@ class ICPReport:
 
 def icp(source: PointCloud, target: PointCloud,
         init: RigidTransform | None = None) -> ICPReport:
-    """Trimmed point-to-point ICP from ``source`` onto ``target``, from
-    ``init`` (identity by default)."""
+    """Trimmed point-to-point ICP aligning ``source`` to ``target``, from
+    ``init`` (identity by default); both poses map source onto target.
+
+    ``source`` is the complete cloud: it is indexed once in a k-d tree, and
+    the ``target`` points, moved by the inverse pose, query it each round and
+    drop the worst ``ICP_TRIM_FRACTION`` of their correspondences.  The
+    solved target->source pose is inverted on return.
+    """
     if len(source) < 3 or len(target) < 3:
         raise ValueError("ICP needs at least 3 points per cloud")
-    T = RigidTransform.identity() if init is None else init
-    tree = cKDTree(target.positions)
-    src = source.positions
-    keep = max(3, int(np.ceil(len(source) * (1.0 - ICP_TRIM_FRACTION))))
+    T = RigidTransform.identity() if init is None else init.invert()
+    src, tgt = source.positions, target.positions
+    tree = cKDTree(src)
+    keep = max(3, int(np.ceil(len(target) * (1.0 - ICP_TRIM_FRACTION))))
     prev_rms = np.inf
     rms = np.inf
     converged = False
     it = 0
     for it in range(1, ICP_MAX_ITER + 1):
-        moved = T.apply_points(src)
+        moved = T.apply_points(tgt)
         dists, nn = tree.query(moved)
         order = np.argsort(dists, kind="stable")[:keep]
         rms = float(np.sqrt(np.mean(dists[order] ** 2)))
@@ -94,10 +113,10 @@ def icp(source: PointCloud, target: PointCloud,
             break
         prev_rms = rms
         try:
-            T = weighted_procrustes(src[order], target.positions[nn[order]], np.ones(keep))
+            T = weighted_procrustes(tgt[order], src[nn[order]], np.ones(keep))
         except ValueError:
-            return ICPReport(T, it, rms, False)
-    return ICPReport(T, it, rms, converged)
+            return ICPReport(T.invert(), it, rms, False)
+    return ICPReport(T.invert(), it, rms, converged)
 
 
 def estimate_normals(cloud: PointCloud, k: int) -> np.ndarray:

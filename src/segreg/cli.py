@@ -53,7 +53,7 @@ from segreg.pipeline import (
     prepare_sample,
     register_pair,
 )
-from segreg.training import TrainConfig, TrainingDiverged, train
+from segreg.training import TrainConfig, TrainingDiverged, resume_step, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,6 +206,9 @@ def cmd_train(args) -> int:
             raise _Exit(EXIT_USAGE, "invalid training settings: the checkpoint's width "
                         f"factor {seg_cfg.width_factor} is not --width-factor "
                         f"{args.width_factor}")
+        # before any sample is prepared or --out is made
+        with _exits((ValueError, EXIT_USAGE, "invalid training settings")):
+            resume_step(resume, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples = [s for _, s in dataset]
@@ -258,7 +261,8 @@ def cmd_register(args) -> int:
             report = (icp(pre, intra) if args.baseline == "icp"
                       else ransac_icp(pre, intra, np.random.default_rng(args.seed)))
             T = report.transform
-            info = {"final_rms": report.final_rms, "converged": report.converged}
+            info = {"final_rms": report.final_rms, "converged": report.converged,
+                    "iterations_used": report.iterations_used}
         else:
             out = _register_with_model(model, pre, intra)
             T, mask, info = out.transform, out.mask, out.info

@@ -39,7 +39,7 @@ from segreg.pipeline import (
 )
 
 __all__ = ["TrainConfig", "TrainResult", "TrainingDiverged", "lr_at", "train",
-           "init_params", "tau_at"]
+           "init_params", "resume_step", "tau_at"]
 
 MOMENTUM = 0.9
 CLIP_NORM = 10.0                      # global gradient-norm clip
@@ -140,6 +140,19 @@ def _clip_and_step(params, grads_of, velocity, lr):
     return total
 
 
+def resume_step(resume: tuple | None, cfg: TrainConfig) -> int:
+    """The step a run starts from: 0, or the step of ``resume``, a checkpoint
+    as ``fileio.load_checkpoint`` returns it; one at or past
+    ``cfg.total_iters`` leaves no step to run and is a ValueError."""
+    if resume is None:
+        return 0
+    step = int(resume[3]["step"])
+    if step >= cfg.total_iters:
+        raise ValueError(f"resume checkpoint is at step {step}; "
+                         f"total_iters {cfg.total_iters} leaves no step to run")
+    return step
+
+
 def train(samples: list[RegistrationSample], cfg: TrainConfig,
           seg_cfg: SegNetConfig = SegNetConfig(),
           reg_cfg: RegNetConfig = RegNetConfig(),
@@ -150,7 +163,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
           log_every: int = 0) -> TrainResult:
     """Run the configured training mode over the sample set (batch size 1),
     continuing from ``resume``, a checkpoint as ``fileio.load_checkpoint``
-    returns it, when given; one at or past ``cfg.total_iters`` is a ValueError.
+    returns it, when given; ``resume_step`` rejects one with no step left.
 
     This function decides each step's intraoperative mask: end to end, the
     straight-through Gumbel mask of the segmentation logits, drawn on the tape
@@ -158,9 +171,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
     off the tape the first time each sample is drawn.  A resumed run's curve,
     and its ``loss_curve.csv``, hold only the rows from the resume step on.
     """
-    if resume is not None and int(resume[3]["step"]) >= cfg.total_iters:
-        raise ValueError(f"resume checkpoint is at step {resume[3]['step']}; "
-                         f"total_iters {cfg.total_iters} leaves no step to run")
+    start_step = resume_step(resume, cfg)
     if not samples:
         raise ValueError("training needs at least one sample")
     if prepared is None:
@@ -172,13 +183,11 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
     if resume is not None:
         params, seg_cfg, reg_cfg, state = resume
         velocity = dict(state["momentum"])
-        start_step = int(state["step"])
         if state["rng_state"]:
             rng.bit_generator.state = state["rng_state"]
     else:
         params = init_params(seg_cfg, reg_cfg, cfg.seed)
         velocity: dict[str, np.ndarray] = {}
-        start_step = 0
 
     seg_names = [n for n in params if n.startswith("seg_")]
     reg_names = [n for n in params if n.startswith("reg_")]

@@ -22,6 +22,7 @@ from segreg.baselines import (
     local_descriptors,
     ransac_icp,
 )
+from segreg.evaluation import tre
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
 from segreg.matching import weighted_procrustes
 from segreg.phantom import PhantomConfig, generate_phantom
@@ -140,17 +141,47 @@ def test_icp_raises_when_the_trimmed_rms_rises(monkeypatch):
         icp(cloud, cloud)
 
 
-def test_icp_initialization_sensitivity_on_low_overlap():
-    # regression expectation: raw ICP stalls in a wrong basin when the target
-    # covers only part of the source and the misalignment is large
+def test_icp_aligns_a_half_target_from_45_degrees():
+    # the target covers only half of the source: each target point has a
+    # source counterpart, so querying the source from the target converges
+    # where the converse stalls in a wrong basin (> 2 degrees)
     rng = np.random.default_rng(8)
     full = bumpy_surface(rng, 800)
     half = PointCloud(full.positions[full.positions[:, 0] > 0.0])
     T = random_rigid(0.1, 45.0, rng)
     source = PointCloud(T.apply_points(full.positions))
     plain = icp(source, half)
-    err_plain = rotation_angle_deg(plain.transform.compose(T).rotation)
-    assert err_plain > 2.0
+    assert rotation_angle_deg(plain.transform.compose(T).rotation) < 0.1
+
+
+def test_icp_indexes_the_source_once_and_queries_every_target_point(monkeypatch):
+    built, queried = [], []
+
+    class CountingTree:
+        def __init__(self, positions):
+            built.append(positions)
+            self.tree = cKDTree(positions)
+
+        def query(self, points):
+            queried.append(len(points))
+            return self.tree.query(points)
+
+    sample = small_phantom()
+    monkeypatch.setattr(baselines, "cKDTree", CountingTree)
+    report = icp(sample.preoperative, sample.intraoperative)
+    assert len(built) == 1
+    assert np.array_equal(built[0], sample.preoperative.positions)
+    assert queried == [len(sample.intraoperative)] * report.iterations_used
+
+
+@pytest.mark.parametrize("seed", [3000, 3001, 3002])
+def test_icp_on_the_oracle_bone_points_lands_within_a_millimetre(seed):
+    # full-size phantoms; querying the other way (pre->intra) reads 6.4-6.5 mm
+    sample = generate_phantom(PhantomConfig(seed=seed))
+    bone = PointCloud(sample.intraoperative.positions[sample.gt_mask == 1])
+    report = icp(sample.preoperative, bone)
+    err = tre(sample.landmarks, report.transform, sample.T_gt, sample.scale)["mm"]
+    assert np.median(err) <= 1.0
 
 
 def test_estimate_normals_of_noisy_plane_are_vertical():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from segreg.baselines import ransac_icp
+from segreg.baselines import icp, ransac_icp
 from segreg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 from segreg.fileio import (
     load_checkpoint,
@@ -153,7 +153,10 @@ def test_register_pose_info_splits_the_learned_wall_time(tmp_path):
     assert main(["register", "--pre", str(pre), "--intra", str(intra),
                  "--out", str(tmp_path / "icp.json"), "--baseline", "icp"]) == 0
     info = load_pose(tmp_path / "icp.json")[1]["info"]
-    assert sorted(info) == ["converged", "final_rms", "wall_time_s"]
+    assert sorted(info) == ["converged", "final_rms", "iterations_used", "wall_time_s"]
+    expected = icp(load_ply(pre), load_ply(intra))
+    assert info["iterations_used"] == expected.iterations_used
+    assert info["final_rms"] == expected.final_rms
 
 
 def small_phantom_without_intra_colors():
@@ -392,8 +395,7 @@ def test_train_resume_at_or_past_iters_exits_with_usage_error(tmp_path, step, ca
                  "--iters", "2", "--warmup", "0", "--resume", str(tmp_path / "model.npz")])
     assert code == EXIT_USAGE
     assert "invalid training settings" in capsys.readouterr().err
-    assert not list(out.glob("checkpoint_*.npz"))
-    assert not (out / "loss_curve.csv").exists()
+    assert not out.exists()
 
 
 def test_train_resume_with_another_width_factor_exits_with_usage_error(tmp_path, capsys):
