@@ -215,9 +215,8 @@ def cmd_train(args) -> int:
     with _exits((SparseCloudError, EXIT_DATA, "cannot train on dataset"),
                 (TrainingDiverged, EXIT_NUMERIC, "training aborted"),
                 (ValueError, EXIT_USAGE, "invalid training settings")):
-        prepared = [prepare_sample(s, seg_cfg, reg_cfg, MatcherConfig(),
-                                   sample_id=f"sample_{i:04d}")
-                    for i, s in enumerate(samples)]
+        prepared = [prepare_sample(s, seg_cfg, reg_cfg, MatcherConfig(), sample_id=name)
+                    for name, s in dataset]
         result = train(samples, cfg, seg_cfg, reg_cfg, out_dir=out, resume=resume,
                        prepared=prepared, log_every=args.log_every)
     _write_run_manifest(out, "train", vars(args))
@@ -402,30 +401,31 @@ def build_parser() -> _Parser:
     g = sub.add_parser("generate", help="generate a synthetic phantom dataset")
     g.add_argument("--out", required=True)
     g.add_argument("--n-samples", type=int, default=8)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--n-vertebrae", type=int, default=5)
-    g.add_argument("--points-pre", type=int, default=8192)
-    g.add_argument("--points-intra", type=int, default=2048)
-    g.add_argument("--exposure-fraction", type=float, default=0.85)
-    g.add_argument("--clutter-fraction", type=float, default=0.35)
-    g.add_argument("--noise-sigma", type=float, default=0.0008)
-    g.add_argument("--occlusion-patches", type=int, default=2)
+    g.add_argument("--seed", type=int, default=PhantomConfig.seed)
+    g.add_argument("--n-vertebrae", type=int, default=PhantomConfig.n_vertebrae)
+    g.add_argument("--points-pre", type=int, default=PhantomConfig.points_pre)
+    g.add_argument("--points-intra", type=int, default=PhantomConfig.points_intra)
+    g.add_argument("--exposure-fraction", type=float, default=PhantomConfig.exposure_fraction)
+    g.add_argument("--clutter-fraction", type=float, default=PhantomConfig.clutter_fraction)
+    g.add_argument("--noise-sigma", type=float, default=PhantomConfig.noise_sigma)
+    g.add_argument("--occlusion-patches", type=int,
+                   default=PhantomConfig.occlusion_patches)
     g.set_defaults(fn=cmd_generate)
 
     t = sub.add_parser("train", help="train the joint model on a dataset")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--mode", choices=["end_to_end", "two_step"], default="end_to_end")
-    t.add_argument("--iters", type=int, default=5000)
-    t.add_argument("--warmup", type=int, default=500)
-    t.add_argument("--lr0", type=float, default=1e-4)
-    t.add_argument("--tau", type=float, default=1.0)
+    t.add_argument("--mode", choices=["end_to_end", "two_step"], default=TrainConfig.mode)
+    t.add_argument("--iters", type=int, default=TrainConfig.total_iters)
+    t.add_argument("--warmup", type=int, default=TrainConfig.warmup_iters)
+    t.add_argument("--lr0", type=float, default=TrainConfig.lr0)
+    t.add_argument("--tau", type=float, default=TrainConfig.tau)
     t.add_argument("--tau-anneal", action="store_true")
-    t.add_argument("--phase1-iters", type=int, default=1000)
-    t.add_argument("--n-fine-pairs", type=int, default=12)
-    t.add_argument("--width-factor", type=float, default=0.25)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--checkpoint-every", type=int, default=1000)
+    t.add_argument("--phase1-iters", type=int, default=TrainConfig.phase1_iters)
+    t.add_argument("--n-fine-pairs", type=int, default=TrainConfig.n_fine_pairs)
+    t.add_argument("--width-factor", type=float, default=RegNetConfig.width_factor)
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
+    t.add_argument("--checkpoint-every", type=int, default=TrainConfig.checkpoint_every)
     t.add_argument("--resume", default=None,
                    help="checkpoint to continue from; the new loss_curve.csv "
                         "holds only the steps from the checkpoint's step on")

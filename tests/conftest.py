@@ -3,6 +3,7 @@
 import pytest
 
 import segreg.geometry as geometry
+from segreg.gradcheck import run_checks
 
 
 @pytest.fixture
@@ -17,3 +18,17 @@ def fallback_rows(monkeypatch):
 
     monkeypatch.setattr(geometry, "_exact_row", spy)
     return rows
+
+
+@pytest.fixture
+def gradcheck_rows_pass():
+    """Assert that the named rows of one ``segreg gradcheck`` component pass.
+    The finite-difference checks are written once, as rows of
+    ``segreg.gradcheck``; a test of an op's gradient runs its row."""
+    def check(component, *names):
+        results = {r.name: r for r in run_checks(component)}
+        failing = [f"{n}: max_rel_error {results[n].max_rel_error:.3e} "
+                   f">= tolerance {results[n].tolerance:.0e}"
+                   for n in names if not results[n].passed]
+        assert not failing, f"{component} checks fail: {failing}"
+    return check

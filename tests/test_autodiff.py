@@ -1,4 +1,6 @@
-"""Tensor/tape unit tests, including the finite-difference gradient checks."""
+"""Tensor/tape unit tests.  The finite-difference gradient checks of every
+op are rows of ``segreg.gradcheck``; the gradient tests here run those rows
+and check the forward against the numpy formula."""
 
 import numpy as np
 import pytest
@@ -8,11 +10,8 @@ from segreg.autodiff import (
     Tape,
     Tensor,
     backward,
-    finite_difference_gradient,
     gather_rows,
     matmul,
-    max_relative_error,
-    mean_,
     scatter_add_rows,
     scatter_mean,
     softmax,
@@ -71,21 +70,11 @@ def test_matmul_dimension_mismatch():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
-def test_matmul_gradient_matches_finite_differences():
+def test_matmul_gradient_matches_finite_differences(gradcheck_rows_pass):
     rng = np.random.default_rng(0)
-    a0 = rng.uniform(-2, 2, size=(4, 5))
-    b0 = rng.uniform(-2, 2, size=(5, 3))
-    w = rng.uniform(-1, 1, size=(4, 3))  # fixed projection to a scalar
-
-    def f(arrays):
-        return float(np.sum((arrays[0] @ arrays[1]) * w))
-
-    fd = finite_difference_gradient(f, [a0, b0])
-    with Tape():
-        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
-        backward(sum_(ad.mul(matmul(a, b), Tensor(w))))
-    assert max_relative_error(a.grad, fd[0]) < 1e-6
-    assert max_relative_error(b.grad, fd[1]) < 1e-6
+    a, b = rng.uniform(-2, 2, size=(4, 5)), rng.uniform(-2, 2, size=(5, 3))
+    assert np.array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
+    gradcheck_rows_pass("tensor", "matmul")
 
 
 def test_softmax_symmetry_and_stability():
@@ -95,20 +84,11 @@ def test_softmax_symmetry_and_stability():
     assert out[0, 0] > 1 - 1e-12 and out[0, 1] < 1e-12
 
 
-def test_softmax_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    x0 = rng.uniform(-2, 2, size=(1, 6))
-    w = rng.uniform(-1, 1, size=(1, 6))
-
-    def f(arrays):
-        e = np.exp(arrays[0] - arrays[0].max())
-        return float(np.sum(e / e.sum() * w))
-
-    fd = finite_difference_gradient(f, [x0])
-    with Tape():
-        x = Tensor(x0, requires_grad=True)
-        backward(sum_(ad.mul(softmax(x), Tensor(w))))
-    assert max_relative_error(x.grad, fd[0]) < 1e-6
+def test_softmax_jacobian_matches_finite_differences(gradcheck_rows_pass):
+    x = np.random.default_rng(1).uniform(-2, 2, size=(3, 6))
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    assert np.array_equal(softmax(Tensor(x)).data, e / e.sum(axis=1, keepdims=True))
+    gradcheck_rows_pass("tensor", "softmax")
 
 
 def test_gather_duplicated_row_accumulates_grad():
@@ -134,39 +114,12 @@ def test_gather_rejects_out_of_range():
         gather_rows(Tensor(np.ones((2, 2))), np.array([3]))
 
 
-def test_gather_gradient_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    src0 = rng.uniform(-2, 2, size=(5, 3))
-    idx = np.array([0, 4, 4, 2, 5, 1])
-    w = rng.uniform(-1, 1, size=(6, 3))
-
-    def f(arrays):
-        padded = np.vstack([arrays[0], np.zeros((1, 3))])
-        return float(np.sum(padded[idx] * w))
-
-    fd = finite_difference_gradient(f, [src0])
-    with Tape():
-        src = Tensor(src0, requires_grad=True)
-        backward(sum_(ad.mul(gather_rows(src, idx), Tensor(w))))
-    assert max_relative_error(src.grad, fd[0]) < 1e-6
-
-
-def test_scatter_mean_forward_and_gradient():
-    rng = np.random.default_rng(3)
-    src0 = rng.uniform(-2, 2, size=(6, 2))
-    group = np.array([0, 0, 1, 2, 2, 2])
-    w = rng.uniform(-1, 1, size=(3, 2))
-
-    def f(arrays):
-        acc = np.zeros((3, 2))
-        np.add.at(acc, group, arrays[0])
-        return float(np.sum(acc / np.bincount(group)[:, None] * w))
-
-    fd = finite_difference_gradient(f, [src0])
-    with Tape():
-        src = Tensor(src0, requires_grad=True)
-        backward(sum_(ad.mul(scatter_mean(src, group, 3), Tensor(w))))
-    assert max_relative_error(src.grad, fd[0]) < 1e-6
+def test_gather_gradient_matches_finite_differences(gradcheck_rows_pass):
+    src = np.random.default_rng(2).uniform(-2, 2, size=(5, 3))
+    idx = np.array([0, 4, 4, 2, 5, 1])        # 5 is the shadow row
+    padded = np.vstack([src, np.zeros((1, 3))])
+    assert np.array_equal(gather_rows(Tensor(src), idx).data, padded[idx])
+    gradcheck_rows_pass("tensor", "gather_rows")
 
 
 @pytest.mark.parametrize("index,shape,n", [
@@ -182,6 +135,15 @@ def test_scatter_add_rows_equals_add_at(index, shape, n):
     got = scatter_add_rows(index, values, n)
     assert got.shape == (n,) + shape[1:]
     assert np.array_equal(got, add_at_rows(index, values, n))
+
+
+def test_scatter_mean_forward_and_gradient(gradcheck_rows_pass):
+    src = np.random.default_rng(3).uniform(-2, 2, size=(6, 2))
+    group = np.array([0, 0, 1, 3, 3, 3])      # group 2 stays empty and reads 0
+    counts = np.maximum(np.bincount(group, minlength=4), 1)[:, None]
+    want = add_at_rows(group, src, 4) / counts
+    assert np.array_equal(scatter_mean(Tensor(src), group, 4).data, want)
+    gradcheck_rows_pass("tensor", "scatter_mean")
 
 
 def test_gather_rows_backward_with_shadow_index_equals_add_at():
@@ -231,22 +193,12 @@ def test_forward_determinism():
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul"])
-def test_binary_ops_gradcheck(op):
-    rng = np.random.default_rng(hash(op) % 2**32)
-    a0 = rng.uniform(-2, 2, size=(3, 4))
-    b0 = rng.uniform(-2, 2, size=(3, 4))
+def test_binary_ops_gradcheck(op, gradcheck_rows_pass):
+    rng = np.random.default_rng(6)
+    a, b = rng.uniform(-2, 2, size=(3, 4)), rng.uniform(-2, 2, size=(3, 4))
     ref = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op]
-    w = rng.uniform(-1, 1, size=(3, 4))
-
-    def f(arrays):
-        return float(np.sum(ref(arrays[0], arrays[1]) * w))
-
-    fd = finite_difference_gradient(f, [a0, b0])
-    with Tape():
-        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
-        backward(sum_(ad.mul(getattr(ad, op)(a, b), Tensor(w))))
-    assert max_relative_error(a.grad, fd[0]) < 1e-5
-    assert max_relative_error(b.grad, fd[1]) < 1e-5
+    assert np.array_equal(getattr(ad, op)(Tensor(a), Tensor(b)).data, ref(a, b))
+    gradcheck_rows_pass("tensor", op)
 
 
 @pytest.mark.parametrize("op,ref", [
@@ -254,37 +206,20 @@ def test_binary_ops_gradcheck(op):
     ("log", lambda x: np.log(x)),
     ("relu", lambda x: np.maximum(x, 0.0)),
 ])
-def test_unary_ops_gradcheck(op, ref):
-    rng = np.random.default_rng(hash(op) % 2**32)
-    x0 = rng.uniform(0.5, 2, size=(3, 4)) if op == "log" else rng.uniform(-2, 2, size=(3, 4))
-    if op == "relu":
-        x0[np.abs(x0) < 1e-3] = 0.5  # keep clear of the kink
-    w = rng.uniform(-1, 1, size=(3, 4))
-
-    def f(arrays):
-        return float(np.sum(ref(arrays[0]) * w))
-
-    fd = finite_difference_gradient(f, [x0])
-    with Tape():
-        x = Tensor(x0, requires_grad=True)
-        backward(sum_(ad.mul(getattr(ad, op)(x), Tensor(w))))
-    assert max_relative_error(x.grad, fd[0]) < 1e-5
+def test_unary_ops_gradcheck(op, ref, gradcheck_rows_pass):
+    x = np.random.default_rng(7).uniform(-2, 2, size=(3, 4))
+    if op == "log":
+        x = np.abs(x) + 0.5
+    assert np.array_equal(getattr(ad, op)(Tensor(x)).data, ref(x))
+    gradcheck_rows_pass("tensor", op)
 
 
-def test_composite_expression_gradcheck():
-    rng = np.random.default_rng(11)
-    x0 = rng.uniform(0.2, 2, size=(4, 3))
-
-    def f(arrays):
-        x = arrays[0]
-        return float(np.mean(np.log(x) * np.exp(-x) + x * x))
-
-    fd = finite_difference_gradient(f, [x0])
-    with Tape():
-        x = Tensor(x0, requires_grad=True)
-        y = mean_(ad.add(ad.mul(ad.log(x), ad.exp(ad.neg(x))), ad.mul(x, x)))
-        backward(y)
-    assert max_relative_error(x.grad, fd[0]) < 1e-5
+def test_composite_expression_gradcheck(gradcheck_rows_pass):
+    x = np.random.default_rng(11).uniform(0.2, 2, size=(4, 3))
+    t = Tensor(x)
+    y = ad.mean_(ad.add(ad.mul(ad.log(t), ad.exp(ad.neg(t))), ad.mul(t, t)))
+    assert y.item() == np.mean(np.log(x) * np.exp(-x) + x * x)
+    gradcheck_rows_pass("tensor", "log", "exp", "neg", "mul", "add", "mean_")
 
 
 def test_nonfinite_leaf_rejected():
@@ -292,16 +227,9 @@ def test_nonfinite_leaf_rejected():
         Tensor([np.inf, 1.0])
 
 
-def test_expand_gradients():
-    rng = np.random.default_rng(12)
-    v0 = rng.uniform(-2, 2, size=(1, 4))
-    w = rng.uniform(-1, 1, size=(5, 4))
+def test_expand_gradients(gradcheck_rows_pass):
+    v = np.random.default_rng(12).uniform(-2, 2, size=(1, 4))
+    assert np.array_equal(ad.expand(Tensor(v), (5, 4)).data, np.broadcast_to(v, (5, 4)))
+    gradcheck_rows_pass("tensor", "expand")
 
-    def f(arrays):
-        return float(np.sum(np.broadcast_to(arrays[0], (5, 4)) * w))
 
-    fd = finite_difference_gradient(f, [v0])
-    with Tape():
-        v = Tensor(v0, requires_grad=True)
-        backward(sum_(ad.mul(ad.expand(v, (5, 4)), Tensor(w))))
-    assert max_relative_error(v.grad, fd[0]) < 1e-6

@@ -11,6 +11,7 @@ from segreg.baselines import (
     DESCRIPTOR_BINS,
     DESCRIPTOR_RADIUS,
     ICP_MAX_ITER,
+    ICP_TRIM_FRACTION,
     NORMAL_NEIGHBORS,
     RANSAC_CANDIDATES,
     RANSAC_INLIER_RADIUS,
@@ -68,14 +69,31 @@ def test_icp_recovers_small_misalignment():
     assert report.converged
 
 
-def test_icp_rms_monotone_and_bounded_iterations():
+def test_icp_rms_monotone_and_bounded_iterations(monkeypatch):
     rng = np.random.default_rng(2)
     target = bumpy_surface(rng)
     T = random_rigid(0.05, 20.0, rng)
     noisy = PointCloud(T.apply_points(target.positions) + rng.normal(scale=0.005, size=(len(target), 3)))
+    keep = max(3, int(np.ceil(len(target) * (1.0 - ICP_TRIM_FRACTION))))
+    rms = []
+
+    class RecordingTree:
+        """Each round's trimmed RMS, from the distances its query returns."""
+
+        def __init__(self, positions):
+            self.tree = cKDTree(positions)
+
+        def query(self, points):
+            dists, nn = self.tree.query(points)
+            rms.append(float(np.sqrt(np.mean(np.sort(dists)[:keep] ** 2))))
+            return dists, nn
+
+    monkeypatch.setattr(baselines, "cKDTree", RecordingTree)
     report = icp(noisy, target)
-    assert report.iterations_used <= ICP_MAX_ITER
-    assert report.final_rms >= 0
+    assert 1 < report.iterations_used <= ICP_MAX_ITER
+    assert len(rms) == report.iterations_used
+    assert np.all(np.diff(rms) <= 1e-9)
+    assert rms[-1] == report.final_rms
 
 
 def test_icp_rejects_tiny_clouds():

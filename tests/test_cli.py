@@ -28,7 +28,7 @@ from segreg.training import init_params
 def test_gradcheck_command_writes_all_passing_checks(tmp_path):
     assert main(["gradcheck", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "gradcheck.json").read_text())
-    assert len(doc) == 17
+    assert len(doc) == 28
     assert all(entry["passed"] for entry in doc)
 
 
@@ -90,11 +90,14 @@ def test_train_that_diverges_exits_with_numeric_error(tmp_path, capsys):
     assert main(["generate", "--out", str(data), "--n-samples", "1",
                  "--n-vertebrae", "2", "--points-pre", "1024",
                  "--points-intra", "512"]) == 0
+    (data / "sample_0000").rename(data / "case_a")     # the manifest's name is reported
+    write_manifest(data, ["case_a"])
     code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
                  "--lr0", "1e300", "--iters", "4", "--warmup", "0",
                  "--checkpoint-every", "0"])
     assert code == EXIT_NUMERIC
-    assert "training aborted" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "training aborted" in err and "'case_a'" in err
 
 
 @pytest.mark.parametrize("settings", [["--iters", "2"],

@@ -174,6 +174,35 @@ def test_add_at_scan_sees_calls_not_prose():
     assert _add_at_calls(tree) == [2]
 
 
+def _finite_difference_calls(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else node.func.attr if isinstance(node.func, ast.Attribute)
+                 else None) == "finite_difference_gradient"]
+
+
+def test_finite_differences_run_only_in_the_gradcheck_suite():
+    """``segreg.gradcheck`` holds the one copy of every finite-difference
+    check; tests run it through ``run_checks``.  The training-loss check in
+    ``test_training.py`` samples entries of full-size parameters instead, as
+    full finite differences of the dual loss cost too much."""
+    paths = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    calls = {path: _finite_difference_calls(ast.parse(path.read_text(), filename=str(path)))
+             for path in paths}
+    assert calls.pop(SRC / "gradcheck.py")
+    elsewhere = [f"{path.relative_to(ROOT)}:{line}" for path, lines in calls.items()
+                 for line in lines]
+    assert not elsewhere, f"finite differences outside segreg.gradcheck: {elsewhere}"
+
+
+def test_finite_difference_scan_sees_calls_not_prose_or_references():
+    tree = ast.parse('"""finite_difference_gradient(f, x)"""\n'
+                     "finite_difference_gradient(f, x)\nad.finite_difference_gradient(f, x)\n"
+                     "g = finite_difference_gradient\nrows[0](x)\n")
+    assert _finite_difference_calls(tree) == [2, 3]
+
+
 _ARITHMETIC_DUNDERS = {f"__{p}{op}__" for p in ("", "r", "i")
                        for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv",
                                   "mod", "divmod", "pow", "lshift", "rshift", "and", "xor",
@@ -316,12 +345,7 @@ def test_unread_parameter_scan_sees_nested_reads_and_methods():
 
 
 # defaulted parameters that no package or benchmark call passes, with the reason
-UNPASSED_DEFAULTS_ALLOWED = {
-    "autodiff.mean_.axis": "the composed _norm_act reference in tests/reference_ops.py "
-                           "passes it, and reference implementations stay",
-    "autodiff.mean_.keepdims": "the composed _norm_act reference in tests/reference_ops.py "
-                               "passes it, and reference implementations stay",
-}
+UNPASSED_DEFAULTS_ALLOWED: dict[str, str] = {}
 
 
 def _defaulted_parameters(tree: ast.Module, prefix: str) -> dict[tuple[str, str], int | None]:

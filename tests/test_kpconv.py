@@ -12,8 +12,6 @@ from segreg.autodiff import (
     Tape,
     Tensor,
     backward,
-    finite_difference_gradient,
-    max_relative_error,
     sum_,
 )
 from segreg.geometry import PointCloud, radius_neighbors, voxel_grid_subsample
@@ -108,33 +106,20 @@ def test_kpconv_rejects_weight_kernel_mismatch():
                Tensor(np.ones((3, 1, 2))))
 
 
-def test_kpconv_gradients_match_finite_differences():
+def test_kpconv_forward_equals_gather_matmul_expression():
     rng = np.random.default_rng(1)
     cloud = surface_cloud(rng, 30, colors=False)
-    from segreg.geometry import radius_neighbors
     nbr = radius_neighbors(cloud, cloud, 0.6, 8)
-    kern = kernel_disposition(6, 2) * 0.6
-    infl = conv_influence(cloud.positions, cloud.positions, nbr, kern, 0.6 / SIGMA_RATIO)
+    infl = conv_influence(cloud.positions, cloud.positions, nbr,
+                          kernel_disposition(6, 2) * 0.6, 0.6 / SIGMA_RATIO)
     f0 = rng.uniform(-2, 2, size=(30, 3))
     w0 = rng.uniform(-2, 2, size=(6, 3, 4))
-    proj = rng.uniform(-1, 1, size=(30, 4))
-
-    def f(arrays):
-        feats, weights = arrays
-        valid = nbr < 30
-        safe = np.where(valid, nbr, 0)
-        gathered = feats[safe] * valid[:, :, None]
-        mixed = np.matmul(infl.astype(np.float64), gathered)
-        return float(np.sum(mixed.reshape(30, -1) @ weights.reshape(-1, 4) * proj))
-
-    fd = finite_difference_gradient(f, [f0, w0])
-    with Tape():
-        feats = Tensor(f0, requires_grad=True)
-        w = Tensor(w0, requires_grad=True)
-        out = kpconv_apply(infl, nbr, 30, feats, w)
-        backward(sum_(ad.mul(out, Tensor(proj))))
-    assert max_relative_error(feats.grad, fd[0]) < 1e-5
-    assert max_relative_error(w.grad, fd[1]) < 1e-5
+    valid = nbr < 30
+    assert not valid.all()                    # shadow slots read zero rows
+    gathered = f0[np.where(valid, nbr, 0)] * valid[:, :, None]
+    mixed = np.matmul(infl.astype(np.float64), gathered)
+    want = mixed.reshape(30, -1) @ w0.reshape(-1, 4)
+    assert np.array_equal(kpconv_apply(infl, nbr, 30, Tensor(f0), Tensor(w0)).data, want)
 
 
 def test_kpconv_feats_gradient_equals_add_at_backward():
@@ -292,28 +277,6 @@ def test_seg_forward_permutation_equivariance():
     shuffled = PointCloud(cloud.positions[perm], colors=cloud.colors[perm])
     out = seg_forward(params, build_context(shuffled, TINY_SEG)).data
     np.testing.assert_allclose(out, base[perm], atol=1e-9)
-
-
-def test_seg_forward_all_param_gradcheck():
-    rng = np.random.default_rng(10)
-    cloud = surface_cloud(rng, 80)
-    ctx = build_context(cloud, TINY_SEG)
-    params = init_seg_params(TINY_SEG, rng)
-    names = sorted(params)
-    proj = Tensor(rng.uniform(-1, 1, size=(80, 2)))
-
-    def f(arrays):
-        trial = {n: Tensor(a) for n, a in zip(names, arrays)}
-        return float(np.sum(seg_forward(trial, ctx).data * proj.data))
-
-    arrays = [params[n].data.copy() for n in names]
-    fd = finite_difference_gradient(f, arrays)
-    with Tape():
-        backward(sum_(ad.mul(seg_forward(params, ctx), proj)))
-    for n, g_fd in zip(names, fd):
-        g = params[n].grad
-        assert g is not None, n
-        assert max_relative_error(g, g_fd) < 1e-4, n
 
 
 def test_fused_norm_act_equals_composed_reference():

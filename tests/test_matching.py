@@ -10,8 +10,6 @@ from segreg.autodiff import (
     Tape,
     Tensor,
     backward,
-    finite_difference_gradient,
-    max_relative_error,
     sum_,
 )
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
@@ -27,7 +25,6 @@ from segreg.matching import (
     fine_loss,
     fine_match,
     ground_truth_patch_matches,
-    l2_normalize_rows,
     normalize_scores_with_slack,
     patch_scores,
     procrustes_stack,
@@ -438,24 +435,10 @@ def test_coarse_loss_requires_positives():
         coarse_loss(Tensor(np.eye(3)), Tensor(np.eye(3)), np.zeros((3, 3)))
 
 
-def test_coarse_loss_gradcheck():
-    rng = np.random.default_rng(14)
-    raw = rng.normal(size=(6, 4))
-    overlap = np.zeros((6, 6))
-    overlap[np.arange(6), np.arange(6)] = rng.uniform(0.3, 1.0, size=6)
-    overlap[0, 1] = 0.05  # ignored band
-
-    def f(arrays):
-        x = arrays[0] / np.linalg.norm(arrays[0], axis=1, keepdims=True)
-        loss = coarse_loss(Tensor(x), Tensor(x.copy()), overlap)
-        return loss.item()
-
-    fd = finite_difference_gradient(f, [raw])
-    with Tape():
-        t = Tensor(raw, requires_grad=True)
-        nf = l2_normalize_rows(t)
-        backward(coarse_loss(nf, nf, overlap))
-    assert max_relative_error(t.grad, fd[0]) < 1e-5
+def test_coarse_loss_gradcheck(gradcheck_rows_pass):
+    """The circle loss through ``l2_normalize_rows``, with an ignored
+    overlap band: its ``segreg gradcheck`` row."""
+    gradcheck_rows_pass("matcher", "coarse_circle_loss")
 
 
 def uniform_stack(n_rows, n_cols, size):
@@ -511,22 +494,10 @@ def test_fine_loss_rejects_pairs_without_matches():
         fine_loss(uni, np.empty((0, 3), np.int64), np.empty(0), np.empty(0))
 
 
-def test_fine_loss_gradcheck():
-    rng = np.random.default_rng(15)
-    s0 = rng.normal(size=(2, 6, 6))
-    n_rows, n_cols = np.array([5, 3]), np.array([4, 5])
-    gt_cols = np.array([[1, -1, 3, -1, -1], [0, 4, -1, -1, -1]])
-
-    def f(arrays):
-        p = normalize_scores_with_slack(Tensor(arrays[0]), n_rows, n_cols)
-        return fine_loss(p, gt_cols, n_rows, n_cols).item()
-
-    fd = finite_difference_gradient(f, [s0])
-    with Tape():
-        s = Tensor(s0, requires_grad=True)
-        backward(fine_loss(normalize_scores_with_slack(s, n_rows, n_cols), gt_cols,
-                           n_rows, n_cols))
-    assert max_relative_error(s.grad, fd[0]) < 1e-5
+def test_fine_loss_gradcheck(gradcheck_rows_pass):
+    """The fine loss through the slack Sinkhorn on a padded stack: its
+    ``segreg gradcheck`` row, and the row of the Sinkhorn alone."""
+    gradcheck_rows_pass("matcher", "fine_nll_loss", "normalize_scores_with_slack")
 
 
 def test_dual_loss_additivity():
