@@ -360,16 +360,15 @@ def transpose2d(x: Tensor) -> Tensor:
     return record_custom(x.data.T.copy(), x.requires_grad, bwd)
 
 
-def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+def concat(tensors: list[Tensor]) -> Tensor:
+    """Join 2-D tensors column-wise (rows must agree)."""
+    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            accumulate_grad(t, g[tuple(idx)])
+            accumulate_grad(t, g[:, lo:hi])
 
-    return record_custom(np.concatenate([t.data for t in tensors], axis=axis),
+    return record_custom(np.concatenate([t.data for t in tensors], axis=1),
                          any(t.requires_grad for t in tensors), bwd)
 
 

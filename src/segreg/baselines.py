@@ -44,7 +44,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from segreg.geometry import PointCloud, RigidTransform
-from segreg.kpconv import local_reference_frames
+from segreg.kpconv import SparseCloudError, local_reference_frames
 from segreg.matching import (
     histogram_bins,
     normalize_counts,
@@ -91,7 +91,7 @@ def icp(source: PointCloud, target: PointCloud,
     solved target->source pose is inverted on return.
     """
     if len(source) < 3 or len(target) < 3:
-        raise ValueError("ICP needs at least 3 points per cloud")
+        raise SparseCloudError("ICP needs at least 3 points per cloud")
     T = RigidTransform.identity() if init is None else init.invert()
     src, tgt = source.positions, target.positions
     tree = cKDTree(src)
@@ -119,14 +119,12 @@ def icp(source: PointCloud, target: PointCloud,
     return ICPReport(T.invert(), it, rms, converged)
 
 
-def estimate_normals(cloud: PointCloud, k: int) -> np.ndarray:
-    """Unoriented unit normals from the smallest local covariance direction."""
+def estimate_normals(cloud: PointCloud) -> np.ndarray:
+    """Unoriented unit normals: least-spread axis of NORMAL_NEIGHBORS neighbors."""
     pos = cloud.positions
-    k = min(k, len(pos))
-    _, nn = cKDTree(pos).query(pos, k=k)
-    if k == 1:
-        nn = nn[:, None]
-    return local_reference_frames(pos, nn, min_neighbors=0)[:, 2]
+    k = min(NORMAL_NEIGHBORS, len(pos))
+    _, nn = cKDTree(pos).query(pos, k=k)        # (N,) when k is 1
+    return local_reference_frames(pos, nn.reshape(len(pos), k), min_neighbors=0)[:, 2]
 
 
 def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
@@ -138,7 +136,7 @@ def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
     pair is measured once and counted into both endpoints' rows.
     """
     pos = cloud.positions
-    normals = estimate_normals(cloud, NORMAL_NEIGHBORS)
+    normals = estimate_normals(cloud)
     pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
     width = 2 * DESCRIPTOR_BINS
     counts = np.zeros(len(cloud) * width, dtype=np.int64)
@@ -207,7 +205,7 @@ def ransac_icp(source: PointCloud, target: PointCloud,
                rng: np.random.Generator) -> ICPReport:
     """Descriptor-matched RANSAC alignment refined by trimmed ICP."""
     if len(source) < 10 or len(target) < 10:
-        raise ValueError("RANSAC needs at least 10 points per cloud")
+        raise SparseCloudError("RANSAC needs at least 10 points per cloud")
     src_desc = local_descriptors(source, DESCRIPTOR_RADIUS)
     tgt_desc = local_descriptors(target, DESCRIPTOR_RADIUS)
     fwd, bwd, strength = _mutual_matches(src_desc, tgt_desc)

@@ -3,10 +3,12 @@ gradcheck.
 
 Every command is deterministic given its flags and seed and writes a
 run_manifest.json capturing the resolved configuration.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure.
+0 success, 1 usage error, 2 data error (also unwritable outputs),
+3 numerical failure.
 
 Commands raise: the rules of the ``_exits`` block around each step pick
-the exit code and message, and ``main`` prints the message.  Only
+the exit code and message, and ``main`` prints the message; its own rule
+gives an ``OSError`` no command rule claims exit 2.  Only
 ``_exits``, ``main`` and the ablation's Wilcoxon report catch exceptions.
 """
 
@@ -101,6 +103,8 @@ def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    if args.n_samples < 1:
+        raise _Exit(EXIT_USAGE, f"error: --n-samples must be at least 1, got {args.n_samples}")
     out = Path(args.out)
     cfg_common = dict(
         n_vertebrae=args.n_vertebrae, points_pre=args.points_pre,
@@ -471,7 +475,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        with _exits((OSError, EXIT_DATA, "cannot write outputs")):
+            return args.fn(args)
     except _Exit as exc:
         print(exc, file=sys.stderr)
         return exc.code

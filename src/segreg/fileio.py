@@ -4,8 +4,10 @@ manifests, and network checkpoints.
 PLY reads ascii and binary_little_endian with double (or float) x/y/z,
 optional uchar red/green/blue, and an optional integer label per vertex;
 it writes binary_little_endian.
-Poses are JSON holding the rotation, translation, and the normalization
-(center, scale) metadata; rotations are re-validated on load.  Checkpoints
+Poses are JSON: rotation, translation and extra fields; rotations are
+re-validated on load.  A sample's pose.json needs a positive, finite
+``scale``, its landmarks.csv K >= 1 finite x,y,z rows and its mask.txt one
+0/1 label per intraoperative point.  Checkpoints
 are .npz archives of the parameters (and momentum) with a versioned JSON
 header carrying the step, both network configs and the generator state.
 """
@@ -194,16 +196,12 @@ def load_ply(path: str | Path) -> PointCloud:
 # poses, landmarks, masks
 # ---------------------------------------------------------------------------
 
-def save_pose(T: RigidTransform, path: str | Path, center=None,
-              scale: float | None = None, extra: dict | None = None) -> None:
+def save_pose(T: RigidTransform, path: str | Path, extra: dict | None = None) -> None:
+    """Write the pose, then the JSON fields of ``extra``, as one object."""
     doc = {
         "rotation": T.rotation.tolist(),
         "translation": T.translation.tolist(),
     }
-    if center is not None:
-        doc["center"] = np.asarray(center, dtype=float).tolist()
-    if scale is not None:
-        doc["scale"] = float(scale)
     if extra:
         doc.update(extra)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -255,8 +253,9 @@ def save_sample(sample: RegistrationSample, directory: str | Path) -> None:
     d.mkdir(parents=True, exist_ok=True)
     save_ply(sample.preoperative, d / "pre.ply")
     save_ply(sample.intraoperative, d / "intra.ply")
-    save_pose(sample.T_gt, d / "pose.json", center=sample.center,
-              scale=sample.scale, extra={"meta": sample.meta})
+    save_pose(sample.T_gt, d / "pose.json",
+              extra={"center": np.asarray(sample.center, dtype=float).tolist(),
+                     "scale": float(sample.scale), "meta": sample.meta})
     save_landmarks(sample.landmarks, d / "landmarks.csv")
     save_mask(sample.gt_mask, d / "mask.txt")
 
@@ -271,18 +270,21 @@ def load_sample(directory: str | Path) -> RegistrationSample:
     if landmarks.ndim != 2 or landmarks.shape[0] < 1 or landmarks.shape[1] != 3:
         raise ValueError(f"{d / 'landmarks.csv'}: need K >= 1 rows of x,y,z, "
                          f"got shape {landmarks.shape}")
+    if not np.isfinite(landmarks).all():
+        raise ValueError(f"{d / 'landmarks.csv'}: landmarks must be finite")
     if mask.shape != (len(intra),):
         raise ValueError(f"{d / 'mask.txt'}: need one entry per intraoperative point "
                          f"({len(intra)}), got {mask.size}")
-    scale = float(meta.get("scale", 0.2))  # 0.4 m extent fallback for foreign data
+    if not np.isin(mask, (0, 1)).all():
+        raise ValueError(f"{d / 'mask.txt'}: labels must be 0 or 1")
+    scale = meta.get("scale")
+    if type(scale) not in (int, float) or not 0 < scale < np.inf:
+        raise ValueError(f"{d / 'pose.json'}: need a positive, finite scale, got {scale!r}")
     center = np.asarray(meta.get("center", [0.0, 0.0, 0.0]))
-    extra = meta.get("meta", {})
-    if "scale" not in meta:
-        extra = dict(extra, assumed_scale=True)
     return RegistrationSample(
         preoperative=pre, intraoperative=intra, T_gt=T, landmarks=landmarks,
-        gt_mask=mask, scale=scale, center=center,
-        config=PhantomConfig(), meta=extra)
+        gt_mask=mask, scale=float(scale), center=center,
+        config=PhantomConfig(), meta=meta.get("meta", {}))
 
 
 def write_manifest(directory: str | Path, sample_dirs: list[str],

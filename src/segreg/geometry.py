@@ -1,11 +1,13 @@
 """Point-cloud containers, SE(3) transforms, and exact neighborhood queries.
 
-Coordinates are float64 throughout.  Neighbor queries are exact: one k-d
-tree query per table fetches a few more candidates per row than are kept,
-and the candidates are re-ranked on exact squared distances.  A row whose
-candidate list may have left out a point that belongs in it (a tie shell
-cut by the list's end) is recomputed by an exact per-row query.  Ties are
-always broken toward the lower support index so results are reproducible.
+Coordinates are float64 throughout.  A radius table pairs one pyramid
+level with itself; ``knn`` maps the points of a level onto the next.
+Neighbor queries are exact: one k-d tree query per table fetches a few more
+candidates per row than are kept, and the candidates are re-ranked on exact
+squared distances.  A row whose candidate list may have left out a point
+that belongs in it (a tie shell cut by the list's end) is recomputed by an
+exact per-row query.  Ties are always broken toward the lower index so
+results are reproducible.
 ``rotation_defects`` is the one rotation test, for every tolerance and stack.
 """
 
@@ -182,49 +184,43 @@ def voxel_grid_subsample(cloud: PointCloud, voxel_size: float
     return PointCloud(pos), inverse
 
 
-def radius_neighbors(query: PointCloud, support: PointCloud, radius: float,
-                     max_neighbors: int) -> np.ndarray:
-    """Exact fixed-radius neighbor table, nearest-first, shadow-padded.
+def radius_neighbors(cloud: PointCloud, radius: float, max_neighbors: int) -> np.ndarray:
+    """Exact fixed-radius table of a cloud against itself, shadow-padded.
 
-    Row i holds the indices of support points with ||s - q_i|| <= radius,
-    sorted by (distance, index) and truncated at ``max_neighbors``; unused
-    slots hold the shadow index len(support).
+    Row i holds the indices of points p with ||p - p_i|| <= radius, sorted
+    by (distance, index) and truncated at ``max_neighbors``; unused slots
+    hold the shadow index len(cloud).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if max_neighbors < 1:
         raise ValueError("max_neighbors must be at least 1")
-    ns = len(support)
-    q, s = query.positions, support.positions
-    tree = cKDTree(s)
-    ranked, unsure = _tree_ranked(tree, q, s, max_neighbors, radius)
-    table = np.full((len(query), max_neighbors), ns, dtype=np.int64)
+    n = len(cloud)
+    pts = cloud.positions
+    tree = cKDTree(pts)
+    ranked, unsure = _tree_ranked(tree, pts, pts, max_neighbors, radius)
+    table = np.full((n, max_neighbors), n, dtype=np.int64)
     table[:, :ranked.shape[1]] = ranked
     rows = np.flatnonzero(unsure)
-    for i, cand in zip(rows, tree.query_ball_point(q[rows], radius + 1e-12)):
-        row = _exact_row(q[i], s, np.asarray(cand, dtype=np.int64),
+    for i, cand in zip(rows, tree.query_ball_point(pts[rows], radius + 1e-12)):
+        row = _exact_row(pts[i], pts, np.asarray(cand, dtype=np.int64),
                          max_neighbors, radius * radius)
-        table[i] = ns
+        table[i] = n
         table[i, :row.size] = row
     return table
 
 
-def knn(query: PointCloud, support: PointCloud, k: int) -> np.ndarray:
-    """Exact k nearest support indices per query, distance-ascending.
+def knn(query: PointCloud, support: PointCloud) -> np.ndarray:
+    """Exact nearest support index per query point, (Nq,).
 
-    Ties are broken toward the lower index.  Needs k <= len(support).
+    Ties are broken toward the lower index.
     """
-    ns = len(support)
-    if k > ns:
-        raise ValueError(f"k={k} exceeds support size {ns}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     q, s = query.positions, support.positions
-    out, unsure = _tree_ranked(cKDTree(s), q, s, k)
-    every = np.arange(ns)
+    out, unsure = _tree_ranked(cKDTree(s), q, s, 1)
+    every = np.arange(len(support))
     for i in np.flatnonzero(unsure):
-        out[i] = _exact_row(q[i], s, every, k)
-    return out
+        out[i] = _exact_row(q[i], s, every, 1)
+    return out[:, 0]
 
 
 def _tree_ranked(tree: cKDTree, q: np.ndarray, s: np.ndarray, k: int,

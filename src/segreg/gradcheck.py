@@ -72,7 +72,8 @@ def _fd_error(rng, arrays, fn) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the table: rows (name, tolerance, input arrays, function of their tensors)
+# the table: rows (name, tolerance, input arrays, function of their tensors).
+# Each tolerance is 12-28x the largest error its row reached over seeds 0-29.
 # ---------------------------------------------------------------------------
 
 def _tensor_rows(rng):
@@ -84,31 +85,31 @@ def _tensor_rows(rng):
     index = np.array([0, 5, 5, 2, 6, 1, 4])   # 6 is the shadow row
     group = np.array([0, 0, 1, 3, 3, 3, 1])   # group 2 stays empty
     return [
-        ("add", 1e-5, [u(4, 5), u(4, 5)], lambda t: ad.add(*t)),
-        ("sub", 1e-5, [u(4, 5), u(4, 5)], lambda t: ad.sub(*t)),
-        ("mul", 1e-5, [u(4, 5), u(4, 5)], lambda t: ad.mul(*t)),
-        ("div", 1e-6, [u(4, 5), u(4, 5, lo=0.5)], lambda t: ad.div(*t)),
-        ("neg", 1e-6, [u(4, 5)], lambda t: ad.neg(t[0])),
-        ("exp", 1e-5, [u(4, 5)], lambda t: ad.exp(t[0])),
-        ("log", 1e-5, [u(4, 5, lo=0.3)], lambda t: ad.log(t[0])),
-        ("sqrt", 1e-6, [u(4, 5, lo=0.3)], lambda t: ad.sqrt(t[0])),
-        ("relu", 1e-5, [kinked], lambda t: ad.relu(t[0])),
-        ("matmul", 1e-6, [u(4, 5), u(5, 3)], lambda t: ad.matmul(*t)),
-        ("softmax", 1e-6, [u(3, 6)], lambda t: ad.softmax(t[0])),
-        ("sum_", 1e-6, [u(4, 5)], lambda t: ad.sum_(t[0], axis=1)),
-        ("mean_", 1e-6, [u(4, 5)], lambda t: ad.mean_(t[0], axis=0, keepdims=True)),
-        ("expand", 1e-6, [u(1, 4)], lambda t: ad.expand(t[0], (5, 4))),
-        ("reshape", 1e-6, [u(4, 5)], lambda t: ad.reshape(t[0], (2, 10))),
-        ("transpose2d", 1e-6, [u(4, 5)], lambda t: ad.transpose2d(t[0])),
-        ("concat", 1e-6, [u(4, 2), u(4, 3)], lambda t: ad.concat(t, axis=1)),
-        ("gather_rows", 1e-6, [u(6, 3)], lambda t: ad.gather_rows(t[0], index)),
-        ("scatter_mean", 1e-6, [u(7, 2)], lambda t: ad.scatter_mean(t[0], group, 4)),
+        ("add", 1e-9, [u(4, 5), u(4, 5)], lambda t: ad.add(*t)),
+        ("sub", 1e-9, [u(4, 5), u(4, 5)], lambda t: ad.sub(*t)),
+        ("mul", 1e-9, [u(4, 5), u(4, 5)], lambda t: ad.mul(*t)),
+        ("div", 5e-9, [u(4, 5), u(4, 5, lo=0.5)], lambda t: ad.div(*t)),
+        ("neg", 1e-9, [u(4, 5)], lambda t: ad.neg(t[0])),
+        ("exp", 2e-9, [u(4, 5)], lambda t: ad.exp(t[0])),
+        ("log", 5e-9, [u(4, 5, lo=0.3)], lambda t: ad.log(t[0])),
+        ("sqrt", 2e-9, [u(4, 5, lo=0.3)], lambda t: ad.sqrt(t[0])),
+        ("relu", 5e-10, [kinked], lambda t: ad.relu(t[0])),
+        ("matmul", 2e-9, [u(4, 5), u(5, 3)], lambda t: ad.matmul(*t)),
+        ("softmax", 5e-10, [u(3, 6)], lambda t: ad.softmax(t[0])),
+        ("sum_", 1e-9, [u(4, 5)], lambda t: ad.sum_(t[0], axis=1)),
+        ("mean_", 5e-10, [u(4, 5)], lambda t: ad.mean_(t[0], axis=0, keepdims=True)),
+        ("expand", 2e-9, [u(1, 4)], lambda t: ad.expand(t[0], (5, 4))),
+        ("reshape", 1e-9, [u(4, 5)], lambda t: ad.reshape(t[0], (2, 10))),
+        ("transpose2d", 1e-9, [u(4, 5)], lambda t: ad.transpose2d(t[0])),
+        ("concat", 2e-9, [u(4, 2), u(4, 3)], lambda t: ad.concat(t)),
+        ("gather_rows", 1e-9, [u(6, 3)], lambda t: ad.gather_rows(t[0], index)),
+        ("scatter_mean", 5e-10, [u(7, 2)], lambda t: ad.scatter_mean(t[0], group, 4)),
     ]
 
 
 def _stgs_rows(rng):
     g = sample_gumbel(5, 2, rng)
-    return [("gumbel_softmax_jacobian", 1e-6, [rng.uniform(-2, 2, (5, 2))],
+    return [("gumbel_softmax_jacobian", 5e-10, [rng.uniform(-2, 2, (5, 2))],
              lambda t: gumbel_softmax(t[0], g, 1.0))]
 
 
@@ -121,12 +122,11 @@ def _surface(rng, n, colors=False):
 
 def _kpconv_rows(rng):
     cloud = _surface(rng, 30)
-    nbr = radius_neighbors(cloud, cloud, 0.6, 8)
-    kern = kernel_disposition(6) * 0.6
-    infl = conv_influence(cloud.positions, cloud.positions, nbr, kern, 0.6 / SIGMA_RATIO)
-    return [("conv_feats_and_weights", 1e-5,
+    nbr = radius_neighbors(cloud, 0.6, 8)
+    infl = conv_influence(cloud.positions, nbr, kernel_disposition(6) * 0.6, 0.6 / SIGMA_RATIO)
+    return [("conv_feats_and_weights", 1e-8,
              [rng.uniform(-2, 2, (30, 3)), rng.uniform(-2, 2, (6, 3, 4))],
-             lambda t: kpconv_apply(infl, nbr, 30, *t))]
+             lambda t: kpconv_apply(infl, nbr, *t))]
 
 
 _TOY_SEG = SegNetConfig(widths=(2, 2, 2, 2, 2), width_factor=1.0,
@@ -138,7 +138,7 @@ def _network_rows(rng):
     ctx = build_context(_surface(rng, 50, colors=True), _TOY_SEG)
     params = init_seg_params(_TOY_SEG, rng)
     names = sorted(params)
-    return [("seg_forward_all_params", 1e-4, [params[n].data for n in names],
+    return [("seg_forward_all_params", 5e-6, [params[n].data for n in names],
              lambda t: seg_forward(dict(zip(names, t)), ctx))]
 
 
@@ -155,13 +155,13 @@ def _matcher_rows(rng):
     n_rows, n_cols = np.array([5, 3]), np.array([4, 5])
     gt_cols = np.array([[1, -1, 3, -1, -1], [0, 4, -1, -1, -1]])
     return [
-        ("coarse_circle_loss", 1e-5, [rng.normal(size=(6, 4)), rng.normal(size=(6, 4))],
+        ("coarse_circle_loss", 5e-9, [rng.normal(size=(6, 4)), rng.normal(size=(6, 4))],
          lambda t: coarse_loss(l2_normalize_rows(t[0]), l2_normalize_rows(t[1]), overlap)),
-        ("patch_scores", 1e-5, [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))],
+        ("patch_scores", 1e-9, [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))],
          lambda t: patch_scores(t[0], t[1], view, view, pairs)),
-        ("normalize_scores_with_slack", 1e-5, [rng.normal(size=(2, 6, 6))],
+        ("normalize_scores_with_slack", 1e-9, [rng.normal(size=(2, 6, 6))],
          lambda t: normalize_scores_with_slack(t[0], n_rows, n_cols)),
-        ("fine_nll_loss", 1e-5, [rng.normal(size=(2, 6, 6))],
+        ("fine_nll_loss", 1e-9, [rng.normal(size=(2, 6, 6))],
          lambda t: fine_loss(normalize_scores_with_slack(t[0], n_rows, n_cols),
                              gt_cols, n_rows, n_cols)),
     ]

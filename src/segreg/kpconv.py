@@ -1,14 +1,15 @@
 """Kernel-point convolution and multi-resolution point pyramids.
 
-The convolution at a query point sums, over its radius neighborhood, each
+The convolution at a point sums, over its radius neighborhood, each
 neighbor's feature vector weighted by a linear-correlation kernel evaluated
 at the neighbor's offset: g(y) = sum_k max(0, 1 - |y - p_k| / sigma) W_k.
-Shadow neighbors (padding) contribute nothing.  The operation is fused into
-a single tape node with a hand-written backward for speed; the feature
-gradient is one :func:`~segreg.autodiff.scatter_add_rows` over the real
-neighbor slots.  The influence tables are frozen geometry built once per
-cloud, a block of query rows at a time, so building them never holds a
-full-size float64 temporary.
+Tables and convolutions are per pyramid level, the level against itself
+(levels are pooled by voxel provenance, not strided convolutions).  Shadow
+neighbors (padding) contribute nothing.  The operation is one tape node
+with a hand-written backward; the feature gradient is one
+:func:`~segreg.autodiff.scatter_add_rows` over the real neighbor slots.
+The influence tables are frozen geometry built once per cloud, a block of
+rows at a time, so building them never holds a full-size float64 temporary.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ __all__ = [
 SIGMA_RATIO = 1.5  # kernel influence extent = layer radius / SIGMA_RATIO
 MIN_LEVEL_POINTS = 4  # fewer on a coarser pyramid level: SparseCloudError
 
-_INFLUENCE_BLOCK = 128  # query rows per pass in conv_influence
+_INFLUENCE_BLOCK = 128  # rows per pass in conv_influence
+_REPULSE_STEPS, _REPULSE_LR = 1000, 0.01  # descent of a kernel layout
 
 _DISPOSITION_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -54,7 +56,7 @@ def kernel_disposition(k: int, seed: int = 0) -> np.ndarray:
     return _DISPOSITION_CACHE[key].copy()
 
 
-def _repulse(k: int, seed: int, steps: int = 1000, lr: float = 0.01) -> np.ndarray:
+def _repulse(k: int, seed: int) -> np.ndarray:
     if k == 1:
         return np.zeros((1, 3))
     rng = np.random.default_rng(seed)
@@ -62,7 +64,7 @@ def _repulse(k: int, seed: int, steps: int = 1000, lr: float = 0.01) -> np.ndarr
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     pts = direction * rng.uniform(0.3, 1.0, size=(k - 1, 1)) ** (1.0 / 3.0)
     pts = np.vstack([np.zeros(3), pts])
-    for _ in range(steps):
+    for _ in range(_REPULSE_STEPS):
         diff = pts[:, None, :] - pts[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         np.fill_diagonal(d2, 1.0)
@@ -70,45 +72,44 @@ def _repulse(k: int, seed: int, steps: int = 1000, lr: float = 0.01) -> np.ndarr
         grad = -np.sum(diff / (d2[:, :, None] ** 1.5), axis=1)
         norms = np.linalg.norm(grad, axis=1, keepdims=True)
         grad = grad / np.maximum(norms, 1.0) * np.minimum(norms, 10.0)
-        pts[1:] -= lr * grad[1:]
+        pts[1:] -= _REPULSE_LR * grad[1:]
         r = np.linalg.norm(pts[1:], axis=1, keepdims=True)
         pts[1:] /= np.maximum(r, 1.0)
     return pts
 
 
-def conv_influence(query: np.ndarray, support: np.ndarray, neighbors: np.ndarray,
-                   kernel: np.ndarray, sigma: float,
-                   frames: np.ndarray | None = None) -> np.ndarray:
-    """Correlation weights (Nq, K, H) of each kernel point on each neighbor.
+def conv_influence(points: np.ndarray, neighbors: np.ndarray, kernel: np.ndarray,
+                   sigma: float, frames: np.ndarray | None = None) -> np.ndarray:
+    """Correlation weights (N, K, H) of each kernel point on each neighbor.
 
-    ``kernel`` is the (K, 3) unit-ball layout of :func:`kernel_disposition`
-    multiplied by the layer radius.  Shadow slots (index == len(support))
-    get all-zero influence.  With ``frames`` (Nq, 3, 3), neighbor offsets
-    are expressed in each query's local reference frame before kernel
-    correlation, which makes the convolution rotation-invariant.  Stored as
+    ``neighbors`` is the (N, H) radius table of ``points`` against
+    themselves; ``kernel`` is the (K, 3) layout of :func:`kernel_disposition`
+    times the layer radius.  Shadow slots (index == N) get all-zero
+    influence.  With ``frames`` (N, 3, 3), offsets are expressed in each
+    point's local frame before kernel correlation, which makes the
+    convolution rotation-invariant.  Stored as
     float32: influence is frozen geometry, and the compact dtype keeps
     cached tables small; the weights are computed in float64.
 
-    Rows are evaluated ``_INFLUENCE_BLOCK`` queries at a time: a block's
+    Rows are evaluated ``_INFLUENCE_BLOCK`` points at a time: a block's
     offsets are gathered (and rotated), its squared distances are summed
     one axis at a time into a reused (rows, K, H) float64 buffer and
     finished in place, and the block is rounded into the float32 output.
-    Evaluating all rows at once would hold up to four (Nq, K, H) float64
+    Evaluating all rows at once would hold up to four (N, K, H) float64
     temporaries, and they would set both the time and the memory peak of
     building a pyramid's tables.  Each row goes through the same operations
     in the same order at any block size, so the table does not depend on it.
     """
-    ns = support.shape[0]
-    nq, h = neighbors.shape
+    n, h = neighbors.shape
     k = kernel.shape[0]
-    valid = neighbors < ns
+    valid = neighbors < n
     safe = np.where(valid, neighbors, 0)
-    out = np.empty((nq, k, h), dtype=np.float32)
-    rows = min(nq, _INFLUENCE_BLOCK)
+    out = np.empty((n, k, h), dtype=np.float32)
+    rows = min(n, _INFLUENCE_BLOCK)
     d2_buf, sq_buf = np.empty((rows, k, h)), np.empty((rows, k, h))
-    for start in range(0, nq, _INFLUENCE_BLOCK):
+    for start in range(0, n, _INFLUENCE_BLOCK):
         block = slice(start, start + _INFLUENCE_BLOCK)
-        rel = support[safe[block]] - query[block, None, :]   # (B, H, 3)
+        rel = points[safe[block]] - points[block, None, :]   # (B, H, 3)
         if frames is not None:
             rel = np.einsum("qij,qhj->qhi", frames[block], rel)
         d2, sq = d2_buf[:len(rel)], sq_buf[:len(rel)]
@@ -161,41 +162,41 @@ def local_reference_frames(points: np.ndarray, neighbors: np.ndarray,
     return frames
 
 
-def kpconv_apply(influence: np.ndarray, neighbors: np.ndarray, ns: int,
+def kpconv_apply(influence: np.ndarray, neighbors: np.ndarray,
                  feats: Tensor, weights: Tensor) -> Tensor:
-    """Apply the convolution given precomputed influence weights.
+    """Apply the convolution of one level given its influence weights.
 
-    ``influence`` is (Nq, K, H) from :func:`conv_influence`; ``feats`` is
-    (Ns, Cin); ``weights`` is (K, Cin, Cout).  Differentiable in feats and
-    weights; the influence table is geometry and carries no gradient.
+    ``influence`` (N, K, H) and ``neighbors`` (N, H) are the level's tables;
+    ``feats`` is (N, Cin), so the shadow index is N; ``weights`` is
+    (K, Cin, Cout).  Differentiable in feats and weights only.
     """
-    nq, k, h = influence.shape
+    n, k, h = influence.shape
     cin = feats.data.shape[1]
     if weights.data.ndim != 3 or weights.data.shape[:2] != (k, cin):
         raise ValueError(
             f"weights {weights.data.shape} incompatible with kernel size {k} "
             f"and {cin} input channels"
         )
-    if feats.data.shape[0] != ns:
-        raise ValueError("feats rows must match the support size")
+    if feats.data.shape[0] != n:
+        raise ValueError("feats rows must match the influence rows")
     cout = weights.data.shape[2]
-    valid = neighbors < ns
+    valid = neighbors < n
     safe = np.where(valid, neighbors, 0)
-    gathered = feats.data[safe] * valid[:, :, None]   # (Nq, H, Cin)
+    gathered = feats.data[safe] * valid[:, :, None]   # (N, H, Cin)
     infl64 = influence.astype(np.float64)
-    mixed = np.matmul(infl64, gathered)               # (Nq, K, Cin)
+    mixed = np.matmul(infl64, gathered)               # (N, K, Cin)
     w_flat = weights.data.reshape(k * cin, cout)
-    out = mixed.reshape(nq, k * cin) @ w_flat
+    out = mixed.reshape(n, k * cin) @ w_flat
     requires = feats.requires_grad or weights.requires_grad
 
     def bwd(g):
         if weights.requires_grad:
-            gw = mixed.reshape(nq, k * cin).T @ g
+            gw = mixed.reshape(n, k * cin).T @ g
             accumulate_grad(weights, gw.reshape(k, cin, cout))
         if feats.requires_grad:
-            g_mixed = (g @ w_flat.T).reshape(nq, k, cin)
+            g_mixed = (g @ w_flat.T).reshape(n, k, cin)
             g_gathered = np.matmul(infl64.transpose(0, 2, 1), g_mixed)
-            gf = scatter_add_rows(neighbors[valid], g_gathered[valid], ns)
+            gf = scatter_add_rows(neighbors[valid], g_gathered[valid], n)
             accumulate_grad(feats, gf)
 
     return record_custom(out, requires, bwd)
@@ -236,7 +237,7 @@ class PointPyramid:
 
 
 class SparseCloudError(ValueError):
-    """The input cloud is too sparse for the configured pyramid depth."""
+    """The input cloud has too few points for the method."""
 
 
 def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
@@ -258,12 +259,9 @@ def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
                 f"(minimum {MIN_LEVEL_POINTS})"
             )
         pools.append(prov)
-        ups.append(knn(levels[-1], nxt, 1)[:, 0])
+        ups.append(knn(levels[-1], nxt))
         levels.append(nxt)
         voxels.append(voxel)
     radii = [base_radius_mult * v for v in voxels]
-    neighbors = [
-        radius_neighbors(lvl, lvl, r, max_neighbors)
-        for lvl, r in zip(levels, radii)
-    ]
+    neighbors = [radius_neighbors(lvl, r, max_neighbors) for lvl, r in zip(levels, radii)]
     return PointPyramid(levels, radii, neighbors, pools, ups, input_prov, cloud)

@@ -176,14 +176,14 @@ def normalize_counts(counts: np.ndarray) -> np.ndarray:
 
 
 def superpoint_overlap_labels(pre: PatchedSuperpoints, intra: PatchedSuperpoints,
-                              T_gt: RigidTransform, patch_radius: float) -> np.ndarray:
+                              T_gt: RigidTransform) -> np.ndarray:
     """Overlap matrix: entry (a, b) is the fraction of pre-patch a's points
-    that land within ``patch_radius`` of intra-patch b after the true pose."""
+    that land within OVERLAP_PATCH_RADIUS of intra-patch b under ``T_gt``."""
     mp, mi = pre.points.shape[0], intra.points.shape[0]
     members = pre.valid
     owner = np.nonzero(members)[0]                  # pre superpoint per patch point
     moved = T_gt.apply_points(pre.fine_points)[pre.patch_indices[members]]
-    hits = cKDTree(intra.fine_points).query_ball_point(moved, patch_radius)
+    hits = cKDTree(intra.fine_points).query_ball_point(moved, OVERLAP_PATCH_RADIUS)
     counts = np.fromiter(map(len, hits), np.int64, len(hits))
     hit = np.fromiter(itertools.chain.from_iterable(hits), np.int64, counts.sum())
     point = np.repeat(np.arange(len(hits)), counts)
@@ -194,9 +194,9 @@ def superpoint_overlap_labels(pre: PatchedSuperpoints, intra: PatchedSuperpoints
     return overlap.reshape(mp, mi) / pre.sizes[:, None]
 
 
-def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray, k_corr: int,
+def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray,
                  geom_bonus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Select top superpoint pairs by dual-softmax score.
+    """Select the top ``K_CORR`` superpoint pairs by dual-softmax score.
 
     Features must carry L2-normalized rows.  The similarity is the feature
     inner product plus ``BONUS_WEIGHT`` times the (M_pre, M_intra)
@@ -207,7 +207,7 @@ def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray, k_corr: int,
     """
     sim = Tensor(pre_feats @ intra_feats.T + BONUS_WEIGHT * geom_bonus)
     score = ad.softmax(sim, axis=1).data * ad.softmax(sim, axis=0).data
-    k = min(k_corr, score.size)
+    k = min(K_CORR, score.size)
     order = np.argsort(-score.reshape(-1), kind="stable")[:k]
     pairs = np.stack(np.unravel_index(order, score.shape), axis=1)
     return pairs, score.reshape(-1)[order]

@@ -103,9 +103,8 @@ def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> Backbo
         pos = pyramid.levels[level].positions
         frames = (local_reference_frames(pos, pyramid.neighbors[level])
                   if use_frames else None)
-        influences.append(conv_influence(pos, pos, pyramid.neighbors[level],
-                                         kernel * radius, radius / SIGMA_RATIO,
-                                         frames=frames))
+        influences.append(conv_influence(pos, pyramid.neighbors[level], kernel * radius,
+                                         radius / SIGMA_RATIO, frames=frames))
     return BackboneContext(pyramid, influences)
 
 
@@ -224,8 +223,7 @@ def _norm_act(params: dict[str, Tensor], name: str, y: Tensor) -> Tensor:
 
 
 def _conv_block(params, name, ctx: BackboneContext, level: int, feats: Tensor) -> Tensor:
-    ns = len(ctx.pyramid.levels[level])
-    y = kpconv_apply(ctx.influences[level], ctx.pyramid.neighbors[level], ns,
+    y = kpconv_apply(ctx.influences[level], ctx.pyramid.neighbors[level],
                      feats, params[f"{name}_w"])
     return _norm_act(params, name, y)
 
@@ -254,8 +252,7 @@ def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor
     bottleneck = feats
     for l in range(pyr.stages - 2, -1, -1):
         up = ad.gather_rows(feats, pyr.ups[l])
-        feats = _linear_block(params, f"{prefix}_dec{l}",
-                              ad.concat([up, skips[l]], axis=1))
+        feats = _linear_block(params, f"{prefix}_dec{l}", ad.concat([up, skips[l]]))
     return bottleneck, feats
 
 

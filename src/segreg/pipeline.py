@@ -29,8 +29,6 @@ from segreg.autodiff import Tensor
 from segreg.geometry import RigidTransform
 from segreg.gumbel import hard_mask
 from segreg.matching import (
-    K_CORR,
-    OVERLAP_PATCH_RADIUS,
     POSITIVE_OVERLAP,
     DualLoss,
     PatchedSuperpoints,
@@ -113,8 +111,7 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
     prepared = PreparedSample(sample, seg_ctx, reg_ctx_pre, reg_ctx_intra,
                               pre_view, intra_view, sample_id=sample_id)
     if with_ground_truth:
-        overlap = superpoint_overlap_labels(pre_view, intra_view, sample.T_gt,
-                                            OVERLAP_PATCH_RADIUS)
+        overlap = superpoint_overlap_labels(pre_view, intra_view, sample.T_gt)
         prepared.overlap = overlap
         pairs = np.argwhere(overlap > POSITIVE_OVERLAP)
         cols = ground_truth_patch_matches(pre_view, intra_view, pairs, sample.T_gt,
@@ -195,7 +192,7 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
 
     pre_view, intra_view = prepared.pre_view, prepared.intra_view
     bonus = distance_histograms(pre_view) @ distance_histograms(intra_view).T
-    pairs, scores = coarse_match(sp_pre.data, sp_intra.data, K_CORR, geom_bonus=bonus)
+    pairs, scores = coarse_match(sp_pre.data, sp_intra.data, geom_bonus=bonus)
     pre_idx, intra_idx, weights = fine_match(dense_pre.data, dense_intra.data, pairs,
                                              pre_view, intra_view)
     fine = (pre_view.fine_points[pre_idx], intra_view.fine_points[intra_idx], weights)

@@ -9,8 +9,8 @@ the padded stack replaced; ``scalar_weighted_procrustes`` is the one-set solve t
 ``register_pair``'s pose chain on index-gathered matches over it, and the
 ``loop_*`` functions are the per-patch and per-pair loops that the patch
 table replaced, over patches stored as a list of index arrays
-(``LoopPatches``).  ``oneshot_conv_influence`` evaluates every query row of
-an influence table at once, as ``kpconv.conv_influence`` did before it
+(``LoopPatches``).  ``oneshot_conv_influence`` evaluates every row of an
+influence table at once, as ``kpconv.conv_influence`` did before it
 worked in row blocks, and ``unique_voxel_grid_subsample`` groups voxels with
 ``np.unique(axis=0)``, as ``geometry.voxel_grid_subsample`` did before it
 sorted its keys.  Tests require the library versions to match them bit for
@@ -37,12 +37,11 @@ def add_at_rows(index, values, n):
     return out
 
 
-def oneshot_conv_influence(query, support, neighbors, kernel, sigma, frames=None):
-    """``conv_influence`` on all rows at once: (Nq, K, H) float64 temporaries."""
-    ns = support.shape[0]
-    valid = neighbors < ns
+def oneshot_conv_influence(points, neighbors, kernel, sigma, frames=None):
+    """``conv_influence`` on all rows at once: (N, K, H) float64 temporaries."""
+    valid = neighbors < points.shape[0]
     safe = np.where(valid, neighbors, 0)
-    rel = support[safe] - query[:, None, :]          # (Nq, H, 3)
+    rel = points[safe] - points[:, None, :]          # (N, H, 3)
     if frames is not None:
         rel = np.einsum("qij,qhj->qhi", frames, rel)
     d2 = np.zeros((rel.shape[0], kernel.shape[0], rel.shape[1]))

@@ -205,20 +205,19 @@ def test_icp_on_the_oracle_bone_points_lands_within_a_millimetre(seed):
 def test_estimate_normals_of_noisy_plane_are_vertical():
     rng = np.random.default_rng(20)
     pos = np.column_stack([rng.uniform(-1, 1, (500, 2)), 1e-3 * rng.normal(size=500)])
-    normals = estimate_normals(PointCloud(pos), NORMAL_NEIGHBORS)
+    normals = estimate_normals(PointCloud(pos))
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
     assert np.min(np.abs(normals[:, 2])) > 0.99
 
 
 def test_estimate_normals_match_per_point_covariance_eigenvectors():
     cloud = bumpy_surface(np.random.default_rng(21))
-    k = 12
-    _, nn = cKDTree(cloud.positions).query(cloud.positions, k=k)
+    _, nn = cKDTree(cloud.positions).query(cloud.positions, k=NORMAL_NEIGHBORS)
     reference = np.empty((len(cloud), 3))
     for i, idx in enumerate(nn):
         block = cloud.positions[idx] - cloud.positions[idx].mean(axis=0)
         reference[i] = np.linalg.eigh(block.T @ block)[1][:, 0]
-    dots = np.abs(np.sum(estimate_normals(cloud, k) * reference, axis=1))
+    dots = np.abs(np.sum(estimate_normals(cloud) * reference, axis=1))
     assert np.min(dots) >= 1.0 - 1e-12
 
 
@@ -227,7 +226,7 @@ def test_estimate_normals_match_per_point_covariance_eigenvectors():
 def loop_descriptors(cloud, radius):
     """One ball query and two np.histogram calls per point."""
     bins = DESCRIPTOR_BINS
-    normals = estimate_normals(cloud, NORMAL_NEIGHBORS)
+    normals = estimate_normals(cloud)
     neighborhoods = cKDTree(cloud.positions).query_ball_point(cloud.positions, radius)
     desc = np.zeros((len(cloud), 2 * bins))
     d_edges = np.linspace(0.0, radius, bins + 1)
@@ -333,7 +332,7 @@ def test_local_descriptors_match_loop_on_small_phantom():
 
 def test_local_descriptors_match_loop_on_lattice_bin_edges():
     cloud = lattice_cloud()
-    normals = np.abs(estimate_normals(cloud, NORMAL_NEIGHBORS)[:-1])
+    normals = np.abs(estimate_normals(cloud)[:-1])
     assert np.array_equal(np.unique(normals, axis=0), [[0, 0, 1], [1, 0, 0]])
     pairs = cKDTree(cloud.positions).query_pairs(1.0, output_type="ndarray")
     d = np.linalg.norm(cloud.positions[pairs[:, 0]] - cloud.positions[pairs[:, 1]], axis=1)

@@ -132,6 +132,18 @@ def test_register_baseline_with_emit_mask_exits_with_usage_error(tmp_path):
     assert not (tmp_path / "mask.ply").exists()
 
 
+@pytest.mark.parametrize("baseline, n_points", [("icp", 2), ("ransac_icp", 8)])
+def test_register_baseline_on_too_few_points_exits_with_data_error(tmp_path, baseline,
+                                                                   n_points, capsys):
+    pre, intra = small_pair_on_disk(tmp_path)
+    save_ply(PointCloud(load_ply(pre).positions[:n_points]), pre)
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--baseline", baseline])
+    assert code == EXIT_DATA
+    assert "cannot register inputs" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
 def test_register_ransac_icp_baseline_matches_in_process_call(tmp_path):
     pre, intra = small_pair_on_disk(tmp_path)
     assert main(["register", "--pre", str(pre), "--intra", str(intra),
@@ -512,6 +524,29 @@ def truncate_mask(data):
     path.write_text("\n".join(path.read_text().split()[:-1]) + "\n")
 
 
+def pose_scale(scale):
+    """Set the scale in the sample's pose.json; None drops it."""
+    def damage(data):
+        path = data / "sample_0000" / "pose.json"
+        doc = json.loads(path.read_text())
+        doc.pop("scale")
+        if scale is not None:
+            doc["scale"] = scale
+        path.write_text(json.dumps(doc))
+    return damage
+
+
+def nan_landmark(data):
+    path = data / "sample_0000" / "landmarks.csv"
+    path.write_text(path.read_text() + "nan,0.0,0.0\n")
+
+
+def non_binary_mask(data):
+    path = data / "sample_0000" / "mask.txt"
+    labels = path.read_text().split()
+    path.write_text("\n".join(["7"] + labels[1:]) + "\n")
+
+
 def two_column_landmarks(data):
     (data / "sample_0000" / "landmarks.csv").write_text("x,y\n0.1,0.2\n0.3,0.4\n")
 
@@ -527,6 +562,10 @@ BAD_DATASETS = {
     "samples_not_a_list": (write_manifest_text(
         '{"format_version": 1, "samples": 1}'), "eval"),
     "mask_shorter_than_intra_cloud": (truncate_mask, "train"),
+    "mask_label_not_binary": (non_binary_mask, "train"),
+    "pose_without_scale": (pose_scale(None), "eval"),
+    "negative_scale": (pose_scale(-0.2), "eval"),
+    "nan_landmark": (nan_landmark, "eval"),
     "landmarks_not_xyz": (two_column_landmarks, "eval"),
     "no_landmarks": (header_only_landmarks, "eval"),
 }
@@ -631,3 +670,31 @@ def test_two_step_train_reports_phase1_accuracy_per_sample(tmp_path):
     assert all(0.0 <= a <= 1.0 for a in accs)
     assert accs[2] == pytest.approx(np.mean(accs[:2]), abs=2e-4)  # 4-decimal rounding
     assert (out / "checkpoint_000002.npz").exists()
+
+
+@pytest.mark.parametrize("n_samples", ["0", "-2"])
+def test_generate_without_samples_exits_with_usage_error(tmp_path, n_samples, capsys):
+    code = main(["generate", "--out", str(tmp_path / "data"), "--n-samples", n_samples])
+    assert code == EXIT_USAGE
+    assert "--n-samples must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "register", "eval"])
+def test_command_with_an_unwritable_out_exits_with_data_error(tmp_path, command, capsys):
+    identity = json.dumps({"rotation": np.eye(3).tolist(), "translation": [0, 0, 0]})
+    data, preds = dataset_with_prediction(tmp_path, identity)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"        # a directory under a regular file
+    args = {
+        "generate": ["generate", "--out", str(out), "--n-samples", "1",
+                     "--n-vertebrae", "2", "--points-pre", "1024", "--points-intra", "512"],
+        "register": ["register", "--pre", str(data / "sample_0000" / "pre.ply"),
+                     "--intra", str(data / "sample_0000" / "intra.ply"),
+                     "--out", str(out / "pose.json"), "--baseline", "icp"],
+        "eval": ["eval", "--dataset", str(data), "--predictions", str(preds),
+                 "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    assert "cannot write outputs" in capsys.readouterr().err

@@ -184,12 +184,12 @@ def test_voxel_sorted_grouping_equals_unique_grouping():
 
 # -- neighbor queries --------------------------------------------------------
 
-def brute_radius(query, support, radius, max_neighbors):
-    ns = len(support)
-    table = np.full((len(query), max_neighbors), ns, dtype=np.int64)
-    for i, q in enumerate(query.positions):
+def brute_radius(cloud, radius, max_neighbors):
+    n = len(cloud)
+    table = np.full((n, max_neighbors), n, dtype=np.int64)
+    for i, q in enumerate(cloud.positions):
         cand = []
-        for j, s in enumerate(support.positions):
+        for j, s in enumerate(cloud.positions):
             d2 = float(np.sum((s - q) ** 2))
             if d2 <= radius * radius:
                 cand.append((d2, j))
@@ -201,23 +201,22 @@ def brute_radius(query, support, radius, max_neighbors):
 
 def test_radius_self_neighbor():
     cloud = PointCloud([[0.0, 0.0, 0.0]])
-    table = radius_neighbors(cloud, cloud, 0.5, 3)
+    table = radius_neighbors(cloud, 0.5, 3)
     np.testing.assert_array_equal(table, [[0, 1, 1]])
 
 
 def test_radius_no_support_in_range_gives_shadow_row():
-    q = PointCloud([[0.0, 0.0, 0.0]])
-    s = PointCloud([[10.0, 0.0, 0.0]])
-    table = radius_neighbors(q, s, 0.5, 2)
-    np.testing.assert_array_equal(table, [[1, 1]])
+    # each point's only neighbor within the radius is itself
+    cloud = PointCloud([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    table = radius_neighbors(cloud, 0.5, 2)
+    np.testing.assert_array_equal(table, [[0, 2], [1, 2]])
 
 
 def test_radius_matches_brute_force():
     rng = np.random.default_rng(10)
-    q = random_cloud(rng, 500)
-    s = random_cloud(rng, 500)
-    got = radius_neighbors(q, s, 0.2, 12)
-    want = brute_radius(q, s, 0.2, 12)
+    cloud = random_cloud(rng, 500)
+    got = radius_neighbors(cloud, 0.2, 12)
+    want = brute_radius(cloud, 0.2, 12)
     np.testing.assert_array_equal(got, want)
 
 
@@ -232,9 +231,16 @@ def test_radius_cap_cutting_a_tie_shell_keeps_lower_indices(fallback_rows):
     # sqrt 2); a cap of 10 cuts the sqrt-2 shell, so the tree's candidate
     # list ends inside a tie and those rows must be recomputed exactly
     cloud = PointCloud(shuffled_lattice(np.random.default_rng(13)))
-    got = radius_neighbors(cloud, cloud, 1.5, 10)
-    np.testing.assert_array_equal(got, brute_radius(cloud, cloud, 1.5, 10))
+    got = radius_neighbors(cloud, 1.5, 10)
+    np.testing.assert_array_equal(got, brute_radius(cloud, 1.5, 10))
     assert len(fallback_rows) > 0
+
+
+def brute_nearest(query, support):
+    """Nearest support index per query by (squared distance, index)."""
+    return np.array([min((float(np.sum((sp - qp) ** 2)), j)
+                         for j, sp in enumerate(support.positions))[1]
+                     for qp in query.positions])
 
 
 def test_knn_equidistant_support_picks_lowest_index(fallback_rows):
@@ -246,48 +252,36 @@ def test_knn_equidistant_support_picks_lowest_index(fallback_rows):
                                      support.positions) == 9.0)
     assert shell.size == 30
     query = PointCloud(np.vstack([np.zeros(3), [[0.5, 0.5, 0.5], [4.0, 4.0, 0.0]]]))
-    got = knn(query, support, 1)
-    assert got[0, 0] == shell.min()
-    for i, qp in enumerate(query.positions):
-        d2 = [(float(np.sum((sp - qp) ** 2)), j) for j, sp in enumerate(support.positions)]
-        assert got[i, 0] == min(d2)[1]
+    got = knn(query, support)
+    assert got[0] == shell.min()
+    np.testing.assert_array_equal(got, brute_nearest(query, support))
     assert len(fallback_rows) > 0
 
 
 def test_knn_exact_match_and_tie_rule():
     q = PointCloud([[0.0, 0.0, 0.0]])
     s = PointCloud([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    np.testing.assert_array_equal(knn(q, s, 1), [[1]])
-    # indices 0 and 2 are equidistant; lower index first
-    np.testing.assert_array_equal(knn(q, s, 3), [[1, 0, 2]])
+    np.testing.assert_array_equal(knn(q, s), [1])
+    # indices 0 and 2 are equidistant and nearest; the lower index wins
+    s = PointCloud([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(knn(q, s), [0])
 
 
 def test_knn_matches_brute_force():
     rng = np.random.default_rng(11)
     q = random_cloud(rng, 300)
     s = random_cloud(rng, 400)
-    got = knn(q, s, 7)
-    for i, qp in enumerate(q.positions):
-        d2 = [(float(np.sum((sp - qp) ** 2)), j) for j, sp in enumerate(s.positions)]
-        want = [j for _, j in sorted(d2)[:7]]
-        np.testing.assert_array_equal(got[i], want)
-
-
-def test_knn_rejects_k_too_large():
-    cloud = PointCloud(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        knn(cloud, cloud, 4)
+    np.testing.assert_array_equal(knn(q, s), brute_nearest(q, s))
 
 
 def test_neighbor_queries_exact_on_larger_clouds():
     rng = np.random.default_rng(12)
-    q = random_cloud(rng, 2000)
-    s = random_cloud(rng, 2000)
+    cloud = random_cloud(rng, 2000)
     radius, cap = 0.15, 20
-    got = radius_neighbors(q, s, radius, cap)
+    got = radius_neighbors(cloud, radius, cap)
     # spot-check 100 random rows against an independent scan
     for i in rng.choice(2000, size=100, replace=False):
-        diff = s.positions - q.positions[i]
+        diff = cloud.positions - cloud.positions[i]
         d2 = np.einsum("ij,ij->i", diff, diff)
         inside = sorted((float(d2[j]), j) for j in range(2000) if d2[j] <= radius**2)
         want = [j for _, j in inside[:cap]]

@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -529,3 +530,94 @@ def test_except_scan_sees_handlers_by_enclosing_function():
                      "        except:\n            b\n"
                      "'''except in a docstring'''\n")
     assert _except_scopes(tree) == [("<module>", 3), ("f", 8), ("f.g", 12), ("K.m", 18)]
+
+
+# parameters that every package and benchmark call passes one constant, with the reason
+ONE_CONSTANT_PARAMETERS_ALLOWED = {
+    "geometry.random_rigid.max_translation": "geometry must not import phantom's pose bounds",
+    "geometry.random_rigid.max_rotation_deg": "geometry must not import phantom's pose bounds",
+    "phantom.mm_to_units.mm": "a unit conversion of the caller's data",
+}
+
+_CONSTANT_NAME = re.compile(r"[A-Z][A-Z0-9_]+")
+
+
+def _constant_key(node: ast.expr):
+    """``("name", id)`` for an UPPER_CASE name of 2 or more characters,
+    ``("literal", repr)`` for a literal, None for anything else."""
+    if isinstance(node, ast.Name):
+        return ("name", node.id) if _CONSTANT_NAME.fullmatch(node.id) else None
+    try:
+        return ("literal", repr(ast.literal_eval(node)))
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def _argument_keys(fn: ast.FunctionDef, call: ast.Call) -> dict[str, object]:
+    """Parameter -> ``_constant_key`` of what ``call`` passes it, or of its
+    default where the call passes nothing; None where a ``*`` or ``**``
+    argument hides what it gets."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    defaults = {p.arg: d for p, d in zip(positional[len(positional) - len(a.defaults):],
+                                         a.defaults)}
+    defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+    explicit = {}
+    for p, arg in zip(positional, call.args):
+        if isinstance(arg, ast.Starred):
+            break
+        explicit[p.arg] = arg
+    explicit.update((kw.arg, kw.value) for kw in call.keywords if kw.arg is not None)
+    hidden = (any(isinstance(arg, ast.Starred) for arg in call.args)
+              or any(kw.arg is None for kw in call.keywords))
+    keys = {}
+    for p in positional + a.kwonlyargs:
+        node = explicit.get(p.arg, None if hidden else defaults.get(p.arg))
+        keys[p.arg] = None if node is None else _constant_key(node)
+    return keys
+
+
+def _one_constant_parameters(defs: dict[str, ast.Module], calls: list[ast.Module]
+                             ) -> list[str]:
+    """``module.function.parameter`` of every public module-level function in
+    ``defs`` (module prefix -> tree) that every call in ``calls`` passes the
+    same constant.  Calls are matched by the called name only."""
+    by_name: dict[str, list] = {}
+    for prefix, tree in defs.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                by_name.setdefault(node.name, []).append((f"{prefix}.{node.name}", node))
+    keys: dict[str, set] = {}
+    for tree in calls:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            for qualified, fn in by_name.get(name, ()):
+                for param, key in _argument_keys(fn, call).items():
+                    keys.setdefault(f"{qualified}.{param}", set()).add(key)
+    return sorted(name for name, seen in keys.items() if len(seen) == 1 and None not in seen)
+
+
+def test_no_parameter_always_takes_one_constant():
+    """A parameter that every package and benchmark call sets to the same
+    literal or module constant is that constant: the function reads it."""
+    defs = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    calls = [ast.parse(path.read_text(), filename=str(path)) for path in USER_CODE]
+    found = _one_constant_parameters(defs, calls)
+    assert found == sorted(ONE_CONSTANT_PARAMETERS_ALLOWED), (
+        "parameters every call in src/segreg or perfbench passes one constant: "
+        f"{sorted(set(found) - set(ONE_CONSTANT_PARAMETERS_ALLOWED))}; stale allowlist "
+        f"entries: {sorted(set(ONE_CONSTANT_PARAMETERS_ALLOWED) - set(found))}")
+
+
+def test_one_constant_scan_sees_literals_constant_names_and_defaults():
+    defs = {"mod": ast.parse("def f(a, b=2, *, c=3):\n    pass\n"
+                             "def g(x, y):\n    pass\n"
+                             "def k(v):\n    pass\n"
+                             "def _h(x):\n    pass\n")}
+    calls = [ast.parse("f(1, c=C_MAX)\nm.f(a=1, b=2, c=C_MAX)\n"
+                       "g(N, y)\ng(*args)\nk(1)\nk(2)\n_h(1)\n")]
+    assert _one_constant_parameters(defs, calls) == ["mod.f.a", "mod.f.b", "mod.f.c"]

@@ -44,12 +44,11 @@ def surface_cloud(rng, n, colors=True):
     return PointCloud(pos, colors=rng.uniform(0, 1, size=(n, 3)) if colors else None)
 
 
-def kpconv(query, support, feats, neighbors, kernel, radius, weights):
+def kpconv(cloud, feats, neighbors, kernel, radius, weights):
     """Influence tables of the unit-ball ``kernel`` scaled to ``radius``, then
     the convolution."""
-    infl = conv_influence(query.positions, support.positions, neighbors,
-                          kernel * radius, radius / SIGMA_RATIO)
-    return kpconv_apply(infl, neighbors, len(support), feats, weights)
+    infl = conv_influence(cloud.positions, neighbors, kernel * radius, radius / SIGMA_RATIO)
+    return kpconv_apply(infl, neighbors, feats, weights)
 
 
 # -- kernel disposition ------------------------------------------------------
@@ -80,11 +79,10 @@ def test_kpconv_zero_features_give_zero_output():
     rng = np.random.default_rng(0)
     cloud = surface_cloud(rng, 50, colors=False)
     kern = kernel_disposition(15, 0)
-    from segreg.geometry import radius_neighbors
-    nbr = radius_neighbors(cloud, cloud, 0.5, 10)
+    nbr = radius_neighbors(cloud, 0.5, 10)
     w = Tensor(rng.normal(size=(15, 3, 4)))
     feats = Tensor(np.zeros((50, 3)))
-    out = kpconv(cloud, cloud, feats, nbr, kern, 0.5, w)
+    out = kpconv(cloud, feats, nbr, kern, 0.5, w)
     np.testing.assert_array_equal(out.data, np.zeros((50, 4)))
 
 
@@ -94,7 +92,7 @@ def test_kpconv_single_point_identity():
     nbr = np.array([[0]])
     feats = Tensor([[2.0, -3.0]])
     w = Tensor(np.eye(2)[None, :, :])  # K=1, identity mixing
-    out = kpconv(cloud, cloud, feats, nbr, kern, 1.0, w)
+    out = kpconv(cloud, feats, nbr, kern, 1.0, w)
     np.testing.assert_allclose(out.data, feats.data)
 
 
@@ -102,16 +100,16 @@ def test_kpconv_rejects_weight_kernel_mismatch():
     cloud = PointCloud([[0.0, 0.0, 0.0]])
     kern = kernel_disposition(5, 0)
     with pytest.raises(ValueError):
-        kpconv(cloud, cloud, Tensor([[1.0]]), np.array([[0]]), kern, 1.0,
+        kpconv(cloud, Tensor([[1.0]]), np.array([[0]]), kern, 1.0,
                Tensor(np.ones((3, 1, 2))))
 
 
 def test_kpconv_forward_equals_gather_matmul_expression():
     rng = np.random.default_rng(1)
     cloud = surface_cloud(rng, 30, colors=False)
-    nbr = radius_neighbors(cloud, cloud, 0.6, 8)
-    infl = conv_influence(cloud.positions, cloud.positions, nbr,
-                          kernel_disposition(6, 2) * 0.6, 0.6 / SIGMA_RATIO)
+    nbr = radius_neighbors(cloud, 0.6, 8)
+    infl = conv_influence(cloud.positions, nbr, kernel_disposition(6, 2) * 0.6,
+                          0.6 / SIGMA_RATIO)
     f0 = rng.uniform(-2, 2, size=(30, 3))
     w0 = rng.uniform(-2, 2, size=(6, 3, 4))
     valid = nbr < 30
@@ -119,7 +117,7 @@ def test_kpconv_forward_equals_gather_matmul_expression():
     gathered = f0[np.where(valid, nbr, 0)] * valid[:, :, None]
     mixed = np.matmul(infl.astype(np.float64), gathered)
     want = mixed.reshape(30, -1) @ w0.reshape(-1, 4)
-    assert np.array_equal(kpconv_apply(infl, nbr, 30, Tensor(f0), Tensor(w0)).data, want)
+    assert np.array_equal(kpconv_apply(infl, nbr, Tensor(f0), Tensor(w0)).data, want)
 
 
 def test_kpconv_feats_gradient_equals_add_at_backward():
@@ -135,7 +133,7 @@ def test_kpconv_feats_gradient_equals_add_at_backward():
         proj = rng.normal(size=(nbr.shape[0], 2))
         with Tape():
             feats = Tensor(rng.normal(size=(ns, 3)), requires_grad=True)
-            out = kpconv_apply(infl, nbr, ns, feats, Tensor(w0, requires_grad=True))
+            out = kpconv_apply(infl, nbr, feats, Tensor(w0, requires_grad=True))
             backward(sum_(ad.mul(out, Tensor(proj))))
         valid = nbr < ns
         shadow_slots += np.count_nonzero(~valid)
@@ -149,46 +147,45 @@ def test_kpconv_feats_gradient_equals_add_at_backward():
 
 
 def test_kpconv_locality_bit_exact():
-    # Moving a support point that is nobody's neighbor cannot change outputs.
+    # Moving a point that is no other point's neighbor cannot change outputs:
+    # the other rows never read it, and its own row sees only itself.
     rng = np.random.default_rng(2)
-    query = surface_cloud(rng, 40, colors=False)
-    support_pos = np.vstack([query.positions, [[5.0, 5.0, 5.0]]])
-    support = PointCloud(support_pos)
-    from segreg.geometry import radius_neighbors
-    nbr = radius_neighbors(query, support, 0.4, 8)
-    assert not np.any(nbr == 40)  # the far point is not a neighbor of anyone
+    near = surface_cloud(rng, 40, colors=False).positions
+    pos = np.vstack([near, [[5.0, 5.0, 5.0]]])
+    nbr = radius_neighbors(PointCloud(pos), 0.4, 8)
+    assert not np.any(nbr[:40] == 40)  # the far point is not a neighbor of anyone
     kern = kernel_disposition(6, 3)
     w = Tensor(rng.normal(size=(6, 2, 3)))
     feats = rng.normal(size=(41, 2))
 
-    out1 = kpconv(query, support, Tensor(feats), nbr, kern, 0.4, w)
-    moved = support_pos.copy()
+    out1 = kpconv(PointCloud(pos), Tensor(feats), nbr, kern, 0.4, w)
+    moved = pos.copy()
     moved[40] += 1.0
-    out2 = kpconv(query, PointCloud(moved), Tensor(feats), nbr, kern, 0.4, w)
+    assert np.array_equal(radius_neighbors(PointCloud(moved), 0.4, 8), nbr)
+    out2 = kpconv(PointCloud(moved), Tensor(feats), nbr, kern, 0.4, w)
     assert np.array_equal(out1.data, out2.data)
 
 
 def test_kpconv_mask_gating_is_additive_and_local():
     rng = np.random.default_rng(3)
     cloud = surface_cloud(rng, 60, colors=False)
-    from segreg.geometry import radius_neighbors
-    nbr = radius_neighbors(cloud, cloud, 0.5, 10)
+    nbr = radius_neighbors(cloud, 0.5, 10)
     kern = kernel_disposition(8, 4)
     w = Tensor(rng.normal(size=(8, 1, 3)))
     mask = np.ones((60, 1))
-    base = kpconv(cloud, cloud, Tensor(mask), nbr, kern, 0.5, w).data
+    base = kpconv(cloud, Tensor(mask), nbr, kern, 0.5, w).data
 
     i = 17
     toggled = mask.copy()
     toggled[i] = 0.0
-    out = kpconv(cloud, cloud, Tensor(toggled), nbr, kern, 0.5, w).data
+    out = kpconv(cloud, Tensor(toggled), nbr, kern, 0.5, w).data
     affected = np.any(nbr == i, axis=1)
     # bit-identical where i is not a neighbor
     assert np.array_equal(out[~affected], base[~affected])
     # exactly i's additive contribution elsewhere (first-layer linearity)
     only_i = mask * 0.0
     only_i[i] = 1.0
-    contrib = kpconv(cloud, cloud, Tensor(only_i), nbr, kern, 0.5, w).data
+    contrib = kpconv(cloud, Tensor(only_i), nbr, kern, 0.5, w).data
     np.testing.assert_allclose(base - out, contrib, atol=1e-12)
 
 
@@ -319,8 +316,8 @@ def test_reg_backbone_zero_mask_zeroes_first_conv():
     from segreg.autodiff import scatter_mean
     feats0 = scatter_mean(Tensor(np.zeros((300, 1))), ctx.pyramid.input_to_level0,
                           len(ctx.pyramid.levels[0]))
-    first = raw_conv(ctx.influences[0], ctx.pyramid.neighbors[0],
-                     len(ctx.pyramid.levels[0]), feats0, params["reg_enc0_w"])
+    first = raw_conv(ctx.influences[0], ctx.pyramid.neighbors[0], feats0,
+                     params["reg_enc0_w"])
     np.testing.assert_array_equal(first.data, np.zeros_like(first.data))
 
 
@@ -435,18 +432,17 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
 def test_blocked_influence_equals_one_shot(monkeypatch, with_frames, nq):
     # blocks of 7 rows: one short block, one full block, a full block and one row
     monkeypatch.setattr("segreg.kpconv._INFLUENCE_BLOCK", 7)
-    cloud = surface_cloud(np.random.default_rng(50), 300, colors=False)
-    radius = 0.3
-    full = radius_neighbors(cloud, cloud, radius, 24)
-    nbr = full[:nq]
-    assert np.any(nbr == len(cloud)) and np.all(nbr[:, 1] < len(cloud))
-    frames = local_reference_frames(cloud.positions, full)[:nq] if with_frames else None
-    args = (cloud.positions[:nq], cloud.positions, nbr,
-            kernel_disposition(15) * radius, radius / SIGMA_RATIO, frames)
+    cloud = surface_cloud(np.random.default_rng(50), nq, colors=False)
+    radius = 1.2
+    nbr = radius_neighbors(cloud, radius, 8)
+    assert np.any(nbr == nq) and np.all(nbr[:, 1] < nq)
+    frames = local_reference_frames(cloud.positions, nbr) if with_frames else None
+    args = (cloud.positions, nbr, kernel_disposition(15) * radius, radius / SIGMA_RATIO,
+            frames)
     got, want = conv_influence(*args), oneshot_conv_influence(*args)
     assert got.dtype == want.dtype == np.float32
     assert np.array_equal(got, want)
-    assert not np.any(got.transpose(0, 2, 1)[nbr == len(cloud)])
+    assert not np.any(got.transpose(0, 2, 1)[nbr == nq])
 
 
 def test_influence_never_holds_a_full_float64_table():
@@ -455,7 +451,7 @@ def test_influence_never_holds_a_full_float64_table():
     pyr = build_pyramid(sample.preoperative, cfg.stages, cfg.initial_voxel,
                         cfg.base_radius_mult, cfg.max_neighbors)
     pts, nbr, radius = pyr.levels[0].positions, pyr.neighbors[0], pyr.radii[0]
-    args = (pts, pts, nbr, kernel_disposition(cfg.kernel_size, cfg.kernel_seed) * radius,
+    args = (pts, nbr, kernel_disposition(cfg.kernel_size, cfg.kernel_seed) * radius,
             radius / SIGMA_RATIO, local_reference_frames(pts, nbr))
     # the one-shot evaluation holds at least two tables of this size
     table_bytes = 8 * nbr.size * cfg.kernel_size

@@ -15,6 +15,7 @@ from segreg.autodiff import (
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
 from segreg.kpconv import build_pyramid
 from segreg.matching import (
+    K_CORR,
     OVERLAP_PATCH_RADIUS,
     POSITIVE_OVERLAP,
     NoPositivePairsError,
@@ -76,7 +77,7 @@ def one_matrix(s):
 def test_overlap_identity_diagonal_is_one():
     rng = np.random.default_rng(0)
     view, _ = make_views(rng)
-    ov = superpoint_overlap_labels(view, view, RigidTransform.identity(), 0.02)
+    ov = superpoint_overlap_labels(view, view, RigidTransform.identity())
     assert np.allclose(np.diag(ov), 1.0)
 
 
@@ -84,7 +85,7 @@ def test_overlap_disjoint_clouds_zero():
     rng = np.random.default_rng(1)
     view, _ = make_views(rng)
     far = RigidTransform(np.eye(3), np.array([50.0, 0.0, 0.0]))
-    ov = superpoint_overlap_labels(view, view, far, 0.02)
+    ov = superpoint_overlap_labels(view, view, far)
     assert np.all(ov == 0.0)
 
 
@@ -93,8 +94,8 @@ def test_overlap_matches_brute_force():
     pre_view, _ = make_views(rng, 280)
     intra_view, _ = make_views(rng, 300)
     T = random_rigid(0.05, 15.0, rng)
-    radius = 0.05
-    got = superpoint_overlap_labels(pre_view, intra_view, T, radius)
+    radius = OVERLAP_PATCH_RADIUS
+    got = superpoint_overlap_labels(pre_view, intra_view, T)
 
     mp = pre_view.points.shape[0]
     mi = intra_view.points.shape[0]
@@ -116,24 +117,24 @@ def test_coarse_match_identical_features_rank_diagonal_first():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(20, 8))
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-    pairs, scores = coarse_match(feats, feats, 20, np.zeros((20, 20)))
-    assert np.all(pairs[:, 0] == pairs[:, 1])
+    pairs, scores = coarse_match(feats, feats, np.zeros((20, 20)))
+    assert len(pairs) == K_CORR
+    assert np.all(pairs[:20, 0] == pairs[:20, 1])
     assert np.all(np.diff(scores) <= 1e-15)
 
 
 def test_coarse_match_uniform_falls_back_to_index_order():
-    feats = np.eye(4)  # orthogonal rows: similarity matrix = I... use all-equal rows instead
-    flat = np.ones((4, 4)) / 2.0
-    pairs, scores = coarse_match(flat, flat, 5, np.zeros((4, 4)))
+    flat = np.ones((8, 8)) / np.sqrt(8.0)   # all-equal rows: every score ties
+    pairs, scores = coarse_match(flat, flat, np.zeros((8, 8)))
     assert np.allclose(scores, scores[0])
-    # deterministic row-major order on ties
-    np.testing.assert_array_equal(pairs, [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0]])
+    # deterministic row-major order on ties, cut at K_CORR of the 64 cells
+    np.testing.assert_array_equal(pairs, np.argwhere(np.ones((8, 8)))[:K_CORR])
 
 
 def test_coarse_match_truncates_excess_k():
     feats = np.eye(3)
-    pairs, scores = coarse_match(feats, feats, 1000, np.zeros((3, 3)))
-    assert len(pairs) == 9
+    pairs, scores = coarse_match(feats, feats, np.zeros((3, 3)))
+    assert K_CORR > 9 and len(pairs) == 9
 
 
 def test_geometric_bonus_is_rotation_invariant():

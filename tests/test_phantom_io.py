@@ -217,7 +217,7 @@ def test_pose_round_trip_identity_and_random(tmp_path):
 
     rng = np.random.default_rng(2)
     T0 = random_rigid(0.1, 45.0, rng)
-    save_pose(T0, p, center=[1.0, 2.0, 3.0], scale=0.25)
+    save_pose(T0, p, extra={"center": [1.0, 2.0, 3.0], "scale": 0.25})
     T1, meta = load_pose(p)
     np.testing.assert_allclose(T1.rotation, T0.rotation, atol=1e-12)
     np.testing.assert_allclose(T1.translation, T0.translation, atol=1e-12)
