@@ -44,7 +44,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from segreg.geometry import PointCloud, RigidTransform
-from segreg.kpconv import SparseCloudError, local_reference_frames
+from segreg.kpconv import SparseCloudError, local_reference_frames, neighbor_offsets
 from segreg.matching import (
     histogram_bins,
     normalize_counts,
@@ -124,7 +124,8 @@ def estimate_normals(cloud: PointCloud) -> np.ndarray:
     pos = cloud.positions
     k = min(NORMAL_NEIGHBORS, len(pos))
     _, nn = cKDTree(pos).query(pos, k=k)        # (N,) when k is 1
-    return local_reference_frames(pos, nn.reshape(len(pos), k), min_neighbors=0)[:, 2]
+    nn = nn.reshape(len(pos), k)
+    return local_reference_frames(neighbor_offsets(pos, nn), nn, min_neighbors=0)[:, 2]
 
 
 def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:

@@ -280,10 +280,15 @@ def load_sample(directory: str | Path) -> RegistrationSample:
     scale = meta.get("scale")
     if type(scale) not in (int, float) or not 0 < scale < np.inf:
         raise ValueError(f"{d / 'pose.json'}: need a positive, finite scale, got {scale!r}")
-    center = np.asarray(meta.get("center", [0.0, 0.0, 0.0]))
+    center = meta.get("center", [0.0, 0.0, 0.0])
+    if (type(center) is not list or len(center) != 3
+            or any(type(c) not in (int, float) for c in center)
+            or not np.isfinite(center).all()):
+        raise ValueError(f"{d / 'pose.json'}: need a center of 3 finite numbers, "
+                         f"got {center!r}")
     return RegistrationSample(
         preoperative=pre, intraoperative=intra, T_gt=T, landmarks=landmarks,
-        gt_mask=mask, scale=float(scale), center=center,
+        gt_mask=mask, scale=float(scale), center=np.asarray(center, dtype=np.float64),
         config=PhantomConfig(), meta=meta.get("meta", {}))
 
 

@@ -2,12 +2,13 @@
 
 Coordinates are float64 throughout.  A radius table pairs one pyramid
 level with itself; ``knn`` maps the points of a level onto the next.
-Neighbor queries are exact: one k-d tree query per table fetches a few more
-candidates per row than are kept, and the candidates are re-ranked on exact
-squared distances.  A row whose candidate list may have left out a point
-that belongs in it (a tie shell cut by the list's end) is recomputed by an
-exact per-row query.  Ties are always broken toward the lower index so
-results are reproducible.
+Neighbor queries are exact: one k-d tree query per table fetches one more
+candidate per row than are kept, and the candidates are re-ranked on exact
+squared distances (only rows the tree did not already return in that order
+are sorted).  A row whose candidate list may have left out a point that
+belongs in it (a tie shell cut by the list's end, which the extra candidate
+detects) is recomputed by an exact per-row query.  Ties are always broken
+toward the lower index so results are reproducible.
 ``rotation_defects`` is the one rotation test, for every tolerance and stack.
 """
 
@@ -32,8 +33,9 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-9
-# Extra tree candidates fetched per row beyond the ``k`` that are kept.
-_SLACK = 8
+# Extra tree candidates fetched per row beyond the ``k`` that are kept: one
+# is enough to tell whether the list's end cut a tie shell.
+_SLACK = 1
 # Tree distances and exact distances differ by rounding (~1e-16 relative);
 # a candidate list is trusted only when its farthest tree distance clears
 # the k-th kept distance by this relative margin.
@@ -228,10 +230,12 @@ def _tree_ranked(tree: cKDTree, q: np.ndarray, s: np.ndarray, k: int,
     """First k support indices within ``radius`` per row, by exact (d2, index).
 
     One tree query fetches k + _SLACK candidates per row; they are filtered
-    and ranked on exact squared distances.  Returns the (Nq, min(k, kq))
-    table, shadow-padded, and a mask of rows that must be recomputed: the
-    tree filled the list, and its last candidate does not clearly lie beyond
-    the k-th kept one, so a point left out of the list may rank within k.
+    and ranked on exact squared distances.  The tree returns most rows
+    already in (d2, index) order, so only the others are sorted.  Returns
+    the (Nq, min(k, kq)) table, shadow-padded, and a mask of rows that must
+    be recomputed: the tree filled the list, and its last candidate does not
+    clearly lie beyond the k-th kept one, so a point left out of the list
+    may rank within k.
     """
     ns = s.shape[0]
     kq = min(k + _SLACK, ns)
@@ -243,11 +247,17 @@ def _tree_ranked(tree: cKDTree, q: np.ndarray, s: np.ndarray, k: int,
     keep = found & (d2 <= radius * radius)
     d2 = np.where(keep, d2, np.inf)
     idx = np.where(keep, idx, ns)
-    order = np.lexsort((idx, d2), axis=1)[:, :k]
-    ranked = np.take_along_axis(idx, order, axis=1)
+    d2_here, d2_next = d2[:, :-1], d2[:, 1:]
+    in_order = (d2_here < d2_next) | ((d2_here == d2_next) & (idx[:, :-1] <= idx[:, 1:]))
+    rows = np.flatnonzero(~in_order.all(axis=1))
+    if rows.size:
+        order = np.lexsort((idx[rows], d2[rows]), axis=1)
+        idx[rows] = np.take_along_axis(idx[rows], order, axis=1)
+        d2[rows] = np.take_along_axis(d2[rows], order, axis=1)
+    ranked = idx[:, :k]
     if kq == ns:
         return ranked, np.zeros(q.shape[0], dtype=bool)
-    last = np.sqrt(np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0])
+    last = np.sqrt(d2[:, ranked.shape[1] - 1])
     unsure = found[:, -1] & ~(dist[:, -1] > last * (1.0 + _TIE_MARGIN))
     return ranked, unsure
 

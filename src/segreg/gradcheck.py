@@ -29,7 +29,13 @@ from segreg.autodiff import (
 )
 from segreg.geometry import PointCloud, radius_neighbors
 from segreg.gumbel import gumbel_softmax, sample_gumbel, straight_through_mask
-from segreg.kpconv import SIGMA_RATIO, conv_influence, kernel_disposition, kpconv_apply
+from segreg.kpconv import (
+    SIGMA_RATIO,
+    conv_influence,
+    kernel_disposition,
+    kpconv_apply,
+    neighbor_offsets,
+)
 from segreg.matching import (
     PatchedSuperpoints,
     coarse_loss,
@@ -123,7 +129,8 @@ def _surface(rng, n, colors=False):
 def _kpconv_rows(rng):
     cloud = _surface(rng, 30)
     nbr = radius_neighbors(cloud, 0.6, 8)
-    infl = conv_influence(cloud.positions, nbr, kernel_disposition(6) * 0.6, 0.6 / SIGMA_RATIO)
+    infl = conv_influence(neighbor_offsets(cloud.positions, nbr), nbr,
+                          kernel_disposition(6) * 0.6, 0.6 / SIGMA_RATIO)
     return [("conv_feats_and_weights", 1e-8,
              [rng.uniform(-2, 2, (30, 3)), rng.uniform(-2, 2, (6, 3, 4))],
              lambda t: kpconv_apply(infl, nbr, *t))]

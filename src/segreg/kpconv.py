@@ -8,8 +8,13 @@ Tables and convolutions are per pyramid level, the level against itself
 neighbors (padding) contribute nothing.  The operation is one tape node
 with a hand-written backward; the feature gradient is one
 :func:`~segreg.autodiff.scatter_add_rows` over the real neighbor slots.
-The influence tables are frozen geometry built once per cloud, a block of
-rows at a time, so building them never holds a full-size float64 temporary.
+The influence tables are frozen geometry built once per cloud.  Each level
+gathers its (N, H, 3) neighbor offsets once (:func:`neighbor_offsets`, 0 at
+shadow slots); its local frames and its influence both read them.  The
+influence is built a block of rows at a time, with squared distances
+expanded as |r|^2 + |k|^2 - 2 k.r into one batched product, so building it
+never holds a full-size float64 temporary; the expansion keeps every weight
+within 1e-7 of the per-axis difference-and-square form.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from segreg.geometry import PointCloud, knn, radius_neighbors, voxel_grid_subsam
 
 __all__ = [
     "kernel_disposition",
+    "neighbor_offsets",
     "conv_influence",
     "local_reference_frames",
     "kpconv_apply",
@@ -35,6 +41,12 @@ SIGMA_RATIO = 1.5  # kernel influence extent = layer radius / SIGMA_RATIO
 MIN_LEVEL_POINTS = 4  # fewer on a coarser pyramid level: SparseCloudError
 
 _INFLUENCE_BLOCK = 128  # rows per pass in conv_influence
+# the six distinct entries of a 3x3 covariance, and where each one goes
+_COV_ROWS, _COV_COLS = np.triu_indices(3)
+_COV_SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+# a third-moment sum this close to 0, relative to its sum of |p^3|, is
+# recomputed with ``p ** 3``
+_SKEW_MARGIN = 1e-12
 _REPULSE_STEPS, _REPULSE_LR = 1000, 0.01  # descent of a kernel layout
 
 _DISPOSITION_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -78,74 +90,103 @@ def _repulse(k: int, seed: int) -> np.ndarray:
     return pts
 
 
-def conv_influence(points: np.ndarray, neighbors: np.ndarray, kernel: np.ndarray,
+def neighbor_offsets(points: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Offsets (N, H, 3) of each point's neighbors from the point, 0 at shadow slots.
+
+    ``neighbors`` is an (N, H) table of ``points`` against themselves whose
+    shadow index is N.  A level's frames and influence both read this one
+    table.
+    """
+    valid = neighbors < points.shape[0]
+    rel = points[np.where(valid, neighbors, 0)] - points[:, None, :]
+    rel[~valid] = 0.0
+    return rel
+
+
+def conv_influence(offsets: np.ndarray, neighbors: np.ndarray, kernel: np.ndarray,
                    sigma: float, frames: np.ndarray | None = None) -> np.ndarray:
     """Correlation weights (N, K, H) of each kernel point on each neighbor.
 
-    ``neighbors`` is the (N, H) radius table of ``points`` against
-    themselves; ``kernel`` is the (K, 3) layout of :func:`kernel_disposition`
-    times the layer radius.  Shadow slots (index == N) get all-zero
-    influence.  With ``frames`` (N, 3, 3), offsets are expressed in each
-    point's local frame before kernel correlation, which makes the
-    convolution rotation-invariant.  Stored as
-    float32: influence is frozen geometry, and the compact dtype keeps
-    cached tables small; the weights are computed in float64.
+    ``offsets`` is the :func:`neighbor_offsets` table of the (N, H) radius
+    table ``neighbors``; ``kernel`` is the (K, 3) layout of
+    :func:`kernel_disposition` times the layer radius.  Shadow slots
+    (index == N) get all-zero influence.  With ``frames`` (N, 3, 3), offsets
+    are expressed in each point's local frame before kernel correlation,
+    which makes the convolution rotation-invariant.  Stored as float32:
+    influence is frozen geometry, and the compact dtype keeps cached tables
+    small; the weights are computed in float64.
 
     Rows are evaluated ``_INFLUENCE_BLOCK`` points at a time: a block's
-    offsets are gathered (and rotated), its squared distances are summed
-    one axis at a time into a reused (rows, K, H) float64 buffer and
-    finished in place, and the block is rounded into the float32 output.
-    Evaluating all rows at once would hold up to four (N, K, H) float64
-    temporaries, and they would set both the time and the memory peak of
-    building a pyramid's tables.  Each row goes through the same operations
-    in the same order at any block size, so the table does not depend on it.
+    offsets are rotated by one batched product, and its squared distances
+    come from another, as d2 = |r|^2 + |k|^2 - 2 k.r, clamped at 0, before
+    the block is finished and rounded into the float32 output.  Evaluating
+    all rows at once would hold several (N, K, H) float64 temporaries, and
+    they would set both the time and the memory peak of building a
+    pyramid's tables.  Each row goes through the same operations at any
+    block size, so the table does not depend on it.
+
+    The expanded form cancels where a neighbor sits on a kernel point: with
+    |r|, |k| <= radius its d2 is off by a few ulps of radius^2, so the
+    distance by ~2e-8 radius and the weight by ~3e-8 (sigma = radius / 1.5),
+    below one float32 step of the stored weight; every entry stays within
+    1e-7 of the per-axis difference-and-square evaluation.
     """
     n, h = neighbors.shape
     k = kernel.shape[0]
     valid = neighbors < n
-    safe = np.where(valid, neighbors, 0)
+    kernel_sq = np.einsum("kj,kj->k", kernel, kernel)[None, :, None]
     out = np.empty((n, k, h), dtype=np.float32)
-    rows = min(n, _INFLUENCE_BLOCK)
-    d2_buf, sq_buf = np.empty((rows, k, h)), np.empty((rows, k, h))
     for start in range(0, n, _INFLUENCE_BLOCK):
         block = slice(start, start + _INFLUENCE_BLOCK)
-        rel = points[safe[block]] - points[block, None, :]   # (B, H, 3)
+        rel = offsets[block]                                   # (B, H, 3)
         if frames is not None:
-            rel = np.einsum("qij,qhj->qhi", frames[block], rel)
-        d2, sq = d2_buf[:len(rel)], sq_buf[:len(rel)]
-        d2.fill(0.0)
-        for j in range(3):
-            np.subtract(rel[:, None, :, j], kernel[None, :, j, None], out=sq)
-            d2 += np.square(sq, out=sq)
+            rel = np.matmul(rel, frames[block].transpose(0, 2, 1))
+        d2 = np.matmul(kernel, rel.transpose(0, 2, 1))         # (B, K, H)
+        d2 *= -2.0
+        d2 += kernel_sq
+        d2 += np.einsum("qhj,qhj->qh", rel, rel)[:, None, :]
+        np.maximum(d2, 0.0, out=d2)
         np.sqrt(d2, out=d2)
         d2 /= sigma
         np.subtract(1.0, d2, out=d2)
         np.maximum(0.0, d2, out=d2)
-        d2 *= valid[block, None, :]
+        real = valid[block]
+        if not real.all():
+            d2 *= real[:, None, :]
         out[block] = d2
     return out
 
 
-def local_reference_frames(points: np.ndarray, neighbors: np.ndarray,
+def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray,
                            min_neighbors: int = 3) -> np.ndarray:
     """Deterministic per-point local frames from neighborhood covariance.
 
-    Rows of each 3x3 frame are the covariance eigenvectors ordered largest to
-    smallest spread.  The smallest axis (surface normal) is oriented away
-    from the local centroid, the largest by third-moment skew, and the middle
-    completes a right-handed basis.  Points with fewer than ``min_neighbors``
-    real neighbors keep the identity frame.  Frames co-rotate with the cloud,
-    so frame-relative offsets are rotation-invariant.
+    ``offsets`` is the :func:`neighbor_offsets` table of the (N, H) table
+    ``neighbors``.  Rows of each 3x3 frame are the covariance eigenvectors
+    ordered largest to smallest spread.  The smallest axis (surface normal)
+    is oriented away from the local centroid, the largest by third-moment
+    skew, and the middle completes a right-handed basis.  Points with fewer
+    than ``min_neighbors`` real neighbors keep the identity frame.  Frames
+    co-rotate with the cloud, so frame-relative offsets are
+    rotation-invariant.
+
+    The six distinct covariance entries are summed over the neighbor slots
+    in slot order, the order of a per-point ``einsum`` over them.  The third
+    moment takes its sign from cubes formed as p * p * p.  Their rounding
+    differs from ``p ** 3``'s by a few ulps, far below ``_SKEW_MARGIN``
+    times the row's sum of |p^3|, so only a row whose cube sum lies within
+    that margin of zero could change sign; it is summed again with ``p ** 3``.
     """
-    n = points.shape[0]
+    n = offsets.shape[0]
     valid = neighbors < n
-    safe = np.where(valid, neighbors, 0)
-    rel = (points[safe] - points[:, None, :]) * valid[:, :, None]
     counts = valid.sum(axis=1)
     denom = np.maximum(counts, 1)[:, None]
-    mean = rel.sum(axis=1) / denom
-    centered = (rel - mean[:, None, :]) * valid[:, :, None]
-    cov = np.einsum("qhi,qhj->qij", centered, centered) / denom[:, :, None]
+    mean = offsets.sum(axis=1) / denom
+    centered = (offsets - mean[:, None, :]) * valid[:, :, None]
+    upper = np.zeros((n, 6))
+    for c in centered.transpose(1, 0, 2):                       # slot order
+        upper += c[:, _COV_ROWS] * c[:, _COV_COLS]
+    cov = upper[:, _COV_SYMMETRIC] / denom[:, :, None]
     _, vecs = np.linalg.eigh(cov)                    # ascending eigenvalues
     normal = vecs[:, :, 0]
     major = vecs[:, :, 2]
@@ -153,9 +194,12 @@ def local_reference_frames(points: np.ndarray, neighbors: np.ndarray,
     flip_n = np.einsum("qi,qi->q", normal, mean) > 0
     normal[flip_n] *= -1.0
     # orient the major axis by the sign of the third moment along it
-    skew = np.einsum("qhi,qi->qh", rel, major) ** 3
-    flip_m = (skew * valid).sum(axis=1) < 0
-    major[flip_m] *= -1.0
+    p = np.einsum("qhi,qi->qh", offsets, major)
+    cubes = p * p * p
+    skew = cubes.sum(axis=1)
+    near_zero = np.flatnonzero(np.abs(skew) <= _SKEW_MARGIN * np.abs(cubes).sum(axis=1))
+    skew[near_zero] = (p[near_zero] ** 3).sum(axis=1)
+    major[skew < 0] *= -1.0
     middle = np.cross(normal, major)
     frames = np.stack([major, middle, normal], axis=1)
     frames[counts < min_neighbors] = np.eye(3)

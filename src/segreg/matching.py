@@ -203,14 +203,19 @@ def coarse_match(pre_feats: np.ndarray, intra_feats: np.ndarray,
     geometric-consistency bonus; the dual softmax is the entrywise product
     of row-wise and column-wise softmaxes.  Returns (pairs (k, 2), scores
     (k,)), score-descending with ties resolved in row-major cell order; each
-    pair is a distinct cell.
+    pair is a distinct cell.  A partition finds the k-th score, and only
+    the cells at or above it are sorted, stably, so the selection is the
+    head of a stable sort of every cell.
     """
     sim = Tensor(pre_feats @ intra_feats.T + BONUS_WEIGHT * geom_bonus)
     score = ad.softmax(sim, axis=1).data * ad.softmax(sim, axis=0).data
-    k = min(K_CORR, score.size)
-    order = np.argsort(-score.reshape(-1), kind="stable")[:k]
+    flat = score.reshape(-1)
+    k = min(K_CORR, flat.size)
+    kth = flat[np.argpartition(-flat, k - 1)[k - 1]]
+    head = np.flatnonzero(flat >= kth)                    # row-major order
+    order = head[np.argsort(-flat[head], kind="stable")[:k]]
     pairs = np.stack(np.unravel_index(order, score.shape), axis=1)
-    return pairs, score.reshape(-1)[order]
+    return pairs, flat[order]
 
 
 def patch_scores(dense_pre: Tensor, dense_intra: Tensor, pre_view: PatchedSuperpoints,

@@ -34,6 +34,7 @@ from segreg.kpconv import (
     kernel_disposition,
     kpconv_apply,
     local_reference_frames,
+    neighbor_offsets,
 )
 
 __all__ = [
@@ -100,10 +101,10 @@ def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> Backbo
     use_frames = isinstance(cfg, RegNetConfig)
     influences = []
     for level, radius in enumerate(pyramid.radii):
-        pos = pyramid.levels[level].positions
-        frames = (local_reference_frames(pos, pyramid.neighbors[level])
-                  if use_frames else None)
-        influences.append(conv_influence(pos, pyramid.neighbors[level], kernel * radius,
+        nbr = pyramid.neighbors[level]
+        offsets = neighbor_offsets(pyramid.levels[level].positions, nbr)
+        frames = local_reference_frames(offsets, nbr) if use_frames else None
+        influences.append(conv_influence(offsets, nbr, kernel * radius,
                                          radius / SIGMA_RATIO, frames=frames))
     return BackboneContext(pyramid, influences)
 

@@ -68,6 +68,11 @@ class PhantomConfig:
             raise ValueError("point counts must be at least 100")
         if self.n_vertebrae < 1:
             raise ValueError("need at least one vertebra")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        if self.occlusion_patches < 0:
+            raise ValueError(
+                f"occlusion_patches must be non-negative, got {self.occlusion_patches}")
 
 
 @dataclass

@@ -10,11 +10,18 @@ the padded stack replaced; ``scalar_weighted_procrustes`` is the one-set solve t
 ``loop_*`` functions are the per-patch and per-pair loops that the patch
 table replaced, over patches stored as a list of index arrays
 (``LoopPatches``).  ``oneshot_conv_influence`` evaluates every row of an
-influence table at once, as ``kpconv.conv_influence`` did before it
-worked in row blocks, and ``unique_voxel_grid_subsample`` groups voxels with
-``np.unique(axis=0)``, as ``geometry.voxel_grid_subsample`` did before it
-sorted its keys.  Tests require the library versions to match them bit for
-bit, except ``slack_normalize_2d``, whose row sums run over fewer entries.
+influence table at once from the points, with per-axis squared differences,
+as ``kpconv.conv_influence`` did before it worked in row blocks on an offset
+table and expanded d2 into one product; ``einsum_local_reference_frames``
+is ``kpconv.local_reference_frames`` as it was before it summed the
+covariance slot by slot and cubed by products; ``k8_radius_neighbors`` and
+``k8_knn`` rank k + 8 tree candidates per row with a full ``lexsort``, as
+``geometry`` did before it fetched k + 1 and sorted only unordered rows;
+and ``unique_voxel_grid_subsample`` groups voxels with ``np.unique(axis=0)``,
+as ``geometry.voxel_grid_subsample`` did before it sorted its keys.  Tests
+require the library versions to match them bit for bit, except
+``slack_normalize_2d``, whose row sums run over fewer entries, and the
+influence bound test, which allows the expanded d2 its 1e-7.
 """
 
 from dataclasses import dataclass
@@ -25,7 +32,7 @@ from scipy.spatial import cKDTree
 from segreg import autodiff as ad
 from segreg import matching
 from segreg.autodiff import Tensor, scatter_add_rows
-from segreg.geometry import PointCloud, RigidTransform
+from segreg.geometry import PointCloud, RigidTransform, _exact_row
 from segreg.matching import normalize_scores_with_slack, patch_scores
 from segreg.networks import LEAKY_SLOPE, NORM_EPS
 
@@ -50,6 +57,80 @@ def oneshot_conv_influence(points, neighbors, kernel, sigma, frames=None):
     infl = np.maximum(0.0, 1.0 - np.sqrt(d2) / sigma)
     infl *= valid[:, None, :]
     return infl.astype(np.float32)
+
+
+def einsum_local_reference_frames(points, neighbors, min_neighbors=3):
+    """``local_reference_frames`` from the points: covariance by ``einsum``,
+    third moment by ``** 3``."""
+    n = points.shape[0]
+    valid = neighbors < n
+    safe = np.where(valid, neighbors, 0)
+    rel = (points[safe] - points[:, None, :]) * valid[:, :, None]
+    counts = valid.sum(axis=1)
+    denom = np.maximum(counts, 1)[:, None]
+    mean = rel.sum(axis=1) / denom
+    centered = (rel - mean[:, None, :]) * valid[:, :, None]
+    cov = np.einsum("qhi,qhj->qij", centered, centered) / denom[:, :, None]
+    _, vecs = np.linalg.eigh(cov)
+    normal = vecs[:, :, 0]
+    major = vecs[:, :, 2]
+    flip_n = np.einsum("qi,qi->q", normal, mean) > 0
+    normal[flip_n] *= -1.0
+    skew = np.einsum("qhi,qi->qh", rel, major) ** 3
+    flip_m = (skew * valid).sum(axis=1) < 0
+    major[flip_m] *= -1.0
+    middle = np.cross(normal, major)
+    frames = np.stack([major, middle, normal], axis=1)
+    frames[counts < min_neighbors] = np.eye(3)
+    return frames
+
+
+def k8_tree_ranked(tree, q, s, k, radius=np.inf):
+    """``geometry._tree_ranked`` on k + 8 candidates, every row lexsorted."""
+    ns = s.shape[0]
+    kq = min(k + 8, ns)
+    dist, idx = tree.query(q, k=kq, distance_upper_bound=radius + 1e-12)
+    dist, idx = dist.reshape(-1, kq), idx.reshape(-1, kq)
+    found = idx < ns
+    diff = s[np.where(found, idx, 0)] - q[:, None, :]
+    d2 = np.einsum("qkj,qkj->qk", diff, diff)
+    keep = found & (d2 <= radius * radius)
+    d2 = np.where(keep, d2, np.inf)
+    idx = np.where(keep, idx, ns)
+    order = np.lexsort((idx, d2), axis=1)[:, :k]
+    ranked = np.take_along_axis(idx, order, axis=1)
+    if kq == ns:
+        return ranked, np.zeros(q.shape[0], dtype=bool)
+    last = np.sqrt(np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0])
+    unsure = found[:, -1] & ~(dist[:, -1] > last * (1.0 + 1e-9))
+    return ranked, unsure
+
+
+def k8_radius_neighbors(cloud, radius, max_neighbors):
+    """``geometry.radius_neighbors`` over ``k8_tree_ranked``."""
+    n = len(cloud)
+    pts = cloud.positions
+    tree = cKDTree(pts)
+    ranked, unsure = k8_tree_ranked(tree, pts, pts, max_neighbors, radius)
+    table = np.full((n, max_neighbors), n, dtype=np.int64)
+    table[:, :ranked.shape[1]] = ranked
+    rows = np.flatnonzero(unsure)
+    for i, cand in zip(rows, tree.query_ball_point(pts[rows], radius + 1e-12)):
+        row = _exact_row(pts[i], pts, np.asarray(cand, dtype=np.int64),
+                         max_neighbors, radius * radius)
+        table[i] = n
+        table[i, :row.size] = row
+    return table
+
+
+def k8_knn(query, support):
+    """``geometry.knn`` over ``k8_tree_ranked``."""
+    q, s = query.positions, support.positions
+    out, unsure = k8_tree_ranked(cKDTree(s), q, s, 1)
+    every = np.arange(len(support))
+    for i in np.flatnonzero(unsure):
+        out[i] = _exact_row(q[i], s, every, 1)
+    return out[:, 0]
 
 
 def unique_voxel_grid_subsample(cloud, voxel_size):

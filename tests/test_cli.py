@@ -524,14 +524,14 @@ def truncate_mask(data):
     path.write_text("\n".join(path.read_text().split()[:-1]) + "\n")
 
 
-def pose_scale(scale):
-    """Set the scale in the sample's pose.json; None drops it."""
+def pose_field(key, value):
+    """Set a field of the sample's pose.json; None drops it."""
     def damage(data):
         path = data / "sample_0000" / "pose.json"
         doc = json.loads(path.read_text())
-        doc.pop("scale")
-        if scale is not None:
-            doc["scale"] = scale
+        doc.pop(key)
+        if value is not None:
+            doc[key] = value
         path.write_text(json.dumps(doc))
     return damage
 
@@ -563,8 +563,9 @@ BAD_DATASETS = {
         '{"format_version": 1, "samples": 1}'), "eval"),
     "mask_shorter_than_intra_cloud": (truncate_mask, "train"),
     "mask_label_not_binary": (non_binary_mask, "train"),
-    "pose_without_scale": (pose_scale(None), "eval"),
-    "negative_scale": (pose_scale(-0.2), "eval"),
+    "pose_without_scale": (pose_field("scale", None), "eval"),
+    "negative_scale": (pose_field("scale", -0.2), "eval"),
+    "center_not_xyz": (pose_field("center", "abc"), "eval"),
     "nan_landmark": (nan_landmark, "eval"),
     "landmarks_not_xyz": (two_column_landmarks, "eval"),
     "no_landmarks": (header_only_landmarks, "eval"),
@@ -677,6 +678,18 @@ def test_generate_without_samples_exits_with_usage_error(tmp_path, n_samples, ca
     code = main(["generate", "--out", str(tmp_path / "data"), "--n-samples", n_samples])
     assert code == EXIT_USAGE
     assert "--n-samples must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("flag, field", [("--noise-sigma", "noise_sigma"),
+                                         ("--occlusion-patches", "occlusion_patches")])
+def test_generate_with_a_negative_phantom_setting_exits_with_data_error(
+        tmp_path, flag, field, capsys):
+    code = main(["generate", "--out", str(tmp_path / "data"), "--n-samples", "1",
+                 "--n-vertebrae", "2", "--points-pre", "1024", "--points-intra", "512",
+                 flag, "-1"])
+    assert code == EXIT_DATA
+    assert f"generation failed: {field} must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
 
 

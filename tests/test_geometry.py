@@ -236,6 +236,23 @@ def test_radius_cap_cutting_a_tie_shell_keeps_lower_indices(fallback_rows):
     assert len(fallback_rows) > 0
 
 
+def test_radius_rows_are_recomputed_exactly_where_the_cap_ends_inside_a_tie(fallback_rows):
+    # a cap of 6 keeps a point and at most 5 of its unit-distance lattice
+    # neighbors; the one candidate past the cap ties the last kept one
+    # exactly on the rows whose 6th and 7th nearest are equidistant, so those
+    # rows, and no others, are recomputed and keep the lower indices
+    pts = shuffled_lattice(np.random.default_rng(15))
+    cloud = PointCloud(pts)
+    got = radius_neighbors(cloud, 1.5, 6)
+    np.testing.assert_array_equal(got, brute_radius(cloud, 1.5, 6))
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2 = np.sort(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
+    tied = d2[:, 5] == d2[:, 6]
+    assert 0 < np.count_nonzero(tied) < len(pts)
+    recomputed = sorted(map(tuple, fallback_rows))
+    assert recomputed == sorted(map(tuple, pts[tied]))
+
+
 def brute_nearest(query, support):
     """Nearest support index per query by (squared distance, index)."""
     return np.array([min((float(np.sum((sp - qp) ** 2)), j)

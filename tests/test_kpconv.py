@@ -23,6 +23,7 @@ from segreg.kpconv import (
     kernel_disposition,
     kpconv_apply,
     local_reference_frames,
+    neighbor_offsets,
 )
 from segreg.networks import (
     RegNetConfig,
@@ -34,7 +35,13 @@ from segreg.networks import (
     seg_forward,
 )
 from segreg.phantom import PhantomConfig, generate_phantom
-from reference_ops import composed_norm_act, oneshot_conv_influence
+from reference_ops import (
+    composed_norm_act,
+    einsum_local_reference_frames,
+    k8_knn,
+    k8_radius_neighbors,
+    oneshot_conv_influence,
+)
 
 
 def surface_cloud(rng, n, colors=True):
@@ -47,7 +54,8 @@ def surface_cloud(rng, n, colors=True):
 def kpconv(cloud, feats, neighbors, kernel, radius, weights):
     """Influence tables of the unit-ball ``kernel`` scaled to ``radius``, then
     the convolution."""
-    infl = conv_influence(cloud.positions, neighbors, kernel * radius, radius / SIGMA_RATIO)
+    infl = conv_influence(neighbor_offsets(cloud.positions, neighbors), neighbors,
+                          kernel * radius, radius / SIGMA_RATIO)
     return kpconv_apply(infl, neighbors, feats, weights)
 
 
@@ -108,8 +116,8 @@ def test_kpconv_forward_equals_gather_matmul_expression():
     rng = np.random.default_rng(1)
     cloud = surface_cloud(rng, 30, colors=False)
     nbr = radius_neighbors(cloud, 0.6, 8)
-    infl = conv_influence(cloud.positions, nbr, kernel_disposition(6, 2) * 0.6,
-                          0.6 / SIGMA_RATIO)
+    infl = conv_influence(neighbor_offsets(cloud.positions, nbr), nbr,
+                          kernel_disposition(6, 2) * 0.6, 0.6 / SIGMA_RATIO)
     f0 = rng.uniform(-2, 2, size=(30, 3))
     w0 = rng.uniform(-2, 2, size=(6, 3, 4))
     valid = nbr < 30
@@ -404,7 +412,8 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
             nbr = loop_radius_table(pts, pyr.radii[l], cfg.max_neighbors)
             ups = (loop_nearest(pts, pyr.levels[l + 1].positions)
                    if l + 1 < pyr.stages else None)
-            frames = local_reference_frames(pts, nbr) if cfg is snapped_reg else None
+            frames = (local_reference_frames(neighbor_offsets(pts, nbr), nbr)
+                      if cfg is snapped_reg else None)
             infl = loop_influence(pts, nbr, kernel * pyr.radii[l],
                                   pyr.radii[l] / SIGMA_RATIO, frames)
             want.append((nbr, ups, infl))
@@ -436,10 +445,10 @@ def test_blocked_influence_equals_one_shot(monkeypatch, with_frames, nq):
     radius = 1.2
     nbr = radius_neighbors(cloud, radius, 8)
     assert np.any(nbr == nq) and np.all(nbr[:, 1] < nq)
-    frames = local_reference_frames(cloud.positions, nbr) if with_frames else None
-    args = (cloud.positions, nbr, kernel_disposition(15) * radius, radius / SIGMA_RATIO,
-            frames)
-    got, want = conv_influence(*args), oneshot_conv_influence(*args)
+    offsets = neighbor_offsets(cloud.positions, nbr)
+    frames = local_reference_frames(offsets, nbr) if with_frames else None
+    args = (nbr, kernel_disposition(15) * radius, radius / SIGMA_RATIO, frames)
+    got, want = conv_influence(offsets, *args), oneshot_conv_influence(cloud.positions, *args)
     assert got.dtype == want.dtype == np.float32
     assert np.array_equal(got, want)
     assert not np.any(got.transpose(0, 2, 1)[nbr == nq])
@@ -451,16 +460,80 @@ def test_influence_never_holds_a_full_float64_table():
     pyr = build_pyramid(sample.preoperative, cfg.stages, cfg.initial_voxel,
                         cfg.base_radius_mult, cfg.max_neighbors)
     pts, nbr, radius = pyr.levels[0].positions, pyr.neighbors[0], pyr.radii[0]
-    args = (pts, nbr, kernel_disposition(cfg.kernel_size, cfg.kernel_seed) * radius,
-            radius / SIGMA_RATIO, local_reference_frames(pts, nbr))
+    offsets = neighbor_offsets(pts, nbr)
+    args = (nbr, kernel_disposition(cfg.kernel_size, cfg.kernel_seed) * radius,
+            radius / SIGMA_RATIO, local_reference_frames(offsets, nbr))
     # the one-shot evaluation holds at least two tables of this size
     table_bytes = 8 * nbr.size * cfg.kernel_size
     tracemalloc.start()
     try:
-        got = conv_influence(*args)
+        got = conv_influence(offsets, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < table_bytes
-    want = oneshot_conv_influence(*args)
+    want = oneshot_conv_influence(pts, *args)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# -- tables against the arithmetic they replaced ------------------------------
+
+@pytest.mark.parametrize("seed", [1000, 2000])
+def test_context_tables_equal_previous_arithmetic_on_benchmark_phantoms(seed):
+    sample = generate_phantom(PhantomConfig(seed=seed))
+    cases = ((sample.preoperative, RegNetConfig()), (sample.intraoperative, RegNetConfig()),
+             (sample.intraoperative, SegNetConfig()))
+    for cloud, cfg in cases:
+        ctx = build_context(cloud, cfg)
+        pyr = ctx.pyramid
+        kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
+        for l, (lvl, radius) in enumerate(zip(pyr.levels, pyr.radii)):
+            pts = lvl.positions
+            nbr = k8_radius_neighbors(lvl, radius, cfg.max_neighbors)
+            assert np.array_equal(pyr.neighbors[l], nbr)
+            if l + 1 < pyr.stages:
+                assert np.array_equal(pyr.ups[l], k8_knn(lvl, pyr.levels[l + 1]))
+            frames = None
+            if isinstance(cfg, RegNetConfig):
+                frames = einsum_local_reference_frames(pts, nbr)
+                got = local_reference_frames(neighbor_offsets(pts, nbr), nbr)
+                assert np.array_equal(got, frames)
+            want = oneshot_conv_influence(pts, nbr, kernel * radius, radius / SIGMA_RATIO,
+                                          frames)
+            assert np.array_equal(ctx.influences[l], want)
+
+
+def test_frames_on_a_symmetric_lattice_resum_near_zero_cube_sums_with_power():
+    # every neighborhood of an interior lattice point is centrally symmetric,
+    # so its third moment along any axis is 0 in exact arithmetic and its
+    # rounded cube sum lies far inside the 1e-12 fallback margin; on this
+    # lattice the product cubes alone orient some of those rows the other
+    # way from ``p ** 3``, so only the fallback keeps the frames equal
+    basis = np.array([[1.0, 0.3, 0.1], [0.2, 0.7, -0.1], [0.5, -0.1, 0.6]])
+    pts = np.array(list(np.ndindex(9, 9, 9)), dtype=float) @ basis
+    nbr = radius_neighbors(PointCloud(pts), 0.9, 32)
+    offsets = neighbor_offsets(pts, nbr)
+    want = einsum_local_reference_frames(pts, nbr)
+    assert np.array_equal(local_reference_frames(offsets, nbr), want)
+    cubes = np.einsum("qhi,qi->qh", offsets, want[:, 0]) ** 3
+    near_zero = np.abs(cubes.sum(axis=1)) <= 1e-12 * np.abs(cubes).sum(axis=1)
+    assert np.count_nonzero(near_zero) >= 100
+
+
+@pytest.mark.parametrize("radius", [0.175, 1.0, 37.5])
+def test_expanded_influence_within_1e7_with_neighbors_on_kernel_points(radius):
+    # the kernel itself as the cloud: row 0's offsets are the kernel points,
+    # where |r|^2 + |k|^2 - 2 k.r cancels to rounding error
+    kernel = kernel_disposition(15, 1) * radius
+    rng = np.random.default_rng(51)
+    extra = rng.normal(size=(40, 3)) * radius / 2.0
+    pts = np.vstack([kernel, extra])
+    # kernel points on the ball's surface may round to just past the radius
+    nbr = radius_neighbors(PointCloud(pts), 1.001 * radius, 64)
+    slots = [np.flatnonzero(nbr[0] == j) for j in range(15)]
+    assert all(s.size == 1 for s in slots)
+    args = (nbr, kernel, radius / SIGMA_RATIO)
+    got = conv_influence(neighbor_offsets(pts, nbr), *args)
+    want = oneshot_conv_influence(pts, *args)
+    assert all(want[0, j, s[0]] == 1.0 for j, s in enumerate(slots))
+    assert np.max(np.abs(got.astype(np.float64) - want)) <= 1e-7

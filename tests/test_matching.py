@@ -131,6 +131,23 @@ def test_coarse_match_uniform_falls_back_to_index_order():
     np.testing.assert_array_equal(pairs, np.argwhere(np.ones((8, 8)))[:K_CORR])
 
 
+def test_coarse_match_selects_the_head_of_a_stable_sort_through_tied_scores():
+    # one-hot features make every product exact, so the score of a cell
+    # depends only on its row's and its column's class: ties in blocks
+    rng = np.random.default_rng(5)
+    pre = np.eye(4)[rng.integers(0, 3, size=23)]
+    intra = np.eye(4)[rng.integers(0, 4, size=31)]
+    bonus = np.zeros((23, 31))
+    pairs, scores = coarse_match(pre, intra, bonus)
+    sim = Tensor(pre @ intra.T)
+    flat = (ad.softmax(sim, axis=1).data * ad.softmax(sim, axis=0).data).reshape(-1)
+    full = np.argsort(-flat, kind="stable")
+    assert flat[full[K_CORR - 1]] == flat[full[K_CORR]]        # the cut splits a tie
+    np.testing.assert_array_equal(pairs, np.stack(np.unravel_index(full[:K_CORR],
+                                                                   (23, 31)), axis=1))
+    assert np.array_equal(scores, flat[full[:K_CORR]])
+
+
 def test_coarse_match_truncates_excess_k():
     feats = np.eye(3)
     pairs, scores = coarse_match(feats, feats, np.zeros((3, 3)))

@@ -1,5 +1,7 @@
 """Phantom generator and file-format tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,21 @@ def test_sample_round_trip(tmp_path):
     np.testing.assert_allclose(back.T_gt.rotation, s.T_gt.rotation, atol=1e-12)
     np.testing.assert_array_equal(back.landmarks, s.landmarks)
     assert back.scale == s.scale
+    assert back.center.dtype == np.float64 and np.array_equal(back.center, s.center)
+
+
+@pytest.mark.parametrize("center", ["abc", [1.0, 2.0], [1.0, "2", 3.0], [1.0, True, 3.0],
+                                    [1.0, float("nan"), 3.0]],
+                         ids=["string", "two_numbers", "numeric_string", "bool", "nan"])
+def test_load_sample_rejects_a_center_that_is_not_3_finite_numbers(tmp_path, center):
+    s = generate_phantom(PhantomConfig(seed=8, **SMALL))
+    save_sample(s, tmp_path / "s")
+    path = tmp_path / "s" / "pose.json"
+    doc = json.loads(path.read_text())
+    doc["center"] = center
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="pose.json: need a center of 3 finite numbers"):
+        load_sample(tmp_path / "s")
 
 
 def test_saved_intra_cloud_carries_no_label_column(tmp_path):
