@@ -19,6 +19,7 @@ import contextlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,10 +112,12 @@ def cmd_generate(args) -> int:
         points_intra=args.points_intra, exposure_fraction=args.exposure_fraction,
         clutter_fraction=args.clutter_fraction, noise_sigma=args.noise_sigma,
         occlusion_patches=args.occlusion_patches)
-    with _exits(((ValueError, RuntimeError), EXIT_DATA, "generation failed")):
+    with _exits((ValueError, EXIT_USAGE, "invalid phantom settings")):
+        cfg = PhantomConfig(seed=args.seed, **cfg_common)
+    with _exits((RuntimeError, EXIT_DATA, "generation failed")):
         dirs = []
         for i in range(args.n_samples):
-            sample = generate_phantom(PhantomConfig(seed=args.seed + i, **cfg_common))
+            sample = generate_phantom(replace(cfg, seed=args.seed + i))
             name = f"sample_{i:04d}"
             save_sample(sample, out / name)
             dirs.append(name)
@@ -198,13 +201,12 @@ def cmd_train(args) -> int:
                           phase1_iters=args.phase1_iters, seed=args.seed,
                           checkpoint_every=args.checkpoint_every,
                           n_fine_pairs=args.n_fine_pairs)
+        seg_cfg = SegNetConfig(width_factor=args.width_factor)
+        reg_cfg = RegNetConfig(width_factor=args.width_factor)
     with _exits(((OSError, ValueError), EXIT_DATA, "cannot load inputs")):
         dataset = _load_dataset(args.dataset, colors=True)
         resume = load_checkpoint(args.resume) if args.resume is not None else None
-    if resume is None:
-        seg_cfg = SegNetConfig(width_factor=args.width_factor)
-        reg_cfg = RegNetConfig(width_factor=args.width_factor)
-    else:   # train() continues with the checkpoint's networks
+    if resume is not None:      # train() continues with the checkpoint's networks
         _, seg_cfg, reg_cfg, _ = resume
         if {seg_cfg.width_factor, reg_cfg.width_factor} != {args.width_factor}:
             raise _Exit(EXIT_USAGE, "invalid training settings: the checkpoint's width "
@@ -427,7 +429,9 @@ def build_parser() -> _Parser:
     t.add_argument("--tau-anneal", action="store_true")
     t.add_argument("--phase1-iters", type=int, default=TrainConfig.phase1_iters)
     t.add_argument("--n-fine-pairs", type=int, default=TrainConfig.n_fine_pairs)
-    t.add_argument("--width-factor", type=float, default=RegNetConfig.width_factor)
+    t.add_argument("--width-factor", type=float, default=RegNetConfig.width_factor,
+                   help="positive scale of every layer width of both networks; a "
+                        "scaled width is rounded and at least 2 (default: %(default)s)")
     t.add_argument("--seed", type=int, default=TrainConfig.seed)
     t.add_argument("--checkpoint-every", type=int, default=TrainConfig.checkpoint_every)
     t.add_argument("--resume", default=None,

@@ -7,9 +7,10 @@ it writes binary_little_endian.
 Poses are JSON: rotation, translation and extra fields; rotations are
 re-validated on load.  A sample's pose.json needs a positive, finite
 ``scale``, its landmarks.csv K >= 1 finite x,y,z rows and its mask.txt one
-0/1 label per intraoperative point.  Checkpoints
-are .npz archives of the parameters (and momentum) with a versioned JSON
-header carrying the step, both network configs and the generator state.
+0/1 label per intraoperative point.  Checkpoints are .npz archives of the
+parameters (and momentum) with a JSON header (version 3) carrying the step,
+both network configs and the generator state; loading checks each array's
+name and shape against ``param_shapes`` of those configs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from segreg.autodiff import Tensor
 from segreg.geometry import PointCloud, RigidTransform, rotation_defects
-from segreg.networks import RegNetConfig, SegNetConfig
+from segreg.networks import RegNetConfig, SegNetConfig, param_shapes
 from segreg.phantom import PhantomConfig, RegistrationSample
 
 __all__ = [
@@ -321,7 +322,7 @@ def read_manifest(directory: str | Path) -> dict:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
@@ -329,10 +330,9 @@ def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
                     momentum: dict | None = None, rng_state: dict | None = None) -> None:
     """Serialize ``Tensor`` parameters (bit-exact float64) with a versioned header.
 
-    The JSON header holds the version (2: configs without the network
-    constants), the step, both network configs, the parameter names and the
-    training generator's PCG64 state; the arrays are ``param/<name>`` and,
-    for a resumable run, ``momentum/<name>``.
+    The JSON header holds the version, the step, both network configs, the
+    parameter names and the training generator's PCG64 state; the arrays are
+    ``param/<name>`` and, for a resumable run, ``momentum/<name>``.
     """
     header = {
         "version": CHECKPOINT_VERSION,
@@ -353,15 +353,11 @@ def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
         np.savez(fh, **arrays)
 
 
-def _config(cls, fields: dict):
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
-
-
 def load_checkpoint(path: str | Path):
-    """Return (params, seg_config, reg_config, state dict).
+    """Return (params in ``param_shapes`` order, seg_config, reg_config, state).
 
-    A file that is not a readable .npz archive, or whose header, arrays or
-    PCG64 generator state are malformed or incomplete, raises ``ValueError``.
+    A file that is not a readable .npz archive, or whose version, header,
+    configs, PCG64 generator state or parameters do not fit, is a ValueError.
     """
     try:
         archive = np.load(path)
@@ -373,22 +369,26 @@ def load_checkpoint(path: str | Path):
         if "__header__" not in z:
             raise ValueError("not a checkpoint file (missing header)")
         header = json.loads(bytes(z["__header__"]).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("malformed checkpoint (the header is not a JSON object)")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
         try:
-            if header.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-            params = {name: Tensor(z[f"param/{name}"], requires_grad=True)
-                      for name in header["param_names"]}
+            seg_cfg = SegNetConfig(**header["seg_config"])
+            reg_cfg = RegNetConfig(**header["reg_config"])
+            shapes = param_shapes(seg_cfg) | param_shapes(reg_cfg)
+            params = {name: Tensor(z[f"param/{name}"], requires_grad=True) for name in shapes}
             momentum = {key[len("momentum/"):]: z[key] for key in z.files
                         if key.startswith("momentum/")}
-            seg_cfg = _config(SegNetConfig, header["seg_config"])
-            reg_cfg = _config(RegNetConfig, header["reg_config"])
+            wrong = sorted(set(header["param_names"]) ^ set(shapes)) + [
+                key for key, value in [*params.items(), *momentum.items()]
+                if shapes.get(key) != value.shape]
+            if wrong:
+                raise ValueError(f"parameters {wrong} do not fit the header's configs")
             rng_state = header.get("rng_state", {})
             if rng_state:                 # the training generator is a PCG64
-                try:
-                    np.random.PCG64().state = rng_state
-                except ValueError as exc:
-                    raise ValueError(f"malformed checkpoint (rng_state: {exc})") from exc
+                np.random.PCG64().state = rng_state
             state = {"step": header["step"], "momentum": momentum, "rng_state": rng_state}
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     return params, seg_cfg, reg_cfg, state

@@ -44,7 +44,7 @@ from segreg.matching import (
     normalize_scores_with_slack,
     patch_scores,
 )
-from segreg.networks import SegNetConfig, build_context, init_seg_params, seg_forward
+from segreg.networks import SegNetConfig, build_context, init_weights, seg_forward
 
 __all__ = ["CheckResult", "run_checks", "COMPONENTS"]
 
@@ -143,7 +143,7 @@ _TOY_SEG = SegNetConfig(widths=(2, 2, 2, 2, 2), width_factor=1.0,
 def _network_rows(rng):
     """Every parameter of the segmentation net, through its fused norm nodes."""
     ctx = build_context(_surface(rng, 50, colors=True), _TOY_SEG)
-    params = init_seg_params(_TOY_SEG, rng)
+    params = init_weights(_TOY_SEG, rng)
     names = sorted(params)
     return [("seg_forward_all_params", 5e-6, [params[n].data for n in names],
              lambda t: seg_forward(dict(zip(names, t)), ctx))]

@@ -15,11 +15,16 @@ consumes a single per-point feature (constant 1 for the preoperative cloud,
 the straight-through mask for the intraoperative one) and returns bottleneck
 superpoint features plus dense decoder features; the same parameters process
 both clouds.
+
+Configs hold the four values callers set (``widths``, one per stage,
+``width_factor``, ``initial_voxel``, ``max_neighbors``); the rest are class
+constants.  ``param_shapes`` lists every parameter's name and shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,44 +47,58 @@ __all__ = [
     "RegNetConfig",
     "BackboneContext",
     "build_context",
-    "init_seg_params",
-    "init_reg_params",
+    "param_shapes",
+    "init_weights",
     "seg_forward",
     "reg_backbone_forward",
 ]
 
 NORM_EPS = 1e-5
 LEAKY_SLOPE = 0.1
+SUPERPOINT_DIM = 32
+DENSE_DIM = 16
+
+
+class _NetConfig:
+    def __post_init__(self):        # both network configs; JSON gives widths as a list
+        object.__setattr__(self, "widths", tuple(self.widths))
+        if not (len(self.widths) >= 2 and all(0 < w < np.inf for w in self.widths)
+                and 0 < self.width_factor < np.inf and 0 < self.initial_voxel < np.inf
+                and isinstance(self.max_neighbors, int) and self.max_neighbors >= 1):
+            raise ValueError(f"{self}: need 2 or more positive widths, a positive width_factor"
+                             " and initial_voxel, and an integer max_neighbors >= 1")
 
 
 @dataclass(frozen=True)
-class SegNetConfig:
-    stages: int = 5
-    kernel_size: int = 15
-    initial_voxel: float = 0.04
-    base_radius_mult: float = 2.5
+class SegNetConfig(_NetConfig):
     widths: tuple = (16, 32, 64, 128, 256)
     width_factor: float = 0.25
+    initial_voxel: float = 0.04
     max_neighbors: int = 26
-    kernel_seed: int = 17
+    kernel_size: ClassVar[int] = 15
+    kernel_seed: ClassVar[int] = 17
+    base_radius_mult: ClassVar[float] = 2.5
+    local_frames: ClassVar[bool] = False
+    prefix: ClassVar[str] = "seg"
+    in_channels: ClassVar[int] = 4                # r, g, b, constant 1
+    bottleneck_heads: ClassVar[tuple] = ()
+    level0_head: ClassVar[tuple] = ("seg_head", 2)
 
 
 @dataclass(frozen=True)
-class RegNetConfig:
-    stages: int = 3
-    kernel_size: int = 20
-    initial_voxel: float = 0.025
-    base_radius_mult: float = 7.0
+class RegNetConfig(_NetConfig):
     widths: tuple = (32, 64, 128)
     width_factor: float = 0.25
+    initial_voxel: float = 0.025
     max_neighbors: int = 32
-    superpoint_dim: int = 32
-    dense_dim: int = 16
-    kernel_seed: int = 23
-
-
-def _scaled_widths(cfg: SegNetConfig | RegNetConfig) -> tuple:
-    return tuple(max(2, int(round(w * cfg.width_factor))) for w in cfg.widths)
+    kernel_size: ClassVar[int] = 20
+    kernel_seed: ClassVar[int] = 23
+    base_radius_mult: ClassVar[float] = 7.0
+    local_frames: ClassVar[bool] = True           # rotation-invariant, to match across poses
+    prefix: ClassVar[str] = "reg"
+    in_channels: ClassVar[int] = 1                # constant 1 or the segmentation mask
+    bottleneck_heads: ClassVar[tuple] = (("reg_sp", SUPERPOINT_DIM),)
+    level0_head: ClassVar[tuple] = ("reg_dense", DENSE_DIM)
 
 
 @dataclass
@@ -92,77 +111,64 @@ class BackboneContext:
 
 def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> BackboneContext:
     """Precompute the pyramid and influence tables for one input cloud."""
-    pyramid = build_pyramid(cloud, cfg.stages, cfg.initial_voxel,
+    pyramid = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel,
                             cfg.base_radius_mult, cfg.max_neighbors)
     kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
-    # the registration backbone canonicalizes neighborhoods in local reference
-    # frames: its features become rotation-invariant, so matching generalizes
-    # across unseen poses
-    use_frames = isinstance(cfg, RegNetConfig)
     influences = []
     for level, radius in enumerate(pyramid.radii):
         nbr = pyramid.neighbors[level]
         offsets = neighbor_offsets(pyramid.levels[level].positions, nbr)
-        frames = local_reference_frames(offsets, nbr) if use_frames else None
+        frames = local_reference_frames(offsets, nbr) if cfg.local_frames else None
         influences.append(conv_influence(offsets, nbr, kernel * radius,
                                          radius / SIGMA_RATIO, frames=frames))
     return BackboneContext(pyramid, influences)
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization
+# parameters
 # ---------------------------------------------------------------------------
 
-def _uniform(rng, shape, fan_in):
-    limit = np.sqrt(3.0 / max(fan_in, 1))
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+def param_shapes(cfg: SegNetConfig | RegNetConfig) -> dict[str, tuple]:
+    """Name -> shape of every parameter of ``cfg``'s network, in draw order:
+    encoder, bottleneck heads, decoder from the deepest level, level-0 head.
+    Each layer has ``_w`` (outputs last), a linear one ``_b``, a normalized
+    one ``_gamma`` and ``_beta``."""
+    widths = [max(2, int(round(w * cfg.width_factor))) for w in cfg.widths]
+    shapes: dict[str, tuple] = {}
+
+    def layer(name, w_shape, norm):
+        shapes[f"{name}_w"] = w_shape
+        if len(w_shape) == 2:
+            shapes[f"{name}_b"] = (1, w_shape[-1])
+        if norm:
+            shapes[f"{name}_gamma"] = shapes[f"{name}_beta"] = (1, w_shape[-1])
+
+    cin = cfg.in_channels
+    for l, cout in enumerate(widths):
+        layer(f"{cfg.prefix}_enc{l}", (cfg.kernel_size, cin, cout), norm=True)
+        cin = cout
+    for name, dim in cfg.bottleneck_heads:
+        layer(name, (cin, dim), norm=False)
+    for l in range(len(widths) - 2, -1, -1):
+        layer(f"{cfg.prefix}_dec{l}", (cin + widths[l], widths[l]), norm=True)
+        cin = widths[l]
+    layer(cfg.level0_head[0], (cin, cfg.level0_head[1]), norm=False)
+    return shapes
 
 
-def _add_norm(params, name, dim):
-    params[f"{name}_gamma"] = Tensor(np.ones((1, dim)), requires_grad=True)
-    params[f"{name}_beta"] = Tensor(np.zeros((1, dim)), requires_grad=True)
-
-
-def _add_conv(params, rng, name, k, cin, cout):
-    params[f"{name}_w"] = _uniform(rng, (k, cin, cout), k * cin)
-    _add_norm(params, name, cout)
-
-
-def _add_linear(params, rng, name, cin, cout, norm=True):
-    params[f"{name}_w"] = _uniform(rng, (cin, cout), cin)
-    params[f"{name}_b"] = Tensor(np.zeros((1, cout)), requires_grad=True)
-    if norm:
-        _add_norm(params, name, cout)
-
-
-def init_seg_params(cfg: SegNetConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    w = _scaled_widths(cfg)
-    params: dict[str, Tensor] = {}
-    cin = 4  # r, g, b, constant 1
-    for l in range(cfg.stages):
-        _add_conv(params, rng, f"seg_enc{l}", cfg.kernel_size, cin, w[l])
-        cin = w[l]
-    current = w[-1]
-    for l in range(cfg.stages - 2, -1, -1):
-        _add_linear(params, rng, f"seg_dec{l}", current + w[l], w[l])
-        current = w[l]
-    _add_linear(params, rng, "seg_head", current, 2, norm=False)
-    return params
-
-
-def init_reg_params(cfg: RegNetConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    w = _scaled_widths(cfg)
-    params: dict[str, Tensor] = {}
-    cin = 1  # constant 1 or the segmentation mask
-    for l in range(cfg.stages):
-        _add_conv(params, rng, f"reg_enc{l}", cfg.kernel_size, cin, w[l])
-        cin = w[l]
-    _add_linear(params, rng, "reg_sp", w[-1], cfg.superpoint_dim, norm=False)
-    current = w[-1]
-    for l in range(cfg.stages - 2, -1, -1):
-        _add_linear(params, rng, f"reg_dec{l}", current + w[l], w[l])
-        current = w[l]
-    _add_linear(params, rng, "reg_dense", current, cfg.dense_dim, norm=False)
+def init_weights(cfg: SegNetConfig | RegNetConfig, rng: np.random.Generator
+                 ) -> dict[str, Tensor]:
+    """Fresh parameters of ``cfg``'s network in ``param_shapes`` order: each
+    ``_w`` uniform in +-sqrt(3 / fan-in), the fan-in being the product of all
+    but its last axis, each ``_gamma`` ones, everything else zeros."""
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith("_w"):
+            limit = np.sqrt(3.0 / np.prod(shape[:-1]))
+            value = rng.uniform(-limit, limit, size=shape)
+        else:
+            value = (np.ones if name.endswith("_gamma") else np.zeros)(shape)
+        params[name] = Tensor(value, requires_grad=True)
     return params
 
 
@@ -223,20 +229,10 @@ def _norm_act(params: dict[str, Tensor], name: str, y: Tensor) -> Tensor:
     return ad.record_custom(out, requires, bwd)
 
 
-def _conv_block(params, name, ctx: BackboneContext, level: int, feats: Tensor) -> Tensor:
-    y = kpconv_apply(ctx.influences[level], ctx.pyramid.neighbors[level],
-                     feats, params[f"{name}_w"])
-    return _norm_act(params, name, y)
-
-
 def _linear_head(params, name, feats: Tensor) -> Tensor:
     b = params[f"{name}_b"]
     return ad.add(ad.matmul(feats, params[f"{name}_w"]),
                   ad.expand(b, (feats.shape[0], b.shape[1])))
-
-
-def _linear_block(params, name, feats: Tensor) -> Tensor:
-    return _norm_act(params, name, _linear_head(params, name, feats))
 
 
 def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor
@@ -246,14 +242,17 @@ def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor
     skips: list[Tensor] = []
     feats = feats0
     for l in range(pyr.stages):
-        feats = _conv_block(params, f"{prefix}_enc{l}", ctx, l, feats)
+        name = f"{prefix}_enc{l}"
+        feats = _norm_act(params, name, kpconv_apply(ctx.influences[l], pyr.neighbors[l],
+                                                     feats, params[f"{name}_w"]))
         if l < pyr.stages - 1:
             skips.append(feats)
             feats = ad.scatter_mean(feats, pyr.pools[l], len(pyr.levels[l + 1]))
     bottleneck = feats
     for l in range(pyr.stages - 2, -1, -1):
         up = ad.gather_rows(feats, pyr.ups[l])
-        feats = _linear_block(params, f"{prefix}_dec{l}", ad.concat([up, skips[l]]))
+        name = f"{prefix}_dec{l}"
+        feats = _norm_act(params, name, _linear_head(params, name, ad.concat([up, skips[l]])))
     return bottleneck, feats
 
 

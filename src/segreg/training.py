@@ -22,13 +22,7 @@ from segreg.autodiff import NonFiniteError, Tape, Tensor, backward
 from segreg.fileio import save_checkpoint
 from segreg.gumbel import hard_mask, straight_through_mask
 from segreg.matching import NoPositivePairsError
-from segreg.networks import (
-    RegNetConfig,
-    SegNetConfig,
-    init_reg_params,
-    init_seg_params,
-    seg_forward,
-)
+from segreg.networks import RegNetConfig, SegNetConfig, init_weights, seg_forward
 from segreg.phantom import RegistrationSample, mm_to_units, weak_labels
 from segreg.pipeline import (
     MatcherConfig,
@@ -107,19 +101,20 @@ def tau_at(step: int, cfg: TrainConfig) -> float:
 def init_params(seg_cfg: SegNetConfig, reg_cfg: RegNetConfig, seed: int
                 ) -> dict[str, Tensor]:
     rng = np.random.default_rng([seed, 0xC0FFEE])
-    params = init_seg_params(seg_cfg, rng)
-    params.update(init_reg_params(reg_cfg, rng))
-    return params
+    return init_weights(seg_cfg, rng) | init_weights(reg_cfg, rng)
 
 
 @dataclass
 class TrainResult:
     params: dict[str, Tensor]
-    curve: list           # rows: (step, lr, total, coarse, fine); NaN losses: skipped
+    # rows: (step, lr, total, coarse, fine, pre-clip gradient norm); NaN: skipped
+    curve: list
     checkpoint_path: str | None
 
 
 def _clip_and_step(params, grads_of, velocity, lr):
+    """One momentum step on ``grads_of``, clipped to ``CLIP_NORM`` globally;
+    returns the gradient norm before the clip."""
     total = 0.0
     for name in grads_of:
         g = params[name].grad
@@ -235,7 +230,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
                         loss = segmentation_cross_entropy(logits, weak_masks[idx])
                         total, coarse, fine = loss.item(), loss.item(), 0.0
                         backward(loss)
-                        _clip_and_step(params, seg_names, velocity, lr)
+                        grad_norm = _clip_and_step(params, seg_names, velocity, lr)
                     else:
                         if cfg.mode == "end_to_end":
                             mask, _ = straight_through_mask(
@@ -245,9 +240,9 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
                         coarse, fine = dual.coarse.item(), dual.fine.item()
                         backward(dual.total)
                         names = reg_names if two_step_phase2 else seg_names + reg_names
-                        _clip_and_step(params, names, velocity, lr)
+                        grad_norm = _clip_and_step(params, names, velocity, lr)
         except NoPositivePairsError:
-            curve.append((step, lr, float("nan"), float("nan"), float("nan")))
+            curve.append((step, lr) + (float("nan"),) * 4)
             continue
         except NonFiniteError:
             raise TrainingDiverged(p.sample_id or str(idx), step, last_ckpt)
@@ -255,7 +250,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
             for param in params.values():
                 param.grad = None
 
-        curve.append((step, lr, total, coarse, fine))
+        curve.append((step, lr, total, coarse, fine, grad_norm))
         if log_every and (step % log_every == 0 or step == cfg.total_iters - 1):
             print(f"step {step:6d} lr {lr:.2e} loss {total:8.4f} "
                   f"(coarse {coarse:7.4f} fine {fine:7.4f})", flush=True)
@@ -271,6 +266,6 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
 def _write_curve(curve, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["step", "lr", "total", "coarse", "fine"])
+        w.writerow(["step", "lr", "total", "coarse", "fine", "grad_norm"])
         for row in curve:
             w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])

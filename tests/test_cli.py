@@ -331,6 +331,23 @@ def foreign_rng_state(header, arrays):
     return header
 
 
+def config_value(config, field, value):
+    """The header describes a network other than the one the arrays hold, or
+    one that no config accepts."""
+    def damage(header, arrays):
+        header[config][field] = value
+        return header
+    return damage
+
+
+def reshaped(key):
+    """``key`` holds an array with one axis more than ``reg_sp_w``."""
+    def damage(header, arrays):
+        arrays[key] = np.zeros((1,) + arrays["param/reg_sp_w"].shape)
+        return header
+    return damage
+
+
 MALFORMED_CHECKPOINTS = {
     "no_param_names": drop("param_names"),
     "no_step": drop("step"),
@@ -340,20 +357,38 @@ MALFORMED_CHECKPOINTS = {
     "unknown_config_key": unknown_config_key,
     "foreign_rng_state": foreign_rng_state,
     "header_not_object": lambda header, arrays: [header],
+    "six_seg_stages": config_value("seg_config", "widths", [16, 32, 64, 128, 256, 512]),
+    "four_seg_stages": config_value("seg_config", "widths", [16, 32, 64, 128]),
+    "other_reg_widths": config_value("reg_config", "widths", [32, 64, 256]),
+    "other_width_factor": config_value("reg_config", "width_factor", 0.5),
+    "param_of_another_shape": reshaped("param/reg_sp_w"),
+    "momentum_of_another_shape": reshaped("momentum/reg_sp_w"),
+    "one_reg_width": config_value("reg_config", "widths", [32]),
+    "negative_width": config_value("seg_config", "widths", [16, -32, 64, 128, 256]),
+    "negative_width_factor": config_value("seg_config", "width_factor", -1.0),
+    "zero_initial_voxel": config_value("reg_config", "initial_voxel", 0.0),
+    "no_neighbors": config_value("seg_config", "max_neighbors", 0),
+    "fractional_neighbors": config_value("reg_config", "max_neighbors", 3.5),
 }
 
 
-def malformed_checkpoint(path, kind):
-    """A valid checkpoint rewritten with one header field or array damaged."""
+def rewritten_checkpoint(path, damage):
+    """A valid checkpoint rewritten by ``damage(header, arrays)``, which
+    edits the arrays in place and returns the new header."""
     seg, reg = SegNetConfig(), RegNetConfig()
     save_checkpoint(path, init_params(seg, reg, 0), seg, reg)
     with np.load(path) as z:
         arrays = {key: z[key] for key in z.files}
     header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
-    header = MALFORMED_CHECKPOINTS[kind](header, arrays)
+    header = damage(header, arrays)
     arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8)
     np.savez(path, **arrays)
     return path
+
+
+def malformed_checkpoint(path, kind):
+    """A valid checkpoint with one header field or array damaged."""
+    return rewritten_checkpoint(path, MALFORMED_CHECKPOINTS[kind])
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED_CHECKPOINTS))
@@ -381,21 +416,41 @@ def test_train_resume_from_malformed_checkpoint_exits_with_data_error(tmp_path, 
     assert not (tmp_path / "run").exists()
 
 
+def test_version_2_checkpoint_exits_with_data_error(tmp_path, capsys):
+    """Version 2 headers carried the network constants in the configs."""
+    def version_2(header, arrays):
+        header["seg_config"].update(stages=5, kernel_size=15, base_radius_mult=2.5,
+                                    kernel_seed=17)
+        return header | {"version": 2}
+
+    pre, intra = small_pair_on_disk(tmp_path)
+    ckpt = rewritten_checkpoint(tmp_path / "model.npz", version_2)
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--checkpoint", str(ckpt)])
+    assert code == EXIT_DATA
+    assert "cannot load inputs: unsupported checkpoint version 2" in capsys.readouterr().err
+
+
 def test_version_1_checkpoint_exits_with_data_error(tmp_path, capsys):
     pre, intra = small_pair_on_disk(tmp_path)
-    ckpt = tmp_path / "model.npz"
-    seg, reg = SegNetConfig(), RegNetConfig()
-    save_checkpoint(ckpt, init_params(seg, reg, 0), seg, reg)
-    with np.load(ckpt) as z:
-        arrays = {key: z[key] for key in z.files}
-    header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
-    header["version"] = 1
-    arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8)
-    np.savez(ckpt, **arrays)
+    ckpt = rewritten_checkpoint(tmp_path / "model.npz",
+                                lambda header, arrays: header | {"version": 1})
     code = main(["register", "--pre", str(pre), "--intra", str(intra),
                  "--out", str(tmp_path / "pose.json"), "--checkpoint", str(ckpt)])
     assert code == EXIT_DATA
     assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", ["-1", "0", "nan"])
+def test_train_with_a_width_factor_that_is_not_positive_exits_with_usage_error(
+        tmp_path, factor, capsys):
+    """The networks are checked before the dataset is read or --out is made."""
+    out = tmp_path / "run"
+    code = main(["train", "--dataset", str(tmp_path / "missing"), "--out", str(out),
+                 "--width-factor", factor])
+    assert code == EXIT_USAGE
+    assert "invalid training settings: SegNetConfig(" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("step", [2, 4])
@@ -433,7 +488,7 @@ def test_train_resume_prepares_samples_with_the_checkpoint_networks(tmp_path):
     assert main(["generate", "--out", str(data), "--n-samples", "1",
                  "--n-vertebrae", "2", "--points-pre", "1024",
                  "--points-intra", "512"]) == 0
-    seg, reg = SegNetConfig(stages=4, widths=(16, 32, 64, 128)), RegNetConfig()
+    seg, reg = SegNetConfig(widths=(16, 32, 64, 128)), RegNetConfig()
     save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
     assert main(["train", "--dataset", str(data), "--out", str(out), "--iters", "1",
                  "--warmup", "0", "--resume", str(tmp_path / "model.npz")]) == 0
@@ -681,16 +736,35 @@ def test_generate_without_samples_exits_with_usage_error(tmp_path, n_samples, ca
     assert not (tmp_path / "data").exists()
 
 
-@pytest.mark.parametrize("flag, field", [("--noise-sigma", "noise_sigma"),
-                                         ("--occlusion-patches", "occlusion_patches")])
-def test_generate_with_a_negative_phantom_setting_exits_with_data_error(
-        tmp_path, flag, field, capsys):
+BAD_PHANTOM_SETTINGS = [
+    ("--noise-sigma", "-1", "noise_sigma must be non-negative"),
+    ("--occlusion-patches", "-1", "occlusion_patches must be non-negative"),
+    ("--points-pre", "50", "point counts must be at least 100"),
+    ("--exposure-fraction", "2", "fractions must lie in [0, 1]"),
+    ("--n-vertebrae", "0", "need at least one vertebra"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", BAD_PHANTOM_SETTINGS,
+                         ids=[flag for flag, _, _ in BAD_PHANTOM_SETTINGS])
+def test_generate_with_a_bad_phantom_setting_exits_with_usage_error(
+        tmp_path, flag, value, message, capsys):
     code = main(["generate", "--out", str(tmp_path / "data"), "--n-samples", "1",
                  "--n-vertebrae", "2", "--points-pre", "1024", "--points-intra", "512",
-                 flag, "-1"])
-    assert code == EXIT_DATA
-    assert f"generation failed: {field} must be non-negative" in capsys.readouterr().err
+                 flag, value])
+    assert code == EXIT_USAGE
+    assert f"invalid phantom settings: {message}" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def test_generate_failure_of_the_generator_exits_with_data_error(tmp_path, capsys):
+    """Settings the config accepts but no phantom satisfies: every retry
+    misses the overlap guarantee."""
+    code = main(["generate", "--out", str(tmp_path / "data"), "--n-samples", "1",
+                 "--n-vertebrae", "2", "--points-pre", "1024", "--points-intra", "512",
+                 "--exposure-fraction", "0"])
+    assert code == EXIT_DATA
+    assert "generation failed: phantom generation failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["generate", "register", "eval"])

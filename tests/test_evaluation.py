@@ -1,6 +1,9 @@
-"""Evaluation statistics: parity of the Wilcoxon test with scipy, the CLI
-starting without scipy.stats, and the ablation's one paired case per sample."""
+"""Evaluation statistics: the summary's quartiles, sd and outlier fence, RMSE
+and pose errors of known poses, one record row per landmark, parity of the
+Wilcoxon test with scipy, the CLI starting without scipy.stats, and the
+ablation's one paired case per sample."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -8,13 +11,86 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 from scipy.stats import wilcoxon
 
 import segreg
 from segreg.cli import main
-from segreg.evaluation import tre, wilcoxon_signed_rank
+from segreg.evaluation import (
+    EvalRecord,
+    pose_errors,
+    rmse,
+    summarize,
+    tre,
+    wilcoxon_signed_rank,
+    write_records,
+)
 from segreg.fileio import load_sample, save_pose
-from segreg.geometry import random_rigid
+from segreg.geometry import PointCloud, RigidTransform, random_rigid
+
+
+def test_summarize_quartiles_sd_and_an_upper_only_outlier_fence():
+    """Quartiles interpolate linearly; 50 lies above Q3 + 1.5 IQR and counts,
+    -40 lies as far below Q1 - 1.5 IQR and does not."""
+    errors = [3.0, -40.0, 2.0, 50.0, 1.0, 4.0, 2.5]
+    stats = summarize(errors)
+    q1, median, q3 = np.percentile(errors, [25, 50, 75])
+    assert (stats["q1"], stats["median"], stats["q3"]) == (q1, median, q3) == (1.5, 2.5, 3.5)
+    assert stats["mean"] == np.mean(errors)
+    assert stats["sd"] == np.std(errors, ddof=1)
+    assert stats["n"] == 7
+    assert stats["outlier_rate"] == 1 / 7
+
+
+def test_summarize_one_error_has_zero_sd_and_no_outliers():
+    stats = summarize([2.0])
+    assert stats == {"n": 1, "median": 2.0, "q1": 2.0, "q3": 2.0, "mean": 2.0,
+                     "sd": 0.0, "outlier_rate": 0.0}
+
+
+def test_summarize_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="empty"):
+        summarize([])
+
+
+def test_rmse_of_a_pure_translation_is_its_length():
+    rng = np.random.default_rng(0)
+    cloud = PointCloud(rng.normal(size=(50, 3)))
+    T_gt = random_rigid(0.3, 40.0, rng)
+    shift = np.array([0.03, -0.04, 0.12])          # length 0.13
+    T_pred = RigidTransform(np.eye(3), shift).compose(T_gt)
+    got = rmse(cloud, T_pred, T_gt, scale_m_per_unit=0.08)
+    assert got["units"] == pytest.approx(0.13, rel=1e-12)
+    assert got["mm"] == pytest.approx(0.13 * 0.08 * 1000.0, rel=1e-12)
+
+
+def test_pose_errors_of_a_known_axis_angle_rotation():
+    rng = np.random.default_rng(1)
+    T_gt = random_rigid(0.3, 40.0, rng)
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    turn = RigidTransform(Rotation.from_rotvec(np.deg2rad(30.0) * axis).as_matrix(),
+                          np.array([0.0, 0.05, 0.0]))
+    T_pred = turn.compose(T_gt)
+    got = pose_errors(T_pred, T_gt)
+    assert got["rotation_deg"] == pytest.approx(30.0, rel=1e-9)
+    assert got["translation_units"] == pytest.approx(
+        np.linalg.norm(T_pred.translation - T_gt.translation), rel=1e-12)
+
+
+def test_write_records_writes_one_row_per_landmark_sorted_by_sample_and_method(tmp_path):
+    records = [EvalRecord("s1", "icp", [0.1], [1.0], 0.2, 2.0, 3.0, 0.4, 5.0),
+               EvalRecord("s0", "model", [0.3, 0.5], [3.0, 5.0]),
+               EvalRecord("s0", "icp", [0.7, 0.9, 1.1], [7.0, 9.0, 11.0])]
+    write_records(records, tmp_path / "records.csv")
+    with open(tmp_path / "records.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["sample_id"], r["method"], r["landmark"]) for r in rows] == [
+        ("s0", "icp", "0"), ("s0", "icp", "1"), ("s0", "icp", "2"),
+        ("s0", "model", "0"), ("s0", "model", "1"), ("s1", "icp", "0")]
+    assert [float(r["tre_mm"]) for r in rows] == [7.0, 9.0, 11.0, 3.0, 5.0, 1.0]
+    assert [float(rows[-1][k]) for k in ("tre_units", "rmse_units", "rmse_mm", "rotation_deg",
+                                         "translation_units", "wall_time_s")] == [
+        0.1, 0.2, 2.0, 3.0, 0.4, 5.0]
 
 
 def test_wilcoxon_matches_scipy_normal_approximation_with_ties():

@@ -532,11 +532,15 @@ def test_except_scan_sees_handlers_by_enclosing_function():
     assert _except_scopes(tree) == [("<module>", 3), ("f", 8), ("f.g", 12), ("K.m", 18)]
 
 
-# parameters that every package and benchmark call passes one constant, with the reason
+# parameters that every package and benchmark call passes one constant, with the reason;
+# fields of a *Config dataclass count as parameters (the network configs are not
+# listed: load_checkpoint builds them from a header with ``**``, a value the scan
+# cannot see)
 ONE_CONSTANT_PARAMETERS_ALLOWED = {
     "geometry.random_rigid.max_translation": "geometry must not import phantom's pose bounds",
     "geometry.random_rigid.max_rotation_deg": "geometry must not import phantom's pose bounds",
     "phantom.mm_to_units.mm": "a unit conversion of the caller's data",
+    "pipeline.MatcherConfig.patch_size": "perfbench constructs MatcherConfig",
 }
 
 _CONSTANT_NAME = re.compile(r"[A-Z][A-Z0-9_]+")
@@ -577,15 +581,34 @@ def _argument_keys(fn: ast.FunctionDef, call: ast.Call) -> dict[str, object]:
     return keys
 
 
+def _config_fields_as_function(cls: ast.ClassDef) -> ast.FunctionDef | None:
+    """A public ``*Config`` dataclass as a function whose parameters are its
+    fields, with their defaults (``ClassVar`` constants are not fields);
+    None for any other class."""
+    if (cls.name.startswith("_") or not cls.name.endswith("Config")
+            or not any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)):
+        return None
+    fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)
+              and not ast.unparse(node.annotation).startswith("ClassVar")]
+    args = ast.arguments(posonlyargs=[], args=[ast.arg(arg=f.target.id) for f in fields],
+                         vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None,
+                         defaults=[f.value for f in fields if f.value is not None])
+    return ast.FunctionDef(name=cls.name, args=args, body=[], decorator_list=[])
+
+
 def _one_constant_parameters(defs: dict[str, ast.Module], calls: list[ast.Module]
                              ) -> list[str]:
     """``module.function.parameter`` of every public module-level function in
-    ``defs`` (module prefix -> tree) that every call in ``calls`` passes the
+    ``defs`` (module prefix -> tree), and ``module.Class.field`` of every
+    public ``*Config`` dataclass, that every call in ``calls`` passes the
     same constant.  Calls are matched by the called name only."""
     by_name: dict[str, list] = {}
     for prefix, tree in defs.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.ClassDef):
+                node = _config_fields_as_function(node)
+            if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")):
                 by_name.setdefault(node.name, []).append((f"{prefix}.{node.name}", node))
     keys: dict[str, set] = {}
     for tree in calls:
@@ -621,3 +644,16 @@ def test_one_constant_scan_sees_literals_constant_names_and_defaults():
     calls = [ast.parse("f(1, c=C_MAX)\nm.f(a=1, b=2, c=C_MAX)\n"
                        "g(N, y)\ng(*args)\nk(1)\nk(2)\n_h(1)\n")]
     assert _one_constant_parameters(defs, calls) == ["mod.f.a", "mod.f.b", "mod.f.c"]
+
+
+def test_one_constant_scan_reads_config_dataclass_fields():
+    defs = {"mod": ast.parse(
+        "@dataclass(frozen=True)\nclass NetConfig:\n    widths: tuple = (1, 2)\n"
+        "    scale: float = 0.5\n    seed: int = 0\n    size: ClassVar[int] = 3\n"
+        "    def __post_init__(self):\n        pass\n"
+        "@dataclass\nclass _HiddenConfig:\n    a: int = 1\n"
+        "class PlainConfig:\n    b: int = 1\n"
+        "@dataclass\nclass Record:\n    c: int = 1\n")}
+    calls = [ast.parse("NetConfig(scale=s)\nNetConfig(seed=2)\nNetConfig(size=4)\n"
+                       "_HiddenConfig()\nPlainConfig()\nRecord()\n")]
+    assert _one_constant_parameters(defs, calls) == ["mod.NetConfig.widths"]

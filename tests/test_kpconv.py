@@ -29,8 +29,8 @@ from segreg.networks import (
     RegNetConfig,
     SegNetConfig,
     build_context,
-    init_reg_params,
-    init_seg_params,
+    init_weights,
+    param_shapes,
     reg_backbone_forward,
     seg_forward,
 )
@@ -243,14 +243,52 @@ def test_pyramid_indices_match_brute_force():
 TINY_SEG = SegNetConfig(widths=(2, 2, 2, 2, 2), width_factor=1.0,
                         initial_voxel=0.12, max_neighbors=8)
 TINY_REG = RegNetConfig(widths=(2, 2, 4), width_factor=1.0, initial_voxel=0.08,
-                        max_neighbors=8, superpoint_dim=4, dense_dim=3)
+                        max_neighbors=8)
+
+
+@pytest.mark.parametrize("cls", [SegNetConfig, RegNetConfig])
+@pytest.mark.parametrize("field, value", [
+    ("widths", (16,)), ("widths", (16, 0)), ("widths", (16, np.nan)),
+    ("width_factor", 0.0), ("width_factor", -1.0), ("width_factor", np.inf),
+    ("initial_voxel", 0.0), ("initial_voxel", np.nan), ("max_neighbors", 0),
+    ("max_neighbors", 2.5),
+])
+def test_network_configs_reject_values_that_describe_no_network(cls, field, value):
+    with pytest.raises(ValueError, match="need 2 or more positive widths"):
+        cls(**{field: value})
+
+
+class ReadLog(dict):
+    """Parameters that record every name a forward pass reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = []
+
+    def __getitem__(self, name):
+        self.read.append(name)
+        return super().__getitem__(name)
+
+
+def test_param_shapes_are_exactly_what_the_forward_passes_read():
+    rng = np.random.default_rng(6)
+    cloud = surface_cloud(rng, 300)
+    seg, reg = ReadLog(init_weights(TINY_SEG, rng)), ReadLog(init_weights(TINY_REG, rng))
+    seg_forward(seg, build_context(cloud, TINY_SEG))
+    reg_backbone_forward(reg, build_context(cloud, TINY_REG), Tensor(np.ones((300, 1))))
+    for params, cfg in ((seg, TINY_SEG), (reg, TINY_REG)):
+        shapes = param_shapes(cfg)
+        assert sorted(set(params.read)) == sorted(shapes)
+        assert {name: p.shape for name, p in params.items()} == shapes
+    assert param_shapes(TINY_REG)["reg_sp_w"] == (4, networks.SUPERPOINT_DIM)
+    assert param_shapes(TINY_SEG)["seg_enc0_w"] == (TINY_SEG.kernel_size, 4, 2)
 
 
 def test_seg_forward_shape_and_color_requirement():
     rng = np.random.default_rng(7)
     cloud = surface_cloud(rng, 300)
     ctx = build_context(cloud, TINY_SEG)
-    params = init_seg_params(TINY_SEG, rng)
+    params = init_weights(TINY_SEG, rng)
     logits = seg_forward(params, ctx)
     assert logits.shape == (300, 2)
 
@@ -267,7 +305,7 @@ def test_seg_forward_identical_points_identical_logits():
     col = np.vstack([cloud.colors, cloud.colors[:1]])
     doubled = PointCloud(pos, colors=col)
     ctx = build_context(doubled, TINY_SEG)
-    params = init_seg_params(TINY_SEG, rng)
+    params = init_weights(TINY_SEG, rng)
     logits = seg_forward(params, ctx).data
     np.testing.assert_array_equal(logits[0], logits[-1])
 
@@ -275,7 +313,7 @@ def test_seg_forward_identical_points_identical_logits():
 def test_seg_forward_permutation_equivariance():
     rng = np.random.default_rng(9)
     cloud = surface_cloud(rng, 250)
-    params = init_seg_params(TINY_SEG, rng)
+    params = init_weights(TINY_SEG, rng)
     base = seg_forward(params, build_context(cloud, TINY_SEG)).data
 
     perm = rng.permutation(250)
@@ -319,7 +357,7 @@ def test_reg_backbone_zero_mask_zeroes_first_conv():
     rng = np.random.default_rng(11)
     cloud = surface_cloud(rng, 300, colors=False)
     ctx = build_context(cloud, TINY_REG)
-    params = init_reg_params(TINY_REG, rng)
+    params = init_weights(TINY_REG, rng)
     from segreg.kpconv import kpconv_apply as raw_conv
     from segreg.autodiff import scatter_mean
     feats0 = scatter_mean(Tensor(np.zeros((300, 1))), ctx.pyramid.input_to_level0,
@@ -333,15 +371,15 @@ def test_reg_backbone_shapes_and_shared_params():
     rng = np.random.default_rng(12)
     pre = surface_cloud(rng, 400, colors=False)
     intra = surface_cloud(rng, 350, colors=False)
-    params = init_reg_params(TINY_REG, rng)
+    params = init_weights(TINY_REG, rng)
     ctx_pre = build_context(pre, TINY_REG)
     ctx_intra = build_context(intra, TINY_REG)
     sp_p, dn_p = reg_backbone_forward(params, ctx_pre, Tensor(np.ones((400, 1))))
     sp_i, dn_i = reg_backbone_forward(params, ctx_intra, Tensor(np.ones((350, 1))))
-    assert sp_p.shape == (len(ctx_pre.pyramid.levels[-1]), 4)
-    assert sp_i.shape == (len(ctx_intra.pyramid.levels[-1]), 4)
-    assert dn_p.shape == (len(ctx_pre.pyramid.levels[0]), 3)
-    assert dn_i.shape == (len(ctx_intra.pyramid.levels[0]), 3)
+    assert sp_p.shape == (len(ctx_pre.pyramid.levels[-1]), networks.SUPERPOINT_DIM)
+    assert sp_i.shape == (len(ctx_intra.pyramid.levels[-1]), networks.SUPERPOINT_DIM)
+    assert dn_p.shape == (len(ctx_pre.pyramid.levels[0]), networks.DENSE_DIM)
+    assert dn_i.shape == (len(ctx_intra.pyramid.levels[0]), networks.DENSE_DIM)
 
 
 def test_gradient_reaches_mask_logits_through_backbone():
@@ -349,8 +387,8 @@ def test_gradient_reaches_mask_logits_through_backbone():
     cloud = surface_cloud(rng, 300)
     seg_ctx = build_context(cloud, TINY_SEG)
     reg_ctx = build_context(cloud, TINY_REG)
-    seg_params = init_seg_params(TINY_SEG, rng)
-    reg_params = init_reg_params(TINY_REG, rng)
+    seg_params = init_weights(TINY_SEG, rng)
+    reg_params = init_weights(TINY_REG, rng)
     with Tape():
         logits = seg_forward(seg_params, seg_ctx)
         mask, _ = straight_through_mask(logits, 1.0, np.random.default_rng(3))
@@ -403,7 +441,7 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
     snapped_reg = RegNetConfig(widths=(2, 2, 4), initial_voxel=grid, max_neighbors=8)
     cases = []
     for cloud, cfg in ((sample.intraoperative, TINY_SEG), (snapped, snapped_reg)):
-        pyr = build_pyramid(cloud, cfg.stages, cfg.initial_voxel,
+        pyr = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel,
                             cfg.base_radius_mult, cfg.max_neighbors)
         kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
         want = []
@@ -457,7 +495,7 @@ def test_blocked_influence_equals_one_shot(monkeypatch, with_frames, nq):
 def test_influence_never_holds_a_full_float64_table():
     sample = generate_phantom(PhantomConfig(seed=1000))
     cfg = RegNetConfig()
-    pyr = build_pyramid(sample.preoperative, cfg.stages, cfg.initial_voxel,
+    pyr = build_pyramid(sample.preoperative, len(cfg.widths), cfg.initial_voxel,
                         cfg.base_radius_mult, cfg.max_neighbors)
     pts, nbr, radius = pyr.levels[0].positions, pyr.neighbors[0], pyr.radii[0]
     offsets = neighbor_offsets(pts, nbr)

@@ -556,7 +556,7 @@ def lattice_sample():
 
 
 PATCH_CASES = {
-    "lattice": (lattice_sample, SegNetConfig(stages=2), MatcherConfig(patch_size=12)),
+    "lattice": (lattice_sample, SegNetConfig(widths=(16, 32)), MatcherConfig(patch_size=12)),
     "phantom1000": (lambda: generate_phantom(PhantomConfig(seed=1000)),
                     SegNetConfig(), MatcherConfig()),
     "phantom12000": (lambda: generate_phantom(PhantomConfig(seed=12000)),
@@ -585,7 +585,7 @@ def test_patch_table_holds_the_loop_patches(patch_case):
 
 def test_lattice_truncation_cuts_through_tied_distances():
     reg, size = RegNetConfig(), PATCH_CASES["lattice"][2].patch_size
-    pyr = build_pyramid(lattice_sample().preoperative, reg.stages, reg.initial_voxel,
+    pyr = build_pyramid(lattice_sample().preoperative, len(reg.widths), reg.initial_voxel,
                         reg.base_radius_mult, reg.max_neighbors)
     first = pyr.fine_to_level(pyr.stages - 1) == 0
     d = np.sort(np.linalg.norm(pyr.levels[0].positions[first] - pyr.levels[-1].positions[0],

@@ -22,7 +22,7 @@ from segreg.fileio import (
     write_manifest,
 )
 from segreg.geometry import PointCloud, RigidTransform, random_rigid
-from segreg.networks import RegNetConfig, SegNetConfig, init_seg_params
+from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import (
     OVERLAP_MIN_FRACTION,
     OVERLAP_RADIUS,
@@ -31,6 +31,7 @@ from segreg.phantom import (
     mm_to_units,
     weak_labels,
 )
+from segreg.training import init_params
 
 SMALL = dict(points_pre=2048, points_intra=1024)
 
@@ -301,8 +302,8 @@ def test_manifest_round_trip(tmp_path):
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     seg_cfg = SegNetConfig(widths=(2, 2, 2, 2, 2), width_factor=1.0)
-    reg_cfg = RegNetConfig()
-    params = init_seg_params(seg_cfg, rng)
+    reg_cfg = RegNetConfig(widths=(2, 2, 4), width_factor=1.0)
+    params = init_params(seg_cfg, reg_cfg, 5)
     momentum = {k: rng.normal(size=v.data.shape) for k, v in params.items()}
     rng_state = np.random.default_rng(9).bit_generator.state
     p = tmp_path / "ckpt.npz"

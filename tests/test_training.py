@@ -2,10 +2,12 @@
 differences, divergence is reported as TrainingDiverged, the fused tape nodes
 train exactly as the composed operations they replace, a run resumed from a
 mid-run checkpoint ends exactly where an unbroken run does, two-step phase 2
-computes each sample's frozen mask once, and the learning-rate and
-temperature schedules follow their definitions."""
+computes each sample's frozen mask once, the loss curve records the pre-clip
+gradient norm, and the learning-rate and temperature schedules follow their
+definitions."""
 
 import copy
+import csv
 import dataclasses
 
 import numpy as np
@@ -186,6 +188,45 @@ def test_two_step_phase2_computes_each_frozen_mask_once(monkeypatch):
     assert np.all(np.isfinite([row[2] for row in result.curve]))
     phase2 = calls[1:]                      # the first call is the phase-1 step
     assert 1 <= len(phase2) == len(set(phase2)) <= len(prepared) < cfg.total_iters - 1
+
+
+def test_loss_curve_records_the_gradient_norm_before_the_clip(tmp_path, monkeypatch):
+    """The sixth curve entry, and the grad_norm column of loss_curve.csv, is
+    the global norm of the step's gradients before clipping; a skipped step
+    has NaN.  The clip norm is lowered so that every step clips."""
+    sample = tiny_phantom()
+    prepared = [pipeline.prepare_sample(sample, networks.SegNetConfig(),
+                                        networks.RegNetConfig(), pipeline.MatcherConfig())]
+    norms = []
+    clip_and_step, training_loss = training._clip_and_step, training.training_loss
+
+    def measuring_clip_and_step(params, names, velocity, lr):
+        grads = [params[n].grad for n in names if params[n].grad is not None]
+        norms.append(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+        return clip_and_step(params, names, velocity, lr)
+
+    def skipping_second_step(params, p, mask, rng, n_fine_pairs):
+        if len(norms) == 1 and not skipped:
+            skipped.append(True)
+            raise matching.NoPositivePairsError("no overlap")
+        return training_loss(params, p, mask, rng, n_fine_pairs)
+
+    skipped = []
+    monkeypatch.setattr(training, "CLIP_NORM", 1e-6)
+    monkeypatch.setattr(training, "_clip_and_step", measuring_clip_and_step)
+    monkeypatch.setattr(training, "training_loss", skipping_second_step)
+    cfg = TrainConfig(lr0=1e-3, warmup_iters=0, total_iters=3, checkpoint_every=0)
+    result = train([sample], cfg, out_dir=tmp_path, prepared=prepared)
+
+    recorded = [row[5] for row in result.curve]
+    assert np.isnan(recorded[1]) and len(norms) == 2
+    np.testing.assert_allclose([recorded[0], recorded[2]], norms, rtol=1e-12)
+    assert min(norms) > 1e-6
+    with open(tmp_path / "loss_curve.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["step", "lr", "total", "coarse", "fine", "grad_norm"]
+    assert [float(r["grad_norm"]) for r in rows[::2]] == [recorded[0], recorded[2]]
+    assert rows[1]["grad_norm"] == "nan"
 
 
 def test_lr_ramps_over_warmup_then_decays_to_zero():
