@@ -357,7 +357,8 @@ def load_checkpoint(path: str | Path):
     """Return (params in ``param_shapes`` order, seg_config, reg_config, state).
 
     A file that is not a readable .npz archive, or whose version, header,
-    configs, PCG64 generator state or parameters do not fit, is a ValueError.
+    configs, step (a non-negative integer), PCG64 generator state or
+    parameters do not fit, is a ValueError.
     """
     try:
         archive = np.load(path)
@@ -388,7 +389,10 @@ def load_checkpoint(path: str | Path):
             rng_state = header.get("rng_state", {})
             if rng_state:                 # the training generator is a PCG64
                 np.random.PCG64().state = rng_state
-            state = {"step": header["step"], "momentum": momentum, "rng_state": rng_state}
+            step = header["step"]
+            if type(step) is not int or step < 0:     # bool is an int subclass
+                raise ValueError(f"step {step!r} is not a non-negative integer")
+            state = {"step": step, "momentum": momentum, "rng_state": rng_state}
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     return params, seg_cfg, reg_cfg, state

@@ -133,7 +133,7 @@ def _kpconv_rows(rng):
                           kernel_disposition(6) * 0.6, 0.6 / SIGMA_RATIO)
     return [("conv_feats_and_weights", 1e-8,
              [rng.uniform(-2, 2, (30, 3)), rng.uniform(-2, 2, (6, 3, 4))],
-             lambda t: kpconv_apply(infl, nbr, *t))]
+             lambda t: kpconv_apply(infl, *t))]
 
 
 _TOY_SEG = SegNetConfig(widths=(2, 2, 2, 2, 2), width_factor=1.0,

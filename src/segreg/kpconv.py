@@ -5,16 +5,24 @@ neighbor's feature vector weighted by a linear-correlation kernel evaluated
 at the neighbor's offset: g(y) = sum_k max(0, 1 - |y - p_k| / sigma) W_k.
 Tables and convolutions are per pyramid level, the level against itself
 (levels are pooled by voxel provenance, not strided convolutions).  Shadow
-neighbors (padding) contribute nothing.  The operation is one tape node
-with a hand-written backward; the feature gradient is one
-:func:`~segreg.autodiff.scatter_add_rows` over the real neighbor slots.
-The influence tables are frozen geometry built once per cloud.  Each level
-gathers its (N, H, 3) neighbor offsets once (:func:`neighbor_offsets`, 0 at
-shadow slots); its local frames and its influence both read them.  The
-influence is built a block of rows at a time, with squared distances
-expanded as |r|^2 + |k|^2 - 2 k.r into one batched product, so building it
-never holds a full-size float64 temporary; the expansion keeps every weight
-within 1e-7 of the per-axis difference-and-square form.
+neighbors (padding) contribute nothing.
+
+A level's influence is frozen geometry built once per cloud, as one sparse
+(N*K, N) CSR operator A (:class:`InfluenceOperator`): row n*K + k holds the
+weight of kernel point k on each neighbor of point n, at that neighbor's
+column.  With sigma = radius / 1.5 a neighbor lies within sigma of only a
+few kernel points, so 5-11% of the (N, K, H) weights on the benchmark
+phantoms are non-zero, and only those are stored.  The convolution is one
+tape node: A @ feats read as (N, K*Cin), then one product with the
+flattened weights; its feature gradient is one transposed product A.T @ g.
+
+Each level gathers its (N, H, 3) neighbor offsets once
+(:func:`neighbor_offsets`, 0 at shadow slots); its local frames and its
+influence both read them.  The influence is built a block of rows at a
+time, with squared distances expanded as |r|^2 + |k|^2 - 2 k.r into one
+batched product, so building it never holds a full-size float64 temporary;
+the expansion keeps every weight within 1e-7 of the per-axis
+difference-and-square form.
 """
 
 from __future__ import annotations
@@ -22,13 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from segreg.autodiff import Tensor, accumulate_grad, record_custom, scatter_add_rows
+from segreg.autodiff import Tensor, accumulate_grad, record_custom
 from segreg.geometry import PointCloud, knn, radius_neighbors, voxel_grid_subsample
 
 __all__ = [
     "kernel_disposition",
     "neighbor_offsets",
+    "InfluenceOperator",
     "conv_influence",
     "local_reference_frames",
     "kpconv_apply",
@@ -103,27 +113,47 @@ def neighbor_offsets(points: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     return rel
 
 
+@dataclass(frozen=True)
+class InfluenceOperator:
+    """One level's kernel influence as a sparse (N*K, N) CSR operator.
+
+    Row n*K + k holds, at column ``neighbors[n, h]``, the weight of kernel
+    point k on neighbor slot h; a row's columns are in slot order and only
+    weights > 0 are stored.
+    """
+
+    matrix: sparse.csr_matrix
+
+    @property
+    def nbytes(self) -> int:
+        return self.matrix.data.nbytes + self.matrix.indices.nbytes + self.matrix.indptr.nbytes
+
+
 def conv_influence(offsets: np.ndarray, neighbors: np.ndarray, kernel: np.ndarray,
-                   sigma: float, frames: np.ndarray | None = None) -> np.ndarray:
-    """Correlation weights (N, K, H) of each kernel point on each neighbor.
+                   sigma: float, frames: np.ndarray | None = None) -> InfluenceOperator:
+    """Correlation weights of each kernel point on each neighbor, as an operator.
 
     ``offsets`` is the :func:`neighbor_offsets` table of the (N, H) radius
     table ``neighbors``; ``kernel`` is the (K, 3) layout of
     :func:`kernel_disposition` times the layer radius.  Shadow slots
-    (index == N) get all-zero influence.  With ``frames`` (N, 3, 3), offsets
-    are expressed in each point's local frame before kernel correlation,
-    which makes the convolution rotation-invariant.  Stored as float32:
-    influence is frozen geometry, and the compact dtype keeps cached tables
-    small; the weights are computed in float64.
+    (index == N) get no weight.  With ``frames`` (N, 3, 3), offsets are
+    expressed in each point's local frame before kernel correlation, which
+    makes the convolution rotation-invariant.  The weights are computed in
+    float64 and rounded to float32, the precision of the frozen geometry,
+    then stored as float64 so that no convolution casts them.  A weight
+    1 - d / sigma > 0 is at least 2**-53, so none rounds to a float32 zero.
 
     Rows are evaluated ``_INFLUENCE_BLOCK`` points at a time: a block's
     offsets are rotated by one batched product, and its squared distances
-    come from another, as d2 = |r|^2 + |k|^2 - 2 k.r, clamped at 0, before
-    the block is finished and rounded into the float32 output.  Evaluating
-    all rows at once would hold several (N, K, H) float64 temporaries, and
-    they would set both the time and the memory peak of building a
-    pyramid's tables.  Each row goes through the same operations at any
-    block size, so the table does not depend on it.
+    come from another, as d2 = |r|^2 + |k|^2 - 2 k.r (the product takes
+    -2 k, an exact scaling).  Only the entries with d2 < sigma^2 (1 + 1e-9),
+    picked in (row, slot) order, get a weight 1 - sqrt(max(d2, 0)) / sigma;
+    past that margin rounding cannot make a weight positive, and the picked
+    weights that are not positive are dropped.  Evaluating all rows at once
+    would hold several (N, K, H) float64 temporaries, and they would set
+    both the time and the memory peak of building a pyramid's tables.  Each
+    row goes through the same operations at any block size, so the operator
+    does not depend on it.
 
     The expanded form cancels where a neighbor sits on a kernel point: with
     |r|, |k| <= radius its d2 is off by a few ulps of radius^2, so the
@@ -133,28 +163,36 @@ def conv_influence(offsets: np.ndarray, neighbors: np.ndarray, kernel: np.ndarra
     """
     n, h = neighbors.shape
     k = kernel.shape[0]
-    valid = neighbors < n
+    shadow = neighbors >= n
+    kernel_m2 = -2.0 * kernel
     kernel_sq = np.einsum("kj,kj->k", kernel, kernel)[None, :, None]
-    out = np.empty((n, k, h), dtype=np.float32)
+    reach = sigma * sigma * (1.0 + 1e-9)
+    weights, columns, counts = [], [], []
     for start in range(0, n, _INFLUENCE_BLOCK):
         block = slice(start, start + _INFLUENCE_BLOCK)
         rel = offsets[block]                                   # (B, H, 3)
         if frames is not None:
             rel = np.matmul(rel, frames[block].transpose(0, 2, 1))
-        d2 = np.matmul(kernel, rel.transpose(0, 2, 1))         # (B, K, H)
-        d2 *= -2.0
+        rel_sq = np.einsum("qhj,qhj->qh", rel, rel)
+        rel_sq[shadow[block]] = np.inf      # shadow offsets are 0: d2 = inf
+        d2 = np.matmul(kernel_m2, rel.transpose(0, 2, 1))      # (B, K, H)
         d2 += kernel_sq
-        d2 += np.einsum("qhj,qhj->qh", rel, rel)[:, None, :]
-        np.maximum(d2, 0.0, out=d2)
-        np.sqrt(d2, out=d2)
-        d2 /= sigma
-        np.subtract(1.0, d2, out=d2)
-        np.maximum(0.0, d2, out=d2)
-        real = valid[block]
-        if not real.all():
-            d2 *= real[:, None, :]
-        out[block] = d2
-    return out
+        d2 += rel_sq[:, None, :]
+        picked = np.flatnonzero(d2 < reach)
+        w = 1.0 - np.sqrt(np.maximum(d2.ravel()[picked], 0.0)) / sigma
+        positive = w > 0.0
+        picked, w = picked[positive], w[positive]
+        row = picked // h                                      # b * K + k
+        slot = picked - row * h
+        columns.append(neighbors[block].ravel()[row // k * h + slot])
+        weights.append(w.astype(np.float32))
+        counts.append(np.bincount(row, minlength=d2.shape[0] * k))
+    indptr = np.zeros(n * k + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    matrix = sparse.csr_matrix((np.concatenate(weights).astype(np.float64),
+                                np.concatenate(columns).astype(np.int32), indptr),
+                               shape=(n * k, n))
+    return InfluenceOperator(matrix)
 
 
 def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray,
@@ -206,15 +244,18 @@ def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray,
     return frames
 
 
-def kpconv_apply(influence: np.ndarray, neighbors: np.ndarray,
-                 feats: Tensor, weights: Tensor) -> Tensor:
-    """Apply the convolution of one level given its influence weights.
+def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor) -> Tensor:
+    """Apply the convolution of one level given its influence operator.
 
-    ``influence`` (N, K, H) and ``neighbors`` (N, H) are the level's tables;
-    ``feats`` is (N, Cin), so the shadow index is N; ``weights`` is
-    (K, Cin, Cout).  Differentiable in feats and weights only.
+    ``feats`` is (N, Cin) and ``weights`` (K, Cin, Cout).  The forward is
+    one sparse product A @ feats, read as (N, K*Cin), then one GEMM with the
+    flattened weights; the backward is that GEMM's two products and one
+    transposed sparse product for the features.  Differentiable in feats
+    and weights only.
     """
-    n, k, h = influence.shape
+    a = influence.matrix
+    n = a.shape[1]
+    k = a.shape[0] // n
     cin = feats.data.shape[1]
     if weights.data.ndim != 3 or weights.data.shape[:2] != (k, cin):
         raise ValueError(
@@ -222,26 +263,18 @@ def kpconv_apply(influence: np.ndarray, neighbors: np.ndarray,
             f"and {cin} input channels"
         )
     if feats.data.shape[0] != n:
-        raise ValueError("feats rows must match the influence rows")
+        raise ValueError("feats rows must match the influence columns")
     cout = weights.data.shape[2]
-    valid = neighbors < n
-    safe = np.where(valid, neighbors, 0)
-    gathered = feats.data[safe] * valid[:, :, None]   # (N, H, Cin)
-    infl64 = influence.astype(np.float64)
-    mixed = np.matmul(infl64, gathered)               # (N, K, Cin)
+    mixed = (a @ feats.data).reshape(n, k * cin)
     w_flat = weights.data.reshape(k * cin, cout)
-    out = mixed.reshape(n, k * cin) @ w_flat
+    out = mixed @ w_flat
     requires = feats.requires_grad or weights.requires_grad
 
     def bwd(g):
         if weights.requires_grad:
-            gw = mixed.reshape(n, k * cin).T @ g
-            accumulate_grad(weights, gw.reshape(k, cin, cout))
+            accumulate_grad(weights, (mixed.T @ g).reshape(k, cin, cout))
         if feats.requires_grad:
-            g_mixed = (g @ w_flat.T).reshape(n, k, cin)
-            g_gathered = np.matmul(infl64.transpose(0, 2, 1), g_mixed)
-            gf = scatter_add_rows(neighbors[valid], g_gathered[valid], n)
-            accumulate_grad(feats, gf)
+            accumulate_grad(feats, a.T @ (g @ w_flat.T).reshape(n * k, cin))
 
     return record_custom(out, requires, bwd)
 

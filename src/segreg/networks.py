@@ -33,6 +33,7 @@ from segreg.autodiff import Tensor
 from segreg.geometry import PointCloud
 from segreg.kpconv import (
     SIGMA_RATIO,
+    InfluenceOperator,
     PointPyramid,
     build_pyramid,
     conv_influence,
@@ -103,14 +104,16 @@ class RegNetConfig(_NetConfig):
 
 @dataclass
 class BackboneContext:
-    """A pyramid plus per-level kernel influence tables for one cloud."""
+    """A pyramid plus one sparse kernel influence operator per level, for one
+    cloud; ``influences[l]`` is :func:`~segreg.kpconv.conv_influence` of
+    level l against itself."""
 
     pyramid: PointPyramid
-    influences: list[np.ndarray]
+    influences: list[InfluenceOperator]
 
 
 def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> BackboneContext:
-    """Precompute the pyramid and influence tables for one input cloud."""
+    """Precompute the pyramid and influence operators for one input cloud."""
     pyramid = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel,
                             cfg.base_radius_mult, cfg.max_neighbors)
     kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
@@ -243,8 +246,8 @@ def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor
     feats = feats0
     for l in range(pyr.stages):
         name = f"{prefix}_enc{l}"
-        feats = _norm_act(params, name, kpconv_apply(ctx.influences[l], pyr.neighbors[l],
-                                                     feats, params[f"{name}_w"]))
+        feats = _norm_act(params, name, kpconv_apply(ctx.influences[l], feats,
+                                                     params[f"{name}_w"]))
         if l < pyr.stages - 1:
             skips.append(feats)
             feats = ad.scatter_mean(feats, pyr.pools[l], len(pyr.levels[l + 1]))

@@ -141,7 +141,7 @@ def resume_step(resume: tuple | None, cfg: TrainConfig) -> int:
     ``cfg.total_iters`` leaves no step to run and is a ValueError."""
     if resume is None:
         return 0
-    step = int(resume[3]["step"])
+    step = resume[3]["step"]
     if step >= cfg.total_iters:
         raise ValueError(f"resume checkpoint is at step {step}; "
                          f"total_iters {cfg.total_iters} leaves no step to run")

@@ -12,7 +12,11 @@ table replaced, over patches stored as a list of index arrays
 (``LoopPatches``).  ``oneshot_conv_influence`` evaluates every row of an
 influence table at once from the points, with per-axis squared differences,
 as ``kpconv.conv_influence`` did before it worked in row blocks on an offset
-table and expanded d2 into one product; ``einsum_local_reference_frames``
+table, expanded d2 into one product and returned a sparse operator;
+``expand_influence`` turns an operator back into that table, and
+``gather_matmul_mixed`` and ``add_at_feats_grad`` are the convolution's
+dense forward and feature backward over it, which ``stored_order_product``
+replaces by the operator's stored-order sums; ``einsum_local_reference_frames``
 is ``kpconv.local_reference_frames`` as it was before it summed the
 covariance slot by slot and cubed by products; ``k8_radius_neighbors`` and
 ``k8_knn`` rank k + 8 tree candidates per row with a full ``lexsort``, as
@@ -20,8 +24,9 @@ covariance slot by slot and cubed by products; ``k8_radius_neighbors`` and
 and ``unique_voxel_grid_subsample`` groups voxels with ``np.unique(axis=0)``,
 as ``geometry.voxel_grid_subsample`` did before it sorted its keys.  Tests
 require the library versions to match them bit for bit, except
-``slack_normalize_2d``, whose row sums run over fewer entries, and the
-influence bound test, which allows the expanded d2 its 1e-7.
+``slack_normalize_2d``, whose row sums run over fewer entries, the
+influence bound test, which allows the expanded d2 its 1e-7, and the dense
+convolution references, whose sums run in another order.
 """
 
 from dataclasses import dataclass
@@ -57,6 +62,63 @@ def oneshot_conv_influence(points, neighbors, kernel, sigma, frames=None):
     infl = np.maximum(0.0, 1.0 - np.sqrt(d2) / sigma)
     infl *= valid[:, None, :]
     return infl.astype(np.float32)
+
+
+def expand_influence(op, neighbors):
+    """The (N, K, H) float32 table of an influence operator: slot h of table
+    row (n, k) holds the weight stored in operator row n*K + k at column
+    ``neighbors[n, h]``, 0 where none is stored.  Asserts the layout on the
+    way: shape (N*K, N), float32 values stored as float64, no stored zero,
+    no shadow column, and each row's columns found in ``neighbors[n]`` in
+    slot order."""
+    a = op.matrix
+    n, h = neighbors.shape
+    assert a.shape[1] == n and a.shape[0] % n == 0
+    k = a.shape[0] // n
+    assert a.data.dtype == np.float64
+    assert np.array_equal(a.data.astype(np.float32).astype(np.float64), a.data)
+    assert np.all(a.data > 0) and np.all(a.indices < n)
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    hits = neighbors[rows // k] == a.indices[:, None]        # (nnz, H)
+    assert np.all(hits.sum(axis=1) == 1)
+    slots = np.argmax(hits, axis=1)
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(slots[1:][same_row] > slots[:-1][same_row])
+    table = np.zeros((n, k, h), dtype=np.float32)
+    table[rows // k, rows % k, slots] = a.data
+    return table
+
+
+def gather_matmul_mixed(table, neighbors, feats):
+    """The first half of ``kpconv_apply`` on a dense (N, K, H) table, as it
+    ran before the sparse operator: gather the neighbor features with shadow
+    slots zeroed, then one batched product, (N, K, Cin)."""
+    valid = neighbors < feats.shape[0]
+    gathered = feats[np.where(valid, neighbors, 0)] * valid[:, :, None]
+    return np.matmul(table.astype(np.float64), gathered)
+
+
+def add_at_feats_grad(table, neighbors, g_mixed):
+    """The feature gradient of ``gather_matmul_mixed`` for the (N, K, Cin)
+    gradient ``g_mixed``, scattered with ``np.add.at``."""
+    valid = neighbors < neighbors.shape[0]
+    g_gathered = np.matmul(table.astype(np.float64).transpose(0, 2, 1), g_mixed)
+    return add_at_rows(neighbors[valid], g_gathered[valid], neighbors.shape[0])
+
+
+def stored_order_product(matrix, x, transpose=False):
+    """``matrix @ x`` (``matrix.T @ x`` with ``transpose``) for a CSR matrix,
+    accumulated one stored entry at a time: rows in order, each row's
+    entries in stored order."""
+    out = np.zeros((matrix.shape[1] if transpose else matrix.shape[0], x.shape[1]))
+    for r in range(matrix.shape[0]):
+        for p in range(matrix.indptr[r], matrix.indptr[r + 1]):
+            c, w = matrix.indices[p], matrix.data[p]
+            if transpose:
+                out[c] += w * x[r]
+            else:
+                out[r] += w * x[c]
+    return out
 
 
 def einsum_local_reference_frames(points, neighbors, min_neighbors=3):

@@ -369,6 +369,11 @@ MALFORMED_CHECKPOINTS = {
     "zero_initial_voxel": config_value("reg_config", "initial_voxel", 0.0),
     "no_neighbors": config_value("seg_config", "max_neighbors", 0),
     "fractional_neighbors": config_value("reg_config", "max_neighbors", 3.5),
+    # a step that is not a count of steps taken
+    "text_step": lambda header, arrays: header | {"step": "abc"},
+    "negative_step": lambda header, arrays: header | {"step": -5},
+    "boolean_step": lambda header, arrays: header | {"step": True},
+    "fractional_step": lambda header, arrays: header | {"step": 2.5},
 }
 
 

@@ -36,12 +36,18 @@ from segreg.networks import (
 )
 from segreg.phantom import PhantomConfig, generate_phantom
 from reference_ops import (
+    add_at_feats_grad,
     composed_norm_act,
     einsum_local_reference_frames,
+    expand_influence,
+    gather_matmul_mixed,
     k8_knn,
     k8_radius_neighbors,
     oneshot_conv_influence,
+    stored_order_product,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 def surface_cloud(rng, n, colors=True):
@@ -56,7 +62,7 @@ def kpconv(cloud, feats, neighbors, kernel, radius, weights):
     the convolution."""
     infl = conv_influence(neighbor_offsets(cloud.positions, neighbors), neighbors,
                           kernel * radius, radius / SIGMA_RATIO)
-    return kpconv_apply(infl, neighbors, feats, weights)
+    return kpconv_apply(infl, feats, weights)
 
 
 # -- kernel disposition ------------------------------------------------------
@@ -120,12 +126,18 @@ def test_kpconv_forward_equals_gather_matmul_expression():
                           kernel_disposition(6, 2) * 0.6, 0.6 / SIGMA_RATIO)
     f0 = rng.uniform(-2, 2, size=(30, 3))
     w0 = rng.uniform(-2, 2, size=(6, 3, 4))
-    valid = nbr < 30
-    assert not valid.all()                    # shadow slots read zero rows
-    gathered = f0[np.where(valid, nbr, 0)] * valid[:, :, None]
-    mixed = np.matmul(infl.astype(np.float64), gathered)
-    want = mixed.reshape(30, -1) @ w0.reshape(-1, 4)
-    assert np.array_equal(kpconv_apply(infl, nbr, Tensor(f0), Tensor(w0)).data, want)
+    assert np.any(nbr == 30)                  # shadow slots read zero rows
+    got = kpconv_apply(infl, Tensor(f0), Tensor(w0)).data
+    mixed = stored_order_product(infl.matrix, f0)
+    assert np.array_equal(got, mixed.reshape(30, -1) @ w0.reshape(-1, 4))
+    # the dense product sums the same products in another order: either
+    # sum is within (T - 1) eps / 2 of the exact one, relative to the row's
+    # absolute sum, T its stored entries, so the two are within T eps
+    table = expand_influence(infl, nbr)
+    dense = gather_matmul_mixed(table, nbr, f0).reshape(-1, 3)
+    abs_sum = gather_matmul_mixed(table, nbr, np.abs(f0)).reshape(-1, 3)
+    terms = np.diff(infl.matrix.indptr)[:, None]
+    assert np.all(np.abs(mixed - dense) <= terms * EPS * abs_sum)
 
 
 def test_kpconv_feats_gradient_equals_add_at_backward():
@@ -136,21 +148,25 @@ def test_kpconv_feats_gradient_equals_add_at_backward():
     rng = np.random.default_rng(15)
     shadow_slots = 0
     for level, (infl, nbr) in enumerate(zip(ctx.influences, ctx.pyramid.neighbors)):
-        ns, k = len(ctx.pyramid.levels[level]), infl.shape[1]
+        ns = len(ctx.pyramid.levels[level])
+        k = infl.matrix.shape[0] // ns
         w0 = rng.normal(size=(k, 3, 2))
-        proj = rng.normal(size=(nbr.shape[0], 2))
+        proj = rng.normal(size=(ns, 2))
         with Tape():
             feats = Tensor(rng.normal(size=(ns, 3)), requires_grad=True)
-            out = kpconv_apply(infl, nbr, feats, Tensor(w0, requires_grad=True))
+            out = kpconv_apply(infl, feats, Tensor(w0, requires_grad=True))
             backward(sum_(ad.mul(out, Tensor(proj))))
-        valid = nbr < ns
-        shadow_slots += np.count_nonzero(~valid)
-        # the backward as written with np.add.at
-        g_mixed = (proj @ w0.reshape(-1, 2).T).reshape(nbr.shape[0], k, 3)
-        g_gathered = np.matmul(infl.astype(np.float64).transpose(0, 2, 1), g_mixed)
-        want = np.zeros((ns, 3))
-        np.add.at(want, nbr[valid], g_gathered[valid])
+        shadow_slots += np.count_nonzero(nbr == ns)
+        g_mixed = (proj @ w0.reshape(-1, 2).T).reshape(ns * k, 3)
+        want = stored_order_product(infl.matrix, g_mixed, transpose=True)
         assert np.array_equal(feats.grad, want), level
+        # the backward as written with np.add.at sums each point's products
+        # in another order; as in the forward, T eps of the absolute sum
+        table = expand_influence(infl, nbr)
+        dense = add_at_feats_grad(table, nbr, g_mixed.reshape(ns, k, 3))
+        abs_sum = add_at_feats_grad(table, nbr, np.abs(g_mixed).reshape(ns, k, 3))
+        terms = np.bincount(infl.matrix.indices, minlength=ns)[:, None]
+        assert np.all(np.abs(feats.grad - dense) <= terms * EPS * abs_sum), level
     assert shadow_slots > 0
 
 
@@ -362,8 +378,7 @@ def test_reg_backbone_zero_mask_zeroes_first_conv():
     from segreg.autodiff import scatter_mean
     feats0 = scatter_mean(Tensor(np.zeros((300, 1))), ctx.pyramid.input_to_level0,
                           len(ctx.pyramid.levels[0]))
-    first = raw_conv(ctx.influences[0], ctx.pyramid.neighbors[0], feats0,
-                     params["reg_enc0_w"])
+    first = raw_conv(ctx.influences[0], feats0, params["reg_enc0_w"])
     np.testing.assert_array_equal(first.data, np.zeros_like(first.data))
 
 
@@ -467,8 +482,8 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
                 np.testing.assert_array_equal(ctx.pyramid.neighbors[l], nbr)
                 if ups is not None:
                     np.testing.assert_array_equal(ctx.pyramid.ups[l], ups)
-                assert ctx.influences[l].dtype == np.float32
-                np.testing.assert_array_equal(ctx.influences[l], infl)
+                np.testing.assert_array_equal(expand_influence(ctx.influences[l], nbr),
+                                              infl)
     assert len(fallback_rows) > 0
 
 
@@ -486,8 +501,9 @@ def test_blocked_influence_equals_one_shot(monkeypatch, with_frames, nq):
     offsets = neighbor_offsets(cloud.positions, nbr)
     frames = local_reference_frames(offsets, nbr) if with_frames else None
     args = (nbr, kernel_disposition(15) * radius, radius / SIGMA_RATIO, frames)
-    got, want = conv_influence(offsets, *args), oneshot_conv_influence(cloud.positions, *args)
-    assert got.dtype == want.dtype == np.float32
+    got = expand_influence(conv_influence(offsets, *args), nbr)
+    want = oneshot_conv_influence(cloud.positions, *args)
+    assert want.dtype == np.float32
     assert np.array_equal(got, want)
     assert not np.any(got.transpose(0, 2, 1)[nbr == nq])
 
@@ -511,7 +527,7 @@ def test_influence_never_holds_a_full_float64_table():
         tracemalloc.stop()
     assert peak < table_bytes
     want = oneshot_conv_influence(pts, *args)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(expand_influence(got, nbr), want)
 
 
 # -- tables against the arithmetic they replaced ------------------------------
@@ -538,7 +554,7 @@ def test_context_tables_equal_previous_arithmetic_on_benchmark_phantoms(seed):
                 assert np.array_equal(got, frames)
             want = oneshot_conv_influence(pts, nbr, kernel * radius, radius / SIGMA_RATIO,
                                           frames)
-            assert np.array_equal(ctx.influences[l], want)
+            assert np.array_equal(expand_influence(ctx.influences[l], nbr), want)
 
 
 def test_frames_on_a_symmetric_lattice_resum_near_zero_cube_sums_with_power():
@@ -571,7 +587,7 @@ def test_expanded_influence_within_1e7_with_neighbors_on_kernel_points(radius):
     slots = [np.flatnonzero(nbr[0] == j) for j in range(15)]
     assert all(s.size == 1 for s in slots)
     args = (nbr, kernel, radius / SIGMA_RATIO)
-    got = conv_influence(neighbor_offsets(pts, nbr), *args)
+    got = expand_influence(conv_influence(neighbor_offsets(pts, nbr), *args), nbr)
     want = oneshot_conv_influence(pts, *args)
     assert all(want[0, j, s[0]] == 1.0 for j, s in enumerate(slots))
     assert np.max(np.abs(got.astype(np.float64) - want)) <= 1e-7

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from segreg import autodiff, kpconv, matching, networks, pipeline, training
+from segreg import autodiff, matching, networks, pipeline, training
 from segreg.autodiff import Tape, Tensor, backward
 from segreg.fileio import load_checkpoint, save_checkpoint
 from segreg.gumbel import straight_through_mask
@@ -113,8 +113,7 @@ def test_fused_nodes_train_exactly_as_composed_ops(mode, monkeypatch):
         monkeypatch.setattr(module, "normalize_scores_with_slack",
                             composed_normalize_scores_with_slack)
     monkeypatch.setattr(networks, "_norm_act", composed_norm_act)
-    for module in (autodiff, kpconv):
-        monkeypatch.setattr(module, "scatter_add_rows", add_at_rows)
+    monkeypatch.setattr(autodiff, "scatter_add_rows", add_at_rows)
     composed = train([sample], cfg, prepared=prepared)
     assert len(fused.curve) == 3 and np.all(np.isfinite([row[2] for row in fused.curve]))
     assert fused.curve == composed.curve
