@@ -1,8 +1,9 @@
 """Command-line entry point: generate / train / register / eval / ablate /
 gradcheck.
 
-Every command is deterministic given its flags and seed and writes a
-run_manifest.json capturing the resolved configuration.  Exit codes:
+Every command is deterministic given its flags and seed and records its
+resolved configuration: ``register`` in its pose JSON's ``manifest`` field
+(poses share directories), the others in run_manifest.json.  Exit codes:
 0 success, 1 usage error, 2 data error (also unwritable outputs),
 3 numerical failure.
 
@@ -92,10 +93,14 @@ class _Parser(argparse.ArgumentParser):
         raise _Exit(EXIT_USAGE, f"error: {message}")
 
 
+def _run_manifest(command: str, args: dict) -> dict:
+    resolved = {k: v for k, v in args.items() if k not in ("fn", "command")}
+    return {"command": command, "version": __version__, "args": resolved}
+
+
 def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = {k: v for k, v in args.items() if k not in ("fn", "command")}
-    doc = {"command": command, "version": __version__, "args": resolved}
+    doc = _run_manifest(command, args)
     (out_dir / "run_manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -275,12 +280,12 @@ def cmd_register(args) -> int:
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_pose(T, out_path, extra={"info": info})
+    manifest = _run_manifest("register", vars(args))
+    save_pose(T, out_path, extra={"info": info, "manifest": manifest})
     if args.emit_mask:
         labeled = PointCloud(intra.positions, colors=intra.colors,
                              labels=mask.astype(np.int64))
         save_ply(labeled, args.emit_mask)
-    _write_run_manifest(out_path.parent, "register", vars(args))
     print(f"pose written to {out_path}")
     return EXIT_OK
 

@@ -11,9 +11,10 @@ as one (K, P+1, P+1) stack with slack rows and columns (``patch_scores``),
 normalized by alternating column/row renormalizations of the exponentiated
 scores (``normalize_scores_with_slack``); ``fine_match`` keeps its mutual
 top-1 entries.  Correspondences are plain matched arrays: the points of each
-side gathered row for row, plus a weight per row.  A weighted Procrustes
-solve (``procrustes_stack``, also used by the baselines) plus inlier
-re-weighting turns them into a rigid transform.
+side gathered row for row, plus a weight per row.  ``local_to_global`` fits
+a pose to the superpoint pairs and one to each coarse pair's fine matches in
+one weighted Procrustes stack (``procrustes_stack``, also used by the
+baselines) and keeps the best supported; ``refine_transform`` re-solves it.
 
 The settings no caller varies are module constants: ``K_CORR`` coarse pairs
 with a ``BONUS_WEIGHT`` histogram bonus over ``HIST_BINS`` bins up to
@@ -56,6 +57,7 @@ __all__ = [
     "weighted_procrustes",
     "refine_transform",
     "RefineResult",
+    "local_to_global",
     "l2_normalize_rows",
     "coarse_loss",
     "fine_loss",
@@ -318,7 +320,7 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
     the slack test.  The coarse pairs must be distinct, as ``coarse_match``
     returns them: every level-0 point lies in one patch, so each (pre, intra)
     point pair is then found at most once.  Returns level-0 (pre indices,
-    intra indices, weights), in (pre, intra) index order.
+    intra indices, weights, rows of ``coarse_pairs``), in (pre, intra) order.
     """
     a, b = coarse_pairs[:, 0], coarse_pairs[:, 1]
     p = normalize_scores_with_slack(
@@ -335,7 +337,7 @@ def fine_match(dense_pre: np.ndarray, dense_intra: np.ndarray,
     pre_idx = pre_view.patch_indices[a[pair], row]
     intra_idx = intra_view.patch_indices[b[pair], j[pair, row]]
     order = np.lexsort((intra_idx, pre_idx))
-    return pre_idx[order], intra_idx[order], w[pair, row][order]
+    return pre_idx[order], intra_idx[order], w[pair, row][order], pair[order]
 
 
 # ---------------------------------------------------------------------------
@@ -390,40 +392,52 @@ class RefineResult:
 
 def refine_transform(T0: RigidTransform, p: np.ndarray, q: np.ndarray, w: np.ndarray,
                      inlier_radius: float) -> RefineResult:
-    """Iteratively re-weight matches (``weighted_procrustes``'s arrays) by
-    residual and re-solve Procrustes (``REFINE_ITERATIONS`` rounds).
-
-    Matches beyond the working radius get weight zero each round; the radius
-    starts at the 70th-percentile residual and anneals down to
-    ``inlier_radius`` so a badly skewed initial fit can still shed gross
-    outliers.  The iterate with the highest inlier count (measured at
-    ``inlier_radius``) wins; if every match is pruned the input transform
-    comes back with inlier count 0.
+    """Re-solve ``weighted_procrustes`` on the matches (its arrays) that the
+    current transform places within ``inlier_radius``, ``REFINE_ITERATIONS``
+    rounds from ``T0``; a round with fewer than 3 inliers or a degenerate
+    inlier set ends them.  The iterate with the most inliers wins, the
+    earliest on ties, so without any inlier ``T0`` comes back with count 0.
     """
-    best = RefineResult(T0, -1)
-    T = T0
-    working = None
-    for _ in range(REFINE_ITERATIONS):
-        residuals = np.linalg.norm(T.apply_points(p) - q, axis=1)
-        count = int(np.sum(residuals <= inlier_radius))
-        if count > best.inlier_count:
-            best = RefineResult(T, count)
-        if working is None:
-            working = max(inlier_radius, float(np.quantile(residuals, 0.7)))
-        else:
-            working = max(inlier_radius, 0.5 * working)
-        keep = residuals <= working
-        if keep.sum() < 3:
+    best, T = RefineResult(T0, 0), T0
+    for rounds_left in range(REFINE_ITERATIONS, -1, -1):
+        keep = np.linalg.norm(T.apply_points(p) - q, axis=1) <= inlier_radius
+        if keep.sum() > best.inlier_count:
+            best = RefineResult(T, int(keep.sum()))
+        if not rounds_left or keep.sum() < 3:
             break
         try:
             T = weighted_procrustes(p[keep], q[keep], w[keep])
         except ValueError:
             break
-    residuals = np.linalg.norm(T.apply_points(p) - q, axis=1)
-    count = int(np.sum(residuals <= inlier_radius))
-    if count > best.inlier_count:
-        best = RefineResult(T, count)
-    return best if best.inlier_count > 0 else RefineResult(T0, 0)
+    return best
+
+
+def local_to_global(coarse: tuple, fine: tuple, pair_idx: np.ndarray,
+                    inlier_radius: float) -> tuple[int, RigidTransform | None]:
+    """GeoTransformer's local-to-global registration: the best supported of
+    one ``procrustes_stack`` of poses from (p, q, w) matched arrays.
+
+    Hypothesis 0 fits the ``coarse`` superpoint pairs, weighted by score;
+    hypothesis k + 1 fits the ``fine`` matches of the k-th coarse pair with at
+    least 3 (match i came from pair ``pair_idx[i]``).  A valid hypothesis gets
+    a vote per fine match of the other pairs that it places within
+    ``inlier_radius`` (its own always lie near it); the first best wins, so
+    hypothesis 0 wins ties.  Returns (winner, transform), (-1, None) if none is valid.
+    """
+    p, q, w = fine
+    # (H, n): row 0, the superpoint fit (pair -1), owns no fine match
+    own = pair_idx == np.r_[-1, np.flatnonzero(np.bincount(pair_idx) >= 3)][:, None]
+    n, k = len(w), len(coarse[2])
+    P, Q, W = (np.zeros((len(own), max(n, k)) + part.shape[1:]) for part in fine)
+    P[0, :k], Q[0, :k], W[0, :k] = coarse
+    P[1:, :n], Q[1:, :n], W[1:, :n] = p, q, own[1:] * w
+    R, t, valid = procrustes_stack(P, Q, W)
+    placed = np.linalg.norm(p @ R.transpose(0, 2, 1) + t[:, None] - q, axis=2) <= inlier_radius
+    votes = np.where(valid, (placed & ~own).sum(axis=1), -1)
+    best = int(np.argmax(votes))
+    if votes[best] < 0:
+        return -1, None
+    return best, RigidTransform(R[best], t[best])
 
 
 # ---------------------------------------------------------------------------

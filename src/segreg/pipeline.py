@@ -11,11 +11,10 @@ superpoint pairs (ground-truth pairs in training, ``coarse_match``'s at
 inference) as one stack through ``matching.patch_scores`` and
 ``matching.normalize_scores_with_slack``.
 
-``register_pair`` turns its matched point arrays into a pose along one of
-three paths, each one fit-and-refine call: the fine matches alone
-("fine"); failing that, the superpoint pairs at twice the inlier radius
-("coarse"), polished by the fine matches when that keeps an inlier
-("coarse+fine").
+``register_pair`` has one pose path: the best supported of
+``matching.local_to_global``'s hypotheses (the superpoint fit, path
+"coarse", or one coarse pair's fine matches, "local"), re-solved on the
+fine matches by ``refine_transform``.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ from segreg.matching import (
     fine_match,
     ground_truth_patch_matches,
     l2_normalize_rows,
+    local_to_global,
     normalize_scores_with_slack,
     patch_scores,
     refine_transform,
     superpoint_overlap_labels,
-    weighted_procrustes,
 )
 from segreg.networks import (
     BackboneContext,
@@ -77,8 +76,7 @@ class MatcherConfig:
     """Matching settings: the level-0 points kept per superpoint patch.  The
     other matching settings are ``matching``'s module constants, and the radii
     follow ``RegNetConfig.initial_voxel``: ground-truth fine matches lie within
-    one voxel, refinement inliers within 2.5 voxels (twice that on the coarse
-    fallback)."""
+    one voxel, pose votes and refinement inliers within 2.5 voxels."""
 
     patch_size: int = 32
 
@@ -183,7 +181,7 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
 
     ``prepared`` already holds what ``seg_cfg`` and ``match_cfg`` decide (the
     contexts and patches), so neither is read; they stay in the signature for
-    callers that pass all five.  ``reg_cfg``'s voxel sets the inlier radii.
+    callers that pass all five.  ``reg_cfg``'s voxel sets the inlier radius.
     """
     mask = hard_mask(seg_forward(params, prepared.seg_ctx))
 
@@ -193,39 +191,21 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     pre_view, intra_view = prepared.pre_view, prepared.intra_view
     bonus = distance_histograms(pre_view) @ distance_histograms(intra_view).T
     pairs, scores = coarse_match(sp_pre.data, sp_intra.data, geom_bonus=bonus)
-    pre_idx, intra_idx, weights = fine_match(dense_pre.data, dense_intra.data, pairs,
-                                             pre_view, intra_view)
+    pre_idx, intra_idx, weights, pair_idx = fine_match(dense_pre.data, dense_intra.data,
+                                                       pairs, pre_view, intra_view)
     fine = (pre_view.fine_points[pre_idx], intra_view.fine_points[intra_idx], weights)
     coarse = (pre_view.points[pairs[:, 0]], intra_view.points[pairs[:, 1]], scores)
     inlier_radius = 2.5 * reg_cfg.initial_voxel
-
-    def fit(matches, radius, T0=None):
-        """``refine_transform`` of (p, q, w) matches from ``T0``, by default
-        their own ``weighted_procrustes`` fit, which raises ValueError on
-        fewer than 3 matches or a degenerate set."""
-        p, q, w = matches
-        return refine_transform(weighted_procrustes(p, q, w) if T0 is None else T0,
-                                p, q, w, radius)
-
-    try:
-        refined, path = fit(fine, inlier_radius), "fine"
-    except ValueError:
-        refined = None
-    if refined is None or refined.inlier_count == 0:
-        try:
-            refined, path = fit(coarse, 2.0 * inlier_radius), "coarse"
-        except ValueError as exc:
-            raise RegistrationError(f"degenerate correspondence set: {exc}") from exc
-        if len(weights) >= 3:
-            polished = fit(fine, inlier_radius, refined.transform)
-            if polished.inlier_count > 0:
-                refined, path = polished, "coarse+fine"
+    winner, hypothesis = local_to_global(coarse, fine, pair_idx, inlier_radius)
+    if hypothesis is None:
+        raise RegistrationError("degenerate correspondence set: no valid pose hypothesis")
+    refined = refine_transform(hypothesis, *fine, inlier_radius)
     info = {
         "n_coarse": int(len(pairs)),
         "n_fine": int(len(weights)),
         "inliers": refined.inlier_count,
         "refine_flagged": refined.inlier_count == 0,
         "mask_mean": float(mask.mean()),
-        "path": path,
+        "path": "coarse" if winner == 0 else "local",
     }
     return RegistrationResult(refined.transform, mask, info)

@@ -4,12 +4,9 @@ The tape references build their result from the elementary autodiff
 operations (or ``np.add.at``), the way the library did before those paths
 were fused; ``slack_normalize_2d`` is the one-matrix slack normalization that
 the padded stack replaced; ``scalar_weighted_procrustes`` is the one-set solve that
-``matching.procrustes_stack`` replaced, ``scalar_refine`` and
-``reference_pose_chain`` transcribe ``refine_transform`` and
-``register_pair``'s pose chain on index-gathered matches over it, and the
-``loop_*`` functions are the per-patch and per-pair loops that the patch
-table replaced, over patches stored as a list of index arrays
-(``LoopPatches``).  ``oneshot_conv_influence`` evaluates every row of an
+``matching.procrustes_stack`` replaced, and the ``loop_*`` functions are the
+per-patch and per-pair loops that the patch table replaced, over patches
+stored as a list of index arrays (``LoopPatches``).  ``oneshot_conv_influence`` evaluates every row of an
 influence table at once from the points, with per-axis squared differences,
 as ``kpconv.conv_influence`` did before it worked in row blocks on an offset
 table, expanded d2 into one product and returned a sparse operator;
@@ -380,10 +377,11 @@ def loop_ground_truth_patch_matches(pre_view, intra_view, pair, T_gt, radius):
 
 def loop_fine_match(dense_pre, dense_intra, coarse_pairs, pre_view, intra_view):
     """``fine_match`` pair by pair and row by row, each pair scored alone
-    (a stack of one) and cut down to its real rows and columns plus slack."""
+    (a stack of one) and cut down to its real rows and columns plus slack;
+    each match keeps the index of the pair that found it."""
     dense_pre, dense_intra = Tensor(dense_pre), Tensor(dense_intra)
     best = {}
-    for a, b in coarse_pairs:
+    for k, (a, b) in enumerate(coarse_pairs):
         ia = pre_view.patch_indices[a, : pre_view.sizes[a]]
         ib = intra_view.patch_indices[b, : intra_view.sizes[b]]
         scores = patch_scores(dense_pre, dense_intra, pre_view, intra_view,
@@ -405,12 +403,13 @@ def loop_fine_match(dense_pre, dense_intra, coarse_pairs, pre_view, intra_view):
                 continue
             key = (int(ia[i]), int(ib[j]))
             w = float(core[i, j])
-            if w > best.get(key, -1.0):
-                best[key] = w
+            if w > best.get(key, (-1.0, -1))[0]:
+                best[key] = (w, k)
     keys = sorted(best)
-    pre_idx = np.array([k[0] for k in keys], dtype=np.int64)
-    intra_idx = np.array([k[1] for k in keys], dtype=np.int64)
-    return pre_idx, intra_idx, np.array([best[k] for k in keys], dtype=np.float64)
+    pre_idx = np.array([key[0] for key in keys], dtype=np.int64)
+    intra_idx = np.array([key[1] for key in keys], dtype=np.int64)
+    weights = np.array([best[key][0] for key in keys], dtype=np.float64)
+    return pre_idx, intra_idx, weights, np.array([best[key][1] for key in keys], dtype=np.int64)
 
 
 def loop_ground_truth(pre_view, intra_view, overlap, T_gt, positive_overlap, radius):
@@ -423,61 +422,3 @@ def loop_ground_truth(pre_view, intra_view, overlap, T_gt, positive_overlap, rad
         if gt_fine[key][0].size > 0:
             fine_pairs.append(key)
     return fine_pairs, {key: gt_fine[key] for key in fine_pairs}
-
-
-def scalar_refine(T0, matches, pre, intra, inlier_radius):
-    """``refine_transform`` on (pre indices, intra indices, weights) matches
-    into the point arrays ``pre`` and ``intra``, gathering each round's kept
-    matches by index and solving them with ``scalar_weighted_procrustes``:
-    (transform, inlier count), the input transform with count 0 when nothing
-    survives."""
-    pre_idx, intra_idx, w = matches
-    p, q = pre[pre_idx], intra[intra_idx]
-    best_T, best_count = T0, -1
-    T, working = T0, None
-    for _ in range(matching.REFINE_ITERATIONS):
-        residuals = np.linalg.norm(T.apply_points(p) - q, axis=1)
-        count = int(np.sum(residuals <= inlier_radius))
-        if count > best_count:
-            best_T, best_count = T, count
-        quantile = float(np.quantile(residuals, 0.7))
-        working = max(inlier_radius, quantile if working is None else 0.5 * working)
-        kept = np.flatnonzero(residuals <= working)
-        if kept.size < 3:
-            break
-        try:
-            T = scalar_weighted_procrustes(pre[pre_idx[kept]], intra[intra_idx[kept]], w[kept])
-        except ValueError:
-            break
-    count = int(np.sum(np.linalg.norm(T.apply_points(p) - q, axis=1) <= inlier_radius))
-    if count > best_count:
-        best_T, best_count = T, count
-    return (best_T, best_count) if best_count > 0 else (T0, 0)
-
-
-def reference_pose_chain(fine, pairs, scores, pre_view, intra_view, inlier_radius):
-    """``register_pair``'s pose from its fine matches (``fine_match``'s index
-    arrays) and coarse superpoint pairs: the refined fine fit; failing that,
-    the refined superpoint fit at twice the radius, polished by the fine
-    matches when that keeps an inlier.  Returns (transform, path, inliers)."""
-    pre_fine, intra_fine = pre_view.fine_points, intra_view.fine_points
-    pre_idx, intra_idx, w = fine
-    if len(w) >= 3:
-        try:
-            T0 = scalar_weighted_procrustes(pre_fine[pre_idx], intra_fine[intra_idx], w)
-        except ValueError:
-            pass
-        else:
-            T, count = scalar_refine(T0, fine, pre_fine, intra_fine, inlier_radius)
-            if count > 0:
-                return T, "fine", count
-    coarse = (pairs[:, 0], pairs[:, 1], scores)
-    T0 = scalar_weighted_procrustes(pre_view.points[pairs[:, 0]],
-                                    intra_view.points[pairs[:, 1]], scores)
-    T, count = scalar_refine(T0, coarse, pre_view.points, intra_view.points,
-                             2.0 * inlier_radius)
-    if len(w) >= 3:
-        T_fine, fine_count = scalar_refine(T, fine, pre_fine, intra_fine, inlier_radius)
-        if fine_count > 0:
-            return T_fine, "coarse+fine", fine_count
-    return T, "coarse", count

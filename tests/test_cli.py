@@ -52,6 +52,24 @@ def test_register_too_sparse_cloud_exits_with_data_error(tmp_path):
     assert not (tmp_path / "pose.json").exists()
 
 
+def test_register_on_collinear_clouds_exits_with_numeric_error(tmp_path, capsys):
+    """Points on one line build a pyramid, but every pose hypothesis fitted
+    to them is rank-deficient: registration fails and no pose is written."""
+    seg, reg = SegNetConfig(), RegNetConfig()
+    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
+    line = np.linspace(-1, 1, 200)[:, None] * np.array([[0.6, 0.0, 0.8]])
+    cloud = PointCloud(line, colors=np.full((200, 3), 0.5))
+    save_ply(cloud, tmp_path / "pre.ply")
+    save_ply(cloud, tmp_path / "intra.ply")
+    code = main(["register", "--pre", str(tmp_path / "pre.ply"),
+                 "--intra", str(tmp_path / "intra.ply"),
+                 "--out", str(tmp_path / "pose.json"),
+                 "--checkpoint", str(tmp_path / "model.npz")])
+    assert code == EXIT_NUMERIC
+    assert "registration failed: degenerate correspondence set" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
 def write_sparse_dataset(path):
     cloud = collapsing_cloud()
     sample = RegistrationSample(cloud, cloud, RigidTransform.identity(), np.zeros((3, 3)),
@@ -172,6 +190,21 @@ def test_register_pose_info_splits_the_learned_wall_time(tmp_path):
     expected = icp(load_ply(pre), load_ply(intra))
     assert info["iterations_used"] == expected.iterations_used
     assert info["final_rms"] == expected.final_rms
+
+
+def test_registers_into_one_directory_each_keep_their_own_manifest(tmp_path):
+    pre, intra = small_pair_on_disk(tmp_path)
+    preds = tmp_path / "preds"
+    for name, seed in (("a", 3), ("b", 4)):
+        assert main(["register", "--pre", str(pre), "--intra", str(intra),
+                     "--out", str(preds / f"{name}.pose.json"), "--baseline", "ransac_icp",
+                     "--seed", str(seed)]) == 0
+    for name, seed in (("a", 3), ("b", 4)):
+        manifest = load_pose(preds / f"{name}.pose.json")[1]["manifest"]
+        assert manifest["command"] == "register"
+        assert manifest["args"]["seed"] == seed
+        assert manifest["args"]["out"] == str(preds / f"{name}.pose.json")
+    assert sorted(p.name for p in preds.iterdir()) == ["a.pose.json", "b.pose.json"]
 
 
 def small_phantom_without_intra_colors():

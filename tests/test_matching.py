@@ -271,7 +271,7 @@ def test_fine_match_identity_on_distinct_descriptors():
     n0 = view.fine_points.shape[0]
     desc = rng.normal(size=(n0, 16)) * 4.0
     pairs = np.stack([np.arange(len(view.patch_indices))] * 2, axis=1)
-    pre_idx, intra_idx, _ = fine_match(desc, desc, pairs, view, view)
+    pre_idx, intra_idx, _, _ = fine_match(desc, desc, pairs, view, view)
     assert len(pre_idx) > 0
     assert np.array_equal(pre_idx, intra_idx)
 
@@ -429,6 +429,91 @@ def test_refine_zero_radius_returns_input_with_no_inliers():
     res = refine_transform(T0, p, p + 0.01, np.ones(10), inlier_radius=0.0)
     assert res.inlier_count == 0
     assert res.transform is T0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_refine_below_three_matches_returns_input_with_its_inliers(n):
+    rng = np.random.default_rng(14)
+    p = rng.uniform(-1, 1, size=(n, 3))
+    T0 = random_rigid(0.1, 30.0, rng)
+    res = refine_transform(T0, p, T0.apply_points(p) + 0.01, np.ones(n), inlier_radius=0.05)
+    assert res.inlier_count == n
+    assert res.transform is T0
+
+
+def matched_set(rng, T, n, noise=0.0):
+    """(p, q, w): n random points, their images under ``T`` plus noise, and weights."""
+    p = rng.uniform(-1, 1, size=(n, 3))
+    q = T.apply_points(p) + rng.normal(scale=noise, size=(n, 3))
+    return p, q, rng.uniform(0.1, 1.0, size=n)
+
+
+def fine_from_pairs(sets):
+    """The (p, q, w) fine matches of per-pair matched sets, and each one's pair."""
+    parts = list(zip(*sets))
+    pair_idx = np.repeat(np.arange(len(sets)), [len(w) for w in parts[2]])
+    return tuple(np.concatenate(part) for part in parts), pair_idx
+
+
+def test_local_to_global_stack_equals_per_pair_fits(monkeypatch):
+    rng = np.random.default_rng(15)
+    coarse = matched_set(rng, random_rigid(0.3, 90.0, rng), 48, noise=0.05)
+    counts = [5, 2, 0, 7, 3, 1, 12, 3]
+    sets = [matched_set(rng, random_rigid(0.3, 90.0, rng), n, noise=0.01) for n in counts]
+    fine, pair_idx = fine_from_pairs(sets)
+    shuffle = rng.permutation(len(pair_idx))
+    fine, pair_idx = tuple(part[shuffle] for part in fine), pair_idx[shuffle]
+    stacks = []
+
+    def recorded(*args):
+        stacks.append(procrustes_stack(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(matching, "procrustes_stack", recorded)
+    winner, T = matching.local_to_global(coarse, fine, pair_idx, 0.0625)
+    (R, t, valid), = stacks
+    fitted = [k for k, n in enumerate(counts) if n >= 3]
+    assert valid.tolist() == [True] * (1 + len(fitted))
+    want = [weighted_procrustes(*coarse)] + [weighted_procrustes(*sets[k]) for k in fitted]
+    for h, ref in enumerate(want):
+        np.testing.assert_allclose(R[h], ref.rotation, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t[h], ref.translation, rtol=0, atol=1e-12)
+    assert np.array_equal(T.rotation, R[winner])
+    assert np.array_equal(T.translation, t[winner])
+
+
+def test_local_to_global_first_best_wins_so_hypothesis_0_wins_ties():
+    rng = np.random.default_rng(16)
+    T_0, T_a, T_b = (random_rigid(0.5, 150.0, rng) for _ in range(3))
+    radius = 0.0625
+
+    def solve(T_coarse, pair_transforms):
+        coarse = matched_set(rng, T_coarse, 48)
+        fine, pair_idx = fine_from_pairs([matched_set(rng, T, 3) for T in pair_transforms])
+        return matching.local_to_global(coarse, fine, pair_idx, radius)
+
+    def close(T, want):
+        return (np.allclose(T.rotation, want.rotation, atol=1e-9)
+                and np.allclose(T.translation, want.translation, atol=1e-9))
+
+    # no hypothesis places another pair's matches: every vote count is 0
+    winner, T = solve(T_0, [T_a, T_b])
+    assert winner == 0 and close(T, T_0)
+    # T_a (hypothesis 0) and each T_b pair hold 3 votes
+    winner, T = solve(T_a, [T_a, T_b, T_b])
+    assert winner == 0 and close(T, T_a)
+    # a third T_b pair gives each T_b hypothesis 6: the first of them wins
+    winner, T = solve(T_a, [T_a, T_b, T_b, T_b])
+    assert winner == 2 and close(T, T_b)
+
+
+def test_local_to_global_without_a_valid_fit_returns_none():
+    rng = np.random.default_rng(17)
+    line = np.linspace(-1, 1, 48)[:, None] * rng.normal(size=3)
+    coarse = (line, line + 0.1, np.ones(48))
+    fine = (line[:12], line[:12], np.ones(12))
+    assert matching.local_to_global(coarse, fine, np.repeat([0, 1, 2, 3], 3), 0.0625) == (
+        -1, None)
 
 
 # -- losses ------------------------------------------------------------------
@@ -629,5 +714,6 @@ def test_fine_match_equals_loop_reference(patch_case):
     want = loop_fine_match(dense_pre, dense_intra, pairs, prepared.pre_view,
                            prepared.intra_view)
     assert len(got[2]) > 50
+    assert len(got) == len(want) == 4
     for got_part, want_part in zip(got, want):
         assert np.array_equal(got_part, want_part)
