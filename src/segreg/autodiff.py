@@ -14,10 +14,11 @@ Every differentiable operation puts its output on the tape one way: it
 returns ``record_custom(value, requires_grad, backward_fn)``.  The built-in
 operations below do, and so do the hot composites elsewhere (the slack
 Sinkhorn, feature normalization, the kernel-point convolution, patch
-scoring, the straight-through mask), each a single node with a hand-written
-backward.  Operations are called as functions; :class:`Tensor` has no
-arithmetic operators.  Every tensor, and every intermediate of a fused node,
-passes the one finiteness routine :func:`require_finite`.
+scoring, the straight-through mask, the circle loss), each a single node
+with a hand-written backward.  Operations are called as functions;
+:class:`Tensor` has no arithmetic operators.  Every tensor, and every
+intermediate of a fused node, passes the one finiteness routine
+:func:`require_finite`.
 Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
 adds in input order exactly as ``np.add.at`` does into zeros.
 """
@@ -42,14 +43,12 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "relu",
     "matmul",
     "softmax",
     "sum_",
     "mean_",
     "expand",
     "reshape",
-    "transpose2d",
     "concat",
     "gather_rows",
     "scatter_add_rows",
@@ -271,15 +270,6 @@ def sqrt(a: Tensor) -> Tensor:
     return record_custom(val, a.requires_grad, bwd)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-
-    def bwd(g):
-        accumulate_grad(a, g * mask)
-
-    return record_custom(np.where(mask, a.data, 0.0), a.requires_grad, bwd)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------
@@ -348,16 +338,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         accumulate_grad(x, g.reshape(x.data.shape))
 
     return record_custom(x.data.reshape(shape), x.requires_grad, bwd)
-
-
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError("transpose2d expects a 2-D tensor")
-
-    def bwd(g):
-        accumulate_grad(x, g.T)
-
-    return record_custom(x.data.T.copy(), x.requires_grad, bwd)
 
 
 def concat(tensors: list[Tensor]) -> Tensor:

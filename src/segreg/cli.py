@@ -431,7 +431,9 @@ def build_parser() -> _Parser:
     t.add_argument("--warmup", type=int, default=TrainConfig.warmup_iters)
     t.add_argument("--lr0", type=float, default=TrainConfig.lr0)
     t.add_argument("--tau", type=float, default=TrainConfig.tau)
-    t.add_argument("--tau-anneal", action="store_true")
+    t.add_argument("--tau-anneal", action="store_true",
+                   help="anneal the Gumbel temperature linearly from --tau to 0.1 "
+                        "over the first half of the iterations")
     t.add_argument("--phase1-iters", type=int, default=TrainConfig.phase1_iters)
     t.add_argument("--n-fine-pairs", type=int, default=TrainConfig.n_fine_pairs)
     t.add_argument("--width-factor", type=float, default=RegNetConfig.width_factor,

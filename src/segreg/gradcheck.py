@@ -7,7 +7,7 @@ One harness projects a row's output onto fixed random weights, takes the
 tape gradient of that scalar, and compares it with central finite
 differences of the same function run off the tape.  The straight-through
 mask adds two exact checks: its gradient is the relaxation's, and its
-forward is binary.  A component's inputs come from
+forward is binary: 26 checks in all.  A component's inputs come from
 ``default_rng([seed, component index])``.  The checks back the
 ``gradcheck`` CLI command and the test suite.
 """
@@ -79,15 +79,13 @@ def _fd_error(rng, arrays, fn) -> float:
 
 # ---------------------------------------------------------------------------
 # the table: rows (name, tolerance, input arrays, function of their tensors).
-# Each tolerance is 12-28x the largest error its row reached over seeds 0-29.
+# Each tolerance is 6-30x the largest error its row reached over seeds 0-29.
 # ---------------------------------------------------------------------------
 
 def _tensor_rows(rng):
     def u(*shape, lo=-2.0):
         return rng.uniform(lo, 2.0, shape)
 
-    kinked = u(4, 5)
-    kinked[np.abs(kinked) < 1e-3] = 0.7       # keep relu clear of its kink
     index = np.array([0, 5, 5, 2, 6, 1, 4])   # 6 is the shadow row
     group = np.array([0, 0, 1, 3, 3, 3, 1])   # group 2 stays empty
     return [
@@ -99,14 +97,12 @@ def _tensor_rows(rng):
         ("exp", 2e-9, [u(4, 5)], lambda t: ad.exp(t[0])),
         ("log", 5e-9, [u(4, 5, lo=0.3)], lambda t: ad.log(t[0])),
         ("sqrt", 2e-9, [u(4, 5, lo=0.3)], lambda t: ad.sqrt(t[0])),
-        ("relu", 5e-10, [kinked], lambda t: ad.relu(t[0])),
         ("matmul", 2e-9, [u(4, 5), u(5, 3)], lambda t: ad.matmul(*t)),
         ("softmax", 5e-10, [u(3, 6)], lambda t: ad.softmax(t[0])),
         ("sum_", 1e-9, [u(4, 5)], lambda t: ad.sum_(t[0], axis=1)),
         ("mean_", 5e-10, [u(4, 5)], lambda t: ad.mean_(t[0], axis=0, keepdims=True)),
         ("expand", 2e-9, [u(1, 4)], lambda t: ad.expand(t[0], (5, 4))),
         ("reshape", 1e-9, [u(4, 5)], lambda t: ad.reshape(t[0], (2, 10))),
-        ("transpose2d", 1e-9, [u(4, 5)], lambda t: ad.transpose2d(t[0])),
         ("concat", 2e-9, [u(4, 2), u(4, 3)], lambda t: ad.concat(t)),
         ("gather_rows", 1e-9, [u(6, 3)], lambda t: ad.gather_rows(t[0], index)),
         ("scatter_mean", 5e-10, [u(7, 2)], lambda t: ad.scatter_mean(t[0], group, 4)),

@@ -14,7 +14,8 @@ top-1 entries.  Correspondences are plain matched arrays: the points of each
 side gathered row for row, plus a weight per row.  ``local_to_global`` fits
 a pose to the superpoint pairs and one to each coarse pair's fine matches in
 one weighted Procrustes stack (``procrustes_stack``, also used by the
-baselines) and keeps the best supported; ``refine_transform`` re-solves it.
+baselines) and keeps the best supported, returning every hypothesis's votes;
+``refine_transform`` re-solves it.
 
 The settings no caller varies are module constants: ``K_CORR`` coarse pairs
 with a ``BONUS_WEIGHT`` histogram bonus over ``HIST_BINS`` bins up to
@@ -23,8 +24,9 @@ positives above ``POSITIVE_OVERLAP``, ``NORM_ITERATIONS`` slack
 normalization rounds and ``REFINE_ITERATIONS`` refinement rounds.
 
 Training losses: an overlap-weighted circle loss over superpoint feature
-distances (GeoTransformer's margins 0.1 / 1.4, scale 24) and a negative
-log-likelihood over the normalized patch score stack; their plain sum.
+distances (GeoTransformer's margins 0.1 / 1.4, scale 24), one tape node with
+a closed-form backward, and a negative log-likelihood over the normalized
+patch score stack; their plain sum.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import expit
 
 from segreg import autodiff as ad
 from segreg.autodiff import Tensor
@@ -413,7 +416,8 @@ def refine_transform(T0: RigidTransform, p: np.ndarray, q: np.ndarray, w: np.nda
 
 
 def local_to_global(coarse: tuple, fine: tuple, pair_idx: np.ndarray,
-                    inlier_radius: float) -> tuple[int, RigidTransform | None]:
+                    inlier_radius: float
+                    ) -> tuple[int, RigidTransform | None, np.ndarray]:
     """GeoTransformer's local-to-global registration: the best supported of
     one ``procrustes_stack`` of poses from (p, q, w) matched arrays.
 
@@ -422,7 +426,8 @@ def local_to_global(coarse: tuple, fine: tuple, pair_idx: np.ndarray,
     least 3 (match i came from pair ``pair_idx[i]``).  A valid hypothesis gets
     a vote per fine match of the other pairs that it places within
     ``inlier_radius`` (its own always lie near it); the first best wins, so
-    hypothesis 0 wins ties.  Returns (winner, transform), (-1, None) if none is valid.
+    hypothesis 0 wins ties.  Returns (winner, transform, votes), with -1 votes
+    for each invalid hypothesis and (-1, None, votes) if none is valid.
     """
     p, q, w = fine
     # (H, n): row 0, the superpoint fit (pair -1), owns no fine match
@@ -436,8 +441,8 @@ def local_to_global(coarse: tuple, fine: tuple, pair_idx: np.ndarray,
     votes = np.where(valid, (placed & ~own).sum(axis=1), -1)
     best = int(np.argmax(votes))
     if votes[best] < 0:
-        return -1, None
-    return best, RigidTransform(R[best], t[best])
+        return -1, None, votes
+    return best, RigidTransform(R[best], t[best]), votes
 
 
 # ---------------------------------------------------------------------------
@@ -461,57 +466,55 @@ def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, overlap: np.ndarray) -> 
     Positives (overlap > ``POSITIVE_OVERLAP``) are pulled inside ``POS_MARGIN`` with
     sqrt-overlap weighting; negatives (overlap == 0) are pushed beyond
     ``NEG_MARGIN`` (GeoTransformer's).  Feature rows must be L2-normalized.
+    Each row, then each column, with a positive and a negative is an anchor
+    scoring the softplus of its two masked log-sum-exps; the anchor means of
+    the axes are averaged and divided by ``LOG_SCALE``.  One tape node, whose
+    backward weights each anchor's masked softmax by its sigmoid.
     """
     pos_mask = overlap > POSITIVE_OVERLAP
     neg_mask = overlap == 0.0
     if not pos_mask.any():
         raise NoPositivePairsError("no positive superpoint pairs in this sample")
 
-    sim = ad.matmul(pre_feats, ad.transpose2d(intra_feats))
-    d2 = ad.add(ad.mul(sim, -2.0), 2.0)
-    dists = ad.sqrt(ad.add(ad.relu(d2), 1e-12))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+        d2 = pre_feats.data @ intra_feats.data.T * -2.0 + 2.0
+    ad.require_finite(d2)
+    dists = np.sqrt(np.maximum(d2, 0.0) + 1e-12)
+    # the positive and negative arguments, and their slopes in the distance
+    slopes = (LOG_SCALE * np.sqrt(np.where(pos_mask, overlap, 0.0)),
+              np.full(dists.shape, -LOG_SCALE))
+    args = ((dists - POS_MARGIN) * slopes[0], (NEG_MARGIN - dists) * LOG_SCALE)
 
-    lam = np.sqrt(np.where(pos_mask, overlap, 0.0))
-    pos_arg = ad.mul(ad.sub(dists, POS_MARGIN), Tensor(LOG_SCALE * lam))
-    neg_arg = ad.mul(ad.sub(NEG_MARGIN, dists), LOG_SCALE)
-
-    losses = []
-    for axis, mask_pos, mask_neg in ((1, pos_mask, neg_mask),
-                                     (0, pos_mask.T, neg_mask.T)):
-        pa = pos_arg if axis == 1 else ad.transpose2d(pos_arg)
-        na = neg_arg if axis == 1 else ad.transpose2d(neg_arg)
-        valid = mask_pos.any(axis=1) & mask_neg.any(axis=1)
+    losses, g_dists = [], np.zeros_like(dists)
+    for view in (np.asarray, np.transpose):     # anchors along rows, then columns
+        masks = view(pos_mask), view(neg_mask)
+        valid = masks[0].any(axis=1) & masks[1].any(axis=1)
         if not valid.any():
             continue
-        lse_pos = _masked_logsumexp(pa, mask_pos, valid)
-        lse_neg = _masked_logsumexp(na, mask_neg, valid)
-        losses.append(ad.mean_(_softplus(ad.add(lse_pos, lse_neg))))
+        z, g_z = 0.0, 0.0
+        for arg, mask, slope in zip(args, masks, slopes):
+            a = np.where(mask[valid], view(arg)[valid], -np.inf)
+            top = np.max(a, axis=1, keepdims=True)
+            e = np.exp(a - top)
+            total = np.sum(e, axis=1, keepdims=True)
+            z = z + np.log(total) + top
+            g_z = g_z + e / total * view(slope)[valid]
+        losses.append(np.mean(np.logaddexp(0.0, z)))
+        view(g_dists)[valid] += expit(z) / valid.sum() * g_z
     if not losses:
         raise NoPositivePairsError("no anchor has both positives and negatives")
-    total = losses[0]
-    for extra in losses[1:]:
-        total = ad.add(total, extra)
-    return ad.mul(total, 1.0 / (LOG_SCALE * len(losses)))
+    scale = 1.0 / (LOG_SCALE * len(losses))
 
+    def bwd(g):
+        # d dists / d sim is -1 / dists where d2 > 0, else 0
+        g_sim = np.where(d2 > 0.0, -g * scale * g_dists / dists, 0.0)
+        if pre_feats.requires_grad:
+            ad.accumulate_grad(pre_feats, g_sim @ intra_feats.data)
+        if intra_feats.requires_grad:
+            ad.accumulate_grad(intra_feats, g_sim.T @ pre_feats.data)
 
-def _masked_logsumexp(arg: Tensor, mask: np.ndarray, valid_rows: np.ndarray) -> Tensor:
-    """Row-wise log-sum-exp over masked entries, restricted to valid rows."""
-    rows = np.flatnonzero(valid_rows)
-    neg_inf_fill = -1e4
-    offset = Tensor(np.where(mask, 0.0, neg_inf_fill))
-    shifted = ad.add(arg, offset)
-    shift_max = np.max(shifted.data, axis=1, keepdims=True)
-    stable = ad.sub(shifted, ad.expand(Tensor(shift_max), shifted.shape))
-    sums = ad.sum_(ad.exp(stable), axis=1, keepdims=True)
-    lse = ad.add(ad.log(sums), Tensor(shift_max))
-    return ad.gather_rows(lse, rows)
-
-
-def _softplus(x: Tensor) -> Tensor:
-    # log(1 + exp(x)), stabilized: max(x, 0) + log1p(exp(-|x|)) composed on tape
-    pos = ad.relu(x)
-    absx = ad.add(ad.relu(x), ad.relu(ad.neg(x)))
-    return ad.add(pos, ad.log(ad.add(ad.exp(ad.neg(absx)), 1.0)))
+    return ad.record_custom(np.array(sum(losses) * scale),
+                            pre_feats.requires_grad or intra_feats.requires_grad, bwd)
 
 
 def ground_truth_patch_matches(pre_view: PatchedSuperpoints,

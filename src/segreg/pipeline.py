@@ -14,7 +14,9 @@ inference) as one stack through ``matching.patch_scores`` and
 ``register_pair`` has one pose path: the best supported of
 ``matching.local_to_global``'s hypotheses (the superpoint fit, path
 "coarse", or one coarse pair's fine matches, "local"), re-solved on the
-fine matches by ``refine_transform``.
+fine matches by ``refine_transform``.  Its ``info`` reports the winner's
+votes and its margin over the runner-up (its own votes when no other
+hypothesis is valid), a confidence for the pose.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     fine = (pre_view.fine_points[pre_idx], intra_view.fine_points[intra_idx], weights)
     coarse = (pre_view.points[pairs[:, 0]], intra_view.points[pairs[:, 1]], scores)
     inlier_radius = 2.5 * reg_cfg.initial_voxel
-    winner, hypothesis = local_to_global(coarse, fine, pair_idx, inlier_radius)
+    winner, hypothesis, votes = local_to_global(coarse, fine, pair_idx, inlier_radius)
     if hypothesis is None:
         raise RegistrationError("degenerate correspondence set: no valid pose hypothesis")
     refined = refine_transform(hypothesis, *fine, inlier_radius)
@@ -207,5 +209,7 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
         "refine_flagged": refined.inlier_count == 0,
         "mask_mean": float(mask.mean()),
         "path": "coarse" if winner == 0 else "local",
+        "votes": int(votes[winner]),
+        "vote_margin": int(votes[winner] - np.delete(votes, winner).max(initial=0)),
     }
     return RegistrationResult(refined.transform, mask, info)

@@ -56,7 +56,7 @@ class TrainConfig:
     warmup_iters: int = 500
     total_iters: int = 5000
     tau: float = 1.0
-    tau_anneal: bool = False          # linear 1.0 -> 0.1 over the first half
+    tau_anneal: bool = False          # linear tau -> 0.1 over the first half
     mode: str = "end_to_end"          # or "two_step"
     phase1_iters: int = 1000          # two-step: segmentation pretraining
     n_fine_pairs: int = 12
@@ -64,14 +64,16 @@ class TrainConfig:
     checkpoint_every: int = 1000
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError("lr0 must be positive and finite")
         if not 0 <= self.warmup_iters < self.total_iters:
             raise ValueError("need 0 <= warmup_iters < total_iters")
         if self.mode not in ("end_to_end", "two_step"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if self.phase1_iters < 0:
+            raise ValueError("phase1_iters must be >= 0")
         if self.n_fine_pairs < 1:
             raise ValueError("n_fine_pairs must be at least 1")
         if self.checkpoint_every < 0:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.special import logsumexp
 
 from segreg import autodiff as ad, matching
 from segreg.autodiff import (
@@ -16,7 +17,10 @@ from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_a
 from segreg.kpconv import build_pyramid
 from segreg.matching import (
     K_CORR,
+    LOG_SCALE,
+    NEG_MARGIN,
     OVERLAP_PATCH_RADIUS,
+    POS_MARGIN,
     POSITIVE_OVERLAP,
     NoPositivePairsError,
     build_patches,
@@ -26,6 +30,7 @@ from segreg.matching import (
     fine_loss,
     fine_match,
     ground_truth_patch_matches,
+    l2_normalize_rows,
     normalize_scores_with_slack,
     patch_scores,
     procrustes_stack,
@@ -33,9 +38,10 @@ from segreg.matching import (
     superpoint_overlap_labels,
     weighted_procrustes,
 )
-from segreg.networks import RegNetConfig, SegNetConfig
+from segreg.networks import RegNetConfig, SegNetConfig, reg_backbone_forward
 from segreg.phantom import PhantomConfig, RegistrationSample, generate_phantom
 from segreg.pipeline import MatcherConfig, prepare_sample
+from segreg.training import init_params
 from reference_ops import (
     composed_normalize_scores_with_slack,
     loop_build_patches,
@@ -470,7 +476,7 @@ def test_local_to_global_stack_equals_per_pair_fits(monkeypatch):
         return stacks[-1]
 
     monkeypatch.setattr(matching, "procrustes_stack", recorded)
-    winner, T = matching.local_to_global(coarse, fine, pair_idx, 0.0625)
+    winner, T, votes = matching.local_to_global(coarse, fine, pair_idx, 0.0625)
     (R, t, valid), = stacks
     fitted = [k for k, n in enumerate(counts) if n >= 3]
     assert valid.tolist() == [True] * (1 + len(fitted))
@@ -480,6 +486,7 @@ def test_local_to_global_stack_equals_per_pair_fits(monkeypatch):
         np.testing.assert_allclose(t[h], ref.translation, rtol=0, atol=1e-12)
     assert np.array_equal(T.rotation, R[winner])
     assert np.array_equal(T.translation, t[winner])
+    assert votes.shape == (1 + len(fitted),) and votes[winner] == votes.max()
 
 
 def test_local_to_global_first_best_wins_so_hypothesis_0_wins_ties():
@@ -487,9 +494,9 @@ def test_local_to_global_first_best_wins_so_hypothesis_0_wins_ties():
     T_0, T_a, T_b = (random_rigid(0.5, 150.0, rng) for _ in range(3))
     radius = 0.0625
 
-    def solve(T_coarse, pair_transforms):
+    def solve(T_coarse, pair_transforms, n=3):
         coarse = matched_set(rng, T_coarse, 48)
-        fine, pair_idx = fine_from_pairs([matched_set(rng, T, 3) for T in pair_transforms])
+        fine, pair_idx = fine_from_pairs([matched_set(rng, T, n) for T in pair_transforms])
         return matching.local_to_global(coarse, fine, pair_idx, radius)
 
     def close(T, want):
@@ -497,14 +504,20 @@ def test_local_to_global_first_best_wins_so_hypothesis_0_wins_ties():
                 and np.allclose(T.translation, want.translation, atol=1e-9))
 
     # no hypothesis places another pair's matches: every vote count is 0
-    winner, T = solve(T_0, [T_a, T_b])
-    assert winner == 0 and close(T, T_0)
+    winner, T, votes = solve(T_0, [T_a, T_b])
+    assert winner == 0 and close(T, T_0) and votes.tolist() == [0, 0, 0]
     # T_a (hypothesis 0) and each T_b pair hold 3 votes
-    winner, T = solve(T_a, [T_a, T_b, T_b])
-    assert winner == 0 and close(T, T_a)
+    winner, T, votes = solve(T_a, [T_a, T_b, T_b])
+    assert winner == 0 and close(T, T_a) and votes.tolist() == [3, 0, 3, 3]
     # a third T_b pair gives each T_b hypothesis 6: the first of them wins
-    winner, T = solve(T_a, [T_a, T_b, T_b, T_b])
-    assert winner == 2 and close(T, T_b)
+    winner, T, votes = solve(T_a, [T_a, T_b, T_b, T_b])
+    assert winner == 2 and close(T, T_b) and votes.tolist() == [3, 0, 6, 6, 6]
+    # two T_a pairs: hypothesis 0 places both, each of them the other
+    winner, T, votes = solve(T_a, [T_a, T_a, T_b])
+    assert winner == 0 and votes.tolist() == [6, 3, 3, 0]
+    # pairs of 2 matches fit no hypothesis: only the superpoint fit votes
+    winner, T, votes = solve(T_a, [T_a, T_b, T_a], n=2)
+    assert winner == 0 and votes.tolist() == [4]
 
 
 def test_local_to_global_without_a_valid_fit_returns_none():
@@ -512,8 +525,9 @@ def test_local_to_global_without_a_valid_fit_returns_none():
     line = np.linspace(-1, 1, 48)[:, None] * rng.normal(size=3)
     coarse = (line, line + 0.1, np.ones(48))
     fine = (line[:12], line[:12], np.ones(12))
-    assert matching.local_to_global(coarse, fine, np.repeat([0, 1, 2, 3], 3), 0.0625) == (
-        -1, None)
+    winner, T, votes = matching.local_to_global(coarse, fine, np.repeat([0, 1, 2, 3], 3),
+                                                0.0625)
+    assert (winner, T) == (-1, None) and votes.tolist() == [-1] * 5
 
 
 # -- losses ------------------------------------------------------------------
@@ -536,6 +550,63 @@ def test_coarse_loss_equal_distances_strictly_positive():
 def test_coarse_loss_requires_positives():
     with pytest.raises(NoPositivePairsError):
         coarse_loss(Tensor(np.eye(3)), Tensor(np.eye(3)), np.zeros((3, 3)))
+
+
+def test_coarse_loss_overflowing_similarity_raises_nonfinite():
+    # pytest turns a RuntimeWarning into an error, so none may fire first
+    feats = np.full((2, 3), 1e200)
+    with pytest.raises(NonFiniteError):
+        coarse_loss(Tensor(feats), Tensor(-feats), np.eye(2))
+
+
+def circle_loss_reference(pre, intra, overlap):
+    """GeoTransformer's overlap-weighted circle loss, stated in numpy."""
+    dists = np.sqrt(np.maximum(2.0 - 2.0 * pre @ intra.T, 0.0) + 1e-12)
+    terms = []
+    for d, w in ((dists, overlap), (dists.T, overlap.T)):
+        pos, neg = w > POSITIVE_OVERLAP, w == 0.0
+        rows = pos.any(axis=1) & neg.any(axis=1)
+        if rows.any():
+            lse_pos = logsumexp(LOG_SCALE * np.sqrt(w) * (d - POS_MARGIN), b=pos, axis=1)
+            lse_neg = logsumexp(LOG_SCALE * (NEG_MARGIN - d), b=neg, axis=1)
+            terms.append(np.mean(np.logaddexp(0.0, lse_pos[rows] + lse_neg[rows])))
+    return np.mean(terms) / LOG_SCALE
+
+
+def gradcheck_toy_features():
+    """Unit feature rows and overlaps shaped like the ``coarse_circle_loss``
+    gradcheck row's, with its ignored overlap band."""
+    rng = np.random.default_rng(19)
+    overlap = np.zeros((6, 6))
+    overlap[np.arange(6), np.arange(6)] = rng.uniform(0.3, 1.0, 6)
+    overlap[0, 1] = 0.05
+    pre, intra = (l2_normalize_rows(Tensor(rng.normal(size=(6, 4)))).data for _ in "ab")
+    return pre, intra, overlap
+
+
+def phantom_superpoint_features():
+    """Normalized superpoint features of a full-size phantom under untrained
+    weights, with the ground-truth mask as the intra input, and its overlap."""
+    sample = generate_phantom(PhantomConfig(seed=2000))
+    seg, reg = SegNetConfig(), RegNetConfig()
+    prepared = prepare_sample(sample, seg, reg, MatcherConfig())
+    params = init_params(seg, reg, 0)
+    inputs = (np.ones((len(sample.preoperative), 1)), sample.gt_mask.reshape(-1, 1))
+    pre, intra = (l2_normalize_rows(reg_backbone_forward(params, ctx, Tensor(x))[0]).data
+                  for ctx, x in zip((prepared.reg_ctx_pre, prepared.reg_ctx_intra), inputs))
+    return pre, intra, prepared.overlap
+
+
+@pytest.mark.parametrize("features", [gradcheck_toy_features, phantom_superpoint_features])
+def test_coarse_loss_is_one_node_equal_to_the_numpy_circle_loss(features):
+    pre, intra, overlap = features()
+    tape = Tape()
+    with tape:
+        loss = coarse_loss(Tensor(pre, requires_grad=True), Tensor(intra, requires_grad=True),
+                           overlap)
+        assert len(tape) == 1
+    assert loss.item() == pytest.approx(circle_loss_reference(pre, intra, overlap),
+                                        rel=1e-12, abs=0)
 
 
 def test_coarse_loss_gradcheck(gradcheck_rows_pass):

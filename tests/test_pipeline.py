@@ -2,6 +2,7 @@
 phantom, and its pose on full-size phantoms through mostly wrong matches."""
 
 import numpy as np
+import pytest
 
 from segreg import pipeline
 from segreg.evaluation import tre
@@ -33,6 +34,28 @@ def test_register_pair_is_valid_and_repeatable():
     assert first.mask.shape == (len(sample.intraoperative),)
     assert set(np.unique(first.mask)) <= {0, 1}
     assert first.info["mask_mean"] == float(first.mask.mean())
+
+
+@pytest.mark.parametrize("winner,votes,margin", [
+    (0, [5, 2, -1, 3], 2),      # lead over the runner-up
+    (2, [1, -1, 4, 4], 0),      # a tie with a later hypothesis
+    (1, [-1, 7, -1], 7),        # no other valid hypothesis: its own votes
+])
+def test_register_pair_reports_the_winners_votes_and_margin(monkeypatch, winner, votes,
+                                                            margin):
+    sample = generate_phantom(PhantomConfig(seed=6, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    seg, reg, match = SegNetConfig(), RegNetConfig(), pipeline.MatcherConfig()
+    prepared = pipeline.prepare_sample(sample, seg, reg, match, with_ground_truth=False)
+    solve = pipeline.local_to_global
+
+    def hand_built_votes(*args):
+        return winner, solve(*args)[1], np.array(votes)
+
+    monkeypatch.setattr(pipeline, "local_to_global", hand_built_votes)
+    info = pipeline.register_pair(init_params(seg, reg, 0), prepared, seg, reg, match).info
+    assert (info["votes"], info["vote_margin"]) == (votes[winner], margin)
+    assert info["path"] == ("coarse" if winner == 0 else "local")
 
 
 def test_prepare_sample_ground_truth_invariants():
