@@ -18,7 +18,10 @@ scoring, the straight-through mask, the circle loss), each a single node
 with a hand-written backward.  Operations are called as functions;
 :class:`Tensor` has no arithmetic operators.  Every tensor, and every
 intermediate of a fused node, passes the one finiteness routine
-:func:`require_finite`.
+:func:`require_finite`.  The forwards that can overflow on finite inputs
+(the arithmetic, ``matmul``, ``softmax`` and the reductions) run with
+numpy's floating-point warnings off, so such an input raises
+:class:`NonFiniteError` and not a ``RuntimeWarning``.
 Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
 adds in input order exactly as ``np.add.at`` does into zeros.
 """
@@ -60,6 +63,9 @@ __all__ = [
 ]
 
 _ACTIVE_TAPE: "Tape | None" = None
+# the forwards that can leave the float range on finite inputs run quietly,
+# so that the finiteness check raises NonFiniteError before numpy warns
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class NonFiniteError(ValueError):
@@ -192,6 +198,7 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.sum(g).reshape(shape) if np.prod(shape, dtype=int) == 1 else g
 
 
+@_quiet
 def add(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
@@ -202,6 +209,7 @@ def add(a: Tensor, b) -> Tensor:
     return record_custom(a.data + b.data, a.requires_grad or b.requires_grad, bwd)
 
 
+@_quiet
 def sub(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
@@ -212,6 +220,7 @@ def sub(a: Tensor, b) -> Tensor:
     return record_custom(a.data - b.data, a.requires_grad or b.requires_grad, bwd)
 
 
+@_quiet
 def mul(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
@@ -222,6 +231,7 @@ def mul(a: Tensor, b) -> Tensor:
     return record_custom(a.data * b.data, a.requires_grad or b.requires_grad, bwd)
 
 
+@_quiet
 def div(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
@@ -239,14 +249,14 @@ def neg(a: Tensor) -> Tensor:
     return record_custom(-a.data, a.requires_grad, bwd)
 
 
+@_quiet
 def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        val = np.exp(a.data)
+    val = np.exp(a.data)
 
     def bwd(g):
         accumulate_grad(a, g * val)
 
-    return record_custom(val, a.requires_grad, bwd)  # an overflow raises NonFiniteError
+    return record_custom(val, a.requires_grad, bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -274,6 +284,7 @@ def sqrt(a: Tensor) -> Tensor:
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------
 
+@_quiet
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
@@ -289,6 +300,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_custom(a.data @ b.data, a.requires_grad or b.requires_grad, bwd)
 
 
+@_quiet
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis`` (max-subtraction)."""
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
@@ -302,6 +314,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return record_custom(val, x.requires_grad, bwd)
 
 
+@_quiet
 def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def bwd(g):
         gk = g if axis is None or keepdims else np.expand_dims(g, axis)
@@ -310,6 +323,7 @@ def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return record_custom(np.sum(x.data, axis=axis, keepdims=keepdims), x.requires_grad, bwd)
 
 
+@_quiet
 def mean_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
 

@@ -23,12 +23,15 @@ refines the winner with ICP.  Both are deterministic given their inputs and
 seed.
 
 The descriptors take their normals from ``estimate_normals`` and their
-pairs from a k-d tree's pair list: each pair within the radius is
-measured once and binned into both endpoints' histograms with a single
-``np.bincount``, in fixed-size blocks of pairs.  Mutual matching walks the
-source descriptors in fixed-size row blocks: each block's similarities to
-every target give its rows' best matches, and a running column maximum
-gives each target's, so the N_src x N_tgt similarity matrix is never held.
+pairs from a k-d tree's pair list, in fixed-size blocks of pairs.  Each
+pair within the radius is measured once; its distance bin and angle bin
+(``matching.histogram_bins``) form one joint code, which a single
+``np.bincount`` counts into both endpoints' ``DESCRIPTOR_BINS`` x
+``DESCRIPTOR_BINS`` cells, and each histogram is a marginal of those cells.
+Mutual matching walks the source descriptors in fixed-size row blocks: each
+block's similarities to every target give its rows' best matches, and a
+running column maximum gives each target's, so the N_src x N_tgt similarity
+matrix is never held.
 RANSAC draws its hypotheses one at a time from the generator, then fits
 them in stacks with ``matching.procrustes_stack`` and counts their inliers,
 so the counts and the first-best winner are those of a sequential scan.
@@ -139,20 +142,25 @@ def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:
     pos = cloud.positions
     normals = estimate_normals(cloud)
     pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
-    width = 2 * DESCRIPTOR_BINS
-    counts = np.zeros(len(cloud) * width, dtype=np.int64)
+    cells = DESCRIPTOR_BINS * DESCRIPTOR_BINS
+    counts = np.zeros(len(cloud) * cells, dtype=np.int64)
     for start in range(0, len(pairs), _PAIR_BLOCK):
         i, j = pairs[start:start + _PAIR_BLOCK].T
-        d = np.linalg.norm(np.take(pos, j, axis=0) - np.take(pos, i, axis=0), axis=1)
+        # |p_j - p_i| with the squares summed in np.linalg.norm's order
+        sq = np.take(pos, j, axis=0) - np.take(pos, i, axis=0)
+        sq *= sq
+        d = sq[:, 0] + sq[:, 1]
+        d += sq[:, 2]
+        np.sqrt(d, out=d)
         # unoriented normals: use |cos| of the angle between neighbor normals
         cos = np.abs(np.einsum("ij,ij->i", np.take(normals, i, axis=0),
                                np.take(normals, j, axis=0)))
-        d_bin = histogram_bins(d, radius, DESCRIPTOR_BINS)
-        a_bin = histogram_bins(cos, 1.0, DESCRIPTOR_BINS) + DESCRIPTOR_BINS
-        slots = np.concatenate([i * width + d_bin, i * width + a_bin,
-                                j * width + d_bin, j * width + a_bin])
-        counts += np.bincount(slots, minlength=counts.size)
-    return normalize_counts(counts.reshape(len(cloud), width))
+        code = histogram_bins(d, radius, DESCRIPTOR_BINS) * DESCRIPTOR_BINS
+        code += histogram_bins(cos, 1.0, DESCRIPTOR_BINS)
+        counts += np.bincount(np.concatenate([i * cells + code, j * cells + code]),
+                              minlength=counts.size)
+    joint = counts.reshape(len(cloud), DESCRIPTOR_BINS, DESCRIPTOR_BINS)
+    return normalize_counts(np.hstack([joint.sum(axis=2), joint.sum(axis=1)]))
 
 
 def _mutual_matches(src_desc: np.ndarray,
@@ -163,7 +171,8 @@ def _mutual_matches(src_desc: np.ndarray,
     to the row maxima, without holding that matrix: source rows go in blocks
     of ``_MATCH_BLOCK``, and a target's running best moves only to a block
     whose column maximum is strictly greater, so the first maximal row wins
-    across blocks as ``np.argmax``'s does within one.  BLAS may round a
+    across blocks as ``np.argmax``'s does within one.  A block looks up that
+    row only for the columns whose best it moves.  BLAS may round a
     block's product in the last bit unlike the whole one's; exact products,
     such as those of small-integer rows, are the same in every block shape.
     """
@@ -176,11 +185,10 @@ def _mutual_matches(src_desc: np.ndarray,
         sim = src_desc[block] @ tgt_desc.T
         fwd[block] = np.argmax(sim, axis=1)
         strength[block] = np.take_along_axis(sim, fwd[block, None], axis=1)[:, 0]
-        rows = np.argmax(sim, axis=0)
-        top = np.take_along_axis(sim, rows[None], axis=0)[0]
-        better = top > best
+        top = sim.max(axis=0)
+        better = np.flatnonzero(top > best)
         best[better] = top[better]
-        bwd[better] = start + rows[better]
+        bwd[better] = start + np.argmax(sim[:, better], axis=0)
     return fwd, bwd, strength
 
 

@@ -125,10 +125,12 @@ def _surface(rng, n, colors=False):
 def _kpconv_rows(rng):
     cloud = _surface(rng, 30)
     nbr = radius_neighbors(cloud, 0.6, 8)
+    k = SegNetConfig.kernel_size
     infl = conv_influence(neighbor_offsets(cloud.positions, nbr), nbr,
-                          kernel_disposition(6) * 0.6, 0.6 / SIGMA_RATIO)
+                          kernel_disposition(k, SegNetConfig.kernel_seed) * 0.6,
+                          0.6 / SIGMA_RATIO)
     return [("conv_feats_and_weights", 1e-8,
-             [rng.uniform(-2, 2, (30, 3)), rng.uniform(-2, 2, (6, 3, 4))],
+             [rng.uniform(-2, 2, (30, 3)), rng.uniform(-2, 2, (k, 3, 4))],
              lambda t: kpconv_apply(infl, *t))]
 
 

@@ -166,9 +166,15 @@ def distance_histograms(view: PatchedSuperpoints) -> np.ndarray:
 
 def histogram_bins(values: np.ndarray, upper: float, bins: int) -> np.ndarray:
     """Bin of each value among ``bins`` even bins over [0, upper]: np.histogram's
-    rule, edges[k] <= x < edges[k + 1], with ``upper`` in the last bin."""
-    edges = np.linspace(0.0, upper, bins + 1)
-    return np.searchsorted(edges, np.clip(values, 0.0, upper - 1e-12), side="right") - 1
+    rule, edges[k] <= x < edges[k + 1], with ``upper`` in the last bin.
+
+    A value's bin is the number of interior edges it reaches, so values
+    below 0 land in the first bin and values past ``upper`` in the last.
+    """
+    out = np.zeros(values.shape, dtype=np.intp)
+    for edge in np.linspace(0.0, upper, bins + 1)[1:-1]:
+        out += values >= edge
+    return out
 
 
 def normalize_counts(counts: np.ndarray) -> np.ndarray:

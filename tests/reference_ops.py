@@ -19,7 +19,9 @@ covariance slot by slot and cubed by products; ``k8_radius_neighbors`` and
 ``k8_knn`` rank k + 8 tree candidates per row with a full ``lexsort``, as
 ``geometry`` did before it fetched k + 1 and sorted only unordered rows;
 and ``unique_voxel_grid_subsample`` groups voxels with ``np.unique(axis=0)``,
-as ``geometry.voxel_grid_subsample`` did before it sorted its keys.  Tests
+as ``geometry.voxel_grid_subsample`` did before it sorted its keys.
+``_repulse`` is the repulsion descent that generated the kernel layouts
+``kpconv`` stores, as every process ran it before they were stored.  Tests
 require the library versions to match them bit for bit, except
 ``slack_normalize_2d``, whose row sums run over fewer entries, the
 influence bound test, which allows the expanded d2 its 1e-7, and the dense
@@ -44,6 +46,35 @@ def add_at_rows(index, values, n):
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, index, values)
     return out
+
+
+_REPULSE_STEPS, _REPULSE_LR = 1000, 0.01  # descent of a kernel layout
+
+
+def _repulse(k, seed):
+    """Repulsion layout of k kernel points in the unit ball, (k, 3).
+
+    One point is pinned at the origin; the others start at seeded random
+    points and descend ``_REPULSE_STEPS`` steps on the inverse-distance
+    energy sum(1/d_ij), with projection back into the ball.
+    """
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=(k - 1, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    pts = direction * rng.uniform(0.3, 1.0, size=(k - 1, 1)) ** (1.0 / 3.0)
+    pts = np.vstack([np.zeros(3), pts])
+    for _ in range(_REPULSE_STEPS):
+        diff = pts[:, None, :] - pts[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        np.fill_diagonal(d2, 1.0)
+        # gradient of sum_{i<j} 1/d_ij w.r.t. point i
+        grad = -np.sum(diff / (d2[:, :, None] ** 1.5), axis=1)
+        norms = np.linalg.norm(grad, axis=1, keepdims=True)
+        grad = grad / np.maximum(norms, 1.0) * np.minimum(norms, 10.0)
+        pts[1:] -= _REPULSE_LR * grad[1:]
+        r = np.linalg.norm(pts[1:], axis=1, keepdims=True)
+        pts[1:] /= np.maximum(r, 1.0)
+    return pts
 
 
 def oneshot_conv_influence(points, neighbors, kernel, sigma, frames=None):

@@ -39,6 +39,28 @@ def test_exp_overflow_raises_nonfinite_error():
         ad.exp(Tensor([1.0, 1000.0]))
 
 
+@pytest.mark.parametrize("op, args", [
+    (ad.add, ([1e308], [1e308])),
+    (ad.sub, ([1e308], [-1e308])),
+    (ad.mul, ([1e200], [1e200])),
+    (ad.div, ([1e200], [1e-200])),
+    (ad.div, ([1.0], [0.0])),
+    (matmul, ([[1e200]], [[1e200]])),
+    (sum_, ([1e308, 1e308],)),
+    (ad.mean_, ([1e308, 1e308, -1e308, -1e308],)),
+], ids=["add", "sub", "mul", "div", "div_by_zero", "matmul", "sum", "mean_inf_minus_inf"])
+def test_forward_overflow_on_finite_inputs_raises_nonfinite_error(op, args):
+    # pytest turns RuntimeWarning into an error here, so numpy must not
+    # warn before the finiteness check runs
+    with pytest.raises(ad.NonFiniteError):
+        op(*(Tensor(a) for a in args))
+
+
+def test_softmax_of_a_range_past_the_float_limit_is_finite():
+    out = softmax(Tensor([-1e308, 1e308]))
+    np.testing.assert_array_equal(out.data, [0.0, 1.0])
+
+
 def test_exp_zero_forward_and_backward_seed():
     with Tape():
         x = Tensor([0.0], requires_grad=True)

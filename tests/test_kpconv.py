@@ -36,6 +36,7 @@ from segreg.networks import (
 )
 from segreg.phantom import PhantomConfig, generate_phantom
 from reference_ops import (
+    _repulse,
     add_at_feats_grad,
     composed_norm_act,
     einsum_local_reference_frames,
@@ -48,6 +49,9 @@ from reference_ops import (
 )
 
 EPS = np.finfo(np.float64).eps
+# the (kernel_size, kernel_seed) of each network: the layouts kpconv stores
+LAYOUTS = [(cfg.kernel_size, cfg.kernel_seed) for cfg in (SegNetConfig, RegNetConfig)]
+SEG_KERNEL = kernel_disposition(*LAYOUTS[0])
 
 
 def surface_cloud(rng, n, colors=True):
@@ -67,24 +71,35 @@ def kpconv(cloud, feats, neighbors, kernel, radius, weights):
 
 # -- kernel disposition ------------------------------------------------------
 
-def test_disposition_single_point_at_origin():
-    disp = kernel_disposition(1, seed=0)
-    np.testing.assert_array_equal(disp, np.zeros((1, 3)))
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["seg", "reg"])
+def test_stored_disposition_equals_the_reference_descent(layout):
+    got = kernel_disposition(*layout)
+    assert got.shape == (layout[0], 3) and got.dtype == np.float64
+    assert np.array_equal(got, _repulse(*layout))
+
+
+def test_disposition_rejects_unknown_layouts():
+    for k, seed in ((1, 0), (15, 0), (20, 17), (6, 2)):
+        with pytest.raises(ValueError, match="no stored kernel layout"):
+            kernel_disposition(k, seed)
 
 
 def test_disposition_spread_and_pinning():
-    disp = kernel_disposition(15, seed=0)
-    assert np.array_equal(disp[0], np.zeros(3))
-    d = np.linalg.norm(disp[:, None] - disp[None, :], axis=-1)
-    np.fill_diagonal(d, np.inf)
-    assert d.min() > 0.2
-    assert np.all(np.linalg.norm(disp, axis=1) <= 1 + 1e-12)
+    for layout in LAYOUTS:
+        disp = kernel_disposition(*layout)
+        assert np.array_equal(disp[0], np.zeros(3))
+        d = np.linalg.norm(disp[:, None] - disp[None, :], axis=-1)
+        np.fill_diagonal(d, np.inf)
+        assert d.min() > 0.2
+        assert np.all(np.linalg.norm(disp, axis=1) <= 1 + 1e-12)
 
 
 def test_disposition_deterministic():
-    a = kernel_disposition(20, seed=5)
-    b = kernel_disposition(20, seed=5)
-    assert np.array_equal(a, b)
+    for layout in LAYOUTS:
+        a, b = kernel_disposition(*layout), kernel_disposition(*layout)
+        assert np.array_equal(a, b)
+        a[1] = 7.0                      # each call returns its own copy
+        assert np.array_equal(kernel_disposition(*layout), b)
 
 
 # -- convolution -------------------------------------------------------------
@@ -92,17 +107,16 @@ def test_disposition_deterministic():
 def test_kpconv_zero_features_give_zero_output():
     rng = np.random.default_rng(0)
     cloud = surface_cloud(rng, 50, colors=False)
-    kern = kernel_disposition(15, 0)
     nbr = radius_neighbors(cloud, 0.5, 10)
     w = Tensor(rng.normal(size=(15, 3, 4)))
     feats = Tensor(np.zeros((50, 3)))
-    out = kpconv(cloud, feats, nbr, kern, 0.5, w)
+    out = kpconv(cloud, feats, nbr, SEG_KERNEL, 0.5, w)
     np.testing.assert_array_equal(out.data, np.zeros((50, 4)))
 
 
 def test_kpconv_single_point_identity():
     cloud = PointCloud([[0.0, 0.0, 0.0]])
-    kern = kernel_disposition(1, 0)
+    kern = np.zeros((1, 3))             # one kernel point, at the origin
     nbr = np.array([[0]])
     feats = Tensor([[2.0, -3.0]])
     w = Tensor(np.eye(2)[None, :, :])  # K=1, identity mixing
@@ -112,9 +126,8 @@ def test_kpconv_single_point_identity():
 
 def test_kpconv_rejects_weight_kernel_mismatch():
     cloud = PointCloud([[0.0, 0.0, 0.0]])
-    kern = kernel_disposition(5, 0)
     with pytest.raises(ValueError):
-        kpconv(cloud, Tensor([[1.0]]), np.array([[0]]), kern, 1.0,
+        kpconv(cloud, Tensor([[1.0]]), np.array([[0]]), SEG_KERNEL, 1.0,
                Tensor(np.ones((3, 1, 2))))
 
 
@@ -123,7 +136,7 @@ def test_kpconv_forward_equals_gather_matmul_expression():
     cloud = surface_cloud(rng, 30, colors=False)
     nbr = radius_neighbors(cloud, 0.6, 8)
     infl = conv_influence(neighbor_offsets(cloud.positions, nbr), nbr,
-                          kernel_disposition(6, 2) * 0.6, 0.6 / SIGMA_RATIO)
+                          _repulse(6, 2) * 0.6, 0.6 / SIGMA_RATIO)
     f0 = rng.uniform(-2, 2, size=(30, 3))
     w0 = rng.uniform(-2, 2, size=(6, 3, 4))
     assert np.any(nbr == 30)                  # shadow slots read zero rows
@@ -178,7 +191,7 @@ def test_kpconv_locality_bit_exact():
     pos = np.vstack([near, [[5.0, 5.0, 5.0]]])
     nbr = radius_neighbors(PointCloud(pos), 0.4, 8)
     assert not np.any(nbr[:40] == 40)  # the far point is not a neighbor of anyone
-    kern = kernel_disposition(6, 3)
+    kern = _repulse(6, 3)
     w = Tensor(rng.normal(size=(6, 2, 3)))
     feats = rng.normal(size=(41, 2))
 
@@ -194,7 +207,7 @@ def test_kpconv_mask_gating_is_additive_and_local():
     rng = np.random.default_rng(3)
     cloud = surface_cloud(rng, 60, colors=False)
     nbr = radius_neighbors(cloud, 0.5, 10)
-    kern = kernel_disposition(8, 4)
+    kern = _repulse(8, 4)
     w = Tensor(rng.normal(size=(8, 1, 3)))
     mask = np.ones((60, 1))
     base = kpconv(cloud, Tensor(mask), nbr, kern, 0.5, w).data
@@ -500,7 +513,7 @@ def test_blocked_influence_equals_one_shot(monkeypatch, with_frames, nq):
     assert np.any(nbr == nq) and np.all(nbr[:, 1] < nq)
     offsets = neighbor_offsets(cloud.positions, nbr)
     frames = local_reference_frames(offsets, nbr) if with_frames else None
-    args = (nbr, kernel_disposition(15) * radius, radius / SIGMA_RATIO, frames)
+    args = (nbr, SEG_KERNEL * radius, radius / SIGMA_RATIO, frames)
     got = expand_influence(conv_influence(offsets, *args), nbr)
     want = oneshot_conv_influence(cloud.positions, *args)
     assert want.dtype == np.float32
@@ -578,7 +591,7 @@ def test_frames_on_a_symmetric_lattice_resum_near_zero_cube_sums_with_power():
 def test_expanded_influence_within_1e7_with_neighbors_on_kernel_points(radius):
     # the kernel itself as the cloud: row 0's offsets are the kernel points,
     # where |r|^2 + |k|^2 - 2 k.r cancels to rounding error
-    kernel = kernel_disposition(15, 1) * radius
+    kernel = SEG_KERNEL * radius
     rng = np.random.default_rng(51)
     extra = rng.normal(size=(40, 3)) * radius / 2.0
     pts = np.vstack([kernel, extra])
