@@ -20,7 +20,7 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,13 +112,9 @@ def cmd_generate(args) -> int:
     if args.n_samples < 1:
         raise _Exit(EXIT_USAGE, f"error: --n-samples must be at least 1, got {args.n_samples}")
     out = Path(args.out)
-    cfg_common = dict(
-        n_vertebrae=args.n_vertebrae, points_pre=args.points_pre,
-        points_intra=args.points_intra, exposure_fraction=args.exposure_fraction,
-        clutter_fraction=args.clutter_fraction, noise_sigma=args.noise_sigma,
-        occlusion_patches=args.occlusion_patches)
+    knobs = {f.name: getattr(args, f.name) for f in fields(PhantomConfig) if f.name != "seed"}
     with _exits((ValueError, EXIT_USAGE, "invalid phantom settings")):
-        cfg = PhantomConfig(seed=args.seed, **cfg_common)
+        cfg = PhantomConfig(seed=args.seed, **knobs)
     with _exits((RuntimeError, EXIT_DATA, "generation failed")):
         dirs = []
         for i in range(args.n_samples):
@@ -126,7 +122,7 @@ def cmd_generate(args) -> int:
             name = f"sample_{i:04d}"
             save_sample(sample, out / name)
             dirs.append(name)
-        write_manifest(out, dirs, config=dict(cfg_common), seed=args.seed)
+        write_manifest(out, dirs, config=knobs, seed=args.seed)
     _write_run_manifest(out, "generate", vars(args))
     print(f"wrote {args.n_samples} samples to {out}")
     return EXIT_OK
@@ -412,15 +408,8 @@ def build_parser() -> _Parser:
     g = sub.add_parser("generate", help="generate a synthetic phantom dataset")
     g.add_argument("--out", required=True)
     g.add_argument("--n-samples", type=int, default=8)
-    g.add_argument("--seed", type=int, default=PhantomConfig.seed)
-    g.add_argument("--n-vertebrae", type=int, default=PhantomConfig.n_vertebrae)
-    g.add_argument("--points-pre", type=int, default=PhantomConfig.points_pre)
-    g.add_argument("--points-intra", type=int, default=PhantomConfig.points_intra)
-    g.add_argument("--exposure-fraction", type=float, default=PhantomConfig.exposure_fraction)
-    g.add_argument("--clutter-fraction", type=float, default=PhantomConfig.clutter_fraction)
-    g.add_argument("--noise-sigma", type=float, default=PhantomConfig.noise_sigma)
-    g.add_argument("--occlusion-patches", type=int,
-                   default=PhantomConfig.occlusion_patches)
+    for f in fields(PhantomConfig):     # annotations are strings: parse as the default's type
+        g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     g.set_defaults(fn=cmd_generate)
 
     t = sub.add_parser("train", help="train the joint model on a dataset")

@@ -1,9 +1,12 @@
 """File formats: PLY point clouds, pose/landmark/mask files, dataset
 manifests, and network checkpoints.
 
-PLY reads ascii and binary_little_endian with double (or float) x/y/z,
-optional uchar red/green/blue, and an optional integer label per vertex;
-it writes binary_little_endian.
+PLY reads ascii and binary_little_endian vertices with float or double
+x/y/z, optional uchar red/green/blue and an optional label of any integer
+type; it writes binary_little_endian.  Both encodings decode into one
+record per vertex, so they accept and reject the same files.  Any other
+property, a property declared more than once, or an ascii value outside
+its declared type is a malformed PLY.
 Poses are JSON: rotation, translation and extra fields; rotations are
 re-validated on load.  A sample's pose.json needs a positive, finite
 ``scale``, its landmarks.csv K >= 1 finite x,y,z rows and its mask.txt one
@@ -45,36 +48,44 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-_FLOAT_TYPES = {"float": np.float32, "float32": np.float32,
-                "double": np.float64, "float64": np.float64}
-_INT_TYPES = {"char": np.int8, "int8": np.int8, "uchar": np.uint8,
-              "uint8": np.uint8, "short": np.int16, "int16": np.int16,
-              "ushort": np.uint16, "uint16": np.uint16, "int": np.int32,
-              "int32": np.int32, "uint": np.uint32, "uint32": np.uint32}
-
-
 # ---------------------------------------------------------------------------
 # PLY
 # ---------------------------------------------------------------------------
 
+# each PLY scalar type name and alias -> its little-endian numpy dtype
+_PLY_TYPES = {name: np.dtype(code) for code, names in [
+    ("i1", ("char", "int8")), ("u1", ("uchar", "uint8")),
+    ("<i2", ("short", "int16")), ("<u2", ("ushort", "uint16")),
+    ("<i4", ("int", "int32")), ("<u4", ("uint", "uint32")),
+    ("<f4", ("float", "float32")), ("<f8", ("double", "float64"))] for name in names}
+
+# each vertex property -> the numpy type its PLY type must be, and the
+# message when it is not
+_PLY_PROPERTIES = {
+    **dict.fromkeys(("x", "y", "z"), (np.floating, "property {} must be float/double")),
+    **dict.fromkeys(("red", "green", "blue"), (np.uint8, "property {} must be uchar")),
+    "label": (np.integer, "label must be an integer type"),
+}
+
+
 def save_ply(cloud: PointCloud, path: str | Path) -> None:
     """Write a binary little-endian PLY: double x/y/z, then uchar
     red/green/blue and an int label when the cloud has them."""
-    fields = [(axis, "<f8", "double") for axis in ("x", "y", "z")]
+    props = [(axis, "double") for axis in ("x", "y", "z")]
     if cloud.colors is not None:
-        fields += [(channel, "u1", "uchar") for channel in ("red", "green", "blue")]
+        props += [(channel, "uchar") for channel in ("red", "green", "blue")]
     if cloud.labels is not None:
-        fields += [("label", "<i4", "int")]
+        props.append(("label", "int"))
     header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}"]
-    header += [f"property {ply_type} {name}" for name, _, ply_type in fields]
+    header += [f"property {ply_type} {name}" for name, ply_type in props]
     header.append("end_header")
-    rec = np.empty(len(cloud), dtype=[(name, dt) for name, dt, _ in fields])
+    rec = np.empty(len(cloud), dtype=[(name, _PLY_TYPES[t]) for name, t in props])
     rec["x"], rec["y"], rec["z"] = cloud.positions.T
     if cloud.colors is not None:
         colors_u8 = np.clip(np.round(cloud.colors * 255.0), 0, 255).astype(np.uint8)
         rec["red"], rec["green"], rec["blue"] = colors_u8.T
     if cloud.labels is not None:
-        rec["label"] = cloud.labels.astype(np.int32)
+        rec["label"] = cloud.labels
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(rec.tobytes())
@@ -87,51 +98,46 @@ def _ply_error(msg: str, offset: int) -> ValueError:
 def load_ply(path: str | Path) -> PointCloud:
     raw = Path(path).read_bytes()
     offset = 0
-    lines = []
+    fmt = n_vertex = element = problem = None
+    props: list[tuple[str, str]] = []          # (name, PLY type) of each vertex property
+    # one pass over the header lines; the first bad one is raised only once
+    # end_header is found, so a header that never ends is reported as such
     while True:
         end = raw.find(b"\n", offset)
         if end < 0:
             raise _ply_error("header not terminated by end_header", offset)
-        line = raw[offset:end].decode("ascii", errors="replace").strip()
-        lines.append((line, offset))
-        offset = end + 1
+        at, offset = offset, end + 1
+        line = raw[at:end].decode("ascii", errors="replace").strip()
+        if at == 0 and line != "ply":
+            problem = _ply_error("missing 'ply' magic", 0)
         if line == "end_header":
             break
         if offset > 65536:
             raise _ply_error("header too large", offset)
-
-    if not lines or lines[0][0] != "ply":
-        raise _ply_error("missing 'ply' magic", 0)
-    fmt = None
-    n_vertex = None
-    props: list[tuple[str, str]] = []
-    in_vertex = False
-    n_elements = 0
-    for line, at in lines[1:-1]:
-        if line.startswith("comment") or not line:
-            continue
         parts = line.split()
+        if problem or at == 0 or not parts:
+            continue
         if parts[0] == "format":
-            if len(parts) < 2 or parts[1] not in ("ascii", "binary_little_endian"):
-                raise _ply_error(f"unsupported format {line!r}", at)
-            fmt = parts[1]
+            fmt = parts[1] if len(parts) > 1 else ""
+            if fmt not in ("ascii", "binary_little_endian"):
+                problem = _ply_error(f"unsupported format {line!r}", at)
         elif parts[0] in ("element", "property") and len(parts) < 3:
-            raise _ply_error(f"too few words in header line {line!r}", at)
+            problem = _ply_error(f"too few words in header line {line!r}", at)
         elif parts[0] == "element":
-            in_vertex = parts[1] == "vertex"
-            if in_vertex:
-                if n_elements:
-                    raise _ply_error("vertex must be the first element", at)
+            if parts[1] == "vertex" and element is not None:
+                problem = _ply_error("vertex must be the first element", at)
+            elif parts[1] == "vertex":
                 try:
                     n_vertex = int(parts[2])
                 except ValueError:
-                    raise _ply_error(f"vertex count {parts[2]!r} is not an integer",
-                                     at) from None
-            n_elements += 1
-        elif parts[0] == "property" and in_vertex:
+                    problem = _ply_error(f"vertex count {parts[2]!r} is not an integer", at)
+            element = parts[1]
+        elif parts[0] == "property" and element == "vertex":
             if parts[1] == "list":
-                raise _ply_error("list properties are not supported", at)
+                problem = _ply_error("list properties are not supported", at)
             props.append((parts[2], parts[1]))
+    if problem:
+        raise problem
     if fmt is None:
         raise _ply_error("missing format line", 0)
     if n_vertex is None:
@@ -143,54 +149,42 @@ def load_ply(path: str | Path) -> PointCloud:
     for needed in ("x", "y", "z"):
         if needed not in names:
             raise _ply_error(f"missing required property {needed!r}", 0)
-    np_types = []
-    for name, tname in props:
-        if name in ("x", "y", "z"):
-            if tname not in _FLOAT_TYPES:
-                raise _ply_error(f"property {name} must be float/double", 0)
-            np_types.append(_FLOAT_TYPES[tname])
-        elif name in ("red", "green", "blue"):
-            if tname != "uchar" and tname != "uint8":
-                raise _ply_error(f"property {name} must be uchar", 0)
-            np_types.append(np.uint8)
-        elif name == "label":
-            if tname not in _INT_TYPES:
-                raise _ply_error("label must be an integer type", 0)
-            np_types.append(_INT_TYPES[tname])
-        else:
+    for name, ply_type in props:
+        if name not in _PLY_PROPERTIES:
             raise _ply_error(f"unknown property {name!r}", 0)
+        kind, message = _PLY_PROPERTIES[name]
+        if ply_type not in _PLY_TYPES or not np.issubdtype(_PLY_TYPES[ply_type], kind):
+            raise _ply_error(message.format(name), 0)
+    if len(set(names)) < len(names):
+        raise _ply_error(f"a vertex property is declared more than once: {names}", 0)
 
-    if fmt == "binary_little_endian":
-        dtype = np.dtype([(nm, np.dtype(t).newbyteorder("<"))
-                          for (nm, _), t in zip(props, np_types)])
-        need = dtype.itemsize * n_vertex
-        if len(raw) - offset < need:
-            raise _ply_error(
-                f"truncated payload: need {need} bytes, have {len(raw) - offset}",
-                offset)
-        rec = np.frombuffer(raw[offset: offset + need], dtype=dtype)
+    # both encodings decode into one record per vertex
+    dtype = np.dtype([(name, _PLY_TYPES[t]) for name, t in props])
+    if fmt == "ascii":
+        tokens = raw[offset:].decode("ascii", errors="replace").split()
+        need, have, unit = len(names) * n_vertex, len(tokens), "fields"
     else:
-        text = raw[offset:].decode("ascii", errors="replace").split()
-        need = len(props) * n_vertex
-        if len(text) < need:
-            raise _ply_error(
-                f"truncated payload: need {need} fields, have {len(text)}",
-                offset)
-        table = np.array(text[:need]).reshape(n_vertex, len(props))
-        rec = {nm: table[:, i].astype(t)
-               for i, ((nm, _), t) in enumerate(zip(props, np_types))}
+        need, have, unit = dtype.itemsize * n_vertex, len(raw) - offset, "bytes"
+    if have < need:
+        raise _ply_error(f"truncated payload: need {need} {unit}, have {have}", offset)
+    if fmt == "ascii":
+        rec = np.empty(n_vertex, dtype=dtype)
+        for name, column in zip(names, np.array(tokens[:need]).reshape(n_vertex, -1).T):
+            try:
+                rec[name] = column
+            except OverflowError as exc:
+                raise _ply_error(f"property {name}: {exc}", offset) from None
+    else:
+        # a copy aligns the fields; read in place from the header's end they
+        # stack into positions about 4x slower
+        rec = np.frombuffer(raw[offset:offset + need], dtype=dtype)
 
-    pos = np.stack([np.asarray(rec["x"], dtype=np.float64),
-                    np.asarray(rec["y"], dtype=np.float64),
-                    np.asarray(rec["z"], dtype=np.float64)], axis=1)
     colors = None
     if "red" in names:
-        colors = np.stack([np.asarray(rec[c], dtype=np.float64) / 255.0
-                           for c in ("red", "green", "blue")], axis=1)
-    labels = None
-    if "label" in names:
-        labels = np.asarray(rec["label"], dtype=np.int64)
-    return PointCloud(pos, colors=colors, labels=labels)
+        colors = np.stack([rec[c] for c in ("red", "green", "blue")], axis=1) / 255.0
+    labels = rec["label"] if "label" in names else None
+    positions = np.stack([rec[axis] for axis in ("x", "y", "z")], axis=1)
+    return PointCloud(positions, colors=colors, labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -755,6 +755,29 @@ def test_register_with_non_integer_vertex_count_exits_with_data_error(tmp_path, 
     assert not (tmp_path / "pose.json").exists()
 
 
+# an ascii value outside its declared type: (property lines, the vertex row)
+OUT_OF_RANGE_VALUES = {
+    "uchar_red_300": (["uchar red", "uchar green", "uchar blue"], "0 0 0 300 0 0"),
+    "int_label_past_int32": (["int label"], "0 0 0 99999999999"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OUT_OF_RANGE_VALUES))
+def test_register_with_an_out_of_range_ascii_value_exits_with_data_error(tmp_path, kind,
+                                                                         capsys):
+    pre, intra = small_pair_on_disk(tmp_path)
+    props, row = OUT_OF_RANGE_VALUES[kind]
+    header = "\n".join(["ply", "format ascii 1.0", "element vertex 1", "property double x",
+                        "property double y", "property double z"]
+                       + [f"property {p}" for p in props] + ["end_header"]) + "\n"
+    pre.write_text(header + row + "\n")
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--baseline", "icp"])
+    assert code == EXIT_DATA
+    assert f"malformed PLY at byte {len(header)}: " in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
 def test_two_step_train_reports_phase1_accuracy_per_sample(tmp_path):
     data, out = tmp_path / "data", tmp_path / "run"
     assert main(["generate", "--out", str(data), "--n-samples", "2", "--n-vertebrae", "2",

@@ -1,6 +1,7 @@
 """Phantom generator and file-format tests."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -208,6 +209,67 @@ def test_ply_rejects_empty_and_truncated_and_unknown(tmp_path):
     p.write_bytes(garbage)
     with pytest.raises(ValueError, match="byte \\d+"):
         load_ply(p)
+
+
+# every PLY scalar type name and alias, with its struct code
+PLY_SCALARS = {"char": "b", "int8": "b", "uchar": "B", "uint8": "B", "short": "h",
+               "int16": "h", "ushort": "H", "uint16": "H", "int": "i", "int32": "i",
+               "uint": "I", "uint32": "I", "float": "f", "float32": "f", "double": "d",
+               "float64": "d"}
+VERTEX_PROPS = [("double", "x"), ("double", "y"), ("double", "z"), ("uchar", "red"),
+                ("uchar", "green"), ("uchar", "blue"), ("int", "label")]
+
+
+def ply_bytes(fmt, props, rows):
+    """A PLY of ``rows`` under the (PLY type, name) ``props`` in ``fmt``."""
+    header = ["ply", f"format {fmt} 1.0", f"element vertex {len(rows)}"]
+    header += [f"property {ply_type} {name}" for ply_type, name in props] + ["end_header"]
+    head = ("\n".join(header) + "\n").encode("ascii")
+    if fmt == "ascii":
+        return head + "".join(" ".join(map(str, row)) + "\n" for row in rows).encode("ascii")
+    codes = "<" + "".join(PLY_SCALARS[ply_type] for ply_type, _ in props)
+    return head + b"".join(struct.pack(codes, *row) for row in rows)
+
+
+@pytest.mark.parametrize("ply_type", sorted(PLY_SCALARS))
+@pytest.mark.parametrize("prop", [name for _, name in VERTEX_PROPS])
+def test_ply_ascii_and_binary_agree_on_every_property_type(tmp_path, prop, ply_type):
+    """Both encodings load equal arrays or fail alike; x/y/z take float or
+    double, colors uchar and the label any integer type."""
+    props = [(ply_type if name == prop else t, name) for t, name in VERTEX_PROPS]
+    rows = [(1, 2, 3, 4, 5, 6, 1), (7, 8, 9, 10, 11, 127, 0)]   # fit every type
+    outcomes = []
+    for fmt in ("ascii", "binary_little_endian"):
+        path = tmp_path / f"{fmt}.ply"
+        path.write_bytes(ply_bytes(fmt, props, rows))
+        try:
+            cloud = load_ply(path)
+            outcomes.append([cloud.positions, cloud.colors, cloud.labels])
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    ascii_outcome, binary_outcome = outcomes
+    allowed = {"x": "fd", "y": "fd", "z": "fd", "red": "B", "green": "B", "blue": "B",
+               "label": "bBhHiI"}[prop]
+    if PLY_SCALARS[ply_type] not in allowed:
+        assert isinstance(ascii_outcome, str) and "malformed PLY at byte 0" in ascii_outcome
+        assert ascii_outcome == binary_outcome
+        return
+    for a, b in zip(ascii_outcome, binary_outcome):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(binary_outcome[0], np.array(rows, float)[:, :3])
+    np.testing.assert_array_equal(binary_outcome[1], np.array(rows)[:, 3:6] / 255.0)
+    np.testing.assert_array_equal(binary_outcome[2], [1, 0])
+
+
+def test_ply_rejects_a_property_declared_twice_in_either_encoding(tmp_path):
+    """Ascii would keep the last column; binary failed with a bare numpy error."""
+    props = [("double", "x"), ("double", "y"), ("double", "z"), ("double", "x")]
+    for fmt in ("ascii", "binary_little_endian"):
+        path = tmp_path / f"{fmt}.ply"
+        path.write_bytes(ply_bytes(fmt, props, [(1, 2, 3, 9)]))
+        with pytest.raises(ValueError, match="malformed PLY at byte 0: .*more than once"):
+            load_ply(path)
 
 
 # -- pose files --------------------------------------------------------------
