@@ -13,15 +13,16 @@ the reduction in the backward pass explicit.
 Every differentiable operation puts its output on the tape one way: it
 returns ``record_custom(value, requires_grad, backward_fn)``.  The built-in
 operations below do, and so do the hot composites elsewhere (the slack
-Sinkhorn, feature normalization, the kernel-point convolution, patch
-scoring, the straight-through mask, the circle loss), each a single node
-with a hand-written backward.  Operations are called as functions;
-:class:`Tensor` has no arithmetic operators.  Every tensor, and every
-intermediate of a fused node, passes the one finiteness routine
-:func:`require_finite`.  The forwards that can overflow on finite inputs
-(the arithmetic, ``matmul``, ``softmax`` and the reductions) run with
-numpy's floating-point warnings off, so such an input raises
-:class:`NonFiniteError` and not a ``RuntimeWarning``.
+Sinkhorn, feature normalization, the linear layers, the kernel-point
+convolution, patch scoring, the straight-through mask, the circle loss),
+each a single node with a hand-written backward.  Operations are called as
+functions; :class:`Tensor` has no arithmetic operators.  Every tensor, and
+every intermediate of a fused node whose overflow could not reach its
+output, passes the one finiteness routine :func:`require_finite`.  The
+forwards that can overflow on finite inputs (the arithmetic, ``matmul``,
+``softmax`` and the reductions) run with numpy's floating-point warnings
+off, so such an input raises :class:`NonFiniteError` and not a
+``RuntimeWarning``.
 Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
 adds in input order exactly as ``np.add.at`` does into zeros.
 """
@@ -379,15 +380,21 @@ def gather_rows(src: Tensor, index: np.ndarray) -> Tensor:
     """
     index = np.asarray(index, dtype=np.int64)
     n = src.data.shape[0]
-    if index.size and (index.min() < 0 or index.max() > n):
+    lo, hi = (index.min(), index.max()) if index.size else (0, -1)
+    if lo < 0 or hi > n:
         raise IndexError(f"gather index out of range [0, {n}]")
-    padded = np.concatenate([src.data, np.zeros((1,) + src.data.shape[1:])], axis=0)
+    # an index without a shadow entry (upsampling, input-to-level-0 maps)
+    # needs no zero row and its gradient no mask
+    shadow = hi == n
+    rows = src.data
+    if shadow:
+        rows = np.concatenate([rows, np.zeros((1,) + rows.shape[1:])])
 
     def bwd(g):
-        real = index < n
+        real = index < n if shadow else slice(None)
         accumulate_grad(src, scatter_add_rows(index[real], g[real], n))
 
-    return record_custom(padded[index], src.requires_grad, bwd)
+    return record_custom(rows[index], src.requires_grad, bwd)
 
 
 def scatter_add_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

@@ -5,8 +5,9 @@ PLY reads ascii and binary_little_endian vertices with float or double
 x/y/z, optional uchar red/green/blue and an optional label of any integer
 type; it writes binary_little_endian.  Both encodings decode into one
 record per vertex, so they accept and reject the same files.  Any other
-property, a property declared more than once, or an ascii value outside
-its declared type is a malformed PLY.
+property, a property declared more than once, a color without all three
+channels, or an ascii token that is not a number of its declared type (or
+lies outside its range) is a malformed PLY.
 Poses are JSON: rotation, translation and extra fields; rotations are
 re-validated on load.  A sample's pose.json needs a positive, finite
 ``scale``, its landmarks.csv K >= 1 finite x,y,z rows and its mask.txt one
@@ -157,6 +158,9 @@ def load_ply(path: str | Path) -> PointCloud:
             raise _ply_error(message.format(name), 0)
     if len(set(names)) < len(names):
         raise _ply_error(f"a vertex property is declared more than once: {names}", 0)
+    channels = [c for c in ("red", "green", "blue") if c in names]
+    if 0 < len(channels) < 3:
+        raise _ply_error(f"colors need red, green and blue, got only {channels}", 0)
 
     # both encodings decode into one record per vertex
     dtype = np.dtype([(name, _PLY_TYPES[t]) for name, t in props])
@@ -171,8 +175,10 @@ def load_ply(path: str | Path) -> PointCloud:
         rec = np.empty(n_vertex, dtype=dtype)
         for name, column in zip(names, np.array(tokens[:need]).reshape(n_vertex, -1).T):
             try:
-                rec[name] = column
-            except OverflowError as exc:
+                # a float beyond its type's range raises instead of becoming inf
+                with np.errstate(over="raise"):
+                    rec[name] = column
+            except (ValueError, OverflowError, FloatingPointError) as exc:
                 raise _ply_error(f"property {name}: {exc}", offset) from None
     else:
         # a copy aligns the fields; read in place from the header's end they
@@ -180,7 +186,7 @@ def load_ply(path: str | Path) -> PointCloud:
         rec = np.frombuffer(raw[offset:offset + need], dtype=dtype)
 
     colors = None
-    if "red" in names:
+    if channels:
         colors = np.stack([rec[c] for c in ("red", "green", "blue")], axis=1) / 255.0
     labels = rec["label"] if "label" in names else None
     positions = np.stack([rec[axis] for axis in ("x", "y", "z")], axis=1)

@@ -7,9 +7,11 @@ One harness projects a row's output onto fixed random weights, takes the
 tape gradient of that scalar, and compares it with central finite
 differences of the same function run off the tape.  The straight-through
 mask adds two exact checks: its gradient is the relaxation's, and its
-forward is binary: 26 checks in all.  A component's inputs come from
-``default_rng([seed, component index])``.  The checks back the
-``gradcheck`` CLI command and the test suite.
+forward is binary: 27 checks in all.  A component's inputs come from
+``default_rng([seed, component index])``; a component with more than one
+group of rows draws group k > 0 from ``default_rng([seed, component index,
+k])``, so a group added later leaves the earlier groups' draws as they
+were.  The checks back the ``gradcheck`` CLI command and the test suite.
 """
 
 from __future__ import annotations
@@ -44,7 +46,14 @@ from segreg.matching import (
     normalize_scores_with_slack,
     patch_scores,
 )
-from segreg.networks import SegNetConfig, build_context, init_weights, seg_forward
+from segreg.networks import (
+    RegNetConfig,
+    SegNetConfig,
+    build_context,
+    init_weights,
+    reg_backbone_forward,
+    seg_forward,
+)
 
 __all__ = ["CheckResult", "run_checks", "COMPONENTS"]
 
@@ -136,15 +145,36 @@ def _kpconv_rows(rng):
 
 _TOY_SEG = SegNetConfig(widths=(2, 2, 2, 2, 2), width_factor=1.0,
                         initial_voxel=0.12, max_neighbors=8)
+_TOY_REG = RegNetConfig(widths=(2, 2, 2), width_factor=1.0, initial_voxel=0.12,
+                        max_neighbors=8)
 
 
-def _network_rows(rng):
-    """Every parameter of the segmentation net, through its fused norm nodes."""
+def _seg_rows(rng):
+    """Every parameter of the segmentation net, through its fused norm and
+    head nodes."""
     ctx = build_context(_surface(rng, 50, colors=True), _TOY_SEG)
     params = init_weights(_TOY_SEG, rng)
     names = sorted(params)
     return [("seg_forward_all_params", 5e-6, [params[n].data for n in names],
              lambda t: seg_forward(dict(zip(names, t)), ctx))]
+
+
+def _reg_pair_rows(rng):
+    """Two clouds through one registration parameter set, as
+    ``pipeline._pair_forward`` runs them, so each node's gradients add into
+    shared weights; the second cloud's point features are an input too."""
+    ctxs = [build_context(_surface(rng, n), _TOY_REG) for n in (40, 30)]
+    params = init_weights(_TOY_REG, rng)
+    names = sorted(params)
+
+    def reg_pair(t):
+        shared = dict(zip(names, t))
+        outs = [*reg_backbone_forward(shared, ctxs[0], Tensor(np.ones((40, 1)))),
+                *reg_backbone_forward(shared, ctxs[1], t[-1])]
+        return ad.concat([ad.reshape(o, (1, o.size)) for o in outs])
+
+    return [("reg_pair_all_params", 1e-5,
+             [params[n].data for n in names] + [rng.uniform(0, 1, (30, 1))], reg_pair)]
 
 
 def _matcher_rows(rng):
@@ -172,12 +202,13 @@ def _matcher_rows(rng):
     ]
 
 
+# each component's row groups; group k > 0 draws from its own generator
 _ROWS = {
-    "tensor": _tensor_rows,
-    "stgs": _stgs_rows,
-    "kpconv": _kpconv_rows,
-    "network": _network_rows,
-    "matcher": _matcher_rows,
+    "tensor": (_tensor_rows,),
+    "stgs": (_stgs_rows,),
+    "kpconv": (_kpconv_rows,),
+    "network": (_seg_rows, _reg_pair_rows),
+    "matcher": (_matcher_rows,),
 }
 
 
@@ -205,9 +236,10 @@ def run_checks(component: str | None = None, seed: int = 0) -> list[CheckResult]
                          f"choose from {', '.join(COMPONENTS)}")
     results = []
     for comp in [component] if component else COMPONENTS:
-        rng = np.random.default_rng([seed, COMPONENTS.index(comp)])
-        results += [CheckResult(comp, name, _fd_error(rng, arrays, fn), tol)
-                    for name, tol, arrays, fn in _ROWS[comp](rng)]
+        for group, rows in enumerate(_ROWS[comp]):
+            rng = np.random.default_rng([seed, COMPONENTS.index(comp)] + [group] * (group > 0))
+            results += [CheckResult(comp, name, _fd_error(rng, arrays, fn), tol)
+                        for name, tol, arrays, fn in rows(rng)]
         if comp == "stgs":
             results += _straight_through_checks(rng)
     return results

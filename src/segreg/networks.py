@@ -7,7 +7,8 @@ gathers, concatenates skip features, and applies pointwise linear blocks.
 Feature normalization standardizes each channel over the points of the
 current level (variance floor ``NORM_EPS``) and applies a learned affine and a
 leaky ReLU of slope ``LEAKY_SLOPE``, the same in both networks; batch size is
-always 1.
+always 1.  Normalization and each linear layer (``feats @ w + b``) are one
+tape node apiece, bit-identical to the elementary operations they replace.
 
 The segmentation network consumes [r, g, b, 1] input features and emits
 2-class logits at the raw input resolution.  The registration backbone
@@ -179,63 +180,104 @@ def init_weights(cfg: SegNetConfig | RegNetConfig, rng: np.random.Generator
 # forward passes
 # ---------------------------------------------------------------------------
 
+def _column_sum(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=0, keepdims=True)`` of a 2-D array, bit for bit.
+
+    With a contiguous last axis ``np.sum`` adds the rows in order, and
+    ``einsum`` makes the same additions in the same order, 2-4x faster.  On
+    any other layout ``np.sum`` sums pairwise, so it is used as is.
+    """
+    if a.shape[1] > 1 and a.strides[1] == a.itemsize:
+        return np.einsum("ij->j", a)[None]
+    return np.sum(a, axis=0, keepdims=True)
+
+
 def _norm_act(params: dict[str, Tensor], name: str, y: Tensor) -> Tensor:
     """Per-channel standardization over the points, learned affine, leaky ReLU.
 
     One tape node.  The forward runs the numpy operations of the composed
     mean / sub / mul / mean / add / sqrt / div / mul / add / leaky_relu chain
-    in the same order and checks every intermediate for finiteness; the
-    backward replays that chain's backward in reverse tape order, so values
-    and gradients are bit-identical to it.
+    in the same order, and the backward replays that chain's backward in
+    reverse tape order, so values and gradients are bit-identical to it on
+    the row-major input that the convolution and the linear layers produce.
+    The input's gradient is exact when it has none before this node's
+    backward, as at every call: the input is a fresh convolution or head
+    output that only this node reads.
+
+    Only ``mu`` and ``var``, two (1, C) rows, are checked for finiteness;
+    the chain's other intermediates are finite or reach the output, which
+    :func:`~segreg.autodiff.record_custom` checks.  The input is finite, so
+    an overflow in ``centered`` or ``sq`` makes ``var`` infinite.  A finite
+    ``var`` bounds |centered| by sqrt(max float) < 1.4e154 and ``std`` from
+    below by sqrt(NORM_EPS), so ``normed`` is finite.  An overflow of the
+    affine, in the product or the sum, is an infinity that the leaky ReLU
+    keeps.
     """
     gamma, beta = params[f"{name}_gamma"], params[f"{name}_beta"]
     n = y.shape[0]
     x = y.data
-    mu = np.mean(x, axis=0, keepdims=True)
-    ad.require_finite(mu)
-    centered = x - mu
-    ad.require_finite(centered)
-    sq = centered * centered
-    ad.require_finite(sq)
-    var = np.mean(sq, axis=0, keepdims=True)
-    ad.require_finite(var)
-    std = np.sqrt(var + NORM_EPS)
-    ad.require_finite(std)
-    normed = centered / std
-    ad.require_finite(normed)
-    scaled = normed * gamma.data
-    ad.require_finite(scaled)
-    affine = scaled + beta.data
-    ad.require_finite(affine)
-    positive = affine > 0.0
-    out = np.where(positive, affine, LEAKY_SLOPE * affine)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+        mu = _column_sum(x) / n
+        ad.require_finite(mu)
+        centered = x - mu
+        var = _column_sum(centered * centered) / n
+        ad.require_finite(var)
+        std = np.sqrt(var + NORM_EPS)
+        normed = centered / std
+        out = normed * gamma.data
+        out += beta.data
+        # equals where(affine > 0, affine, slope * affine), signed zeros included
+        np.maximum(out, LEAKY_SLOPE * out, out=out)
 
     def bwd(g):
-        g_affine = g * np.where(positive, 1.0, LEAKY_SLOPE)
-        ad.accumulate_grad(beta, np.sum(g_affine, axis=0, keepdims=True))
-        ad.accumulate_grad(gamma, np.sum(g_affine * normed, axis=0, keepdims=True))
+        # the output is positive exactly where the affine is
+        g_affine = np.maximum(out > 0.0, LEAKY_SLOPE)
+        g_affine *= g
+        ad.accumulate_grad(beta, _column_sum(g_affine))
+        ad.accumulate_grad(gamma, _column_sum(g_affine * normed))
         if not y.requires_grad:
             return
-        g_normed = g_affine * gamma.data
+        g_normed = g_affine
+        g_normed *= gamma.data
         # div(centered, expand(std)); expand sums; sqrt; add eps; mean
-        g_std = np.sum((-g_normed * centered) / (std * std), axis=0, keepdims=True)
+        t = g_normed * centered
+        t /= std * std
+        g_std = -_column_sum(t)
         g_var = g_std / (2.0 * std)
         g_sq = g_var / n
         # centered's three terms in tape order: div, then both mul operands
-        g_centered = g_normed / std + g_sq * centered + g_sq * centered
-        # sub(y, expand(mu)), then mean_(y)
+        np.multiply(g_sq, centered, out=t)
+        g_centered = g_normed / std
+        g_centered += t
+        g_centered += t
+        # sub(y, expand(mu)), then mean_(y): the two terms y's gradient gets
+        # in turn, added in one buffer
+        g_mu = -_column_sum(g_centered)
+        g_centered += g_mu / n
         ad.accumulate_grad(y, g_centered)
-        g_mu = np.sum(-g_centered, axis=0, keepdims=True)
-        ad.accumulate_grad(y, np.broadcast_to(g_mu / n, y.shape))
 
     requires = y.requires_grad or gamma.requires_grad or beta.requires_grad
     return ad.record_custom(out, requires, bwd)
 
 
 def _linear_head(params, name, feats: Tensor) -> Tensor:
-    b = params[f"{name}_b"]
-    return ad.add(ad.matmul(feats, params[f"{name}_w"]),
-                  ad.expand(b, (feats.shape[0], b.shape[1])))
+    """``feats @ w + b`` as one tape node, bit-identical to the composed
+    matmul / expand / add chain: the same products and sums, and the bias
+    gradient the column sum of ``expand``'s backward."""
+    w, b = params[f"{name}_w"], params[f"{name}_b"]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+        out = feats.data @ w.data
+        out += b.data
+
+    def bwd(g):
+        if b.requires_grad:
+            ad.accumulate_grad(b, _column_sum(g))
+        if feats.requires_grad:
+            ad.accumulate_grad(feats, g @ w.data.T)
+        if w.requires_grad:
+            ad.accumulate_grad(w, feats.data.T @ g)
+
+    return ad.record_custom(out, feats.requires_grad or w.requires_grad or b.requires_grad, bwd)
 
 
 def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor

@@ -18,8 +18,10 @@ is ``kpconv.local_reference_frames`` as it was before it summed the
 covariance slot by slot and cubed by products; ``k8_radius_neighbors`` and
 ``k8_knn`` rank k + 8 tree candidates per row with a full ``lexsort``, as
 ``geometry`` did before it fetched k + 1 and sorted only unordered rows;
-and ``unique_voxel_grid_subsample`` groups voxels with ``np.unique(axis=0)``,
-as ``geometry.voxel_grid_subsample`` did before it sorted its keys.
+``unique_voxel_grid_subsample`` groups voxels with ``np.unique(axis=0)``,
+as ``geometry.voxel_grid_subsample`` did before it sorted its keys; and
+``composed_norm_act`` and ``composed_linear_head`` are the network's norm
+and head nodes as chains of elementary tape operations.
 ``_repulse`` is the repulsion descent that generated the kernel layouts
 ``kpconv`` stores, as every process ran it before they were stored.  Tests
 require the library versions to match them bit for bit, except
@@ -292,6 +294,13 @@ def composed_norm_act(params, name, y):
     affine = ad.add(ad.mul(normed, ad.expand(params[f"{name}_gamma"], y.shape)),
                     ad.expand(params[f"{name}_beta"], y.shape))
     return leaky_relu(affine, LEAKY_SLOPE)
+
+
+def composed_linear_head(params, name, feats):
+    """``feats @ w + b`` as the matmul, expand and add nodes it was."""
+    b = params[f"{name}_b"]
+    return ad.add(ad.matmul(feats, params[f"{name}_w"]),
+                  ad.expand(b, (feats.shape[0], b.shape[1])))
 
 
 def scalar_weighted_procrustes(p, q, w):

@@ -254,3 +254,15 @@ def test_expand_gradients(gradcheck_rows_pass):
     gradcheck_rows_pass("tensor", "expand")
 
 
+@pytest.mark.parametrize("n_index", [200, 0])
+def test_gather_rows_without_shadow_index_equals_add_at(n_index):
+    """An index with no shadow entry skips the padding and the mask."""
+    rng = np.random.default_rng(15)
+    index = rng.integers(0, 8, size=n_index)          # repeats, every entry real
+    proj = rng.normal(size=(n_index, 3))
+    with Tape():
+        src = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        out = gather_rows(src, index)
+        backward(ad.add(sum_(ad.mul(out, Tensor(proj))), sum_(src)))
+    assert out.shape == (n_index, 3) and np.array_equal(out.data, src.data[index])
+    assert np.array_equal(src.grad, add_at_rows(index, proj, 8) + 1.0)

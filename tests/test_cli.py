@@ -28,7 +28,7 @@ from segreg.training import init_params
 def test_gradcheck_command_writes_all_passing_checks(tmp_path):
     assert main(["gradcheck", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "gradcheck.json").read_text())
-    assert len(doc) == 26
+    assert len(doc) == 27
     assert all(entry["passed"] for entry in doc)
 
 

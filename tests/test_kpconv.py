@@ -1,5 +1,6 @@
 """Kernel-point convolution, pyramid, and network-level tests."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -38,6 +39,7 @@ from segreg.phantom import PhantomConfig, generate_phantom
 from reference_ops import (
     _repulse,
     add_at_feats_grad,
+    composed_linear_head,
     composed_norm_act,
     einsum_local_reference_frames,
     expand_influence,
@@ -380,6 +382,92 @@ def test_norm_act_overflow_raises_nonfinite(norm_act):
     y = Tensor(np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         norm_act(params, "blk", y)
+
+
+def norm_act_outcome(norm_act, scale, gamma, beta):
+    """The output of ``norm_act`` on a scaled 3x2 input, or None when it
+    raises NonFiniteError (an overflow warning fails the test)."""
+    params = {"blk_gamma": Tensor(gamma * np.array([[1.0, -0.5]])),
+              "blk_beta": Tensor(beta * np.array([[1.0, -1.0]]))}
+    y = Tensor(scale * np.array([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]]))
+    try:
+        return norm_act(params, "blk", y).data
+    except NonFiniteError:
+        return None
+
+
+def test_norm_act_raises_nonfinite_exactly_where_the_composed_chain_does():
+    """The fused node checks only the mean and variance rows and its output;
+    on a grid of input, gamma and beta scales it raises on the same cases as
+    the composed chain, which checks every intermediate, and is equal on the
+    others."""
+    scales = (1.0, 1e150, 1e154, 1e155, 1e200, 1e307, 1.7e308)
+    gammas = (1.0, 1e150, 1e300, 1e308, 1.7e308)
+    betas = (0.0, 1e308, -1.7e308, 1.7e308)
+    raised = set()
+    for case in itertools.product(scales, gammas, betas):
+        fused = norm_act_outcome(networks._norm_act, *case)
+        composed = norm_act_outcome(composed_norm_act, *case)
+        assert (fused is None) == (composed is None), case
+        if fused is None:
+            raised.add(case)
+        else:
+            assert np.array_equal(fused, composed), case
+    # an overflow from the input alone, from gamma alone, from beta alone
+    assert {(1e155, 1.0, 0.0), (1.0, 1.7e308, 0.0), (1.0, 1e308, 1.7e308)} <= raised
+    assert (1.0, 1e308, 0.0) not in raised and 0 < len(raised) < 140
+
+
+def test_fused_linear_head_equals_composed_reference():
+    """One node for ``feats @ w + b``, bit-identical to the matmul / expand /
+    add chain in values and in the gradients of features, weights and bias,
+    with the head shared by two inputs as the registration backbone's is."""
+    rng = np.random.default_rng(18)
+    w0, b0 = rng.normal(size=(6, 3)), rng.normal(size=(1, 3))
+    feats0 = [rng.normal(size=(n, 6)) * 3.0 for n in (41, 17)]
+    projs = [rng.normal(size=(n, 3)) for n in (41, 17)]
+    results = []
+    for head in (networks._linear_head, composed_linear_head):
+        params = {"h_w": Tensor(w0, requires_grad=True), "h_b": Tensor(b0, requires_grad=True)}
+        feats = [Tensor(f, requires_grad=True) for f in feats0]
+        with Tape() as tape:
+            outs = [head(params, "h", f) for f in feats]
+            nodes = len(tape)
+            backward(ad.add(sum_(ad.mul(outs[0], Tensor(projs[0]))),
+                            sum_(ad.mul(outs[1], Tensor(projs[1])))))
+        results.append([nodes] + [o.data for o in outs] + [f.grad for f in feats]
+                       + [params["h_w"].grad, params["h_b"].grad])
+    fused, composed = results
+    assert (fused[0], composed[0]) == (2, 6)
+    for got, want in zip(fused[1:], composed[1:]):
+        assert np.array_equal(got, want)
+
+
+COLUMN_SUM_ROWS = [1, 2, 3, 7, 8, 9, 16, 17, 100, 127, 128, 129, 1007, 3153, 10_000]
+COLUMN_SUM_COLS = [2, 3, 4, 7, 8, 9, 16, 17, 31, 32, 33, 64, 127, 128]
+
+
+@pytest.mark.parametrize("layout", ["c_contiguous", "column_sliced", "column_major"])
+def test_column_sum_equals_np_sum_on_every_layout(layout):
+    """``einsum`` where ``np.sum`` adds rows in order, ``np.sum`` itself on a
+    column-major array, which it sums pairwise."""
+    rng = np.random.default_rng(19)
+    for n in COLUMN_SUM_ROWS:
+        for c in COLUMN_SUM_COLS:
+            base = rng.normal(size=(n, c + 2)) * 10.0 ** rng.integers(-4, 5, size=c + 2)
+            a = {"c_contiguous": np.ascontiguousarray(base[:, :c]),
+                 "column_sliced": base[:, 1:c + 1],
+                 "column_major": np.asfortranarray(base[:, :c])}[layout]
+            got = networks._column_sum(a)
+            assert got.shape == (1, c)
+            assert np.array_equal(got, np.sum(a, axis=0, keepdims=True)), (n, c)
+    # signed zeros: a column of only -0.0, and -0.0 with +0.0 or a cancelling pair
+    base = np.full((5, 6), -0.0)
+    base[2, 2], base[1:3, 3] = 0.0, (1.5, -1.5)
+    a = {"c_contiguous": base[:, :4].copy(), "column_sliced": base[:, 1:5],
+         "column_major": np.asfortranarray(base[:, :4])}[layout]
+    got, want = networks._column_sum(a), np.sum(a, axis=0, keepdims=True)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_reg_backbone_zero_mask_zeroes_first_conv():

@@ -272,6 +272,45 @@ def test_ply_rejects_a_property_declared_twice_in_either_encoding(tmp_path):
             load_ply(path)
 
 
+@pytest.mark.parametrize("channels", [("red",), ("green", "blue"), ("red", "blue")])
+def test_ply_rejects_a_partial_color_in_either_encoding(tmp_path, channels):
+    """``red`` alone failed with numpy's bare "no field of name green", and
+    ``green``/``blue`` without ``red`` loaded with no colors."""
+    props = VERTEX_PROPS[:3] + [("uchar", c) for c in channels]
+    for fmt in ("ascii", "binary_little_endian"):
+        path = tmp_path / f"{fmt}.ply"
+        path.write_bytes(ply_bytes(fmt, props, [(1, 2, 3) + (4,) * len(channels)]))
+        with pytest.raises(ValueError, match="malformed PLY at byte 0: colors need red, "
+                                             "green and blue"):
+            load_ply(path)
+
+
+# an ascii token that is not a number of its property's type: (property,
+# token, words of the reason)
+BAD_ASCII_TOKENS = {
+    "not_a_float": ("y", "abc", "could not convert"),
+    "float_for_an_int_label": ("label", "1.5", "invalid literal"),
+    "beyond_float_range": ("y", "1e40", "overflow"),
+    "below_float_range": ("y", "-3.5e38", "overflow"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ASCII_TOKENS))
+def test_ply_rejects_an_ascii_token_that_is_not_a_number_of_its_type(tmp_path, kind):
+    """Such tokens surfaced as numpy's text without a byte offset, and 1e40
+    for a float loaded as inf with a RuntimeWarning."""
+    name, token, reason = BAD_ASCII_TOKENS[kind]
+    props = [("float", "x"), ("float", "y"), ("float", "z"), ("int", "label")]
+    row = [token if prop == name else "0" for _, prop in props]
+    data = ply_bytes("ascii", props, [row])
+    path = tmp_path / "bad.ply"
+    path.write_bytes(data)
+    payload = data.index(b"end_header\n") + len(b"end_header\n")
+    with pytest.raises(ValueError, match=f"^malformed PLY at byte {payload}: "
+                                         f"property {name}: .*{reason}"):
+        load_ply(path)
+
+
 # -- pose files --------------------------------------------------------------
 
 def test_pose_round_trip_identity_and_random(tmp_path):

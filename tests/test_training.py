@@ -19,7 +19,12 @@ from segreg.fileio import load_checkpoint, save_checkpoint
 from segreg.gumbel import straight_through_mask
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import TrainConfig, TrainingDiverged, train
-from reference_ops import add_at_rows, composed_norm_act, composed_normalize_scores_with_slack
+from reference_ops import (
+    add_at_rows,
+    composed_linear_head,
+    composed_norm_act,
+    composed_normalize_scores_with_slack,
+)
 
 
 def tiny_phantom():
@@ -113,6 +118,7 @@ def test_fused_nodes_train_exactly_as_composed_ops(mode, monkeypatch):
         monkeypatch.setattr(module, "normalize_scores_with_slack",
                             composed_normalize_scores_with_slack)
     monkeypatch.setattr(networks, "_norm_act", composed_norm_act)
+    monkeypatch.setattr(networks, "_linear_head", composed_linear_head)
     monkeypatch.setattr(autodiff, "scatter_add_rows", add_at_rows)
     composed = train([sample], cfg, prepared=prepared)
     assert len(fused.curve) == 3 and np.all(np.isfinite([row[2] for row in fused.curve]))
