@@ -24,12 +24,15 @@ forwards that can overflow on finite inputs (the arithmetic, ``matmul``,
 off, so such an input raises :class:`NonFiniteError` and not a
 ``RuntimeWarning``.
 Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
-adds in input order exactly as ``np.add.at`` does into zeros.
+adds in input order exactly as ``np.add.at`` does into zeros.  Row gathers
+and means run along a :class:`RowMap`, whose range check is made when the
+map is built and whose group sizes are counted once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +57,7 @@ __all__ = [
     "expand",
     "reshape",
     "concat",
+    "RowMap",
     "gather_rows",
     "scatter_add_rows",
     "scatter_mean",
@@ -371,30 +375,57 @@ def concat(tensors: list[Tensor]) -> Tensor:
 # indexed ops (ragged neighborhoods, pooling)
 # ---------------------------------------------------------------------------
 
-def gather_rows(src: Tensor, index: np.ndarray) -> Tensor:
-    """Row lookup with a shadow index.
+class RowMap:
+    """A fixed map of ``len(index)`` rows onto ``n`` rows, checked and
+    counted once.
 
-    ``index`` entries lie in [0, N]; the value N selects an implicit all-zero
-    row, which lets ragged neighborhoods be padded without branching.
-    Backward scatter-adds output gradients into the real source rows.
+    :func:`gather_rows` reads row ``index[i]`` of an (n, ...) source into
+    output row i, the value n selecting an implicit all-zero row (the
+    shadow), which lets ragged neighborhoods be padded without branching;
+    :func:`scatter_mean` averages source row i into row ``index[i]`` and
+    takes only maps without the shadow.  A map built once, as the point
+    pyramid builds its pooling, upsampling and input maps per cloud, spares
+    every gather and mean along it the range check, the shadow test and the
+    group sizes.
     """
-    index = np.asarray(index, dtype=np.int64)
+
+    def __init__(self, index, n: int):
+        index = np.asarray(index, dtype=np.int64)
+        lo, hi = (index.min(), index.max()) if index.size else (0, -1)
+        if lo < 0 or hi > n:
+            raise IndexError(f"row index out of range [0, {n}]")
+        self.index = index
+        self.n = n
+        self.shadow = bool(hi == n)
+
+    @cached_property
+    def divisor(self) -> np.ndarray:
+        """Each row's count of entries, at least 1 so that an empty group
+        averages to 0; counted at the first mean along the map, since a
+        gather never reads it."""
+        return np.maximum(np.bincount(self.index, minlength=self.n + 1)[:self.n],
+                          1).astype(np.float64)
+
+
+def gather_rows(src: Tensor, rows: RowMap) -> Tensor:
+    """Row lookup along ``rows``, a map onto ``src``'s rows; its shadow
+    index reads zeros.  Backward scatter-adds output gradients into the real
+    source rows."""
     n = src.data.shape[0]
-    lo, hi = (index.min(), index.max()) if index.size else (0, -1)
-    if lo < 0 or hi > n:
-        raise IndexError(f"gather index out of range [0, {n}]")
+    if rows.n != n:
+        raise ValueError(f"a map onto {rows.n} rows cannot gather from {n} rows")
+    index = rows.index
+    data = src.data
     # an index without a shadow entry (upsampling, input-to-level-0 maps)
     # needs no zero row and its gradient no mask
-    shadow = hi == n
-    rows = src.data
-    if shadow:
-        rows = np.concatenate([rows, np.zeros((1,) + rows.shape[1:])])
+    if rows.shadow:
+        data = np.concatenate([data, np.zeros((1,) + data.shape[1:])])
 
     def bwd(g):
-        real = index < n if shadow else slice(None)
+        real = index < n if rows.shadow else slice(None)
         accumulate_grad(src, scatter_add_rows(index[real], g[real], n))
 
-    return record_custom(rows[index], src.requires_grad, bwd)
+    return record_custom(data[index], src.requires_grad, bwd)
 
 
 def scatter_add_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -411,20 +442,20 @@ def scatter_add_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarra
     return out.reshape((n,) + tail)
 
 
-def scatter_mean(src: Tensor, group: np.ndarray, n_groups: int) -> Tensor:
-    """Average rows of ``src`` into ``n_groups`` buckets given per-row group ids."""
-    group = np.asarray(group, dtype=np.int64)
-    if group.shape[0] != src.data.shape[0]:
+def scatter_mean(src: Tensor, groups: RowMap) -> Tensor:
+    """Average the rows of ``src`` into ``groups.n`` buckets, row i into
+    ``groups.index[i]``.  The backward divides the output gradient by the
+    group sizes before it gathers it, the same quotients as dividing after."""
+    if groups.index.shape[0] != src.data.shape[0]:
         raise ValueError("group ids must cover every source row")
-    if group.size and (group.min() < 0 or group.max() >= n_groups):
+    if groups.shadow:
         raise IndexError("group id out of range")
-    counts = np.bincount(group, minlength=n_groups).astype(np.float64)
-    safe = np.maximum(counts, 1.0).reshape((-1,) + (1,) * (src.data.ndim - 1))
+    safe = groups.divisor.reshape((-1,) + (1,) * (src.data.ndim - 1))
 
     def bwd(g):
-        accumulate_grad(src, g[group] / safe[group])
+        accumulate_grad(src, (g / safe)[groups.index])
 
-    return record_custom(scatter_add_rows(group, src.data, n_groups) / safe,
+    return record_custom(scatter_add_rows(groups.index, src.data, groups.n) / safe,
                          src.requires_grad, bwd)
 
 

@@ -6,8 +6,9 @@ x/y/z, optional uchar red/green/blue and an optional label of any integer
 type; it writes binary_little_endian.  Both encodings decode into one
 record per vertex, so they accept and reject the same files.  Any other
 property, a property declared more than once, a color without all three
-channels, or an ascii token that is not a number of its declared type (or
-lies outside its range) is a malformed PLY.
+channels, an ascii token that is not a number of its declared type (or
+lies outside its range), or a non-finite position in either encoding is a
+malformed PLY.
 Poses are JSON: rotation, translation and extra fields; rotations are
 re-validated on load.  A sample's pose.json needs a positive, finite
 ``scale``, its landmarks.csv K >= 1 finite x,y,z rows and its mask.txt one
@@ -190,6 +191,12 @@ def load_ply(path: str | Path) -> PointCloud:
         colors = np.stack([rec[c] for c in ("red", "green", "blue")], axis=1) / 255.0
     labels = rec["label"] if "label" in names else None
     positions = np.stack([rec[axis] for axis in ("x", "y", "z")], axis=1)
+    # an ascii double token past the float64 range parses to inf, and inf
+    # and nan tokens parse as themselves, in either encoding
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if bad.size:
+        at = offset if fmt == "ascii" else offset + int(bad[0]) * dtype.itemsize
+        raise _ply_error(f"vertex {bad[0]} has a non-finite position", at)
     return PointCloud(positions, colors=colors, labels=labels)
 
 

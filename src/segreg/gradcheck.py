@@ -41,6 +41,7 @@ from segreg.kpconv import (
 from segreg.matching import (
     PatchedSuperpoints,
     coarse_loss,
+    coarse_targets,
     fine_loss,
     l2_normalize_rows,
     normalize_scores_with_slack,
@@ -95,8 +96,8 @@ def _tensor_rows(rng):
     def u(*shape, lo=-2.0):
         return rng.uniform(lo, 2.0, shape)
 
-    index = np.array([0, 5, 5, 2, 6, 1, 4])   # 6 is the shadow row
-    group = np.array([0, 0, 1, 3, 3, 3, 1])   # group 2 stays empty
+    index = ad.RowMap([0, 5, 5, 2, 6, 1, 4], 6)   # 6 is the shadow row
+    group = ad.RowMap([0, 0, 1, 3, 3, 3, 1], 4)   # group 2 stays empty
     return [
         ("add", 1e-9, [u(4, 5), u(4, 5)], lambda t: ad.add(*t)),
         ("sub", 1e-9, [u(4, 5), u(4, 5)], lambda t: ad.sub(*t)),
@@ -114,7 +115,7 @@ def _tensor_rows(rng):
         ("reshape", 1e-9, [u(4, 5)], lambda t: ad.reshape(t[0], (2, 10))),
         ("concat", 2e-9, [u(4, 2), u(4, 3)], lambda t: ad.concat(t)),
         ("gather_rows", 1e-9, [u(6, 3)], lambda t: ad.gather_rows(t[0], index)),
-        ("scatter_mean", 5e-10, [u(7, 2)], lambda t: ad.scatter_mean(t[0], group, 4)),
+        ("scatter_mean", 5e-10, [u(7, 2)], lambda t: ad.scatter_mean(t[0], group)),
     ]
 
 
@@ -163,13 +164,14 @@ def _reg_pair_rows(rng):
     """Two clouds through one registration parameter set, as
     ``pipeline._pair_forward`` runs them, so each node's gradients add into
     shared weights; the second cloud's point features are an input too."""
-    ctxs = [build_context(_surface(rng, n), _TOY_REG) for n in (40, 30)]
+    ctxs = [build_context(_surface(rng, 40), _TOY_REG),
+            build_context(_surface(rng, 30), _TOY_REG, constant_input=False)]
     params = init_weights(_TOY_REG, rng)
     names = sorted(params)
 
     def reg_pair(t):
         shared = dict(zip(names, t))
-        outs = [*reg_backbone_forward(shared, ctxs[0], Tensor(np.ones((40, 1)))),
+        outs = [*reg_backbone_forward(shared, ctxs[0]),
                 *reg_backbone_forward(shared, ctxs[1], t[-1])]
         return ad.concat([ad.reshape(o, (1, o.size)) for o in outs])
 
@@ -181,6 +183,7 @@ def _matcher_rows(rng):
     overlap = np.zeros((6, 6))
     overlap[np.arange(6), np.arange(6)] = rng.uniform(0.3, 1.0, 6)
     overlap[0, 1] = 0.05                      # the ignored band
+    targets = coarse_targets(overlap)
     # patch 1 has 2 shadow slots; pair (0, 1) repeats, so gradients of one
     # dense row add up across pairs
     view = PatchedSuperpoints(np.zeros((2, 3)), np.array([[0, 1, 2, 3], [4, 5, 6, 6]]),
@@ -191,7 +194,7 @@ def _matcher_rows(rng):
     gt_cols = np.array([[1, -1, 3, -1, -1], [0, 4, -1, -1, -1]])
     return [
         ("coarse_circle_loss", 5e-9, [rng.normal(size=(6, 4)), rng.normal(size=(6, 4))],
-         lambda t: coarse_loss(l2_normalize_rows(t[0]), l2_normalize_rows(t[1]), overlap)),
+         lambda t: coarse_loss(l2_normalize_rows(t[0]), l2_normalize_rows(t[1]), targets)),
         ("patch_scores", 1e-9, [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))],
          lambda t: patch_scores(t[0], t[1], view, view, pairs)),
         ("normalize_scores_with_slack", 1e-9, [rng.normal(size=(2, 6, 6))],

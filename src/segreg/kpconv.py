@@ -32,13 +32,13 @@ difference-and-square form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from segreg.autodiff import Tensor, accumulate_grad, record_custom
-from segreg.geometry import PointCloud, knn, radius_neighbors, voxel_grid_subsample
+from segreg.autodiff import RowMap, Tensor, accumulate_grad, record_custom
+from segreg.geometry import PointCloud, knn, voxel_grid_subsample
 
 __all__ = [
     "kernel_disposition",
@@ -149,10 +149,21 @@ class InfluenceOperator:
 
     Row n*K + k holds, at column ``neighbors[n, h]``, the weight of kernel
     point k on neighbor slot h; a row's columns are in slot order and only
-    weights > 0 are stored.
+    weights > 0 are stored.  ``transposed`` is A.T, built once with the
+    operator for the convolution's feature gradient: scipy's transpose of a
+    CSR matrix is a CSC matrix over the same three arrays, so it copies
+    nothing and every product with it is the one ``matrix.T @`` makes.
     """
 
     matrix: sparse.csr_matrix
+    transposed: sparse.csc_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "transposed", self.matrix.T)
+
+    def mix(self, feats: np.ndarray) -> np.ndarray:
+        """A @ feats read as (N, K*Cin), the convolution's sparse half."""
+        return (self.matrix @ feats).reshape(self.matrix.shape[1], -1)
 
     @property
     def nbytes(self) -> int:
@@ -274,14 +285,19 @@ def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray,
     return frames
 
 
-def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor) -> Tensor:
+def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor,
+                 mixed: np.ndarray | None = None) -> Tensor:
     """Apply the convolution of one level given its influence operator.
 
     ``feats`` is (N, Cin) and ``weights`` (K, Cin, Cout).  The forward is
     one sparse product A @ feats, read as (N, K*Cin), then one GEMM with the
     flattened weights; the backward is that GEMM's two products and one
     transposed sparse product for the features.  Differentiable in feats
-    and weights only.
+    and weights only.  ``mixed`` is the sparse product when the caller
+    already holds it: a network context builds it once for an input that
+    never changes (``networks.BackboneContext.input_mix``).  Both products
+    run with float warnings off, so an overflow raises ``NonFiniteError``
+    and not a ``RuntimeWarning``.
     """
     a = influence.matrix
     n = a.shape[1]
@@ -295,16 +311,18 @@ def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor) -
     if feats.data.shape[0] != n:
         raise ValueError("feats rows must match the influence columns")
     cout = weights.data.shape[2]
-    mixed = (a @ feats.data).reshape(n, k * cin)
     w_flat = weights.data.reshape(k * cin, cout)
-    out = mixed @ w_flat
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+        if mixed is None:
+            mixed = influence.mix(feats.data)
+        out = mixed @ w_flat
     requires = feats.requires_grad or weights.requires_grad
 
     def bwd(g):
         if weights.requires_grad:
             accumulate_grad(weights, (mixed.T @ g).reshape(k, cin, cout))
         if feats.requires_grad:
-            accumulate_grad(feats, a.T @ (g @ w_flat.T).reshape(n * k, cin))
+            accumulate_grad(feats, influence.transposed @ (g @ w_flat.T).reshape(n * k, cin))
 
     return record_custom(out, requires, bwd)
 
@@ -315,20 +333,23 @@ def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor) -
 
 @dataclass
 class PointPyramid:
-    """Doubling-voxel resolution hierarchy with precomputed index tables.
+    """Doubling-voxel resolution hierarchy with its row maps.
 
-    ``neighbors[l]`` is the within-level radius table at level l;
+    ``radii[l]`` is level l's convolution radius;
     ``pools[l]`` maps level-l points to their level-(l+1) voxel (provenance);
     ``ups[l]`` maps level-l points to their nearest level-(l+1) point (1-NN);
-    ``input_to_level0`` maps raw input points onto level 0.
+    ``input_to_level0`` maps raw input points onto level 0.  Each map is a
+    :class:`~segreg.autodiff.RowMap`, checked when the pyramid is built and
+    counted once, since every forward pools, upsamples and reads the input
+    along them.  The within-level neighbor tables are not kept: only the
+    influence operators built from them read them.
     """
 
     levels: list[PointCloud]
     radii: list[float]
-    neighbors: list[np.ndarray]
-    pools: list[np.ndarray]
-    ups: list[np.ndarray]
-    input_to_level0: np.ndarray
+    pools: list[RowMap]
+    ups: list[RowMap]
+    input_to_level0: RowMap
     input_cloud: PointCloud
 
     @property
@@ -339,7 +360,7 @@ class PointPyramid:
         """Compose pooling provenance: level-0 index -> level-`level` index."""
         assign = np.arange(len(self.levels[0]))
         for l in range(level):
-            assign = self.pools[l][assign]
+            assign = self.pools[l].index[assign]
         return assign
 
 
@@ -348,7 +369,7 @@ class SparseCloudError(ValueError):
 
 
 def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
-                  base_radius_mult: float, max_neighbors: int) -> PointPyramid:
+                  base_radius_mult: float) -> PointPyramid:
     """Build the resolution hierarchy used by every convolution network."""
     if stages < 2:
         raise ValueError("a pyramid needs at least 2 stages")
@@ -365,10 +386,9 @@ def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
                 f"cloud too sparse: level {l} collapsed to {len(nxt)} points "
                 f"(minimum {MIN_LEVEL_POINTS})"
             )
-        pools.append(prov)
-        ups.append(knn(levels[-1], nxt))
+        pools.append(RowMap(prov, len(nxt)))
+        ups.append(RowMap(knn(levels[-1], nxt), len(nxt)))
         levels.append(nxt)
         voxels.append(voxel)
     radii = [base_radius_mult * v for v in voxels]
-    neighbors = [radius_neighbors(lvl, r, max_neighbors) for lvl, r in zip(levels, radii)]
-    return PointPyramid(levels, radii, neighbors, pools, ups, input_prov, cloud)
+    return PointPyramid(levels, radii, pools, ups, RowMap(input_prov, len(level0)), cloud)

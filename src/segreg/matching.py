@@ -25,7 +25,8 @@ normalization rounds and ``REFINE_ITERATIONS`` refinement rounds.
 
 Training losses: an overlap-weighted circle loss over superpoint feature
 distances (GeoTransformer's margins 0.1 / 1.4, scale 24), one tape node with
-a closed-form backward, and a negative log-likelihood over the normalized
+a closed-form backward that reads its targets as ``coarse_targets`` builds
+them once per sample, and a negative log-likelihood over the normalized
 patch score stack; their plain sum.
 """
 
@@ -62,6 +63,8 @@ __all__ = [
     "RefineResult",
     "local_to_global",
     "l2_normalize_rows",
+    "CoarseTargets",
+    "coarse_targets",
     "coarse_loss",
     "fine_loss",
     "ground_truth_patch_matches",
@@ -466,7 +469,50 @@ def l2_normalize_rows(t: Tensor) -> Tensor:
     return ad.div(t, ad.expand(norm, t.shape))
 
 
-def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, overlap: np.ndarray) -> Tensor:
+@dataclass(frozen=True)
+class _AnchorTargets:
+    """The circle loss's targets along one axis of the overlap (rows: pre
+    superpoints; columns: intra superpoints).  An anchor is a superpoint of
+    the axis with a positive and a negative.  ``slot`` and ``other`` locate
+    the positive cells of the anchors, in the anchors' (V, n_other) rows,
+    ``slopes`` holds their slopes ``LOG_SCALE * sqrt(overlap)``, and
+    ``negative`` is the anchors' rows of the mask overlap == 0."""
+
+    anchors: np.ndarray          # (V,) ascending indices along the axis
+    negative: np.ndarray         # (V, n_other) bool
+    slot: np.ndarray             # (P,) anchor row of each positive cell
+    other: np.ndarray            # (P,) its index along the other axis
+    slopes: np.ndarray           # (P,)
+
+
+@dataclass(frozen=True)
+class CoarseTargets:
+    """What the circle loss reads of one sample's (M_pre, M_intra) superpoint
+    overlap, built once by :func:`coarse_targets`: the count of positive
+    cells (overlap > ``POSITIVE_OVERLAP``), then the anchors of the rows and
+    of the columns with their positive cells, slopes and negative masks.
+    Positives are ~1% of the cells on the benchmark phantoms, so they are
+    stored as cells; negatives are most of the matrix and stay a mask."""
+
+    positives: int
+    axes: tuple
+
+
+def coarse_targets(overlap: np.ndarray) -> CoarseTargets:
+    """The circle loss's targets of an overlap matrix; no case raises here,
+    the loss does (``NoPositivePairsError``)."""
+    positive = overlap > POSITIVE_OVERLAP
+    negative = overlap == 0.0
+    axes = []
+    for view in (np.asarray, np.transpose):     # anchors along rows, then columns
+        anchors = np.flatnonzero(view(positive).any(axis=1) & view(negative).any(axis=1))
+        slot, other = np.nonzero(view(positive)[anchors])
+        slopes = LOG_SCALE * np.sqrt(view(overlap)[anchors[slot], other])
+        axes.append(_AnchorTargets(anchors, view(negative)[anchors], slot, other, slopes))
+    return CoarseTargets(int(positive.sum()), tuple(axes))
+
+
+def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, targets: CoarseTargets) -> Tensor:
     """Overlap-weighted circle loss over superpoint feature distances.
 
     Positives (overlap > ``POSITIVE_OVERLAP``) are pulled inside ``POS_MARGIN`` with
@@ -476,37 +522,53 @@ def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, overlap: np.ndarray) -> 
     scoring the softplus of its two masked log-sum-exps; the anchor means of
     the axes are averaged and divided by ``LOG_SCALE``.  One tape node, whose
     backward weights each anchor's masked softmax by its sigmoid.
+
+    ``targets`` are the overlap's, from :func:`coarse_targets`.  The loss
+    makes the operations of the dense form, in which every anchor row is
+    masked with -inf outside its positives (negatives), exponentiated and
+    summed, but evaluates the positive terms at the positive cells only.
+    Their values are the dense form's there; a masked cell's exponential is
+    exactly 0, and each positive row sum adds the positive cells' terms
+    with those zeros in place over a full row, so it takes ``np.sum``'s
+    pairwise order of the dense form.  Positive and negative cells are
+    disjoint, so each cell's gradient has one nonzero term, the term the
+    dense form's sum of the two yields; the other is a zero, which cannot
+    change it.
     """
-    pos_mask = overlap > POSITIVE_OVERLAP
-    neg_mask = overlap == 0.0
-    if not pos_mask.any():
+    if not targets.positives:
         raise NoPositivePairsError("no positive superpoint pairs in this sample")
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
         d2 = pre_feats.data @ intra_feats.data.T * -2.0 + 2.0
     ad.require_finite(d2)
     dists = np.sqrt(np.maximum(d2, 0.0) + 1e-12)
-    # the positive and negative arguments, and their slopes in the distance
-    slopes = (LOG_SCALE * np.sqrt(np.where(pos_mask, overlap, 0.0)),
-              np.full(dists.shape, -LOG_SCALE))
-    args = ((dists - POS_MARGIN) * slopes[0], (NEG_MARGIN - dists) * LOG_SCALE)
 
     losses, g_dists = [], np.zeros_like(dists)
-    for view in (np.asarray, np.transpose):     # anchors along rows, then columns
-        masks = view(pos_mask), view(neg_mask)
-        valid = masks[0].any(axis=1) & masks[1].any(axis=1)
-        if not valid.any():
+    for view, axis in zip((np.asarray, np.transpose), targets.axes):
+        if not axis.anchors.size:
             continue
-        z, g_z = 0.0, 0.0
-        for arg, mask, slope in zip(args, masks, slopes):
-            a = np.where(mask[valid], view(arg)[valid], -np.inf)
-            top = np.max(a, axis=1, keepdims=True)
-            e = np.exp(a - top)
-            total = np.sum(e, axis=1, keepdims=True)
-            z = z + np.log(total) + top
-            g_z = g_z + e / total * view(slope)[valid]
+        d = view(dists)[axis.anchors]                       # (V, n_other)
+        cells = axis.slot, axis.other
+        # positives: argument, row maximum and exponential per cell, and the
+        # row sums over the full rows
+        pos = (d[cells] - POS_MARGIN) * axis.slopes
+        top_pos = np.full((len(axis.anchors), 1), -np.inf)
+        np.maximum.at(top_pos[:, 0], axis.slot, pos)
+        e_pos = np.exp(pos - top_pos[axis.slot, 0])
+        e_rows = np.zeros(d.shape)
+        e_rows[cells] = e_pos
+        total_pos = np.sum(e_rows, axis=1, keepdims=True)
+        # negatives: every other cell of an anchor row
+        a = np.where(axis.negative, (NEG_MARGIN - d) * LOG_SCALE, -np.inf)
+        top = np.max(a, axis=1, keepdims=True)
+        e = np.exp(a - top)
+        total = np.sum(e, axis=1, keepdims=True)
+        z = np.log(total_pos) + top_pos
+        z = z + np.log(total) + top
         losses.append(np.mean(np.logaddexp(0.0, z)))
-        view(g_dists)[valid] += expit(z) / valid.sum() * g_z
+        g_z = e / total * -LOG_SCALE
+        g_z[cells] = e_pos / total_pos[axis.slot, 0] * axis.slopes
+        view(g_dists)[axis.anchors] += expit(z) / len(axis.anchors) * g_z
     if not losses:
         raise NoPositivePairsError("no anchor has both positives and negatives")
     scale = 1.0 / (LOG_SCALE * len(losses))
@@ -585,5 +647,6 @@ def fine_loss(probs: Tensor, gt_cols: np.ndarray, n_rows: np.ndarray,
     cells = np.ravel_multi_index((np.r_[pm, pr, pc], np.r_[rm, rr, np.full(pc.size, size)],
                                   np.r_[gt_cols[pm, rm], np.full(pr.size, size), cc]), probs.shape)
     weights = np.r_[(share / n_matched)[pm], slack_w[pr], slack_w[pc]] / f
-    log_p = ad.log(ad.add(ad.gather_rows(ad.reshape(probs, (probs.size, 1)), cells), 1e-12))
+    picked = ad.gather_rows(ad.reshape(probs, (probs.size, 1)), ad.RowMap(cells, probs.size))
+    log_p = ad.log(ad.add(picked, 1e-12))
     return ad.neg(ad.sum_(ad.mul(log_p, Tensor(weights[:, None]))))

@@ -15,7 +15,8 @@ The segmentation network consumes [r, g, b, 1] input features and emits
 consumes a single per-point feature (constant 1 for the preoperative cloud,
 the straight-through mask for the intraoperative one) and returns bottleneck
 superpoint features plus dense decoder features; the same parameters process
-both clouds.
+both clouds.  An input that never changes is pooled and mixed once, into
+the cloud's context (:func:`build_context`).
 
 Configs hold the four values callers set (``widths``, one per stage,
 ``width_factor``, ``initial_voxel``, ``max_neighbors``); the rest are class
@@ -31,7 +32,7 @@ import numpy as np
 
 from segreg import autodiff as ad
 from segreg.autodiff import Tensor
-from segreg.geometry import PointCloud
+from segreg.geometry import PointCloud, radius_neighbors
 from segreg.kpconv import (
     SIGMA_RATIO,
     InfluenceOperator,
@@ -105,27 +106,58 @@ class RegNetConfig(_NetConfig):
 
 @dataclass
 class BackboneContext:
-    """A pyramid plus one sparse kernel influence operator per level, for one
-    cloud; ``influences[l]`` is :func:`~segreg.kpconv.conv_influence` of
-    level l against itself."""
+    """What a network's forward reads of one cloud, built once per cloud.
+
+    ``influences[l]`` is :func:`~segreg.kpconv.conv_influence` of pyramid
+    level l against itself.  When the network's input on this cloud never
+    changes (the segmentation net's [r, g, b, 1], the registration
+    backbone's ones on the preoperative cloud), ``input_feats`` holds it
+    averaged onto level 0 and ``input_mix`` its level-0 product
+    A @ input_feats read as (N0, K*Cin), the first half of the level-0
+    convolution; otherwise both are None.  Both are computed by the
+    operations a forward would run on that input, so the forward that reads
+    them gets the same bits and differs only in not repeating them.
+    """
 
     pyramid: PointPyramid
     influences: list[InfluenceOperator]
+    input_feats: Tensor | None
+    input_mix: np.ndarray | None
 
 
-def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> BackboneContext:
-    """Precompute the pyramid and influence operators for one input cloud."""
-    pyramid = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel,
-                            cfg.base_radius_mult, cfg.max_neighbors)
+def _constant_input(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> np.ndarray:
+    """The per-point input that ``cfg``'s network reads when it is fixed:
+    [r, g, b, 1] for segmentation, a constant 1 for registration."""
+    ones = np.ones((len(cloud), 1))
+    if cfg.in_channels == 1:
+        return ones
+    if cloud.colors is None:
+        raise ValueError("segmentation input cloud must carry colors")
+    return np.hstack([cloud.colors, ones])
+
+
+def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig,
+                  constant_input: bool = True) -> BackboneContext:
+    """Precompute the pyramid and influence operators for one input cloud,
+    and with ``constant_input`` the network's fixed input on it (see
+    :class:`BackboneContext`); the intraoperative registration input, the
+    mask, changes per step and is built without.  Each level's radius
+    table is built, read by its frames and influence, and dropped."""
+    pyramid = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel, cfg.base_radius_mult)
     kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
     influences = []
-    for level, radius in enumerate(pyramid.radii):
-        nbr = pyramid.neighbors[level]
-        offsets = neighbor_offsets(pyramid.levels[level].positions, nbr)
+    for lvl, radius in zip(pyramid.levels, pyramid.radii):
+        nbr = radius_neighbors(lvl, radius, cfg.max_neighbors)
+        offsets = neighbor_offsets(lvl.positions, nbr)
         frames = local_reference_frames(offsets, nbr) if cfg.local_frames else None
         influences.append(conv_influence(offsets, nbr, kernel * radius,
                                          radius / SIGMA_RATIO, frames=frames))
-    return BackboneContext(pyramid, influences)
+    input_feats = input_mix = None
+    if constant_input:
+        input_feats = ad.scatter_mean(Tensor(_constant_input(cloud, cfg)),
+                                      pyramid.input_to_level0)
+        input_mix = influences[0].mix(input_feats.data)
+    return BackboneContext(pyramid, influences, input_feats, input_mix)
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +312,22 @@ def _linear_head(params, name, feats: Tensor) -> Tensor:
     return ad.record_custom(out, feats.requires_grad or w.requires_grad or b.requires_grad, bwd)
 
 
-def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor
-                   ) -> tuple[Tensor, Tensor]:
-    """Shared U-Net walk; returns (bottleneck features, level-0 features)."""
+def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor,
+                   mixed0: np.ndarray | None) -> tuple[Tensor, Tensor]:
+    """Shared U-Net walk from the level-0 input ``feats0`` and, when the
+    context holds it, its level-0 mix; returns (bottleneck features,
+    level-0 features)."""
     pyr = ctx.pyramid
     skips: list[Tensor] = []
     feats = feats0
     for l in range(pyr.stages):
         name = f"{prefix}_enc{l}"
-        feats = _norm_act(params, name, kpconv_apply(ctx.influences[l], feats,
-                                                     params[f"{name}_w"]))
+        conv = kpconv_apply(ctx.influences[l], feats, params[f"{name}_w"],
+                            mixed0 if l == 0 else None)
+        feats = _norm_act(params, name, conv)
         if l < pyr.stages - 1:
             skips.append(feats)
-            feats = ad.scatter_mean(feats, pyr.pools[l], len(pyr.levels[l + 1]))
+            feats = ad.scatter_mean(feats, pyr.pools[l])
     bottleneck = feats
     for l in range(pyr.stages - 2, -1, -1):
         up = ad.gather_rows(feats, pyr.ups[l])
@@ -301,31 +336,35 @@ def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor
     return bottleneck, feats
 
 
+def _context_input(ctx: BackboneContext) -> tuple[Tensor, np.ndarray]:
+    if ctx.input_feats is None:
+        raise ValueError("the context was built without its network's constant input")
+    return ctx.input_feats, ctx.input_mix
+
+
 def seg_forward(params: dict[str, Tensor], ctx: BackboneContext) -> Tensor:
-    """Per-point 2-class logits at the raw input resolution."""
-    cloud = ctx.pyramid.input_cloud
-    if cloud.colors is None:
-        raise ValueError("segmentation input cloud must carry colors")
-    raw = np.hstack([cloud.colors, np.ones((len(cloud), 1))])
-    feats0 = ad.scatter_mean(Tensor(raw), ctx.pyramid.input_to_level0,
-                             len(ctx.pyramid.levels[0]))
-    _, level0 = _encode_decode(params, "seg", ctx, feats0)
+    """Per-point 2-class logits at the raw input resolution, from the
+    context's [r, g, b, 1] input."""
+    _, level0 = _encode_decode(params, "seg", ctx, *_context_input(ctx))
     logits = _linear_head(params, "seg_head", level0)
     return ad.gather_rows(logits, ctx.pyramid.input_to_level0)
 
 
 def reg_backbone_forward(params: dict[str, Tensor], ctx: BackboneContext,
-                         point_features: Tensor) -> tuple[Tensor, Tensor]:
+                         point_features: Tensor | None = None) -> tuple[Tensor, Tensor]:
     """Superpoint features from the bottleneck and dense decoder features.
 
-    ``point_features`` is (N_input, 1); the same ``params`` must be used for
-    both clouds of a pair (shared encoder-decoder).
+    ``point_features`` is (N_input, 1), or None for the context's constant
+    input (the preoperative cloud's ones); the same ``params`` must be used
+    for both clouds of a pair (shared encoder-decoder).
     """
-    if point_features.shape[0] != len(ctx.pyramid.input_cloud):
+    if point_features is None:
+        inputs = _context_input(ctx)
+    elif point_features.shape[0] != len(ctx.pyramid.input_cloud):
         raise ValueError("point features must cover every input point")
-    feats0 = ad.scatter_mean(point_features, ctx.pyramid.input_to_level0,
-                             len(ctx.pyramid.levels[0]))
-    bottleneck, level0 = _encode_decode(params, "reg", ctx, feats0)
+    else:
+        inputs = ad.scatter_mean(point_features, ctx.pyramid.input_to_level0), None
+    bottleneck, level0 = _encode_decode(params, "reg", ctx, *inputs)
     superpoints = _linear_head(params, "reg_sp", bottleneck)
     dense = _linear_head(params, "reg_dense", level0)
     return superpoints, dense

@@ -1,12 +1,13 @@
 """End-to-end registration pipeline: mask, backbone, matching, pose.
 
 ``prepare_sample`` precomputes what training and inference both read and
-that depends only on geometry (pyramids, influence tables, patches, and,
-when ground truth is available, superpoint overlap and a table of
-ground-truth patch matches).  ``training_loss`` assembles the differentiable
-dual loss on a tape for a given intraoperative mask; ``register_pair`` runs
-deterministic inference (argmax mask, no noise) and returns the predicted
-pose.  Both share one backbone pass over the pair and score their
+that depends only on geometry (pyramids, influence operators, the fixed
+network inputs and their level-0 mixes, patches, and, when ground truth is
+available, the circle loss's targets and a table of ground-truth patch
+matches), so a step does only the work that depends on the parameters.
+``training_loss`` assembles the differentiable dual loss on a tape for a
+given intraoperative mask; ``register_pair`` runs deterministic inference
+(argmax mask, no noise) and returns the predicted pose.  Both share one backbone pass over the pair and score their
 superpoint pairs (ground-truth pairs in training, ``coarse_match``'s at
 inference) as one stack through ``matching.patch_scores`` and
 ``matching.normalize_scores_with_slack``.
@@ -31,10 +32,12 @@ from segreg.geometry import RigidTransform
 from segreg.gumbel import hard_mask
 from segreg.matching import (
     POSITIVE_OVERLAP,
+    CoarseTargets,
     DualLoss,
     PatchedSuperpoints,
     build_patches,
     coarse_loss,
+    coarse_targets,
     coarse_match,
     distance_histograms,
     fine_loss,
@@ -85,15 +88,29 @@ class MatcherConfig:
 
 @dataclass
 class PreparedSample:
+    """Everything a training step or a registration reads of one sample that
+    depends on its geometry alone, built once by :func:`prepare_sample`.
+
+    The three contexts hold each cloud's pyramid, its row maps (range
+    checked, group sizes counted once) and its influence operators with
+    their transposes; the segmentation context and the preoperative one
+    also hold their fixed input pooled onto level 0 and its level-0 mix.  With ground truth,
+    ``targets`` are the circle loss's targets of the superpoint overlap, and
+    ``gt_pairs`` / ``gt_cols`` the positive superpoint pairs (F, 2) with a
+    ground-truth patch match, in argwhere order, and their
+    ``ground_truth_patch_matches`` table.  Each is what the step computed
+    from the same inputs by the same operations, so a step that reads it
+    gets the same bits; the overlap itself and the neighbor tables are not
+    kept, since no step reads them.
+    """
+
     sample: RegistrationSample
     seg_ctx: BackboneContext
     reg_ctx_pre: BackboneContext
     reg_ctx_intra: BackboneContext
     pre_view: PatchedSuperpoints
     intra_view: PatchedSuperpoints
-    overlap: np.ndarray | None = None
-    # positive superpoint pairs (F, 2) with a ground-truth patch match, in
-    # argwhere order, and their ``ground_truth_patch_matches`` table
+    targets: CoarseTargets | None = None
     gt_pairs: np.ndarray | None = None
     gt_cols: np.ndarray | None = None
     sample_id: str = ""
@@ -105,14 +122,14 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
                    sample_id: str = "") -> PreparedSample:
     seg_ctx = build_context(sample.intraoperative, seg_cfg)
     reg_ctx_pre = build_context(sample.preoperative, reg_cfg)
-    reg_ctx_intra = build_context(sample.intraoperative, reg_cfg)
+    reg_ctx_intra = build_context(sample.intraoperative, reg_cfg, constant_input=False)
     pre_view = build_patches(reg_ctx_pre.pyramid, match_cfg.patch_size)
     intra_view = build_patches(reg_ctx_intra.pyramid, match_cfg.patch_size)
     prepared = PreparedSample(sample, seg_ctx, reg_ctx_pre, reg_ctx_intra,
                               pre_view, intra_view, sample_id=sample_id)
     if with_ground_truth:
         overlap = superpoint_overlap_labels(pre_view, intra_view, sample.T_gt)
-        prepared.overlap = overlap
+        prepared.targets = coarse_targets(overlap)
         pairs = np.argwhere(overlap > POSITIVE_OVERLAP)
         cols = ground_truth_patch_matches(pre_view, intra_view, pairs, sample.T_gt,
                                           reg_cfg.initial_voxel)
@@ -123,10 +140,10 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
 
 def _pair_forward(params: dict[str, Tensor], prepared: PreparedSample,
                   intra_feats: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Backbone on both clouds (pre input features are ones): normalized
-    superpoint features of pre and intra, then their dense features."""
-    ones = Tensor(np.ones((len(prepared.sample.preoperative), 1)))
-    sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre, ones)
+    """Backbone on both clouds (pre reads its context's constant ones):
+    normalized superpoint features of pre and intra, then their dense
+    features."""
+    sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre)
     sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra, intra_feats)
     return l2_normalize_rows(sp_pre), l2_normalize_rows(sp_intra), dense_pre, dense_intra
 
@@ -141,10 +158,10 @@ def training_loss(params: dict[str, Tensor], prepared: PreparedSample, mask: Ten
     mode, frozen segmentation).  ``rng`` picks at most ``n_fine_pairs`` of the
     positive superpoint pairs for the fine loss.
     """
-    if prepared.overlap is None:
+    if prepared.targets is None:
         raise ValueError("training loss needs ground-truth overlap labels")
     sp_pre_n, sp_intra_n, dense_pre, dense_intra = _pair_forward(params, prepared, mask)
-    c_loss = coarse_loss(sp_pre_n, sp_intra_n, prepared.overlap)
+    c_loss = coarse_loss(sp_pre_n, sp_intra_n, prepared.targets)
 
     n_usable = len(prepared.gt_pairs)       # fine_loss raises ValueError on 0
     pick = np.arange(n_usable)
@@ -165,7 +182,7 @@ def segmentation_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     probs = ad.softmax(logits, axis=-1)
     n = logits.shape[0]
     flat = ad.reshape(probs, (n * 2, 1))
-    picks = ad.gather_rows(flat, np.arange(n) * 2 + labels.astype(np.int64))
+    picks = ad.gather_rows(flat, ad.RowMap(np.arange(n) * 2 + labels.astype(np.int64), n * 2))
     return ad.neg(ad.mean_(ad.log(ad.add(picks, 1e-12))))
 
 

@@ -23,7 +23,12 @@ as ``geometry.voxel_grid_subsample`` did before it sorted its keys; and
 ``composed_norm_act`` and ``composed_linear_head`` are the network's norm
 and head nodes as chains of elementary tape operations.
 ``_repulse`` is the repulsion descent that generated the kernel layouts
-``kpconv`` stores, as every process ran it before they were stored.  Tests
+``kpconv`` stores, as every process ran it before they were stored.
+``overlap_coarse_loss``, ``per_step_seg_forward`` and
+``per_step_training_loss`` are the circle loss, the segmentation forward
+and the training loss as they were before the prepared sample held what
+they derive from it alone: the circle loss's masks and slopes re-derived
+from the overlap, and the fixed inputs pooled and mixed, at every step.  Tests
 require the library versions to match them bit for bit, except
 ``slack_normalize_2d``, whose row sums run over fewer entries, the
 influence bound test, which allows the expanded d2 its 1e-7, and the dense
@@ -35,12 +40,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from scipy.special import expit
+
 from segreg import autodiff as ad
-from segreg import matching
+from segreg import matching, networks
 from segreg.autodiff import Tensor, scatter_add_rows
 from segreg.geometry import PointCloud, RigidTransform, _exact_row
-from segreg.matching import normalize_scores_with_slack, patch_scores
-from segreg.networks import LEAKY_SLOPE, NORM_EPS
+from segreg.matching import (
+    LOG_SCALE,
+    NEG_MARGIN,
+    POS_MARGIN,
+    POSITIVE_OVERLAP,
+    DualLoss,
+    NoPositivePairsError,
+    fine_loss,
+    l2_normalize_rows,
+    normalize_scores_with_slack,
+    patch_scores,
+)
+from segreg.networks import LEAKY_SLOPE, NORM_EPS, reg_backbone_forward
 
 
 def add_at_rows(index, values, n):
@@ -462,3 +480,86 @@ def loop_ground_truth(pre_view, intra_view, overlap, T_gt, positive_overlap, rad
         if gt_fine[key][0].size > 0:
             fine_pairs.append(key)
     return fine_pairs, {key: gt_fine[key] for key in fine_pairs}
+
+
+def overlap_coarse_loss(pre_feats, intra_feats, overlap):
+    """``matching.coarse_loss`` as it derived its masks, slopes and anchors
+    from the (M_pre, M_intra) overlap at every call, dense over every cell."""
+    pos_mask = overlap > POSITIVE_OVERLAP
+    neg_mask = overlap == 0.0
+    if not pos_mask.any():
+        raise NoPositivePairsError("no positive superpoint pairs in this sample")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+        d2 = pre_feats.data @ intra_feats.data.T * -2.0 + 2.0
+    ad.require_finite(d2)
+    dists = np.sqrt(np.maximum(d2, 0.0) + 1e-12)
+    # the positive and negative arguments, and their slopes in the distance
+    slopes = (LOG_SCALE * np.sqrt(np.where(pos_mask, overlap, 0.0)),
+              np.full(dists.shape, -LOG_SCALE))
+    args = ((dists - POS_MARGIN) * slopes[0], (NEG_MARGIN - dists) * LOG_SCALE)
+
+    losses, g_dists = [], np.zeros_like(dists)
+    for view in (np.asarray, np.transpose):     # anchors along rows, then columns
+        masks = view(pos_mask), view(neg_mask)
+        valid = masks[0].any(axis=1) & masks[1].any(axis=1)
+        if not valid.any():
+            continue
+        z, g_z = 0.0, 0.0
+        for arg, mask, slope in zip(args, masks, slopes):
+            a = np.where(mask[valid], view(arg)[valid], -np.inf)
+            top = np.max(a, axis=1, keepdims=True)
+            e = np.exp(a - top)
+            total = np.sum(e, axis=1, keepdims=True)
+            z = z + np.log(total) + top
+            g_z = g_z + e / total * view(slope)[valid]
+        losses.append(np.mean(np.logaddexp(0.0, z)))
+        view(g_dists)[valid] += expit(z) / valid.sum() * g_z
+    if not losses:
+        raise NoPositivePairsError("no anchor has both positives and negatives")
+    scale = 1.0 / (LOG_SCALE * len(losses))
+
+    def bwd(g):
+        # d dists / d sim is -1 / dists where d2 > 0, else 0
+        g_sim = np.where(d2 > 0.0, -g * scale * g_dists / dists, 0.0)
+        if pre_feats.requires_grad:
+            ad.accumulate_grad(pre_feats, g_sim @ intra_feats.data)
+        if intra_feats.requires_grad:
+            ad.accumulate_grad(intra_feats, g_sim.T @ pre_feats.data)
+
+    return ad.record_custom(np.array(sum(losses) * scale),
+                            pre_feats.requires_grad or intra_feats.requires_grad, bwd)
+
+
+def per_step_seg_forward(params, ctx):
+    """``networks.seg_forward`` as it pooled the [r, g, b, 1] input onto
+    level 0 and mixed it at every call."""
+    cloud = ctx.pyramid.input_cloud
+    raw = np.hstack([cloud.colors, np.ones((len(cloud), 1))])
+    feats0 = ad.scatter_mean(Tensor(raw), ctx.pyramid.input_to_level0)
+    _, level0 = networks._encode_decode(params, "seg", ctx, feats0, None)
+    logits = networks._linear_head(params, "seg_head", level0)
+    return ad.gather_rows(logits, ctx.pyramid.input_to_level0)
+
+
+def per_step_training_loss(params, prepared, overlap, mask, rng, n_fine_pairs):
+    """``pipeline.training_loss`` as it fed the preoperative backbone a
+    fresh input of ones and scored the circle loss from ``overlap`` at every
+    step."""
+    ones = Tensor(np.ones((len(prepared.sample.preoperative), 1)))
+    sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre, ones)
+    sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra, mask)
+    c_loss = overlap_coarse_loss(l2_normalize_rows(sp_pre), l2_normalize_rows(sp_intra),
+                                 overlap)
+    n_usable = len(prepared.gt_pairs)
+    pick = np.arange(n_usable)
+    if n_usable > n_fine_pairs:
+        pick = np.sort(rng.choice(n_usable, size=n_fine_pairs, replace=False))
+    pairs = prepared.gt_pairs[pick]
+    n_rows = prepared.pre_view.sizes[pairs[:, 0]]
+    n_cols = prepared.intra_view.sizes[pairs[:, 1]]
+    probs = normalize_scores_with_slack(
+        patch_scores(dense_pre, dense_intra, prepared.pre_view, prepared.intra_view, pairs),
+        n_rows, n_cols)
+    f_loss = fine_loss(probs, prepared.gt_cols[pick], n_rows, n_cols)
+    return DualLoss(ad.add(c_loss, f_loss), c_loss, f_loss)

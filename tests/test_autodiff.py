@@ -7,6 +7,7 @@ import pytest
 
 from segreg import autodiff as ad
 from segreg.autodiff import (
+    RowMap,
     Tape,
     Tensor,
     backward,
@@ -116,7 +117,7 @@ def test_softmax_jacobian_matches_finite_differences(gradcheck_rows_pass):
 def test_gather_duplicated_row_accumulates_grad():
     with Tape():
         src = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        out = gather_rows(src, np.array([0, 0]))
+        out = gather_rows(src, RowMap([0, 0], 2))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [1.0, 2.0]])
         backward(sum_(out))
     np.testing.assert_array_equal(src.grad, [[2.0, 2.0], [0.0, 0.0]])
@@ -125,7 +126,7 @@ def test_gather_duplicated_row_accumulates_grad():
 def test_gather_shadow_row_is_zero_with_zero_grad():
     with Tape():
         src = Tensor([[1.0, 2.0]], requires_grad=True)
-        out = gather_rows(src, np.array([1]))
+        out = gather_rows(src, RowMap([1], 1))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
         backward(sum_(out))
     np.testing.assert_array_equal(src.grad, [[0.0, 0.0]])
@@ -133,14 +134,18 @@ def test_gather_shadow_row_is_zero_with_zero_grad():
 
 def test_gather_rejects_out_of_range():
     with pytest.raises(IndexError):
-        gather_rows(Tensor(np.ones((2, 2))), np.array([3]))
+        RowMap([3], 2)
+    with pytest.raises(IndexError):
+        RowMap([-1], 2)
+    with pytest.raises(ValueError, match="cannot gather"):
+        gather_rows(Tensor(np.ones((2, 2))), RowMap([1], 1))
 
 
 def test_gather_gradient_matches_finite_differences(gradcheck_rows_pass):
     src = np.random.default_rng(2).uniform(-2, 2, size=(5, 3))
     idx = np.array([0, 4, 4, 2, 5, 1])        # 5 is the shadow row
     padded = np.vstack([src, np.zeros((1, 3))])
-    assert np.array_equal(gather_rows(Tensor(src), idx).data, padded[idx])
+    assert np.array_equal(gather_rows(Tensor(src), RowMap(idx, 5)).data, padded[idx])
     gradcheck_rows_pass("tensor", "gather_rows")
 
 
@@ -164,7 +169,7 @@ def test_scatter_mean_forward_and_gradient(gradcheck_rows_pass):
     group = np.array([0, 0, 1, 3, 3, 3])      # group 2 stays empty and reads 0
     counts = np.maximum(np.bincount(group, minlength=4), 1)[:, None]
     want = add_at_rows(group, src, 4) / counts
-    assert np.array_equal(scatter_mean(Tensor(src), group, 4).data, want)
+    assert np.array_equal(scatter_mean(Tensor(src), RowMap(group, 4)).data, want)
     gradcheck_rows_pass("tensor", "scatter_mean")
 
 
@@ -174,7 +179,7 @@ def test_gather_rows_backward_with_shadow_index_equals_add_at():
     proj = rng.normal(size=(200, 3))
     with Tape():
         src = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-        backward(sum_(ad.mul(gather_rows(src, index), Tensor(proj))))
+        backward(sum_(ad.mul(gather_rows(src, RowMap(index, 8)), Tensor(proj))))
     real = index < 8
     assert np.any(~real)
     assert np.array_equal(src.grad, add_at_rows(index[real], proj[real], 8))
@@ -262,7 +267,7 @@ def test_gather_rows_without_shadow_index_equals_add_at(n_index):
     proj = rng.normal(size=(n_index, 3))
     with Tape():
         src = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-        out = gather_rows(src, index)
+        out = gather_rows(src, RowMap(index, 8))
         backward(ad.add(sum_(ad.mul(out, Tensor(proj))), sum_(src)))
     assert out.shape == (n_index, 3) and np.array_equal(out.data, src.data[index])
     assert np.array_equal(src.grad, add_at_rows(index, proj, 8) + 1.0)

@@ -52,6 +52,23 @@ def test_register_too_sparse_cloud_exits_with_data_error(tmp_path):
     assert not (tmp_path / "pose.json").exists()
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_register_on_a_non_finite_ply_position_exits_with_data_error(tmp_path, fmt, capsys):
+    cloud = collapsing_cloud()
+    save_ply(cloud, tmp_path / "intra.ply")
+    header = ("ply\nformat {} 1.0\nelement vertex 2\nproperty double x\n"
+              "property double y\nproperty double z\nend_header\n").format(fmt)
+    body = (b"0 0 0\n1e400 0 0\n" if fmt == "ascii"
+            else np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]).tobytes())
+    (tmp_path / "pre.ply").write_bytes(header.encode("ascii") + body)
+    code = main(["register", "--pre", str(tmp_path / "pre.ply"),
+                 "--intra", str(tmp_path / "intra.ply"),
+                 "--out", str(tmp_path / "pose.json"), "--baseline", "icp"])
+    assert code == EXIT_DATA
+    assert "malformed PLY at byte" in capsys.readouterr().err
+    assert not (tmp_path / "pose.json").exists()
+
+
 def test_register_on_collinear_clouds_exits_with_numeric_error(tmp_path, capsys):
     """Points on one line build a pyramid, but every pose hypothesis fitted
     to them is rank-deficient: registration fails and no pose is written."""

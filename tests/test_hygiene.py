@@ -175,6 +175,26 @@ def test_add_at_scan_sees_calls_not_prose():
     assert _add_at_calls(tree) == [2]
 
 
+def _id_calls(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "id"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_id_calls(path):
+    """No ``id()``: a table keyed by it hands out a stale entry once its key
+    object is freed and a new object reuses the id.  What a step derives
+    from a sample alone lives on the sample's own objects."""
+    lines = _id_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} calls id() on lines {lines}"
+
+
+def test_id_scan_sees_calls_not_prose_or_attributes():
+    tree = ast.parse('"""id(x) in a docstring"""\nkey = id(x)\nrow.id(x)\nsample_id(x)\n'
+                     "{id(p): p for p in ps}\n")
+    assert _id_calls(tree) == [2, 5]
+
+
 def _finite_difference_calls(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
             and (node.func.id if isinstance(node.func, ast.Name)

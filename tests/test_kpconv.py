@@ -155,6 +155,19 @@ def test_kpconv_forward_equals_gather_matmul_expression():
     assert np.all(np.abs(mixed - dense) <= terms * EPS * abs_sum)
 
 
+def test_influence_transpose_is_a_view_of_the_operator():
+    """The feature gradient's A.T is built once per operator and copies
+    nothing: a CSC matrix over the CSR matrix's own three arrays."""
+    ctx = build_context(surface_cloud(np.random.default_rng(9), 300), TINY_REG)
+    for infl in ctx.influences:
+        a, t = infl.matrix, infl.transposed
+        assert t.format == "csc" and t.shape == a.shape[::-1]
+        for part in ("data", "indices", "indptr"):
+            mine, theirs = getattr(t, part), getattr(a, part)
+            assert np.shares_memory(mine, theirs) and mine.nbytes == theirs.nbytes, part
+        assert (t != a.T).nnz == 0
+
+
 def test_kpconv_feats_gradient_equals_add_at_backward():
     sample = generate_phantom(PhantomConfig(seed=4, n_vertebrae=2, points_pre=1024,
                                             points_intra=512))
@@ -162,8 +175,10 @@ def test_kpconv_feats_gradient_equals_add_at_backward():
     ctx = build_context(sample.intraoperative, replace(TINY_REG, max_neighbors=64))
     rng = np.random.default_rng(15)
     shadow_slots = 0
-    for level, (infl, nbr) in enumerate(zip(ctx.influences, ctx.pyramid.neighbors)):
-        ns = len(ctx.pyramid.levels[level])
+    for level, infl in enumerate(ctx.influences):
+        lvl = ctx.pyramid.levels[level]
+        nbr = radius_neighbors(lvl, ctx.pyramid.radii[level], 64)
+        ns = len(lvl)
         k = infl.matrix.shape[0] // ns
         w0 = rng.normal(size=(k, 3, 2))
         proj = rng.normal(size=(ns, 2))
@@ -233,39 +248,42 @@ def test_kpconv_mask_gating_is_additive_and_local():
 def test_pyramid_level0_identity_when_sparse():
     cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0],
                                  [1.0, 1.0, 0], [0, 0, 1.0], [1, 1, 1.0]]) * 2)
-    pyr = build_pyramid(cloud, 2, 0.5, 2.5, 30)
+    pyr = build_pyramid(cloud, 2, 0.5, 2.5)
     assert len(pyr.levels[0]) == len(cloud)
 
 
 def test_pyramid_strictly_coarsens_dense_clouds():
     rng = np.random.default_rng(4)
     cloud = PointCloud(rng.uniform(0, 1, size=(2000, 3)))
-    pyr = build_pyramid(cloud, 2, 0.2, 2.5, 30)
+    pyr = build_pyramid(cloud, 2, 0.2, 2.5)
     assert len(pyr.levels[1]) < len(pyr.levels[0])
 
 
 def test_pyramid_rejects_collapse():
     cloud = PointCloud(np.random.default_rng(5).uniform(0, 0.01, size=(50, 3)))
     with pytest.raises(ValueError, match="sparse"):
-        build_pyramid(cloud, 3, 0.04, 2.5, 30)
+        build_pyramid(cloud, 3, 0.04, 2.5)
 
 
 def test_pyramid_indices_match_brute_force():
     rng = np.random.default_rng(6)
     cloud = surface_cloud(rng, 1000, colors=False)
-    pyr = build_pyramid(cloud, 3, 0.08, 2.5, 30)
+    pyr = build_pyramid(cloud, 3, 0.08, 2.5)
     # pooling indices = voxel provenance recomputed independently
     for l in range(2):
         fine = pyr.levels[l]
         want, prov = voxel_grid_subsample(fine, 0.08 * 2.0 ** (l + 1))
-        np.testing.assert_array_equal(pyr.pools[l], prov)
+        np.testing.assert_array_equal(pyr.pools[l].index, prov)
         np.testing.assert_allclose(pyr.levels[l + 1].positions, want.positions)
         # upsampling: nearest coarse point per fine point
         for i in range(0, len(fine), 97):
             d = np.linalg.norm(pyr.levels[l + 1].positions - fine.positions[i], axis=1)
-            assert pyr.ups[l][i] == int(np.argmin(d))
-    # provenance is total
-    assert pyr.input_to_level0.shape[0] == len(cloud)
+            assert pyr.ups[l].index[i] == int(np.argmin(d))
+    # provenance is total, and each map counts its groups
+    assert pyr.input_to_level0.index.shape[0] == len(cloud)
+    for rows, n in zip(pyr.pools + pyr.ups, [len(lvl) for lvl in pyr.levels[1:]] * 2):
+        assert rows.n == n and not rows.shadow
+        assert np.array_equal(rows.divisor, np.maximum(np.bincount(rows.index, minlength=n), 1))
     assert np.all(pyr.fine_to_level(2) < len(pyr.levels[2]))
 
 
@@ -324,9 +342,10 @@ def test_seg_forward_shape_and_color_requirement():
     assert logits.shape == (300, 2)
 
     bare = PointCloud(cloud.positions)
-    ctx2 = build_context(bare, TINY_SEG)
     with pytest.raises(ValueError, match="colors"):
-        seg_forward(params, ctx2)
+        build_context(bare, TINY_SEG)
+    with pytest.raises(ValueError, match="constant input"):
+        seg_forward(params, build_context(bare, TINY_SEG, constant_input=False))
 
 
 def test_seg_forward_identical_points_identical_logits():
@@ -470,6 +489,26 @@ def test_column_sum_equals_np_sum_on_every_layout(layout):
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("net", ["seg", "reg"])
+def test_overflowing_convolution_raises_nonfinite_error_without_a_warning(net):
+    """Outside a training step no caller turns float warnings off, and pytest
+    turns a RuntimeWarning into an error, so none may fire first: the
+    segmentation net's first convolution reads the context's mix, the
+    registration backbone's one it forms from the point features."""
+    rng = np.random.default_rng(8)
+    cloud = surface_cloud(rng, 300)
+    cfg = TINY_SEG if net == "seg" else TINY_REG
+    params = init_weights(cfg, rng)
+    name = f"{net}_enc0_w"
+    params[name] = Tensor(np.full(params[name].shape, 1e308))
+    with pytest.raises(NonFiniteError):
+        if net == "seg":
+            seg_forward(params, build_context(cloud, cfg))
+        else:
+            reg_backbone_forward(params, build_context(cloud, cfg, constant_input=False),
+                                 Tensor(np.ones((300, 1))))
+
+
 def test_reg_backbone_zero_mask_zeroes_first_conv():
     rng = np.random.default_rng(11)
     cloud = surface_cloud(rng, 300, colors=False)
@@ -477,8 +516,7 @@ def test_reg_backbone_zero_mask_zeroes_first_conv():
     params = init_weights(TINY_REG, rng)
     from segreg.kpconv import kpconv_apply as raw_conv
     from segreg.autodiff import scatter_mean
-    feats0 = scatter_mean(Tensor(np.zeros((300, 1))), ctx.pyramid.input_to_level0,
-                          len(ctx.pyramid.levels[0]))
+    feats0 = scatter_mean(Tensor(np.zeros((300, 1))), ctx.pyramid.input_to_level0)
     first = raw_conv(ctx.influences[0], feats0, params["reg_enc0_w"])
     np.testing.assert_array_equal(first.data, np.zeros_like(first.data))
 
@@ -557,8 +595,7 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
     snapped_reg = RegNetConfig(widths=(2, 2, 4), initial_voxel=grid, max_neighbors=8)
     cases = []
     for cloud, cfg in ((sample.intraoperative, TINY_SEG), (snapped, snapped_reg)):
-        pyr = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel,
-                            cfg.base_radius_mult, cfg.max_neighbors)
+        pyr = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel, cfg.base_radius_mult)
         kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
         want = []
         for l, lvl in enumerate(pyr.levels):
@@ -580,9 +617,11 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
         for cloud, cfg, want in cases:
             ctx = build_context(cloud, cfg)
             for l, (nbr, ups, infl) in enumerate(want):
-                np.testing.assert_array_equal(ctx.pyramid.neighbors[l], nbr)
+                lvl = ctx.pyramid.levels[l]
+                np.testing.assert_array_equal(
+                    radius_neighbors(lvl, ctx.pyramid.radii[l], cfg.max_neighbors), nbr)
                 if ups is not None:
-                    np.testing.assert_array_equal(ctx.pyramid.ups[l], ups)
+                    np.testing.assert_array_equal(ctx.pyramid.ups[l].index, ups)
                 np.testing.assert_array_equal(expand_influence(ctx.influences[l], nbr),
                                               infl)
     assert len(fallback_rows) > 0
@@ -613,8 +652,9 @@ def test_influence_never_holds_a_full_float64_table():
     sample = generate_phantom(PhantomConfig(seed=1000))
     cfg = RegNetConfig()
     pyr = build_pyramid(sample.preoperative, len(cfg.widths), cfg.initial_voxel,
-                        cfg.base_radius_mult, cfg.max_neighbors)
-    pts, nbr, radius = pyr.levels[0].positions, pyr.neighbors[0], pyr.radii[0]
+                        cfg.base_radius_mult)
+    pts, radius = pyr.levels[0].positions, pyr.radii[0]
+    nbr = radius_neighbors(pyr.levels[0], radius, cfg.max_neighbors)
     offsets = neighbor_offsets(pts, nbr)
     args = (nbr, kernel_disposition(cfg.kernel_size, cfg.kernel_seed) * radius,
             radius / SIGMA_RATIO, local_reference_frames(offsets, nbr))
@@ -645,9 +685,9 @@ def test_context_tables_equal_previous_arithmetic_on_benchmark_phantoms(seed):
         for l, (lvl, radius) in enumerate(zip(pyr.levels, pyr.radii)):
             pts = lvl.positions
             nbr = k8_radius_neighbors(lvl, radius, cfg.max_neighbors)
-            assert np.array_equal(pyr.neighbors[l], nbr)
+            assert np.array_equal(radius_neighbors(lvl, radius, cfg.max_neighbors), nbr)
             if l + 1 < pyr.stages:
-                assert np.array_equal(pyr.ups[l], k8_knn(lvl, pyr.levels[l + 1]))
+                assert np.array_equal(pyr.ups[l].index, k8_knn(lvl, pyr.levels[l + 1]))
             frames = None
             if isinstance(cfg, RegNetConfig):
                 frames = einsum_local_reference_frames(pts, nbr)

@@ -26,6 +26,7 @@ from segreg.matching import (
     build_patches,
     coarse_loss,
     coarse_match,
+    coarse_targets,
     distance_histograms,
     fine_loss,
     fine_match,
@@ -49,6 +50,7 @@ from reference_ops import (
     loop_fine_match,
     loop_ground_truth,
     loop_superpoint_overlap_labels,
+    overlap_coarse_loss,
     scalar_weighted_procrustes,
     slack_normalize_2d,
 )
@@ -63,8 +65,15 @@ def surface_cloud(rng, n):
 
 def make_views(rng, n=600):
     cloud = surface_cloud(rng, n)
-    pyr = build_pyramid(cloud, 3, 0.08, 2.5, max_neighbors=16)
+    pyr = build_pyramid(cloud, 3, 0.08, 2.5)
     return build_patches(pyr, patch_size=24), pyr
+
+
+def overlap_of(prepared):
+    """The superpoint overlap that ``prepare_sample`` derived its targets
+    from; the prepared sample keeps only the targets."""
+    return superpoint_overlap_labels(prepared.pre_view, prepared.intra_view,
+                                     prepared.sample.T_gt)
 
 
 def members(view, b):
@@ -163,13 +172,13 @@ def test_coarse_match_truncates_excess_k():
 def test_geometric_bonus_is_rotation_invariant():
     rng = np.random.default_rng(4)
     cloud = surface_cloud(rng, 500)
-    pyr = build_pyramid(cloud, 3, 0.08, 2.5, max_neighbors=16)
+    pyr = build_pyramid(cloud, 3, 0.08, 2.5)
     view = build_patches(pyr, 24)
     h1 = distance_histograms(view)
 
     T = random_rigid(0.0, 170.0, rng)
     rotated = PointCloud(T.apply_points(cloud.positions))
-    pyr2 = build_pyramid(rotated, 3, 0.08, 2.5, max_neighbors=16)
+    pyr2 = build_pyramid(rotated, 3, 0.08, 2.5)
     view2 = build_patches(pyr2, 24)
     h2 = distance_histograms(view2)
     # same cloud rigidly moved: histogram sets should be near-identical up to
@@ -286,7 +295,7 @@ def test_fine_match_noise_descriptors_mostly_slack():
     rng = np.random.default_rng(6)
     pos = rng.normal(size=(4000, 3))
     pos /= np.linalg.norm(pos, axis=1, keepdims=True)  # true 2-D surface
-    pyr = build_pyramid(PointCloud(pos), 3, 0.08, 2.5, max_neighbors=16)
+    pyr = build_pyramid(PointCloud(pos), 3, 0.08, 2.5)
     view = build_patches(pyr, 24)
     n0 = view.fine_points.shape[0]
     desc = rng.normal(size=(n0, 16))
@@ -536,27 +545,36 @@ def test_coarse_loss_satisfied_margins_near_zero():
     # two superpoints: positives identical (d=0), negatives antipodal (d=2)
     feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
     overlap = np.eye(2)
-    loss = coarse_loss(Tensor(feats), Tensor(feats), overlap)
+    loss = coarse_loss(Tensor(feats), Tensor(feats), coarse_targets(overlap))
     assert loss.item() < 0.01
 
 
 def test_coarse_loss_equal_distances_strictly_positive():
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
     overlap = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = coarse_loss(Tensor(feats), Tensor(feats), overlap)
+    loss = coarse_loss(Tensor(feats), Tensor(feats), coarse_targets(overlap))
     assert loss.item() > 0.0
 
 
 def test_coarse_loss_requires_positives():
-    with pytest.raises(NoPositivePairsError):
-        coarse_loss(Tensor(np.eye(3)), Tensor(np.eye(3)), np.zeros((3, 3)))
+    """Targets build for any overlap; the loss raises.  With no positive
+    cell, and with positives whose every row and column lacks a negative
+    (a full overlap band), no anchor scores."""
+    no_positives = coarse_targets(np.zeros((3, 3)))
+    with pytest.raises(NoPositivePairsError, match="no positive"):
+        coarse_loss(Tensor(np.eye(3)), Tensor(np.eye(3)), no_positives)
+    no_anchors = coarse_targets(np.full((3, 3), 0.5))
+    assert no_anchors.positives == 9
+    assert all(axis.anchors.size == 0 for axis in no_anchors.axes)
+    with pytest.raises(NoPositivePairsError, match="no anchor"):
+        coarse_loss(Tensor(np.eye(3)), Tensor(np.eye(3)), no_anchors)
 
 
 def test_coarse_loss_overflowing_similarity_raises_nonfinite():
     # pytest turns a RuntimeWarning into an error, so none may fire first
     feats = np.full((2, 3), 1e200)
     with pytest.raises(NonFiniteError):
-        coarse_loss(Tensor(feats), Tensor(-feats), np.eye(2))
+        coarse_loss(Tensor(feats), Tensor(-feats), coarse_targets(np.eye(2)))
 
 
 def circle_loss_reference(pre, intra, overlap):
@@ -594,7 +612,7 @@ def phantom_superpoint_features():
     inputs = (np.ones((len(sample.preoperative), 1)), sample.gt_mask.reshape(-1, 1))
     pre, intra = (l2_normalize_rows(reg_backbone_forward(params, ctx, Tensor(x))[0]).data
                   for ctx, x in zip((prepared.reg_ctx_pre, prepared.reg_ctx_intra), inputs))
-    return pre, intra, prepared.overlap
+    return pre, intra, overlap_of(prepared)
 
 
 @pytest.mark.parametrize("features", [gradcheck_toy_features, phantom_superpoint_features])
@@ -603,10 +621,45 @@ def test_coarse_loss_is_one_node_equal_to_the_numpy_circle_loss(features):
     tape = Tape()
     with tape:
         loss = coarse_loss(Tensor(pre, requires_grad=True), Tensor(intra, requires_grad=True),
-                           overlap)
+                           coarse_targets(overlap))
         assert len(tape) == 1
     assert loss.item() == pytest.approx(circle_loss_reference(pre, intra, overlap),
                                         rel=1e-12, abs=0)
+
+
+def dense_band_features():
+    """Random unit features and an overlap with many positives per row and
+    column, so each positive row sum adds several terms in its pairwise
+    order, plus a row and a column with positives but no negative, a row
+    with no positive, and an ignored band."""
+    rng = np.random.default_rng(23)
+    m, n = 37, 41
+    overlap = np.where(rng.random((m, n)) < 0.3, rng.uniform(0.11, 1.0, (m, n)), 0.0)
+    overlap[rng.random((m, n)) < 0.05] = 0.07
+    overlap[3] = rng.uniform(0.2, 1.0, n)
+    overlap[:, 5] = rng.uniform(0.2, 1.0, m)
+    overlap[7] = 0.0
+    pre, intra = (l2_normalize_rows(Tensor(rng.normal(size=(k, 8)))).data for k in (m, n))
+    return pre, intra, overlap
+
+
+@pytest.mark.parametrize("features", [gradcheck_toy_features, phantom_superpoint_features,
+                                      dense_band_features])
+def test_coarse_loss_from_targets_equals_the_overlap_reference_bit_for_bit(features):
+    """The loss read from targets built once, and both feature gradients,
+    are the bits of the circle loss that derives everything from the
+    overlap at every call."""
+    pre, intra, overlap = features()
+    results = []
+    for loss_fn, targets in ((coarse_loss, coarse_targets(overlap)),
+                             (overlap_coarse_loss, overlap)):
+        feats = Tensor(pre, requires_grad=True), Tensor(intra, requires_grad=True)
+        with Tape():
+            loss = loss_fn(*feats, targets)
+            backward(loss)
+        results.append((loss.data, feats[0].grad, feats[1].grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
 
 
 def test_coarse_loss_gradcheck(gradcheck_rows_pass):
@@ -677,7 +730,7 @@ def test_fine_loss_gradcheck(gradcheck_rows_pass):
 def test_dual_loss_additivity():
     from segreg.matching import DualLoss
     feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    c = coarse_loss(Tensor(feats), Tensor(feats), np.eye(2))
+    c = coarse_loss(Tensor(feats), Tensor(feats), coarse_targets(np.eye(2)))
     f = fine_loss(uniform_stack([4], [6], 6), np.array([[0, 1, -1, -1, -1, -1]]), [4], [6])
     dual = DualLoss(ad.add(c, f), c, f)
     assert dual.total.item() == pytest.approx(dual.coarse.item() + dual.fine.item(), abs=1e-12)
@@ -701,11 +754,13 @@ def lattice_sample():
     """A 16 x 16 x 4 lattice (spacing 1/32, one point per level-0 voxel) and
     its copy shifted half a spacing along x.  Truncated patches cut through
     tied distances, each pre point has two nearest intra points, and each
-    intra point is nearest to two pre points."""
+    intra point is nearest to two pre points.  The intra copy is grey, as
+    the segmentation context reads its colors."""
     s = 1.0 / 32
     g = np.arange(16) * s
     pts = np.stack(np.meshgrid(g, g, g[:4], indexing="ij"), axis=-1).reshape(-1, 3)
-    return RegistrationSample(PointCloud(pts), PointCloud(pts + [s / 2, 0.0, 0.0]),
+    intra = PointCloud(pts + [s / 2, 0.0, 0.0], colors=np.full(pts.shape, 0.5))
+    return RegistrationSample(PointCloud(pts), intra,
                               RigidTransform.identity(), np.zeros((3, 3)),
                               np.zeros(len(pts), dtype=np.int64), 1.0, np.zeros(3),
                               PhantomConfig())
@@ -742,7 +797,7 @@ def test_patch_table_holds_the_loop_patches(patch_case):
 def test_lattice_truncation_cuts_through_tied_distances():
     reg, size = RegNetConfig(), PATCH_CASES["lattice"][2].patch_size
     pyr = build_pyramid(lattice_sample().preoperative, len(reg.widths), reg.initial_voxel,
-                        reg.base_radius_mult, reg.max_neighbors)
+                        reg.base_radius_mult)
     first = pyr.fine_to_level(pyr.stages - 1) == 0
     d = np.sort(np.linalg.norm(pyr.levels[0].positions[first] - pyr.levels[-1].positions[0],
                                axis=1))
@@ -759,7 +814,7 @@ def test_overlap_and_ground_truth_equal_loop_reference(patch_case):
     prepared, (pre, intra) = patch_case
     T = prepared.sample.T_gt
     overlap = loop_superpoint_overlap_labels(pre, intra, T, OVERLAP_PATCH_RADIUS)
-    assert np.array_equal(prepared.overlap, overlap)
+    assert np.array_equal(overlap_of(prepared), overlap)
     fine_pairs, gt_fine = loop_ground_truth(pre, intra, overlap, T, POSITIVE_OVERLAP,
                                             RegNetConfig().initial_voxel)
     gt_cols = np.full((len(fine_pairs), prepared.pre_view.patch_indices.shape[1]), -1)
@@ -779,8 +834,9 @@ def test_fine_match_equals_loop_reference(patch_case):
     nearest = cKDTree(moved).query(prepared.intra_view.fine_points)[1]
     dense_pre = 3.0 * rng.normal(size=(len(moved), 16))
     dense_intra = dense_pre[nearest] + 0.3 * rng.normal(size=(len(nearest), 16))
-    top = np.argsort(-prepared.overlap, axis=None, kind="stable")[:64]
-    pairs = np.stack(np.unravel_index(top, prepared.overlap.shape), axis=1)
+    overlap = overlap_of(prepared)
+    top = np.argsort(-overlap, axis=None, kind="stable")[:64]
+    pairs = np.stack(np.unravel_index(top, overlap.shape), axis=1)
     got = fine_match(dense_pre, dense_intra, pairs, prepared.pre_view, prepared.intra_view)
     want = loop_fine_match(dense_pre, dense_intra, pairs, prepared.pre_view,
                            prepared.intra_view)

@@ -311,6 +311,24 @@ def test_ply_rejects_an_ascii_token_that_is_not_a_number_of_its_type(tmp_path, k
         load_ply(path)
 
 
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "inf", "nan"])
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_ply_rejects_a_non_finite_position_in_either_encoding(tmp_path, fmt, token):
+    """A double token past the float64 range parses to inf, and inf and nan
+    parse as themselves; each loaded silently, so that only ``PointCloud``
+    rejected it, without the byte offset."""
+    props = [("double", "x"), ("double", "y"), ("double", "z")]
+    rows = [(0.0, 1.0, 2.0), (3.0, token if fmt == "ascii" else float(token), 5.0)]
+    data = ply_bytes(fmt, props, rows)
+    path = tmp_path / "bad.ply"
+    path.write_bytes(data)
+    payload = data.index(b"end_header\n") + len(b"end_header\n")
+    at = payload if fmt == "ascii" else payload + 24      # the second vertex
+    with pytest.raises(ValueError, match=f"^malformed PLY at byte {at}: "
+                                         "vertex 1 has a non-finite position"):
+        load_ply(path)
+
+
 # -- pose files --------------------------------------------------------------
 
 def test_pose_round_trip_identity_and_random(tmp_path):

@@ -6,7 +6,11 @@ import pytest
 
 from segreg import pipeline
 from segreg.evaluation import tre
-from segreg.matching import POSITIVE_OVERLAP, ground_truth_patch_matches
+from segreg.matching import (
+    POSITIVE_OVERLAP,
+    ground_truth_patch_matches,
+    superpoint_overlap_labels,
+)
 from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import init_params
@@ -76,10 +80,11 @@ def test_prepare_sample_ground_truth_invariants():
         owner = np.full(n0, -1)
         owner[view.patch_indices[members]] = np.nonzero(members)[0]
         assert np.array_equal(view.fine_to_sp, owner)
-    assert prepared.overlap.shape == (len(pre.points), len(intra.points))
-    assert np.all((prepared.overlap >= 0.0) & (prepared.overlap <= 1.0))
+    overlap = superpoint_overlap_labels(pre, intra, sample.T_gt)
+    assert overlap.shape == (len(pre.points), len(intra.points))
+    assert np.all((overlap >= 0.0) & (overlap <= 1.0))
 
-    positive = np.argwhere(prepared.overlap > POSITIVE_OVERLAP)
+    positive = np.argwhere(overlap > POSITIVE_OVERLAP)
     every = ground_truth_patch_matches(pre, intra, positive, sample.T_gt,
                                        reg.initial_voxel)
     assert every.shape == (len(positive), match.patch_size)
@@ -104,7 +109,8 @@ def corrupted_matches(prepared, rng):
     all with unit weight; the fine matches in ``fine_match``'s order."""
     pre, intra = prepared.pre_view, prepared.intra_view
     good = rng.choice(len(prepared.gt_pairs), size=10, replace=False)
-    disjoint = np.argwhere(prepared.overlap == 0)
+    overlap = superpoint_overlap_labels(pre, intra, prepared.sample.T_gt)
+    disjoint = np.argwhere(overlap == 0)
     bad = disjoint[rng.choice(len(disjoint), size=38, replace=False)]
     slots = [(np.flatnonzero(cols >= 0), cols[cols >= 0]) for cols in prepared.gt_cols[good]]
     for a, b in bad:

@@ -1,6 +1,8 @@
 """Training loop: the dual loss's registration gradients match finite
 differences, divergence is reported as TrainingDiverged, the fused tape nodes
-train exactly as the composed operations they replace, a run resumed from a
+train exactly as the composed operations they replace, a step that reads
+what its prepared sample holds equals one that derives it again, a sample
+without positive superpoint pairs skips its steps, a run resumed from a
 mid-run checkpoint ends exactly where an unbroken run does, two-step phase 2
 computes each sample's frozen mask once, the loss curve records the pre-clip
 gradient norm, and the learning-rate and temperature schedules follow their
@@ -16,7 +18,8 @@ import pytest
 from segreg import autodiff, matching, networks, pipeline, training
 from segreg.autodiff import Tape, Tensor, backward
 from segreg.fileio import load_checkpoint, save_checkpoint
-from segreg.gumbel import straight_through_mask
+from segreg.geometry import RigidTransform
+from segreg.gumbel import hard_mask, straight_through_mask
 from segreg.phantom import PhantomConfig, generate_phantom
 from segreg.training import TrainConfig, TrainingDiverged, train
 from reference_ops import (
@@ -24,6 +27,8 @@ from reference_ops import (
     composed_linear_head,
     composed_norm_act,
     composed_normalize_scores_with_slack,
+    per_step_seg_forward,
+    per_step_training_loss,
 )
 
 
@@ -126,6 +131,82 @@ def test_fused_nodes_train_exactly_as_composed_ops(mode, monkeypatch):
     assert fused.params.keys() == composed.params.keys()
     for name, param in fused.params.items():
         assert np.array_equal(param.data, composed.params[name].data), name
+
+
+@pytest.fixture(scope="module")
+def train_phantoms():
+    """The benchmark's ``train`` phantoms at seed 0, prepared with ground
+    truth, and their superpoint overlaps."""
+    configs = networks.SegNetConfig(), networks.RegNetConfig(), pipeline.MatcherConfig()
+    prepared = [pipeline.prepare_sample(generate_phantom(PhantomConfig(seed=2000 + i)),
+                                        *configs) for i in range(4)]
+    overlaps = [matching.superpoint_overlap_labels(p.pre_view, p.intra_view, p.sample.T_gt)
+                for p in prepared]
+    return prepared, overlaps
+
+
+def one_step(mode, prepared, seg_forward, loss_fn):
+    """The loss and every parameter gradient of one step of ``mode`` on
+    ``prepared``, from fresh seed-0 parameters and a fresh seed-5 generator,
+    with ``seg_forward`` and ``loss_fn(params, prepared, mask, rng)``."""
+    params = training.init_params(networks.SegNetConfig(), networks.RegNetConfig(), 0)
+    rng = np.random.default_rng(5)
+    frozen = None
+    if mode == "two_step_phase2":
+        frozen = Tensor(hard_mask(seg_forward(params, prepared.seg_ctx)).astype(np.float64)
+                        .reshape(-1, 1))
+    with Tape():
+        if mode == "two_step_phase1":
+            loss = pipeline.segmentation_cross_entropy(seg_forward(params, prepared.seg_ctx),
+                                                       prepared.sample.gt_mask)
+        else:
+            mask = frozen
+            if mode == "end_to_end":
+                mask, _ = straight_through_mask(seg_forward(params, prepared.seg_ctx), 1.0, rng)
+            loss = loss_fn(params, prepared, mask, rng).total
+        backward(loss)
+    return loss.data, {name: p.grad for name, p in params.items()}
+
+
+@pytest.mark.parametrize("mode", ["end_to_end", "two_step_phase1", "two_step_phase2"])
+def test_step_on_prepared_constants_equals_the_per_step_reference_bit_for_bit(
+        mode, train_phantoms):
+    """A step reads the circle loss's targets, the fixed inputs and their
+    level-0 mixes from the prepared sample; the reference derives them from
+    the overlap and the clouds at every step.  Losses and gradients agree
+    to the bit on every benchmark training phantom."""
+    prepared, overlaps = train_phantoms
+    for p, overlap in zip(prepared, overlaps):
+        loss, grads = one_step(mode, p, networks.seg_forward,
+                               lambda *args: pipeline.training_loss(*args, 12))
+        want_loss, want = one_step(mode, p, per_step_seg_forward,
+                                   lambda *args: per_step_training_loss(*args[:2], overlap,
+                                                                        *args[2:], 12))
+        assert np.array_equal(loss, want_loss)
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert (g is None) == (want[name] is None), name
+            assert g is None or np.array_equal(g, want[name]), name
+
+
+def test_sample_without_positive_pairs_skips_its_steps():
+    """A pose that puts the clouds apart leaves no superpoint overlap:
+    preparing the sample works, its step raises ``NoPositivePairsError``,
+    and a run records NaN rows for its steps and trains on."""
+    sample = tiny_phantom()
+    apart = dataclasses.replace(sample, T_gt=RigidTransform(np.eye(3), np.array([10.0, 0, 0])))
+    configs = networks.SegNetConfig(), networks.RegNetConfig(), pipeline.MatcherConfig()
+    prepared = [pipeline.prepare_sample(s, *configs) for s in (sample, apart)]
+    assert prepared[1].targets.positives == 0 and len(prepared[1].gt_pairs) == 0
+    params = training.init_params(*configs[:2], 0)
+    mask = Tensor(np.ones((len(apart.intraoperative), 1)))
+    with Tape(), pytest.raises(matching.NoPositivePairsError, match="no positive"):
+        pipeline.training_loss(params, prepared[1], mask, np.random.default_rng(0), 12)
+    cfg = TrainConfig(lr0=1e-3, warmup_iters=0, total_iters=6, checkpoint_every=0, seed=1)
+    result = train([sample, apart], cfg, prepared=prepared)
+    skipped = [np.isnan(row[2]) for row in result.curve]
+    assert len(result.curve) == 6 and any(skipped) and not all(skipped)
+    assert all(np.isnan(row[2:]).all() == s for row, s in zip(result.curve, skipped))
 
 
 class Interrupted(Exception):
