@@ -163,16 +163,16 @@ def _seg_rows(rng):
 def _reg_pair_rows(rng):
     """Two clouds through one registration parameter set, as
     ``pipeline._pair_forward`` runs them, so each node's gradients add into
-    shared weights; the second cloud's point features are an input too."""
+    shared weights; the second cloud's held point features are an input too."""
     ctxs = [build_context(_surface(rng, 40), _TOY_REG),
-            build_context(_surface(rng, 30), _TOY_REG, constant_input=False)]
+            build_context(_surface(rng, 30), _TOY_REG)]
     params = init_weights(_TOY_REG, rng)
     names = sorted(params)
 
     def reg_pair(t):
         shared = dict(zip(names, t))
         outs = [*reg_backbone_forward(shared, ctxs[0]),
-                *reg_backbone_forward(shared, ctxs[1], t[-1])]
+                *reg_backbone_forward(shared, ctxs[1].holding(t[-1]))]
         return ad.concat([ad.reshape(o, (1, o.size)) for o in outs])
 
     return [("reg_pair_all_params", 1e-5,

@@ -294,10 +294,10 @@ def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor,
     flattened weights; the backward is that GEMM's two products and one
     transposed sparse product for the features.  Differentiable in feats
     and weights only.  ``mixed`` is the sparse product when the caller
-    already holds it: a network context builds it once for an input that
-    never changes (``networks.BackboneContext.input_mix``).  Both products
-    run with float warnings off, so an overflow raises ``NonFiniteError``
-    and not a ``RuntimeWarning``.
+    already holds it: a network context forms it once for an input that
+    needs no gradient (``networks.BackboneContext.input_mix``).  Both
+    products run with float warnings off, so an overflow raises
+    ``NonFiniteError`` and not a ``RuntimeWarning``.
     """
     a = influence.matrix
     n = a.shape[1]
@@ -350,7 +350,6 @@ class PointPyramid:
     pools: list[RowMap]
     ups: list[RowMap]
     input_to_level0: RowMap
-    input_cloud: PointCloud
 
     @property
     def stages(self) -> int:
@@ -391,4 +390,4 @@ def build_pyramid(cloud: PointCloud, stages: int, initial_voxel: float,
         levels.append(nxt)
         voxels.append(voxel)
     radii = [base_radius_mult * v for v in voxels]
-    return PointPyramid(levels, radii, pools, ups, RowMap(input_prov, len(level0)), cloud)
+    return PointPyramid(levels, radii, pools, ups, RowMap(input_prov, len(level0)))

@@ -242,7 +242,8 @@ def patch_scores(dense_pre: Tensor, dense_intra: Tensor, pre_view: PatchedSuperp
     tables = (pre_view.patch_indices[pairs[:, 0]], intra_view.patch_indices[pairs[:, 1]])
     rows, cols = (_patch_rows(t.data, table) for t, table in zip(dense, tables))
     scale = 1.0 / np.sqrt(dense_pre.shape[1])
-    out = np.pad((rows @ cols.transpose(0, 2, 1)) * scale, ((0, 0), (0, 1), (0, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+        out = np.pad((rows @ cols.transpose(0, 2, 1)) * scale, ((0, 0), (0, 1), (0, 1)))
 
     def bwd(g):
         gs = g[:, :-1, :-1] * scale
@@ -253,6 +254,7 @@ def patch_scores(dense_pre: Tensor, dense_intra: Tensor, pre_view: PatchedSuperp
     return ad.record_custom(out, dense_pre.requires_grad or dense_intra.requires_grad, bwd)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def normalize_scores_with_slack(scores: Tensor, n_rows: np.ndarray, n_cols: np.ndarray,
                                 augment_slack: bool = False) -> Tensor:
     """Normalize a (K, R+1, C+1) stack of slack-padded score matrices.
@@ -272,7 +274,8 @@ def normalize_scores_with_slack(scores: Tensor, n_rows: np.ndarray, n_cols: np.n
     exp / mask / sum / pad offset / div / expand / mul chain in the same order
     and checks every intermediate for finiteness; the backward replays that
     chain's backward in reverse tape order, so values and gradients are
-    bit-identical to it.
+    bit-identical to it.  With float warnings off, an overflow, or a real row or
+    column whose exponentials all underflow, raises ``NonFiniteError``.
     """
     _, nr, nc = scores.shape
     row_target = 1.0 * (np.arange(nr) < np.reshape(n_rows, (-1, 1)))[:, :, None]

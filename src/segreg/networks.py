@@ -10,13 +10,14 @@ leaky ReLU of slope ``LEAKY_SLOPE``, the same in both networks; batch size is
 always 1.  Normalization and each linear layer (``feats @ w + b``) are one
 tape node apiece, bit-identical to the elementary operations they replace.
 
-The segmentation network consumes [r, g, b, 1] input features and emits
-2-class logits at the raw input resolution.  The registration backbone
-consumes a single per-point feature (constant 1 for the preoperative cloud,
-the straight-through mask for the intraoperative one) and returns bottleneck
-superpoint features plus dense decoder features; the same parameters process
-both clouds.  An input that never changes is pooled and mixed once, into
-the cloud's context (:func:`build_context`).
+Each network reads its input from the cloud's :class:`BackboneContext`,
+which :func:`build_context` builds holding the network's constant input and
+:meth:`BackboneContext.holding` makes hold another.  The segmentation network
+reads [r, g, b, 1] and emits 2-class logits at the raw input resolution.  The
+registration backbone reads one per-point feature (ones for the preoperative
+cloud, the segmentation mask for the intraoperative one) and returns
+bottleneck superpoint features plus dense decoder features; the same
+parameters process both clouds.
 
 Configs hold the four values callers set (``widths``, one per stage,
 ``width_factor``, ``initial_voxel``, ``max_neighbors``); the rest are class
@@ -25,7 +26,7 @@ constants.  ``param_shapes`` lists every parameter's name and shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -104,30 +105,37 @@ class RegNetConfig(_NetConfig):
     level0_head: ClassVar[tuple] = ("reg_dense", DENSE_DIM)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackboneContext:
-    """What a network's forward reads of one cloud, built once per cloud.
+    """What a network's forward reads of one cloud: its geometry, built once
+    per cloud, and the input it holds.
 
     ``influences[l]`` is :func:`~segreg.kpconv.conv_influence` of pyramid
-    level l against itself.  When the network's input on this cloud never
-    changes (the segmentation net's [r, g, b, 1], the registration
-    backbone's ones on the preoperative cloud), ``input_feats`` holds it
-    averaged onto level 0 and ``input_mix`` its level-0 product
+    level l against itself.  ``input_feats`` is the network's per-point
+    input averaged onto level 0.  ``input_mix`` is its level-0 product
     A @ input_feats read as (N0, K*Cin), the first half of the level-0
-    convolution; otherwise both are None.  Both are computed by the
-    operations a forward would run on that input, so the forward that reads
-    them gets the same bits and differs only in not repeating them.
+    convolution, when the input needs no gradient; an input on the tape is
+    mixed by its forward, and ``input_mix`` is None.  Both are computed by
+    the operations the convolution would run, so a forward that reads them
+    gets the same bits as one that forms them.
     """
 
     pyramid: PointPyramid
     influences: list[InfluenceOperator]
-    input_feats: Tensor | None
+    input_feats: Tensor
     input_mix: np.ndarray | None
+
+    def holding(self, x: Tensor) -> BackboneContext:
+        """This context's geometry holding the per-input-point ``x``."""
+        feats = ad.scatter_mean(x, self.pyramid.input_to_level0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+            mix = None if feats.requires_grad else self.influences[0].mix(feats.data)
+        return replace(self, input_feats=feats, input_mix=mix)
 
 
 def _constant_input(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> np.ndarray:
-    """The per-point input that ``cfg``'s network reads when it is fixed:
-    [r, g, b, 1] for segmentation, a constant 1 for registration."""
+    """The constant per-point input of ``cfg``'s network, which a built
+    context holds: [r, g, b, 1] for segmentation, ones for registration."""
     ones = np.ones((len(cloud), 1))
     if cfg.in_channels == 1:
         return ones
@@ -136,13 +144,11 @@ def _constant_input(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> np.n
     return np.hstack([cloud.colors, ones])
 
 
-def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig,
-                  constant_input: bool = True) -> BackboneContext:
+def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> BackboneContext:
     """Precompute the pyramid and influence operators for one input cloud,
-    and with ``constant_input`` the network's fixed input on it (see
-    :class:`BackboneContext`); the intraoperative registration input, the
-    mask, changes per step and is built without.  Each level's radius
-    table is built, read by its frames and influence, and dropped."""
+    holding ``cfg``'s constant input on it (see :class:`BackboneContext`).
+    Each level's radius table is built, read by its frames and influence,
+    and dropped."""
     pyramid = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel, cfg.base_radius_mult)
     kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
     influences = []
@@ -152,12 +158,8 @@ def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig,
         frames = local_reference_frames(offsets, nbr) if cfg.local_frames else None
         influences.append(conv_influence(offsets, nbr, kernel * radius,
                                          radius / SIGMA_RATIO, frames=frames))
-    input_feats = input_mix = None
-    if constant_input:
-        input_feats = ad.scatter_mean(Tensor(_constant_input(cloud, cfg)),
-                                      pyramid.input_to_level0)
-        input_mix = influences[0].mix(input_feats.data)
-    return BackboneContext(pyramid, influences, input_feats, input_mix)
+    return BackboneContext(pyramid, influences, None, None).holding(
+        Tensor(_constant_input(cloud, cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +314,16 @@ def _linear_head(params, name, feats: Tensor) -> Tensor:
     return ad.record_custom(out, feats.requires_grad or w.requires_grad or b.requires_grad, bwd)
 
 
-def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor,
-                   mixed0: np.ndarray | None) -> tuple[Tensor, Tensor]:
-    """Shared U-Net walk from the level-0 input ``feats0`` and, when the
-    context holds it, its level-0 mix; returns (bottleneck features,
-    level-0 features)."""
+def _encode_decode(params, prefix, ctx: BackboneContext) -> tuple[Tensor, Tensor]:
+    """Shared U-Net walk from the context's input; returns (bottleneck
+    features, level-0 features)."""
     pyr = ctx.pyramid
     skips: list[Tensor] = []
-    feats = feats0
+    feats = ctx.input_feats
     for l in range(pyr.stages):
         name = f"{prefix}_enc{l}"
         conv = kpconv_apply(ctx.influences[l], feats, params[f"{name}_w"],
-                            mixed0 if l == 0 else None)
+                            ctx.input_mix if l == 0 else None)
         feats = _norm_act(params, name, conv)
         if l < pyr.stages - 1:
             skips.append(feats)
@@ -336,35 +336,20 @@ def _encode_decode(params, prefix, ctx: BackboneContext, feats0: Tensor,
     return bottleneck, feats
 
 
-def _context_input(ctx: BackboneContext) -> tuple[Tensor, np.ndarray]:
-    if ctx.input_feats is None:
-        raise ValueError("the context was built without its network's constant input")
-    return ctx.input_feats, ctx.input_mix
-
-
 def seg_forward(params: dict[str, Tensor], ctx: BackboneContext) -> Tensor:
     """Per-point 2-class logits at the raw input resolution, from the
-    context's [r, g, b, 1] input."""
-    _, level0 = _encode_decode(params, "seg", ctx, *_context_input(ctx))
+    context's input ([r, g, b, 1] as built)."""
+    _, level0 = _encode_decode(params, "seg", ctx)
     logits = _linear_head(params, "seg_head", level0)
     return ad.gather_rows(logits, ctx.pyramid.input_to_level0)
 
 
-def reg_backbone_forward(params: dict[str, Tensor], ctx: BackboneContext,
-                         point_features: Tensor | None = None) -> tuple[Tensor, Tensor]:
-    """Superpoint features from the bottleneck and dense decoder features.
-
-    ``point_features`` is (N_input, 1), or None for the context's constant
-    input (the preoperative cloud's ones); the same ``params`` must be used
-    for both clouds of a pair (shared encoder-decoder).
-    """
-    if point_features is None:
-        inputs = _context_input(ctx)
-    elif point_features.shape[0] != len(ctx.pyramid.input_cloud):
-        raise ValueError("point features must cover every input point")
-    else:
-        inputs = ad.scatter_mean(point_features, ctx.pyramid.input_to_level0), None
-    bottleneck, level0 = _encode_decode(params, "reg", ctx, *inputs)
+def reg_backbone_forward(params: dict[str, Tensor], ctx: BackboneContext) -> tuple[Tensor, Tensor]:
+    """Superpoint features from the bottleneck and dense decoder features,
+    from the context's input (ones as built, or the mask it holds); the same
+    ``params`` must be used for both clouds of a pair (shared
+    encoder-decoder)."""
+    bottleneck, level0 = _encode_decode(params, "reg", ctx)
     superpoints = _linear_head(params, "reg_sp", bottleneck)
     dense = _linear_head(params, "reg_dense", level0)
     return superpoints, dense

@@ -5,9 +5,10 @@ that depends only on geometry (pyramids, influence operators, the fixed
 network inputs and their level-0 mixes, patches, and, when ground truth is
 available, the circle loss's targets and a table of ground-truth patch
 matches), so a step does only the work that depends on the parameters.
-``training_loss`` assembles the differentiable dual loss on a tape for a
-given intraoperative mask; ``register_pair`` runs deterministic inference
-(argmax mask, no noise) and returns the predicted pose.  Both share one backbone pass over the pair and score their
+``training_loss`` assembles the differentiable dual loss on a tape for an
+intraoperative context that holds the step's mask; ``register_pair`` runs
+deterministic inference (argmax mask, no noise) and returns the predicted
+pose.  Both share one backbone pass over the pair and score their
 superpoint pairs (ground-truth pairs in training, ``coarse_match``'s at
 inference) as one stack through ``matching.patch_scores`` and
 ``matching.normalize_scores_with_slack``.
@@ -92,9 +93,10 @@ class PreparedSample:
     depends on its geometry alone, built once by :func:`prepare_sample`.
 
     The three contexts hold each cloud's pyramid, its row maps (range
-    checked, group sizes counted once) and its influence operators with
-    their transposes; the segmentation context and the preoperative one
-    also hold their fixed input pooled onto level 0 and its level-0 mix.  With ground truth,
+    checked, group sizes counted once), its influence operators with their
+    transposes, and its network's constant input pooled onto level 0 with
+    its level-0 mix; a step makes ``reg_ctx_intra`` hold its mask
+    (``BackboneContext.holding``).  With ground truth,
     ``targets`` are the circle loss's targets of the superpoint overlap, and
     ``gt_pairs`` / ``gt_cols`` the positive superpoint pairs (F, 2) with a
     ground-truth patch match, in argwhere order, and their
@@ -122,7 +124,7 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
                    sample_id: str = "") -> PreparedSample:
     seg_ctx = build_context(sample.intraoperative, seg_cfg)
     reg_ctx_pre = build_context(sample.preoperative, reg_cfg)
-    reg_ctx_intra = build_context(sample.intraoperative, reg_cfg, constant_input=False)
+    reg_ctx_intra = build_context(sample.intraoperative, reg_cfg)
     pre_view = build_patches(reg_ctx_pre.pyramid, match_cfg.patch_size)
     intra_view = build_patches(reg_ctx_intra.pyramid, match_cfg.patch_size)
     prepared = PreparedSample(sample, seg_ctx, reg_ctx_pre, reg_ctx_intra,
@@ -139,28 +141,29 @@ def prepare_sample(sample: RegistrationSample, seg_cfg: SegNetConfig,
 
 
 def _pair_forward(params: dict[str, Tensor], prepared: PreparedSample,
-                  intra_feats: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Backbone on both clouds (pre reads its context's constant ones):
-    normalized superpoint features of pre and intra, then their dense
-    features."""
+                  intra_ctx: BackboneContext) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Backbone on the preoperative context and ``intra_ctx``: normalized
+    superpoint features of pre and intra, then their dense features."""
     sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre)
-    sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra, intra_feats)
+    sp_intra, dense_intra = reg_backbone_forward(params, intra_ctx)
     return l2_normalize_rows(sp_pre), l2_normalize_rows(sp_intra), dense_pre, dense_intra
 
 
-def training_loss(params: dict[str, Tensor], prepared: PreparedSample, mask: Tensor,
-                  rng: np.random.Generator, n_fine_pairs: int) -> DualLoss:
+def training_loss(params: dict[str, Tensor], prepared: PreparedSample,
+                  intra_ctx: BackboneContext, rng: np.random.Generator,
+                  n_fine_pairs: int) -> DualLoss:
     """Assemble the dual loss for one sample on the active tape.
 
-    ``mask`` is the (N_intra, 1) intraoperative mask, the registration
-    backbone's intra input: the straight-through Gumbel mask (end to end,
-    gradients reach the segmentation logits) or a constant hard mask (two-step
-    mode, frozen segmentation).  ``rng`` picks at most ``n_fine_pairs`` of the
-    positive superpoint pairs for the fine loss.
+    ``intra_ctx`` is ``prepared.reg_ctx_intra`` holding the (N_intra, 1)
+    intraoperative mask, the registration backbone's intra input: the
+    straight-through Gumbel mask (end to end, gradients reach the
+    segmentation logits) or a constant hard mask (two-step mode, frozen
+    segmentation).  ``rng`` picks at most ``n_fine_pairs`` of the positive
+    superpoint pairs for the fine loss.
     """
     if prepared.targets is None:
         raise ValueError("training loss needs ground-truth overlap labels")
-    sp_pre_n, sp_intra_n, dense_pre, dense_intra = _pair_forward(params, prepared, mask)
+    sp_pre_n, sp_intra_n, dense_pre, dense_intra = _pair_forward(params, prepared, intra_ctx)
     c_loss = coarse_loss(sp_pre_n, sp_intra_n, prepared.targets)
 
     n_usable = len(prepared.gt_pairs)       # fine_loss raises ValueError on 0
@@ -204,8 +207,8 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     """
     mask = hard_mask(seg_forward(params, prepared.seg_ctx))
 
-    sp_pre, sp_intra, dense_pre, dense_intra = _pair_forward(
-        params, prepared, Tensor(mask.astype(np.float64).reshape(-1, 1)))
+    intra_ctx = prepared.reg_ctx_intra.holding(Tensor(mask.astype(np.float64).reshape(-1, 1)))
+    sp_pre, sp_intra, dense_pre, dense_intra = _pair_forward(params, prepared, intra_ctx)
 
     pre_view, intra_view = prepared.pre_view, prepared.intra_view
     bonus = distance_histograms(pre_view) @ distance_histograms(intra_view).T

@@ -162,11 +162,13 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
     continuing from ``resume``, a checkpoint as ``fileio.load_checkpoint``
     returns it, when given; ``resume_step`` rejects one with no step left.
 
-    This function decides each step's intraoperative mask: end to end, the
-    straight-through Gumbel mask of the segmentation logits, drawn on the tape
-    before the fine pairs; in two-step phase 2, the frozen hard mask, computed
-    off the tape the first time each sample is drawn.  A resumed run's curve,
-    and its ``loss_curve.csv``, hold only the rows from the resume step on.
+    This function decides each step's intraoperative mask and makes the
+    sample's intra registration context hold it: end to end, the
+    straight-through Gumbel mask of the segmentation logits, drawn on the
+    tape before the fine pairs; in two-step phase 2, the frozen hard mask,
+    held off the tape, with its level-0 mix, when each sample is first drawn.
+    A resumed run's curve, and its ``loss_curve.csv``, hold only the rows
+    from the resume step on.
     """
     start_step = resume_step(resume, cfg)
     if not samples:
@@ -189,7 +191,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
     seg_names = [n for n in params if n.startswith("seg_")]
     reg_names = [n for n in params if n.startswith("reg_")]
     weak_masks: list[np.ndarray] | None = None
-    frozen_masks: dict[int, Tensor] = {}      # two-step phase 2, by sample index
+    frozen_ctxs = {}       # two-step phase 2: intra contexts holding frozen masks, by index
     if cfg.mode == "two_step":
         weak_masks = [weak_labels(p.sample.intraoperative, p.sample.preoperative, p.sample.T_gt,
                                   mm_to_units(WEAK_LABEL_MM, p.sample.scale))
@@ -222,10 +224,10 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
             with np.errstate(over="ignore", invalid="ignore"):
                 if two_step_phase2:
                     # frozen segmentation: seg_* never steps, so one mask per sample
-                    if idx not in frozen_masks:
-                        frozen = hard_mask(seg_forward(params, p.seg_ctx))
-                        frozen_masks[idx] = Tensor(frozen.astype(np.float64).reshape(-1, 1))
-                    mask = frozen_masks[idx]
+                    if idx not in frozen_ctxs:
+                        frozen = hard_mask(seg_forward(params, p.seg_ctx)).astype(np.float64)
+                        frozen_ctxs[idx] = p.reg_ctx_intra.holding(Tensor(frozen.reshape(-1, 1)))
+                    intra_ctx = frozen_ctxs[idx]
                 with Tape():
                     if two_step_phase1:
                         logits = seg_forward(params, p.seg_ctx)
@@ -237,7 +239,8 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
                         if cfg.mode == "end_to_end":
                             mask, _ = straight_through_mask(
                                 seg_forward(params, p.seg_ctx), tau_at(step, cfg), rng)
-                        dual = training_loss(params, p, mask, rng, cfg.n_fine_pairs)
+                            intra_ctx = p.reg_ctx_intra.holding(mask)
+                        dual = training_loss(params, p, intra_ctx, rng, cfg.n_fine_pairs)
                         total = dual.total.item()
                         coarse, fine = dual.coarse.item(), dual.fine.item()
                         backward(dual.total)

@@ -28,14 +28,14 @@ and head nodes as chains of elementary tape operations.
 ``per_step_training_loss`` are the circle loss, the segmentation forward
 and the training loss as they were before the prepared sample held what
 they derive from it alone: the circle loss's masks and slopes re-derived
-from the overlap, and the fixed inputs pooled and mixed, at every step.  Tests
-require the library versions to match them bit for bit, except
-``slack_normalize_2d``, whose row sums run over fewer entries, the
-influence bound test, which allows the expanded d2 its 1e-7, and the dense
-convolution references, whose sums run in another order.
+from the overlap, and every input pooled and mixed (``per_step_context``),
+at every step.  Tests require the library versions to match them bit for
+bit, except ``slack_normalize_2d``, whose row sums run over fewer entries,
+the influence bound test, which allows the expanded d2 its 1e-7, and the
+dense convolution references, whose sums run in another order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -531,24 +531,30 @@ def overlap_coarse_loss(pre_feats, intra_feats, overlap):
                             pre_feats.requires_grad or intra_feats.requires_grad, bwd)
 
 
-def per_step_seg_forward(params, ctx):
+def per_step_context(ctx, x):
+    """``ctx`` reading the per-input-point ``x`` pooled onto level 0 and no
+    level-0 mix, so that the network's first convolution forms it, as every
+    forward did before its context held the input and its mix."""
+    feats = ad.scatter_mean(x, ctx.pyramid.input_to_level0)
+    return replace(ctx, input_feats=feats, input_mix=None)
+
+
+def per_step_seg_forward(params, prepared):
     """``networks.seg_forward`` as it pooled the [r, g, b, 1] input onto
     level 0 and mixed it at every call."""
-    cloud = ctx.pyramid.input_cloud
+    cloud = prepared.sample.intraoperative
     raw = np.hstack([cloud.colors, np.ones((len(cloud), 1))])
-    feats0 = ad.scatter_mean(Tensor(raw), ctx.pyramid.input_to_level0)
-    _, level0 = networks._encode_decode(params, "seg", ctx, feats0, None)
-    logits = networks._linear_head(params, "seg_head", level0)
-    return ad.gather_rows(logits, ctx.pyramid.input_to_level0)
+    return networks.seg_forward(params, per_step_context(prepared.seg_ctx, Tensor(raw)))
 
 
 def per_step_training_loss(params, prepared, overlap, mask, rng, n_fine_pairs):
-    """``pipeline.training_loss`` as it fed the preoperative backbone a
-    fresh input of ones and scored the circle loss from ``overlap`` at every
-    step."""
+    """``pipeline.training_loss`` as it fed the backbone a fresh input of
+    ones on the preoperative cloud and ``mask`` on the intraoperative one,
+    and scored the circle loss from ``overlap``, at every step."""
     ones = Tensor(np.ones((len(prepared.sample.preoperative), 1)))
-    sp_pre, dense_pre = reg_backbone_forward(params, prepared.reg_ctx_pre, ones)
-    sp_intra, dense_intra = reg_backbone_forward(params, prepared.reg_ctx_intra, mask)
+    sp_pre, dense_pre = reg_backbone_forward(params, per_step_context(prepared.reg_ctx_pre, ones))
+    intra_ctx = per_step_context(prepared.reg_ctx_intra, mask)
+    sp_intra, dense_intra = reg_backbone_forward(params, intra_ctx)
     c_loss = overlap_coarse_loss(l2_normalize_rows(sp_pre), l2_normalize_rows(sp_intra),
                                  overlap)
     n_usable = len(prepared.gt_pairs)

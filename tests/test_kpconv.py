@@ -324,7 +324,7 @@ def test_param_shapes_are_exactly_what_the_forward_passes_read():
     cloud = surface_cloud(rng, 300)
     seg, reg = ReadLog(init_weights(TINY_SEG, rng)), ReadLog(init_weights(TINY_REG, rng))
     seg_forward(seg, build_context(cloud, TINY_SEG))
-    reg_backbone_forward(reg, build_context(cloud, TINY_REG), Tensor(np.ones((300, 1))))
+    reg_backbone_forward(reg, build_context(cloud, TINY_REG))
     for params, cfg in ((seg, TINY_SEG), (reg, TINY_REG)):
         shapes = param_shapes(cfg)
         assert sorted(set(params.read)) == sorted(shapes)
@@ -344,8 +344,6 @@ def test_seg_forward_shape_and_color_requirement():
     bare = PointCloud(cloud.positions)
     with pytest.raises(ValueError, match="colors"):
         build_context(bare, TINY_SEG)
-    with pytest.raises(ValueError, match="constant input"):
-        seg_forward(params, build_context(bare, TINY_SEG, constant_input=False))
 
 
 def test_seg_forward_identical_points_identical_logits():
@@ -494,7 +492,7 @@ def test_overflowing_convolution_raises_nonfinite_error_without_a_warning(net):
     """Outside a training step no caller turns float warnings off, and pytest
     turns a RuntimeWarning into an error, so none may fire first: the
     segmentation net's first convolution reads the context's mix, the
-    registration backbone's one it forms from the point features."""
+    registration backbone's one forms it from point features on the tape."""
     rng = np.random.default_rng(8)
     cloud = surface_cloud(rng, 300)
     cfg = TINY_SEG if net == "seg" else TINY_REG
@@ -505,8 +503,8 @@ def test_overflowing_convolution_raises_nonfinite_error_without_a_warning(net):
         if net == "seg":
             seg_forward(params, build_context(cloud, cfg))
         else:
-            reg_backbone_forward(params, build_context(cloud, cfg, constant_input=False),
-                                 Tensor(np.ones((300, 1))))
+            on_tape = Tensor(np.ones((300, 1)), requires_grad=True)
+            reg_backbone_forward(params, build_context(cloud, cfg).holding(on_tape))
 
 
 def test_reg_backbone_zero_mask_zeroes_first_conv():
@@ -528,8 +526,8 @@ def test_reg_backbone_shapes_and_shared_params():
     params = init_weights(TINY_REG, rng)
     ctx_pre = build_context(pre, TINY_REG)
     ctx_intra = build_context(intra, TINY_REG)
-    sp_p, dn_p = reg_backbone_forward(params, ctx_pre, Tensor(np.ones((400, 1))))
-    sp_i, dn_i = reg_backbone_forward(params, ctx_intra, Tensor(np.ones((350, 1))))
+    sp_p, dn_p = reg_backbone_forward(params, ctx_pre)
+    sp_i, dn_i = reg_backbone_forward(params, ctx_intra)
     assert sp_p.shape == (len(ctx_pre.pyramid.levels[-1]), networks.SUPERPOINT_DIM)
     assert sp_i.shape == (len(ctx_intra.pyramid.levels[-1]), networks.SUPERPOINT_DIM)
     assert dn_p.shape == (len(ctx_pre.pyramid.levels[0]), networks.DENSE_DIM)
@@ -546,7 +544,7 @@ def test_gradient_reaches_mask_logits_through_backbone():
     with Tape():
         logits = seg_forward(seg_params, seg_ctx)
         mask, _ = straight_through_mask(logits, 1.0, np.random.default_rng(3))
-        sp, dense = reg_backbone_forward(reg_params, reg_ctx, mask)
+        sp, dense = reg_backbone_forward(reg_params, reg_ctx.holding(mask))
         backward(sum_(ad.mul(dense, dense)))
     grads = [p.grad for p in seg_params.values()]
     assert any(g is not None and np.linalg.norm(g) > 0 for g in grads)

@@ -276,7 +276,7 @@ def test_pair_scored_alone_equals_its_slice_of_the_stack():
 def test_sinkhorn_zero_column_sum_raises_nonfinite(normalize):
     s = np.zeros((4, 5))
     s[:, 2] = -1e4                    # exp underflows to 0: the column sums to 0
-    with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError):
         normalize(*one_matrix(s))
 
 
@@ -570,11 +570,35 @@ def test_coarse_loss_requires_positives():
         coarse_loss(Tensor(np.eye(3)), Tensor(np.eye(3)), no_anchors)
 
 
-def test_coarse_loss_overflowing_similarity_raises_nonfinite():
-    # pytest turns a RuntimeWarning into an error, so none may fire first
+def overflowing_similarity():
     feats = np.full((2, 3), 1e200)
+    coarse_loss(Tensor(feats), Tensor(-feats), coarse_targets(np.eye(2)))
+
+
+def underflowing_column(augment_slack):
+    """Column 1's exponentials all underflow to 0, so its sum is 0."""
+    scores = np.zeros((1, 4, 4))
+    scores[0, :, 1] = -1000.0
+    normalize_scores_with_slack(Tensor(scores), [3], [3], augment_slack)
+
+
+def overflowing_patch_scores():
+    """Dense rows whose products overflow, at inference."""
+    view, _ = make_views(np.random.default_rng(21), 400)
+    dense = np.full((len(view.fine_points), 16), 1e160)
+    fine_match(dense, dense, np.array([[0, 0], [1, 1]]), view, view)
+
+
+@pytest.mark.parametrize("case", [
+    overflowing_similarity,
+    lambda: underflowing_column(False),
+    lambda: underflowing_column(True),
+    overflowing_patch_scores,
+], ids=["coarse_loss", "slack_underflow", "augmented_slack_underflow", "patch_scores"])
+def test_overflow_raises_nonfinite_error_without_a_warning(case):
+    # pytest turns a RuntimeWarning into an error, so none may fire first
     with pytest.raises(NonFiniteError):
-        coarse_loss(Tensor(feats), Tensor(-feats), coarse_targets(np.eye(2)))
+        case()
 
 
 def circle_loss_reference(pre, intra, overlap):
@@ -609,9 +633,9 @@ def phantom_superpoint_features():
     seg, reg = SegNetConfig(), RegNetConfig()
     prepared = prepare_sample(sample, seg, reg, MatcherConfig())
     params = init_params(seg, reg, 0)
-    inputs = (np.ones((len(sample.preoperative), 1)), sample.gt_mask.reshape(-1, 1))
-    pre, intra = (l2_normalize_rows(reg_backbone_forward(params, ctx, Tensor(x))[0]).data
-                  for ctx, x in zip((prepared.reg_ctx_pre, prepared.reg_ctx_intra), inputs))
+    intra_ctx = prepared.reg_ctx_intra.holding(Tensor(sample.gt_mask.reshape(-1, 1)))
+    pre, intra = (l2_normalize_rows(reg_backbone_forward(params, ctx)[0]).data
+                  for ctx in (prepared.reg_ctx_pre, intra_ctx))
     return pre, intra, overlap_of(prepared)
 
 

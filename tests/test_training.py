@@ -4,9 +4,9 @@ train exactly as the composed operations they replace, a step that reads
 what its prepared sample holds equals one that derives it again, a sample
 without positive superpoint pairs skips its steps, a run resumed from a
 mid-run checkpoint ends exactly where an unbroken run does, two-step phase 2
-computes each sample's frozen mask once, the loss curve records the pre-clip
-gradient norm, and the learning-rate and temperature schedules follow their
-definitions."""
+computes each sample's frozen mask and its level-0 product once, the loss
+curve records the pre-clip gradient norm, and the learning-rate and
+temperature schedules follow their definitions."""
 
 import copy
 import csv
@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from segreg import autodiff, matching, networks, pipeline, training
+from segreg import autodiff, kpconv, matching, networks, pipeline, training
 from segreg.autodiff import Tape, Tensor, backward
 from segreg.fileio import load_checkpoint, save_checkpoint
 from segreg.geometry import RigidTransform
@@ -56,7 +56,8 @@ def test_training_loss_matches_finite_differences(gumbel):
         if gumbel:
             mask, _ = straight_through_mask(networks.seg_forward(params, prepared.seg_ctx),
                                             1.0, rng)
-        return pipeline.training_loss(params, prepared, mask, rng, 12).total
+        return pipeline.training_loss(params, prepared, prepared.reg_ctx_intra.holding(mask),
+                                      rng, 12).total
 
     with Tape():
         backward(loss())
@@ -93,10 +94,11 @@ def test_training_loss_tape_does_not_grow_with_fine_pairs():
     assert len(prepared.gt_pairs) > 12
     params = training.init_params(seg, reg, 0)
     mask = Tensor(prepared.sample.gt_mask.astype(np.float64).reshape(-1, 1))
+    intra_ctx = prepared.reg_ctx_intra.holding(mask)
     nodes = []
     for n_fine_pairs in (1, 12):
         with Tape() as tape:
-            pipeline.training_loss(params, prepared, mask, np.random.default_rng(0),
+            pipeline.training_loss(params, prepared, intra_ctx, np.random.default_rng(0),
                                    n_fine_pairs)
             nodes.append(len(tape))
     assert nodes[0] == nodes[1]
@@ -145,24 +147,35 @@ def train_phantoms():
     return prepared, overlaps
 
 
+def library_seg_forward(params, prepared):
+    return networks.seg_forward(params, prepared.seg_ctx)
+
+
+def library_training_loss(params, prepared, mask, rng):
+    """``pipeline.training_loss`` on the intraoperative context holding
+    ``mask``, which holds its level-0 mix too when ``mask`` is frozen."""
+    return pipeline.training_loss(params, prepared, prepared.reg_ctx_intra.holding(mask), rng, 12)
+
+
 def one_step(mode, prepared, seg_forward, loss_fn):
     """The loss and every parameter gradient of one step of ``mode`` on
     ``prepared``, from fresh seed-0 parameters and a fresh seed-5 generator,
-    with ``seg_forward`` and ``loss_fn(params, prepared, mask, rng)``."""
+    with ``seg_forward(params, prepared)`` and ``loss_fn(params, prepared,
+    mask, rng)``."""
     params = training.init_params(networks.SegNetConfig(), networks.RegNetConfig(), 0)
     rng = np.random.default_rng(5)
     frozen = None
     if mode == "two_step_phase2":
-        frozen = Tensor(hard_mask(seg_forward(params, prepared.seg_ctx)).astype(np.float64)
+        frozen = Tensor(hard_mask(seg_forward(params, prepared)).astype(np.float64)
                         .reshape(-1, 1))
     with Tape():
         if mode == "two_step_phase1":
-            loss = pipeline.segmentation_cross_entropy(seg_forward(params, prepared.seg_ctx),
+            loss = pipeline.segmentation_cross_entropy(seg_forward(params, prepared),
                                                        prepared.sample.gt_mask)
         else:
             mask = frozen
             if mode == "end_to_end":
-                mask, _ = straight_through_mask(seg_forward(params, prepared.seg_ctx), 1.0, rng)
+                mask, _ = straight_through_mask(seg_forward(params, prepared), 1.0, rng)
             loss = loss_fn(params, prepared, mask, rng).total
         backward(loss)
     return loss.data, {name: p.grad for name, p in params.items()}
@@ -177,8 +190,7 @@ def test_step_on_prepared_constants_equals_the_per_step_reference_bit_for_bit(
     to the bit on every benchmark training phantom."""
     prepared, overlaps = train_phantoms
     for p, overlap in zip(prepared, overlaps):
-        loss, grads = one_step(mode, p, networks.seg_forward,
-                               lambda *args: pipeline.training_loss(*args, 12))
+        loss, grads = one_step(mode, p, library_seg_forward, library_training_loss)
         want_loss, want = one_step(mode, p, per_step_seg_forward,
                                    lambda *args: per_step_training_loss(*args[:2], overlap,
                                                                         *args[2:], 12))
@@ -199,9 +211,9 @@ def test_sample_without_positive_pairs_skips_its_steps():
     prepared = [pipeline.prepare_sample(s, *configs) for s in (sample, apart)]
     assert prepared[1].targets.positives == 0 and len(prepared[1].gt_pairs) == 0
     params = training.init_params(*configs[:2], 0)
-    mask = Tensor(np.ones((len(apart.intraoperative), 1)))
     with Tape(), pytest.raises(matching.NoPositivePairsError, match="no positive"):
-        pipeline.training_loss(params, prepared[1], mask, np.random.default_rng(0), 12)
+        pipeline.training_loss(params, prepared[1], prepared[1].reg_ctx_intra,
+                               np.random.default_rng(0), 12)
     cfg = TrainConfig(lr0=1e-3, warmup_iters=0, total_iters=6, checkpoint_every=0, seed=1)
     result = train([sample, apart], cfg, prepared=prepared)
     skipped = [np.isnan(row[2]) for row in result.curve]
@@ -255,25 +267,38 @@ def test_resume_from_mid_run_checkpoint_is_exact(mode, tmp_path, monkeypatch):
 
 def test_two_step_phase2_computes_each_frozen_mask_once(monkeypatch):
     """Phase 2 never steps the segmentation, so it runs ``seg_forward`` the
-    first time each sample is drawn, not at every step."""
+    first time each sample is drawn, not at every step, and forms the frozen
+    mask's level-0 product (``InfluenceOperator.mix`` on the intraoperative
+    level 0) then too: the sample's later steps read it from the held
+    context."""
     sample = tiny_phantom()
     p = pipeline.prepare_sample(sample, networks.SegNetConfig(), networks.RegNetConfig(),
                                 pipeline.MatcherConfig())
     # a second sample with its own segmentation context object
     prepared = [p, dataclasses.replace(p, seg_ctx=copy.copy(p.seg_ctx))]
-    calls = []
+    calls, intra_mixes = [], []
+    intra_level0 = p.reg_ctx_intra.influences[0]
+    mix = kpconv.InfluenceOperator.mix
 
     def counting_seg_forward(params, ctx):
         calls.append(id(ctx))
         return networks.seg_forward(params, ctx)
 
+    def counting_mix(self, feats):
+        if self is intra_level0:
+            intra_mixes.append(len(calls))
+        return mix(self, feats)
+
     monkeypatch.setattr(training, "seg_forward", counting_seg_forward)
+    monkeypatch.setattr(kpconv.InfluenceOperator, "mix", counting_mix)
     cfg = TrainConfig(lr0=1e-3, warmup_iters=0, total_iters=7, checkpoint_every=0,
                       mode="two_step", phase1_iters=1)
     result = train([sample, sample], cfg, prepared=prepared)
     assert np.all(np.isfinite([row[2] for row in result.curve]))
     phase2 = calls[1:]                      # the first call is the phase-1 step
     assert 1 <= len(phase2) == len(set(phase2)) <= len(prepared) < cfg.total_iters - 1
+    # one product per frozen mask, made right after its seg_forward
+    assert intra_mixes == list(range(2, len(calls) + 1))
 
 
 def test_loss_curve_records_the_gradient_norm_before_the_clip(tmp_path, monkeypatch):
@@ -291,11 +316,11 @@ def test_loss_curve_records_the_gradient_norm_before_the_clip(tmp_path, monkeypa
         norms.append(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
         return clip_and_step(params, names, velocity, lr)
 
-    def skipping_second_step(params, p, mask, rng, n_fine_pairs):
+    def skipping_second_step(params, p, intra_ctx, rng, n_fine_pairs):
         if len(norms) == 1 and not skipped:
             skipped.append(True)
             raise matching.NoPositivePairsError("no overlap")
-        return training_loss(params, p, mask, rng, n_fine_pairs)
+        return training_loss(params, p, intra_ctx, rng, n_fine_pairs)
 
     skipped = []
     monkeypatch.setattr(training, "CLIP_NORM", 1e-6)
