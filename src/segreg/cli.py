@@ -207,12 +207,11 @@ def cmd_train(args) -> int:
     with _exits(((OSError, ValueError), EXIT_DATA, "cannot load inputs")):
         dataset = _load_dataset(args.dataset, colors=True)
         resume = load_checkpoint(args.resume) if args.resume is not None else None
-    if resume is not None:      # train() continues with the checkpoint's networks
-        _, seg_cfg, reg_cfg, _ = resume
-        if {seg_cfg.width_factor, reg_cfg.width_factor} != {args.width_factor}:
+    if resume is not None:      # a network config holds only its width factor
+        if resume[1:3] != (seg_cfg, reg_cfg):
             raise _Exit(EXIT_USAGE, "invalid training settings: the checkpoint's width "
-                        f"factor {seg_cfg.width_factor} is not --width-factor "
-                        f"{args.width_factor}")
+                        f"factors {resume[1].width_factor}, {resume[2].width_factor} "
+                        f"are not --width-factor {args.width_factor}")
         # before any sample is prepared or --out is made
         with _exits((ValueError, EXIT_USAGE, "invalid training settings")):
             resume_step(resume, cfg)
@@ -400,6 +399,13 @@ def cmd_gradcheck(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _non_negative_int(text: str) -> int:
+    """A seed or a step interval: decimal digits, which ``int`` always parses."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     # the docstring's last paragraph is about the code, not for --help
     p = _Parser(prog="segreg", description=__doc__.rsplit("\n\n", 1)[0])
@@ -409,7 +415,8 @@ def build_parser() -> _Parser:
     g.add_argument("--out", required=True)
     g.add_argument("--n-samples", type=int, default=8)
     for f in fields(PhantomConfig):     # annotations are strings: parse as the default's type
-        g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+        kind = _non_negative_int if f.name == "seed" else type(f.default)
+        g.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
     g.set_defaults(fn=cmd_generate)
 
     t = sub.add_parser("train", help="train the joint model on a dataset")
@@ -428,12 +435,12 @@ def build_parser() -> _Parser:
     t.add_argument("--width-factor", type=float, default=RegNetConfig.width_factor,
                    help="positive scale of every layer width of both networks; a "
                         "scaled width is rounded and at least 2 (default: %(default)s)")
-    t.add_argument("--seed", type=int, default=TrainConfig.seed)
+    t.add_argument("--seed", type=_non_negative_int, default=TrainConfig.seed)
     t.add_argument("--checkpoint-every", type=int, default=TrainConfig.checkpoint_every)
     t.add_argument("--resume", default=None,
                    help="checkpoint to continue from; the new loss_curve.csv "
                         "holds only the steps from the checkpoint's step on")
-    t.add_argument("--log-every", type=int, default=0)
+    t.add_argument("--log-every", type=_non_negative_int, default=0)
     t.set_defaults(fn=cmd_train)
 
     r = sub.add_parser("register", help="register one preoperative/intraoperative pair")
@@ -443,7 +450,7 @@ def build_parser() -> _Parser:
     r.add_argument("--checkpoint", default=None)
     r.add_argument("--baseline", choices=["icp", "ransac_icp"], default=None)
     r.add_argument("--emit-mask", default=None)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_non_negative_int, default=0)
     r.set_defaults(fn=cmd_register)
 
     e = sub.add_parser("eval", help="evaluate pose predictions against a dataset")
@@ -466,7 +473,7 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("gradcheck", help="finite-difference checks of every operator")
     c.add_argument("--component", choices=list(COMPONENTS), default=None)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_non_negative_int, default=0)
     c.add_argument("--out", default=None)
     c.set_defaults(fn=cmd_gradcheck)
     return p

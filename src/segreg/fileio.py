@@ -13,9 +13,12 @@ Poses are JSON: rotation, translation and extra fields; rotations are
 re-validated on load.  A sample's pose.json needs a positive, finite
 ``scale``, its landmarks.csv K >= 1 finite x,y,z rows and its mask.txt one
 0/1 label per intraoperative point.  Checkpoints are .npz archives of the
-parameters (and momentum) with a JSON header (version 3) carrying the step,
-both network configs and the generator state; loading checks each array's
-name and shape against ``param_shapes`` of those configs.
+parameters (and momentum) with a JSON header (version 4) carrying the step,
+each network config's one field, ``width_factor``, and the generator state;
+loading checks each array's name and shape against ``param_shapes`` of
+those configs.  The header does not record the networks' class constants
+(widths, voxel, neighbor cap, kernel), so a change to any of them changes
+what a checkpoint means and bumps ``CHECKPOINT_VERSION``.
 """
 
 from __future__ import annotations
@@ -329,7 +332,7 @@ def read_manifest(directory: str | Path) -> dict:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
@@ -337,9 +340,10 @@ def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
                     momentum: dict | None = None, rng_state: dict | None = None) -> None:
     """Serialize ``Tensor`` parameters (bit-exact float64) with a versioned header.
 
-    The JSON header holds the version, the step, both network configs, the
-    parameter names and the training generator's PCG64 state; the arrays are
-    ``param/<name>`` and, for a resumable run, ``momentum/<name>``.
+    The JSON header holds the version, the step, both network configs (their
+    ``width_factor``), the parameter names and the training generator's PCG64
+    state; the arrays are ``param/<name>`` and, for a resumable run,
+    ``momentum/<name>``.
     """
     header = {
         "version": CHECKPOINT_VERSION,

@@ -144,10 +144,20 @@ def _kpconv_rows(rng):
              lambda t: kpconv_apply(infl, *t))]
 
 
-_TOY_SEG = SegNetConfig(widths=(2, 2, 2, 2, 2), width_factor=1.0,
-                        initial_voxel=0.12, max_neighbors=8)
-_TOY_REG = RegNetConfig(widths=(2, 2, 2), width_factor=1.0, initial_voxel=0.12,
-                        max_neighbors=8)
+# both networks at two channels a layer, on a pyramid coarse enough for 30-50 points
+class _ToySeg(SegNetConfig):
+    widths = (2, 2, 2, 2, 2)
+    initial_voxel = 0.12
+    max_neighbors = 8
+
+
+class _ToyReg(RegNetConfig):
+    widths = (2, 2, 2)
+    initial_voxel = 0.12
+    max_neighbors = 8
+
+
+_TOY_SEG, _TOY_REG = _ToySeg(width_factor=1.0), _ToyReg(width_factor=1.0)
 
 
 def _seg_rows(rng):

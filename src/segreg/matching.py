@@ -271,11 +271,19 @@ def normalize_scores_with_slack(scores: Tensor, n_rows: np.ndarray, n_cols: np.n
     log(columns)).
 
     One tape node.  The forward runs the numpy operations of the composed
-    exp / mask / sum / pad offset / div / expand / mul chain in the same order
-    and checks every intermediate for finiteness; the backward replays that
-    chain's backward in reverse tape order, so values and gradients are
-    bit-identical to it.  With float warnings off, an overflow, or a real row or
-    column whose exponentials all underflow, raises ``NonFiniteError``.
+    exp / mask / sum / pad offset / div / expand / mul chain in the same order;
+    the backward replays that chain's backward in reverse tape order, so
+    values and gradients are bit-identical to it.
+
+    Only ``shifted`` and each round's ``col_scale`` and ``row_scale`` are
+    checked for finiteness; the other intermediates are bounded once these
+    are finite.  A finite ``shifted`` is at most 0, so ``exp_s`` and the
+    first ``p`` lie in [0, 1].  A finite scale makes each entry its target
+    times the entry's share of its sum, so ``p_col`` and the next ``p`` are
+    at most the largest target, and every sum at most R + 1 or C + 1 times
+    it.  With float warnings off, an overflow, or a real row or column whose
+    exponentials all underflow (a zero sum, an infinite scale), raises
+    ``NonFiniteError``.
     """
     _, nr, nc = scores.shape
     row_target = 1.0 * (np.arange(nr) < np.reshape(n_rows, (-1, 1)))[:, :, None]
@@ -287,18 +295,14 @@ def normalize_scores_with_slack(scores: Tensor, n_rows: np.ndarray, n_cols: np.n
     shifted = scores.data - np.max(scores.data, axis=(1, 2), keepdims=True)
     ad.require_finite(shifted)
     exp_s = np.exp(shifted)
-    ad.require_finite(exp_s)
     p = exp_s * valid
     rounds = []                         # what each round's backward reads
     for _ in range(NORM_ITERATIONS):
         csum = np.sum(p, axis=1, keepdims=True) + col_pad
-        ad.require_finite(csum)
         col_scale = col_target / csum
         ad.require_finite(col_scale)
         p_col = p * col_scale
-        ad.require_finite(p_col)
         rsum = np.sum(p_col, axis=2, keepdims=True) + row_pad
-        ad.require_finite(rsum)
         row_scale = row_target / rsum
         ad.require_finite(row_scale)
         if scores.requires_grad:        # only the backward reads past rounds

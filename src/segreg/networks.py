@@ -19,9 +19,11 @@ cloud, the segmentation mask for the intraoperative one) and returns
 bottleneck superpoint features plus dense decoder features; the same
 parameters process both clouds.
 
-Configs hold the four values callers set (``widths``, one per stage,
-``width_factor``, ``initial_voxel``, ``max_neighbors``); the rest are class
-constants.  ``param_shapes`` lists every parameter's name and shape.
+A config holds the one value callers set, ``width_factor``, which scales
+every layer width.  The rest is the architecture and lives in class
+constants: the pyramid (``widths``, one per stage, ``initial_voxel``,
+``base_radius_mult``), the neighbor cap ``max_neighbors`` and the kernel.
+``param_shapes`` lists every parameter's name and shape.
 """
 
 from __future__ import annotations
@@ -64,21 +66,17 @@ DENSE_DIM = 16
 
 
 class _NetConfig:
-    def __post_init__(self):        # both network configs; JSON gives widths as a list
-        object.__setattr__(self, "widths", tuple(self.widths))
-        if not (len(self.widths) >= 2 and all(0 < w < np.inf for w in self.widths)
-                and 0 < self.width_factor < np.inf and 0 < self.initial_voxel < np.inf
-                and isinstance(self.max_neighbors, int) and self.max_neighbors >= 1):
-            raise ValueError(f"{self}: need 2 or more positive widths, a positive width_factor"
-                             " and initial_voxel, and an integer max_neighbors >= 1")
+    def __post_init__(self):        # both network configs
+        if not 0 < self.width_factor < np.inf:
+            raise ValueError(f"{self}: need a positive, finite width_factor")
 
 
 @dataclass(frozen=True)
 class SegNetConfig(_NetConfig):
-    widths: tuple = (16, 32, 64, 128, 256)
     width_factor: float = 0.25
-    initial_voxel: float = 0.04
-    max_neighbors: int = 26
+    widths: ClassVar[tuple] = (16, 32, 64, 128, 256)
+    initial_voxel: ClassVar[float] = 0.04
+    max_neighbors: ClassVar[int] = 26
     kernel_size: ClassVar[int] = 15
     kernel_seed: ClassVar[int] = 17
     base_radius_mult: ClassVar[float] = 2.5
@@ -91,10 +89,10 @@ class SegNetConfig(_NetConfig):
 
 @dataclass(frozen=True)
 class RegNetConfig(_NetConfig):
-    widths: tuple = (32, 64, 128)
     width_factor: float = 0.25
-    initial_voxel: float = 0.025
-    max_neighbors: int = 32
+    widths: ClassVar[tuple] = (32, 64, 128)
+    initial_voxel: ClassVar[float] = 0.025
+    max_neighbors: ClassVar[int] = 32
     kernel_size: ClassVar[int] = 20
     kernel_seed: ClassVar[int] = 23
     base_radius_mult: ClassVar[float] = 7.0

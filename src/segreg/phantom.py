@@ -73,6 +73,8 @@ class PhantomConfig:
         if self.occlusion_patches < 0:
             raise ValueError(
                 f"occlusion_patches must be non-negative, got {self.occlusion_patches}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -24,6 +24,7 @@ hypothesis is valid), a confidence for the pose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,12 +80,14 @@ class RegistrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatcherConfig:
-    """Matching settings: the level-0 points kept per superpoint patch.  The
-    other matching settings are ``matching``'s module constants, and the radii
-    follow ``RegNetConfig.initial_voxel``: ground-truth fine matches lie within
-    one voxel, pose votes and refinement inliers within 2.5 voxels."""
+    """Matching settings, none of which a caller sets: ``patch_size``, the
+    level-0 points kept per superpoint patch, is a class constant like the
+    network geometry it groups.  The other matching settings are
+    ``matching``'s module constants, and the radii follow
+    ``RegNetConfig.initial_voxel``: ground-truth fine matches lie within one
+    voxel, pose votes and refinement inliers within 2.5 voxels."""
 
-    patch_size: int = 32
+    patch_size: ClassVar[int] = 32
 
 
 @dataclass

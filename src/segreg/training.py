@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("phase1_iters must be >= 0")
         if self.n_fine_pairs < 1:
             raise ValueError("n_fine_pairs must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0: no periodic checkpoints)")
 

@@ -9,7 +9,6 @@ import pytest
 from segreg.baselines import icp, ransac_icp
 from segreg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 from segreg.fileio import (
-    load_checkpoint,
     load_ply,
     load_pose,
     load_sample,
@@ -411,18 +410,10 @@ MALFORMED_CHECKPOINTS = {
     "unknown_config_key": unknown_config_key,
     "foreign_rng_state": foreign_rng_state,
     "header_not_object": lambda header, arrays: [header],
-    "six_seg_stages": config_value("seg_config", "widths", [16, 32, 64, 128, 256, 512]),
-    "four_seg_stages": config_value("seg_config", "widths", [16, 32, 64, 128]),
-    "other_reg_widths": config_value("reg_config", "widths", [32, 64, 256]),
     "other_width_factor": config_value("reg_config", "width_factor", 0.5),
     "param_of_another_shape": reshaped("param/reg_sp_w"),
     "momentum_of_another_shape": reshaped("momentum/reg_sp_w"),
-    "one_reg_width": config_value("reg_config", "widths", [32]),
-    "negative_width": config_value("seg_config", "widths", [16, -32, 64, 128, 256]),
     "negative_width_factor": config_value("seg_config", "width_factor", -1.0),
-    "zero_initial_voxel": config_value("reg_config", "initial_voxel", 0.0),
-    "no_neighbors": config_value("seg_config", "max_neighbors", 0),
-    "fractional_neighbors": config_value("reg_config", "max_neighbors", 3.5),
     # a step that is not a count of steps taken
     "text_step": lambda header, arrays: header | {"step": "abc"},
     "negative_step": lambda header, arrays: header | {"step": -5},
@@ -490,6 +481,32 @@ def test_version_2_checkpoint_exits_with_data_error(tmp_path, capsys):
     assert "cannot load inputs: unsupported checkpoint version 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["register", "train"])
+def test_version_3_checkpoint_exits_with_data_error(tmp_path, command, capsys):
+    """Version 3 headers carried each network's widths, voxel and neighbor
+    cap, which are now class constants."""
+    def version_3(header, arrays):
+        for key, cfg in (("seg_config", SegNetConfig), ("reg_config", RegNetConfig)):
+            header[key].update(widths=list(cfg.widths), initial_voxel=cfg.initial_voxel,
+                               max_neighbors=cfg.max_neighbors)
+        return header | {"version": 3}
+
+    ckpt = rewritten_checkpoint(tmp_path / "model.npz", version_3)
+    out = tmp_path / "out"
+    if command == "register":
+        pre, intra = small_pair_on_disk(tmp_path)
+        argv = ["register", "--pre", str(pre), "--intra", str(intra), "--checkpoint"]
+    else:
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--n-samples", "1",
+                     "--n-vertebrae", "2", "--points-pre", "1024",
+                     "--points-intra", "512"]) == 0
+        argv = ["train", "--dataset", str(data), "--iters", "1", "--warmup", "0", "--resume"]
+    assert main(argv + [str(ckpt), "--out", str(out)]) == EXIT_DATA
+    assert "cannot load inputs: unsupported checkpoint version 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_1_checkpoint_exits_with_data_error(tmp_path, capsys):
     pre, intra = small_pair_on_disk(tmp_path)
     ckpt = rewritten_checkpoint(tmp_path / "model.npz",
@@ -539,19 +556,6 @@ def test_train_resume_with_another_width_factor_exits_with_usage_error(tmp_path,
     assert code == EXIT_USAGE
     assert "invalid training settings" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_train_resume_prepares_samples_with_the_checkpoint_networks(tmp_path):
-    """A four-stage segmentation net cannot read a five-stage context."""
-    data, out = tmp_path / "data", tmp_path / "run"
-    assert main(["generate", "--out", str(data), "--n-samples", "1",
-                 "--n-vertebrae", "2", "--points-pre", "1024",
-                 "--points-intra", "512"]) == 0
-    seg, reg = SegNetConfig(widths=(16, 32, 64, 128)), RegNetConfig()
-    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
-    assert main(["train", "--dataset", str(data), "--out", str(out), "--iters", "1",
-                 "--warmup", "0", "--resume", str(tmp_path / "model.npz")]) == 0
-    assert load_checkpoint(out / "checkpoint_000001.npz")[1] == seg
 
 
 def test_ablate_two_checkpoints_writes_report_and_records_for_both_names(tmp_path):
@@ -837,6 +841,28 @@ def test_generate_with_a_bad_phantom_setting_exits_with_usage_error(
     assert code == EXIT_USAGE
     assert f"invalid phantom settings: {message}" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+# inputs that do not exist show that the flag is checked before any is read
+NEGATIVE_INTEGER_FLAGS = {
+    "generate_seed": ["generate", "--seed", "-1"],
+    "train_seed": ["train", "--dataset", "missing", "--seed", "-1"],
+    "train_log_every": ["train", "--dataset", "missing", "--log-every", "-1"],
+    "register_seed": ["register", "--pre", "missing.ply", "--intra", "missing.ply",
+                      "--baseline", "ransac_icp", "--seed", "-1"],
+    "gradcheck_seed": ["gradcheck", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_INTEGER_FLAGS.values(), ids=NEGATIVE_INTEGER_FLAGS)
+def test_negative_integer_flag_exits_with_usage_error_before_any_work(
+        tmp_path, argv, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: segreg")
+    assert f"argument {argv[-2]}: expected a non-negative integer, got '-1'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_generate_failure_of_the_generator_exits_with_data_error(tmp_path, capsys):

@@ -371,9 +371,12 @@ UNPASSED_DEFAULTS_ALLOWED: dict[str, str] = {}
 
 def _defaulted_parameters(tree: ast.Module, prefix: str) -> dict[tuple[str, str], int | None]:
     """(function, parameter) -> positional index (None for keyword-only) of
-    every defaulted parameter of a public module-level function."""
+    every defaulted parameter of a public module-level function, and of
+    every defaulted field of a public ``*Config`` dataclass."""
     found: dict[tuple[str, str], int | None] = {}
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            node = _config_fields_as_function(node)
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             a = node.args
             positional = a.posonlyargs + a.args
@@ -445,13 +448,17 @@ def test_unpassed_default_scan_sees_keywords_positions_and_stars():
                      "def h(x=1):\n    pass\n"
                      "def k(x=1, y=2):\n    pass\n"
                      "def _private(x=1):\n    pass\n"
-                     "class C:\n    def m(self, x=1):\n        pass\n")
-    calls = ast.parse("f(0, 1)\nm.g(0, y=2)\nh(*args)\nk(**opts)\n")
+                     "class C:\n    def m(self, x=1):\n        pass\n"
+                     "@dataclass(frozen=True)\nclass NetConfig:\n    scale: float = 0.5\n"
+                     "    seed: int = 0\n    size: ClassVar[int] = 3\n")
+    calls = ast.parse("f(0, 1)\nm.g(0, y=2)\nh(*args)\nk(**opts)\nNetConfig(seed=2)\n")
     defaulted = _defaulted_parameters(defs, "mod")
     assert defaulted == {("mod.f", "b"): 1, ("mod.f", "c"): 2, ("mod.f", "d"): None,
                          ("mod.g", "y"): 1, ("mod.h", "x"): 0, ("mod.k", "x"): 0,
-                         ("mod.k", "y"): 1}
-    assert _unpassed_defaults(defaulted, _passed_arguments(calls)) == ["mod.f.c", "mod.f.d"]
+                         ("mod.k", "y"): 1, ("mod.NetConfig", "scale"): 0,
+                         ("mod.NetConfig", "seed"): 1}
+    assert _unpassed_defaults(defaulted, _passed_arguments(calls)) == [
+        "mod.NetConfig.scale", "mod.f.c", "mod.f.d"]
 
 
 # imports inside function bodies under src/segreg, with the reason
@@ -560,7 +567,6 @@ ONE_CONSTANT_PARAMETERS_ALLOWED = {
     "geometry.random_rigid.max_translation": "geometry must not import phantom's pose bounds",
     "geometry.random_rigid.max_rotation_deg": "geometry must not import phantom's pose bounds",
     "phantom.mm_to_units.mm": "a unit conversion of the caller's data",
-    "pipeline.MatcherConfig.patch_size": "perfbench constructs MatcherConfig",
 }
 
 _CONSTANT_NAME = re.compile(r"[A-Z][A-Z0-9_]+")

@@ -790,8 +790,18 @@ def lattice_sample():
                               PhantomConfig())
 
 
+class LatticeSeg(SegNetConfig):
+    """Two stages: the lattice collapses before a five-stage pyramid ends."""
+    widths = (16, 32)
+
+
+class LatticeMatcher(MatcherConfig):
+    """Patches small enough that truncation cuts through the lattice's ties."""
+    patch_size = 12
+
+
 PATCH_CASES = {
-    "lattice": (lattice_sample, SegNetConfig(widths=(16, 32)), MatcherConfig(patch_size=12)),
+    "lattice": (lattice_sample, LatticeSeg(), LatticeMatcher()),
     "phantom1000": (lambda: generate_phantom(PhantomConfig(seed=1000)),
                     SegNetConfig(), MatcherConfig()),
     "phantom12000": (lambda: generate_phantom(PhantomConfig(seed=12000)),

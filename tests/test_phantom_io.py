@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from segreg.fileio import (
+    CHECKPOINT_VERSION,
     load_checkpoint,
     load_landmarks,
     load_mask,
@@ -420,8 +421,7 @@ def test_manifest_round_trip(tmp_path):
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
-    seg_cfg = SegNetConfig(widths=(2, 2, 2, 2, 2), width_factor=1.0)
-    reg_cfg = RegNetConfig(widths=(2, 2, 4), width_factor=1.0)
+    seg_cfg, reg_cfg = SegNetConfig(width_factor=0.05), RegNetConfig(width_factor=0.1)
     params = init_params(seg_cfg, reg_cfg, 5)
     momentum = {k: rng.normal(size=v.data.shape) for k, v in params.items()}
     rng_state = np.random.default_rng(9).bit_generator.state
@@ -430,6 +430,12 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
                     rng_state=rng_state)
     params2, seg2, reg2, state = load_checkpoint(p)
     assert seg2 == seg_cfg and reg2 == reg_cfg
+    # the header keeps what a caller sets; the rest is the architecture
+    with np.load(p) as z:
+        header = json.loads(bytes(z["__header__"]).decode("utf-8"))
+    assert header["version"] == CHECKPOINT_VERSION == 4
+    assert (header["seg_config"], header["reg_config"]) == (
+        {"width_factor": 0.05}, {"width_factor": 0.1})
     assert state["step"] == 17
     assert state["rng_state"] == rng_state
     for k in params:

@@ -1,6 +1,8 @@
 """Pipeline: ``prepare_sample``'s ground truth, ``register_pair`` on a small
 phantom, and its pose on full-size phantoms through mostly wrong matches."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,19 @@ def test_register_pair_reports_the_winners_votes_and_margin(monkeypatch, winner,
     info = pipeline.register_pair(init_params(seg, reg, 0), prepared, seg, reg, match).info
     assert (info["votes"], info["vote_margin"]) == (votes[winner], margin)
     assert info["path"] == ("coarse" if winner == 0 else "local")
+
+
+def test_prepare_sample_is_the_same_bits_at_every_width_factor():
+    """The width factor shapes parameters only: the contexts with their held
+    inputs and mixes, the patches and the ground truth pickle to the same
+    bytes at 0.25 and 1.0."""
+    sample = generate_phantom(PhantomConfig(seed=6, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    a, b = (pickle.dumps(pipeline.prepare_sample(sample, SegNetConfig(width_factor=f),
+                                                 RegNetConfig(width_factor=f),
+                                                 pipeline.MatcherConfig()))
+            for f in (0.25, 1.0))
+    assert a == b
 
 
 def test_prepare_sample_ground_truth_invariants():
