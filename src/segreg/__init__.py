@@ -8,9 +8,6 @@ training/evaluation harness.  The ``segreg`` CLI ties everything into
 reproducible runs.
 """
 
-from segreg.autodiff import Tape, Tensor, backward
-from segreg.geometry import PointCloud, RigidTransform
-
 __version__ = "0.1.0"
 
-__all__ = ["Tape", "Tensor", "backward", "PointCloud", "RigidTransform", "__version__"]
+__all__ = ["__version__"]

@@ -26,7 +26,8 @@ off, so such an input raises :class:`NonFiniteError` and not a
 Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
 adds in input order exactly as ``np.add.at`` does into zeros.  Row gathers
 and means run along a :class:`RowMap`, whose range check is made when the
-map is built and whose group sizes are counted once.
+map is built and whose group sizes are counted once.  The finite-difference
+oracle that checks every op's backward lives in ``segreg.gradcheck``.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ __all__ = [
     "scatter_mean",
     "record_custom",
     "accumulate_grad",
-    "finite_difference_gradient",
-    "max_relative_error",
 ]
 
 _ACTIVE_TAPE: "Tape | None" = None
@@ -458,37 +457,3 @@ def scatter_mean(src: Tensor, groups: RowMap) -> Tensor:
     return record_custom(scatter_add_rows(groups.index, src.data, groups.n) / safe,
                          src.requires_grad, bwd)
 
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-FD_STEP = 1e-5  # central-difference step of finite_difference_gradient
-
-
-def finite_difference_gradient(f, arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Central finite differences (step ``FD_STEP``) of scalar ``f(arrays)``
-    w.r.t. every entry.
-
-    Independent of the tape machinery by construction: only calls ``f`` on
-    perturbed copies.
-    """
-    grads = []
-    for k, a in enumerate(arrays):
-        g = np.zeros_like(a, dtype=np.float64)
-        flat = g.reshape(-1)
-        base = [x.copy() for x in arrays]
-        for i in range(a.size):
-            plus = [x.copy() for x in base]
-            minus = [x.copy() for x in base]
-            plus[k].reshape(-1)[i] += FD_STEP
-            minus[k].reshape(-1)[i] -= FD_STEP
-            flat[i] = (f(plus) - f(minus)) / (2.0 * FD_STEP)
-        grads.append(g)
-    return grads
-
-
-def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """max_i |a_i - b_i| / max(1, |a_i|, |b_i|), the gradcheck metric."""
-    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0

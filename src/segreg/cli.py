@@ -122,7 +122,7 @@ def cmd_generate(args) -> int:
             name = f"sample_{i:04d}"
             save_sample(sample, out / name)
             dirs.append(name)
-        write_manifest(out, dirs, config=knobs, seed=args.seed)
+        write_manifest(out, dirs, seed=args.seed)
     _write_run_manifest(out, "generate", vars(args))
     print(f"wrote {args.n_samples} samples to {out}")
     return EXIT_OK

@@ -1,5 +1,5 @@
-"""File formats: PLY point clouds, pose/landmark/mask files, dataset
-manifests, and network checkpoints.
+"""File formats: PLY point clouds, poses, dataset samples and manifests,
+and network checkpoints.
 
 PLY reads ascii and binary_little_endian vertices with float or double
 x/y/z, optional uchar red/green/blue and an optional label of any integer
@@ -10,15 +10,19 @@ channels, an ascii token that is not a number of its declared type (or
 lies outside its range), or a non-finite position in either encoding is a
 malformed PLY.
 Poses are JSON: rotation, translation and extra fields; rotations are
-re-validated on load.  A sample's pose.json needs a positive, finite
-``scale``, its landmarks.csv K >= 1 finite x,y,z rows and its mask.txt one
-0/1 label per intraoperative point.  Checkpoints are .npz archives of the
+re-validated on load.  ``save_sample`` and ``load_sample`` alone write and
+read a sample directory: its pose.json needs a positive, finite ``scale``,
+its landmarks.csv K >= 1 finite x,y,z rows and its mask.txt one 0/1 label
+per intraoperative point.  A dataset's manifest.json lists one or more
+sample directories, each once; the generator's settings are in the
+run_manifest.json beside it.  Checkpoints are .npz archives of the
 parameters (and momentum) with a JSON header (version 4) carrying the step,
 each network config's one field, ``width_factor``, and the generator state;
 loading checks each array's name and shape against ``param_shapes`` of
 those configs.  The header does not record the networks' class constants
 (widths, voxel, neighbor cap, kernel), so a change to any of them changes
-what a checkpoint means and bumps ``CHECKPOINT_VERSION``.
+what a checkpoint means and bumps ``CHECKPOINT_VERSION``, and a config
+subclass that overrides them cannot be saved.
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ __all__ = [
     "load_ply",
     "save_pose",
     "load_pose",
-    "save_landmarks",
-    "load_landmarks",
-    "save_mask",
-    "load_mask",
     "save_sample",
     "load_sample",
     "write_manifest",
@@ -204,7 +204,7 @@ def load_ply(path: str | Path) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# poses, landmarks, masks
+# poses
 # ---------------------------------------------------------------------------
 
 def save_pose(T: RigidTransform, path: str | Path, extra: dict | None = None) -> None:
@@ -237,29 +237,14 @@ def load_pose(path: str | Path) -> tuple[RigidTransform, dict]:
     return RigidTransform(u @ vt, t), meta
 
 
-def save_landmarks(landmarks: np.ndarray, path: str | Path) -> None:
-    rows = ["x,y,z"] + [",".join(repr(float(v)) for v in lm) for lm in landmarks]
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
-def load_landmarks(path: str | Path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
-    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-
-
-def save_mask(mask: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text("\n".join(str(int(v)) for v in mask) + "\n")
-
-
-def load_mask(path: str | Path) -> np.ndarray:
-    return np.array([int(v) for v in Path(path).read_text().split()], dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # dataset layout
 # ---------------------------------------------------------------------------
 
 def save_sample(sample: RegistrationSample, directory: str | Path) -> None:
+    """Write pre.ply, intra.ply, pose.json (with the center, scale and
+    generator meta), landmarks.csv (an x,y,z header, then one row per
+    landmark) and mask.txt (one 0/1 label per line)."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     save_ply(sample.preoperative, d / "pre.ply")
@@ -267,8 +252,9 @@ def save_sample(sample: RegistrationSample, directory: str | Path) -> None:
     save_pose(sample.T_gt, d / "pose.json",
               extra={"center": np.asarray(sample.center, dtype=float).tolist(),
                      "scale": float(sample.scale), "meta": sample.meta})
-    save_landmarks(sample.landmarks, d / "landmarks.csv")
-    save_mask(sample.gt_mask, d / "mask.txt")
+    rows = ["x,y,z"] + [",".join(repr(float(v)) for v in lm) for lm in sample.landmarks]
+    (d / "landmarks.csv").write_text("\n".join(rows) + "\n")
+    (d / "mask.txt").write_text("\n".join(str(int(v)) for v in sample.gt_mask) + "\n")
 
 
 def load_sample(directory: str | Path) -> RegistrationSample:
@@ -276,8 +262,9 @@ def load_sample(directory: str | Path) -> RegistrationSample:
     pre = load_ply(d / "pre.ply")
     intra = load_ply(d / "intra.ply")
     T, meta = load_pose(d / "pose.json")
-    landmarks = load_landmarks(d / "landmarks.csv")
-    mask = load_mask(d / "mask.txt")
+    rows = (d / "landmarks.csv").read_text().strip().splitlines()[1:]
+    landmarks = np.array([[float(v) for v in row.split(",")] for row in rows])
+    mask = np.array([int(v) for v in (d / "mask.txt").read_text().split()], dtype=np.int64)
     if landmarks.ndim != 2 or landmarks.shape[0] < 1 or landmarks.shape[1] != 3:
         raise ValueError(f"{d / 'landmarks.csv'}: need K >= 1 rows of x,y,z, "
                          f"got shape {landmarks.shape}")
@@ -304,16 +291,16 @@ def load_sample(directory: str | Path) -> RegistrationSample:
 
 
 def write_manifest(directory: str | Path, sample_dirs: list[str],
-                   config: dict | None = None, seed: int | None = None) -> None:
+                   seed: int | None = None) -> None:
     doc = {"format_version": 1, "samples": sample_dirs}
-    if config is not None:
-        doc["config"] = config
     if seed is not None:
         doc["seed"] = seed
     Path(directory, "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def read_manifest(directory: str | Path) -> dict:
+    """The manifest under ``directory``; its ``samples`` must name one or
+    more sample directories, each once."""
     path = Path(directory, "manifest.json")
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json under {directory}")
@@ -325,6 +312,11 @@ def read_manifest(directory: str | Path) -> dict:
     samples = doc.get("samples")
     if not isinstance(samples, list) or not all(isinstance(n, str) for n in samples):
         raise ValueError("manifest 'samples' must be a list of sample directory names")
+    if not samples:
+        raise ValueError("manifest 'samples' lists no sample")
+    repeated = sorted({n for n in samples if samples.count(n) > 1})
+    if repeated:
+        raise ValueError(f"manifest 'samples' lists {repeated} more than once")
     return doc
 
 
@@ -343,8 +335,13 @@ def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,
     The JSON header holds the version, the step, both network configs (their
     ``width_factor``), the parameter names and the training generator's PCG64
     state; the arrays are ``param/<name>`` and, for a resumable run,
-    ``momentum/<name>``.
+    ``momentum/<name>``.  The configs must be exactly ``SegNetConfig`` and
+    ``RegNetConfig``: a subclass that overrides their constants would write
+    a file whose parameters no header can describe.
     """
+    if type(seg_config) is not SegNetConfig or type(reg_config) is not RegNetConfig:
+        raise ValueError("a checkpoint records only SegNetConfig and RegNetConfig, got "
+                         f"{type(seg_config).__name__} and {type(reg_config).__name__}")
     header = {
         "version": CHECKPOINT_VERSION,
         "step": step,

@@ -4,14 +4,16 @@ One table holds every check.  A row names its component, its tolerance,
 its input arrays and a function of their tensors; there is one row per
 tape op of ``autodiff`` and one per fused node or composite of the model.
 One harness projects a row's output onto fixed random weights, takes the
-tape gradient of that scalar, and compares it with central finite
-differences of the same function run off the tape.  The straight-through
-mask adds two exact checks: its gradient is the relaxation's, and its
-forward is binary: 27 checks in all.  A component's inputs come from
-``default_rng([seed, component index])``; a component with more than one
-group of rows draws group k > 0 from ``default_rng([seed, component index,
-k])``, so a group added later leaves the earlier groups' draws as they
-were.  The checks back the ``gradcheck`` CLI command and the test suite.
+tape gradient of that scalar, and compares it by ``max_relative_error``
+with central finite differences of the same function run off the tape
+(``finite_difference_gradient``, which only calls it on perturbed copies of
+its inputs).  The straight-through mask adds two exact checks: its
+gradient is the relaxation's, and its forward is binary: 27 checks in all.
+A component's inputs come from ``default_rng([seed, component index])``; a
+component with more than one group of rows draws group k > 0 from
+``default_rng([seed, component index, k])``, so a group added later leaves
+the earlier groups' draws as they were.  The checks back the ``gradcheck``
+CLI command and the test suite.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from segreg import autodiff as ad
-from segreg.autodiff import (
-    Tape,
-    Tensor,
-    backward,
-    finite_difference_gradient,
-    max_relative_error,
-    sum_,
-)
+from segreg.autodiff import Tape, Tensor, backward, sum_
 from segreg.geometry import PointCloud, radius_neighbors
 from segreg.gumbel import gumbel_softmax, sample_gumbel, straight_through_mask
 from segreg.kpconv import (
@@ -71,6 +66,33 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_rel_error < self.tolerance
+
+
+FD_STEP = 1e-5  # central-difference step of finite_difference_gradient
+
+
+def finite_difference_gradient(f, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Central finite differences (step ``FD_STEP``) of scalar ``f(arrays)``
+    w.r.t. every entry."""
+    grads = []
+    for k, a in enumerate(arrays):
+        g = np.zeros_like(a, dtype=np.float64)
+        flat = g.reshape(-1)
+        base = [x.copy() for x in arrays]
+        for i in range(a.size):
+            plus = [x.copy() for x in base]
+            minus = [x.copy() for x in base]
+            plus[k].reshape(-1)[i] += FD_STEP
+            minus[k].reshape(-1)[i] -= FD_STEP
+            flat[i] = (f(plus) - f(minus)) / (2.0 * FD_STEP)
+        grads.append(g)
+    return grads
+
+
+def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    """max_i |a_i - b_i| / max(1, |a_i|, |b_i|), the gradcheck metric."""
+    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
 def _fd_error(rng, arrays, fn) -> float:

@@ -236,8 +236,7 @@ def conv_influence(offsets: np.ndarray, neighbors: np.ndarray, kernel: np.ndarra
     return InfluenceOperator(matrix)
 
 
-def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray,
-                           min_neighbors: int = 3) -> np.ndarray:
+def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """Deterministic per-point local frames from neighborhood covariance.
 
     ``offsets`` is the :func:`neighbor_offsets` table of the (N, H) table
@@ -245,9 +244,9 @@ def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray,
     ordered largest to smallest spread.  The smallest axis (surface normal)
     is oriented away from the local centroid, the largest by third-moment
     skew, and the middle completes a right-handed basis.  Points with fewer
-    than ``min_neighbors`` real neighbors keep the identity frame.  Frames
-    co-rotate with the cloud, so frame-relative offsets are
-    rotation-invariant.
+    than 3 real neighbors, whose covariance has no unique axes, keep the
+    identity frame.  Frames co-rotate with the cloud, so frame-relative
+    offsets are rotation-invariant.
 
     The six distinct covariance entries are summed over the neighbor slots
     in slot order, the order of a per-point ``einsum`` over them.  The third
@@ -281,7 +280,7 @@ def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray,
     major[skew < 0] *= -1.0
     middle = np.cross(normal, major)
     frames = np.stack([major, middle, normal], axis=1)
-    frames[counts < min_neighbors] = np.eye(3)
+    frames[counts < 3] = np.eye(3)
     return frames
 
 

@@ -33,7 +33,7 @@ patch score stack; their plain sum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -60,7 +60,6 @@ __all__ = [
     "procrustes_stack",
     "weighted_procrustes",
     "refine_transform",
-    "RefineResult",
     "local_to_global",
     "l2_normalize_rows",
     "CoarseTargets",
@@ -102,12 +101,6 @@ class PatchedSuperpoints:
     patch_indices: np.ndarray             # (M, patch_size) level-0 indices
     sizes: np.ndarray                     # (M,) members per patch
     fine_points: np.ndarray               # (N0, 3) level-0 positions
-    fine_to_sp: np.ndarray = field(init=False)  # (N0,) superpoint id or -1 if truncated
-
-    def __post_init__(self):
-        members = self.valid
-        self.fine_to_sp = np.full(self.fine_points.shape[0], -1, dtype=np.int64)
-        self.fine_to_sp[self.patch_indices[members]] = np.nonzero(members)[0]
 
     @property
     def valid(self) -> np.ndarray:
@@ -196,12 +189,16 @@ def superpoint_overlap_labels(pre: PatchedSuperpoints, intra: PatchedSuperpoints
     mp, mi = pre.points.shape[0], intra.points.shape[0]
     members = pre.valid
     owner = np.nonzero(members)[0]                  # pre superpoint per patch point
+    intra_members = intra.valid
+    # intra superpoint of each level-0 point, -1 where truncation dropped it
+    fine_to_sp = np.full(intra.fine_points.shape[0], -1, dtype=np.int64)
+    fine_to_sp[intra.patch_indices[intra_members]] = np.nonzero(intra_members)[0]
     moved = T_gt.apply_points(pre.fine_points)[pre.patch_indices[members]]
     hits = cKDTree(intra.fine_points).query_ball_point(moved, OVERLAP_PATCH_RADIUS)
     counts = np.fromiter(map(len, hits), np.int64, len(hits))
     hit = np.fromiter(itertools.chain.from_iterable(hits), np.int64, counts.sum())
     point = np.repeat(np.arange(len(hits)), counts)
-    sp = intra.fine_to_sp[hit]
+    sp = fine_to_sp[hit]
     # each (pre point, intra superpoint) once
     key = np.unique(point[sp >= 0] * mi + sp[sp >= 0])
     overlap = np.bincount(owner[key // mi] * mi + key % mi, minlength=mp * mi)
@@ -403,25 +400,20 @@ def weighted_procrustes(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> RigidTra
     return RigidTransform(R[0], t[0])
 
 
-@dataclass
-class RefineResult:
-    transform: RigidTransform
-    inlier_count: int
-
-
 def refine_transform(T0: RigidTransform, p: np.ndarray, q: np.ndarray, w: np.ndarray,
-                     inlier_radius: float) -> RefineResult:
+                     inlier_radius: float) -> tuple[RigidTransform, int]:
     """Re-solve ``weighted_procrustes`` on the matches (its arrays) that the
     current transform places within ``inlier_radius``, ``REFINE_ITERATIONS``
     rounds from ``T0``; a round with fewer than 3 inliers or a degenerate
     inlier set ends them.  The iterate with the most inliers wins, the
-    earliest on ties, so without any inlier ``T0`` comes back with count 0.
+    earliest on ties; it comes back with its inlier count, so without any
+    inlier ``T0`` comes back with count 0.
     """
-    best, T = RefineResult(T0, 0), T0
+    best, T = (T0, 0), T0
     for rounds_left in range(REFINE_ITERATIONS, -1, -1):
         keep = np.linalg.norm(T.apply_points(p) - q, axis=1) <= inlier_radius
-        if keep.sum() > best.inlier_count:
-            best = RefineResult(T, int(keep.sum()))
+        if keep.sum() > best[1]:
+            best = (T, int(keep.sum()))
         if not rounds_left or keep.sum() < 3:
             break
         try:

@@ -33,12 +33,10 @@ __all__ = [
     "generate_phantom",
     "weak_labels",
     "mm_to_units",
-    "OVERLAP_RADIUS",
-    "OVERLAP_MIN_FRACTION",
 ]
 
-OVERLAP_RADIUS = 0.05          # unit-sphere distance for the overlap guarantee
-OVERLAP_MIN_FRACTION = 0.30
+_OVERLAP_RADIUS = 0.05         # unit-sphere distance for the overlap guarantee
+_OVERLAP_MIN_FRACTION = 0.30
 _MAX_RETRIES = 20
 POSE_MAX_TRANSLATION = 0.1     # bounds of the sampled ground-truth pose,
 POSE_MAX_ROTATION_DEG = 45.0   # in unit-sphere units and degrees
@@ -279,8 +277,8 @@ def _generate_once(cfg: PhantomConfig, attempt: int) -> RegistrationSample | Non
     bone_n = intra_n[gt_mask == 1]
     tree = cKDTree(bone_n)
     d, _ = tree.query(pre_aligned)
-    overlap = float(np.mean(d <= OVERLAP_RADIUS))
-    if overlap < OVERLAP_MIN_FRACTION:
+    overlap = float(np.mean(d <= _OVERLAP_RADIUS))
+    if overlap < _OVERLAP_MIN_FRACTION:
         return None
 
     pre_cloud = PointCloud(pre_stored)

@@ -207,6 +207,10 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     ``prepared`` already holds what ``seg_cfg`` and ``match_cfg`` decide (the
     contexts and patches), so neither is read; they stay in the signature for
     callers that pass all five.  ``reg_cfg``'s voxel sets the inlier radius.
+    ``info`` holds the match counts (``n_coarse``, ``n_fine``), the fine
+    matches the refined pose places within that radius (``inliers``; 0 means
+    no match supports the pose), the mask's bone share (``mask_mean``), the
+    winning hypothesis (``path``) and its ``votes`` and ``vote_margin``.
     """
     mask = hard_mask(seg_forward(params, prepared.seg_ctx))
 
@@ -224,15 +228,14 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     winner, hypothesis, votes = local_to_global(coarse, fine, pair_idx, inlier_radius)
     if hypothesis is None:
         raise RegistrationError("degenerate correspondence set: no valid pose hypothesis")
-    refined = refine_transform(hypothesis, *fine, inlier_radius)
+    transform, inliers = refine_transform(hypothesis, *fine, inlier_radius)
     info = {
         "n_coarse": int(len(pairs)),
         "n_fine": int(len(weights)),
-        "inliers": refined.inlier_count,
-        "refine_flagged": refined.inlier_count == 0,
+        "inliers": inliers,
         "mask_mean": float(mask.mean()),
         "path": "coarse" if winner == 0 else "local",
         "votes": int(votes[winner]),
         "vote_margin": int(votes[winner] - np.delete(votes, winner).max(initial=0)),
     }
-    return RegistrationResult(refined.transform, mask, info)
+    return RegistrationResult(transform, mask, info)

@@ -159,6 +159,22 @@ def small_pair_on_disk(tmp_path):
     return pre, intra
 
 
+def test_register_checkpoint_with_emit_mask_writes_the_labeled_intra_cloud(tmp_path):
+    pre, intra = small_pair_on_disk(tmp_path)
+    seg, reg = SegNetConfig(), RegNetConfig()
+    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
+    assert main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"),
+                 "--checkpoint", str(tmp_path / "model.npz"),
+                 "--emit-mask", str(tmp_path / "mask.ply")]) == 0
+    _, meta = load_pose(tmp_path / "pose.json")
+    given, labeled = load_ply(intra), load_ply(tmp_path / "mask.ply")
+    assert labeled.labels.shape == (len(given),)
+    assert labeled.labels.mean() == meta["info"]["mask_mean"]
+    assert np.array_equal(labeled.positions, given.positions)
+    np.testing.assert_allclose(labeled.colors, given.colors, rtol=0, atol=1 / 255)
+
+
 def test_register_baseline_with_emit_mask_exits_with_usage_error(tmp_path):
     pre, intra = small_pair_on_disk(tmp_path)
     code = main(["register", "--pre", str(pre), "--intra", str(intra),
@@ -613,6 +629,11 @@ def test_generate_train_register_eval_ablate_chain_exits_zero(tmp_path):
     data, model = tmp_path / "data", tmp_path / "model"
     assert main(["generate", "--out", str(data), "--n-samples", "6", "--n-vertebrae", "2",
                  "--points-pre", "1024", "--points-intra", "512"]) == 0
+    # the generator settings are kept once, in the run manifest
+    settings = json.loads((data / "run_manifest.json").read_text())["args"]
+    assert (settings["n_vertebrae"], settings["points_pre"], settings["points_intra"]) == (
+        2, 1024, 512)
+    assert "config" not in json.loads((data / "manifest.json").read_text())
     assert main(["train", "--dataset", str(data), "--out", str(model),
                  "--iters", "2", "--warmup", "0"]) == 0
     for name in (f"sample_{i:04d}" for i in range(6)):
@@ -673,20 +694,26 @@ def header_only_landmarks(data):
     (data / "sample_0000" / "landmarks.csv").write_text("x,y,z\n")
 
 
-# damage to a valid one-sample dataset, and the command that reads the damage
+EVERY_DATASET_COMMAND = ("train", "eval", "ablate")
+# damage to a valid one-sample dataset, and the commands that read the damage
 BAD_DATASETS = {
-    "manifest_not_an_object": (write_manifest_text("[]"), "eval"),
-    "manifest_without_samples": (write_manifest_text('{"format_version": 1}'), "eval"),
+    "manifest_not_an_object": (write_manifest_text("[]"), ("eval",)),
+    "manifest_without_samples": (write_manifest_text('{"format_version": 1}'), ("eval",)),
     "samples_not_a_list": (write_manifest_text(
-        '{"format_version": 1, "samples": 1}'), "eval"),
-    "mask_shorter_than_intra_cloud": (truncate_mask, "train"),
-    "mask_label_not_binary": (non_binary_mask, "train"),
-    "pose_without_scale": (pose_field("scale", None), "eval"),
-    "negative_scale": (pose_field("scale", -0.2), "eval"),
-    "center_not_xyz": (pose_field("center", "abc"), "eval"),
-    "nan_landmark": (nan_landmark, "eval"),
-    "landmarks_not_xyz": (two_column_landmarks, "eval"),
-    "no_landmarks": (header_only_landmarks, "eval"),
+        '{"format_version": 1, "samples": 1}'), ("eval",)),
+    "empty_samples": (write_manifest_text('{"format_version": 1, "samples": []}'),
+                      EVERY_DATASET_COMMAND),
+    "duplicate_samples": (write_manifest_text(
+        '{"format_version": 1, "samples": ["sample_0000", "sample_0000"]}'),
+        EVERY_DATASET_COMMAND),
+    "mask_shorter_than_intra_cloud": (truncate_mask, ("train",)),
+    "mask_label_not_binary": (non_binary_mask, ("train",)),
+    "pose_without_scale": (pose_field("scale", None), ("eval",)),
+    "negative_scale": (pose_field("scale", -0.2), ("eval",)),
+    "center_not_xyz": (pose_field("center", "abc"), ("eval",)),
+    "nan_landmark": (nan_landmark, ("eval",)),
+    "landmarks_not_xyz": (two_column_landmarks, ("eval",)),
+    "no_landmarks": (header_only_landmarks, ("eval",)),
 }
 
 
@@ -694,19 +721,25 @@ BAD_DATASETS = {
 def test_malformed_dataset_exits_with_data_error(tmp_path, kind, capsys):
     identity = json.dumps({"rotation": np.eye(3).tolist(), "translation": [0, 0, 0]})
     data, preds = dataset_with_prediction(tmp_path, identity)
-    damage, command = BAD_DATASETS[kind]
+    damage, commands = BAD_DATASETS[kind]
     damage(data)
     out = tmp_path / "out"
-    if command == "train":
-        args = ["train", "--dataset", str(data), "--out", str(out), "--mode", "two_step",
-                "--iters", "2", "--phase1-iters", "1", "--warmup", "0",
-                "--checkpoint-every", "0"]
-    else:
-        args = ["eval", "--dataset", str(data), "--predictions", str(preds),
-                "--out", str(out)]
-    assert main(args) == EXIT_DATA
-    assert "cannot load" in capsys.readouterr().err
-    assert not out.exists()
+    # each command, and the prefix of its data-error message
+    runs = {
+        "train": (["train", "--dataset", str(data), "--out", str(out), "--mode", "two_step",
+                   "--iters", "2", "--phase1-iters", "1", "--warmup", "0",
+                   "--checkpoint-every", "0"], "cannot load inputs"),
+        "eval": (["eval", "--dataset", str(data), "--predictions", str(preds),
+                  "--out", str(out)], "cannot load dataset"),
+        "ablate": (["ablate", "--dataset", str(data), "--out", str(out),
+                    "--pred-a", str(preds), "--pred-b", str(preds)],
+                   "cannot assemble ablation inputs"),
+    }
+    for command in commands:
+        args, prefix = runs[command]
+        assert main(args) == EXIT_DATA, command
+        assert prefix in capsys.readouterr().err, command
+        assert not out.exists(), command
 
 
 @pytest.mark.parametrize("flag", ["--pre", "--intra", "--checkpoint"])

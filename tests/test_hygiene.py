@@ -15,8 +15,22 @@ SRC = ROOT / "src" / "segreg"
 MODULES = sorted(SRC.glob("*.py"))
 # code whose references keep a public name alive (tests do not count)
 USER_CODE = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
-# public names that no package or benchmark code references, with the reason
-UNREFERENCED_ALLOWED: dict[str, str] = {}
+# public names that no other package module and no benchmark code takes from
+# their module, with the reason: a type that a public function returns, or a
+# function or constant that the tests check directly (ROADMAP aim 3)
+UNREFERENCED_ALLOWED = {
+    "segreg.baselines.ICPReport": "returned by icp and ransac_icp",
+    "segreg.evaluation.EvalRecord": "returned by evaluate_pose",
+    "segreg.gradcheck.CheckResult": "returned by run_checks",
+    "segreg.pipeline.RegistrationResult": "returned by register_pair",
+    "segreg.training.TrainResult": "returned by train",
+    "segreg.evaluation.rmse": "the RMSE that evaluate_pose reports, tested directly",
+    "segreg.evaluation.pose_errors": "the pose errors of evaluate_pose, tested directly",
+    "segreg.training.lr_at": "the learning-rate schedule train follows, tested directly",
+    "segreg.training.tau_at": "the temperature schedule train follows, tested directly",
+    "segreg.fileio.CHECKPOINT_VERSION":
+        "the version a checkpoint header must carry; tests write other versions from it",
+}
 # public members of exported classes that nothing reads, with the reason
 UNREFERENCED_MEMBERS_ALLOWED = {
     "segreg.phantom.RegistrationSample.config":
@@ -66,30 +80,77 @@ def test_unused_import_scan_sees_unused_names():
     assert _unused_imports(tree) == ["b (line 2)", "os (line 1)"]
 
 
-def _referenced_names(paths) -> set[str]:
-    names: set[str] = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-    return names
+def _dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` of a chain of attributes on a name, None for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _module_references(tree: ast.Module) -> set[tuple[str, str]]:
+    """``(module, name)`` for every name a file takes from a ``segreg``
+    module: ``from segreg.m import name``, ``alias.name`` where an import
+    binds ``alias`` to ``segreg.m``, and a ``("segreg.m", "name")`` pair of
+    string constants (how the benchmark's tracer names what it wraps)."""
+    refs: set[tuple[str, str]] = set()
+    bound: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "segreg":
+            for alias in node.names:
+                refs.add((node.module, alias.name))
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "segreg":   # ``import segreg.m`` binds segreg
+                    bound[alias.asname or "segreg"] = alias.name if alias.asname else "segreg"
+        elif (isinstance(node, ast.Tuple) and len(node.elts) == 2
+              and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                      for e in node.elts)
+              and node.elts[0].value.split(".")[0] == "segreg"):
+            refs.add((node.elts[0].value, node.elts[1].value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = _dotted(node.value)
+            head, _, rest = (base or "").partition(".")
+            if head in bound:
+                refs.add((".".join(filter(None, (bound[head], rest))), node.attr))
+    return refs
 
 
 def test_every_public_name_is_referenced_from_package_or_benchmark_code():
-    used = _referenced_names(USER_CODE)
+    """A name in ``__all__`` is used when another ``segreg`` module or the
+    benchmark takes it from the module that exports it; the exporting
+    module's own references and the tests' do not count."""
+    refs = {path: _module_references(ast.parse(path.read_text(), filename=str(path)))
+            for path in USER_CODE}
     unreferenced = []
     for path in MODULES:
-        module = importlib.import_module(_module_name(path))
-        unreferenced += [f"{module.__name__}.{name}"
-                         for name in getattr(module, "__all__", ()) if name not in used]
+        module = _module_name(path)
+        exported = getattr(importlib.import_module(module), "__all__", ())
+        used = {name for user, pairs in refs.items() if user != path
+                for ref_module, name in pairs if ref_module == module}
+        unreferenced += [f"{module}.{name}" for name in exported if name not in used]
     assert sorted(unreferenced) == sorted(UNREFERENCED_ALLOWED), (
-        "public names nothing in src/segreg or perfbench uses: "
+        "public names no other module in src/segreg or perfbench uses: "
         f"{sorted(set(unreferenced) - set(UNREFERENCED_ALLOWED))}; "
         f"stale allowlist entries: {sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced))}")
+
+
+def test_module_reference_scan_resolves_imports_and_aliases():
+    tree = ast.parse("import segreg.cli\nimport numpy as np\n"
+                     "from segreg import fileio, matching as m\n"
+                     "from segreg.geometry import PointCloud as PC, knn\n"
+                     "fileio.save_ply(x)\nm.K_CORR\nsegreg.cli.main()\nPC.apply\n"
+                     "np.zeros\nsave_ply\nLAYERS = {'a': ('segreg.kpconv', 'build_pyramid')}\n"
+                     "('numpy', 'zeros')\n")
+    assert _module_references(tree) == {
+        ("segreg", "fileio"), ("segreg", "matching"), ("segreg.geometry", "PointCloud"),
+        ("segreg.geometry", "knn"), ("segreg.fileio", "save_ply"),
+        ("segreg.matching", "K_CORR"), ("segreg", "cli"), ("segreg.cli", "main"),
+        ("segreg.geometry.PointCloud", "apply"), ("segreg.kpconv", "build_pyramid")}
 
 
 def _member_references(tree: ast.Module) -> set[str]:

@@ -6,28 +6,24 @@ import struct
 import numpy as np
 import pytest
 
+from segreg import phantom
 from segreg.fileio import (
     CHECKPOINT_VERSION,
     load_checkpoint,
-    load_landmarks,
-    load_mask,
     load_ply,
     load_pose,
     load_sample,
     read_manifest,
     save_checkpoint,
-    save_landmarks,
-    save_mask,
     save_ply,
     save_pose,
     save_sample,
     write_manifest,
 )
 from segreg.geometry import PointCloud, RigidTransform, random_rigid
+from segreg.gradcheck import _TOY_REG, _TOY_SEG
 from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import (
-    OVERLAP_MIN_FRACTION,
-    OVERLAP_RADIUS,
     PhantomConfig,
     generate_phantom,
     mm_to_units,
@@ -73,7 +69,7 @@ def test_overlap_and_occlusion_guarantees_hold():
         bone = s.intraoperative.positions[s.gt_mask == 1]
         aligned = s.T_gt.apply_points(s.preoperative.positions)
         d, _ = cKDTree(bone).query(aligned)
-        assert np.mean(d <= OVERLAP_RADIUS) >= OVERLAP_MIN_FRACTION
+        assert np.mean(d <= phantom._OVERLAP_RADIUS) >= phantom._OVERLAP_MIN_FRACTION
         assert s.meta["occlusion_removed_fraction"] < 0.5
 
 
@@ -363,16 +359,6 @@ def test_pose_rejects_corrupted_rotation(tmp_path):
 
 # -- landmarks, masks, samples, manifest --------------------------------------
 
-def test_landmarks_and_mask_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    lm = rng.uniform(-1, 1, (15, 3))
-    save_landmarks(lm, tmp_path / "lm.csv")
-    np.testing.assert_array_equal(load_landmarks(tmp_path / "lm.csv"), lm)
-    mask = rng.integers(0, 2, 64)
-    save_mask(mask, tmp_path / "m.txt")
-    np.testing.assert_array_equal(load_mask(tmp_path / "m.txt"), mask)
-
-
 def test_sample_round_trip(tmp_path):
     s = generate_phantom(PhantomConfig(seed=8, **SMALL))
     save_sample(s, tmp_path / "sample_0000")
@@ -411,10 +397,10 @@ def test_saved_intra_cloud_carries_no_label_column(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    write_manifest(tmp_path, ["sample_0000", "sample_0001"], config={"seed": 3}, seed=3)
+    write_manifest(tmp_path, ["sample_0000", "sample_0001"], seed=3)
     doc = read_manifest(tmp_path)
     assert doc["samples"] == ["sample_0000", "sample_0001"]
-    assert doc["config"]["seed"] == 3
+    assert doc["seed"] == 3
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -441,6 +427,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for k in params:
         assert np.array_equal(params[k].data, params2[k].data)
         assert np.array_equal(momentum[k], state["momentum"][k])
+
+
+@pytest.mark.parametrize("which", ["seg", "reg", "both"])
+def test_save_checkpoint_refuses_config_subclasses(tmp_path, which):
+    """gradcheck's toy configs override the network constants, which a
+    header does not record: the file could never load, so none is written."""
+    seg_cfg = _TOY_SEG if which in ("seg", "both") else SegNetConfig()
+    reg_cfg = _TOY_REG if which in ("reg", "both") else RegNetConfig()
+    p = tmp_path / "ckpt.npz"
+    with pytest.raises(ValueError, match="only SegNetConfig and RegNetConfig"):
+        save_checkpoint(p, init_params(seg_cfg, reg_cfg, 0), seg_cfg, reg_cfg)
+    assert not p.exists()
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):

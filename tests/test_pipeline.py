@@ -92,9 +92,6 @@ def test_prepare_sample_ground_truth_invariants():
         assert np.all(view.patch_indices[members] < n0)
         assert np.all(view.patch_indices[~members] == n0)
         assert np.unique(view.patch_indices[members]).size == members.sum()
-        owner = np.full(n0, -1)
-        owner[view.patch_indices[members]] = np.nonzero(members)[0]
-        assert np.array_equal(view.fine_to_sp, owner)
     overlap = superpoint_overlap_labels(pre, intra, sample.T_gt)
     assert overlap.shape == (len(pre.points), len(intra.points))
     assert np.all((overlap >= 0.0) & (overlap <= 1.0))

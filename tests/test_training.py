@@ -80,7 +80,7 @@ def test_training_loss_matches_finite_differences(gumbel):
             fd[k] = (plus - minus) / (2.0 * h)
         analytic = grads[name].reshape(-1)[entries]
         # relative to the largest entry checked: these gradients are ~1e-2,
-        # below the unit floor of autodiff.max_relative_error
+        # below the unit floor of gradcheck.max_relative_error
         scale = np.max(np.abs(fd))
         assert scale > 0.0, name
         assert np.max(np.abs(analytic - fd)) / scale < 1e-4, name
