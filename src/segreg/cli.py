@@ -2,8 +2,10 @@
 gradcheck.
 
 Every command is deterministic given its flags and seed and records its
-resolved configuration: ``register`` in its pose JSON's ``manifest`` field
-(poses share directories), the others in run_manifest.json.  Exit codes:
+resolved configuration and the environment that ran it (python, numpy and
+scipy versions, thread settings): ``register`` in its pose JSON's
+``manifest`` field (poses share directories), the others in
+run_manifest.json.  Exit codes:
 0 success, 1 usage error, 2 data error (also unwritable outputs),
 3 numerical failure.
 
@@ -18,12 +20,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from segreg import __version__
 from segreg.baselines import icp, ransac_icp
@@ -94,8 +98,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _run_manifest(command: str, args: dict) -> dict:
+    """The command, its resolved flags, and the environment that ran it: the
+    python, numpy and scipy versions and the BLAS thread settings (unset is
+    null).  The git revision is not recorded; no subprocess is started."""
     resolved = {k: v for k, v in args.items() if k not in ("fn", "command")}
-    return {"command": command, "version": __version__, "args": resolved}
+    environment = {"python": ".".join(map(str, sys.version_info[:3])),
+                   "numpy": np.__version__, "scipy": scipy.__version__}
+    environment.update({name: os.environ.get(name)
+                        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")})
+    return {"command": command, "version": __version__, "args": resolved,
+            "environment": environment}
 
 
 def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:

@@ -14,8 +14,9 @@ re-validated on load.  ``save_sample`` and ``load_sample`` alone write and
 read a sample directory: its pose.json needs a positive, finite ``scale``,
 its landmarks.csv K >= 1 finite x,y,z rows and its mask.txt one 0/1 label
 per intraoperative point.  A dataset's manifest.json lists one or more
-sample directories, each once; the generator's settings are in the
-run_manifest.json beside it.  Checkpoints are .npz archives of the
+sample directories, each once and each by a plain name inside the dataset
+directory; the generator's settings are in the run_manifest.json beside
+it.  Checkpoints are .npz archives of the
 parameters (and momentum) with a JSON header (version 4) carrying the step,
 each network config's one field, ``width_factor``, and the generator state;
 loading checks each array's name and shape against ``param_shapes`` of
@@ -300,7 +301,9 @@ def write_manifest(directory: str | Path, sample_dirs: list[str],
 
 def read_manifest(directory: str | Path) -> dict:
     """The manifest under ``directory``; its ``samples`` must name one or
-    more sample directories, each once."""
+    more sample directories, each once, each by one plain path component
+    (no separator, not ``.``, ``..`` or empty), so that no name reaches
+    outside ``directory``."""
     path = Path(directory, "manifest.json")
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json under {directory}")
@@ -314,6 +317,10 @@ def read_manifest(directory: str | Path) -> dict:
         raise ValueError("manifest 'samples' must be a list of sample directory names")
     if not samples:
         raise ValueError("manifest 'samples' lists no sample")
+    unplain = [n for n in samples if Path(n).parts != (n,) or n == ".."]
+    if unplain:
+        raise ValueError(f"manifest 'samples' names {unplain}, which are not "
+                         "plain directory names inside the dataset")
     repeated = sorted({n for n in samples if samples.count(n) > 1})
     if repeated:
         raise ValueError(f"manifest 'samples' lists {repeated} more than once")

@@ -242,7 +242,8 @@ def _tree_ranked(tree: cKDTree, q: np.ndarray, s: np.ndarray, k: int,
     dist, idx = tree.query(q, k=kq, distance_upper_bound=radius + 1e-12)
     dist, idx = dist.reshape(-1, kq), idx.reshape(-1, kq)
     found = idx < ns
-    diff = s[np.where(found, idx, 0)] - q[:, None, :]
+    diff = np.take(s, idx, axis=0, mode="clip")      # a miss (ns) reads row ns - 1
+    diff -= q[:, None, :]
     d2 = np.einsum("qkj,qkj->qk", diff, diff)
     keep = found & (d2 <= radius * radius)
     d2 = np.where(keep, d2, np.inf)

@@ -22,12 +22,14 @@ tape node: A @ feats read as (N, K*Cin), then one product with the
 flattened weights; its feature gradient is one transposed product A.T @ g.
 
 Each level gathers its (N, H, 3) neighbor offsets once
-(:func:`neighbor_offsets`, 0 at shadow slots); its local frames and its
-influence both read them.  The influence is built a block of rows at a
-time, with squared distances expanded as |r|^2 + |k|^2 - 2 k.r into one
-batched product, so building it never holds a full-size float64 temporary;
-the expansion keeps every weight within 1e-7 of the per-axis
-difference-and-square form.
+(:func:`neighbor_offsets`): one ``np.take`` of the table, which clamps the
+shadow index onto the last point, one in-place subtraction of the centres,
+and the shadow slots set to 0 by mask.  Its local frames and its influence
+both read them; the frames zero their centred shadow slots by mask too.
+The influence is built a block of rows at a time, with squared distances
+expanded as |r|^2 + |k|^2 - 2 k.r into one batched product, so building it
+never holds a full-size float64 temporary; the expansion keeps every weight
+within 1e-7 of the per-axis difference-and-square form.
 """
 
 from __future__ import annotations
@@ -134,12 +136,15 @@ def neighbor_offsets(points: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """Offsets (N, H, 3) of each point's neighbors from the point, 0 at shadow slots.
 
     ``neighbors`` is an (N, H) table of ``points`` against themselves whose
-    shadow index is N.  A level's frames and influence both read this one
-    table.
+    shadow index is N.  One gather, ``np.take`` with ``mode="clip"``, reads
+    every slot (a shadow slot reads point N - 1), the centres are subtracted
+    in place and the shadow slots are then set to 0, so a real slot holds
+    ``points[j] - points[i]`` exactly.  A level's frames and influence both
+    read this one table.
     """
-    valid = neighbors < points.shape[0]
-    rel = points[np.where(valid, neighbors, 0)] - points[:, None, :]
-    rel[~valid] = 0.0
+    rel = np.take(points, neighbors, axis=0, mode="clip")
+    rel -= points[:, None, :]
+    rel[neighbors >= points.shape[0]] = 0.0
     return rel
 
 
@@ -248,19 +253,23 @@ def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray) -> np.nda
     identity frame.  Frames co-rotate with the cloud, so frame-relative
     offsets are rotation-invariant.
 
-    The six distinct covariance entries are summed over the neighbor slots
-    in slot order, the order of a per-point ``einsum`` over them.  The third
-    moment takes its sign from cubes formed as p * p * p.  Their rounding
-    differs from ``p ** 3``'s by a few ulps, far below ``_SKEW_MARGIN``
-    times the row's sum of |p^3|, so only a row whose cube sum lies within
-    that margin of zero could change sign; it is summed again with ``p ** 3``.
+    The neighbor mean sums the offsets over the slots with
+    ``np.einsum("qhi->qi")``, slot by slot, and the centred offsets are
+    zeroed at shadow slots by mask.  The six distinct covariance entries are
+    summed over the neighbor slots in slot order, the order of a per-point
+    ``einsum`` over them.  The third moment takes its sign from cubes formed
+    as p * p * p.  Their rounding differs from ``p ** 3``'s by a few ulps,
+    far below ``_SKEW_MARGIN`` times the row's sum of |p^3|, so only a row
+    whose cube sum lies within that margin of zero could change sign; it is
+    summed again with ``p ** 3``.
     """
     n = offsets.shape[0]
     valid = neighbors < n
     counts = valid.sum(axis=1)
     denom = np.maximum(counts, 1)[:, None]
-    mean = offsets.sum(axis=1) / denom
-    centered = (offsets - mean[:, None, :]) * valid[:, :, None]
+    mean = np.einsum("qhi->qi", offsets) / denom
+    centered = offsets - mean[:, None, :]
+    centered[~valid] = 0.0
     upper = np.zeros((n, 6))
     for c in centered.transpose(1, 0, 2):                       # slot order
         upper += c[:, _COV_ROWS] * c[:, _COV_COLS]

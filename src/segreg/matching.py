@@ -139,7 +139,8 @@ def _patch_rows(values: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.
 def _sq_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances (..., n, m) between (..., n, 3) and (..., m, 3) points,
     summed one axis at a time in ``np.einsum("ijk,ijk->ij")``'s order (x, z,
-    y), so they equal its values without its (..., n, m, 3) temporary."""
+    y), so they equal its values without its (..., n, m, 3) temporary.  Its
+    one caller is ``ground_truth_patch_matches``, which reads every entry."""
     out = np.zeros(p.shape[:-1] + q.shape[-2:-1])
     for k in (0, 2, 1):
         diff = p[..., :, None, k] - q[..., None, :, k]
@@ -150,13 +151,32 @@ def _sq_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def distance_histograms(view: PatchedSuperpoints) -> np.ndarray:
     """Rotation-invariant patch signatures: L2-normalized ``HIST_BINS``-bin
-    histograms of pairwise point distances inside each patch."""
+    histograms of pairwise point distances inside each patch.
+
+    Only member pairs are measured.  A patch's s members fill its first s
+    slots, so its member pairs are the first s(s-1)/2 of the (later,
+    earlier) slot pairs in ``np.tril_indices`` order; the counts do not
+    depend on the order pairs are listed in.  Each pair's two endpoints are
+    gathered once, straight from the table, and its squared distance is
+    summed in ``_sq_dists``' axis order (x, z, y), so every distance, and
+    with it every bin, equals that of the full (M, patch_size, patch_size)
+    stack.
+    """
     m, size = view.patch_indices.shape
-    pts = _patch_rows(view.fine_points, view.patch_indices)
-    iu, ju = np.triu_indices(size, k=1)
-    pair = ju < view.sizes[:, None]                 # (M, pairs): both slots members
-    d = np.sqrt(_sq_dists(pts, pts)[:, iu, ju][pair])
-    keys = np.nonzero(pair)[0] * HIST_BINS + histogram_bins(d, HIST_MAX_DIST, HIST_BINS)
+    later, earlier = np.tril_indices(size, k=-1)
+    n_pairs = view.sizes * (view.sizes - 1) // 2
+    owner = np.repeat(np.arange(m), n_pairs)
+    pair = np.arange(owner.size) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    table = view.patch_indices.ravel()
+    first = table[owner * size + earlier[pair]]
+    second = table[owner * size + later[pair]]
+    d2 = np.zeros(owner.size)
+    for k in (0, 2, 1):
+        axis = view.fine_points[:, k]
+        diff = axis[first] - axis[second]
+        diff *= diff
+        d2 += diff
+    keys = owner * HIST_BINS + histogram_bins(np.sqrt(d2), HIST_MAX_DIST, HIST_BINS)
     return normalize_counts(np.bincount(keys, minlength=m * HIST_BINS).reshape(m, -1))
 
 

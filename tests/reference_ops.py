@@ -15,9 +15,15 @@ table, expanded d2 into one product and returned a sparse operator;
 dense forward and feature backward over it, which ``stored_order_product``
 replaces by the operator's stored-order sums; ``einsum_local_reference_frames``
 is ``kpconv.local_reference_frames`` as it was before it summed the
-covariance slot by slot and cubed by products; ``k8_radius_neighbors`` and
-``k8_knn`` rank k + 8 tree candidates per row with a full ``lexsort``, as
-``geometry`` did before it fetched k + 1 and sorted only unordered rows;
+covariance slot by slot and cubed by products, from offsets gathered
+through ``np.where`` with shadow slots zeroed by multiplying;
+``where_neighbor_offsets`` is ``kpconv.neighbor_offsets`` before it gathered
+with one ``np.take``; ``full_stack_distance_histograms`` is
+``matching.distance_histograms`` before it measured member pairs only;
+``k8_radius_neighbors`` and ``k8_knn`` rank k + 8 tree candidates per row,
+gathered through ``np.where``, with a full ``lexsort``, as ``geometry`` did
+before it fetched k + 1, gathered with one ``np.take`` and sorted only
+unordered rows;
 ``unique_voxel_grid_subsample`` groups voxels with ``np.unique(axis=0)``,
 as ``geometry.voxel_grid_subsample`` did before it sorted its keys; and
 ``composed_norm_act`` and ``composed_linear_head`` are the network's norm
@@ -167,6 +173,15 @@ def stored_order_product(matrix, x, transpose=False):
             else:
                 out[r] += w * x[c]
     return out
+
+
+def where_neighbor_offsets(points, neighbors):
+    """``kpconv.neighbor_offsets`` as a ``np.where`` gather of the clamped
+    table and a separate subtraction."""
+    valid = neighbors < points.shape[0]
+    rel = points[np.where(valid, neighbors, 0)] - points[:, None, :]
+    rel[~valid] = 0.0
+    return rel
 
 
 def einsum_local_reference_frames(points, neighbors, min_neighbors=3):
@@ -383,6 +398,20 @@ def loop_distance_histograms(view, bins=matching.HIST_BINS, max_dist=matching.HI
         if norm > 0:
             out[b] = hist / norm
     return out
+
+
+def full_stack_distance_histograms(view):
+    """``matching.distance_histograms`` over the full (M, P, P) stack of
+    squared distances, of which it reads the member pairs."""
+    m, size = view.patch_indices.shape
+    pts = matching._patch_rows(view.fine_points, view.patch_indices)
+    iu, ju = np.triu_indices(size, k=1)
+    pair = ju < view.sizes[:, None]
+    d = np.sqrt(matching._sq_dists(pts, pts)[:, iu, ju][pair])
+    keys = (np.nonzero(pair)[0] * matching.HIST_BINS
+            + matching.histogram_bins(d, matching.HIST_MAX_DIST, matching.HIST_BINS))
+    counts = np.bincount(keys, minlength=m * matching.HIST_BINS)
+    return matching.normalize_counts(counts.reshape(m, -1))
 
 
 def loop_superpoint_overlap_labels(pre, intra, T_gt, patch_radius):

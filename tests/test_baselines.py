@@ -25,9 +25,14 @@ from segreg.baselines import (
 )
 from segreg.evaluation import tre
 from segreg.geometry import PointCloud, RigidTransform, random_rigid, rotation_angle_deg
+from segreg.kpconv import local_reference_frames, neighbor_offsets
 from segreg.matching import weighted_procrustes
 from segreg.phantom import PhantomConfig, generate_phantom
-from reference_ops import scalar_weighted_procrustes
+from reference_ops import (
+    einsum_local_reference_frames,
+    scalar_weighted_procrustes,
+    where_neighbor_offsets,
+)
 
 
 def bumpy_surface(rng, n=800):
@@ -219,6 +224,22 @@ def test_estimate_normals_match_per_point_covariance_eigenvectors():
         reference[i] = np.linalg.eigh(block.T @ block)[1][:, 0]
     dots = np.abs(np.sum(estimate_normals(cloud) * reference, axis=1))
     assert np.min(dots) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("seed", [3000, 3001])
+def test_normal_offsets_and_frames_equal_where_gather_references(seed):
+    # the H = NORMAL_NEIGHBORS k-NN tables that estimate_normals reads, on the
+    # clouds ransac_icp describes and on a bumpy surface
+    sample = generate_phantom(PhantomConfig(seed=seed))
+    bumpy = bumpy_surface(np.random.default_rng(seed))
+    for cloud in (sample.preoperative, sample.intraoperative, bumpy):
+        pos = cloud.positions
+        nn = cKDTree(pos).query(pos, k=NORMAL_NEIGHBORS)[1]
+        offsets = neighbor_offsets(pos, nn)
+        assert np.array_equal(offsets, where_neighbor_offsets(pos, nn))
+        frames = einsum_local_reference_frames(pos, nn)
+        assert np.array_equal(local_reference_frames(offsets, nn), frames)
+        assert np.array_equal(estimate_normals(cloud), frames[:, 2])
 
 
 # -- references: the per-point and per-hypothesis loops ----------------------

@@ -2,9 +2,12 @@
 
 import csv
 import json
+import platform
+import shutil
 
 import numpy as np
 import pytest
+import scipy
 
 from segreg.baselines import icp, ransac_icp
 from segreg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
@@ -228,7 +231,18 @@ def test_register_pose_info_splits_the_learned_wall_time(tmp_path):
     assert info["final_rms"] == expected.final_rms
 
 
-def test_registers_into_one_directory_each_keep_their_own_manifest(tmp_path):
+def pinned_environment(monkeypatch):
+    """Pin one thread variable and unset the other; the manifest
+    ``environment`` a command then records."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "OMP_NUM_THREADS": "1",
+            "OPENBLAS_NUM_THREADS": None}
+
+
+def test_registers_into_one_directory_each_keep_their_own_manifest(tmp_path, monkeypatch):
+    environment = pinned_environment(monkeypatch)
     pre, intra = small_pair_on_disk(tmp_path)
     preds = tmp_path / "preds"
     for name, seed in (("a", 3), ("b", 4)):
@@ -238,6 +252,7 @@ def test_registers_into_one_directory_each_keep_their_own_manifest(tmp_path):
     for name, seed in (("a", 3), ("b", 4)):
         manifest = load_pose(preds / f"{name}.pose.json")[1]["manifest"]
         assert manifest["command"] == "register"
+        assert manifest["environment"] == environment
         assert manifest["args"]["seed"] == seed
         assert manifest["args"]["out"] == str(preds / f"{name}.pose.json")
     assert sorted(p.name for p in preds.iterdir()) == ["a.pose.json", "b.pose.json"]
@@ -623,14 +638,17 @@ def test_ablate_checkpoints_on_colorless_dataset_exits_with_data_error(tmp_path,
     assert "sample_0000: intraoperative cloud has no colors" in capsys.readouterr().err
 
 
-def test_generate_train_register_eval_ablate_chain_exits_zero(tmp_path):
+def test_generate_train_register_eval_ablate_chain_exits_zero(tmp_path, monkeypatch):
     """The documented workflow on six tiny phantoms, the fewest paired cases
     the ablation's Wilcoxon test accepts, every step exiting 0."""
+    environment = pinned_environment(monkeypatch)
     data, model = tmp_path / "data", tmp_path / "model"
     assert main(["generate", "--out", str(data), "--n-samples", "6", "--n-vertebrae", "2",
                  "--points-pre", "1024", "--points-intra", "512"]) == 0
     # the generator settings are kept once, in the run manifest
-    settings = json.loads((data / "run_manifest.json").read_text())["args"]
+    run_manifest = json.loads((data / "run_manifest.json").read_text())
+    assert run_manifest["environment"] == environment
+    settings = run_manifest["args"]
     assert (settings["n_vertebrae"], settings["points_pre"], settings["points_intra"]) == (
         2, 1024, 512)
     assert "config" not in json.loads((data / "manifest.json").read_text())
@@ -694,6 +712,19 @@ def header_only_landmarks(data):
     (data / "sample_0000" / "landmarks.csv").write_text("x,y,z\n")
 
 
+def manifest_naming(name):
+    """A manifest that names the one sample ``name``, with the sample and its
+    prediction copied to where that name points, so only the name is wrong."""
+    def damage(data):
+        shutil.copytree(data / "sample_0000", data / name)
+        preds = data.parent / "preds"
+        pred = preds / f"{name}.pose.json"
+        pred.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(preds / "sample_0000.pose.json", pred)
+        write_manifest_text(json.dumps({"format_version": 1, "samples": [name]}))(data)
+    return damage
+
+
 EVERY_DATASET_COMMAND = ("train", "eval", "ablate")
 # damage to a valid one-sample dataset, and the commands that read the damage
 BAD_DATASETS = {
@@ -706,6 +737,8 @@ BAD_DATASETS = {
     "duplicate_samples": (write_manifest_text(
         '{"format_version": 1, "samples": ["sample_0000", "sample_0000"]}'),
         EVERY_DATASET_COMMAND),
+    "sample_outside_dataset": (manifest_naming("../a/sample_0000"), EVERY_DATASET_COMMAND),
+    "nested_sample_name": (manifest_naming("a/b"), EVERY_DATASET_COMMAND),
     "mask_shorter_than_intra_cloud": (truncate_mask, ("train",)),
     "mask_label_not_binary": (non_binary_mask, ("train",)),
     "pose_without_scale": (pose_field("scale", None), ("eval",)),

@@ -47,6 +47,7 @@ from reference_ops import (
     k8_radius_neighbors,
     oneshot_conv_influence,
     stored_order_product,
+    where_neighbor_offsets,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -635,6 +636,54 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
                 np.testing.assert_array_equal(expand_influence(ctx.influences[l], nbr),
                                               infl)
     assert len(fallback_rows) > 0
+
+
+def small_phantom_intra(snapped):
+    """The intra cloud of the small phantom of the loop-reference test under
+    ``TINY_SEG``, or snapped to its grid under a registration config."""
+    cloud = generate_phantom(PhantomConfig(seed=3, n_vertebrae=2, points_pre=1024,
+                                           points_intra=512)).intraoperative
+    if not snapped:
+        return cloud, TINY_SEG
+    grid = 1.0 / 8.0
+    class Snapped(TinyReg):
+        initial_voxel = grid
+
+    return PointCloud(np.round(cloud.positions / grid) * grid), Snapped()
+
+
+def phantom1000_intra(cfg):
+    return generate_phantom(PhantomConfig(seed=1000)).intraoperative, cfg
+
+
+# clouds, and whether their neighbor caps leave shadow slots; on the
+# snapped cloud every cap binds, cutting through tied shells
+SHADOW_TABLE_CASES = {
+    "small_raw_seg": (lambda: small_phantom_intra(False), True),
+    "small_snapped_reg": (lambda: small_phantom_intra(True), False),
+    "phantom1000_intra_seg": (lambda: phantom1000_intra(SegNetConfig()), True),
+    "phantom1000_intra_reg": (lambda: phantom1000_intra(RegNetConfig()), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHADOW_TABLE_CASES))
+def test_offsets_and_frames_equal_where_gather_references_on_shadow_tables(case):
+    # the shadow slots must read 0 in the offsets and drop out of the frames
+    # exactly as under the np.where gather, the separate subtraction and the
+    # multiply by the mask
+    make, has_shadow = SHADOW_TABLE_CASES[case]
+    cloud, cfg = make()
+    pyr = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel, cfg.base_radius_mult)
+    shadow_slots = 0
+    for lvl, radius in zip(pyr.levels, pyr.radii):
+        pts = lvl.positions
+        nbr = radius_neighbors(lvl, radius, cfg.max_neighbors)
+        shadow_slots += np.count_nonzero(nbr == len(lvl))
+        offsets = neighbor_offsets(pts, nbr)
+        assert np.array_equal(offsets, where_neighbor_offsets(pts, nbr))
+        assert np.array_equal(local_reference_frames(offsets, nbr),
+                              einsum_local_reference_frames(pts, nbr))
+    assert (shadow_slots > 0) == has_shadow
 
 
 # -- influence row blocks ----------------------------------------------------

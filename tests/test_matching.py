@@ -23,6 +23,7 @@ from segreg.matching import (
     POS_MARGIN,
     POSITIVE_OVERLAP,
     NoPositivePairsError,
+    PatchedSuperpoints,
     build_patches,
     coarse_loss,
     coarse_match,
@@ -44,7 +45,9 @@ from segreg.phantom import PhantomConfig, RegistrationSample, generate_phantom
 from segreg.pipeline import MatcherConfig, prepare_sample
 from segreg.training import init_params
 from reference_ops import (
+    LoopPatches,
     composed_normalize_scores_with_slack,
+    full_stack_distance_histograms,
     loop_build_patches,
     loop_distance_histograms,
     loop_fine_match,
@@ -842,6 +845,28 @@ def test_distance_histograms_equal_loop_reference(patch_case):
     prepared, loops = patch_case
     for view, loop in zip((prepared.pre_view, prepared.intra_view), loops):
         assert np.array_equal(distance_histograms(view), loop_distance_histograms(loop))
+
+
+@pytest.mark.parametrize("patch_size", [2, 32])
+def test_distance_histograms_of_one_and_two_member_patches_equal_references(patch_size):
+    # patches of one member have no pair and those of two have one; some
+    # distances lie past HIST_MAX_DIST, in the last bin
+    rng = np.random.default_rng(61)
+    fine = rng.uniform(-0.3, 0.3, size=(200, 3))
+    sizes = np.minimum([1, 2, 1, 2, 3, 32, 17, 2], patch_size)
+    table = np.full((len(sizes), patch_size), len(fine))
+    ends = np.cumsum(sizes)
+    members_of = np.split(rng.permutation(len(fine))[:ends[-1]], ends[:-1])
+    for row, patch in zip(table, members_of):
+        row[:patch.size] = patch
+    view = PatchedSuperpoints(rng.normal(size=(len(sizes), 3)), table, sizes, fine)
+    got = distance_histograms(view)
+    assert np.array_equal(got, full_stack_distance_histograms(view))
+    loop = LoopPatches(view.points, members_of, fine, np.full(len(fine), -1))
+    assert np.array_equal(got, loop_distance_histograms(loop))
+    assert not got[sizes == 1].any()
+    assert np.all(np.count_nonzero(got[sizes == 2], axis=1) == 1)
+    assert got[:, -1].any()
 
 
 def test_overlap_and_ground_truth_equal_loop_reference(patch_case):

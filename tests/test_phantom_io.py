@@ -403,6 +403,14 @@ def test_manifest_round_trip(tmp_path):
     assert doc["seed"] == 3
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../a/sample_0000", "a/b", "/tmp/a",
+                                  "sample_0000/"])
+def test_manifest_rejects_a_sample_name_that_is_not_one_plain_component(tmp_path, name):
+    write_manifest(tmp_path, ["sample_0000", name], seed=0)
+    with pytest.raises(ValueError, match="not plain directory names"):
+        read_manifest(tmp_path)
+
+
 # -- checkpoints ---------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
