@@ -128,7 +128,7 @@ def estimate_normals(cloud: PointCloud) -> np.ndarray:
     k = min(NORMAL_NEIGHBORS, len(pos))
     _, nn = cKDTree(pos).query(pos, k=k)        # (N,) when k is 1
     nn = nn.reshape(len(pos), k)
-    return local_reference_frames(neighbor_offsets(pos, nn), nn)[:, 2]
+    return local_reference_frames(neighbor_offsets(pos, nn), nn)
 
 
 def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:

@@ -54,7 +54,12 @@ from segreg.gradcheck import COMPONENTS, run_checks
 from segreg.gumbel import hard_mask
 from segreg.kpconv import SparseCloudError
 from segreg.networks import RegNetConfig, SegNetConfig, seg_forward
-from segreg.phantom import PhantomConfig, RegistrationSample, generate_phantom
+from segreg.phantom import (
+    POSE_MAX_ROTATION_DEG,
+    PhantomConfig,
+    RegistrationSample,
+    generate_phantom,
+)
 from segreg.pipeline import (
     MatcherConfig,
     RegistrationError,
@@ -455,7 +460,13 @@ def build_parser() -> _Parser:
     t.add_argument("--log-every", type=_non_negative_int, default=0)
     t.set_defaults(fn=cmd_train)
 
-    r = sub.add_parser("register", help="register one preoperative/intraoperative pair")
+    r = sub.add_parser(
+        "register", help="register one preoperative/intraoperative pair",
+        description="Register one preoperative/intraoperative pair.  The learned "
+                    "backbone is not rotation-invariant: it serves the relative poses "
+                    "it was trained on, and the phantoms draw at most "
+                    f"{POSE_MAX_ROTATION_DEG:g} degrees.  The pose JSON's "
+                    "info.rotation_deg is the returned pose's angle.")
     r.add_argument("--pre", required=True)
     r.add_argument("--intra", required=True)
     r.add_argument("--out", required=True)

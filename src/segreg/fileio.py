@@ -17,13 +17,15 @@ per intraoperative point.  A dataset's manifest.json lists one or more
 sample directories, each once and each by a plain name inside the dataset
 directory; the generator's settings are in the run_manifest.json beside
 it.  Checkpoints are .npz archives of the
-parameters (and momentum) with a JSON header (version 4) carrying the step,
+parameters (and momentum) with a JSON header (version 5) carrying the step,
 each network config's one field, ``width_factor``, and the generator state;
 loading checks each array's name and shape against ``param_shapes`` of
 those configs.  The header does not record the networks' class constants
-(widths, voxel, neighbor cap, kernel), so a change to any of them changes
-what a checkpoint means and bumps ``CHECKPOINT_VERSION``, and a config
-subclass that overrides them cannot be saved.
+(widths, voxel, neighbor cap, kernel), so a change to any of them, or to
+what the convolution computes, changes what a checkpoint means and bumps
+``CHECKPOINT_VERSION``, and a config subclass that overrides them cannot be
+saved.  Version 5 weights read offsets in the cloud's own axes; version 4
+weights were trained on offsets rotated into per-point local frames.
 """
 
 from __future__ import annotations
@@ -331,7 +333,7 @@ def read_manifest(directory: str | Path) -> dict:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(path: str | Path, params: dict, seg_config: SegNetConfig,

@@ -24,8 +24,9 @@ flattened weights; its feature gradient is one transposed product A.T @ g.
 Each level gathers its (N, H, 3) neighbor offsets once
 (:func:`neighbor_offsets`): one ``np.take`` of the table, which clamps the
 shadow index onto the last point, one in-place subtraction of the centres,
-and the shadow slots set to 0 by mask.  Its local frames and its influence
-both read them; the frames zero their centred shadow slots by mask too.
+and the shadow slots set to 0 by mask.  The influence reads them in the
+cloud's own axes, with axis-aligned kernels as in KPConv (Thomas et al.,
+ICCV 2019) and GeoTransformer (Qin et al., CVPR 2022).
 The influence is built a block of rows at a time, with squared distances
 expanded as |r|^2 + |k|^2 - 2 k.r into one batched product, so building it
 never holds a full-size float64 temporary; the expansion keeps every weight
@@ -61,9 +62,6 @@ _INFLUENCE_BLOCK = 128  # rows per pass in conv_influence
 # the six distinct entries of a 3x3 covariance, and where each one goes
 _COV_ROWS, _COV_COLS = np.triu_indices(3)
 _COV_SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-# a third-moment sum this close to 0, relative to its sum of |p^3|, is
-# recomputed with ``p ** 3``
-_SKEW_MARGIN = 1e-12
 
 # the kernel layouts of the two networks, keyed by (kernel_size, kernel_seed);
 # see kernel_disposition
@@ -139,8 +137,8 @@ def neighbor_offsets(points: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     shadow index is N.  One gather, ``np.take`` with ``mode="clip"``, reads
     every slot (a shadow slot reads point N - 1), the centres are subtracted
     in place and the shadow slots are then set to 0, so a real slot holds
-    ``points[j] - points[i]`` exactly.  A level's frames and influence both
-    read this one table.
+    ``points[j] - points[i]`` exactly.  A level's influence and the
+    baselines' normals read this table.
     """
     rel = np.take(points, neighbors, axis=0, mode="clip")
     rel -= points[:, None, :]
@@ -176,23 +174,23 @@ class InfluenceOperator:
 
 
 def conv_influence(offsets: np.ndarray, neighbors: np.ndarray, kernel: np.ndarray,
-                   sigma: float, frames: np.ndarray | None = None) -> InfluenceOperator:
+                   sigma: float) -> InfluenceOperator:
     """Correlation weights of each kernel point on each neighbor, as an operator.
 
     ``offsets`` is the :func:`neighbor_offsets` table of the (N, H) radius
     table ``neighbors``; ``kernel`` is the (K, 3) layout of
     :func:`kernel_disposition` times the layer radius.  Shadow slots
-    (index == N) get no weight.  With ``frames`` (N, 3, 3), offsets are
-    expressed in each point's local frame before kernel correlation, which
-    makes the convolution rotation-invariant.  The weights are computed in
-    float64 and rounded to float32, the precision of the frozen geometry,
-    then stored as float64 so that no convolution casts them.  A weight
+    (index == N) get no weight.  Offsets are correlated with the kernel in
+    the cloud's own axes, so the weights, and every feature built on them,
+    change when the cloud is rotated.  The weights are computed in float64
+    and rounded to float32, the precision of the frozen geometry, then
+    stored as float64 so that no convolution casts them.  A weight
     1 - d / sigma > 0 is at least 2**-53, so none rounds to a float32 zero.
 
     Rows are evaluated ``_INFLUENCE_BLOCK`` points at a time: a block's
-    offsets are rotated by one batched product, and its squared distances
-    come from another, as d2 = |r|^2 + |k|^2 - 2 k.r (the product takes
-    -2 k, an exact scaling).  Only the entries with d2 < sigma^2 (1 + 1e-9),
+    squared distances come from one batched product, as
+    d2 = |r|^2 + |k|^2 - 2 k.r (the product takes -2 k, an exact scaling).
+    Only the entries with d2 < sigma^2 (1 + 1e-9),
     picked in (row, slot) order, get a weight 1 - sqrt(max(d2, 0)) / sigma;
     past that margin rounding cannot make a weight positive, and the picked
     weights that are not positive are dropped.  Evaluating all rows at once
@@ -217,8 +215,6 @@ def conv_influence(offsets: np.ndarray, neighbors: np.ndarray, kernel: np.ndarra
     for start in range(0, n, _INFLUENCE_BLOCK):
         block = slice(start, start + _INFLUENCE_BLOCK)
         rel = offsets[block]                                   # (B, H, 3)
-        if frames is not None:
-            rel = np.matmul(rel, frames[block].transpose(0, 2, 1))
         rel_sq = np.einsum("qhj,qhj->qh", rel, rel)
         rel_sq[shadow[block]] = np.inf      # shadow offsets are 0: d2 = inf
         d2 = np.matmul(kernel_m2, rel.transpose(0, 2, 1))      # (B, K, H)
@@ -242,26 +238,20 @@ def conv_influence(offsets: np.ndarray, neighbors: np.ndarray, kernel: np.ndarra
 
 
 def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Deterministic per-point local frames from neighborhood covariance.
+    """Unit surface normals (N, 3): each neighborhood's least-spread axis.
 
     ``offsets`` is the :func:`neighbor_offsets` table of the (N, H) table
-    ``neighbors``.  Rows of each 3x3 frame are the covariance eigenvectors
-    ordered largest to smallest spread.  The smallest axis (surface normal)
-    is oriented away from the local centroid, the largest by third-moment
-    skew, and the middle completes a right-handed basis.  Points with fewer
-    than 3 real neighbors, whose covariance has no unique axes, keep the
-    identity frame.  Frames co-rotate with the cloud, so frame-relative
-    offsets are rotation-invariant.
+    ``neighbors``.  The normal is the covariance eigenvector of the smallest
+    eigenvalue, oriented away from the local centroid (outward for
+    surfaces).  Points with fewer than 3 real neighbors, whose covariance
+    has no unique axes, get (0, 0, 1).  It keeps the name under which
+    ``perfbench/tracer.py`` times it.
 
     The neighbor mean sums the offsets over the slots with
     ``np.einsum("qhi->qi")``, slot by slot, and the centred offsets are
     zeroed at shadow slots by mask.  The six distinct covariance entries are
     summed over the neighbor slots in slot order, the order of a per-point
-    ``einsum`` over them.  The third moment takes its sign from cubes formed
-    as p * p * p.  Their rounding differs from ``p ** 3``'s by a few ulps,
-    far below ``_SKEW_MARGIN`` times the row's sum of |p^3|, so only a row
-    whose cube sum lies within that margin of zero could change sign; it is
-    summed again with ``p ** 3``.
+    ``einsum`` over them.
     """
     n = offsets.shape[0]
     valid = neighbors < n
@@ -275,22 +265,10 @@ def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray) -> np.nda
         upper += c[:, _COV_ROWS] * c[:, _COV_COLS]
     cov = upper[:, _COV_SYMMETRIC] / denom[:, :, None]
     _, vecs = np.linalg.eigh(cov)                    # ascending eigenvalues
-    normal = vecs[:, :, 0]
-    major = vecs[:, :, 2]
-    # orient the normal away from the local centroid (outward for surfaces)
-    flip_n = np.einsum("qi,qi->q", normal, mean) > 0
-    normal[flip_n] *= -1.0
-    # orient the major axis by the sign of the third moment along it
-    p = np.einsum("qhi,qi->qh", offsets, major)
-    cubes = p * p * p
-    skew = cubes.sum(axis=1)
-    near_zero = np.flatnonzero(np.abs(skew) <= _SKEW_MARGIN * np.abs(cubes).sum(axis=1))
-    skew[near_zero] = (p[near_zero] ** 3).sum(axis=1)
-    major[skew < 0] *= -1.0
-    middle = np.cross(normal, major)
-    frames = np.stack([major, middle, normal], axis=1)
-    frames[counts < 3] = np.eye(3)
-    return frames
+    normals = vecs[:, :, 0]
+    normals[np.einsum("qi,qi->q", normals, mean) > 0] *= -1.0
+    normals[counts < 3] = (0.0, 0.0, 1.0)
+    return np.ascontiguousarray(normals)
 
 
 def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor,

@@ -17,7 +17,11 @@ reads [r, g, b, 1] and emits 2-class logits at the raw input resolution.  The
 registration backbone reads one per-point feature (ones for the preoperative
 cloud, the segmentation mask for the intraoperative one) and returns
 bottleneck superpoint features plus dense decoder features; the same
-parameters process both clouds.
+parameters process both clouds.  Both networks correlate their kernels
+with neighbor offsets in the cloud's own axes, so their features are not
+rotation-invariant: the registration backbone serves the relative poses it
+was trained on, and the phantoms draw rotations of at most
+``phantom.POSE_MAX_ROTATION_DEG`` (45 degrees).
 
 A config holds the one value callers set, ``width_factor``, which scales
 every layer width.  The rest is the architecture and lives in class
@@ -44,7 +48,6 @@ from segreg.kpconv import (
     conv_influence,
     kernel_disposition,
     kpconv_apply,
-    local_reference_frames,
     neighbor_offsets,
 )
 
@@ -80,7 +83,6 @@ class SegNetConfig(_NetConfig):
     kernel_size: ClassVar[int] = 15
     kernel_seed: ClassVar[int] = 17
     base_radius_mult: ClassVar[float] = 2.5
-    local_frames: ClassVar[bool] = False
     prefix: ClassVar[str] = "seg"
     in_channels: ClassVar[int] = 4                # r, g, b, constant 1
     bottleneck_heads: ClassVar[tuple] = ()
@@ -96,7 +98,6 @@ class RegNetConfig(_NetConfig):
     kernel_size: ClassVar[int] = 20
     kernel_seed: ClassVar[int] = 23
     base_radius_mult: ClassVar[float] = 7.0
-    local_frames: ClassVar[bool] = True           # rotation-invariant, to match across poses
     prefix: ClassVar[str] = "reg"
     in_channels: ClassVar[int] = 1                # constant 1 or the segmentation mask
     bottleneck_heads: ClassVar[tuple] = (("reg_sp", SUPERPOINT_DIM),)
@@ -145,17 +146,15 @@ def _constant_input(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> np.n
 def build_context(cloud: PointCloud, cfg: SegNetConfig | RegNetConfig) -> BackboneContext:
     """Precompute the pyramid and influence operators for one input cloud,
     holding ``cfg``'s constant input on it (see :class:`BackboneContext`).
-    Each level's radius table is built, read by its frames and influence,
-    and dropped."""
+    Each level's radius table is built, read by its influence, and
+    dropped."""
     pyramid = build_pyramid(cloud, len(cfg.widths), cfg.initial_voxel, cfg.base_radius_mult)
     kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
     influences = []
     for lvl, radius in zip(pyramid.levels, pyramid.radii):
         nbr = radius_neighbors(lvl, radius, cfg.max_neighbors)
-        offsets = neighbor_offsets(lvl.positions, nbr)
-        frames = local_reference_frames(offsets, nbr) if cfg.local_frames else None
-        influences.append(conv_influence(offsets, nbr, kernel * radius,
-                                         radius / SIGMA_RATIO, frames=frames))
+        influences.append(conv_influence(neighbor_offsets(lvl.positions, nbr), nbr,
+                                         kernel * radius, radius / SIGMA_RATIO))
     return BackboneContext(pyramid, influences, None, None).holding(
         Tensor(_constant_input(cloud, cfg)))
 

@@ -18,7 +18,10 @@ inference) as one stack through ``matching.patch_scores`` and
 "coarse", or one coarse pair's fine matches, "local"), re-solved on the
 fine matches by ``refine_transform``.  Its ``info`` reports the winner's
 votes and its margin over the runner-up (its own votes when no other
-hypothesis is valid), a confidence for the pose.
+hypothesis is valid), a confidence for the pose, and the pose's rotation
+angle: the backbone serves only the poses it was trained on (see
+``networks``), so an angle past ``phantom.POSE_MAX_ROTATION_DEG`` is one
+that a phantom-trained model never saw.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from segreg import autodiff as ad
 from segreg.autodiff import Tensor
-from segreg.geometry import RigidTransform
+from segreg.geometry import RigidTransform, rotation_angle_deg
 from segreg.gumbel import hard_mask
 from segreg.matching import (
     POSITIVE_OVERLAP,
@@ -210,7 +213,8 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
     ``info`` holds the match counts (``n_coarse``, ``n_fine``), the fine
     matches the refined pose places within that radius (``inliers``; 0 means
     no match supports the pose), the mask's bone share (``mask_mean``), the
-    winning hypothesis (``path``) and its ``votes`` and ``vote_margin``.
+    winning hypothesis (``path``) and its ``votes`` and ``vote_margin``, and
+    the geodesic angle of the returned rotation in degrees (``rotation_deg``).
     """
     mask = hard_mask(seg_forward(params, prepared.seg_ctx))
 
@@ -237,5 +241,6 @@ def register_pair(params: dict[str, Tensor], prepared: PreparedSample,
         "path": "coarse" if winner == 0 else "local",
         "votes": int(votes[winner]),
         "vote_margin": int(votes[winner] - np.delete(votes, winner).max(initial=0)),
+        "rotation_deg": rotation_angle_deg(transform.rotation),
     }
     return RegistrationResult(transform, mask, info)

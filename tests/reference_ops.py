@@ -14,9 +14,9 @@ table, expanded d2 into one product and returned a sparse operator;
 ``gather_matmul_mixed`` and ``add_at_feats_grad`` are the convolution's
 dense forward and feature backward over it, which ``stored_order_product``
 replaces by the operator's stored-order sums; ``einsum_local_reference_frames``
-is ``kpconv.local_reference_frames`` as it was before it summed the
-covariance slot by slot and cubed by products, from offsets gathered
-through ``np.where`` with shadow slots zeroed by multiplying;
+is the normal of ``kpconv.local_reference_frames`` as it was before it
+summed the covariance slot by slot, from offsets gathered through
+``np.where`` with shadow slots zeroed by multiplying;
 ``where_neighbor_offsets`` is ``kpconv.neighbor_offsets`` before it gathered
 with one ``np.take``; ``full_stack_distance_histograms`` is
 ``matching.distance_histograms`` before it measured member pairs only;
@@ -103,13 +103,11 @@ def _repulse(k, seed):
     return pts
 
 
-def oneshot_conv_influence(points, neighbors, kernel, sigma, frames=None):
+def oneshot_conv_influence(points, neighbors, kernel, sigma):
     """``conv_influence`` on all rows at once: (N, K, H) float64 temporaries."""
     valid = neighbors < points.shape[0]
     safe = np.where(valid, neighbors, 0)
     rel = points[safe] - points[:, None, :]          # (N, H, 3)
-    if frames is not None:
-        rel = np.einsum("qij,qhj->qhi", frames, rel)
     d2 = np.zeros((rel.shape[0], kernel.shape[0], rel.shape[1]))
     for j in range(3):
         d2 += (rel[:, None, :, j] - kernel[None, :, j, None]) ** 2
@@ -185,8 +183,8 @@ def where_neighbor_offsets(points, neighbors):
 
 
 def einsum_local_reference_frames(points, neighbors, min_neighbors=3):
-    """``local_reference_frames`` from the points: covariance by ``einsum``,
-    third moment by ``** 3``."""
+    """``local_reference_frames`` from the points: the normal of a
+    covariance summed by ``einsum``."""
     n = points.shape[0]
     valid = neighbors < n
     safe = np.where(valid, neighbors, 0)
@@ -198,16 +196,10 @@ def einsum_local_reference_frames(points, neighbors, min_neighbors=3):
     cov = np.einsum("qhi,qhj->qij", centered, centered) / denom[:, :, None]
     _, vecs = np.linalg.eigh(cov)
     normal = vecs[:, :, 0]
-    major = vecs[:, :, 2]
     flip_n = np.einsum("qi,qi->q", normal, mean) > 0
     normal[flip_n] *= -1.0
-    skew = np.einsum("qhi,qi->qh", rel, major) ** 3
-    flip_m = (skew * valid).sum(axis=1) < 0
-    major[flip_m] *= -1.0
-    middle = np.cross(normal, major)
-    frames = np.stack([major, middle, normal], axis=1)
-    frames[counts < min_neighbors] = np.eye(3)
-    return frames
+    normal[counts < min_neighbors] = (0.0, 0.0, 1.0)
+    return normal
 
 
 def k8_tree_ranked(tree, q, s, k, radius=np.inf):

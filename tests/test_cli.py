@@ -21,7 +21,7 @@ from segreg.fileio import (
     save_sample,
     write_manifest,
 )
-from segreg.geometry import PointCloud, RigidTransform
+from segreg.geometry import PointCloud, RigidTransform, rotation_angle_deg
 from segreg.networks import RegNetConfig, SegNetConfig
 from segreg.phantom import PhantomConfig, RegistrationSample, generate_phantom
 from segreg.training import init_params
@@ -218,7 +218,9 @@ def test_register_pose_info_splits_the_learned_wall_time(tmp_path):
     assert main(["register", "--pre", str(pre), "--intra", str(intra),
                  "--out", str(tmp_path / "learned.json"),
                  "--checkpoint", str(tmp_path / "model.npz")]) == 0
-    info = load_pose(tmp_path / "learned.json")[1]["info"]
+    pose, meta = load_pose(tmp_path / "learned.json")
+    info = meta["info"]
+    assert info["rotation_deg"] == rotation_angle_deg(pose.rotation)
     assert info["prepare_s"] >= 0 and info["infer_s"] >= 0
     assert 0 <= info["vote_margin"] <= info["votes"]
     assert info["prepare_s"] + info["infer_s"] <= info["wall_time_s"]
@@ -512,6 +514,21 @@ def test_version_2_checkpoint_exits_with_data_error(tmp_path, capsys):
     assert "cannot load inputs: unsupported checkpoint version 2" in capsys.readouterr().err
 
 
+def loading_argv(tmp_path, command, ckpt):
+    """``register --checkpoint ckpt`` on a small pair, or ``train --resume
+    ckpt`` on a one-sample dataset, both with ``--out tmp_path/out``."""
+    if command == "register":
+        pre, intra = small_pair_on_disk(tmp_path)
+        argv = ["register", "--pre", str(pre), "--intra", str(intra), "--checkpoint"]
+    else:
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--n-samples", "1",
+                     "--n-vertebrae", "2", "--points-pre", "1024",
+                     "--points-intra", "512"]) == 0
+        argv = ["train", "--dataset", str(data), "--iters", "1", "--warmup", "0", "--resume"]
+    return argv + [str(ckpt), "--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("command", ["register", "train"])
 def test_version_3_checkpoint_exits_with_data_error(tmp_path, command, capsys):
     """Version 3 headers carried each network's widths, voxel and neighbor
@@ -523,19 +540,20 @@ def test_version_3_checkpoint_exits_with_data_error(tmp_path, command, capsys):
         return header | {"version": 3}
 
     ckpt = rewritten_checkpoint(tmp_path / "model.npz", version_3)
-    out = tmp_path / "out"
-    if command == "register":
-        pre, intra = small_pair_on_disk(tmp_path)
-        argv = ["register", "--pre", str(pre), "--intra", str(intra), "--checkpoint"]
-    else:
-        data = tmp_path / "data"
-        assert main(["generate", "--out", str(data), "--n-samples", "1",
-                     "--n-vertebrae", "2", "--points-pre", "1024",
-                     "--points-intra", "512"]) == 0
-        argv = ["train", "--dataset", str(data), "--iters", "1", "--warmup", "0", "--resume"]
-    assert main(argv + [str(ckpt), "--out", str(out)]) == EXIT_DATA
+    assert main(loading_argv(tmp_path, command, ckpt)) == EXIT_DATA
     assert "cannot load inputs: unsupported checkpoint version 3" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["register", "train"])
+def test_version_4_checkpoint_exits_with_data_error(tmp_path, command, capsys):
+    """Version 4 headers are laid out as version 5's, but their registration
+    weights were trained on offsets rotated into per-point local frames."""
+    ckpt = rewritten_checkpoint(tmp_path / "model.npz",
+                                lambda header, arrays: header | {"version": 4})
+    assert main(loading_argv(tmp_path, command, ckpt)) == EXIT_DATA
+    assert "cannot load inputs: unsupported checkpoint version 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_1_checkpoint_exits_with_data_error(tmp_path, capsys):

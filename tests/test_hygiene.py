@@ -50,6 +50,21 @@ def test_all_names_resolve(path):
     assert not missing, f"{module.__name__}.__all__ lists undefined {missing}"
 
 
+def test_every_traced_layer_resolves():
+    """The benchmark tracer wraps each ``LAYERS`` entry at its module and
+    attribute, so a rename in the package fails here, and not first in a
+    traced benchmark run.  The tracer is read, not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    layers, = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]]
+    assert layers
+    unresolved = [f"{name}: {module}.{attr}" for name, (module, attr) in layers.items()
+                  if module.split(".")[0] != "segreg"
+                  or not callable(vars(importlib.import_module(module)).get(attr))]
+    assert not unresolved, f"perfbench/tracer.py LAYERS names missing functions {unresolved}"
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     imported: dict[str, int] = {}
     for node in ast.walk(tree):

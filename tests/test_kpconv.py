@@ -579,14 +579,12 @@ def loop_nearest(fine, coarse):
                      for p in fine])
 
 
-def loop_influence(points, nbr, kernel_points, sigma, frames):
+def loop_influence(points, nbr, kernel_points, sigma):
     n, h = nbr.shape
     out = np.zeros((n, kernel_points.shape[0], h), dtype=np.float32)
     for i in range(n):
         slots = np.flatnonzero(nbr[i] < n)
         rel = points[nbr[i, slots]] - points[i]
-        if frames is not None:
-            rel = np.einsum("ij,hj->hi", frames[i], rel)
         d = rel[None, :, :] - kernel_points[:, None, :]
         dist = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
         out[i][:, slots] = np.maximum(0.0, 1.0 - dist / sigma)
@@ -614,10 +612,8 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
             nbr = loop_radius_table(pts, pyr.radii[l], cfg.max_neighbors)
             ups = (loop_nearest(pts, pyr.levels[l + 1].positions)
                    if l + 1 < pyr.stages else None)
-            frames = (local_reference_frames(neighbor_offsets(pts, nbr), nbr)
-                      if cfg is snapped_reg else None)
             infl = loop_influence(pts, nbr, kernel * pyr.radii[l],
-                                  pyr.radii[l] / SIGMA_RATIO, frames)
+                                  pyr.radii[l] / SIGMA_RATIO)
             want.append((nbr, ups, infl))
         cases.append((cloud, cfg, want))
     # a candidate list no longer than the cap sends every full row to the
@@ -636,6 +632,26 @@ def test_build_context_tables_match_loop_references(fallback_rows, monkeypatch):
                 np.testing.assert_array_equal(expand_influence(ctx.influences[l], nbr),
                                               infl)
     assert len(fallback_rows) > 0
+
+
+def test_registration_context_builds_no_frames(monkeypatch):
+    # the registration backbone correlates its kernel with the raw offsets:
+    # building its context never computes a per-point frame, and each level's
+    # influence is the axis-aligned loop reference's
+    def no_frames(*args):
+        raise AssertionError("build_context computed local frames")
+
+    for module in ("segreg.kpconv", "segreg.networks"):
+        monkeypatch.setattr(f"{module}.local_reference_frames", no_frames, raising=False)
+    sample = generate_phantom(PhantomConfig(seed=1000))
+    cfg = RegNetConfig()
+    kernel = kernel_disposition(cfg.kernel_size, cfg.kernel_seed)
+    for cloud in (sample.preoperative, sample.intraoperative):
+        ctx = build_context(cloud, cfg)
+        for lvl, radius, infl in zip(ctx.pyramid.levels, ctx.pyramid.radii, ctx.influences):
+            nbr = radius_neighbors(lvl, radius, cfg.max_neighbors)
+            want = loop_influence(lvl.positions, nbr, kernel * radius, radius / SIGMA_RATIO)
+            assert np.array_equal(expand_influence(infl, nbr), want)
 
 
 def small_phantom_intra(snapped):
@@ -668,7 +684,7 @@ SHADOW_TABLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SHADOW_TABLE_CASES))
 def test_offsets_and_frames_equal_where_gather_references_on_shadow_tables(case):
-    # the shadow slots must read 0 in the offsets and drop out of the frames
+    # the shadow slots must read 0 in the offsets and drop out of the normals
     # exactly as under the np.where gather, the separate subtraction and the
     # multiply by the mask
     make, has_shadow = SHADOW_TABLE_CASES[case]
@@ -688,19 +704,16 @@ def test_offsets_and_frames_equal_where_gather_references_on_shadow_tables(case)
 
 # -- influence row blocks ----------------------------------------------------
 
-@pytest.mark.parametrize("with_frames", [False, True], ids=["plain", "frames"])
 @pytest.mark.parametrize("nq", [6, 7, 8], ids=["below", "equal", "past"])
-def test_blocked_influence_equals_one_shot(monkeypatch, with_frames, nq):
+def test_blocked_influence_equals_one_shot(monkeypatch, nq):
     # blocks of 7 rows: one short block, one full block, a full block and one row
     monkeypatch.setattr("segreg.kpconv._INFLUENCE_BLOCK", 7)
     cloud = surface_cloud(np.random.default_rng(50), nq, colors=False)
     radius = 1.2
     nbr = radius_neighbors(cloud, radius, 8)
     assert np.any(nbr == nq) and np.all(nbr[:, 1] < nq)
-    offsets = neighbor_offsets(cloud.positions, nbr)
-    frames = local_reference_frames(offsets, nbr) if with_frames else None
-    args = (nbr, SEG_KERNEL * radius, radius / SIGMA_RATIO, frames)
-    got = expand_influence(conv_influence(offsets, *args), nbr)
+    args = (nbr, SEG_KERNEL * radius, radius / SIGMA_RATIO)
+    got = expand_influence(conv_influence(neighbor_offsets(cloud.positions, nbr), *args), nbr)
     want = oneshot_conv_influence(cloud.positions, *args)
     assert want.dtype == np.float32
     assert np.array_equal(got, want)
@@ -716,7 +729,7 @@ def test_influence_never_holds_a_full_float64_table():
     nbr = radius_neighbors(pyr.levels[0], radius, cfg.max_neighbors)
     offsets = neighbor_offsets(pts, nbr)
     args = (nbr, kernel_disposition(cfg.kernel_size, cfg.kernel_seed) * radius,
-            radius / SIGMA_RATIO, local_reference_frames(offsets, nbr))
+            radius / SIGMA_RATIO)
     # the one-shot evaluation holds at least two tables of this size
     table_bytes = 8 * nbr.size * cfg.kernel_size
     tracemalloc.start()
@@ -747,31 +760,8 @@ def test_context_tables_equal_previous_arithmetic_on_benchmark_phantoms(seed):
             assert np.array_equal(radius_neighbors(lvl, radius, cfg.max_neighbors), nbr)
             if l + 1 < pyr.stages:
                 assert np.array_equal(pyr.ups[l].index, k8_knn(lvl, pyr.levels[l + 1]))
-            frames = None
-            if isinstance(cfg, RegNetConfig):
-                frames = einsum_local_reference_frames(pts, nbr)
-                got = local_reference_frames(neighbor_offsets(pts, nbr), nbr)
-                assert np.array_equal(got, frames)
-            want = oneshot_conv_influence(pts, nbr, kernel * radius, radius / SIGMA_RATIO,
-                                          frames)
+            want = oneshot_conv_influence(pts, nbr, kernel * radius, radius / SIGMA_RATIO)
             assert np.array_equal(expand_influence(ctx.influences[l], nbr), want)
-
-
-def test_frames_on_a_symmetric_lattice_resum_near_zero_cube_sums_with_power():
-    # every neighborhood of an interior lattice point is centrally symmetric,
-    # so its third moment along any axis is 0 in exact arithmetic and its
-    # rounded cube sum lies far inside the 1e-12 fallback margin; on this
-    # lattice the product cubes alone orient some of those rows the other
-    # way from ``p ** 3``, so only the fallback keeps the frames equal
-    basis = np.array([[1.0, 0.3, 0.1], [0.2, 0.7, -0.1], [0.5, -0.1, 0.6]])
-    pts = np.array(list(np.ndindex(9, 9, 9)), dtype=float) @ basis
-    nbr = radius_neighbors(PointCloud(pts), 0.9, 32)
-    offsets = neighbor_offsets(pts, nbr)
-    want = einsum_local_reference_frames(pts, nbr)
-    assert np.array_equal(local_reference_frames(offsets, nbr), want)
-    cubes = np.einsum("qhi,qi->qh", offsets, want[:, 0]) ** 3
-    near_zero = np.abs(cubes.sum(axis=1)) <= 1e-12 * np.abs(cubes).sum(axis=1)
-    assert np.count_nonzero(near_zero) >= 100
 
 
 @pytest.mark.parametrize("radius", [0.175, 1.0, 37.5])

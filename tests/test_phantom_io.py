@@ -427,7 +427,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     # the header keeps what a caller sets; the rest is the architecture
     with np.load(p) as z:
         header = json.loads(bytes(z["__header__"]).decode("utf-8"))
-    assert header["version"] == CHECKPOINT_VERSION == 4
+    assert header["version"] == CHECKPOINT_VERSION == 5
     assert (header["seg_config"], header["reg_config"]) == (
         {"width_factor": 0.05}, {"width_factor": 0.1})
     assert state["step"] == 17

@@ -5,9 +5,11 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from segreg import pipeline
 from segreg.evaluation import tre
+from segreg.geometry import rotation_angle_deg
 from segreg.matching import (
     POSITIVE_OVERLAP,
     ground_truth_patch_matches,
@@ -40,6 +42,20 @@ def test_register_pair_is_valid_and_repeatable():
     assert first.mask.shape == (len(sample.intraoperative),)
     assert set(np.unique(first.mask)) <= {0, 1}
     assert first.info["mask_mean"] == float(first.mask.mean())
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_register_pair_reports_the_rotation_angle_of_its_pose(seed):
+    sample = generate_phantom(PhantomConfig(seed=seed, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    seg, reg, match = SegNetConfig(), RegNetConfig(), pipeline.MatcherConfig()
+    prepared = pipeline.prepare_sample(sample, seg, reg, match, with_ground_truth=False)
+    result = pipeline.register_pair(init_params(seg, reg, seed), prepared, seg, reg, match)
+    angle = result.info["rotation_deg"]
+    assert type(angle) is float
+    assert angle == rotation_angle_deg(result.transform.rotation)
+    magnitude = Rotation.from_matrix(result.transform.rotation).magnitude()
+    assert abs(angle - np.degrees(magnitude)) < 1e-6
 
 
 @pytest.mark.parametrize("winner,votes,margin", [
