@@ -25,9 +25,10 @@ off, so such an input raises :class:`NonFiniteError` and not a
 ``RuntimeWarning``.
 Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
 adds in input order exactly as ``np.add.at`` does into zeros.  Row gathers
-and means run along a :class:`RowMap`, whose range check is made when the
-map is built and whose group sizes are counted once.  The finite-difference
-oracle that checks every op's backward lives in ``segreg.gradcheck``.
+and means run along a :class:`RowMap` of real rows, whose range check is
+made when the map is built and whose group sizes are counted once.  The
+finite-difference oracle that checks every op's backward lives in
+``segreg.gradcheck``.
 """
 
 from __future__ import annotations
@@ -371,60 +372,46 @@ def concat(tensors: list[Tensor]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# indexed ops (ragged neighborhoods, pooling)
+# indexed ops (pooling, upsampling, picked entries)
 # ---------------------------------------------------------------------------
 
 class RowMap:
     """A fixed map of ``len(index)`` rows onto ``n`` rows, checked and
     counted once.
 
-    :func:`gather_rows` reads row ``index[i]`` of an (n, ...) source into
-    output row i, the value n selecting an implicit all-zero row (the
-    shadow), which lets ragged neighborhoods be padded without branching;
-    :func:`scatter_mean` averages source row i into row ``index[i]`` and
-    takes only maps without the shadow.  A map built once, as the point
+    Every index lies in [0, n).  :func:`gather_rows` reads row ``index[i]``
+    of an (n, ...) source into output row i; :func:`scatter_mean` averages
+    source row i into row ``index[i]``.  A map built once, as the point
     pyramid builds its pooling, upsampling and input maps per cloud, spares
-    every gather and mean along it the range check, the shadow test and the
-    group sizes.
+    every gather and mean along it the range check and the group sizes.
     """
 
     def __init__(self, index, n: int):
         index = np.asarray(index, dtype=np.int64)
-        lo, hi = (index.min(), index.max()) if index.size else (0, -1)
-        if lo < 0 or hi > n:
-            raise IndexError(f"row index out of range [0, {n}]")
+        if index.size and (index.min() < 0 or index.max() >= n):
+            raise IndexError(f"row index out of range [0, {n})")
         self.index = index
         self.n = n
-        self.shadow = bool(hi == n)
 
     @cached_property
     def divisor(self) -> np.ndarray:
         """Each row's count of entries, at least 1 so that an empty group
         averages to 0; counted at the first mean along the map, since a
         gather never reads it."""
-        return np.maximum(np.bincount(self.index, minlength=self.n + 1)[:self.n],
-                          1).astype(np.float64)
+        return np.maximum(np.bincount(self.index, minlength=self.n), 1).astype(np.float64)
 
 
 def gather_rows(src: Tensor, rows: RowMap) -> Tensor:
-    """Row lookup along ``rows``, a map onto ``src``'s rows; its shadow
-    index reads zeros.  Backward scatter-adds output gradients into the real
-    source rows."""
+    """Row lookup along ``rows``, a map onto ``src``'s rows.  Backward
+    scatter-adds output gradients into the source rows."""
     n = src.data.shape[0]
     if rows.n != n:
         raise ValueError(f"a map onto {rows.n} rows cannot gather from {n} rows")
-    index = rows.index
-    data = src.data
-    # an index without a shadow entry (upsampling, input-to-level-0 maps)
-    # needs no zero row and its gradient no mask
-    if rows.shadow:
-        data = np.concatenate([data, np.zeros((1,) + data.shape[1:])])
 
     def bwd(g):
-        real = index < n if rows.shadow else slice(None)
-        accumulate_grad(src, scatter_add_rows(index[real], g[real], n))
+        accumulate_grad(src, scatter_add_rows(rows.index, g, n))
 
-    return record_custom(data[index], src.requires_grad, bwd)
+    return record_custom(src.data[rows.index], src.requires_grad, bwd)
 
 
 def scatter_add_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -447,8 +434,6 @@ def scatter_mean(src: Tensor, groups: RowMap) -> Tensor:
     group sizes before it gathers it, the same quotients as dividing after."""
     if groups.index.shape[0] != src.data.shape[0]:
         raise ValueError("group ids must cover every source row")
-    if groups.shadow:
-        raise IndexError("group id out of range")
     safe = groups.divisor.reshape((-1,) + (1,) * (src.data.ndim - 1))
 
     def bwd(g):

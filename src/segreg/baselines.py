@@ -22,12 +22,13 @@ hypotheses, scores them by inliers within ``RANSAC_INLIER_RADIUS``, and
 refines the winner with ICP.  Both are deterministic given their inputs and
 seed.
 
-The descriptors take their normals from ``estimate_normals`` and their
-pairs from a k-d tree's pair list, in fixed-size blocks of pairs.  Each
-pair within the radius is measured once; its distance bin and angle bin
-(``matching.histogram_bins``) form one joint code, which a single
-``np.bincount`` counts into both endpoints' ``DESCRIPTOR_BINS`` x
-``DESCRIPTOR_BINS`` cells, and each histogram is a marginal of those cells.
+The descriptors take their normals, unoriented, from ``estimate_normals``
+and their pairs from a k-d tree's pair list, in fixed-size blocks of pairs.
+Each pair within the radius is measured once; its distance bin and its bin
+of |cos| between the two normals (``matching.histogram_bins``) form one
+joint code, which a single ``np.bincount`` counts into both endpoints'
+``DESCRIPTOR_BINS`` x ``DESCRIPTOR_BINS`` cells, and each histogram is a
+marginal of those cells.
 Mutual matching walks the source descriptors in fixed-size row blocks: each
 block's similarities to every target give its rows' best matches, and a
 running column maximum gives each target's, so the N_src x N_tgt similarity
@@ -123,12 +124,13 @@ def icp(source: PointCloud, target: PointCloud,
 
 
 def estimate_normals(cloud: PointCloud) -> np.ndarray:
-    """Unoriented unit normals: least-spread axis of NORMAL_NEIGHBORS neighbors."""
+    """Unoriented unit normals: least-spread axis of NORMAL_NEIGHBORS neighbors,
+    signed as ``eigh`` returns it; (0, 0, 1) rows for fewer than 3 points."""
     pos = cloud.positions
-    k = min(NORMAL_NEIGHBORS, len(pos))
-    _, nn = cKDTree(pos).query(pos, k=k)        # (N,) when k is 1
-    nn = nn.reshape(len(pos), k)
-    return local_reference_frames(neighbor_offsets(pos, nn), nn)
+    if len(pos) < 3:
+        return np.tile((0.0, 0.0, 1.0), (len(pos), 1))
+    _, nn = cKDTree(pos).query(pos, k=min(NORMAL_NEIGHBORS, len(pos)))
+    return local_reference_frames(neighbor_offsets(pos, nn))
 
 
 def local_descriptors(cloud: PointCloud, radius: float) -> np.ndarray:

@@ -59,9 +59,6 @@ SIGMA_RATIO = 1.5  # kernel influence extent = layer radius / SIGMA_RATIO
 MIN_LEVEL_POINTS = 4  # fewer on a coarser pyramid level: SparseCloudError
 
 _INFLUENCE_BLOCK = 128  # rows per pass in conv_influence
-# the six distinct entries of a 3x3 covariance, and where each one goes
-_COV_ROWS, _COV_COLS = np.triu_indices(3)
-_COV_SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 # the kernel layouts of the two networks, keyed by (kernel_size, kernel_seed);
 # see kernel_disposition
@@ -237,38 +234,17 @@ def conv_influence(offsets: np.ndarray, neighbors: np.ndarray, kernel: np.ndarra
     return InfluenceOperator(matrix)
 
 
-def local_reference_frames(offsets: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Unit surface normals (N, 3): each neighborhood's least-spread axis.
-
-    ``offsets`` is the :func:`neighbor_offsets` table of the (N, H) table
-    ``neighbors``.  The normal is the covariance eigenvector of the smallest
-    eigenvalue, oriented away from the local centroid (outward for
-    surfaces).  Points with fewer than 3 real neighbors, whose covariance
-    has no unique axes, get (0, 0, 1).  It keeps the name under which
-    ``perfbench/tracer.py`` times it.
-
-    The neighbor mean sums the offsets over the slots with
-    ``np.einsum("qhi->qi")``, slot by slot, and the centred offsets are
-    zeroed at shadow slots by mask.  The six distinct covariance entries are
-    summed over the neighbor slots in slot order, the order of a per-point
-    ``einsum`` over them.
-    """
-    n = offsets.shape[0]
-    valid = neighbors < n
-    counts = valid.sum(axis=1)
-    denom = np.maximum(counts, 1)[:, None]
-    mean = np.einsum("qhi->qi", offsets) / denom
-    centered = offsets - mean[:, None, :]
-    centered[~valid] = 0.0
-    upper = np.zeros((n, 6))
-    for c in centered.transpose(1, 0, 2):                       # slot order
-        upper += c[:, _COV_ROWS] * c[:, _COV_COLS]
-    cov = upper[:, _COV_SYMMETRIC] / denom[:, :, None]
+def local_reference_frames(offsets: np.ndarray) -> np.ndarray:
+    """Unoriented unit normals (N, 3) from the (N, H, 3) :func:`neighbor_offsets`
+    of a full k-NN table, H >= 3: each neighborhood's covariance eigenvector
+    of the smallest eigenvalue, signed as ``eigh`` returns it.  The mean and
+    the covariance are ``np.einsum`` sums over the slots, in slot order.  It
+    keeps the name under which ``perfbench/tracer.py`` times it."""
+    h = offsets.shape[1]
+    centered = offsets - (np.einsum("qhi->qi", offsets) / h)[:, None, :]
+    cov = np.einsum("qhi,qhj->qij", centered, centered) / h
     _, vecs = np.linalg.eigh(cov)                    # ascending eigenvalues
-    normals = vecs[:, :, 0]
-    normals[np.einsum("qi,qi->q", normals, mean) > 0] *= -1.0
-    normals[counts < 3] = (0.0, 0.0, 1.0)
-    return np.ascontiguousarray(normals)
+    return np.ascontiguousarray(vecs[:, :, 0])
 
 
 def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor,

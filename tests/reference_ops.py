@@ -14,9 +14,8 @@ table, expanded d2 into one product and returned a sparse operator;
 ``gather_matmul_mixed`` and ``add_at_feats_grad`` are the convolution's
 dense forward and feature backward over it, which ``stored_order_product``
 replaces by the operator's stored-order sums; ``einsum_local_reference_frames``
-is the normal of ``kpconv.local_reference_frames`` as it was before it
-summed the covariance slot by slot, from offsets gathered through
-``np.where`` with shadow slots zeroed by multiplying;
+is the unoriented normal of ``kpconv.local_reference_frames`` on a full
+k-NN table, from offsets gathered by fancy indexing and a mean by ``sum``;
 ``where_neighbor_offsets`` is ``kpconv.neighbor_offsets`` before it gathered
 with one ``np.take``; ``full_stack_distance_histograms`` is
 ``matching.distance_histograms`` before it measured member pairs only;
@@ -182,24 +181,15 @@ def where_neighbor_offsets(points, neighbors):
     return rel
 
 
-def einsum_local_reference_frames(points, neighbors, min_neighbors=3):
-    """``local_reference_frames`` from the points: the normal of a
-    covariance summed by ``einsum``."""
-    n = points.shape[0]
-    valid = neighbors < n
-    safe = np.where(valid, neighbors, 0)
-    rel = (points[safe] - points[:, None, :]) * valid[:, :, None]
-    counts = valid.sum(axis=1)
-    denom = np.maximum(counts, 1)[:, None]
-    mean = rel.sum(axis=1) / denom
-    centered = (rel - mean[:, None, :]) * valid[:, :, None]
-    cov = np.einsum("qhi,qhj->qij", centered, centered) / denom[:, :, None]
+def einsum_local_reference_frames(points, neighbors):
+    """``local_reference_frames`` from the points of a full (N, H) k-NN
+    table: the unoriented normal of a covariance summed by ``einsum``."""
+    h = neighbors.shape[1]
+    rel = points[neighbors] - points[:, None, :]
+    centered = rel - (rel.sum(axis=1) / h)[:, None, :]
+    cov = np.einsum("qhi,qhj->qij", centered, centered) / h
     _, vecs = np.linalg.eigh(cov)
-    normal = vecs[:, :, 0]
-    flip_n = np.einsum("qi,qi->q", normal, mean) > 0
-    normal[flip_n] *= -1.0
-    normal[counts < min_neighbors] = (0.0, 0.0, 1.0)
-    return normal
+    return vecs[:, :, 0]
 
 
 def k8_tree_ranked(tree, q, s, k, radius=np.inf):

@@ -123,29 +123,21 @@ def test_gather_duplicated_row_accumulates_grad():
     np.testing.assert_array_equal(src.grad, [[2.0, 2.0], [0.0, 0.0]])
 
 
-def test_gather_shadow_row_is_zero_with_zero_grad():
-    with Tape():
-        src = Tensor([[1.0, 2.0]], requires_grad=True)
-        out = gather_rows(src, RowMap([1], 1))
-        np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
-        backward(sum_(out))
-    np.testing.assert_array_equal(src.grad, [[0.0, 0.0]])
-
-
 def test_gather_rejects_out_of_range():
+    with pytest.raises(IndexError):
+        RowMap([2], 2)
     with pytest.raises(IndexError):
         RowMap([3], 2)
     with pytest.raises(IndexError):
         RowMap([-1], 2)
     with pytest.raises(ValueError, match="cannot gather"):
-        gather_rows(Tensor(np.ones((2, 2))), RowMap([1], 1))
+        gather_rows(Tensor(np.ones((2, 2))), RowMap([0], 1))
 
 
 def test_gather_gradient_matches_finite_differences(gradcheck_rows_pass):
     src = np.random.default_rng(2).uniform(-2, 2, size=(5, 3))
-    idx = np.array([0, 4, 4, 2, 5, 1])        # 5 is the shadow row
-    padded = np.vstack([src, np.zeros((1, 3))])
-    assert np.array_equal(gather_rows(Tensor(src), RowMap(idx, 5)).data, padded[idx])
+    idx = np.array([0, 4, 4, 2, 1])           # row 4 read twice, row 3 never
+    assert np.array_equal(gather_rows(Tensor(src), RowMap(idx, 5)).data, src[idx])
     gradcheck_rows_pass("tensor", "gather_rows")
 
 
@@ -171,18 +163,6 @@ def test_scatter_mean_forward_and_gradient(gradcheck_rows_pass):
     want = add_at_rows(group, src, 4) / counts
     assert np.array_equal(scatter_mean(Tensor(src), RowMap(group, 4)).data, want)
     gradcheck_rows_pass("tensor", "scatter_mean")
-
-
-def test_gather_rows_backward_with_shadow_index_equals_add_at():
-    rng = np.random.default_rng(14)
-    index = rng.integers(0, 9, size=200)              # 8 real rows, shadow 8
-    proj = rng.normal(size=(200, 3))
-    with Tape():
-        src = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-        backward(sum_(ad.mul(gather_rows(src, RowMap(index, 8)), Tensor(proj))))
-    real = index < 8
-    assert np.any(~real)
-    assert np.array_equal(src.grad, add_at_rows(index[real], proj[real], 8))
 
 
 def test_backward_rejects_non_scalar():
@@ -261,7 +241,7 @@ def test_expand_gradients(gradcheck_rows_pass):
 
 @pytest.mark.parametrize("n_index", [200, 0])
 def test_gather_rows_without_shadow_index_equals_add_at(n_index):
-    """An index with no shadow entry skips the padding and the mask."""
+    """The backward sums repeated entries' gradients, as ``np.add.at``."""
     rng = np.random.default_rng(15)
     index = rng.integers(0, 8, size=n_index)          # repeats, every entry real
     proj = rng.normal(size=(n_index, 3))

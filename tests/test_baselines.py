@@ -215,6 +215,13 @@ def test_estimate_normals_of_noisy_plane_are_vertical():
     assert np.min(np.abs(normals[:, 2])) > 0.99
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_estimate_normals_of_fewer_than_three_points_are_vertical(n):
+    # no neighborhood of 1 or 2 points has a unique least-spread axis
+    pos = np.random.default_rng(22).normal(size=(n, 3))
+    assert np.array_equal(estimate_normals(PointCloud(pos)), np.tile((0.0, 0.0, 1.0), (n, 1)))
+
+
 def test_estimate_normals_match_per_point_covariance_eigenvectors():
     cloud = bumpy_surface(np.random.default_rng(21))
     _, nn = cKDTree(cloud.positions).query(cloud.positions, k=NORMAL_NEIGHBORS)

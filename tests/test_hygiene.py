@@ -65,6 +65,62 @@ def test_every_traced_layer_resolves():
     assert not unresolved, f"perfbench/tracer.py LAYERS names missing functions {unresolved}"
 
 
+def _package_calls(tree: ast.Module) -> list[tuple]:
+    """``(line, module, name, attr, positional count, keywords)`` for each
+    call to a name the file imports from ``segreg`` (``attr`` None) or to an
+    attribute of one; a call with ``*`` or ``**`` arguments is skipped."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "segreg":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    calls = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, ast.Call) or any(k.arg is None for k in node.keywords)
+                or any(isinstance(a, ast.Starred) for a in node.args)):
+            continue
+        func, attr = node.func, None
+        if isinstance(func, ast.Attribute):
+            func, attr = func.value, func.attr
+        if isinstance(func, ast.Name) and func.id in imported:
+            calls.append((node.lineno, *imported[func.id], attr, len(node.args),
+                          tuple(k.arg for k in node.keywords)))
+    return calls
+
+
+def _resolve(module: str, name: str, attr: str | None):
+    try:
+        obj = importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        obj = getattr(importlib.import_module(module), name)
+    return obj if attr is None else getattr(obj, attr)
+
+
+def test_benchmark_workload_calls_bind_to_package_signatures():
+    """Each call ``perfbench/workloads.py`` makes into the package binds to
+    the callee's signature with its positional count and keywords, so a
+    dropped or renamed parameter fails here, and not first in a benchmark
+    run.  The workloads are read, not imported."""
+    calls = _package_calls(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
+    assert calls
+    unbound = []
+    for line, module, name, attr, n_args, keywords in calls:
+        try:
+            inspect.signature(_resolve(module, name, attr)).bind(*[None] * n_args,
+                                                                 **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"line {line}: {'.'.join(filter(None, (name, attr)))}: {exc}")
+    assert not unbound, f"perfbench/workloads.py calls that no longer bind: {unbound}"
+
+
+def test_package_call_scan_sees_imported_names_and_their_attributes():
+    tree = ast.parse("from segreg import pipeline\nfrom segreg.geometry import RigidTransform as RT\n"
+                     "import numpy as np\npipeline.register_pair(a, b, c=1)\nRT(r, t)\n"
+                     "np.zeros(3)\npipeline.f(*a)\nRT(**k)\nx.pipeline.y()\n")
+    assert _package_calls(tree) == [(4, "segreg", "pipeline", "register_pair", 2, ("c",)),
+                                    (5, "segreg.geometry", "RigidTransform", None, 2, ())]
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
