@@ -18,11 +18,12 @@ convolution, patch scoring, the straight-through mask, the circle loss),
 each a single node with a hand-written backward.  Operations are called as
 functions; :class:`Tensor` has no arithmetic operators.  Every tensor, and
 every intermediate of a fused node whose overflow could not reach its
-output, passes the one finiteness routine :func:`require_finite`.  The
-forwards that can overflow on finite inputs (the arithmetic, ``matmul``,
-``softmax`` and the reductions) run with numpy's floating-point warnings
-off, so such an input raises :class:`NonFiniteError` and not a
-``RuntimeWarning``.
+output, passes the one finiteness routine :func:`require_finite`.  Every
+forward that can overflow on finite inputs (the arithmetic, ``softmax``,
+the reductions, and the fused nodes' products) runs under the one policy
+:func:`quiet`, numpy's floating-point warnings off, so such an input raises
+:class:`NonFiniteError` and not a ``RuntimeWarning``.  The module holds
+exactly the tape ops the package records.
 Row scatters go through :func:`scatter_add_rows`, one ``np.bincount`` that
 adds in input order exactly as ``np.add.at`` does into zeros.  Row gathers
 and means run along a :class:`RowMap` of real rows, whose range check is
@@ -44,15 +45,13 @@ __all__ = [
     "backward",
     "NonFiniteError",
     "require_finite",
+    "quiet",
     "add",
-    "sub",
     "mul",
     "div",
     "neg",
-    "exp",
     "log",
     "sqrt",
-    "matmul",
     "softmax",
     "sum_",
     "mean_",
@@ -68,9 +67,6 @@ __all__ = [
 ]
 
 _ACTIVE_TAPE: "Tape | None" = None
-# the forwards that can leave the float range on finite inputs run quietly,
-# so that the finiteness check raises NonFiniteError before numpy warns
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class NonFiniteError(ValueError):
@@ -81,6 +77,13 @@ def require_finite(arr: np.ndarray) -> None:
     """Raise :class:`NonFiniteError` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise NonFiniteError("tensor data must be finite")
+
+
+def quiet() -> np.errstate:
+    """The float-error policy: numpy warnings off, so a finiteness check
+    raises :class:`NonFiniteError` instead.  A fresh context per call, as
+    numpy enters one ``np.errstate`` only once."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class Tensor:
@@ -203,7 +206,7 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.sum(g).reshape(shape) if np.prod(shape, dtype=int) == 1 else g
 
 
-@_quiet
+@quiet()
 def add(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
@@ -214,18 +217,7 @@ def add(a: Tensor, b) -> Tensor:
     return record_custom(a.data + b.data, a.requires_grad or b.requires_grad, bwd)
 
 
-@_quiet
-def sub(a: Tensor, b) -> Tensor:
-    a, b = _operands(a, b)
-
-    def bwd(g):
-        accumulate_grad(a, _reduce_to(g, a.data.shape))
-        accumulate_grad(b, _reduce_to(-g, b.data.shape))
-
-    return record_custom(a.data - b.data, a.requires_grad or b.requires_grad, bwd)
-
-
-@_quiet
+@quiet()
 def mul(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
@@ -236,7 +228,7 @@ def mul(a: Tensor, b) -> Tensor:
     return record_custom(a.data * b.data, a.requires_grad or b.requires_grad, bwd)
 
 
-@_quiet
+@quiet()
 def div(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
@@ -252,16 +244,6 @@ def neg(a: Tensor) -> Tensor:
         accumulate_grad(a, -g)
 
     return record_custom(-a.data, a.requires_grad, bwd)
-
-
-@_quiet
-def exp(a: Tensor) -> Tensor:
-    val = np.exp(a.data)
-
-    def bwd(g):
-        accumulate_grad(a, g * val)
-
-    return record_custom(val, a.requires_grad, bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -286,26 +268,10 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra and shape ops
+# softmax, reductions and shape ops
 # ---------------------------------------------------------------------------
 
-@_quiet
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            accumulate_grad(a, g @ b.data.T)
-        if b.requires_grad:
-            accumulate_grad(b, a.data.T @ g)
-
-    return record_custom(a.data @ b.data, a.requires_grad or b.requires_grad, bwd)
-
-
-@_quiet
+@quiet()
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis`` (max-subtraction)."""
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
@@ -319,7 +285,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return record_custom(val, x.requires_grad, bwd)
 
 
-@_quiet
+@quiet()
 def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def bwd(g):
         gk = g if axis is None or keepdims else np.expand_dims(g, axis)
@@ -328,7 +294,7 @@ def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return record_custom(np.sum(x.data, axis=axis, keepdims=keepdims), x.requires_grad, bwd)
 
 
-@_quiet
+@quiet()
 def mean_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
 

@@ -72,6 +72,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# farthest a point may lie from the origin where register needs unit-sphere
+# clouds; the phantoms stay within 1 + POSE_MAX_TRANSLATION of it
+MAX_INPUT_RADIUS = 2.0
 
 
 class _Exit(Exception):
@@ -272,6 +275,13 @@ def cmd_register(args) -> int:
     with _exits(((OSError, ValueError), EXIT_DATA, "cannot load inputs")):
         pre = load_ply(args.pre)
         intra = load_ply(args.intra)
+        if args.baseline != "icp":  # the networks' and descriptors' radii; ICP has none
+            for path, cloud in ((args.pre, pre), (args.intra, intra)):
+                radius = np.linalg.norm(cloud.positions, axis=1).max()
+                if radius > MAX_INPUT_RADIUS:
+                    raise ValueError(f"{path}: a point lies {radius:.4g} from the origin, "
+                                     f"past {MAX_INPUT_RADIUS:g}; normalize the clouds to "
+                                     "the unit sphere")
         if args.checkpoint is not None:
             _require_colors(intra, args.intra)
             model = load_checkpoint(args.checkpoint)

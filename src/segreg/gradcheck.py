@@ -8,7 +8,7 @@ tape gradient of that scalar, and compares it by ``max_relative_error``
 with central finite differences of the same function run off the tape
 (``finite_difference_gradient``, which only calls it on perturbed copies of
 its inputs).  The straight-through mask adds two exact checks: its
-gradient is the relaxation's, and its forward is binary: 27 checks in all.
+gradient is the relaxation's, and its forward is binary: 24 checks in all.
 A component's inputs come from ``default_rng([seed, component index])``; a
 component with more than one group of rows draws group k > 0 from
 ``default_rng([seed, component index, k])``, so a group added later leaves
@@ -111,7 +111,8 @@ def _fd_error(rng, arrays, fn) -> float:
 
 # ---------------------------------------------------------------------------
 # the table: rows (name, tolerance, input arrays, function of their tensors).
-# Each tolerance is 6-30x the largest error its row reached over seeds 0-29.
+# Each tolerance is 7.1-32.3x the largest error its row reached over seeds
+# 0-29, except reg_pair_all_params, which fails at seed 22 (reg_enc2_w).
 # ---------------------------------------------------------------------------
 
 def _tensor_rows(rng):
@@ -122,14 +123,11 @@ def _tensor_rows(rng):
     group = ad.RowMap([0, 0, 1, 3, 3, 3, 1], 4)   # group 2 stays empty
     return [
         ("add", 1e-9, [u(4, 5), u(4, 5)], lambda t: ad.add(*t)),
-        ("sub", 1e-9, [u(4, 5), u(4, 5)], lambda t: ad.sub(*t)),
         ("mul", 1e-9, [u(4, 5), u(4, 5)], lambda t: ad.mul(*t)),
         ("div", 5e-9, [u(4, 5), u(4, 5, lo=0.5)], lambda t: ad.div(*t)),
         ("neg", 1e-9, [u(4, 5)], lambda t: ad.neg(t[0])),
-        ("exp", 2e-9, [u(4, 5)], lambda t: ad.exp(t[0])),
         ("log", 5e-9, [u(4, 5, lo=0.3)], lambda t: ad.log(t[0])),
         ("sqrt", 2e-9, [u(4, 5, lo=0.3)], lambda t: ad.sqrt(t[0])),
-        ("matmul", 2e-9, [u(4, 5), u(5, 3)], lambda t: ad.matmul(*t)),
         ("softmax", 5e-10, [u(3, 6)], lambda t: ad.softmax(t[0])),
         ("sum_", 1e-9, [u(4, 5)], lambda t: ad.sum_(t[0], axis=1)),
         ("mean_", 5e-10, [u(4, 5)], lambda t: ad.mean_(t[0], axis=0, keepdims=True)),

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from segreg.autodiff import RowMap, Tensor, accumulate_grad, record_custom
+from segreg.autodiff import RowMap, Tensor, accumulate_grad, quiet, record_custom
 from segreg.geometry import PointCloud, knn, voxel_grid_subsample
 
 __all__ = [
@@ -258,7 +258,7 @@ def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor,
     and weights only.  ``mixed`` is the sparse product when the caller
     already holds it: a network context forms it once for an input that
     needs no gradient (``networks.BackboneContext.input_mix``).  Both
-    products run with float warnings off, so an overflow raises
+    products run under ``autodiff.quiet``, so an overflow raises
     ``NonFiniteError`` and not a ``RuntimeWarning``.
     """
     a = influence.matrix
@@ -274,7 +274,7 @@ def kpconv_apply(influence: InfluenceOperator, feats: Tensor, weights: Tensor,
         raise ValueError("feats rows must match the influence columns")
     cout = weights.data.shape[2]
     w_flat = weights.data.reshape(k * cin, cout)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+    with quiet():
         if mixed is None:
             mixed = influence.mix(feats.data)
         out = mixed @ w_flat

@@ -259,7 +259,7 @@ def patch_scores(dense_pre: Tensor, dense_intra: Tensor, pre_view: PatchedSuperp
     tables = (pre_view.patch_indices[pairs[:, 0]], intra_view.patch_indices[pairs[:, 1]])
     rows, cols = (_patch_rows(t.data, table) for t, table in zip(dense, tables))
     scale = 1.0 / np.sqrt(dense_pre.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+    with ad.quiet():
         out = np.pad((rows @ cols.transpose(0, 2, 1)) * scale, ((0, 0), (0, 1), (0, 1)))
 
     def bwd(g):
@@ -271,7 +271,7 @@ def patch_scores(dense_pre: Tensor, dense_intra: Tensor, pre_view: PatchedSuperp
     return ad.record_custom(out, dense_pre.requires_grad or dense_intra.requires_grad, bwd)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@ad.quiet()
 def normalize_scores_with_slack(scores: Tensor, n_rows: np.ndarray, n_cols: np.ndarray,
                                 augment_slack: bool = False) -> Tensor:
     """Normalize a (K, R+1, C+1) stack of slack-padded score matrices.
@@ -298,7 +298,7 @@ def normalize_scores_with_slack(scores: Tensor, n_rows: np.ndarray, n_cols: np.n
     first ``p`` lie in [0, 1].  A finite scale makes each entry its target
     times the entry's share of its sum, so ``p_col`` and the next ``p`` are
     at most the largest target, and every sum at most R + 1 or C + 1 times
-    it.  With float warnings off, an overflow, or a real row or column whose
+    it.  Under ``autodiff.quiet``, an overflow, or a real row or column whose
     exponentials all underflow (a zero sum, an infinite scale), raises
     ``NonFiniteError``.
     """
@@ -557,7 +557,7 @@ def coarse_loss(pre_feats: Tensor, intra_feats: Tensor, targets: CoarseTargets) 
     if not targets.positives:
         raise NoPositivePairsError("no positive superpoint pairs in this sample")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+    with ad.quiet():
         d2 = pre_feats.data @ intra_feats.data.T * -2.0 + 2.0
     ad.require_finite(d2)
     dists = np.sqrt(np.maximum(d2, 0.0) + 1e-12)

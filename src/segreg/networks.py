@@ -127,7 +127,7 @@ class BackboneContext:
     def holding(self, x: Tensor) -> BackboneContext:
         """This context's geometry holding the per-input-point ``x``."""
         feats = ad.scatter_mean(x, self.pyramid.input_to_level0)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+        with ad.quiet():
             mix = None if feats.requires_grad else self.influences[0].mix(feats.data)
         return replace(self, input_feats=feats, input_mix=mix)
 
@@ -247,7 +247,7 @@ def _norm_act(params: dict[str, Tensor], name: str, y: Tensor) -> Tensor:
     gamma, beta = params[f"{name}_gamma"], params[f"{name}_beta"]
     n = y.shape[0]
     x = y.data
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+    with ad.quiet():
         mu = _column_sum(x) / n
         ad.require_finite(mu)
         centered = x - mu
@@ -296,7 +296,7 @@ def _linear_head(params, name, feats: Tensor) -> Tensor:
     matmul / expand / add chain: the same products and sums, and the bias
     gradient the column sum of ``expand``'s backward."""
     w, b = params[f"{name}_w"], params[f"{name}_b"]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteError
+    with ad.quiet():
         out = feats.data @ w.data
         out += b.data
 

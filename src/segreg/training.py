@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from segreg.autodiff import NonFiniteError, Tape, Tensor, backward
+from segreg.autodiff import NonFiniteError, Tape, Tensor, backward, quiet
 from segreg.fileio import save_checkpoint
 from segreg.gumbel import hard_mask, straight_through_mask
 from segreg.matching import NoPositivePairsError
@@ -223,7 +223,7 @@ def train(samples: list[RegistrationSample], cfg: TrainConfig,
         two_step_phase2 = cfg.mode == "two_step" and not two_step_phase1
         try:
             # overflow surfaces as NonFiniteError from Tensor, not as a warning
-            with np.errstate(over="ignore", invalid="ignore"):
+            with quiet():
                 if two_step_phase2:
                     # frozen segmentation: seg_* never steps, so one mask per sample
                     if idx not in frozen_ctxs:

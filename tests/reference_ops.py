@@ -26,7 +26,8 @@ unordered rows;
 ``unique_voxel_grid_subsample`` groups voxels with ``np.unique(axis=0)``,
 as ``geometry.voxel_grid_subsample`` did before it sorted its keys; and
 ``composed_norm_act`` and ``composed_linear_head`` are the network's norm
-and head nodes as chains of elementary tape operations.
+and head nodes as chains of elementary tape operations, the subtract, exp
+and matmul nodes among them local to this module.
 ``_repulse`` is the repulsion descent that generated the kernel layouts
 ``kpconv`` stores, as every process ran it before they were stored.
 ``overlap_coarse_loss``, ``per_step_seg_forward`` and
@@ -251,6 +252,40 @@ def unique_voxel_grid_subsample(cloud, voxel_size):
     return PointCloud(pos), inverse
 
 
+# the elementary subtract, exp and matmul nodes that the composed chains
+# below were built from; the library records only their fused forms
+@ad.quiet()
+def _sub(a, b):
+    """``a - b`` of equal-shape tensors."""
+    def bwd(g):
+        ad.accumulate_grad(a, g)
+        ad.accumulate_grad(b, -g)
+
+    return ad.record_custom(a.data - b.data, a.requires_grad or b.requires_grad, bwd)
+
+
+@ad.quiet()
+def _exp(a):
+    val = np.exp(a.data)
+
+    def bwd(g):
+        ad.accumulate_grad(a, g * val)
+
+    return ad.record_custom(val, a.requires_grad, bwd)
+
+
+@ad.quiet()
+def _matmul(a, b):
+    """``a @ b`` of 2-D tensors."""
+    def bwd(g):
+        if a.requires_grad:
+            ad.accumulate_grad(a, g @ b.data.T)
+        if b.requires_grad:
+            ad.accumulate_grad(b, a.data.T @ g)
+
+    return ad.record_custom(a.data @ b.data, a.requires_grad or b.requires_grad, bwd)
+
+
 def composed_normalize_scores_with_slack(scores, n_rows, n_cols, augment_slack=False):
     """The slack normalization of a padded (K, R+1, C+1) stack as elementary
     tape operations: per-matrix shift, exp, pad mask, then column and row
@@ -265,7 +300,7 @@ def composed_normalize_scores_with_slack(scores, n_rows, n_cols, augment_slack=F
         col_target[:, 0, -1] = n_rows
     shift = np.broadcast_to(np.max(scores.data, axis=(1, 2), keepdims=True), scores.shape)
     valid = (row_target > 0) * (col_target > 0) * 1.0
-    p = ad.mul(ad.exp(ad.sub(scores, Tensor(shift))), Tensor(valid))
+    p = ad.mul(_exp(_sub(scores, Tensor(shift))), Tensor(valid))
     for _ in range(matching.NORM_ITERATIONS):
         csum = ad.add(ad.sum_(p, axis=1, keepdims=True), Tensor(1.0 * (col_target == 0)))
         p = ad.mul(p, ad.expand(ad.div(Tensor(col_target), csum), p.shape))
@@ -302,7 +337,7 @@ def leaky_relu(a, slope):
 
 def composed_norm_act(params, name, y):
     mu = ad.mean_(y, axis=0, keepdims=True)
-    centered = ad.sub(y, ad.expand(mu, y.shape))
+    centered = _sub(y, ad.expand(mu, y.shape))
     var = ad.mean_(ad.mul(centered, centered), axis=0, keepdims=True)
     std = ad.sqrt(ad.add(var, NORM_EPS))
     normed = ad.div(centered, ad.expand(std, y.shape))
@@ -314,7 +349,7 @@ def composed_norm_act(params, name, y):
 def composed_linear_head(params, name, feats):
     """``feats @ w + b`` as the matmul, expand and add nodes it was."""
     b = params[f"{name}_b"]
-    return ad.add(ad.matmul(feats, params[f"{name}_w"]),
+    return ad.add(_matmul(feats, params[f"{name}_w"]),
                   ad.expand(b, (feats.shape[0], b.shape[1])))
 
 

@@ -12,7 +12,6 @@ from segreg.autodiff import (
     Tensor,
     backward,
     gather_rows,
-    matmul,
     scatter_add_rows,
     scatter_mean,
     softmax,
@@ -35,21 +34,14 @@ def test_mul_by_zero_annihilates_value_and_grad():
     np.testing.assert_array_equal(x.grad, np.zeros(3))
 
 
-def test_exp_overflow_raises_nonfinite_error():
-    with pytest.raises(ad.NonFiniteError):
-        ad.exp(Tensor([1.0, 1000.0]))
-
-
 @pytest.mark.parametrize("op, args", [
     (ad.add, ([1e308], [1e308])),
-    (ad.sub, ([1e308], [-1e308])),
     (ad.mul, ([1e200], [1e200])),
     (ad.div, ([1e200], [1e-200])),
     (ad.div, ([1.0], [0.0])),
-    (matmul, ([[1e200]], [[1e200]])),
     (sum_, ([1e308, 1e308],)),
     (ad.mean_, ([1e308, 1e308, -1e308, -1e308],)),
-], ids=["add", "sub", "mul", "div", "div_by_zero", "matmul", "sum", "mean_inf_minus_inf"])
+], ids=["add", "mul", "div", "div_by_zero", "sum", "mean_inf_minus_inf"])
 def test_forward_overflow_on_finite_inputs_raises_nonfinite_error(op, args):
     # pytest turns RuntimeWarning into an error here, so numpy must not
     # warn before the finiteness check runs
@@ -57,18 +49,31 @@ def test_forward_overflow_on_finite_inputs_raises_nonfinite_error(op, args):
         op(*(Tensor(a) for a in args))
 
 
+def test_quiet_enters_nested_and_in_sequence():
+    """Each ``quiet()`` is a fresh context: numpy refuses to enter one
+    ``np.errstate`` twice, and a training run enters the policy every step."""
+    outside = np.geterr()
+    big = np.array([1e308])
+
+    @ad.quiet()
+    def overflow():
+        return big * 10.0
+
+    for _ in range(2):
+        with ad.quiet():
+            with ad.quiet():
+                assert np.isinf(big * 10.0).all()
+            assert np.isnan(big * 10.0 - big * 10.0).all()
+            assert np.isinf(big / 0.0).all()
+        assert np.geterr() == outside
+        assert np.isinf(overflow()).all()
+    with pytest.raises(RuntimeWarning):
+        big * 10.0
+
+
 def test_softmax_of_a_range_past_the_float_limit_is_finite():
     out = softmax(Tensor([-1e308, 1e308]))
     np.testing.assert_array_equal(out.data, [0.0, 1.0])
-
-
-def test_exp_zero_forward_and_backward_seed():
-    with Tape():
-        x = Tensor([0.0], requires_grad=True)
-        y = ad.exp(x)
-        np.testing.assert_allclose(y.data, [1.0])
-        backward(sum_(y))
-    np.testing.assert_allclose(x.grad, [1.0])
 
 
 def test_shape_mismatch_reports_both_shapes():
@@ -79,25 +84,6 @@ def test_shape_mismatch_reports_both_shapes():
 def test_log_rejects_nonpositive():
     with pytest.raises(ValueError):
         ad.log(Tensor([1.0, 0.0]))
-
-
-def test_matmul_identity_and_arithmetic():
-    m = Tensor(np.arange(9.0).reshape(3, 3))
-    np.testing.assert_array_equal(matmul(Tensor(np.eye(3)), m).data, m.data)
-    out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-    np.testing.assert_allclose(out.data, [[11.0]])
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
-
-def test_matmul_gradient_matches_finite_differences(gradcheck_rows_pass):
-    rng = np.random.default_rng(0)
-    a, b = rng.uniform(-2, 2, size=(4, 5)), rng.uniform(-2, 2, size=(5, 3))
-    assert np.array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
-    gradcheck_rows_pass("tensor", "matmul")
 
 
 def test_softmax_symmetry_and_stability():
@@ -199,17 +185,16 @@ def test_forward_determinism():
     assert np.array_equal(r1, r2)
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+@pytest.mark.parametrize("op", ["add", "mul"])
 def test_binary_ops_gradcheck(op, gradcheck_rows_pass):
     rng = np.random.default_rng(6)
     a, b = rng.uniform(-2, 2, size=(3, 4)), rng.uniform(-2, 2, size=(3, 4))
-    ref = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op]
+    ref = {"add": np.add, "mul": np.multiply}[op]
     assert np.array_equal(getattr(ad, op)(Tensor(a), Tensor(b)).data, ref(a, b))
     gradcheck_rows_pass("tensor", op)
 
 
 @pytest.mark.parametrize("op,ref", [
-    ("exp", np.exp),
     ("log", lambda x: np.log(x)),
 ])
 def test_unary_ops_gradcheck(op, ref, gradcheck_rows_pass):
@@ -223,9 +208,9 @@ def test_unary_ops_gradcheck(op, ref, gradcheck_rows_pass):
 def test_composite_expression_gradcheck(gradcheck_rows_pass):
     x = np.random.default_rng(11).uniform(0.2, 2, size=(4, 3))
     t = Tensor(x)
-    y = ad.mean_(ad.add(ad.mul(ad.log(t), ad.exp(ad.neg(t))), ad.mul(t, t)))
-    assert y.item() == np.mean(np.log(x) * np.exp(-x) + x * x)
-    gradcheck_rows_pass("tensor", "log", "exp", "neg", "mul", "add", "mean_")
+    y = ad.mean_(ad.add(ad.mul(ad.log(t), ad.sqrt(t)), ad.neg(ad.mul(t, t))))
+    assert y.item() == np.mean(np.log(x) * np.sqrt(x) + -(x * x))
+    gradcheck_rows_pass("tensor", "log", "sqrt", "neg", "mul", "add", "mean_")
 
 
 def test_nonfinite_leaf_rejected():

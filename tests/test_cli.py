@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 from segreg.baselines import icp, ransac_icp
-from segreg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
+from segreg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, MAX_INPUT_RADIUS, main
 from segreg.fileio import (
     load_ply,
     load_pose,
@@ -23,14 +23,19 @@ from segreg.fileio import (
 )
 from segreg.geometry import PointCloud, RigidTransform, rotation_angle_deg
 from segreg.networks import RegNetConfig, SegNetConfig
-from segreg.phantom import PhantomConfig, RegistrationSample, generate_phantom
+from segreg.phantom import (
+    POSE_MAX_TRANSLATION,
+    PhantomConfig,
+    RegistrationSample,
+    generate_phantom,
+)
 from segreg.training import init_params
 
 
 def test_gradcheck_command_writes_all_passing_checks(tmp_path):
     assert main(["gradcheck", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "gradcheck.json").read_text())
-    assert len(doc) == 27
+    assert len(doc) == 24
     assert all(entry["passed"] for entry in doc)
 
 
@@ -209,6 +214,48 @@ def test_register_ransac_icp_baseline_matches_in_process_call(tmp_path):
     expected = ransac_icp(load_ply(pre), load_ply(intra), np.random.default_rng(5)).transform
     np.testing.assert_allclose(pose.rotation, expected.rotation, rtol=0, atol=1e-12)
     np.testing.assert_allclose(pose.translation, expected.translation, rtol=0, atol=1e-12)
+
+
+def scale_ply(path, factor):
+    cloud = load_ply(path)
+    save_ply(PointCloud(cloud.positions * factor, colors=cloud.colors), path)
+
+
+def test_phantoms_lie_within_the_register_input_radius():
+    sample = generate_phantom(PhantomConfig(seed=4, n_vertebrae=2, points_pre=1024,
+                                            points_intra=512))
+    radii = [np.linalg.norm(c.positions, axis=1).max()
+             for c in (sample.preoperative, sample.intraoperative)]
+    assert max(radii) <= 1.0 + POSE_MAX_TRANSLATION < MAX_INPUT_RADIUS
+
+
+@pytest.mark.parametrize("which", ["pre", "intra"])
+@pytest.mark.parametrize("method", ["checkpoint", "ransac_icp"])
+def test_register_on_a_cloud_in_millimetres_exits_with_data_error(tmp_path, which, method,
+                                                                   capsys):
+    """The learned pipeline and the RANSAC descriptors size their radii for
+    unit-sphere clouds, so a cloud past MAX_INPUT_RADIUS is refused."""
+    pre, intra = small_pair_on_disk(tmp_path)
+    scale_ply({"pre": pre, "intra": intra}[which], 50.0)
+    seg, reg = SegNetConfig(), RegNetConfig()
+    save_checkpoint(tmp_path / "model.npz", init_params(seg, reg, 0), seg, reg)
+    run = (["--checkpoint", str(tmp_path / "model.npz")] if method == "checkpoint"
+           else ["--baseline", "ransac_icp"])
+    code = main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), *run])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "cannot load inputs" in err and "normalize the clouds to the unit sphere" in err
+    assert str({"pre": pre, "intra": intra}[which]) in err
+    assert not (tmp_path / "pose.json").exists()
+
+
+def test_register_icp_baseline_takes_clouds_in_any_unit(tmp_path):
+    pre, intra = small_pair_on_disk(tmp_path)
+    scale_ply(pre, 50.0)
+    scale_ply(intra, 50.0)
+    assert main(["register", "--pre", str(pre), "--intra", str(intra),
+                 "--out", str(tmp_path / "pose.json"), "--baseline", "icp"]) == 0
 
 
 def test_register_pose_info_splits_the_learned_wall_time(tmp_path):

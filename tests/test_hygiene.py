@@ -443,6 +443,58 @@ def test_getattr_scan_sees_three_argument_calls_only():
     assert _getattr_defaults(tree) == [2]
 
 
+# np.errstate calls that keep a float-error policy of their own, with the
+# reason; every other one is autodiff.quiet's
+ERRSTATE_ALLOWED = {
+    "fileio.load_ply": "over='raise': an ascii float past its type's range is a "
+                       "data error, not an infinity",
+    "geometry.rotation_defects": "invalid only: a NaN matrix's determinant is NaN "
+                                 "and fails the check",
+}
+
+
+def _errstate_calls(tree: ast.Module, prefix: str) -> list[str]:
+    """``prefix.[Class.]function`` of each ``np.errstate`` or bare
+    ``errstate`` call, decorators counting in the function they wrap."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and (
+                    child.func.attr if isinstance(child.func, ast.Attribute)
+                    else child.func.id if isinstance(child.func, ast.Name)
+                    else None) == "errstate":
+                found.append(scope)
+            visit(child, scope)
+
+    visit(tree, prefix)
+    return found
+
+
+def test_one_float_error_policy():
+    """Every forward that can leave the float range runs under
+    ``autodiff.quiet``, so an overflow raises ``NonFiniteError`` and never
+    a ``RuntimeWarning``; only ``ERRSTATE_ALLOWED`` keeps a policy of its own."""
+    found = sorted(scope for path in MODULES
+                   for scope in _errstate_calls(ast.parse(path.read_text()), path.stem))
+    assert found == sorted(["autodiff.quiet", *ERRSTATE_ALLOWED]), (
+        f"np.errstate outside autodiff.quiet: "
+        f"{sorted(set(found) - {'autodiff.quiet', *ERRSTATE_ALLOWED})}; every call: {found}")
+
+
+def test_errstate_scan_sees_calls_decorators_and_nested_scopes():
+    tree = ast.parse('"""np.errstate(over="ignore") in a docstring"""\n'
+                     "@np.errstate(over='ignore')\ndef f():\n    return np.errstate\n"
+                     "class C:\n    def m(self):\n"
+                     "        with numpy.errstate(invalid='ignore'):\n            pass\n"
+                     "def g():\n    def h():\n        return errstate()\n"
+                     "    return state(errstate=1)\n")
+    assert _errstate_calls(tree, "mod") == ["mod.f", "mod.C.m", "mod.g.h"]
+
+
 # parameters that a function keeps without reading them, with the reason
 UNREAD_PARAMETERS_ALLOWED = {
     "autodiff.Tape.__exit__.exc_type": "context-manager protocol argument",

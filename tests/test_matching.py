@@ -32,7 +32,9 @@ from segreg.matching import (
     fine_loss,
     fine_match,
     ground_truth_patch_matches,
+    histogram_bins,
     l2_normalize_rows,
+    normalize_counts,
     normalize_scores_with_slack,
     patch_scores,
     procrustes_stack,
@@ -839,6 +841,31 @@ def test_lattice_truncation_cuts_through_tied_distances():
     d = np.sort(np.linalg.norm(pyr.levels[0].positions[first] - pyr.levels[-1].positions[0],
                                axis=1))
     assert d.size > size and d[size - 1] == d[size]
+
+
+@pytest.mark.parametrize("upper, bins", [(1.0, 4), (0.3, 7), (2.5, 1)])
+def test_histogram_bins_follow_np_histogram_at_each_edge(upper, bins):
+    """edges[k] <= x < edges[k + 1] with ``upper`` in the last bin, at, just
+    below and just above every edge; below 0 is the first bin and past
+    ``upper`` the last."""
+    edges = np.linspace(0.0, upper, bins + 1)
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    inside = near[(near >= 0.0) & (near <= upper)]
+    want = [np.flatnonzero(np.histogram([v], bins=edges)[0])[0] for v in inside]
+    got = histogram_bins(inside.reshape(-1, 1), upper, bins)
+    assert got.shape == (inside.size, 1) and np.array_equal(got[:, 0], want)
+    outside = np.array([np.nextafter(0.0, -1.0), -1.0, np.nextafter(upper, np.inf), 2 * upper])
+    assert histogram_bins(outside, upper, bins).tolist() == [0, 0, bins - 1, bins - 1]
+
+
+def test_normalize_counts_gives_unit_rows_and_keeps_zero_rows():
+    counts = np.array([[3, 4, 0], [0, 0, 0], [0, 0, 7], [5, 12, 0]])
+    out = normalize_counts(counts)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, [[0.6, 0.8, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                [5 / 13, 12 / 13, 0.0]])
+    many = normalize_counts(np.random.default_rng(62).integers(0, 40, size=(200, 9)))
+    assert np.abs(np.einsum("ij,ij->i", many, many) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 def test_distance_histograms_equal_loop_reference(patch_case):
